@@ -33,7 +33,6 @@ class TccActionKind(Enum):
 @dataclass(frozen=True)
 class TccAction:
     kind: TccActionKind
-    target_id: int               # vn id, or job id for migrations
     new_ft_interval: int | None = None
 
 
@@ -46,12 +45,12 @@ def tcc_round(vn: VirtualNode, ft_interval: int, gap: int, job: Job,
     it to zero.
     """
     if ft_interval < gap:
-        return TccAction(TccActionKind.CONFIRMED_CHECKPOINT, vn.vn_id, new_ft_interval=gap)
+        return TccAction(TccActionKind.CONFIRMED_CHECKPOINT, new_ft_interval=gap)
     job.restart_count += 1
     if job.restart_count > migration_threshold:
         job.restart_count = 0
-        return TccAction(TccActionKind.JOB_MIGRATION, job.job_id)
-    return TccAction(TccActionKind.PREVIOUS_RESTART, vn.vn_id)
+        return TccAction(TccActionKind.JOB_MIGRATION)
+    return TccAction(TccActionKind.PREVIOUS_RESTART)
 
 
 class CheckpointStore:
@@ -96,6 +95,14 @@ class CheckpointStore:
                 continue
             return ckpt
         return None
+
+    def abandon_after(self, lineage_id: int, target: Checkpoint | None) -> None:
+        """Forget the lineage's images newer than ``target`` (all of them for the
+        initial state): a rollback abandons their timeline.  ``records`` keeps them."""
+        chain = self._by_lineage.get(lineage_id, [])
+        kept = target.ckpt_id if target else -1
+        while chain and chain[-1].ckpt_id > kept:
+            chain.pop()
 
     def latest(self, lineage_id: int) -> Checkpoint | None:
         chain = self._by_lineage.get(lineage_id, [])

@@ -23,7 +23,7 @@ import copy
 import heapq
 import math
 import random
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -38,6 +38,7 @@ from .checkpoint import (
 from .config import SimConfig
 from .fsm import (
     Action,
+    FsmDecision,
     MonitorObservation,
     byzantine_fsm_step,
     checksum_oracle,
@@ -46,6 +47,7 @@ from .fsm import (
 )
 from .metrics import MetricsReport
 from .model import (
+    Checkpoint,
     ChecksumResult,
     CheckpointStatus,
     DelayClass,
@@ -259,11 +261,9 @@ class VnLedger:
         self.settle(t)
         self.blocks.append([kind, cost])
 
-    def resume_time(self) -> int:
-        return self.anchor + sum(remaining for _, remaining in self.blocks)
-
     def completion_time(self, demand: int) -> int:
-        return self.resume_time() + (demand - self.progress)
+        # pending blocks are served before the remaining work
+        return self.anchor + sum(left for _, left in self.blocks) + demand - self.progress
 
     def stop(self, t: int) -> None:
         if self.stopped is not None:
@@ -353,6 +353,157 @@ class Scenario:
         return sim.run()
 
 
+# -- policies ----------------------------------------------------------
+# A run looks its scheduler and checkpoint policy up once, when the Simulation
+# is built, and hands itself to their rules.  A placement's ``wave`` places the
+# initial wave or a migrated job and returns (task id -> server id,
+# pre-evaluation charge); its ``replacement`` picks a server for one restarted
+# node and returns (server id or None, selection cost).  The rules call the
+# scheduler and checkpoint functions by their names in this module.
+
+
+class WsssPlacement:
+    """Failure-count ranking read from the head, with no pre-evaluation charge."""
+
+    def wave(self, sim: Simulation, task_ids: list[int]) -> tuple[dict[int, int], float]:
+        # first fit: the free slots of each server, in rank order
+        slots = [sid for sid in rank_servers(sim.servers).ordered_ids()
+                 for _ in range(sim.server_by_id[sid].free_slots)]
+        return dict(zip(task_ids, slots)), 0.0
+
+    def replacement(self, sim: Simulation, exclude_id: int) -> tuple[int | None, float]:
+        free = {s.server_id: s.free_slots for s in sim.servers}
+        picked, _ = select_servers(rank_servers(sim.servers), 1, free, exclude=(exclude_id,))
+        return (picked[0] if picked else None), 0.0
+
+
+class MesfPlacement:
+    """Packs the fewest, most efficient servers, paying to pre-evaluate candidates."""
+
+    def wave(self, sim: Simulation, task_ids: list[int]) -> tuple[dict[int, int], float]:
+        assignment = mesf_assign(task_ids, sim.servers, sim.cfg.preeval_cost)
+        return assignment.mapping, assignment.preeval_cost
+
+    def replacement(self, sim: Simulation, exclude_id: int) -> tuple[int | None, float]:
+        # re-evaluates and packs onto servers already in use; never opens an
+        # idle server for a single replacement
+        in_use = [s for s in sim.servers if s.active_vns and s.server_id != exclude_id]
+        best = min((s for s in in_use if s.free_slots > 0), default=None,
+                   key=lambda s: (s.latency_mean, s.server_id))
+        return (best.server_id if best else None), sim.cfg.preeval_cost * len(in_use)
+
+
+class RandomPlacement:
+    """Uniform among feasible servers, drawn from the run's stream."""
+
+    def wave(self, sim: Simulation, task_ids: list[int]) -> tuple[dict[int, int], float]:
+        return random_assign(task_ids, sim.servers, sim.rng).mapping, 0.0
+
+    def replacement(self, sim: Simulation, exclude_id: int) -> tuple[int | None, float]:
+        choices = sorted(s.server_id for s in sim.servers
+                         if s.free_slots > 0 and s.server_id != exclude_id)
+        return (sim.rng.choice(choices) if choices else None), 0.0
+
+
+class Checkpointing:
+    """Checkpoint-policy rules.  The defaults schedule no checkpoint rounds,
+    apply the detection machine's action on a monitor round and roll back to
+    the newest clean image; each policy overrides where it differs, and a
+    policy that schedules rounds handles them in ``on_round``."""
+
+    def start_rounds(self, sim: Simulation) -> None:
+        pass
+
+    def on_spawn(self, sim: Simulation, rt: VnRuntime) -> None:
+        pass
+
+    def on_monitor(self, sim: Simulation, rt: VnRuntime, t: int, decision: FsmDecision,
+                   in_monitor: bool) -> str:
+        """Act on a monitor round or a rejected final output; returns the log detail."""
+        if decision.action is Action.REPLACE_NODE:
+            return ";" + sim._restart_vn(rt, t, "replace")
+        if not in_monitor:
+            # rejected final output outside a monitor round: the suspicion
+            # machinery cannot hold a finished node, so replace it outright
+            return ";" + sim._restart_vn(rt, t, "verify_reject")
+        sim._advance_monitor(rt, t, decision.next_gap)
+        return f";action={decision.action.value};q={rt.vn.suspect_rounds}"
+
+    def rollback_target(self, sim: Simulation, task_id: int) -> Checkpoint | None:
+        return sim.store.latest_clean(task_id)
+
+
+class TccCheckpointing(Checkpointing):
+    """Confirms an image while the gap grows, restarts from the previous one
+    when it collapses, and migrates the job past the restart threshold."""
+
+    def on_monitor(self, sim: Simulation, rt: VnRuntime, t: int, decision: FsmDecision,
+                   in_monitor: bool) -> str:
+        action = tcc_round(rt.vn, rt.ft_interval, decision.next_gap, rt.job,
+                           sim.cfg.migration_threshold)
+        if action.kind is TccActionKind.CONFIRMED_CHECKPOINT:
+            rt.ft_interval = action.new_ft_interval
+            if in_monitor:
+                sim._take_vn_checkpoint(rt, t)
+                sim._advance_monitor(rt, t, decision.next_gap)
+            return f";tcc=confirmed;delta={rt.ft_interval}"
+        if action.kind is TccActionKind.PREVIOUS_RESTART:
+            return ";tcc=previous_restart;" + sim._restart_vn(rt, t, "tcc_restart")
+        return ";tcc=job_migration;" + sim._migrate_job(rt.job, t)
+
+
+class SyncCheckpointing(Checkpointing):
+    """Images every live node of a job at a fixed cadence, regardless of health."""
+
+    def start_rounds(self, sim: Simulation) -> None:
+        if sim.cfg.ft_interval <= sim.cfg.horizon:
+            for job_id in sorted(sim.jobs):
+                sim.queue.push(sim.cfg.ft_interval, EventKind.CHECKPOINT_ROUND, job_id)
+
+    def on_round(self, sim: Simulation, ev: SimEvent) -> str:
+        job = sim.jobs[ev.target]
+        live = sorted((rt for rt in sim.runtimes.values()
+                       if rt.job.job_id == job.job_id and rt.crashed_at is None),
+                      key=lambda r: r.vn.vn_id)
+        for rt in live:
+            sim._take_vn_checkpoint(rt, ev.time, job_id=job.job_id)
+        nxt = ev.time + sim.cfg.ft_interval
+        if nxt <= sim.cfg.horizon and any(not sim.tasks[tid].completed
+                                          for tid in job.task_ids):
+            sim.queue.push(nxt, EventKind.CHECKPOINT_ROUND, job.job_id)
+        return f"job=j{job.job_id};taken={len(live)}"
+
+
+class IndependentCheckpointing(Checkpointing):
+    """Images each node at uncoordinated seeded-random times; with an untrusted
+    latest image only the initial state is left to fall back to."""
+
+    def on_spawn(self, sim: Simulation, rt: VnRuntime) -> None:
+        self._next_round(sim, rt, rt.ledger.start)
+
+    def on_round(self, sim: Simulation, ev: SimEvent) -> str:
+        rt = sim.runtimes.get(ev.target)
+        if rt is None or rt.crashed_at is not None:
+            return "stale=1"
+        sim._take_vn_checkpoint(rt, ev.time)
+        return f"vn=v{rt.vn.vn_id};gap={self._next_round(sim, rt, ev.time)}"
+
+    def _next_round(self, sim: Simulation, rt: VnRuntime, t: int) -> int:
+        gap = independent_gap(sim.rng, sim.cfg.indep_mean_gap)
+        if t + gap <= sim.cfg.horizon:
+            sim.queue.push(t + gap, EventKind.CHECKPOINT_ROUND, rt.vn.vn_id)
+        return gap
+
+    def rollback_target(self, sim: Simulation, task_id: int) -> Checkpoint | None:
+        latest = sim.store.latest(task_id)
+        return latest if latest and not latest.tainted else None
+
+
+PLACEMENT = {"wsss": WsssPlacement(), "mesf": MesfPlacement(), "random": RandomPlacement()}
+CHECKPOINTING = {"tcc": TccCheckpointing(), "sync": SyncCheckpointing(),
+                 "independent": IndependentCheckpointing()}
+
+
 class Simulation:
     """One policy run over a scenario."""
 
@@ -380,17 +531,17 @@ class Simulation:
         self.store = CheckpointStore()
         self.report = MetricsReport(scenario.scenario_id, cfg.seed,
                                     self.scheduler, self.checkpoint_policy)
+        self.placement = PLACEMENT[self.scheduler]
+        self.checkpointing = CHECKPOINTING[self.checkpoint_policy]
         self.log_lines: list[str] = []
 
         self.runtimes: dict[int, VnRuntime] = {}    # vn id -> live incarnation
         self.task_vn: dict[int, int] = {}           # task id -> current vn id
         self._next_vn_id = 1
-        self._wave_delay = 0
 
         self.thresholds = (cfg.delay_low_frac, cfg.delay_normal_frac, cfg.delay_high_frac)
         self.detection_pending: dict[int, int] = {}  # task id -> fault time
 
-        self.completed_migrations = 0
         self.failed_workloads = 0
         self.checkpoint_count = 0
         self.rollback_count = 0
@@ -406,8 +557,8 @@ class Simulation:
         self.obs_count = 0
         self.over_count = 0
         self.excess_sum = 0.0
-        self.server_obs_time: dict[int, int] = {}
-        self.server_over_time: dict[int, int] = {}
+        self.server_obs_time: defaultdict[int, int] = defaultdict(int)
+        self.server_over_time: defaultdict[int, int] = defaultdict(int)
 
     # -- logging ----------------------------------------------------------
 
@@ -416,88 +567,25 @@ class Simulation:
             target = "" if ev.target is None else str(ev.target)
             self.log_lines.append(f"{ev.time},{ev.seq},{ev.kind.value},{target},{detail}")
 
-    # -- placement ----------------------------------------------------------
-
-    def _free_slots(self) -> dict[int, int]:
-        return {s.server_id: s.free_slots for s in self.servers}
-
-    def _initial_placement(self) -> dict[int, int]:
-        task_ids = sorted(self.tasks)
-        total = sum(s.free_slots for s in self.servers)
-        if total < len(task_ids):
-            raise ScenarioError(
-                f"infeasible placement: capacity shortfall of {len(task_ids) - total} tasks")
-        if self.scheduler == "mesf":
-            assignment = mesf_assign(task_ids, self.servers, self.cfg.preeval_cost)
-            self.report.record("exec_time_vm_selection", assignment.preeval_cost)
-            self.report.record("exec_time_total", assignment.preeval_cost)
-            self._wave_delay = math.ceil(assignment.preeval_cost)
-            return assignment.mapping
-        if self.scheduler == "random":
-            assignment = random_assign(task_ids, self.servers, self.rng)
-            self.report.record("exec_time_vm_selection", 0.0)
-            self.report.record("exec_time_total", 0.0)
-            return assignment.mapping
-        # wsss: rank once, first fit in rank order, no pre-evaluation charge
-        ranking = rank_servers(self.servers)
-        free = self._free_slots()
-        mapping = {}
-        for tid in task_ids:
-            for sid in ranking.ordered_ids():
-                if free[sid] > 0:
-                    mapping[tid] = sid
-                    free[sid] -= 1
-                    break
-        self.report.record("exec_time_vm_selection", 0.0)
-        self.report.record("exec_time_total", 0.0)
-        return mapping
-
-    def _pick_replacement_server(self, exclude_id: int) -> tuple[int | None, float]:
-        """Choose a server for a restarted node; returns (id, selection cost)."""
-        if self.scheduler == "wsss":
-            ranking = rank_servers(self.servers, self.queue.clock)
-            picked, _ = select_servers(ranking, 1, self._free_slots(), exclude=(exclude_id,))
-            return (picked[0] if picked else None), 0.0
-        if self.scheduler == "mesf":
-            # re-evaluates and packs onto servers already in use; never opens an
-            # idle server for a single replacement
-            in_use = [s for s in self.servers if s.active_vns and s.server_id != exclude_id]
-            cost = self.cfg.preeval_cost * len(in_use)
-            for s in sorted(in_use, key=lambda s: (s.latency_mean, s.server_id)):
-                if s.free_slots > 0:
-                    return s.server_id, cost
-            return None, cost
-        choices = sorted(s.server_id for s in self.servers
-                         if s.free_slots > 0 and s.server_id != exclude_id)
-        if not choices:
-            return None, 0.0
-        return self.rng.choice(choices), 0.0
-
     # -- node lifecycle ----------------------------------------------------------
 
-    def _spawn(self, task: Task, server_id: int, start: int, progress: int,
-               restore_cost: int, last_confirmed: int | None) -> VnRuntime:
-        vn = VirtualNode(vn_id=self._next_vn_id, server_id=server_id,
-                         gap=self.cfg.base_interval,
-                         next_monitor=start + self.cfg.base_interval,
-                         task_id=task.task_id, last_confirmed=last_confirmed)
+    def _spawn(self, task: Task, server_id: int, start: int,
+               target: Checkpoint | None = None, restore_cost: int = 0) -> VnRuntime:
+        """Start a node for ``task``, from ``target`` or else the initial state."""
+        vn = VirtualNode(vn_id=self._next_vn_id, server_id=server_id, task_id=task.task_id,
+                         last_confirmed=target.ckpt_id if target else None)
         self._next_vn_id += 1
-        ledger = VnLedger(start, progress)
-        if restore_cost > 0:
-            ledger.add_block(start, _RESTORE, restore_cost)
+        ledger = VnLedger(start, target.progress if target else 0)
+        ledger.add_block(start, _RESTORE, restore_cost)
         rt = VnRuntime(vn=vn, task=task, job=self.jobs[task.job_id],
                        ledger=ledger, ft_interval=self.cfg.ft_interval,
                        last_obs_time=start)
         self.runtimes[vn.vn_id] = rt
         self.task_vn[task.task_id] = vn.vn_id
         self.server_by_id[server_id].active_vns.add(vn.vn_id)
-        if vn.next_monitor <= self.cfg.horizon:
-            self.queue.push(vn.next_monitor, EventKind.MONITOR_ROUND, vn.vn_id)
+        self._advance_monitor(rt, start, self.cfg.base_interval)
         self._schedule_completion(rt)
-        if self.checkpoint_policy == "independent":
-            gap = independent_gap(self.rng, self.cfg.indep_mean_gap)
-            if start + gap <= self.cfg.horizon:
-                self.queue.push(start + gap, EventKind.CHECKPOINT_ROUND, vn.vn_id)
+        self.checkpointing.on_spawn(self, rt)
         return rt
 
     def _schedule_completion(self, rt: VnRuntime) -> None:
@@ -516,117 +604,74 @@ class Simulation:
         self.restore_total += rt.ledger.restore
         self.span_total += rt.ledger.span
         self.runtimes.pop(rt.vn.vn_id, None)
-        if self.task_vn.get(rt.task.task_id) == rt.vn.vn_id:
-            self.task_vn.pop(rt.task.task_id)
+        self.task_vn.pop(rt.task.task_id)
         self.server_by_id[rt.vn.server_id].active_vns.discard(rt.vn.vn_id)
 
-    def _rollback_target(self, rt: VnRuntime, before: int | None = None):
-        task_id = rt.task.task_id
-        if self.checkpoint_policy == "independent":
-            latest = self.store.latest(task_id)
-            if latest is not None and latest.tainted:
-                return None   # no trusted image: back to the initial state
-            return latest
-        return self.store.latest_clean(task_id, before)
-
-    def _restart_vn(self, rt: VnRuntime, t: int, reason: str) -> str:
-        """Replace one node from its previous trusted checkpoint."""
-        target = self._rollback_target(rt)
+    def _roll_back(self, rt: VnRuntime, target: Checkpoint | None, t: int) -> int:
+        """Discard the node's progress past ``target`` and retire it; returns the lost work."""
+        self.store.abandon_after(rt.task.task_id, target)
         if rt.crashed_at is None:
             rt.ledger.settle(t)
         lost = rollback_loss(rt.ledger.progress, target, t)
         self.lost_work += lost
         self.rollback_count += 1
-        old_server = rt.vn.server_id
-        birth = rt.ledger.start
         self._retire(rt, t)
         rt.task.contaminated_output = False   # erroneous output discarded with the rollback
-        new_sid, selection_cost = self._pick_replacement_server(old_server)
+        return lost
+
+    def _restart_vn(self, rt: VnRuntime, t: int, reason: str) -> str:
+        """Replace one node from its previous trusted checkpoint."""
+        target = self.checkpointing.rollback_target(self, rt.task.task_id)
+        lost = self._roll_back(rt, target, t)
+        new_sid, selection_cost = self.placement.replacement(self, rt.vn.server_id)
         self.report.record("exec_time_host_selection", selection_cost)
         if new_sid is None:
             self.failed_workloads += 1
             return f"reason={reason};lost={lost};placement=failed"
         restore = self.cfg.restart_cost + math.ceil(selection_cost)
-        new_rt = self._spawn(rt.task, new_sid, start=t,
-                             progress=target.progress if target else 0,
-                             restore_cost=restore,
-                             last_confirmed=target.ckpt_id if target else None)
-        self.completed_migrations += 1
+        new_rt = self._spawn(rt.task, new_sid, t, target, restore)
         self.replacement_count += 1
-        self.report.record("time_before_migration", float(t - birth))
+        self.report.record("time_before_migration", float(t - rt.ledger.start))
         self.report.record("exec_time_reallocation", float(restore))
         self.report.record("exec_time_total", selection_cost + restore)
-        return (f"reason={reason};lost={lost};from=s{old_server};"
+        return (f"reason={reason};lost={lost};from=s{rt.vn.server_id};"
                 f"to=s{new_sid};vn=v{new_rt.vn.vn_id}")
 
     def _migrate_job(self, job: Job, t: int) -> str:
-        """Halt every node of the job and restart it from a job-consistent image."""
+        """Halt every node of the job and restart it from a job-consistent image,
+        placed as the run's scheduler places a wave."""
         rts = sorted((rt for rt in self.runtimes.values() if rt.job.job_id == job.job_id),
                      key=lambda r: r.vn.vn_id)
-        if not rts:
-            return "empty"
-        newest_times = []
-        for rt in rts:
-            newest = self.store.latest_clean(rt.task.task_id)
-            newest_times.append(newest.time if newest else 0)
-        consistent_at = min(newest_times)
-        moves = []
-        for rt in rts:
-            target = self.store.latest_clean(rt.task.task_id, before=consistent_at)
-            if rt.crashed_at is None:
-                rt.ledger.settle(t)
-            lost = rollback_loss(rt.ledger.progress, target, t)
-            self.lost_work += lost
-            self.rollback_count += 1
-            moves.append((rt, target, rt.ledger.start))
-            self._retire(rt, t)
-            rt.task.contaminated_output = False
-        if self.scheduler == "mesf":
-            wave_cost = self.cfg.preeval_cost * sum(1 for s in self.servers if s.active_vns)
-        else:
-            wave_cost = 0.0
+        task_ids = [rt.task.task_id for rt in rts]
+        consistent_at = min(c.time if c else 0 for c in map(self.store.latest_clean, task_ids))
+        targets = [self.store.latest_clean(tid, before=consistent_at) for tid in task_ids]
+        for rt, target in zip(rts, targets):
+            self._roll_back(rt, target, t)
+        # retiring the job's nodes freed one slot for each node placed here
+        mapping, wave_cost = self.placement.wave(self, task_ids)
         self.report.record("exec_time_vm_selection", wave_cost)
-        ranking = rank_servers(self.servers, t)
-        free = self._free_slots()
-        picked, _ = select_servers(ranking, len(moves), free)
-        slots = []
-        for sid in picked:
-            while free[sid] > 0 and len(slots) < len(moves):
-                slots.append(sid)
-                free[sid] -= 1
-        placed = 0
-        for (rt, target, birth), slot in zip(moves, slots + [None] * (len(moves) - len(slots))):
-            if slot is None:
-                self.failed_workloads += 1
-                continue
-            restore = self.cfg.migration_cost + math.ceil(wave_cost)
-            self._spawn(rt.task, slot, start=t,
-                        progress=target.progress if target else 0,
-                        restore_cost=restore,
-                        last_confirmed=target.ckpt_id if target else None)
-            self.completed_migrations += 1
-            self.replacement_count += 1
-            placed += 1
+        restore = self.cfg.migration_cost + math.ceil(wave_cost)
+        for rt, target in zip(rts, targets):
+            self._spawn(rt.task, mapping[rt.task.task_id], t, target, restore)
             # bulk moves are collateral of the job halt; the per-VM
             # time-before-migration metric samples reactive restarts only
             self.report.record("exec_time_reallocation", float(restore))
             self.report.record("exec_time_total", wave_cost + restore)
+        self.replacement_count += len(rts)
         self.migration_count += 1
-        job.restart_count = 0
         done_at = t + self.cfg.migration_cost
         if done_at <= self.cfg.horizon:
             self.queue.push(done_at, EventKind.MIGRATION_COMPLETE, job.job_id)
-        return (f"job=j{job.job_id};moved={placed};"
-                f"shortfall={len(moves) - placed};consistent_at={consistent_at}")
+        return f"job=j{job.job_id};moved={len(rts)};consistent_at={consistent_at}"
 
     # -- checkpoints ----------------------------------------------------------
 
-    def _take_vn_checkpoint(self, rt: VnRuntime, t: int, status: CheckpointStatus,
-                            scope: str = "vn", scope_id: int | None = None) -> None:
+    def _take_vn_checkpoint(self, rt: VnRuntime, t: int, job_id: int | None = None) -> None:
         rt.ledger.settle(t)
-        ckpt = self.store.take(rt.vn, t, status, cost=self.cfg.checkpoint_write_cost,
-                               progress=rt.ledger.progress, scope=scope,
-                               scope_id=scope_id, lineage_id=rt.task.task_id)
+        ckpt = self.store.take(rt.vn, t, CheckpointStatus.CONFIRMED,
+                               cost=self.cfg.checkpoint_write_cost, progress=rt.ledger.progress,
+                               scope="vn" if job_id is None else "job", scope_id=job_id,
+                               lineage_id=rt.task.task_id)
         rt.vn.last_confirmed = ckpt.ckpt_id
         rt.ledger.add_block(t, _PAUSE, self.cfg.checkpoint_write_cost)
         self.checkpoint_count += 1
@@ -656,12 +701,10 @@ class Simulation:
         rt.last_obs_time = t
         self.obs_count += 1
         self.excess_sum += max(0.0, delay - sla)
-        self.server_obs_time[server.server_id] = \
-            self.server_obs_time.get(server.server_id, 0) + weight
+        self.server_obs_time[server.server_id] += weight
         if dclass >= DelayClass.HIGH:
             self.over_count += 1
-            self.server_over_time[server.server_id] = \
-                self.server_over_time.get(server.server_id, 0) + weight
+            self.server_over_time[server.server_id] += weight
         if checksum is ChecksumResult.ERROR:
             record_failure(server, FailureKind.ERRONEOUS)
         elif dclass >= DelayClass.HIGH:
@@ -681,29 +724,8 @@ class Simulation:
         decision = next_interval(rt.vn, post, self.cfg)
         rt.vn.state = post
         rt.vn.suspect_rounds = decision.suspect_rounds if post is NodeState.BYZANTINE else 0
-        outcome = f"state={prior.value}>{post.value}"
-
-        if self.checkpoint_policy == "tcc":
-            action = tcc_round(rt.vn, rt.ft_interval, decision.next_gap, rt.job,
-                               self.cfg.migration_threshold)
-            if action.kind is TccActionKind.CONFIRMED_CHECKPOINT:
-                rt.ft_interval = action.new_ft_interval
-                if in_monitor:
-                    self._take_vn_checkpoint(rt, t, CheckpointStatus.CONFIRMED)
-                    self._advance_monitor(rt, t, decision.next_gap)
-                return outcome + f";tcc=confirmed;delta={rt.ft_interval}"
-            if action.kind is TccActionKind.PREVIOUS_RESTART:
-                return outcome + ";tcc=previous_restart;" + self._restart_vn(rt, t, "tcc_restart")
-            return outcome + ";tcc=job_migration;" + self._migrate_job(rt.job, t)
-
-        if decision.action is Action.REPLACE_NODE:
-            return outcome + ";" + self._restart_vn(rt, t, "replace")
-        if not in_monitor:
-            # rejected final output outside a monitor round: the suspicion
-            # machinery cannot hold a finished node, so replace it outright
-            return outcome + ";" + self._restart_vn(rt, t, "verify_reject")
-        self._advance_monitor(rt, t, decision.next_gap)
-        return outcome + f";action={decision.action.value};q={rt.vn.suspect_rounds}"
+        return (f"state={prior.value}>{post.value}"
+                + self.checkpointing.on_monitor(self, rt, t, decision, in_monitor))
 
     def _advance_monitor(self, rt: VnRuntime, t: int, gap: int) -> None:
         rt.vn.gap = gap
@@ -734,12 +756,9 @@ class Simulation:
     # -- fault injection ----------------------------------------------------------
 
     def inject_fault(self, spec: FaultSpec, t: int) -> str:
-        rt = None
-        if spec.target_vn is not None:
-            rt = self.runtimes.get(spec.target_vn)
-        elif spec.target_task is not None:
-            vn_id = self.task_vn.get(spec.target_task)
-            rt = self.runtimes.get(vn_id) if vn_id is not None else None
+        vn_id = (spec.target_vn if spec.target_vn is not None
+                 else self.task_vn.get(spec.target_task))
+        rt = self.runtimes.get(vn_id)
         if rt is None or rt.vn.state is NodeState.FAIL_STOP:
             return f"kind={spec.kind.value};target=none;noop=1"
         if spec.kind is FaultKind.BYZANTINE:
@@ -787,32 +806,6 @@ class Simulation:
             return detail + self._apply_policy(rt, ev.time, obs, in_monitor=False)
         return detail + self._complete_task(rt, ev.time)
 
-    def _handle_checkpoint_round(self, ev: SimEvent) -> str:
-        if self.checkpoint_policy == "sync":
-            job = self.jobs.get(ev.target)
-            if job is None:
-                return "stale=1"
-            taken = 0
-            for rt in sorted((r for r in self.runtimes.values()
-                              if r.job.job_id == job.job_id and r.crashed_at is None),
-                             key=lambda r: r.vn.vn_id):
-                self._take_vn_checkpoint(rt, ev.time, CheckpointStatus.CONFIRMED,
-                                         scope="job", scope_id=job.job_id)
-                taken += 1
-            nxt = ev.time + self.cfg.ft_interval
-            if nxt <= self.cfg.horizon and any(not self.tasks[tid].completed
-                                               for tid in job.task_ids):
-                self.queue.push(nxt, EventKind.CHECKPOINT_ROUND, job.job_id)
-            return f"job=j{job.job_id};taken={taken}"
-        rt = self.runtimes.get(ev.target)
-        if rt is None or rt.crashed_at is not None:
-            return "stale=1"
-        self._take_vn_checkpoint(rt, ev.time, CheckpointStatus.CONFIRMED)
-        gap = independent_gap(self.rng, self.cfg.indep_mean_gap)
-        if ev.time + gap <= self.cfg.horizon:
-            self.queue.push(ev.time + gap, EventKind.CHECKPOINT_ROUND, rt.vn.vn_id)
-        return f"vn=v{rt.vn.vn_id};gap={gap}"
-
     def _handle_exchange(self, ev: SimEvent) -> str:
         spread = []
         for job_id in sorted(self.jobs):
@@ -842,14 +835,16 @@ class Simulation:
 
     def run(self) -> tuple[MetricsReport, list[str]]:
         cfg = self.cfg
-        mapping = self._initial_placement()
-        start = self._wave_delay
-        for tid in sorted(mapping):
-            self._spawn(self.tasks[tid], mapping[tid], start=start, progress=0,
-                        restore_cost=0, last_confirmed=None)
-        if self.checkpoint_policy == "sync" and cfg.ft_interval <= cfg.horizon:
-            for job_id in sorted(self.jobs):
-                self.queue.push(cfg.ft_interval, EventKind.CHECKPOINT_ROUND, job_id)
+        task_ids = sorted(self.tasks)
+        shortfall = len(task_ids) - sum(s.free_slots for s in self.servers)
+        if shortfall > 0:
+            raise ScenarioError(f"infeasible placement: capacity shortfall of {shortfall} tasks")
+        mapping, wave_cost = self.placement.wave(self, task_ids)
+        self.report.record("exec_time_vm_selection", wave_cost)
+        self.report.record("exec_time_total", wave_cost)
+        for tid in task_ids:
+            self._spawn(self.tasks[tid], mapping[tid], math.ceil(wave_cost))
+        self.checkpointing.start_rounds(self)
         if cfg.propagation_prob > 0 and cfg.base_interval <= cfg.horizon:
             self.queue.push(cfg.base_interval, EventKind.CONTAMINATION_EXCHANGE)
         for i, spec in enumerate(self.faults):
@@ -858,21 +853,18 @@ class Simulation:
         dispatch = {
             EventKind.MONITOR_ROUND: self._handle_monitor,
             EventKind.TASK_COMPLETE: self._handle_complete,
-            EventKind.CHECKPOINT_ROUND: self._handle_checkpoint_round,
+            EventKind.CHECKPOINT_ROUND: lambda ev: self.checkpointing.on_round(self, ev),
             EventKind.CONTAMINATION_EXCHANGE: self._handle_exchange,
+            EventKind.FAULT_INJECTION:
+                lambda ev: self.inject_fault(self.faults[ev.target], ev.time),
+            EventKind.MIGRATION_COMPLETE: lambda ev: f"job=j{ev.target}",
         }
         while self.jobs_completed < len(self.jobs):
             next_time = self.queue.peek_time()
             if next_time is None or next_time > cfg.horizon:
                 break
             ev = self.queue.advance()
-            if ev.kind is EventKind.FAULT_INJECTION:
-                detail = self.inject_fault(self.faults[ev.target], ev.time)
-            elif ev.kind is EventKind.MIGRATION_COMPLETE:
-                detail = f"job=j{ev.target}"
-            else:
-                detail = dispatch[ev.kind](ev)
-            self._log(ev, detail)
+            self._log(ev, dispatch[ev.kind](ev))
 
         end = self.queue.clock if self.jobs_completed == len(self.jobs) else cfg.horizon
         for rt in sorted(self.runtimes.values(), key=lambda r: r.vn.vn_id):
@@ -888,7 +880,7 @@ class Simulation:
         rep = self.report
         rep.set_scalar("host_count", len(self.servers))
         rep.set_scalar("vn_count", len(self.tasks))
-        rep.set_scalar("completed_migrations", self.completed_migrations)
+        rep.set_scalar("completed_migrations", self.replacement_count)   # one per replaced node
         rep.set_scalar("failed_workloads", self.failed_workloads)
         rep.set_scalar("checkpoint_count", self.checkpoint_count)
         rep.set_scalar("rollback_count", self.rollback_count)
@@ -909,8 +901,7 @@ class Simulation:
         slatah = 100.0 * sum(fractions) / len(fractions) if fractions else 0.0
         over_rate = 100.0 * self.over_count / self.obs_count if self.obs_count else 0.0
         overall = slatah * over_rate / 100.0
-        mean_sla = (sum(t.sla_bound for t in self.tasks.values()) / len(self.tasks)
-                    if self.tasks else 1.0)
+        mean_sla = sum(t.sla_bound for t in self.tasks.values()) / len(self.tasks)
         avg = 100.0 * (self.excess_sum / self.obs_count) / mean_sla if self.obs_count else 0.0
         rep.set_scalar("sla_degradation_migration_pct", min(100.0, pdm))
         rep.set_scalar("sla_time_per_active_host_pct", min(100.0, slatah))

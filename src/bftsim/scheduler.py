@@ -21,7 +21,6 @@ from .model import FailureKind, Server
 @dataclass(frozen=True)
 class ServerRanking:
     entries: tuple[tuple[int, int], ...]   # (server_id, failure count), ascending
-    generated_at: int = 0
 
     def ordered_ids(self) -> list[int]:
         return [sid for sid, _ in self.entries]
@@ -37,10 +36,10 @@ def record_failure(server: Server, kind: FailureKind) -> int:
     return server.fail_count
 
 
-def rank_servers(servers: list[Server], now: int = 0) -> ServerRanking:
+def rank_servers(servers: list[Server]) -> ServerRanking:
     """Rank servers by ascending failure count, ties broken by ascending id."""
     ordered = sorted(servers, key=lambda s: (s.fail_count, s.server_id))
-    return ServerRanking(tuple((s.server_id, s.fail_count) for s in ordered), now)
+    return ServerRanking(tuple((s.server_id, s.fail_count) for s in ordered))
 
 
 def select_servers(ranking: ServerRanking, n: int, free_slots: dict[int, int],

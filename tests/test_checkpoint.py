@@ -114,3 +114,19 @@ def test_independent_gaps_deterministic_and_positive():
     assert all(g >= 1 for g in a)
     tight = [independent_gap(random.Random(7), 1e-9) for _ in range(20)]
     assert tight == [1] * 20    # degenerate rate caps at one checkpoint per tick
+
+
+def test_store_abandon_after_forgets_the_newer_images_of_the_lineage():
+    store = CheckpointStore()
+    c1 = store.take(_vn(1), time=30, status=CheckpointStatus.CONFIRMED,
+                    cost=1, progress=28, lineage_id=7)
+    store.take(_vn(1), time=60, status=CheckpointStatus.CONFIRMED,
+               cost=1, progress=57, lineage_id=7)
+    other = store.take(_vn(2), time=70, status=CheckpointStatus.CONFIRMED,
+                       cost=1, progress=60, lineage_id=8)
+    store.abandon_after(7, c1)
+    assert store.latest_clean(7) is c1
+    assert store.latest(8) is other
+    store.abandon_after(7, None)          # back to the initial state
+    assert store.latest(7) is None
+    assert len(store.records) == 3        # the ledger keeps every image taken

@@ -373,3 +373,85 @@ def test_trace_scaled_workload_through_config(tmp_path):
                       trace_path=str(trace), trace_period=300)
     scenario = Scenario.from_config(cfg)
     assert [t.demand for t in scenario.workload.tasks] == [100, 200, 100, 200]
+
+
+# -- policy rules ----------------------------------------------------------
+
+def _identity_holds(report) -> bool:
+    s = report.scalars
+    return (s["useful_work_total"] + s["lost_work_total"] + s["pause_time_total"]
+            + s["restore_time_total"]) == s["active_time_total"]
+
+
+@pytest.mark.parametrize("seed", [4, 8, 11])
+@pytest.mark.parametrize("scheduler", ["wsss", "mesf", "random"])
+def test_restart_after_migration_rolls_back_within_its_own_timeline(scheduler, seed):
+    """A migration restores an older job-consistent image; a later restart of
+    the same task must not reach for the newer images of the abandoned
+    timeline (which once raised 'checkpoint progress exceeds current progress')."""
+    cfg = cluster_cfg(task_count=8, job_count=1, server_count=4, server_capacity=4,
+                      demand_min=400, demand_max=600, horizon=1000, sla_bound=50,
+                      byzantine_faults=2, crash_faults=2, delay_faults=2,
+                      fault_window_start=30, fault_window_end=600,
+                      propagation_prob=0.02, migration_threshold=1, seed=seed)
+    report, _ = run_scenario(cfg, scheduler=scheduler, collect_log=False)
+    assert report.scalars["migration_count"] >= 1
+    assert _identity_holds(report)
+
+
+class _MigrationSpy(Simulation):
+    """Records where each job migration placed the job's nodes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.moves = []
+
+    def _migrate_job(self, job, t):
+        detail = super()._migrate_job(job, t)
+        moved = sorted((rt for rt in self.runtimes.values() if rt.job.job_id == job.job_id),
+                       key=lambda r: r.vn.vn_id)
+        free = {s.server_id: s.free_slots for s in self.servers}
+        for rt in moved:
+            free[rt.vn.server_id] += 1    # the slots free before the wave was placed
+        self.moves.append(([rt.vn.server_id for rt in moved], free))
+        return detail
+
+
+def test_mesf_migration_places_the_wave_as_mesf_does():
+    cfg = cluster_cfg(task_count=4, job_count=1, server_count=4, server_capacity=2,
+                      demand_min=400, demand_max=600, horizon=1000,
+                      crash_faults=2, fault_window_start=30, fault_window_end=300,
+                      migration_threshold=1, seed=1)
+    sim = _MigrationSpy(Scenario.from_config(cfg), scheduler="mesf", checkpoint_policy="tcc")
+    report, _ = sim.run()
+    assert report.scalars["migration_count"] == 1
+    placed, free = sim.moves[0]
+    # first fit in (latency, id) order, as mesf_assign places the initial wave
+    by_latency = sorted(sim.servers, key=lambda s: (s.latency_mean, s.server_id))
+    expected = []
+    for server in by_latency:
+        expected += [server.server_id] * free[server.server_id]
+    assert placed == expected[:len(placed)]
+    # mesf pre-evaluates every server for a wave, the migration's included
+    assert report.samples["exec_time_vm_selection"].count == 2
+    assert report.samples["exec_time_vm_selection"].low == cfg.preeval_cost * cfg.server_count
+
+
+def test_suspect_threshold_has_no_effect_under_tcc():
+    """Under tcc every suspect round restarts the node, so the suspicion
+    streak never reaches the threshold; the baselines do use it."""
+    for seed in range(1, 11):
+        for policy in ("tcc", "sync", "independent"):
+            reports = set()
+            for threshold in (1, 3, 10):
+                cfg = validate_config({
+                    "task_count": 100, "job_count": 10, "server_count": 20,
+                    "server_capacity": 6, "demand_min": 400, "demand_max": 600,
+                    "sla_bound": 50, "horizon": 300, "detect_prob": 0.88,
+                    "byzantine_faults": 4, "crash_faults": 4, "delay_faults": 4,
+                    "delay_magnitude": 1.2, "fault_window_start": 30,
+                    "fault_window_end": 150, "suspect_threshold": threshold,
+                    "seed": seed})
+                report, _ = run_scenario(cfg, checkpoint_policy=policy, collect_log=False)
+                reports.add(report.emit("json"))
+            assert len(reports) == (1 if policy == "tcc" else 3), (seed, policy)

@@ -1,0 +1,50 @@
+"""The benchmark's traced pass replaces bftsim names with timing wrappers.
+
+``bench/tracing.py`` looks those names up in the program's modules, so a
+refactor that renames or drops one breaks the traced pass.  This test
+installs the tracer on the current sources to catch that here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import bftsim.config
+import bftsim.engine
+from bftsim.engine import Scenario, Simulation
+
+from conftest import cluster_cfg
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+# functions the tracer replaces in the engine's namespace: the engine's
+# policy code must call them through these names
+ENGINE_NAMES = ("classify_delay", "checksum_oracle", "byzantine_fsm_step", "next_interval",
+                "tcc_round", "rollback_loss", "rank_servers", "select_servers",
+                "mesf_assign", "random_assign", "record_failure")
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls_on_current_sources():
+    originals = {name: getattr(bftsim.engine, name) for name in ENGINE_NAMES}
+    tracer = _load_tracing().Tracer()
+    tracer.install(bftsim.config, bftsim.engine)
+    try:
+        for name in ENGINE_NAMES:
+            assert getattr(bftsim.engine, name) is not originals[name], name
+        scenario = Scenario.from_config(cluster_cfg(crash_faults=2))
+        for scheduler in ("wsss", "mesf", "random"):
+            Simulation(scenario, scheduler=scheduler, checkpoint_policy="tcc").run()
+    finally:
+        tracer.uninstall()
+    for name in ENGINE_NAMES:
+        assert getattr(bftsim.engine, name) is originals[name], name
+    # each scheduler's wave and the tcc rounds went through the wrapped names
+    for name in ("rank_servers", "mesf_assign", "random_assign", "tcc_round",
+                 "rollback_loss", "byzantine_fsm_step"):
+        assert tracer.calls[name] >= 1, name
