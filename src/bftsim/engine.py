@@ -19,12 +19,11 @@ holds exactly in integer ticks.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
 import random
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -90,7 +89,6 @@ class SimEvent:
     seq: int
     kind: EventKind
     target: int | None = None
-    payload: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -121,13 +119,20 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
+    def take_seq(self) -> int:
+        """Hand out the next sequence number."""
+        seq = self._seq
+        self._seq += 1
+        return seq
+
     def push(self, time: int, kind: EventKind, target: int | None = None,
-             payload: tuple = ()) -> SimEvent:
+             seq: int | None = None) -> SimEvent:
+        """Insert an event; ``seq`` inserts it under a number taken earlier
+        with ``take_seq`` instead of the next one."""
         if time < self.clock:
             raise CausalityError(
                 f"causality violation: insert at t={time} after clock reached {self.clock}")
-        ev = SimEvent(time, self._seq, kind, target, payload)
-        self._seq += 1
+        ev = SimEvent(time, self.take_seq() if seq is None else seq, kind, target)
         heapq.heappush(self._heap, (time, ev.seq, ev))
         return ev
 
@@ -135,17 +140,14 @@ class EventQueue:
         return self._heap[0][0] if self._heap else None
 
     def advance(self) -> SimEvent:
-        """Pop the next event and move the clock to it; empty queue ends the run."""
-        if not self._heap:
-            return self.synthesize(EventKind.HORIZON_END, self.clock)
+        """Pop the next event and move the clock to it."""
         _, _, ev = heapq.heappop(self._heap)
         self.clock = ev.time
         return ev
 
     def synthesize(self, kind: EventKind, time: int) -> SimEvent:
-        ev = SimEvent(time, self._seq, kind)
-        self._seq += 1
-        return ev
+        """An event that never enters the heap, numbered in insertion order."""
+        return SimEvent(time, self.take_seq(), kind)
 
 
 @dataclass
@@ -287,7 +289,8 @@ class VnRuntime:
     ledger: VnLedger
     ft_interval: int
     spike_delay: float = 0.0
-    completion_gen: int = 0
+    completion: tuple[int, int] | None = None   # (time, seq) the node is due to finish at
+    completion_queued: bool = False             # a completion event of this node is in the heap
     last_obs_time: int = 0
     crashed_at: int | None = None
 
@@ -515,10 +518,11 @@ class Simulation:
         self.checkpoint_policy = checkpoint_policy or cfg.checkpoint_policy
         self.collect_log = collect_log
 
-        self.workload = copy.deepcopy(scenario.workload)
+        # each run mutates its own task and job records; the scenario's stay pristine
         self.faults = scenario.faults
-        self.tasks = {t.task_id: t for t in self.workload.tasks}
-        self.jobs = {j.job_id: j for j in self.workload.jobs}
+        self.tasks = {t.task_id: replace(t) for t in scenario.workload.tasks}
+        self.jobs = {j.job_id: replace(j, task_ids=list(j.task_ids))
+                     for j in scenario.workload.jobs}
 
         self.servers = [Server(server_id=i + 1, capacity=cfg.server_capacity,
                                latency_mean=scenario.latencies[i],
@@ -589,11 +593,17 @@ class Simulation:
         return rt
 
     def _schedule_completion(self, rt: VnRuntime) -> None:
-        rt.completion_gen += 1
+        """Record when the node finishes; a node keeps at most one completion
+        event in the heap, which ``_handle_complete`` re-queues when it pops
+        before the recorded time."""
         when = rt.ledger.completion_time(rt.task.demand)
-        if when <= self.cfg.horizon:
-            self.queue.push(when, EventKind.TASK_COMPLETE, rt.vn.vn_id,
-                            payload=(rt.completion_gen,))
+        if when > self.cfg.horizon:
+            rt.completion = None
+            return
+        rt.completion = (when, self.queue.take_seq())
+        if not rt.completion_queued:
+            self.queue.push(when, EventKind.TASK_COMPLETE, rt.vn.vn_id, seq=rt.completion[1])
+            rt.completion_queued = True
 
     def _retire(self, rt: VnRuntime, t: int) -> None:
         """Stop an incarnation and fold its ledger into the totals."""
@@ -792,9 +802,19 @@ class Simulation:
 
     def _handle_complete(self, ev: SimEvent) -> str:
         rt = self.runtimes.get(ev.target)
-        if rt is None or rt.crashed_at is not None:
+        if rt is None:
             return "stale=1"
-        if ev.payload and ev.payload[0] != rt.completion_gen:
+        rt.completion_queued = False
+        if rt.crashed_at is not None:
+            return "stale=1"
+        if (ev.time, ev.seq) != rt.completion:
+            # a pause moved completion later (or past the horizon) after this
+            # event was queued: re-queue it under the number it was given then,
+            # so it runs where a fresh push at that pause would have run
+            if rt.completion is not None:
+                when, seq = rt.completion
+                self.queue.push(when, EventKind.TASK_COMPLETE, rt.vn.vn_id, seq=seq)
+                rt.completion_queued = True
             return "stale=1"
         if not self._task_finished(rt, ev.time):
             return "stale=1"

@@ -1,8 +1,11 @@
+import hashlib
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from bftsim.config import validate_config
+from bftsim.config import load_config, validate_config
 from bftsim.engine import (
     CausalityError,
     EventKind,
@@ -21,6 +24,10 @@ from bftsim.engine import (
 
 from conftest import cluster_cfg
 
+DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.cfg"
+COMBOS = [(sched, ckpt) for sched in ("wsss", "mesf", "random")
+          for ckpt in ("tcc", "sync", "independent")]
+
 
 # -- event queue ----------------------------------------------------------
 
@@ -34,15 +41,6 @@ def test_advance_orders_by_time_then_sequence():
     assert q.clock == 5
     assert q.advance().target == 3
     assert q.clock == 7
-
-
-def test_advance_on_empty_queue_ends_run():
-    q = EventQueue()
-    q.push(4, EventKind.MONITOR_ROUND, 1)
-    q.advance()
-    ev = q.advance()
-    assert ev.kind is EventKind.HORIZON_END
-    assert ev.time == 4
 
 
 def test_push_into_the_past_is_a_causality_violation():
@@ -455,3 +453,63 @@ def test_suspect_threshold_has_no_effect_under_tcc():
                 report, _ = run_scenario(cfg, checkpoint_policy=policy, collect_log=False)
                 reports.add(report.emit("json"))
             assert len(reports) == (1 if policy == "tcc" else 3), (seed, policy)
+
+
+# -- completion events and scenario reuse ------------------------------------------
+
+@pytest.mark.parametrize("policy", ["sync", "tcc"])
+def test_each_node_keeps_at_most_one_queued_completion(policy):
+    """A checkpoint pause moves a node's completion later without queueing a
+    second completion event for it."""
+    sim = Simulation(Scenario.from_config(load_config(DESK, {"seed": 1})),
+                     scheduler="wsss", checkpoint_policy=policy, collect_log=False)
+    push, advance = sim.queue.push, sim.queue.advance
+    queued = Counter()    # vn id -> completion events in the heap
+    most = Counter()
+
+    def counting_push(time, kind, target=None, **kwargs):
+        if kind is EventKind.TASK_COMPLETE:
+            queued[target] += 1
+            most[target] = max(most[target], queued[target])
+        return push(time, kind, target, **kwargs)
+
+    def counting_advance():
+        ev = advance()
+        if ev.kind is EventKind.TASK_COMPLETE:
+            queued[ev.target] -= 1
+        return ev
+
+    sim.queue.push, sim.queue.advance = counting_push, counting_advance
+    report, _ = sim.run()
+    assert report.scalars["checkpoint_count"] > 0
+    assert most and max(most.values()) == 1, most.most_common(3)
+
+
+def test_sharing_one_scenario_leaks_no_state():
+    cfg = load_config(DESK, {"seed": 1})
+    shared = Scenario.from_config(cfg)
+    for sched, ckpt in COMBOS:
+        report, _ = shared.run(sched, ckpt, collect_log=True)
+        fresh, _ = Scenario.from_config(cfg).run(sched, ckpt, collect_log=False)
+        assert report.emit("json") == fresh.emit("json"), (sched, ckpt)
+    assert shared.workload == Scenario.from_config(cfg).workload
+
+
+# SHA-256 of the JSON reports of the 9 combinations on scenarios/desk.cfg at seeds 1 and 2
+DESK_REPORTS_SHA256 = "f380c2c8c2bd117e198e749e8c187d7bbf699807c768e36e25ab8497d7cdefa6"
+
+
+def test_desk_reports_match_the_pin():
+    """Guards refactors that must keep every report byte-identical.
+
+    The pin was computed on the engine as it stood before completion events
+    were re-queued lazily and before runs stopped deep-copying the workload;
+    both changes kept it.  A change that alters reports on purpose updates
+    the pin and says so in CHANGES.md."""
+    digest = hashlib.sha256()
+    for seed in (1, 2):
+        cfg = load_config(DESK, {"seed": seed})
+        for sched, ckpt in COMBOS:
+            report, _ = Scenario.from_config(cfg).run(sched, ckpt, collect_log=False)
+            digest.update(report.emit("json").encode())
+    assert digest.hexdigest() == DESK_REPORTS_SHA256
