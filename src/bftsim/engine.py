@@ -465,9 +465,7 @@ class SyncCheckpointing(Checkpointing):
 
     def on_round(self, sim: Simulation, ev: SimEvent) -> str:
         job = sim.jobs[ev.target]
-        live = sorted((rt for rt in sim.runtimes.values()
-                       if rt.job.job_id == job.job_id and rt.crashed_at is None),
-                      key=lambda r: r.vn.vn_id)
+        live = [rt for rt in sim.job_nodes[job.job_id].values() if rt.crashed_at is None]
         for rt in live:
             sim._take_vn_checkpoint(rt, ev.time, job_id=job.job_id)
         nxt = ev.time + sim.cfg.ft_interval
@@ -540,6 +538,10 @@ class Simulation:
         self.log_lines: list[str] = []
 
         self.runtimes: dict[int, VnRuntime] = {}    # vn id -> live incarnation
+        # job id -> (vn id -> live incarnation); vn ids only grow, so each
+        # job's nodes stay in ascending vn-id order
+        self.job_nodes: dict[int, dict[int, VnRuntime]] = {
+            job_id: {} for job_id in sorted(self.jobs)}
         self.task_vn: dict[int, int] = {}           # task id -> current vn id
         self._next_vn_id = 1
 
@@ -585,6 +587,7 @@ class Simulation:
                        ledger=ledger, ft_interval=self.cfg.ft_interval,
                        last_obs_time=start)
         self.runtimes[vn.vn_id] = rt
+        self.job_nodes[task.job_id][vn.vn_id] = rt
         self.task_vn[task.task_id] = vn.vn_id
         self.server_by_id[server_id].active_vns.add(vn.vn_id)
         self._advance_monitor(rt, start, self.cfg.base_interval)
@@ -614,6 +617,7 @@ class Simulation:
         self.restore_total += rt.ledger.restore
         self.span_total += rt.ledger.span
         self.runtimes.pop(rt.vn.vn_id, None)
+        del self.job_nodes[rt.job.job_id][rt.vn.vn_id]
         self.task_vn.pop(rt.task.task_id)
         self.server_by_id[rt.vn.server_id].active_vns.discard(rt.vn.vn_id)
 
@@ -650,8 +654,7 @@ class Simulation:
     def _migrate_job(self, job: Job, t: int) -> str:
         """Halt every node of the job and restart it from a job-consistent image,
         placed as the run's scheduler places a wave."""
-        rts = sorted((rt for rt in self.runtimes.values() if rt.job.job_id == job.job_id),
-                     key=lambda r: r.vn.vn_id)
+        rts = list(self.job_nodes[job.job_id].values())
         task_ids = [rt.task.task_id for rt in rts]
         consistent_at = min(c.time if c else 0 for c in map(self.store.latest_clean, task_ids))
         targets = [self.store.latest_clean(tid, before=consistent_at) for tid in task_ids]
@@ -727,6 +730,13 @@ class Simulation:
             self._schedule_completion(rt)
         return obs, flagged
 
+    def _observation_detail(self, rt: VnRuntime, obs: MonitorObservation, mark: str) -> str:
+        """The log detail of a monitor or verify round; empty with the log off."""
+        if not self.collect_log:
+            return ""
+        return (f"server=s{rt.vn.server_id};{mark}delay={obs.delay:.3f};"
+                f"class={obs.delay_class.name.lower()};checksum={obs.checksum.value};")
+
     def _apply_policy(self, rt: VnRuntime, t: int, obs: MonitorObservation,
                       in_monitor: bool) -> str:
         prior = rt.vn.state
@@ -734,8 +744,10 @@ class Simulation:
         decision = next_interval(rt.vn, post, self.cfg)
         rt.vn.state = post
         rt.vn.suspect_rounds = decision.suspect_rounds if post is NodeState.BYZANTINE else 0
-        return (f"state={prior.value}>{post.value}"
-                + self.checkpointing.on_monitor(self, rt, t, decision, in_monitor))
+        outcome = self.checkpointing.on_monitor(self, rt, t, decision, in_monitor)
+        if not self.collect_log:
+            return outcome
+        return f"state={prior.value}>{post.value}{outcome}"
 
     def _advance_monitor(self, rt: VnRuntime, t: int, gap: int) -> None:
         rt.vn.gap = gap
@@ -793,12 +805,12 @@ class Simulation:
         if rt is None or ev.time != rt.vn.next_monitor:
             return "stale=1"
         obs, flagged = self._observe(rt, ev.time)
-        detail = (f"server=s{rt.vn.server_id};delay={obs.delay:.3f};"
-                  f"class={obs.delay_class.name.lower()};checksum={obs.checksum.value};")
         finished = self._task_finished(rt, ev.time)
         if finished and not flagged:
-            return detail + self._complete_task(rt, ev.time)
-        return detail + self._apply_policy(rt, ev.time, obs, in_monitor=not finished)
+            outcome = self._complete_task(rt, ev.time)
+        else:
+            outcome = self._apply_policy(rt, ev.time, obs, in_monitor=not finished)
+        return self._observation_detail(rt, obs, "") + outcome
 
     def _handle_complete(self, ev: SimEvent) -> str:
         rt = self.runtimes.get(ev.target)
@@ -819,19 +831,17 @@ class Simulation:
         if not self._task_finished(rt, ev.time):
             return "stale=1"
         obs, flagged = self._observe(rt, ev.time)
-        detail = (f"server=s{rt.vn.server_id};verify=1;delay={obs.delay:.3f};"
-                  f"class={obs.delay_class.name.lower()};checksum={obs.checksum.value};")
         if flagged:
             # output rejected at final verification: re-execute from checkpoint
-            return detail + self._apply_policy(rt, ev.time, obs, in_monitor=False)
-        return detail + self._complete_task(rt, ev.time)
+            outcome = self._apply_policy(rt, ev.time, obs, in_monitor=False)
+        else:
+            outcome = self._complete_task(rt, ev.time)
+        return self._observation_detail(rt, obs, "verify=1;") + outcome
 
     def _handle_exchange(self, ev: SimEvent) -> str:
         spread = []
-        for job_id in sorted(self.jobs):
-            members = sorted((rt for rt in self.runtimes.values()
-                              if rt.job.job_id == job_id),
-                             key=lambda r: r.vn.vn_id)
+        for nodes in self.job_nodes.values():
+            members = nodes.values()
             # a fail-stopped node no longer exchanges outputs
             if not any(rt.vn.contaminated and rt.vn.state is not NodeState.FAIL_STOP
                        for rt in members):
@@ -887,7 +897,7 @@ class Simulation:
             self._log(ev, dispatch[ev.kind](ev))
 
         end = self.queue.clock if self.jobs_completed == len(self.jobs) else cfg.horizon
-        for rt in sorted(self.runtimes.values(), key=lambda r: r.vn.vn_id):
+        for rt in list(self.runtimes.values()):
             self._retire(rt, end)
         self._log(self.queue.synthesize(EventKind.HORIZON_END, end),
                   f"jobs_completed={self.jobs_completed}")

@@ -100,13 +100,16 @@ def random_assign(task_ids: list[int], servers: list[Server],
     total = sum(s.free_slots for s in servers)
     if total < len(task_ids):
         raise ValueError(f"capacity shortfall: {len(task_ids) - total} tasks unplaceable")
-    free = {s.server_id: s.free_slots for s in sorted(servers, key=lambda s: s.server_id)}
+    free = {s.server_id: s.free_slots for s in servers}
+    # servers with a free slot, in id order: the draws depend on the order
+    open_ids = sorted(sid for sid, slots in free.items() if slots > 0)
     result = Assignment()
     for tid in task_ids:
-        choices = [sid for sid, slots in free.items() if slots > 0]
-        sid = rng.choice(choices)
+        sid = rng.choice(open_ids)
         result.mapping[tid] = sid
         free[sid] -= 1
+        if free[sid] == 0:
+            open_ids.remove(sid)
     result.servers_used = len(set(result.mapping.values()))
     return result
 

@@ -513,3 +513,68 @@ def test_desk_reports_match_the_pin():
             report, _ = Scenario.from_config(cfg).run(sched, ckpt, collect_log=False)
             digest.update(report.emit("json").encode())
     assert digest.hexdigest() == DESK_REPORTS_SHA256
+
+
+# -- fault-storm in small: exchange, migration and the job index ---------------------
+
+def _storm_cfg(seed):
+    """Four jobs under every fault kind, with contamination exchange and a
+    migration after the first restart of a job."""
+    return validate_config({
+        "task_count": 24, "job_count": 4, "server_count": 10, "server_capacity": 4,
+        "demand_min": 400, "demand_max": 600, "horizon": 1000, "sla_bound": 50,
+        "byzantine_faults": 3, "crash_faults": 3, "delay_faults": 3,
+        "fault_window_start": 30, "fault_window_end": 600,
+        "propagation_prob": 0.05, "migration_threshold": 1, "seed": seed})
+
+
+# SHA-256 of the JSON reports of the 9 combinations on _storm_cfg at seeds 1 and 2
+STORM_REPORTS_SHA256 = "d796f1f1644d5a67d4bbdc9b8696db4ba0d171532b9521d54e86ef9de74f4397"
+
+
+def test_storm_reports_match_the_pin():
+    """Pins the paths the desk pin misses: contamination exchange, job
+    migration, crashes.  The pin was computed before live nodes were indexed
+    by job; a change that alters reports on purpose updates it and says so in
+    CHANGES.md."""
+    digest = hashlib.sha256()
+    migrated = spread = False
+    for seed in (1, 2):
+        scenario = Scenario.from_config(_storm_cfg(seed))
+        for sched, ckpt in COMBOS:
+            report, _ = scenario.run(sched, ckpt, collect_log=False)
+            logged, log = scenario.run(sched, ckpt, collect_log=True)
+            assert logged.emit("json") == report.emit("json"), (seed, sched, ckpt)
+            digest.update(report.emit("json").encode())
+            migrated |= report.scalars["migration_count"] > 0
+            spread |= any(",exchange," in line and "spread=-" not in line for line in log)
+    assert migrated and spread
+    assert digest.hexdigest() == STORM_REPORTS_SHA256
+
+
+@pytest.mark.parametrize("sched,ckpt", COMBOS)
+def test_job_index_holds_exactly_the_live_nodes(sched, ckpt):
+    """After every popped event, ``job_nodes`` holds each live node once,
+    under its own job, in ascending vn-id order."""
+    for seed in (1, 2):
+        sim = Simulation(Scenario.from_config(_storm_cfg(seed)), scheduler=sched,
+                         checkpoint_policy=ckpt, collect_log=False)
+        log = sim._log
+        checked = []
+
+        def checking_log(ev, detail):
+            assert list(sim.job_nodes) == sorted(sim.jobs)
+            indexed = [(vn_id, rt) for nodes in sim.job_nodes.values()
+                       for vn_id, rt in nodes.items()]
+            assert len(indexed) == len(sim.runtimes), ev
+            assert all(sim.runtimes.get(vn_id) is rt for vn_id, rt in indexed), ev
+            for job_id, nodes in sim.job_nodes.items():
+                assert all(rt.job.job_id == job_id for rt in nodes.values()), ev
+                assert list(nodes) == sorted(nodes), ev
+            checked.append(ev)
+            log(ev, detail)
+
+        sim._log = checking_log
+        report, _ = sim.run()
+        assert len(checked) > 100
+        assert ckpt != "tcc" or report.scalars["migration_count"] > 0

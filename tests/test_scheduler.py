@@ -109,6 +109,28 @@ def test_random_assign_deterministic_per_seed():
     assert random_assign([0], [_server(1)], random.Random(0)).mapping == {0: 1}
 
 
+def _random_assign_by_rescan(task_ids, servers, rng):
+    """Reference: rescan every server for free slots before each draw."""
+    free = {s.server_id: s.free_slots for s in sorted(servers, key=lambda s: s.server_id)}
+    mapping = {}
+    for tid in task_ids:
+        sid = rng.choice([sid for sid, slots in free.items() if slots > 0])
+        mapping[tid] = sid
+        free[sid] -= 1
+    return mapping
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_assign_draws_as_a_rescan_of_free_servers(seed):
+    """Servers listed out of id order, some already full, most filled by the wave."""
+    servers = [_server(sid, capacity=3) for sid in (7, 2, 9, 4, 1, 8, 3)]
+    for server, used in zip(servers, (0, 3, 1, 0, 3, 2, 0)):
+        server.active_vns.update(range(used))
+    tasks = list(range(sum(s.free_slots for s in servers) - 1))
+    assignment = random_assign(tasks, servers, random.Random(seed))
+    assert assignment.mapping == _random_assign_by_rescan(tasks, servers, random.Random(seed))
+
+
 def test_random_assign_spread_over_seeds():
     """Uniform placement keeps per-server load near the binomial mean."""
     loads = []

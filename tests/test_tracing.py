@@ -6,6 +6,7 @@ installs the tracer on the current sources to catch that here.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import bftsim.config
@@ -14,7 +15,8 @@ from bftsim.engine import Scenario, Simulation
 
 from conftest import cluster_cfg
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 # functions the tracer replaces in the engine's namespace: the engine's
 # policy code must call them through these names
@@ -48,3 +50,26 @@ def test_tracer_installs_and_uninstalls_on_current_sources():
     for name in ("rank_servers", "mesf_assign", "random_assign", "tcc_round",
                  "rollback_loss", "byzantine_fsm_step"):
         assert tracer.calls[name] >= 1, name
+
+
+def test_traced_fault_storm_pass_is_correct_and_counts_stale_events():
+    """One scenario of the benchmark's traced fault-storm pass.  The tracer
+    counts stale events from the detail ``Simulation._log`` receives, also
+    with the event log off, so a handler that stops returning ``stale=1``
+    there reads as a stale share of 0."""
+    saved_path = list(sys.path)
+    saved_modules = dict(sys.modules)
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        _, correct, metrics = run.trace(run.WORKLOADS["fault-storm"], 401, scenarios=1)
+    finally:
+        # the benchmark imports bftsim afresh; give later tests the modules they imported
+        sys.path[:] = saved_path
+        for name in set(sys.modules) - set(saved_modules):
+            del sys.modules[name]
+        sys.modules.update(saved_modules)
+    assert correct
+    assert metrics["engine.queue.stale_frac"] > 0
