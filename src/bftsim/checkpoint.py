@@ -30,7 +30,8 @@ class TccActionKind(Enum):
     JOB_MIGRATION = "job_migration"
 
 
-@dataclass(frozen=True)
+# not frozen, built per tcc round: a frozen __init__ costs 0.9 us, this 0.24 us (CPython 3.11)
+@dataclass(slots=True)
 class TccAction:
     kind: TccActionKind
     new_ft_interval: int | None = None
@@ -71,16 +72,8 @@ class CheckpointStore:
              lineage_id: int | None = None) -> Checkpoint:
         if vn.state is NodeState.FAIL_STOP:
             raise ValueError(f"cannot checkpoint fail-stopped node v{vn.vn_id}")
-        ckpt = Checkpoint(
-            ckpt_id=len(self.records),
-            scope=scope,
-            target_id=vn.vn_id if scope_id is None else scope_id,
-            time=time,
-            status=status,
-            cost=cost,
-            progress=progress,
-            tainted=vn.contaminated,
-        )
+        ckpt = Checkpoint(len(self.records), scope, vn.vn_id if scope_id is None else scope_id,
+                          time, status, cost, progress, vn.contaminated)
         self.records.append(ckpt)
         key = vn.vn_id if lineage_id is None else lineage_id
         self._by_lineage.setdefault(key, []).append(ckpt)
@@ -111,11 +104,11 @@ class CheckpointStore:
     def ledger_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["ckpt_id", "scope", "time", "status", "size", "cost"])
+        writer.writerow(["ckpt_id", "scope", "time", "status", "cost"])
         for c in self.records:
             target = f"v{c.target_id}" if c.scope == "vn" else f"j{c.target_id}"
             writer.writerow([c.ckpt_id, f"{c.scope}:{target}", c.time,
-                             c.status.value, c.size, c.cost])
+                             c.status.value, c.cost])
         return out.getvalue()
 
 

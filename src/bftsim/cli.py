@@ -86,7 +86,8 @@ def cmd_run(args) -> int:
     cfg = _load(args)
     scenario = Scenario.from_config(cfg)
     report, log_lines = scenario.run(scheduler=args.scheduler,
-                                     checkpoint_policy=args.checkpoint)
+                                     checkpoint_policy=args.checkpoint,
+                                     collect_log=args.event_log is not None)
     _write_out(report.emit(args.format), args.out)
     if args.event_log:
         Path(args.event_log).write_text("\n".join(log_lines) + "\n", encoding="utf-8")

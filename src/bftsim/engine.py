@@ -83,7 +83,8 @@ class FaultKind(Enum):
     DELAY_SPIKE = "delay"
 
 
-@dataclass(frozen=True)
+# not frozen, built per event: a frozen __init__ costs 0.9 us, this 0.24 us (CPython 3.11)
+@dataclass(slots=True)
 class SimEvent:
     time: int
     seq: int
@@ -228,29 +229,32 @@ class VnLedger:
         self.start = start
         self.anchor = start
         self.progress = progress
-        self.initial_progress = progress
         self.work = 0
         self.pause = 0
         self.restore = 0
         self.blocks: deque[list] = deque()   # [kind, remaining]
+        self.pending = 0                      # unserved block ticks: sum of remaining
         self.stopped: int | None = None
 
     def settle(self, t: int) -> None:
-        if self.stopped is not None:
-            return
         a = self.anchor
-        while a < t and self.blocks:
-            kind, remaining = self.blocks[0]
+        if t <= a or self.stopped is not None:
+            return
+        blocks = self.blocks
+        while a < t and blocks:
+            block = blocks[0]
+            kind, remaining = block
             step = min(remaining, t - a)
             if kind == _PAUSE:
                 self.pause += step
             else:
                 self.restore += step
+            self.pending -= step
             a += step
             if step == remaining:
-                self.blocks.popleft()
+                blocks.popleft()
             else:
-                self.blocks[0][1] = remaining - step
+                block[1] = remaining - step
         if a < t:
             self.work += t - a
             self.progress += t - a
@@ -262,16 +266,18 @@ class VnLedger:
             return
         self.settle(t)
         self.blocks.append([kind, cost])
+        self.pending += cost
 
     def completion_time(self, demand: int) -> int:
         # pending blocks are served before the remaining work
-        return self.anchor + sum(left for _, left in self.blocks) + demand - self.progress
+        return self.anchor + self.pending + demand - self.progress
 
     def stop(self, t: int) -> None:
         if self.stopped is not None:
             return
         self.settle(t)
         self.blocks.clear()   # unserved block time is never charged
+        self.pending = 0
         self.stopped = t
 
     @property
@@ -680,13 +686,13 @@ class Simulation:
     # -- checkpoints ----------------------------------------------------------
 
     def _take_vn_checkpoint(self, rt: VnRuntime, t: int, job_id: int | None = None) -> None:
-        rt.ledger.settle(t)
-        ckpt = self.store.take(rt.vn, t, CheckpointStatus.CONFIRMED,
-                               cost=self.cfg.checkpoint_write_cost, progress=rt.ledger.progress,
-                               scope="vn" if job_id is None else "job", scope_id=job_id,
-                               lineage_id=rt.task.task_id)
+        ledger = rt.ledger
+        ledger.settle(t)
+        cost = self.cfg.checkpoint_write_cost
+        ckpt = self.store.take(rt.vn, t, CheckpointStatus.CONFIRMED, cost, ledger.progress,
+                               "vn" if job_id is None else "job", job_id, rt.task.task_id)
         rt.vn.last_confirmed = ckpt.ckpt_id
-        rt.ledger.add_block(t, _PAUSE, self.cfg.checkpoint_write_cost)
+        ledger.add_block(t, _PAUSE, cost)
         self.checkpoint_count += 1
         self._schedule_completion(rt)
 

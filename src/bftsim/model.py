@@ -103,14 +103,13 @@ class Server:
         return self.capacity - len(self.active_vns)
 
 
-@dataclass
+@dataclass(slots=True)
 class Checkpoint:
     ckpt_id: int
     scope: str                   # "vn" or "job"
     target_id: int               # vn id or job id
     time: int
     status: CheckpointStatus
-    size: int = 1                # abstract storage units
     cost: int = 0                # write pause, ticks
     progress: int = 0            # task progress captured in the image
     tainted: bool = False        # ground truth: target was contaminated when imaged

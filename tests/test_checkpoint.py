@@ -80,9 +80,9 @@ def test_store_ledger_csv():
     store.take(_vn(5), 100, CheckpointStatus.COMPLETE, 1, 90, scope="job",
                scope_id=2, lineage_id=5)
     lines = store.ledger_csv().strip().splitlines()
-    assert lines[0] == "ckpt_id,scope,time,status,size,cost"
-    assert lines[1] == "0,vn:v4,30,confirmed,1,1"
-    assert lines[2] == "1,job:j2,100,complete,1,1"
+    assert lines[0] == "ckpt_id,scope,time,status,cost"
+    assert lines[1] == "0,vn:v4,30,confirmed,1"
+    assert lines[2] == "1,job:j2,100,complete,1"
 
 
 def test_rollback_loss_arithmetic():

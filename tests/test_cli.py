@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -59,6 +60,26 @@ def test_run_seed_repeat_is_byte_identical(tmp_path, cfg_file):
                  "--out", str(out_b), "--event-log", str(log_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert log_a.read_bytes() == log_b.read_bytes()
+
+
+def test_run_builds_the_event_log_only_when_asked(tmp_path, cfg_file, monkeypatch):
+    run = Scenario.run
+    collected = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(run).bind(*args, **kwargs)
+        bound.apply_defaults()
+        collected.append(bound.arguments["collect_log"])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(Scenario, "run", spy)
+    plain, logged, log = tmp_path / "plain.json", tmp_path / "logged.json", tmp_path / "run.log"
+    assert main(["run", "--config", str(cfg_file), "--out", str(plain)]) == 0
+    assert main(["run", "--config", str(cfg_file), "--out", str(logged),
+                 "--event-log", str(log)]) == 0
+    assert collected == [False, True]
+    assert plain.read_bytes() == logged.read_bytes()
+    assert ",horizon_end," in log.read_text()
 
 
 def test_run_csv_format(tmp_path, cfg_file):

@@ -4,7 +4,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from bftsim.checkpoint import CheckpointStore, TccAction, TccActionKind
 from bftsim.config import load_config, validate_config
 from bftsim.engine import (
     CausalityError,
@@ -15,11 +18,20 @@ from bftsim.engine import (
     Scenario,
     ScenarioError,
     Simulation,
+    VnLedger,
     generate_workload,
     load_utilization_trace,
     propagate_contamination,
     run_scenario,
     scale_demands,
+)
+from bftsim.fsm import Action, FsmDecision, MonitorObservation
+from bftsim.model import (
+    CheckpointStatus,
+    ChecksumResult,
+    DelayClass,
+    NodeState,
+    VirtualNode,
 )
 
 from conftest import cluster_cfg
@@ -49,6 +61,48 @@ def test_push_into_the_past_is_a_causality_violation():
     q.advance()
     with pytest.raises(CausalityError, match="causality"):
         q.push(3, EventKind.MONITOR_ROUND, 2)
+
+
+def test_per_event_records_keep_their_slots():
+    """The records built on every event are slotted (no instance ``__dict__``)."""
+    records = [
+        EventQueue().push(1, EventKind.MONITOR_ROUND, 1),
+        MonitorObservation(1, 1, 0.0, DelayClass.LOW, ChecksumResult.NO_ERROR),
+        FsmDecision(NodeState.FAIL_SAFE, 1, Action.NONE, 0),
+        TccAction(TccActionKind.CONFIRMED_CHECKPOINT, 2),
+        CheckpointStore().take(VirtualNode(1, 1), 1, CheckpointStatus.CONFIRMED, 1, 0),
+    ]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+# -- tick ledger ----------------------------------------------------------
+
+_LEDGER_STEPS = st.lists(st.tuples(st.sampled_from(("pause", "restore", "settle", "stop")),
+                                   st.integers(0, 30), st.integers(-1, 20)),
+                         max_size=40)
+
+
+@given(st.integers(0, 100), st.integers(0, 50), st.integers(0, 500), _LEDGER_STEPS)
+def test_ledger_running_pending_total_matches_its_blocks(start, progress, demand, steps):
+    """``completion_time`` reads a running total of unserved block ticks;
+    after every step it equals the sum over the queued blocks, and every
+    settled tick is attributed to exactly one mode."""
+    ledger = VnLedger(start, progress)
+    now = start
+    for op, dt, cost in steps:
+        now += dt
+        if op == "settle":
+            ledger.settle(now)
+        elif op == "stop":
+            ledger.stop(now)
+        else:
+            ledger.add_block(now, op, cost)
+        assert ledger.pending == sum(left for _, left in ledger.blocks)
+        assert ledger.completion_time(demand) == (
+            ledger.anchor + sum(left for _, left in ledger.blocks) + demand - ledger.progress)
+        assert ledger.work + ledger.pause + ledger.restore == ledger.anchor - start
+        assert ledger.progress - progress == ledger.work
 
 
 # -- workload and trace ----------------------------------------------------------
@@ -552,29 +606,51 @@ def test_storm_reports_match_the_pin():
     assert digest.hexdigest() == STORM_REPORTS_SHA256
 
 
+def _run_checking_every_event(sched, ckpt, seed, check):
+    """Run ``_storm_cfg(seed)`` with the log off, calling ``check(sim, ev)``
+    after every popped event; returns the report."""
+    sim = Simulation(Scenario.from_config(_storm_cfg(seed)), scheduler=sched,
+                     checkpoint_policy=ckpt, collect_log=False)
+    log = sim._log
+    checked = []
+
+    def checking_log(ev, detail):
+        check(sim, ev)
+        checked.append(ev)
+        log(ev, detail)
+
+    sim._log = checking_log
+    report, _ = sim.run()
+    assert len(checked) > 100
+    return report
+
+
 @pytest.mark.parametrize("sched,ckpt", COMBOS)
 def test_job_index_holds_exactly_the_live_nodes(sched, ckpt):
     """After every popped event, ``job_nodes`` holds each live node once,
     under its own job, in ascending vn-id order."""
+    def check(sim, ev):
+        assert list(sim.job_nodes) == sorted(sim.jobs)
+        indexed = [(vn_id, rt) for nodes in sim.job_nodes.values()
+                   for vn_id, rt in nodes.items()]
+        assert len(indexed) == len(sim.runtimes), ev
+        assert all(sim.runtimes.get(vn_id) is rt for vn_id, rt in indexed), ev
+        for job_id, nodes in sim.job_nodes.items():
+            assert all(rt.job.job_id == job_id for rt in nodes.values()), ev
+            assert list(nodes) == sorted(nodes), ev
+
     for seed in (1, 2):
-        sim = Simulation(Scenario.from_config(_storm_cfg(seed)), scheduler=sched,
-                         checkpoint_policy=ckpt, collect_log=False)
-        log = sim._log
-        checked = []
-
-        def checking_log(ev, detail):
-            assert list(sim.job_nodes) == sorted(sim.jobs)
-            indexed = [(vn_id, rt) for nodes in sim.job_nodes.values()
-                       for vn_id, rt in nodes.items()]
-            assert len(indexed) == len(sim.runtimes), ev
-            assert all(sim.runtimes.get(vn_id) is rt for vn_id, rt in indexed), ev
-            for job_id, nodes in sim.job_nodes.items():
-                assert all(rt.job.job_id == job_id for rt in nodes.values()), ev
-                assert list(nodes) == sorted(nodes), ev
-            checked.append(ev)
-            log(ev, detail)
-
-        sim._log = checking_log
-        report, _ = sim.run()
-        assert len(checked) > 100
+        report = _run_checking_every_event(sched, ckpt, seed, check)
         assert ckpt != "tcc" or report.scalars["migration_count"] > 0
+
+
+@pytest.mark.parametrize("sched,ckpt", COMBOS)
+def test_ledger_pending_total_holds_on_every_event(sched, ckpt):
+    """After every popped event, each live node's running ``pending`` total
+    equals the unserved ticks of its queued blocks."""
+    def check(sim, ev):
+        for rt in sim.runtimes.values():
+            assert rt.ledger.pending == sum(left for _, left in rt.ledger.blocks), ev
+
+    for seed in (1, 2):
+        _run_checking_every_event(sched, ckpt, seed, check)

@@ -52,11 +52,8 @@ def test_tracer_installs_and_uninstalls_on_current_sources():
         assert tracer.calls[name] >= 1, name
 
 
-def test_traced_fault_storm_pass_is_correct_and_counts_stale_events():
-    """One scenario of the benchmark's traced fault-storm pass.  The tracer
-    counts stale events from the detail ``Simulation._log`` receives, also
-    with the event log off, so a handler that stops returning ``stale=1``
-    there reads as a stale share of 0."""
+def _bench_trace(workload, seed):
+    """One scenario of ``bench/run.py``'s traced pass of ``workload``."""
     saved_path = list(sys.path)
     saved_modules = dict(sys.modules)
     sys.path.insert(0, str(BENCH))
@@ -64,12 +61,29 @@ def test_traced_fault_storm_pass_is_correct_and_counts_stale_events():
         spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
         run = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(run)
-        _, correct, metrics = run.trace(run.WORKLOADS["fault-storm"], 401, scenarios=1)
+        _, correct, metrics = run.trace(run.WORKLOADS[workload], seed, scenarios=1)
     finally:
         # the benchmark imports bftsim afresh; give later tests the modules they imported
         sys.path[:] = saved_path
         for name in set(sys.modules) - set(saved_modules):
             del sys.modules[name]
         sys.modules.update(saved_modules)
+    return correct, metrics
+
+
+def test_traced_fault_storm_pass_is_correct_and_counts_stale_events():
+    """One scenario of the benchmark's traced fault-storm pass.  The tracer
+    counts stale events from the detail ``Simulation._log`` receives, also
+    with the event log off, so a handler that stops returning ``stale=1``
+    there reads as a stale share of 0."""
+    correct, metrics = _bench_trace("fault-storm", 401)
     assert correct
     assert metrics["engine.queue.stale_frac"] > 0
+
+
+def test_traced_policy_matrix_pass_is_correct():
+    """The policy-matrix pass runs the sync and independent checkpoint writes
+    and the log-on path, which the fault-storm pass (tcc only) does not."""
+    correct, metrics = _bench_trace("policy-matrix", 401)
+    assert correct
+    assert metrics["checkpoint.take.calls"] > 0
