@@ -15,13 +15,11 @@ latest image is untrusted.
 
 from __future__ import annotations
 
-import io
-import csv
 import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import Checkpoint, CheckpointStatus, Job, NodeState, VirtualNode
+from .model import Checkpoint, Job, NodeState, VirtualNode
 
 
 class TccActionKind(Enum):
@@ -66,17 +64,13 @@ class CheckpointStore:
         self.records: list[Checkpoint] = []
         self._by_lineage: dict[int, list[Checkpoint]] = {}
 
-    def take(self, vn: VirtualNode, time: int, status: CheckpointStatus,
-             cost: int, progress: int, scope: str = "vn",
-             scope_id: int | None = None,
-             lineage_id: int | None = None) -> Checkpoint:
+    def take(self, vn: VirtualNode, time: int, progress: int, lineage_id: int) -> Checkpoint:
+        """Image ``vn`` at ``time`` into the lineage's chain."""
         if vn.state is NodeState.FAIL_STOP:
             raise ValueError(f"cannot checkpoint fail-stopped node v{vn.vn_id}")
-        ckpt = Checkpoint(len(self.records), scope, vn.vn_id if scope_id is None else scope_id,
-                          time, status, cost, progress, vn.contaminated)
+        ckpt = Checkpoint(len(self.records), time, progress, vn.contaminated)
         self.records.append(ckpt)
-        key = vn.vn_id if lineage_id is None else lineage_id
-        self._by_lineage.setdefault(key, []).append(ckpt)
+        self._by_lineage.setdefault(lineage_id, []).append(ckpt)
         return ckpt
 
     def latest_clean(self, lineage_id: int, before: int | None = None) -> Checkpoint | None:
@@ -101,16 +95,6 @@ class CheckpointStore:
         chain = self._by_lineage.get(lineage_id, [])
         return chain[-1] if chain else None
 
-    def ledger_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["ckpt_id", "scope", "time", "status", "cost"])
-        for c in self.records:
-            target = f"v{c.target_id}" if c.scope == "vn" else f"j{c.target_id}"
-            writer.writerow([c.ckpt_id, f"{c.scope}:{target}", c.time,
-                             c.status.value, c.cost])
-        return out.getvalue()
-
 
 def rollback_loss(current_progress: int, target: Checkpoint | None, now: int) -> int:
     """Work discarded by rolling back to ``target`` (or the initial state)."""
@@ -122,11 +106,6 @@ def rollback_loss(current_progress: int, target: Checkpoint | None, now: int) ->
     if lost < 0:
         raise ValueError("checkpoint progress exceeds current progress")
     return lost
-
-
-def sync_checkpoint_times(ft_interval: int, horizon: int) -> list[int]:
-    """Times of the fixed-cadence baseline rounds within the horizon."""
-    return list(range(ft_interval, horizon + 1, ft_interval))
 
 
 def independent_gap(rng: random.Random, mean_gap: float) -> int:

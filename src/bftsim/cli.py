@@ -19,10 +19,11 @@ from .config import (
     ConfigError,
     load_config,
 )
-from .engine import ScenarioError, Scenario
+from .engine import Scenario
 from .fsm import TraceFormatError, check_trace
 from .metrics import summarize
 from .model import FailureKind, Server
+from .scenario import ScenarioError
 from .scheduler import ranking_csv, record_failure
 
 EXIT_OK = 0

@@ -258,16 +258,3 @@ def summarize(report_a: MetricsReport, report_b: MetricsReport) -> list[dict]:
         rows.append({"metric": metric_id, "a": a, "b": b, "delta": delta,
                      "favors": favors, **extra})
     return rows
-
-
-def summary_csv(rows: list[dict]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["metric", "a", "b", "delta", "favors"])
-    for r in rows:
-        writer.writerow([r["metric"],
-                         "" if r["a"] is None else r["a"],
-                         "" if r["b"] is None else r["b"],
-                         "" if r["delta"] is None else r["delta"],
-                         r["favors"]])
-    return out.getvalue()

@@ -83,8 +83,6 @@ class VirtualNode:
     next_monitor: int = 0
     suspect_rounds: int = 0      # consecutive Byzantine-state observations
     contaminated: bool = False
-    last_confirmed: int | None = None   # checkpoint id
-    task_id: int | None = None
 
 
 @dataclass
@@ -106,13 +104,9 @@ class Server:
 @dataclass(slots=True)
 class Checkpoint:
     ckpt_id: int
-    scope: str                   # "vn" or "job"
-    target_id: int               # vn id or job id
     time: int
-    status: CheckpointStatus
-    cost: int = 0                # write pause, ticks
-    progress: int = 0            # task progress captured in the image
-    tainted: bool = False        # ground truth: target was contaminated when imaged
+    progress: int                # task progress captured in the image
+    tainted: bool                # ground truth: the node was contaminated when imaged
 
 
 def split_application(task_count: int, job_count: int) -> list[Job]:

@@ -1,0 +1,113 @@
+"""Policy-independent scenario inputs: the workload and the fault trace.
+
+Each input comes from its own stream derived from the scenario seed, so
+every scheduler and checkpoint policy runs on identical tasks, demands and
+faults.  ``engine.Scenario`` assembles them with the server topology.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from enum import Enum
+from pathlib import Path
+
+from .config import SimConfig
+from .model import Job, Task, split_application
+
+
+class ScenarioError(RuntimeError):
+    pass
+
+
+class FaultKind(Enum):
+    BYZANTINE = "byzantine"
+    CRASH = "crash"
+    DELAY_SPIKE = "delay"
+
+
+@dataclass(frozen=True)
+class FaultSpec:
+    kind: FaultKind
+    time: int
+    target_task: int | None = None   # resolved to the task's current node
+    magnitude: float = 0.0           # delay spike size, fraction of the SLA bound
+
+
+@dataclass
+class Workload:
+    tasks: list[Task]
+    jobs: list[Job]
+
+
+def generate_workload(task_count: int, job_count: int, demand_min: int,
+                      demand_max: int, sla_bound: int,
+                      rng: random.Random) -> Workload:
+    """Seeded workload: balanced jobs of tasks with uniform integer demands."""
+    jobs = split_application(task_count, job_count)
+    job_of = {}
+    for job in jobs:
+        for tid in job.task_ids:
+            job_of[tid] = job.job_id
+    tasks = [Task(task_id=i, job_id=job_of[i],
+                  demand=rng.randint(demand_min, demand_max),
+                  sla_bound=sla_bound)
+             for i in range(task_count)]
+    return Workload(tasks=tasks, jobs=jobs)
+
+
+def load_utilization_trace(path: str | Path, period: int = 300) -> list[tuple[int, int]]:
+    """Parse a utilization trace: one integer percentage (0-100) per line.
+
+    Returns (tick, percent) samples spaced ``period`` ticks apart.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ValueError(f"trace file not found: {path}")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    samples = []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: not an integer: {text!r}") from None
+        if not 0 <= value <= 100:
+            raise ValueError(f"{path}:{lineno}: out of range 0-100: {value}")
+        samples.append((len(samples) * period, value))
+    if not samples:
+        raise ValueError(f"{path}: empty trace")
+    return samples
+
+
+def scale_demands(workload: Workload, series: list[tuple[int, int]]) -> None:
+    """Scale task demands by the utilization series, cycling samples."""
+    for task in workload.tasks:
+        pct = series[task.task_id % len(series)][1]
+        task.demand = max(1, round(task.demand * pct / 100))
+
+
+def scenario_id(cfg: SimConfig, faults: list[FaultSpec]) -> str:
+    return (f"s{cfg.server_count}c{cfg.server_capacity}"
+            f"-t{cfg.task_count}j{cfg.job_count}"
+            f"-seed{cfg.seed}-f{len(faults)}-h{cfg.horizon}")
+
+
+def generate_faults(cfg: SimConfig) -> list[FaultSpec]:
+    """Seeded fault trace over the configured injection window."""
+    rng = random.Random(f"{cfg.seed}:faults")
+    specs = []
+    for kind, count in ((FaultKind.BYZANTINE, cfg.byzantine_faults),
+                        (FaultKind.CRASH, cfg.crash_faults),
+                        (FaultKind.DELAY_SPIKE, cfg.delay_faults)):
+        for _ in range(count):
+            specs.append(FaultSpec(
+                kind=kind,
+                time=rng.randrange(cfg.fault_window_start, cfg.fault_window_end),
+                target_task=rng.randrange(cfg.task_count),
+                magnitude=cfg.delay_magnitude if kind is FaultKind.DELAY_SPIKE else 0.0,
+            ))
+    specs.sort(key=lambda s: (s.time, s.kind.value, s.target_task))
+    return specs

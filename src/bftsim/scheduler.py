@@ -4,8 +4,9 @@ The workload-sensitive policy (tag ``wsss``) counts per-server task
 failures, both erroneous (W) and SLA-delay (Y), and keeps servers ranked by
 ascending count; placement reads the ranking head without pre-evaluating
 anything.  The ``mesf`` baseline packs tasks onto the fewest, most efficient
-servers and pays a pre-evaluation cost per candidate before each wave.  The
-``random`` baseline places uniformly among feasible servers.
+servers and pays a pre-evaluation cost per candidate before each wave.  Both
+waves are one ``first_fit``, over a different server order.  The ``random``
+baseline places uniformly among feasible servers.
 """
 
 from __future__ import annotations
@@ -13,17 +14,8 @@ from __future__ import annotations
 import io
 import csv
 import random
-from dataclasses import dataclass, field
 
 from .model import FailureKind, Server
-
-
-@dataclass(frozen=True)
-class ServerRanking:
-    entries: tuple[tuple[int, int], ...]   # (server_id, failure count), ascending
-
-    def ordered_ids(self) -> list[int]:
-        return [sid for sid, _ in self.entries]
 
 
 def record_failure(server: Server, kind: FailureKind) -> int:
@@ -36,92 +28,69 @@ def record_failure(server: Server, kind: FailureKind) -> int:
     return server.fail_count
 
 
-def rank_servers(servers: list[Server]) -> ServerRanking:
+def rank_servers(servers: list[Server]) -> list[Server]:
     """Rank servers by ascending failure count, ties broken by ascending id."""
-    ordered = sorted(servers, key=lambda s: (s.fail_count, s.server_id))
-    return ServerRanking(tuple((s.server_id, s.fail_count) for s in ordered))
+    return sorted(servers, key=lambda s: (s.fail_count, s.server_id))
 
 
-def select_servers(ranking: ServerRanking, n: int, free_slots: dict[int, int],
-                   exclude: tuple[int, ...] = ()) -> tuple[list[int], int]:
-    """Pick the first ``n`` ranked servers with free slots.
-
-    Returns (selected ids, shortfall).  Shortfall > 0 means fewer than ``n``
-    servers had capacity.  No pre-evaluation cost is ever charged here.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    picked = []
-    for sid in ranking.ordered_ids():
-        if len(picked) == n:
-            break
-        if sid in exclude:
-            continue
-        if free_slots.get(sid, 0) > 0:
-            picked.append(sid)
-    return picked, n - len(picked)
+def select_servers(ranked: list[Server], exclude: int) -> int | None:
+    """The id of the best-ranked server other than ``exclude`` with a free
+    slot, or None.  No pre-evaluation cost is ever charged here."""
+    for server in ranked:
+        if server.server_id != exclude and server.free_slots > 0:
+            return server.server_id
+    return None
 
 
-@dataclass
-class Assignment:
-    mapping: dict[int, int] = field(default_factory=dict)   # task id -> server id
-    preeval_cost: float = 0.0
-    servers_used: int = 0
+def first_fit(task_ids: list[int], ordered_servers: list[Server]) -> dict[int, int]:
+    """Place tasks in order on the free slots of the servers in order: a
+    server fills up before the next one takes a task.  Returns task id ->
+    server id; the caller checks that the slots suffice."""
+    slots = (s.server_id for s in ordered_servers for _ in range(s.free_slots))
+    return dict(zip(task_ids, slots))
+
+
+def _check_capacity(task_ids: list[int], servers: list[Server]) -> None:
+    if not task_ids or not servers:
+        raise ValueError("tasks and servers must be non-empty")
+    total = sum(s.free_slots for s in servers)
+    if total < len(task_ids):
+        raise ValueError(f"capacity shortfall: {len(task_ids) - total} tasks unplaceable")
 
 
 def mesf_assign(task_ids: list[int], servers: list[Server],
-                preeval_cost: float = 0.03) -> Assignment:
+                preeval_cost: float = 0.03) -> tuple[dict[int, int], float]:
     """Pack tasks onto the fewest servers, most efficient (lowest mean latency)
-    first, charging a pre-evaluation cost per candidate server."""
-    if not task_ids or not servers:
-        raise ValueError("tasks and servers must be non-empty")
-    total = sum(s.free_slots for s in servers)
-    if total < len(task_ids):
-        raise ValueError(f"capacity shortfall: {len(task_ids) - total} tasks unplaceable")
+    first.  Returns (task id -> server id, pre-evaluation charge): the cost
+    is paid once per candidate server."""
+    _check_capacity(task_ids, servers)
     ordered = sorted(servers, key=lambda s: (s.latency_mean, s.server_id))
-    result = Assignment(preeval_cost=preeval_cost * len(servers))
-    free = {s.server_id: s.free_slots for s in ordered}
-    it = iter(ordered)
-    current = next(it)
-    for tid in task_ids:
-        while free[current.server_id] == 0:
-            current = next(it)
-        result.mapping[tid] = current.server_id
-        free[current.server_id] -= 1
-    result.servers_used = len(set(result.mapping.values()))
-    return result
+    return first_fit(task_ids, ordered), preeval_cost * len(servers)
 
 
 def random_assign(task_ids: list[int], servers: list[Server],
-                  rng: random.Random) -> Assignment:
-    """Uniform random feasible placement from the seeded stream."""
-    if not task_ids or not servers:
-        raise ValueError("tasks and servers must be non-empty")
-    total = sum(s.free_slots for s in servers)
-    if total < len(task_ids):
-        raise ValueError(f"capacity shortfall: {len(task_ids) - total} tasks unplaceable")
+                  rng: random.Random) -> dict[int, int]:
+    """Uniform random feasible placement from the seeded stream; returns
+    task id -> server id."""
+    _check_capacity(task_ids, servers)
     free = {s.server_id: s.free_slots for s in servers}
     # servers with a free slot, in id order: the draws depend on the order
     open_ids = sorted(sid for sid, slots in free.items() if slots > 0)
-    result = Assignment()
+    mapping = {}
     for tid in task_ids:
         sid = rng.choice(open_ids)
-        result.mapping[tid] = sid
+        mapping[tid] = sid
         free[sid] -= 1
         if free[sid] == 0:
             open_ids.remove(sid)
-    result.servers_used = len(set(result.mapping.values()))
-    return result
+    return mapping
 
 
 def ranking_csv(servers: list[Server]) -> str:
     """CSV report of the current ranking: server_id,fault_count,w_count,y_count,rank."""
-    ranking = rank_servers(servers)
-    by_id = {s.server_id: s for s in servers}
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["server_id", "fault_count", "w_count", "y_count", "rank"])
-    for rank, (sid, count) in enumerate(ranking.entries, start=1):
-        s = by_id[sid]
-        writer.writerow([f"s{sid}", count, s.w_count, s.y_count, rank])
+    for rank, s in enumerate(rank_servers(servers), start=1):
+        writer.writerow([f"s{s.server_id}", s.fail_count, s.w_count, s.y_count, rank])
     return out.getvalue()

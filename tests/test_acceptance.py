@@ -9,7 +9,7 @@ import time
 import pytest
 
 from bftsim.config import validate_config
-from bftsim.engine import FaultKind, FaultSpec, Scenario
+from bftsim.engine import Scenario
 from bftsim.fsm import (
     Action,
     byzantine_fsm_step,
@@ -27,6 +27,7 @@ from bftsim.model import (
     PerformanceClass,
     VirtualNode,
 )
+from bftsim.scenario import FaultKind, FaultSpec
 
 S0, S1, S2 = NodeState.FAIL_SAFE, NodeState.BYZANTINE, NodeState.FAIL_STOP
 NOERR, ERR = ChecksumResult.NO_ERROR, ChecksumResult.ERROR

@@ -7,10 +7,9 @@ from bftsim.checkpoint import (
     TccActionKind,
     independent_gap,
     rollback_loss,
-    sync_checkpoint_times,
     tcc_round,
 )
-from bftsim.model import CheckpointStatus, Job, NodeState, VirtualNode
+from bftsim.model import Job, NodeState, VirtualNode
 
 
 def _vn(vn_id=1, contaminated=False, state=NodeState.FAIL_SAFE):
@@ -49,10 +48,8 @@ def test_tcc_exactly_at_threshold_still_restarts():
 
 def test_store_take_and_lineage_lookup():
     store = CheckpointStore()
-    c1 = store.take(_vn(1), time=30, status=CheckpointStatus.CONFIRMED,
-                    cost=1, progress=28, lineage_id=7)
-    c2 = store.take(_vn(2), time=60, status=CheckpointStatus.CONFIRMED,
-                    cost=1, progress=57, lineage_id=7)
+    c1 = store.take(_vn(1), time=30, progress=28, lineage_id=7)
+    c2 = store.take(_vn(2), time=60, progress=57, lineage_id=7)
     assert store.latest(7) is c2
     assert store.latest_clean(7) is c2
     assert store.latest_clean(7, before=40) is c1
@@ -60,9 +57,8 @@ def test_store_take_and_lineage_lookup():
 
 def test_store_skips_tainted_images():
     store = CheckpointStore()
-    clean = store.take(_vn(1), 30, CheckpointStatus.CONFIRMED, 1, 28, lineage_id=7)
-    store.take(_vn(1, contaminated=True), 60, CheckpointStatus.CONFIRMED, 1, 57,
-               lineage_id=7)
+    clean = store.take(_vn(1), 30, 28, lineage_id=7)
+    store.take(_vn(1, contaminated=True), 60, 57, lineage_id=7)
     assert store.latest_clean(7) is clean
     assert store.latest(7).tainted
 
@@ -70,24 +66,12 @@ def test_store_skips_tainted_images():
 def test_store_rejects_fail_stopped_node():
     store = CheckpointStore()
     with pytest.raises(ValueError, match="fail-stop"):
-        store.take(_vn(1, state=NodeState.FAIL_STOP), 10,
-                   CheckpointStatus.CONFIRMED, 1, 5)
-
-
-def test_store_ledger_csv():
-    store = CheckpointStore()
-    store.take(_vn(4), 30, CheckpointStatus.CONFIRMED, 1, 28, lineage_id=4)
-    store.take(_vn(5), 100, CheckpointStatus.COMPLETE, 1, 90, scope="job",
-               scope_id=2, lineage_id=5)
-    lines = store.ledger_csv().strip().splitlines()
-    assert lines[0] == "ckpt_id,scope,time,status,cost"
-    assert lines[1] == "0,vn:v4,30,confirmed,1"
-    assert lines[2] == "1,job:j2,100,complete,1"
+        store.take(_vn(1, state=NodeState.FAIL_STOP), 10, 5, lineage_id=1)
 
 
 def test_rollback_loss_arithmetic():
     store = CheckpointStore()
-    ckpt = store.take(_vn(1), 30, CheckpointStatus.CONFIRMED, 1, 30, lineage_id=1)
+    ckpt = store.take(_vn(1), 30, 30, lineage_id=1)
     assert rollback_loss(50, ckpt, now=50) == 20
     assert rollback_loss(30, ckpt, now=30) == 0
     assert rollback_loss(45, None, now=45) == 45   # no image: back to the start
@@ -95,16 +79,9 @@ def test_rollback_loss_arithmetic():
 
 def test_rollback_rejects_future_target():
     store = CheckpointStore()
-    ckpt = store.take(_vn(1), 80, CheckpointStatus.CONFIRMED, 1, 70, lineage_id=1)
+    ckpt = store.take(_vn(1), 80, 70, lineage_id=1)
     with pytest.raises(ValueError, match="newer"):
         rollback_loss(75, ckpt, now=50)
-
-
-def test_sync_round_counts():
-    assert len(sync_checkpoint_times(10, 100)) == 10          # one job round per interval
-    assert len(sync_checkpoint_times(10, 100)) * 4 == 40      # four nodes per round
-    assert sync_checkpoint_times(10, 5) == []                 # horizon below interval
-    assert sync_checkpoint_times(1, 5) == [1, 2, 3, 4, 5]
 
 
 def test_independent_gaps_deterministic_and_positive():
@@ -118,12 +95,9 @@ def test_independent_gaps_deterministic_and_positive():
 
 def test_store_abandon_after_forgets_the_newer_images_of_the_lineage():
     store = CheckpointStore()
-    c1 = store.take(_vn(1), time=30, status=CheckpointStatus.CONFIRMED,
-                    cost=1, progress=28, lineage_id=7)
-    store.take(_vn(1), time=60, status=CheckpointStatus.CONFIRMED,
-               cost=1, progress=57, lineage_id=7)
-    other = store.take(_vn(2), time=70, status=CheckpointStatus.CONFIRMED,
-                       cost=1, progress=60, lineage_id=8)
+    c1 = store.take(_vn(1), time=30, progress=28, lineage_id=7)
+    store.take(_vn(1), time=60, progress=57, lineage_id=7)
+    other = store.take(_vn(2), time=70, progress=60, lineage_id=8)
     store.abandon_after(7, c1)
     assert store.latest_clean(7) is c1
     assert store.latest(8) is other

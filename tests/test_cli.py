@@ -4,7 +4,8 @@ import json
 import pytest
 
 from bftsim.cli import main
-from bftsim.engine import FaultKind, FaultSpec, Scenario, Simulation
+from bftsim.engine import Scenario, Simulation
+from bftsim.scenario import FaultKind, FaultSpec
 from bftsim.scheduler import ranking_csv
 
 from conftest import cluster_cfg

@@ -13,25 +13,27 @@ from bftsim.engine import (
     CausalityError,
     EventKind,
     EventQueue,
-    FaultKind,
-    FaultSpec,
     Scenario,
-    ScenarioError,
     Simulation,
     VnLedger,
-    generate_workload,
-    load_utilization_trace,
     propagate_contamination,
     run_scenario,
-    scale_demands,
 )
 from bftsim.fsm import Action, FsmDecision, MonitorObservation
 from bftsim.model import (
-    CheckpointStatus,
     ChecksumResult,
     DelayClass,
     NodeState,
     VirtualNode,
+)
+
+from bftsim.scenario import (
+    FaultKind,
+    FaultSpec,
+    ScenarioError,
+    generate_workload,
+    load_utilization_trace,
+    scale_demands,
 )
 
 from conftest import cluster_cfg
@@ -70,7 +72,7 @@ def test_per_event_records_keep_their_slots():
         MonitorObservation(1, 1, 0.0, DelayClass.LOW, ChecksumResult.NO_ERROR),
         FsmDecision(NodeState.FAIL_SAFE, 1, Action.NONE, 0),
         TccAction(TccActionKind.CONFIRMED_CHECKPOINT, 2),
-        CheckpointStore().take(VirtualNode(1, 1), 1, CheckpointStatus.CONFIRMED, 1, 0),
+        CheckpointStore().take(VirtualNode(1, 1), 1, 0, 1),
     ]
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
@@ -214,6 +216,21 @@ def test_accounting_identity_over_policy_mix():
                          + report.scalars["restore_time_total"])
                 assert total == report.scalars["active_time_total"], \
                     (policy, scheduler, monitor_cost)
+
+
+@pytest.mark.parametrize("policy", ["tcc", "sync", "independent"])
+def test_crash_before_the_late_mesf_wave_keeps_the_accounting_identity(policy):
+    """mesf starts its initial wave ceil(preeval_cost x servers) ticks late; a
+    crash injected before then lands at the node's start, not before it."""
+    cfg = cluster_cfg(task_count=4, job_count=1, server_count=5, server_capacity=4,
+                      fault_window_start=0, fault_window_end=10, horizon=200,
+                      demand_min=50, demand_max=60, seed=1,
+                      scheduler="mesf", checkpoint_policy=policy)
+    faults = [FaultSpec(kind=FaultKind.CRASH, time=0, target_task=0)]
+    report, _ = Scenario.from_config(cfg, faults).run(collect_log=False)
+    s = report.scalars
+    assert (s["useful_work_total"] + s["lost_work_total"] + s["pause_time_total"]
+            + s["restore_time_total"]) == s["active_time_total"]
 
 
 # -- fault injection ----------------------------------------------------------
@@ -415,7 +432,6 @@ def test_sync_rounds_image_every_active_node_at_once():
         by_time.setdefault(ckpt.time, []).append(ckpt)
     for t, group in by_time.items():
         assert len(group) == 4, f"round at t={t} imaged {len(group)} nodes"
-        assert all(c.scope == "job" for c in group)
 
 
 def test_trace_scaled_workload_through_config(tmp_path):

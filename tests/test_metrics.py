@@ -8,7 +8,6 @@ from bftsim.metrics import (
     MetricsReport,
     occurable_range,
     summarize,
-    summary_csv,
 )
 
 
@@ -140,11 +139,3 @@ def test_summarize_reflexive_and_antisymmetric():
 def test_summarize_rejects_mismatched_scenarios():
     with pytest.raises(ValueError, match="mismatched"):
         summarize(_report(scenario="a"), _report(scenario="b"))
-
-
-def test_summary_csv_shape():
-    rows = summarize(_report(), _report())
-    text = summary_csv(rows)
-    header = text.splitlines()[0]
-    assert header == "metric,a,b,delta,favors"
-    assert len(text.strip().splitlines()) == len(rows) + 1

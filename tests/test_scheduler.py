@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bftsim.model import FailureKind, Server
@@ -29,71 +29,70 @@ def test_record_failure_increments_by_one_per_kind():
     assert s.fail_count == s.w_count + s.y_count + 4
 
 
+def _ids(servers):
+    return [s.server_id for s in servers]
+
+
+def _fill(server, used):
+    server.active_vns.update(range(used))
+    return server
+
+
 def test_rank_matches_reference_sort():
     servers = [_server(1, 5), _server(2, 2), _server(3, 5)]
-    ranking = rank_servers(servers)
     reference = sorted(servers, key=lambda s: (s.fail_count, s.server_id))
-    assert ranking.ordered_ids() == [s.server_id for s in reference] == [2, 1, 3]
+    assert _ids(rank_servers(servers)) == _ids(reference) == [2, 1, 3]
 
 
 def test_rank_empty_and_ties():
-    assert rank_servers([]).ordered_ids() == []
-    assert rank_servers([_server(2), _server(1)]).ordered_ids() == [1, 2]
+    assert rank_servers([]) == []
+    assert _ids(rank_servers([_server(2), _server(1)])) == [1, 2]
 
 
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=20))
 def test_rank_is_permutation_and_scale_invariant(counts):
     servers = [_server(i + 1, c) for i, c in enumerate(counts)]
-    order = rank_servers(servers).ordered_ids()
+    order = _ids(rank_servers(servers))
     assert sorted(order) == sorted(s.server_id for s in servers)
     scaled = [_server(i + 1, c * 3) for i, c in enumerate(counts)]
-    assert rank_servers(scaled).ordered_ids() == order
-    ranked_counts = [c for _, c in rank_servers(servers).entries]
+    assert _ids(rank_servers(scaled)) == order
+    ranked_counts = [s.fail_count for s in rank_servers(servers)]
     assert ranked_counts == sorted(ranked_counts)
 
 
 def test_select_servers_head_of_ranking():
-    ranking = rank_servers([_server(1, 5), _server(2, 2), _server(3, 5)])
-    picked, shortfall = select_servers(ranking, 1, {1: 4, 2: 4, 3: 4})
-    assert picked == [2] and shortfall == 0
-
-
-def test_select_servers_shortfall_flag():
-    ranking = rank_servers([_server(1), _server(2)])
-    picked, shortfall = select_servers(ranking, 5, {1: 1, 2: 1})
-    assert picked == [1, 2] and shortfall == 3
+    ranked = rank_servers([_server(1, 5), _server(2, 2), _server(3, 5)])
+    assert select_servers(ranked, exclude=3) == 2
 
 
 def test_select_servers_skips_full_servers():
-    ranking = rank_servers([_server(2, 0), _server(1, 1), _server(3, 2)])
-    picked, shortfall = select_servers(ranking, 2, {2: 0, 1: 3, 3: 3})
-    assert picked == [1, 3] and shortfall == 0
+    ranked = rank_servers([_fill(_server(2, 0, capacity=2), 2), _server(1, 1), _server(3, 2)])
+    assert select_servers(ranked, exclude=3) == 1
+    assert select_servers(ranked, exclude=1) == 3      # the excluded server is skipped too
 
 
-def test_select_servers_rejects_zero_request():
-    ranking = rank_servers([_server(1)])
-    with pytest.raises(ValueError):
-        select_servers(ranking, 0, {1: 1})
+def test_select_servers_none_without_a_free_slot():
+    """The engine logs a failed placement when no ranked server has room."""
+    ranked = rank_servers([_fill(_server(1, capacity=1), 1), _server(2)])
+    assert select_servers(ranked, exclude=2) is None
 
 
 def test_mesf_packs_most_efficient_first():
     s1, s2 = _server(1, latency=3.0), _server(2, latency=9.0)
-    assignment = mesf_assign(list(range(4)), [s2, s1])
-    assert set(assignment.mapping.values()) == {1}
-    assert assignment.servers_used == 1
-    assert assignment.preeval_cost == pytest.approx(0.06)
+    mapping, charge = mesf_assign(list(range(4)), [s2, s1])
+    assert set(mapping.values()) == {1}
+    assert charge == pytest.approx(0.06)
 
 
 def test_mesf_overflows_to_next_server():
     s1, s2 = _server(1, latency=3.0), _server(2, latency=9.0)
-    assignment = mesf_assign(list(range(5)), [s1, s2])
-    placed = list(assignment.mapping.values())
+    mapping, _ = mesf_assign(list(range(5)), [s1, s2])
+    placed = list(mapping.values())
     assert placed.count(1) == 4 and placed.count(2) == 1
 
 
 def test_mesf_single_server_forced():
-    assignment = mesf_assign([0], [_server(1)])
-    assert assignment.mapping == {0: 1}
+    assert mesf_assign([0], [_server(1)])[0] == {0: 1}
 
 
 def test_mesf_capacity_rejection_names_shortfall():
@@ -101,12 +100,41 @@ def test_mesf_capacity_rejection_names_shortfall():
         mesf_assign(list(range(7)), [_server(1)])
 
 
+def _mesf_assign_by_iterator(task_ids, servers):
+    """Reference: walk the (latency, id) order, moving on when a server is full."""
+    ordered = sorted(servers, key=lambda s: (s.latency_mean, s.server_id))
+    free = {s.server_id: s.free_slots for s in ordered}
+    it = iter(ordered)
+    current = next(it)
+    mapping = {}
+    for tid in task_ids:
+        while free[current.server_id] == 0:
+            current = next(it)
+        mapping[tid] = current.server_id
+        free[current.server_id] -= 1
+    return mapping
+
+
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 4), st.integers(0, 6)),
+                min_size=1, max_size=8),
+       st.data())
+def test_mesf_first_fit_matches_the_iterator_walk(specs, data):
+    """(capacity, occupied slots, latency) per server, ties in latency included."""
+    servers = [_fill(_server(i + 1, capacity=cap, latency=float(lat)), min(used, cap))
+               for i, (cap, used, lat) in enumerate(specs)]
+    free = sum(s.free_slots for s in servers)
+    assume(free > 0)
+    tasks = list(range(data.draw(st.integers(1, free))))
+    mapping, _ = mesf_assign(tasks, servers)
+    assert mapping == _mesf_assign_by_iterator(tasks, servers)
+
+
 def test_random_assign_deterministic_per_seed():
     servers = [_server(i + 1) for i in range(4)]
     a = random_assign(list(range(10)), servers, random.Random(42))
     b = random_assign(list(range(10)), servers, random.Random(42))
-    assert a.mapping == b.mapping
-    assert random_assign([0], [_server(1)], random.Random(0)).mapping == {0: 1}
+    assert a == b
+    assert random_assign([0], [_server(1)], random.Random(0)) == {0: 1}
 
 
 def _random_assign_by_rescan(task_ids, servers, rng):
@@ -125,10 +153,10 @@ def test_random_assign_draws_as_a_rescan_of_free_servers(seed):
     """Servers listed out of id order, some already full, most filled by the wave."""
     servers = [_server(sid, capacity=3) for sid in (7, 2, 9, 4, 1, 8, 3)]
     for server, used in zip(servers, (0, 3, 1, 0, 3, 2, 0)):
-        server.active_vns.update(range(used))
+        _fill(server, used)
     tasks = list(range(sum(s.free_slots for s in servers) - 1))
-    assignment = random_assign(tasks, servers, random.Random(seed))
-    assert assignment.mapping == _random_assign_by_rescan(tasks, servers, random.Random(seed))
+    mapping = random_assign(tasks, servers, random.Random(seed))
+    assert mapping == _random_assign_by_rescan(tasks, servers, random.Random(seed))
 
 
 def test_random_assign_spread_over_seeds():
@@ -136,8 +164,8 @@ def test_random_assign_spread_over_seeds():
     loads = []
     for seed in range(100):
         servers = [_server(i + 1, capacity=100) for i in range(10)]
-        assignment = random_assign(list(range(100)), servers, random.Random(seed))
-        counts = [list(assignment.mapping.values()).count(i + 1) for i in range(10)]
+        mapping = random_assign(list(range(100)), servers, random.Random(seed))
+        counts = [list(mapping.values()).count(i + 1) for i in range(10)]
         loads.extend(counts)
     assert all(abs(c - 10) <= 10 for c in loads)
     mean = sum(loads) / len(loads)
