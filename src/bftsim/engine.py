@@ -27,14 +27,16 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .checkpoint import (
+    CONFIRMED_CHECKPOINT,
+    PREVIOUS_RESTART,
     CheckpointStore,
-    TccActionKind,
     independent_gap,
     rollback_loss,
     tcc_round,
 )
 from .config import SimConfig
 from .fsm import (
+    REPLACE_NODE,
     Action,
     FsmDecision,
     MonitorObservation,
@@ -45,10 +47,16 @@ from .fsm import (
 )
 from .metrics import MetricsReport
 from .model import (
+    BYZANTINE,
+    CHECKSUM_ERROR,
+    DELAY_SENSITIVE,
+    ERRONEOUS,
+    FAIL_STOP,
+    HIGH,
+    NO_ERROR,
     Checkpoint,
     ChecksumResult,
     DelayClass,
-    FailureKind,
     Job,
     NodeState,
     Server,
@@ -56,6 +64,8 @@ from .model import (
     VirtualNode,
 )
 from .scenario import (
+    BYZANTINE_FAULT,
+    CRASH_FAULT,
     FaultKind,
     FaultSpec,
     ScenarioError,
@@ -84,6 +94,23 @@ class EventKind(Enum):
     CHECKPOINT_ROUND = "checkpoint"
     MIGRATION_COMPLETE = "migration_done"
     HORIZON_END = "horizon_end"
+    __hash__ = object.__hash__   # a per-event dict key: see model.py
+
+
+MONITOR_ROUND = EventKind.MONITOR_ROUND
+TASK_COMPLETE = EventKind.TASK_COMPLETE
+FAULT_INJECTION = EventKind.FAULT_INJECTION
+CONTAMINATION_EXCHANGE = EventKind.CONTAMINATION_EXCHANGE
+CHECKPOINT_ROUND = EventKind.CHECKPOINT_ROUND
+MIGRATION_COMPLETE = EventKind.MIGRATION_COMPLETE
+HORIZON_END = EventKind.HORIZON_END
+
+# event-log tokens by member, built once: ``.value`` and ``.name`` are Python
+# properties.  DelayClass is an IntEnum, so its tokens are indexed by it.
+_TOKENS = {member: member.value
+           for enum in (EventKind, NodeState, ChecksumResult, Action, FaultKind)
+           for member in enum}
+_DELAY_TOKENS = tuple(d.name.lower() for d in DelayClass)
 
 
 # not frozen, built per event: a frozen __init__ costs 0.9 us, this 0.24 us (CPython 3.11)
@@ -262,8 +289,13 @@ class Scenario:
         if faults is None:
             faults = generate_faults(cfg)
         for spec in faults:
+            if spec.time < 0:
+                raise ScenarioError(f"fault at t={spec.time} is before t=0")
             if spec.time >= cfg.horizon:
                 raise ScenarioError(f"fault at t={spec.time} is not below horizon {cfg.horizon}")
+            if spec.target_task not in range(len(workload.tasks)):
+                raise ScenarioError(f"fault target task {spec.target_task!r} is not in the "
+                                    f"workload (tasks 0-{len(workload.tasks) - 1})")
         return cls(cfg, workload, faults, latencies)
 
     def run(self, scheduler: str | None = None, checkpoint_policy: str | None = None,
@@ -333,15 +365,18 @@ class Checkpointing:
 
     def on_monitor(self, sim: Simulation, rt: VnRuntime, t: int, decision: FsmDecision,
                    in_monitor: bool) -> str:
-        """Act on a monitor round or a rejected final output; returns the log detail."""
-        if decision.action is Action.REPLACE_NODE:
+        """Act on a monitor round or a rejected final output; returns the log
+        detail, empty with the log off."""
+        if decision.action is REPLACE_NODE:
             return ";" + sim._restart_vn(rt, t, "replace")
         if not in_monitor:
             # rejected final output outside a monitor round: the suspicion
             # machinery cannot hold a finished node, so replace it outright
             return ";" + sim._restart_vn(rt, t, "verify_reject")
         sim._advance_monitor(rt, t, decision.next_gap)
-        return f";action={decision.action.value};q={rt.vn.suspect_rounds}"
+        if not sim.collect_log:
+            return ""
+        return f";action={_TOKENS[decision.action]};q={rt.vn.suspect_rounds}"
 
     def rollback_target(self, sim: Simulation, task_id: int) -> Checkpoint | None:
         return sim.store.latest_clean(task_id)
@@ -355,13 +390,15 @@ class TccCheckpointing(Checkpointing):
                    in_monitor: bool) -> str:
         action = tcc_round(rt.vn, rt.ft_interval, decision.next_gap, rt.job,
                            sim.cfg.migration_threshold)
-        if action.kind is TccActionKind.CONFIRMED_CHECKPOINT:
+        if action.kind is CONFIRMED_CHECKPOINT:
             rt.ft_interval = action.new_ft_interval
             if in_monitor:
                 sim._take_vn_checkpoint(rt, t)
                 sim._advance_monitor(rt, t, decision.next_gap)
+            if not sim.collect_log:
+                return ""
             return f";tcc=confirmed;delta={rt.ft_interval}"
-        if action.kind is TccActionKind.PREVIOUS_RESTART:
+        if action.kind is PREVIOUS_RESTART:
             return ";tcc=previous_restart;" + sim._restart_vn(rt, t, "tcc_restart")
         return ";tcc=job_migration;" + sim._migrate_job(rt.job, t)
 
@@ -372,7 +409,7 @@ class SyncCheckpointing(Checkpointing):
     def start_rounds(self, sim: Simulation) -> None:
         if sim.cfg.ft_interval <= sim.cfg.horizon:
             for job_id in sorted(sim.jobs):
-                sim.queue.push(sim.cfg.ft_interval, EventKind.CHECKPOINT_ROUND, job_id)
+                sim.queue.push(sim.cfg.ft_interval, CHECKPOINT_ROUND, job_id)
 
     def on_round(self, sim: Simulation, ev: SimEvent) -> str:
         job = sim.jobs[ev.target]
@@ -382,7 +419,9 @@ class SyncCheckpointing(Checkpointing):
         nxt = ev.time + sim.cfg.ft_interval
         if nxt <= sim.cfg.horizon and any(not sim.tasks[tid].completed
                                           for tid in job.task_ids):
-            sim.queue.push(nxt, EventKind.CHECKPOINT_ROUND, job.job_id)
+            sim.queue.push(nxt, CHECKPOINT_ROUND, job.job_id)
+        if not sim.collect_log:
+            return ""
         return f"job=j{job.job_id};taken={len(live)}"
 
 
@@ -398,12 +437,15 @@ class IndependentCheckpointing(Checkpointing):
         if rt is None or rt.crashed_at is not None:
             return "stale=1"
         sim._take_vn_checkpoint(rt, ev.time)
-        return f"vn=v{rt.vn.vn_id};gap={self._next_round(sim, rt, ev.time)}"
+        gap = self._next_round(sim, rt, ev.time)
+        if not sim.collect_log:
+            return ""
+        return f"vn=v{rt.vn.vn_id};gap={gap}"
 
     def _next_round(self, sim: Simulation, rt: VnRuntime, t: int) -> int:
         gap = independent_gap(sim.rng, sim.cfg.indep_mean_gap)
         if t + gap <= sim.cfg.horizon:
-            sim.queue.push(t + gap, EventKind.CHECKPOINT_ROUND, rt.vn.vn_id)
+            sim.queue.push(t + gap, CHECKPOINT_ROUND, rt.vn.vn_id)
         return gap
 
     def rollback_target(self, sim: Simulation, task_id: int) -> Checkpoint | None:
@@ -482,7 +524,7 @@ class Simulation:
     def _log(self, ev: SimEvent, detail: str) -> None:
         if self.collect_log:
             target = "" if ev.target is None else str(ev.target)
-            self.log_lines.append(f"{ev.time},{ev.seq},{ev.kind.value},{target},{detail}")
+            self.log_lines.append(f"{ev.time},{ev.seq},{_TOKENS[ev.kind]},{target},{detail}")
 
     # -- node lifecycle ----------------------------------------------------------
 
@@ -515,7 +557,7 @@ class Simulation:
             return
         rt.completion = (when, self.queue.take_seq())
         if not rt.completion_queued:
-            self.queue.push(when, EventKind.TASK_COMPLETE, rt.vn.vn_id, seq=rt.completion[1])
+            self.queue.push(when, TASK_COMPLETE, rt.vn.vn_id, seq=rt.completion[1])
             rt.completion_queued = True
 
     def _retire(self, rt: VnRuntime, t: int) -> None:
@@ -544,26 +586,30 @@ class Simulation:
         return lost
 
     def _restart_vn(self, rt: VnRuntime, t: int, reason: str) -> str:
-        """Replace one node from its previous trusted checkpoint."""
+        """Replace one node from its previous trusted checkpoint; returns the
+        log detail, empty with the log off."""
         target = self.checkpointing.rollback_target(self, rt.task.task_id)
         lost = self._roll_back(rt, target, t)
         new_sid, selection_cost = self.placement.replacement(self, rt.vn.server_id)
         self.report.record("exec_time_host_selection", selection_cost)
         if new_sid is None:
             self.failed_workloads += 1
-            return f"reason={reason};lost={lost};placement=failed"
+            return f"reason={reason};lost={lost};placement=failed" if self.collect_log else ""
         restore = self.cfg.restart_cost + math.ceil(selection_cost)
         new_rt = self._spawn(rt.task, new_sid, t, target, restore)
         self.replacement_count += 1
         self.report.record("time_before_migration", float(t - rt.ledger.start))
         self.report.record("exec_time_reallocation", float(restore))
         self.report.record("exec_time_total", selection_cost + restore)
+        if not self.collect_log:
+            return ""
         return (f"reason={reason};lost={lost};from=s{rt.vn.server_id};"
                 f"to=s{new_sid};vn=v{new_rt.vn.vn_id}")
 
     def _migrate_job(self, job: Job, t: int) -> str:
         """Halt every node of the job and restart it from a job-consistent image,
-        placed as the run's scheduler places a wave."""
+        placed as the run's scheduler places a wave; returns the log detail,
+        empty with the log off."""
         rts = list(self.job_nodes[job.job_id].values())
         task_ids = [rt.task.task_id for rt in rts]
         consistent_at = min(c.time if c else 0 for c in map(self.store.latest_clean, task_ids))
@@ -584,7 +630,9 @@ class Simulation:
         self.migration_count += 1
         done_at = t + self.cfg.migration_cost
         if done_at <= self.cfg.horizon:
-            self.queue.push(done_at, EventKind.MIGRATION_COMPLETE, job.job_id)
+            self.queue.push(done_at, MIGRATION_COMPLETE, job.job_id)
+        if not self.collect_log:
+            return ""
         return f"job=j{job.job_id};moved={len(rts)};consistent_at={consistent_at}"
 
     # -- checkpoints ----------------------------------------------------------
@@ -606,29 +654,29 @@ class Simulation:
         delay += rt.spike_delay
         sla = rt.task.sla_bound
         if rt.crashed_at is not None:
-            checksum = ChecksumResult.ERROR   # challenge unanswered
+            checksum = CHECKSUM_ERROR   # challenge unanswered
         else:
             checksum = checksum_oracle(rt.vn.contaminated, cfg.detect_prob, self.rng)
-        if (rt.vn.contaminated and checksum is ChecksumResult.NO_ERROR
+        if (rt.vn.contaminated and checksum is NO_ERROR
                 and cfg.high_delay_fallback):
             # a missed detection surfaces as high delay variation
             delay = max(delay, (cfg.delay_normal_frac + cfg.delay_high_frac) / 2 * sla)
         dclass = classify_delay(delay, sla, self.thresholds)
         obs = MonitorObservation(rt.vn.vn_id, t, delay, dclass, checksum)
-        flagged = checksum is ChecksumResult.ERROR or dclass >= DelayClass.HIGH
+        flagged = checksum is CHECKSUM_ERROR or dclass >= HIGH
 
         weight = t - rt.last_obs_time
         rt.last_obs_time = t
         self.obs_count += 1
         self.excess_sum += max(0.0, delay - sla)
         self.server_obs_time[server.server_id] += weight
-        if dclass >= DelayClass.HIGH:
+        if dclass >= HIGH:
             self.over_count += 1
             self.server_over_time[server.server_id] += weight
-        if checksum is ChecksumResult.ERROR:
-            record_failure(server, FailureKind.ERRONEOUS)
-        elif dclass >= DelayClass.HIGH:
-            record_failure(server, FailureKind.DELAY_SENSITIVE)
+        if checksum is CHECKSUM_ERROR:
+            record_failure(server, ERRONEOUS)
+        elif dclass >= HIGH:
+            record_failure(server, DELAY_SENSITIVE)
         if flagged and rt.task.task_id in self.detection_pending:
             since = self.detection_pending.pop(rt.task.task_id)
             self.report.record("detection_latency", float(t - since))
@@ -642,7 +690,7 @@ class Simulation:
         if not self.collect_log:
             return ""
         return (f"server=s{rt.vn.server_id};{mark}delay={obs.delay:.3f};"
-                f"class={obs.delay_class.name.lower()};checksum={obs.checksum.value};")
+                f"class={_DELAY_TOKENS[obs.delay_class]};checksum={_TOKENS[obs.checksum]};")
 
     def _apply_policy(self, rt: VnRuntime, t: int, obs: MonitorObservation,
                       in_monitor: bool) -> str:
@@ -650,17 +698,17 @@ class Simulation:
         post = byzantine_fsm_step(prior, obs.delay_class, obs.checksum)
         decision = next_interval(rt.vn, post, self.cfg)
         rt.vn.state = post
-        rt.vn.suspect_rounds = decision.suspect_rounds if post is NodeState.BYZANTINE else 0
+        rt.vn.suspect_rounds = decision.suspect_rounds if post is BYZANTINE else 0
         outcome = self.checkpointing.on_monitor(self, rt, t, decision, in_monitor)
         if not self.collect_log:
             return outcome
-        return f"state={prior.value}>{post.value}{outcome}"
+        return f"state={_TOKENS[prior]}>{_TOKENS[post]}{outcome}"
 
     def _advance_monitor(self, rt: VnRuntime, t: int, gap: int) -> None:
         rt.vn.gap = gap
         rt.vn.next_monitor = t + gap
         if rt.vn.next_monitor <= self.cfg.horizon:
-            self.queue.push(rt.vn.next_monitor, EventKind.MONITOR_ROUND, rt.vn.vn_id)
+            self.queue.push(rt.vn.next_monitor, MONITOR_ROUND, rt.vn.vn_id)
 
     # -- completion ----------------------------------------------------------
 
@@ -671,6 +719,8 @@ class Simulation:
         return rt.ledger.progress >= rt.task.demand and not rt.ledger.blocks
 
     def _complete_task(self, rt: VnRuntime, t: int) -> str:
+        """Finish the node's task; returns the log detail, empty with the log off."""
+        log = self.collect_log
         task = rt.task
         task.completed = True
         if task.contaminated_output:
@@ -679,31 +729,34 @@ class Simulation:
         job = self.jobs[task.job_id]
         if all(self.tasks[tid].completed for tid in job.task_ids):
             self.jobs_completed += 1
-            return f"task={task.task_id};job=j{job.job_id};job_complete=1"
-        return f"task={task.task_id}"
+            return f"task={task.task_id};job=j{job.job_id};job_complete=1" if log else ""
+        return f"task={task.task_id}" if log else ""
 
     # -- fault injection ----------------------------------------------------------
 
     def inject_fault(self, spec: FaultSpec, t: int) -> str:
+        """Apply one fault to its task's live node; returns the log detail,
+        empty with the log off."""
+        log = self.collect_log
         rt = self.runtimes.get(self.task_vn.get(spec.target_task))
-        if rt is None or rt.vn.state is NodeState.FAIL_STOP:
-            return f"kind={spec.kind.value};target=none;noop=1"
+        if rt is None or rt.vn.state is FAIL_STOP:
+            return f"kind={_TOKENS[spec.kind]};target=none;noop=1" if log else ""
         # a fault before the node starts (a late initial wave) lands at its start
         t = max(t, rt.ledger.start)
-        if spec.kind is FaultKind.BYZANTINE:
+        if spec.kind is BYZANTINE_FAULT:
             rt.vn.contaminated = True
             rt.task.contaminated_output = True
             self.detection_pending[rt.task.task_id] = t
-            return f"kind=byzantine;vn=v{rt.vn.vn_id}"
-        if spec.kind is FaultKind.CRASH:
+            return f"kind=byzantine;vn=v{rt.vn.vn_id}" if log else ""
+        if spec.kind is CRASH_FAULT:
             rt.ledger.settle(t)
             rt.ledger.stop(t)
-            rt.vn.state = NodeState.FAIL_STOP
+            rt.vn.state = FAIL_STOP
             rt.crashed_at = t
             self.detection_pending[rt.task.task_id] = t
-            return f"kind=crash;vn=v{rt.vn.vn_id}"
+            return f"kind=crash;vn=v{rt.vn.vn_id}" if log else ""
         rt.spike_delay += spec.magnitude * rt.task.sla_bound
-        return f"kind=delay;vn=v{rt.vn.vn_id};magnitude={spec.magnitude}"
+        return f"kind=delay;vn=v{rt.vn.vn_id};magnitude={spec.magnitude}" if log else ""
 
     # -- event handlers ----------------------------------------------------------
 
@@ -732,7 +785,7 @@ class Simulation:
             # so it runs where a fresh push at that pause would have run
             if rt.completion is not None:
                 when, seq = rt.completion
-                self.queue.push(when, EventKind.TASK_COMPLETE, rt.vn.vn_id, seq=seq)
+                self.queue.push(when, TASK_COMPLETE, rt.vn.vn_id, seq=seq)
                 rt.completion_queued = True
             return "stale=1"
         if not self._task_finished(rt, ev.time):
@@ -750,11 +803,11 @@ class Simulation:
         for nodes in self.job_nodes.values():
             members = nodes.values()
             # a fail-stopped node no longer exchanges outputs
-            if not any(rt.vn.contaminated and rt.vn.state is not NodeState.FAIL_STOP
+            if not any(rt.vn.contaminated and rt.vn.state is not FAIL_STOP
                        for rt in members):
                 continue
             clean = [rt for rt in members if not rt.vn.contaminated
-                     and rt.vn.state is not NodeState.FAIL_STOP]
+                     and rt.vn.state is not FAIL_STOP]
             newly = propagate_contamination([rt.vn.vn_id for rt in clean],
                                             self.cfg.propagation_prob, self.rng)
             for rt in clean:
@@ -765,7 +818,9 @@ class Simulation:
                     spread.append(rt.vn.vn_id)
         nxt = ev.time + self.cfg.base_interval
         if nxt <= self.cfg.horizon:
-            self.queue.push(nxt, EventKind.CONTAMINATION_EXCHANGE)
+            self.queue.push(nxt, CONTAMINATION_EXCHANGE)
+        if not self.collect_log:
+            return ""
         return "spread=" + ("|".join(f"v{v}" for v in spread) if spread else "-")
 
     # -- main loop ----------------------------------------------------------
@@ -783,18 +838,17 @@ class Simulation:
             self._spawn(self.tasks[tid], mapping[tid], math.ceil(wave_cost))
         self.checkpointing.start_rounds(self)
         if cfg.propagation_prob > 0 and cfg.base_interval <= cfg.horizon:
-            self.queue.push(cfg.base_interval, EventKind.CONTAMINATION_EXCHANGE)
+            self.queue.push(cfg.base_interval, CONTAMINATION_EXCHANGE)
         for i, spec in enumerate(self.faults):
-            self.queue.push(spec.time, EventKind.FAULT_INJECTION, i)
+            self.queue.push(spec.time, FAULT_INJECTION, i)
 
         dispatch = {
-            EventKind.MONITOR_ROUND: self._handle_monitor,
-            EventKind.TASK_COMPLETE: self._handle_complete,
-            EventKind.CHECKPOINT_ROUND: lambda ev: self.checkpointing.on_round(self, ev),
-            EventKind.CONTAMINATION_EXCHANGE: self._handle_exchange,
-            EventKind.FAULT_INJECTION:
-                lambda ev: self.inject_fault(self.faults[ev.target], ev.time),
-            EventKind.MIGRATION_COMPLETE: lambda ev: f"job=j{ev.target}",
+            MONITOR_ROUND: self._handle_monitor,
+            TASK_COMPLETE: self._handle_complete,
+            CHECKPOINT_ROUND: lambda ev: self.checkpointing.on_round(self, ev),
+            CONTAMINATION_EXCHANGE: self._handle_exchange,
+            FAULT_INJECTION: lambda ev: self.inject_fault(self.faults[ev.target], ev.time),
+            MIGRATION_COMPLETE: lambda ev: f"job=j{ev.target}",
         }
         while self.jobs_completed < len(self.jobs):
             next_time = self.queue.peek_time()
@@ -806,7 +860,7 @@ class Simulation:
         end = self.queue.clock if self.jobs_completed == len(self.jobs) else cfg.horizon
         for rt in list(self.runtimes.values()):
             self._retire(rt, end)
-        self._log(self.queue.synthesize(EventKind.HORIZON_END, end),
+        self._log(self.queue.synthesize(HORIZON_END, end),
                   f"jobs_completed={self.jobs_completed}")
         self._finalize()
         return self.report, self.log_lines

@@ -24,13 +24,18 @@ class FaultKind(Enum):
     BYZANTINE = "byzantine"
     CRASH = "crash"
     DELAY_SPIKE = "delay"
+    __hash__ = object.__hash__   # a per-event dict key: see model.py
+
+
+BYZANTINE_FAULT = FaultKind.BYZANTINE
+CRASH_FAULT = FaultKind.CRASH
 
 
 @dataclass(frozen=True)
 class FaultSpec:
     kind: FaultKind
     time: int
-    target_task: int | None = None   # resolved to the task's current node
+    target_task: int                 # resolved to the task's current node
     magnitude: float = 0.0           # delay spike size, fraction of the SLA bound
 
 

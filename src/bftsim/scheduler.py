@@ -15,13 +15,13 @@ import io
 import csv
 import random
 
-from .model import FailureKind, Server
+from .model import ERRONEOUS, FailureKind, Server
 
 
 def record_failure(server: Server, kind: FailureKind) -> int:
     """Charge one failure of the given kind to the server; returns the new count."""
     server.fail_count += 1
-    if kind is FailureKind.ERRONEOUS:
+    if kind is ERRONEOUS:
         server.w_count += 1
     else:
         server.y_count += 1

@@ -1,4 +1,7 @@
+import ast
+import enum
 import hashlib
+import inspect
 import random
 from collections import Counter
 from pathlib import Path
@@ -7,6 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bftsim.checkpoint
+import bftsim.engine
+import bftsim.fsm
+import bftsim.model
+import bftsim.scenario
+import bftsim.scheduler
 from bftsim.checkpoint import CheckpointStore, TccAction, TccActionKind
 from bftsim.config import load_config, validate_config
 from bftsim.engine import (
@@ -200,6 +209,20 @@ def test_infeasible_placement_names_shortfall():
     cfg = cluster_cfg(task_count=30, job_count=3, server_count=2, server_capacity=4)
     with pytest.raises(ScenarioError, match="22"):
         run_scenario(cfg)
+
+
+def test_fault_before_time_zero_is_rejected_at_build():
+    faults = [FaultSpec(kind=FaultKind.CRASH, time=-1, target_task=0)]
+    with pytest.raises(ScenarioError, match="t=-1"):
+        Scenario.from_config(cluster_cfg(), faults)
+
+
+@pytest.mark.parametrize("target", [12, -1])
+def test_fault_target_outside_the_workload_is_rejected_at_build(target):
+    """cluster_cfg has tasks 0-11; a fault aimed elsewhere would be a silent no-op."""
+    faults = [FaultSpec(kind=FaultKind.BYZANTINE, time=40, target_task=target)]
+    with pytest.raises(ScenarioError, match=f"task {target} "):
+        Scenario.from_config(cluster_cfg(), faults)
 
 
 def test_accounting_identity_over_policy_mix():
@@ -622,6 +645,25 @@ def test_storm_reports_match_the_pin():
     assert digest.hexdigest() == STORM_REPORTS_SHA256
 
 
+# SHA-256 of the log-on event logs of the 9 combinations on scenarios/desk.cfg
+# and on _storm_cfg, each at seeds 1 and 2
+EVENT_LOGS_SHA256 = "3759ec4e57c0999d746d953a51275d1c94053b7d7069eee3392edb5ffd58753a"
+
+
+def test_event_logs_match_the_pin():
+    """Pins every log line, which the report pins do not see.  The pin was
+    computed before the log tokens were built once at import; a change that
+    alters the log on purpose updates it and says so in CHANGES.md."""
+    digest = hashlib.sha256()
+    for seed in (1, 2):
+        for cfg in (load_config(DESK, {"seed": seed}), _storm_cfg(seed)):
+            scenario = Scenario.from_config(cfg)
+            for sched, ckpt in COMBOS:
+                _, log = scenario.run(sched, ckpt, collect_log=True)
+                digest.update(("\n".join(log) + "\n").encode())
+    assert digest.hexdigest() == EVENT_LOGS_SHA256
+
+
 def _run_checking_every_event(sched, ckpt, seed, check):
     """Run ``_storm_cfg(seed)`` with the log off, calling ``check(sim, ev)``
     after every popped event; returns the report."""
@@ -670,3 +712,70 @@ def test_ledger_pending_total_holds_on_every_event(sched, ckpt):
 
     for seed in (1, 2):
         _run_checking_every_event(sched, ckpt, seed, check)
+
+
+# -- per-event code and enums ------------------------------------------------------
+
+def _functions(module) -> dict[str, ast.FunctionDef]:
+    """The module's functions and methods by qualified name."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, ast.FunctionDef):
+                found[prefix + child.name] = child
+
+    visit(ast.parse(inspect.getsource(module)), "")
+    return found
+
+
+def _pushes(fn: ast.FunctionDef) -> bool:
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "push" for node in ast.walk(fn))
+
+
+def test_per_event_code_binds_enum_members_once():
+    """The per-event functions read no enum member through its class (a slow
+    ``EnumType.__getattr__`` on CPython 3.11), and the log builders read no
+    ``.value`` or ``.name`` (Python-level properties)."""
+    enums = {name: cls
+             for module in (bftsim.model, bftsim.scenario, bftsim.fsm, bftsim.checkpoint,
+                            bftsim.engine)
+             for name, cls in vars(module).items()
+             if isinstance(cls, enum.EnumMeta) and cls is not enum.Enum}
+    assert {"NodeState", "DelayClass", "EventKind", "TccActionKind", "FaultKind"} <= set(enums)
+    engine = _functions(bftsim.engine)
+    per_event = {
+        bftsim.fsm: ["classify_delay", "checksum_oracle", "byzantine_fsm_step",
+                     "next_interval"],
+        bftsim.checkpoint: ["tcc_round", "CheckpointStore.take"],
+        bftsim.scheduler: ["record_failure"],
+        bftsim.engine: sorted(
+            {name for name, fn in engine.items()
+             if name.split(".")[0].endswith("Checkpointing") or _pushes(fn)}
+            | {f"Simulation.{name}" for name in (
+                "_observe", "_apply_policy", "_handle_exchange", "inject_fault", "run",
+                "_log", "_observation_detail")}),
+    }
+    assert "TccCheckpointing.on_monitor" in per_event[bftsim.engine]
+    assert "Simulation._advance_monitor" in per_event[bftsim.engine]
+    class_reads = []
+    for module, names in per_event.items():
+        functions = _functions(module)
+        for name in names:
+            for node in ast.walk(functions[name]):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id in enums
+                        and node.attr in enums[node.value.id].__members__):
+                    class_reads.append(f"{name}: {node.value.id}.{node.attr}")
+    assert not class_reads
+    property_reads = [f"{name}: .{node.attr}"
+                      for name in ("_log", "_observation_detail", "_apply_policy")
+                      for node in ast.walk(engine[f"Simulation.{name}"])
+                      if isinstance(node, ast.Attribute) and node.attr in ("value", "name")]
+    assert not property_reads
+    # dict keys on the per-event path hash in C, not through Enum.__hash__
+    for cls in (bftsim.engine.EventKind, NodeState, ChecksumResult, Action, FaultKind):
+        assert cls.__hash__ is object.__hash__, cls
