@@ -7,8 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 config error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
-import io
-import csv
 import json
 import sys
 from pathlib import Path
@@ -21,7 +19,7 @@ from .config import (
 )
 from .engine import Scenario
 from .fsm import TraceFormatError, check_trace
-from .metrics import summarize
+from .metrics import csv_text, summarize
 from .model import FailureKind, Server
 from .scenario import ScenarioError
 from .scheduler import ranking_csv, record_failure
@@ -76,6 +74,21 @@ def _write_out(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _read_lines(path: str | Path, what: str) -> list[str]:
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"{what} not found: {path}")
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def _tags(text: str, known: tuple[str, ...], what: str) -> list[str]:
+    tags = [t.strip() for t in text.split(",") if t.strip()]
+    for tag in tags:
+        if tag not in known:
+            raise ConfigError(f"unknown {what} tag: {tag}")
+    return tags
+
+
 def _load(args) -> "SimConfig":
     overrides = {}
     if args.seed is not None:
@@ -97,14 +110,8 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load(args)
-    schedulers = [s.strip() for s in args.scheduler.split(",") if s.strip()]
-    checkpoints = [c.strip() for c in args.checkpoint.split(",") if c.strip()]
-    for tag in schedulers:
-        if tag not in SCHEDULERS:
-            raise ConfigError(f"unknown scheduler tag: {tag}")
-    for tag in checkpoints:
-        if tag not in CHECKPOINT_POLICIES:
-            raise ConfigError(f"unknown checkpoint policy tag: {tag}")
+    schedulers = _tags(args.scheduler, SCHEDULERS, "scheduler")
+    checkpoints = _tags(args.checkpoint, CHECKPOINT_POLICIES, "checkpoint policy")
     combos = [(s, c) for s in schedulers for c in checkpoints]
     if len(combos) < 2:
         raise ConfigError("need >= 2 policy combinations to compare")
@@ -124,27 +131,19 @@ def cmd_compare(args) -> int:
         }
         _write_out(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["combo", "metric", "baseline", "candidate", "delta", "favors"])
+        rows = [["combo", "metric", "baseline", "candidate", "delta", "favors"]]
         for comp in comparisons:
             combo = f"{comp['scheduler']}+{comp['checkpoint']}"
             for row in comp["rows"]:
-                writer.writerow([combo, row["metric"],
-                                 "" if row["a"] is None else row["a"],
-                                 "" if row["b"] is None else row["b"],
-                                 "" if row["delta"] is None else row["delta"],
-                                 row["favors"]])
-        _write_out(out.getvalue(), args.out)
+                rows.append([combo, row["metric"],
+                             *("" if row[k] is None else row[k] for k in ("a", "b", "delta")),
+                             row["favors"]])
+        _write_out(csv_text(rows), args.out)
     return EXIT_OK
 
 
 def cmd_fsm_trace(args) -> int:
-    path = Path(args.trace_file)
-    if not path.exists():
-        raise ConfigError(f"trace file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    steps, divergent = check_trace(lines)
+    steps, divergent = check_trace(_read_lines(args.trace_file, "trace file"))
     if divergent is not None:
         print(f"divergence at line {divergent}")
         return EXIT_RUNTIME
@@ -166,11 +165,9 @@ def _parse_detail(detail: str) -> dict[str, str]:
 
 def cmd_rank(args) -> int:
     path = Path(args.event_log)
-    if not path.exists():
-        raise ConfigError(f"event log not found: {path}")
     servers: dict[int, Server] = {}
     saw_failure = False
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(path, "event log"), start=1):
         if not line.strip():
             continue
         parts = line.split(",", 4)
@@ -195,12 +192,11 @@ def cmd_rank(args) -> int:
             record_failure(server, FailureKind.DELAY_SENSITIVE)
             saw_failure = True
     if not servers:
-        _write_out("server_id,fault_count,w_count,y_count,rank\n", args.out)
         print("warning: no observations in log", file=sys.stderr)
-        return EXIT_OK
-    if not saw_failure:
+    elif not saw_failure:
         print("warning: no failure events in log", file=sys.stderr)
-    _write_out(ranking_csv(sorted(servers.values(), key=lambda s: s.server_id)), args.out)
+    # ranking_csv orders the servers itself
+    _write_out(ranking_csv(list(servers.values())), args.out)
     return EXIT_OK
 
 

@@ -95,9 +95,7 @@ class SampleStat:
         return stat
 
     def key(self) -> tuple:
-        return (self.count, self.mean, self.stddev,
-                self.low if self.count else 0.0,
-                self.high if self.count else 0.0)
+        return tuple(self.as_dict().values())
 
 
 class MetricsReport:
@@ -149,15 +147,10 @@ class MetricsReport:
                 header.append(m)
                 row.append(repr(self.scalars[m]))
             for m in SAMPLE_METRICS:
-                d = self.samples[m].as_dict()
-                for stat_name in ("count", "mean", "stddev", "low", "high"):
+                for stat_name, value in self.samples[m].as_dict().items():
                     header.append(f"{m}.{stat_name}")
-                    row.append(repr(d[stat_name]))
-            out = io.StringIO()
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerow(row)
-            return out.getvalue()
+                    row.append(repr(value))
+            return csv_text([header, row])
         raise ValueError(f"unknown format: {fmt}")
 
     @classmethod
@@ -196,6 +189,13 @@ class MetricsReport:
         if not isinstance(other, MetricsReport):
             return NotImplemented
         return self._key() == other._key()
+
+
+def csv_text(rows) -> str:
+    """Rows as CSV text with ``\n`` line ends."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def occurable_range(mean: float, stddev: float) -> tuple[float, float]:

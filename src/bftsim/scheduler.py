@@ -11,10 +11,9 @@ baseline places uniformly among feasible servers.
 
 from __future__ import annotations
 
-import io
-import csv
 import random
 
+from .metrics import csv_text
 from .model import ERRONEOUS, FailureKind, Server
 
 
@@ -88,9 +87,6 @@ def random_assign(task_ids: list[int], servers: list[Server],
 
 def ranking_csv(servers: list[Server]) -> str:
     """CSV report of the current ranking: server_id,fault_count,w_count,y_count,rank."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["server_id", "fault_count", "w_count", "y_count", "rank"])
-    for rank, s in enumerate(rank_servers(servers), start=1):
-        writer.writerow([f"s{s.server_id}", s.fail_count, s.w_count, s.y_count, rank])
-    return out.getvalue()
+    return csv_text([["server_id", "fault_count", "w_count", "y_count", "rank"]]
+                    + [[f"s{s.server_id}", s.fail_count, s.w_count, s.y_count, rank]
+                       for rank, s in enumerate(rank_servers(servers), start=1)])

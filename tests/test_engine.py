@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import enum
 import hashlib
 import inspect
@@ -7,7 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bftsim.checkpoint
@@ -664,11 +665,35 @@ def test_event_logs_match_the_pin():
     assert digest.hexdigest() == EVENT_LOGS_SHA256
 
 
-def _run_checking_every_event(sched, ckpt, seed, check):
-    """Run ``_storm_cfg(seed)`` with the log off, calling ``check(sim, ev)``
-    after every popped event; returns the report."""
-    sim = Simulation(Scenario.from_config(_storm_cfg(seed)), scheduler=sched,
-                     checkpoint_policy=ckpt, collect_log=False)
+# SHA-256 of the JSON reports and log-on event logs of the 9 combinations on
+# _storm_cfg at seeds 1 and 2 with every cost non-zero and the fault window
+# opening at t=0
+COSTLY_STORM_SHA256 = "96306c1c3fe8504e517ce6be036a4734fb5e7fd13c9902bc0e3dd527d4a011e5"
+
+
+def test_costly_storm_reports_and_logs_match_the_pin():
+    """Pins the paths the zero-cost pins miss: a monitor round's own pause
+    (which keeps a finished node from completing in that round), restore and
+    pre-evaluation charges, and faults before a late wave starts.  Computed
+    before the monitor round was folded into one handler."""
+    digest = hashlib.sha256()
+    for seed in (1, 2):
+        cfg = dataclasses.replace(_storm_cfg(seed), monitor_cost=1, checkpoint_write_cost=2,
+                                  restart_cost=3, migration_cost=4, preeval_cost=0.5,
+                                  fault_window_start=0)
+        scenario = Scenario.from_config(cfg)
+        for sched, ckpt in COMBOS:
+            report, log = scenario.run(sched, ckpt, collect_log=True)
+            digest.update(report.emit("json").encode())
+            digest.update(("\n".join(log) + "\n").encode())
+    assert digest.hexdigest() == COSTLY_STORM_SHA256
+
+
+def _check_every_event(scenario, sched, ckpt, check, collect_log=False):
+    """Run ``scenario`` under one policy pair, calling ``check(sim, ev)`` after
+    every popped event; returns the report and the number of events checked."""
+    sim = Simulation(scenario, scheduler=sched, checkpoint_policy=ckpt,
+                     collect_log=collect_log)
     log = sim._log
     checked = []
 
@@ -679,26 +704,57 @@ def _run_checking_every_event(sched, ckpt, seed, check):
 
     sim._log = checking_log
     report, _ = sim.run()
-    assert len(checked) > 100
+    return report, len(checked)
+
+
+def _run_checking_every_event(sched, ckpt, seed, check):
+    """Run ``_storm_cfg(seed)`` with the log off, calling ``check(sim, ev)``
+    after every popped event; returns the report."""
+    report, checked = _check_every_event(Scenario.from_config(_storm_cfg(seed)),
+                                         sched, ckpt, check)
+    assert checked > 100
     return report
+
+
+def _job_index_holds(sim, ev):
+    assert list(sim.job_nodes) == sorted(sim.jobs)
+    indexed = [(vn_id, rt) for nodes in sim.job_nodes.values()
+               for vn_id, rt in nodes.items()]
+    assert len(indexed) == len(sim.runtimes), ev
+    assert all(sim.runtimes.get(vn_id) is rt for vn_id, rt in indexed), ev
+    for job_id, nodes in sim.job_nodes.items():
+        assert all(rt.job.job_id == job_id for rt in nodes.values()), ev
+        assert list(nodes) == sorted(nodes), ev
+
+
+def _pending_holds(sim, ev):
+    for rt in sim.runtimes.values():
+        assert rt.ledger.pending == sum(left for _, left in rt.ledger.blocks), ev
+
+
+def _infected_index_holds(sim, ev):
+    # the exchange draws in job-id order, so the index keeps that order
+    assert list(sim.infected) == sorted(sim.jobs)
+    for job_id, infected in sim.infected.items():
+        assert infected == {rt.vn.vn_id for rt in sim.runtimes.values()
+                            if rt.job.job_id == job_id and rt.vn.contaminated}, (ev, job_id)
+
+
+def _servers_hold(sim, ev):
+    for server in sim.servers:
+        assert server.active_vns == {vn_id for vn_id, rt in sim.runtimes.items()
+                                     if rt.vn.server_id == server.server_id}, ev
+        assert len(server.active_vns) <= server.capacity, ev
+    assert all(rt.server is sim.server_by_id[rt.vn.server_id]
+               for rt in sim.runtimes.values()), ev
 
 
 @pytest.mark.parametrize("sched,ckpt", COMBOS)
 def test_job_index_holds_exactly_the_live_nodes(sched, ckpt):
     """After every popped event, ``job_nodes`` holds each live node once,
     under its own job, in ascending vn-id order."""
-    def check(sim, ev):
-        assert list(sim.job_nodes) == sorted(sim.jobs)
-        indexed = [(vn_id, rt) for nodes in sim.job_nodes.values()
-                   for vn_id, rt in nodes.items()]
-        assert len(indexed) == len(sim.runtimes), ev
-        assert all(sim.runtimes.get(vn_id) is rt for vn_id, rt in indexed), ev
-        for job_id, nodes in sim.job_nodes.items():
-            assert all(rt.job.job_id == job_id for rt in nodes.values()), ev
-            assert list(nodes) == sorted(nodes), ev
-
     for seed in (1, 2):
-        report = _run_checking_every_event(sched, ckpt, seed, check)
+        report = _run_checking_every_event(sched, ckpt, seed, _job_index_holds)
         assert ckpt != "tcc" or report.scalars["migration_count"] > 0
 
 
@@ -706,12 +762,81 @@ def test_job_index_holds_exactly_the_live_nodes(sched, ckpt):
 def test_ledger_pending_total_holds_on_every_event(sched, ckpt):
     """After every popped event, each live node's running ``pending`` total
     equals the unserved ticks of its queued blocks."""
+    for seed in (1, 2):
+        _run_checking_every_event(sched, ckpt, seed, _pending_holds)
+
+
+@pytest.mark.parametrize("sched,ckpt", COMBOS)
+def test_infected_index_holds_exactly_the_live_contaminated_nodes(sched, ckpt):
+    """After every popped event, each job's ``infected`` set holds the ids of
+    its live contaminated nodes and no other: the exchange visits only the
+    jobs it names."""
+    most = []
+
     def check(sim, ev):
-        for rt in sim.runtimes.values():
-            assert rt.ledger.pending == sum(left for _, left in rt.ledger.blocks), ev
+        _infected_index_holds(sim, ev)
+        most.append(sum(map(len, sim.infected.values())))
 
     for seed in (1, 2):
         _run_checking_every_event(sched, ckpt, seed, check)
+    assert max(most) >= 2
+
+
+@st.composite
+def _small_configs(draw):
+    """Valid configs with enough capacity for every task: small topologies,
+    both growth rules, zero and non-zero costs and propagation, and a fault
+    window that may open at t=0."""
+    tasks = draw(st.integers(1, 8))
+    capacity = draw(st.integers(1, 4))
+    need = -(-tasks // capacity)
+    horizon = draw(st.integers(40, 400))
+    base = draw(st.integers(1, 20))
+    demand = draw(st.integers(1, 300))
+    start = draw(st.just(0) | st.integers(0, horizon // 2))
+    cost = st.integers(0, 3)
+    return validate_config({
+        "task_count": tasks, "job_count": draw(st.integers(1, tasks)),
+        "server_count": draw(st.integers(need, need + 3)), "server_capacity": capacity,
+        "demand_min": demand, "demand_max": demand + draw(st.integers(0, 200)),
+        "horizon": horizon, "sla_bound": draw(st.integers(5, 100)),
+        "base_interval": base, "ft_interval": base + draw(st.integers(0, 20)),
+        "interval_growth": draw(st.sampled_from(("triangular", "geometric"))),
+        "propagation_prob": draw(st.sampled_from((0.0, 0.1, 0.5, 1.0))),
+        "detect_prob": draw(st.sampled_from((0.0, 0.5, 0.88, 1.0))),
+        "high_delay_fallback": draw(st.booleans()),
+        "checkpoint_write_cost": draw(cost), "restart_cost": draw(cost),
+        "migration_cost": draw(cost), "monitor_cost": draw(cost),
+        "preeval_cost": draw(st.sampled_from((0.0, 0.03, 1.0))),
+        "indep_mean_gap": draw(st.integers(1, 20)),
+        "suspect_threshold": draw(st.integers(1, 4)),
+        "migration_threshold": draw(st.integers(1, 4)),
+        "byzantine_faults": draw(st.integers(0, 3)), "crash_faults": draw(st.integers(0, 3)),
+        "delay_faults": draw(st.integers(0, 3)),
+        "fault_window_start": start,
+        "fault_window_end": min(horizon - 1, start + draw(st.integers(1, 60))),
+        "seed": draw(st.integers(0, 2**16))})
+
+
+def _all_hold(sim, ev):
+    _job_index_holds(sim, ev)
+    _pending_holds(sim, ev)
+    _infected_index_holds(sim, ev)
+    _servers_hold(sim, ev)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_small_configs())
+def test_invariants_hold_on_every_event_of_random_valid_configs(cfg):
+    """Under all 9 policy pairs: the per-event index, pending and server
+    checks hold, the accounting identity holds, and the log-on report equals
+    the log-off one."""
+    scenario = Scenario.from_config(cfg)
+    for sched, ckpt in COMBOS:
+        report, _ = _check_every_event(scenario, sched, ckpt, _all_hold, collect_log=True)
+        assert _identity_holds(report), (sched, ckpt)
+        plain, _ = scenario.run(sched, ckpt, collect_log=False)
+        assert plain.emit("json") == report.emit("json"), (sched, ckpt)
 
 
 # -- per-event code and enums ------------------------------------------------------
@@ -756,8 +881,8 @@ def test_per_event_code_binds_enum_members_once():
             {name for name, fn in engine.items()
              if name.split(".")[0].endswith("Checkpointing") or _pushes(fn)}
             | {f"Simulation.{name}" for name in (
-                "_observe", "_apply_policy", "_handle_exchange", "inject_fault", "run",
-                "_log", "_observation_detail")}),
+                "_observe", "_handle_monitor", "_handle_exchange", "inject_fault", "run",
+                "_log")}),
     }
     assert "TccCheckpointing.on_monitor" in per_event[bftsim.engine]
     assert "Simulation._advance_monitor" in per_event[bftsim.engine]
@@ -772,7 +897,7 @@ def test_per_event_code_binds_enum_members_once():
                     class_reads.append(f"{name}: {node.value.id}.{node.attr}")
     assert not class_reads
     property_reads = [f"{name}: .{node.attr}"
-                      for name in ("_log", "_observation_detail", "_apply_policy")
+                      for name in ("_log", "_handle_monitor")
                       for node in ast.walk(engine[f"Simulation.{name}"])
                       if isinstance(node, ast.Attribute) and node.attr in ("value", "name")]
     assert not property_reads
