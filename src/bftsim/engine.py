@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from enum import Enum
 from heapq import heappop, heappush
@@ -39,8 +39,6 @@ from .config import SimConfig
 from .fsm import (
     REPLACE_NODE,
     Action,
-    FsmDecision,
-    MonitorObservation,
     byzantine_fsm_step,
     checksum_oracle,
     classify_delay,
@@ -114,24 +112,16 @@ _TOKENS = {member: member.value
 _DELAY_TOKENS = tuple(d.name.lower() for d in DelayClass)
 
 
-# not frozen, built per event: a frozen __init__ costs 0.9 us, this 0.24 us (CPython 3.11)
-@dataclass(slots=True)
-class SimEvent:
-    time: int
-    seq: int
-    kind: EventKind
-    target: int | None = None
-
-
 class CausalityError(RuntimeError):
     pass
 
 
 class EventQueue:
-    """Min-heap of events keyed by (time, insertion sequence)."""
+    """Min-heap of events, each a ``(time, seq, kind, target)`` tuple.
+    Sequence numbers are unique, so ordering never compares ``kind``."""
 
     def __init__(self):
-        self._heap: list[tuple[int, int, SimEvent]] = []
+        self._heap: list[tuple[int, int, EventKind, int | None]] = []
         self._seq = 0
         self.clock = 0
 
@@ -145,7 +135,7 @@ class EventQueue:
         return seq
 
     def push(self, time: int, kind: EventKind, target: int | None = None,
-             seq: int | None = None) -> SimEvent:
+             seq: int | None = None) -> tuple:
         """Insert an event; ``seq`` inserts it under a number taken earlier
         with ``take_seq`` instead of the next one."""
         if time < self.clock:
@@ -154,22 +144,22 @@ class EventQueue:
         if seq is None:
             seq = self._seq
             self._seq = seq + 1
-        ev = SimEvent(time, seq, kind, target)
-        heappush(self._heap, (time, seq, ev))
+        ev = (time, seq, kind, target)
+        heappush(self._heap, ev)
         return ev
 
     def peek_time(self) -> int | None:
         return self._heap[0][0] if self._heap else None
 
-    def advance(self) -> SimEvent:
+    def advance(self) -> tuple:
         """Pop the next event and move the clock to it."""
-        _, _, ev = heappop(self._heap)
-        self.clock = ev.time
+        ev = heappop(self._heap)
+        self.clock = ev[0]
         return ev
 
-    def synthesize(self, kind: EventKind, time: int) -> SimEvent:
+    def synthesize(self, kind: EventKind, time: int) -> tuple:
         """An event that never enters the heap, numbered in insertion order."""
-        return SimEvent(time, self.take_seq(), kind)
+        return time, self.take_seq(), kind, None
 
 
 def propagate_contamination(clean_ids: list[int], prop_prob: float,
@@ -180,71 +170,71 @@ def propagate_contamination(clean_ids: list[int], prop_prob: float,
     return [vid for vid in clean_ids if rng.random() < prop_prob]
 
 
-_PAUSE, _RESTORE = "pause", "restore"
-
-
 class VnLedger:
     """Tick ledger of one node incarnation.
 
-    Every tick between start and stop is attributed to exactly one mode;
-    blocks (checkpoint pauses, restores) are served FIFO before work
-    resumes.  Progress advances one unit per worked tick.
+    Every tick between start and stop is attributed to exactly one mode.
+    Unserved restore and pause ticks are two counters, served before work
+    resumes and restore first: a restore is charged only when the node
+    starts (``restore``), before any pause.  Progress advances one unit per
+    worked tick.
     """
 
-    def __init__(self, start: int, progress: int):
+    def __init__(self, start: int, progress: int, restore: int = 0):
         self.start = start
         self.anchor = start
         self.progress = progress
         self.work = 0
         self.pause = 0
         self.restore = 0
-        self.blocks: deque[list] = deque()   # [kind, remaining]
-        self.pending = 0                      # unserved block ticks: sum of remaining
+        self.restore_due = restore   # unserved restore ticks
+        self.pause_due = 0           # unserved pause ticks
         self.stopped: int | None = None
 
     def settle(self, t: int) -> None:
         a = self.anchor
         if t <= a or self.stopped is not None:
             return
-        blocks = self.blocks
-        while a < t and blocks:
-            block = blocks[0]
-            kind, remaining = block
-            step = remaining if remaining < t - a else t - a
-            if kind == _PAUSE:
-                self.pause += step
-            else:
-                self.restore += step
-            self.pending -= step
-            a += step
-            if step == remaining:
-                blocks.popleft()
-            else:
-                block[1] = remaining - step
-        if a < t:
-            self.work += t - a
-            self.progress += t - a
-            a = t
-        self.anchor = a
+        self.anchor = t
+        left = t - a
+        due = self.restore_due
+        if due:
+            if due >= left:
+                self.restore += left
+                self.restore_due = due - left
+                return
+            self.restore += due
+            self.restore_due = 0
+            left -= due
+        due = self.pause_due
+        if due:
+            if due >= left:
+                self.pause += left
+                self.pause_due = due - left
+                return
+            self.pause += due
+            self.pause_due = 0
+            left -= due
+        self.work += left
+        self.progress += left
 
-    def add_block(self, t: int, kind: str, cost: int) -> None:
+    def add_block(self, t: int, cost: int) -> None:
+        """Charge a pause of ``cost`` ticks at ``t``."""
         if cost <= 0:
             return
         if t > self.anchor:
             self.settle(t)
-        self.blocks.append([kind, cost])
-        self.pending += cost
+        self.pause_due += cost
 
     def completion_time(self, demand: int) -> int:
-        # pending blocks are served before the remaining work
-        return self.anchor + self.pending + demand - self.progress
+        # unserved ticks are served before the remaining work
+        return self.anchor + self.restore_due + self.pause_due + demand - self.progress
 
     def stop(self, t: int) -> None:
         if self.stopped is not None:
             return
         self.settle(t)
-        self.blocks.clear()   # unserved block time is never charged
-        self.pending = 0
+        self.restore_due = self.pause_due = 0   # unserved time is never charged
         self.stopped = t
 
     @property
@@ -341,7 +331,7 @@ class MesfPlacement:
         # idle server for a single replacement
         in_use = [s for s in sim.servers if s.active_vns and s.server_id != exclude_id]
         best = min((s for s in in_use if s.free_slots > 0), default=None,
-                   key=lambda s: (s.latency_mean, s.server_id))
+                   key=attrgetter("latency_mean", "server_id"))
         return (best.server_id if best else None), sim.cfg.preeval_cost * len(in_use)
 
 
@@ -370,20 +360,21 @@ class Checkpointing:
     def on_spawn(self, sim: Simulation, rt: VnRuntime) -> None:
         pass
 
-    def on_monitor(self, sim: Simulation, rt: VnRuntime, t: int, decision: FsmDecision,
+    def on_monitor(self, sim: Simulation, rt: VnRuntime, t: int, gap: int, action: Action,
                    in_monitor: bool) -> str:
-        """Act on a monitor round or a rejected final output; returns the log
-        detail, empty with the log off."""
-        if decision.action is REPLACE_NODE:
+        """Act on a monitor round or a rejected final output, given the gap
+        and action of the interval update; returns the log detail, empty with
+        the log off."""
+        if action is REPLACE_NODE:
             return ";" + sim._restart_vn(rt, t, "replace")
         if not in_monitor:
             # rejected final output outside a monitor round: the suspicion
             # machinery cannot hold a finished node, so replace it outright
             return ";" + sim._restart_vn(rt, t, "verify_reject")
-        sim._advance_monitor(rt, t, decision.next_gap)
+        sim._advance_monitor(rt, t, gap)
         if not sim.collect_log:
             return ""
-        return f";action={_TOKENS[decision.action]};q={rt.vn.suspect_rounds}"
+        return f";action={_TOKENS[action]};q={rt.vn.suspect_rounds}"
 
     def rollback_target(self, sim: Simulation, task_id: int) -> Checkpoint | None:
         return sim.store.latest_clean(task_id)
@@ -393,19 +384,18 @@ class TccCheckpointing(Checkpointing):
     """Confirms an image while the gap grows, restarts from the previous one
     when it collapses, and migrates the job past the restart threshold."""
 
-    def on_monitor(self, sim: Simulation, rt: VnRuntime, t: int, decision: FsmDecision,
+    def on_monitor(self, sim: Simulation, rt: VnRuntime, t: int, gap: int, action: Action,
                    in_monitor: bool) -> str:
-        action = tcc_round(rt.vn, rt.ft_interval, decision.next_gap, rt.job,
-                           sim.cfg.migration_threshold)
-        if action.kind is CONFIRMED_CHECKPOINT:
-            rt.ft_interval = action.new_ft_interval
+        kind = tcc_round(rt.vn, rt.ft_interval, gap, rt.job, sim.cfg.migration_threshold)
+        if kind is CONFIRMED_CHECKPOINT:
+            rt.ft_interval = gap
             if in_monitor:
                 sim._take_vn_checkpoint(rt, t)
-                sim._advance_monitor(rt, t, decision.next_gap)
+                sim._advance_monitor(rt, t, gap)
             if not sim.collect_log:
                 return ""
-            return f";tcc=confirmed;delta={rt.ft_interval}"
-        if action.kind is PREVIOUS_RESTART:
+            return f";tcc=confirmed;delta={gap}"
+        if kind is PREVIOUS_RESTART:
             return ";tcc=previous_restart;" + sim._restart_vn(rt, t, "tcc_restart")
         return ";tcc=job_migration;" + sim._migrate_job(rt.job, t)
 
@@ -418,18 +408,19 @@ class SyncCheckpointing(Checkpointing):
             for job_id in sorted(sim.jobs):
                 sim.queue.push(sim.cfg.ft_interval, CHECKPOINT_ROUND, job_id)
 
-    def on_round(self, sim: Simulation, ev: SimEvent) -> str:
-        job = sim.jobs[ev.target]
-        live = [rt for rt in sim.job_nodes[job.job_id].values() if rt.crashed_at is None]
+    def on_round(self, sim: Simulation, ev: tuple) -> str:
+        t, _, _, job_id = ev
+        job = sim.jobs[job_id]
+        live = [rt for rt in sim.job_nodes[job_id].values() if rt.crashed_at is None]
         for rt in live:
-            sim._take_vn_checkpoint(rt, ev.time)
-        nxt = ev.time + sim.cfg.ft_interval
+            sim._take_vn_checkpoint(rt, t)
+        nxt = t + sim.cfg.ft_interval
         if nxt <= sim.cfg.horizon and any(not sim.tasks[tid].completed
                                           for tid in job.task_ids):
-            sim.queue.push(nxt, CHECKPOINT_ROUND, job.job_id)
+            sim.queue.push(nxt, CHECKPOINT_ROUND, job_id)
         if not sim.collect_log:
             return ""
-        return f"job=j{job.job_id};taken={len(live)}"
+        return f"job=j{job_id};taken={len(live)}"
 
 
 class IndependentCheckpointing(Checkpointing):
@@ -439,12 +430,13 @@ class IndependentCheckpointing(Checkpointing):
     def on_spawn(self, sim: Simulation, rt: VnRuntime) -> None:
         self._next_round(sim, rt, rt.ledger.start)
 
-    def on_round(self, sim: Simulation, ev: SimEvent) -> str:
-        rt = sim.runtimes.get(ev.target)
+    def on_round(self, sim: Simulation, ev: tuple) -> str:
+        t, _, _, vn_id = ev
+        rt = sim.runtimes.get(vn_id)
         if rt is None or rt.crashed_at is not None:
             return "stale=1"
-        sim._take_vn_checkpoint(rt, ev.time)
-        gap = self._next_round(sim, rt, ev.time)
+        sim._take_vn_checkpoint(rt, t)
+        gap = self._next_round(sim, rt, t)
         if not sim.collect_log:
             return ""
         return f"vn=v{rt.vn.vn_id};gap={gap}"
@@ -537,10 +529,11 @@ class Simulation:
 
     # -- logging ----------------------------------------------------------
 
-    def _log(self, ev: SimEvent, detail: str) -> None:
+    def _log(self, ev: tuple, detail: str) -> None:
         if self.collect_log:
-            target = "" if ev.target is None else str(ev.target)
-            self.log_lines.append(f"{ev.time},{ev.seq},{_TOKENS[ev.kind]},{target},{detail}")
+            t, seq, kind, target = ev
+            target = "" if target is None else str(target)
+            self.log_lines.append(f"{t},{seq},{_TOKENS[kind]},{target},{detail}")
 
     # -- node lifecycle ----------------------------------------------------------
 
@@ -549,8 +542,7 @@ class Simulation:
         """Start a node for ``task``, from ``target`` or else the initial state."""
         vn = VirtualNode(vn_id=self._next_vn_id, server_id=server_id)
         self._next_vn_id += 1
-        ledger = VnLedger(start, target.progress if target else 0)
-        ledger.add_block(start, _RESTORE, restore_cost)
+        ledger = VnLedger(start, target.progress if target else 0, restore_cost)
         server = self.server_by_id[server_id]
         rt = VnRuntime(vn=vn, task=task, job=self.jobs[task.job_id], server=server,
                        ledger=ledger, ft_interval=self.cfg.ft_interval,
@@ -660,13 +652,14 @@ class Simulation:
         if t > ledger.anchor:
             ledger.settle(t)
         self.store.take(rt.vn, t, ledger.progress, rt.task.task_id)
-        ledger.add_block(t, _PAUSE, self.cfg.checkpoint_write_cost)
+        ledger.add_block(t, self.cfg.checkpoint_write_cost)
         self.checkpoint_count += 1
         self._schedule_completion(rt)
 
     # -- observation pipeline ----------------------------------------------------
 
-    def _observe(self, rt: VnRuntime, t: int) -> tuple[MonitorObservation, bool]:
+    def _observe(self, rt: VnRuntime, t: int) -> tuple[float, DelayClass, ChecksumResult, bool]:
+        """Measure the node; returns (delay, delay class, checksum, flagged)."""
         cfg = self.cfg
         server = rt.server
         vn = rt.vn
@@ -681,7 +674,6 @@ class Simulation:
             # a missed detection surfaces as high delay variation
             delay = max(delay, (cfg.delay_normal_frac + cfg.delay_high_frac) / 2 * sla)
         dclass = classify_delay(delay, sla, self.thresholds)
-        obs = MonitorObservation(vn.vn_id, t, delay, dclass, checksum)
         high = dclass >= HIGH
         flagged = checksum is CHECKSUM_ERROR or high
 
@@ -702,9 +694,9 @@ class Simulation:
             since = self.detection_pending.pop(rt.task.task_id)
             self.report.record("detection_latency", float(t - since))
         if cfg.monitor_cost > 0 and rt.crashed_at is None:
-            rt.ledger.add_block(t, _PAUSE, cfg.monitor_cost)
+            rt.ledger.add_block(t, cfg.monitor_cost)
             self._schedule_completion(rt)
-        return obs, flagged
+        return delay, dclass, checksum, flagged
 
     def _advance_monitor(self, rt: VnRuntime, t: int, gap: int) -> None:
         rt.vn.gap = gap
@@ -756,64 +748,67 @@ class Simulation:
 
     # -- event handlers ----------------------------------------------------------
 
-    def _handle_monitor(self, ev: SimEvent, rt: VnRuntime | None = None) -> str:
+    def _handle_monitor(self, ev: tuple, rt: VnRuntime | None = None) -> str:
         """One monitor round: observe the node, then complete its task or step
         its detection machine and apply the checkpoint policy.  With ``rt``, the
         final verification of its output that ``_handle_complete`` hands over."""
-        t = ev.time
+        t = ev[0]
         verify = rt is not None
         if not verify:
-            rt = self.runtimes.get(ev.target)
+            rt = self.runtimes.get(ev[3])
             if rt is None or t != rt.vn.next_monitor:
                 return "stale=1"
         ledger = rt.ledger
         if rt.crashed_at is None and t > ledger.anchor:
             ledger.settle(t)
-        # a node is finished once its work and blocks are served; a monitor
+        # a node is finished once its work and unserved ticks are done; a monitor
         # round's own pause (monitor_cost) keeps it busy past this tick
         finished = (rt.crashed_at is None and ledger.progress >= rt.task.demand
-                    and not ledger.blocks and (verify or not self.cfg.monitor_cost))
+                    and not (ledger.restore_due or ledger.pause_due)
+                    and (verify or not self.cfg.monitor_cost))
         if verify and not finished:
             return "stale=1"
-        obs, flagged = self._observe(rt, t)
+        delay, dclass, checksum, flagged = self._observe(rt, t)
         if finished and not flagged:
             outcome = self._complete_task(rt, t)
         else:
             # a monitor round, or a final output rejected at verification
             vn = rt.vn
             prior = vn.state
-            post = byzantine_fsm_step(prior, obs.delay_class, obs.checksum)
-            decision = next_interval(vn, post, self.cfg)
+            post = byzantine_fsm_step(prior, dclass, checksum)
+            gap, action, streak = next_interval(vn, post, self.cfg)
             vn.state = post
-            vn.suspect_rounds = decision.suspect_rounds if post is BYZANTINE else 0
-            outcome = self.checkpointing.on_monitor(self, rt, t, decision, not finished)
+            vn.suspect_rounds = streak if post is BYZANTINE else 0
+            outcome = self.checkpointing.on_monitor(self, rt, t, gap, action, not finished)
             if self.collect_log:
                 outcome = f"state={_TOKENS[prior]}>{_TOKENS[post]}{outcome}"
         if not self.collect_log:
             return ""
         return (f"server=s{rt.vn.server_id};{'verify=1;' if verify else ''}"
-                f"delay={obs.delay:.3f};class={_DELAY_TOKENS[obs.delay_class]};"
-                f"checksum={_TOKENS[obs.checksum]};{outcome}")
+                f"delay={delay:.3f};class={_DELAY_TOKENS[dclass]};"
+                f"checksum={_TOKENS[checksum]};{outcome}")
 
-    def _handle_complete(self, ev: SimEvent) -> str:
-        rt = self.runtimes.get(ev.target)
+    def _handle_complete(self, ev: tuple) -> str:
+        t, seq, _, vn_id = ev
+        rt = self.runtimes.get(vn_id)
         if rt is None:
             return "stale=1"
         rt.completion_queued = False
         if rt.crashed_at is not None:
             return "stale=1"
-        if (ev.time, ev.seq) != rt.completion:
+        if (t, seq) != rt.completion:
             # a pause moved completion later (or past the horizon) after this
             # event was queued: re-queue it under the number it was given then,
             # so it runs where a fresh push at that pause would have run
             if rt.completion is not None:
                 when, seq = rt.completion
-                self.queue.push(when, TASK_COMPLETE, rt.vn.vn_id, seq=seq)
+                self.queue.push(when, TASK_COMPLETE, vn_id, seq=seq)
                 rt.completion_queued = True
             return "stale=1"
         return self._handle_monitor(ev, rt)
 
-    def _handle_exchange(self, ev: SimEvent) -> str:
+    def _handle_exchange(self, ev: tuple) -> str:
+        t = ev[0]
         spread = []
         for job_id, infected in self.infected.items():
             nodes = self.job_nodes[job_id]
@@ -829,9 +824,9 @@ class Simulation:
                     rt.vn.contaminated = True
                     infected.add(rt.vn.vn_id)
                     rt.task.contaminated_output = True
-                    self.detection_pending.setdefault(rt.task.task_id, ev.time)
+                    self.detection_pending.setdefault(rt.task.task_id, t)
                     spread.append(rt.vn.vn_id)
-        nxt = ev.time + self.cfg.base_interval
+        nxt = t + self.cfg.base_interval
         if nxt <= self.cfg.horizon:
             self.queue.push(nxt, CONTAMINATION_EXCHANGE)
         if not self.collect_log:
@@ -862,14 +857,14 @@ class Simulation:
             TASK_COMPLETE: self._handle_complete,
             CHECKPOINT_ROUND: lambda ev: self.checkpointing.on_round(self, ev),
             CONTAMINATION_EXCHANGE: self._handle_exchange,
-            FAULT_INJECTION: lambda ev: self.inject_fault(self.faults[ev.target], ev.time),
-            MIGRATION_COMPLETE: lambda ev: f"job=j{ev.target}",
+            FAULT_INJECTION: lambda ev: self.inject_fault(self.faults[ev[3]], ev[0]),
+            MIGRATION_COMPLETE: lambda ev: f"job=j{ev[3]}",
         }
         queue, horizon, job_count = self.queue, cfg.horizon, len(self.jobs)
         heap = queue._heap   # its head read in place: one call less per event than peek_time
         while self.jobs_completed < job_count and heap and heap[0][0] <= horizon:
             ev = queue.advance()
-            self._log(ev, dispatch[ev.kind](ev))
+            self._log(ev, dispatch[ev[2]](ev))
 
         end = queue.clock if self.jobs_completed == job_count else horizon
         for rt in list(self.runtimes.values()):

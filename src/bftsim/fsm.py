@@ -16,7 +16,6 @@ replace the node.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 
 from .config import SimConfig
@@ -49,25 +48,6 @@ class Action(Enum):
 NO_ACTION = Action.NONE
 REPLACE_NODE = Action.REPLACE_NODE
 ESCALATE = Action.ESCALATE
-
-
-# not frozen, built per observation: a frozen __init__ costs 0.9 us, this 0.24 us (CPython 3.11)
-@dataclass(slots=True)
-class MonitorObservation:
-    vn_id: int
-    time: int
-    delay: float                 # measured delay variation, ticks
-    delay_class: DelayClass
-    checksum: ChecksumResult
-
-
-# not frozen, built per monitor round: a frozen __init__ costs 0.9 us, this 0.24 us (CPython 3.11)
-@dataclass(slots=True)
-class FsmDecision:
-    next_state: NodeState
-    next_gap: int
-    action: Action
-    suspect_rounds: int          # streak value after this round
 
 
 def classify_delay(delay: float, sla_bound: float,
@@ -143,8 +123,10 @@ def performance_fsm_step(state: NodeState, p: PerformanceClass) -> NodeState:
     return NodeState.FAIL_STOP    # NOT_PERFORMING or WARY
 
 
-def next_interval(vn: VirtualNode, post_state: NodeState, cfg: SimConfig) -> FsmDecision:
-    """Update the monitoring gap and suspicion streak after an FSM step.
+def next_interval(vn: VirtualNode, post_state: NodeState,
+                  cfg: SimConfig) -> tuple[int, Action, int]:
+    """Update the monitoring gap and suspicion streak after an FSM step;
+    returns (next gap, action, streak value after this round).
 
     Healthy rounds stretch the gap (and clear the streak); suspect rounds
     collapse it to the base interval and lengthen the streak, replacing the
@@ -154,17 +136,13 @@ def next_interval(vn: VirtualNode, post_state: NodeState, cfg: SimConfig) -> Fsm
     j = cfg.base_interval
     if post_state is FAIL_SAFE:
         if cfg.interval_growth == "geometric":
-            gap = vn.gap * 2
-        else:
-            gap = vn.gap + j
-        return FsmDecision(post_state, gap, NO_ACTION, 0)
+            return vn.gap * 2, NO_ACTION, 0
+        return vn.gap + j, NO_ACTION, 0
     if post_state is BYZANTINE:
         streak = vn.suspect_rounds + 1
-        if streak >= cfg.suspect_threshold:
-            return FsmDecision(post_state, j, REPLACE_NODE, streak)
-        return FsmDecision(post_state, j, ESCALATE, streak)
+        return j, REPLACE_NODE if streak >= cfg.suspect_threshold else ESCALATE, streak
     # FAIL_STOP: shut down, replacement monitors at the base gap
-    return FsmDecision(post_state, j, REPLACE_NODE, vn.suspect_rounds)
+    return j, REPLACE_NODE, vn.suspect_rounds
 
 
 # -- fsm-trace conformance format --------------------------------------------

@@ -12,6 +12,7 @@ baseline places uniformly among feasible servers.
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 
 from .metrics import csv_text
 from .model import ERRONEOUS, FailureKind, Server
@@ -29,7 +30,7 @@ def record_failure(server: Server, kind: FailureKind) -> int:
 
 def rank_servers(servers: list[Server]) -> list[Server]:
     """Rank servers by ascending failure count, ties broken by ascending id."""
-    return sorted(servers, key=lambda s: (s.fail_count, s.server_id))
+    return sorted(servers, key=attrgetter("fail_count", "server_id"))
 
 
 def select_servers(ranked: list[Server], exclude: int) -> int | None:
@@ -63,7 +64,7 @@ def mesf_assign(task_ids: list[int], servers: list[Server],
     first.  Returns (task id -> server id, pre-evaluation charge): the cost
     is paid once per candidate server."""
     _check_capacity(task_ids, servers)
-    ordered = sorted(servers, key=lambda s: (s.latency_mean, s.server_id))
+    ordered = sorted(servers, key=attrgetter("latency_mean", "server_id"))
     return first_fit(task_ids, ordered), preeval_cost * len(servers)
 
 

@@ -209,13 +209,13 @@ def test_criterion_3_suspicion_threshold():
         replaced_at = None
         for i, (d, c) in enumerate(rounds, start=1):
             post = byzantine_fsm_step(vn.state, d, c)
-            decision = next_interval(vn, post, cfg)
-            if decision.action is Action.REPLACE_NODE:
+            gap, action, streak = next_interval(vn, post, cfg)
+            if action is Action.REPLACE_NODE:
                 replaced_at = i
                 break
             vn.state = post
-            vn.suspect_rounds = decision.suspect_rounds if post is S1 else 0
-            vn.gap = decision.next_gap
+            vn.suspect_rounds = streak if post is S1 else 0
+            vn.gap = gap
         return replaced_at
 
     three = drive([(HIGH, NOERR)] * 3)

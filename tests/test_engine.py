@@ -4,7 +4,8 @@ import enum
 import hashlib
 import inspect
 import random
-from collections import Counter
+import sys
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ import bftsim.fsm
 import bftsim.model
 import bftsim.scenario
 import bftsim.scheduler
-from bftsim.checkpoint import CheckpointStore, TccAction, TccActionKind
+from bftsim.checkpoint import CheckpointStore
 from bftsim.config import load_config, validate_config
 from bftsim.engine import (
     CausalityError,
@@ -29,10 +30,9 @@ from bftsim.engine import (
     propagate_contamination,
     run_scenario,
 )
-from bftsim.fsm import Action, FsmDecision, MonitorObservation
+from bftsim.fsm import Action
 from bftsim.model import (
     ChecksumResult,
-    DelayClass,
     NodeState,
     VirtualNode,
 )
@@ -63,7 +63,7 @@ def test_advance_orders_by_time_then_sequence():
     assert q.advance() is first
     assert q.advance() is second
     assert q.clock == 5
-    assert q.advance().target == 3
+    assert q.advance()[3] == 3
     assert q.clock == 7
 
 
@@ -75,46 +75,131 @@ def test_push_into_the_past_is_a_causality_violation():
         q.push(3, EventKind.MONITOR_ROUND, 2)
 
 
-def test_per_event_records_keep_their_slots():
-    """The records built on every event are slotted (no instance ``__dict__``)."""
-    records = [
-        EventQueue().push(1, EventKind.MONITOR_ROUND, 1),
-        MonitorObservation(1, 1, 0.0, DelayClass.LOW, ChecksumResult.NO_ERROR),
-        FsmDecision(NodeState.FAIL_SAFE, 1, Action.NONE, 0),
-        TccAction(TccActionKind.CONFIRMED_CHECKPOINT, 2),
-        CheckpointStore().take(VirtualNode(1, 1), 1, 0, 1),
-    ]
-    for record in records:
-        assert not hasattr(record, "__dict__"), type(record).__name__
+def test_a_run_builds_objects_only_for_nodes_and_images():
+    """Inside ``Simulation.run()`` the only bftsim objects built are one node,
+    runtime and ledger per spawn and one image per checkpoint: events,
+    observations, interval updates and tcc actions are plain values.  The
+    kept image is slotted (no instance ``__dict__``)."""
+    assert not hasattr(CheckpointStore().take(VirtualNode(1, 1), 1, 0, 1), "__dict__")
+    built = Counter()
+
+    def count_inits(frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "__init__" and code.co_argcount:
+            cls = type(frame.f_locals[code.co_varnames[0]])
+            if cls.__module__.startswith("bftsim."):
+                built[cls.__name__] += 1
+
+    # desk, and the storm config for exchanges, crashes and job migrations
+    scenarios = [Scenario.from_config(load_config(DESK, {"seed": 1})),
+                 Scenario.from_config(_storm_cfg(1))]
+    for scenario in scenarios:
+        for sched, ckpt in COMBOS:
+            for collect_log in (False, True):
+                sim = Simulation(scenario, scheduler=sched, checkpoint_policy=ckpt,
+                                 collect_log=collect_log)
+                built.clear()
+                sys.setprofile(count_inits)
+                try:
+                    report, _ = sim.run()
+                finally:
+                    sys.setprofile(None)
+                spawns = len(sim.tasks) + report.scalars["replacement_count"]
+                assert report.scalars["checkpoint_count"] > 0
+                assert built == Counter(VnRuntime=spawns, VirtualNode=spawns,
+                                        VnLedger=spawns,
+                                        Checkpoint=report.scalars["checkpoint_count"]), \
+                    (scenario.cfg.seed, sched, ckpt, collect_log)
 
 
 # -- tick ledger ----------------------------------------------------------
 
-_LEDGER_STEPS = st.lists(st.tuples(st.sampled_from(("pause", "restore", "settle", "stop")),
+class _BlockLedger:
+    """The tick ledger as a FIFO queue of ``[kind, remaining]`` blocks: the
+    reference the two-counter ``VnLedger`` must match."""
+
+    def __init__(self, start, progress):
+        self.start = self.anchor = start
+        self.progress = progress
+        self.work = self.pause = self.restore = 0
+        self.blocks = deque()
+        self.stopped = None
+
+    def settle(self, t):
+        a = self.anchor
+        if t <= a or self.stopped is not None:
+            return
+        while a < t and self.blocks:
+            block = self.blocks[0]
+            kind, remaining = block
+            step = min(remaining, t - a)
+            if kind == "pause":
+                self.pause += step
+            else:
+                self.restore += step
+            a += step
+            if step == remaining:
+                self.blocks.popleft()
+            else:
+                block[1] = remaining - step
+        if a < t:
+            self.work += t - a
+            self.progress += t - a
+            a = t
+        self.anchor = a
+
+    def add_block(self, t, kind, cost):
+        if cost <= 0:
+            return
+        self.settle(t)
+        self.blocks.append([kind, cost])
+
+    def completion_time(self, demand):
+        return self.anchor + sum(left for _, left in self.blocks) + demand - self.progress
+
+    def stop(self, t):
+        if self.stopped is None:
+            self.settle(t)
+            self.blocks.clear()
+            self.stopped = t
+
+    @property
+    def span(self):
+        return (self.stopped if self.stopped is not None else self.anchor) - self.start
+
+
+_LEDGER_STEPS = st.lists(st.tuples(st.sampled_from(("pause", "settle", "stop")),
                                    st.integers(0, 30), st.integers(-1, 20)),
                          max_size=40)
 
 
-@given(st.integers(0, 100), st.integers(0, 50), st.integers(0, 500), _LEDGER_STEPS)
-def test_ledger_running_pending_total_matches_its_blocks(start, progress, demand, steps):
-    """``completion_time`` reads a running total of unserved block ticks;
-    after every step it equals the sum over the queued blocks, and every
-    settled tick is attributed to exactly one mode."""
-    ledger = VnLedger(start, progress)
+@given(st.integers(0, 100), st.integers(0, 50), st.integers(0, 20), st.integers(0, 500),
+       _LEDGER_STEPS)
+def test_ledger_running_pending_total_matches_its_blocks(start, progress, restore, demand,
+                                                         steps):
+    """The two-counter ledger against the block-queue reference: a restore
+    charged at start, then random pauses, settles and stops.  After every
+    step both attribute the same ticks, and the unserved counters sum to the
+    reference's queued blocks."""
+    ledger = VnLedger(start, progress, restore)
+    reference = _BlockLedger(start, progress)
+    reference.add_block(start, "restore", restore)
     now = start
     for op, dt, cost in steps:
         now += dt
         if op == "settle":
             ledger.settle(now)
+            reference.settle(now)
         elif op == "stop":
             ledger.stop(now)
+            reference.stop(now)
         else:
-            ledger.add_block(now, op, cost)
-        assert ledger.pending == sum(left for _, left in ledger.blocks)
-        assert ledger.completion_time(demand) == (
-            ledger.anchor + sum(left for _, left in ledger.blocks) + demand - ledger.progress)
-        assert ledger.work + ledger.pause + ledger.restore == ledger.anchor - start
-        assert ledger.progress - progress == ledger.work
+            ledger.add_block(now, cost)
+            reference.add_block(now, "pause", cost)
+        for name in ("work", "pause", "restore", "progress", "anchor", "span"):
+            assert getattr(ledger, name) == getattr(reference, name), name
+        assert ledger.completion_time(demand) == reference.completion_time(demand)
+        assert ledger.restore_due + ledger.pause_due == sum(left for _, left in reference.blocks)
 
 
 # -- workload and trace ----------------------------------------------------------
@@ -187,6 +272,9 @@ def test_tcc_monitor_schedule_and_checkpoints(base_cfg):
                      if ",monitor," in line and "stale" not in line]
     assert monitor_times == [10, 30, 60, 100, 150, 210, 280, 360, 450, 550, 660, 780, 910]
     assert report.scalars["checkpoint_count"] == 13
+    # each confirmation stretches the interval to the gap the round earned
+    deltas = [int(line.rsplit("delta=", 1)[1]) for line in log if "tcc=confirmed" in line]
+    assert deltas == [b - a for a, b in zip(monitor_times, monitor_times[1:] + [1050])]
     assert all(b > a for a, b in zip(monitor_times, monitor_times[1:]))
 
 
@@ -569,8 +657,9 @@ def test_each_node_keeps_at_most_one_queued_completion(policy):
 
     def counting_advance():
         ev = advance()
-        if ev.kind is EventKind.TASK_COMPLETE:
-            queued[ev.target] -= 1
+        _, _, kind, target = ev
+        if kind is EventKind.TASK_COMPLETE:
+            queued[target] -= 1
         return ev
 
     sim.queue.push, sim.queue.advance = counting_push, counting_advance
@@ -728,8 +817,16 @@ def _job_index_holds(sim, ev):
 
 
 def _pending_holds(sim, ev):
+    """The counter identity: every settled tick is attributed once, the
+    unserved counters are served restore first, and a live node's queued
+    completion is the one its ledger gives."""
     for rt in sim.runtimes.values():
-        assert rt.ledger.pending == sum(left for _, left in rt.ledger.blocks), ev
+        ledger = rt.ledger
+        assert ledger.work + ledger.pause + ledger.restore == ledger.anchor - ledger.start, ev
+        assert ledger.restore_due >= 0 and ledger.pause_due >= 0, ev
+        assert not ledger.restore_due or ledger.work == ledger.pause == 0, ev
+        if rt.crashed_at is None and rt.completion is not None:
+            assert rt.completion[0] == ledger.completion_time(rt.task.demand), ev
 
 
 def _infected_index_holds(sim, ev):
@@ -760,8 +857,8 @@ def test_job_index_holds_exactly_the_live_nodes(sched, ckpt):
 
 @pytest.mark.parametrize("sched,ckpt", COMBOS)
 def test_ledger_pending_total_holds_on_every_event(sched, ckpt):
-    """After every popped event, each live node's running ``pending`` total
-    equals the unserved ticks of its queued blocks."""
+    """After every popped event, each live node's ledger keeps the counter
+    identity."""
     for seed in (1, 2):
         _run_checking_every_event(sched, ckpt, seed, _pending_holds)
 
@@ -828,7 +925,7 @@ def _all_hold(sim, ev):
 @settings(max_examples=50, deadline=None)
 @given(_small_configs())
 def test_invariants_hold_on_every_event_of_random_valid_configs(cfg):
-    """Under all 9 policy pairs: the per-event index, pending and server
+    """Under all 9 policy pairs: the per-event index, ledger and server
     checks hold, the accounting identity holds, and the log-on report equals
     the log-off one."""
     scenario = Scenario.from_config(cfg)

@@ -140,37 +140,37 @@ def _vn(gap, streak=0):
 
 def test_next_interval_triangular_growth():
     cfg = validate_config({})
-    decision = next_interval(_vn(gap=10), S0, cfg)
-    assert decision.next_gap == 20 and decision.suspect_rounds == 0
-    assert decision.action is Action.NONE
+    gap, action, streak = next_interval(_vn(gap=10), S0, cfg)
+    assert gap == 20 and streak == 0
+    assert action is Action.NONE
 
 
 def test_next_interval_geometric_growth():
     cfg = validate_config({"interval_growth": "geometric"})
-    assert next_interval(_vn(gap=10), S0, cfg).next_gap == 20
-    assert next_interval(_vn(gap=40), S0, cfg).next_gap == 80
+    assert next_interval(_vn(gap=10), S0, cfg)[0] == 20
+    assert next_interval(_vn(gap=40), S0, cfg)[0] == 80
 
 
 def test_next_interval_suspect_resets_gap():
     cfg = validate_config({})
-    decision = next_interval(_vn(gap=30), S1, cfg)
-    assert decision.next_gap == 10
-    assert decision.suspect_rounds == 1
-    assert decision.action is Action.ESCALATE
+    gap, action, streak = next_interval(_vn(gap=30), S1, cfg)
+    assert gap == 10
+    assert streak == 1
+    assert action is Action.ESCALATE
 
 
 def test_next_interval_replaces_at_streak_threshold():
     cfg = validate_config({})
-    decision = next_interval(_vn(gap=10, streak=2), S1, cfg)
-    assert decision.suspect_rounds == 3
-    assert decision.action is Action.REPLACE_NODE
+    _, action, streak = next_interval(_vn(gap=10, streak=2), S1, cfg)
+    assert streak == 3
+    assert action is Action.REPLACE_NODE
 
 
 def test_next_interval_fail_stop_replaces_with_base_gap():
     cfg = validate_config({})
-    decision = next_interval(_vn(gap=50), S2, cfg)
-    assert decision.action is Action.REPLACE_NODE
-    assert decision.next_gap == 10
+    gap, action, _ = next_interval(_vn(gap=50), S2, cfg)
+    assert action is Action.REPLACE_NODE
+    assert gap == 10
 
 
 def test_healthy_monitor_schedule():
@@ -182,7 +182,7 @@ def test_healthy_monitor_schedule():
     for _ in range(20):
         t += vn.gap
         times.append(t)
-        vn.gap = next_interval(vn, S0, cfg).next_gap
+        vn.gap = next_interval(vn, S0, cfg)[0]
     assert times[:5] == [10, 30, 60, 100, 150]
     for k, t_k in enumerate(times, start=1):
         assert t_k == 10 * k * (k + 1) // 2
@@ -192,10 +192,10 @@ def test_replace_action_only_at_threshold_or_fail_stop():
     cfg = validate_config({})
     for streak in range(4):
         for post in (S0, S1, S2):
-            decision = next_interval(_vn(gap=20, streak=streak), post, cfg)
+            _, action, _ = next_interval(_vn(gap=20, streak=streak), post, cfg)
             should_replace = post is S2 or (post is S1
                                             and streak + 1 >= cfg.suspect_threshold)
-            assert (decision.action is Action.REPLACE_NODE) == should_replace
+            assert (action is Action.REPLACE_NODE) == should_replace
 
 
 def test_streak_monotone_until_recovery_or_replacement():
@@ -203,12 +203,12 @@ def test_streak_monotone_until_recovery_or_replacement():
     vn = _vn(gap=10)
     seen = [0]
     for post in (S1, S1, S0, S1, S1, S1):
-        decision = next_interval(vn, post, cfg)
-        if decision.action is Action.REPLACE_NODE:
-            seen.append(decision.suspect_rounds)
+        gap, action, streak = next_interval(vn, post, cfg)
+        if action is Action.REPLACE_NODE:
+            seen.append(streak)
             break
-        vn.suspect_rounds = decision.suspect_rounds if post is S1 else 0
-        vn.gap = decision.next_gap
+        vn.suspect_rounds = streak if post is S1 else 0
+        vn.gap = gap
         seen.append(vn.suspect_rounds)
     assert seen == [0, 1, 2, 0, 1, 2, 3]
 

@@ -88,3 +88,11 @@ def test_traced_policy_matrix_pass_is_correct():
     correct, metrics = _bench_trace("policy-matrix", 401)
     assert correct
     assert metrics["checkpoint.take.calls"] > 0
+
+
+def test_traced_campaign_pass_is_correct():
+    """The campaign pass (wsss+tcc, log off) is the benchmark's claimed
+    workload; its healthy monitor rounds and tcc confirmations dominate."""
+    correct, metrics = _bench_trace("campaign", 401)
+    assert correct
+    assert metrics["checkpoint.tcc_round.calls"] > 0
