@@ -51,35 +51,41 @@ def tcc_round(vn: VirtualNode, ft_interval: int, gap: int, job: Job,
     return PREVIOUS_RESTART
 
 
+# a kept image: (ckpt_id, time, progress, tainted), Checkpoint's field order
+Image = tuple[int, int, int, bool]
+
+
 class CheckpointStore:
     """Ledger of every checkpoint taken in a scenario.
 
     Images are indexed by lineage: the task keeps its checkpoint chain
     across node replacements, so a freshly started node can restore the
-    image its predecessor wrote.
+    image its predecessor wrote.  A run writes thousands of images and reads
+    back a handful, so each is kept as a plain ``Image`` tuple: a write
+    builds no object, and a lookup builds the ``Checkpoint`` it returns.
     """
 
     def __init__(self):
-        self.records: list[Checkpoint] = []
-        self._by_lineage: dict[int, list[Checkpoint]] = {}
+        self.records: list[Image] = []
+        self._by_lineage: dict[int, list[Image]] = {}
 
-    def take(self, vn: VirtualNode, time: int, progress: int, lineage_id: int) -> Checkpoint:
-        """Image ``vn`` at ``time`` into the lineage's chain."""
+    def take(self, vn: VirtualNode, time: int, progress: int, lineage_id: int) -> int:
+        """Image ``vn`` at ``time`` into the lineage's chain; returns its ``ckpt_id``."""
         if vn.state is FAIL_STOP:
             raise ValueError(f"cannot checkpoint fail-stopped node v{vn.vn_id}")
-        ckpt = Checkpoint(len(self.records), time, progress, vn.contaminated)
-        self.records.append(ckpt)
-        self._by_lineage.setdefault(lineage_id, []).append(ckpt)
-        return ckpt
+        ckpt_id = len(self.records)
+        image = (ckpt_id, time, progress, vn.contaminated)
+        self.records.append(image)
+        self._by_lineage.setdefault(lineage_id, []).append(image)
+        return ckpt_id
 
     def latest_clean(self, lineage_id: int, before: int | None = None) -> Checkpoint | None:
         """Newest untainted image in the lineage, optionally no newer than ``before``."""
-        for ckpt in reversed(self._by_lineage.get(lineage_id, [])):
-            if ckpt.tainted:
+        for image in reversed(self._by_lineage.get(lineage_id, ())):
+            _, time, _, tainted = image
+            if tainted or (before is not None and time > before):
                 continue
-            if before is not None and ckpt.time > before:
-                continue
-            return ckpt
+            return Checkpoint(*image)
         return None
 
     def abandon_after(self, lineage_id: int, target: Checkpoint | None) -> None:
@@ -87,12 +93,12 @@ class CheckpointStore:
         initial state): a rollback abandons their timeline.  ``records`` keeps them."""
         chain = self._by_lineage.get(lineage_id, [])
         kept = target.ckpt_id if target else -1
-        while chain and chain[-1].ckpt_id > kept:
+        while chain and chain[-1][0] > kept:
             chain.pop()
 
     def latest(self, lineage_id: int) -> Checkpoint | None:
-        chain = self._by_lineage.get(lineage_id, [])
-        return chain[-1] if chain else None
+        chain = self._by_lineage.get(lineage_id)
+        return Checkpoint(*chain[-1]) if chain else None
 
 
 def rollback_loss(current_progress: int, target: Checkpoint | None, now: int) -> int:

@@ -6,6 +6,7 @@ are exactly the SimConfig field names.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, asdict
 from pathlib import Path
 
@@ -104,6 +105,9 @@ def validate_config(raw: dict) -> SimConfig:
             raise ConfigError(f"unknown config key: {key}")
         values[key] = _coerce(key, raw_value, type_map[known[key]])
     cfg = SimConfig(**values)
+    for name, type_name in known.items():
+        if type_name == "float" and not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be finite")
 
     def positive(name):
         if getattr(cfg, name) <= 0:

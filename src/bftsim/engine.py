@@ -510,7 +510,6 @@ class Simulation:
         self.detection_pending: dict[int, int] = {}  # task id -> fault time
 
         self.failed_workloads = 0
-        self.checkpoint_count = 0
         self.rollback_count = 0
         self.migration_count = 0
         self.replacement_count = 0
@@ -653,7 +652,6 @@ class Simulation:
             ledger.settle(t)
         self.store.take(rt.vn, t, ledger.progress, rt.task.task_id)
         ledger.add_block(t, self.cfg.checkpoint_write_cost)
-        self.checkpoint_count += 1
         self._schedule_completion(rt)
 
     # -- observation pipeline ----------------------------------------------------
@@ -881,7 +879,8 @@ class Simulation:
         rep.set_scalar("host_count", len(self.servers))
         rep.set_scalar("vn_count", len(self.tasks))
         rep.set_scalar("completed_migrations", self.replacement_count)   # one per replaced node
-        for name in ("failed_workloads", "checkpoint_count", "rollback_count", "migration_count",
+        rep.set_scalar("checkpoint_count", len(self.store.records))   # one record per image taken
+        for name in ("failed_workloads", "rollback_count", "migration_count",
                      "replacement_count", "corrupted_completions", "jobs_completed"):
             rep.set_scalar(name, getattr(self, name))
         rep.set_scalar("useful_work_total", self.work_total - self.lost_work)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bftsim.checkpoint import (
     CheckpointStore,
@@ -9,7 +11,7 @@ from bftsim.checkpoint import (
     rollback_loss,
     tcc_round,
 )
-from bftsim.model import Job, NodeState, VirtualNode
+from bftsim.model import Checkpoint, Job, NodeState, VirtualNode
 
 
 def _vn(vn_id=1, contaminated=False, state=NodeState.FAIL_SAFE):
@@ -47,19 +49,20 @@ def test_tcc_exactly_at_threshold_still_restarts():
 
 def test_store_take_and_lineage_lookup():
     store = CheckpointStore()
-    c1 = store.take(_vn(1), time=30, progress=28, lineage_id=7)
-    c2 = store.take(_vn(2), time=60, progress=57, lineage_id=7)
-    assert store.latest(7) is c2
-    assert store.latest_clean(7) is c2
-    assert store.latest_clean(7, before=40) is c1
+    assert store.take(_vn(1), time=30, progress=28, lineage_id=7) == 0
+    assert store.take(_vn(2), time=60, progress=57, lineage_id=7) == 1
+    c1, c2 = Checkpoint(0, 30, 28, False), Checkpoint(1, 60, 57, False)
+    assert store.latest(7) == c2
+    assert store.latest_clean(7) == c2
+    assert store.latest_clean(7, before=40) == c1
 
 
 def test_store_skips_tainted_images():
     store = CheckpointStore()
-    clean = store.take(_vn(1), 30, 28, lineage_id=7)
+    store.take(_vn(1), 30, 28, lineage_id=7)
     store.take(_vn(1, contaminated=True), 60, 57, lineage_id=7)
-    assert store.latest_clean(7) is clean
-    assert store.latest(7).tainted
+    assert store.latest_clean(7) == Checkpoint(0, 30, 28, False)
+    assert store.latest(7) == Checkpoint(1, 60, 57, True)
 
 
 def test_store_rejects_fail_stopped_node():
@@ -70,7 +73,8 @@ def test_store_rejects_fail_stopped_node():
 
 def test_rollback_loss_arithmetic():
     store = CheckpointStore()
-    ckpt = store.take(_vn(1), 30, 30, lineage_id=1)
+    store.take(_vn(1), 30, 30, lineage_id=1)
+    ckpt = store.latest(1)
     assert rollback_loss(50, ckpt, now=50) == 20
     assert rollback_loss(30, ckpt, now=30) == 0
     assert rollback_loss(45, None, now=45) == 45   # no image: back to the start
@@ -78,7 +82,8 @@ def test_rollback_loss_arithmetic():
 
 def test_rollback_rejects_future_target():
     store = CheckpointStore()
-    ckpt = store.take(_vn(1), 80, 70, lineage_id=1)
+    store.take(_vn(1), 80, 70, lineage_id=1)
+    ckpt = store.latest(1)
     with pytest.raises(ValueError, match="newer"):
         rollback_loss(75, ckpt, now=50)
 
@@ -94,12 +99,102 @@ def test_independent_gaps_deterministic_and_positive():
 
 def test_store_abandon_after_forgets_the_newer_images_of_the_lineage():
     store = CheckpointStore()
-    c1 = store.take(_vn(1), time=30, progress=28, lineage_id=7)
+    store.take(_vn(1), time=30, progress=28, lineage_id=7)
+    c1 = store.latest(7)
     store.take(_vn(1), time=60, progress=57, lineage_id=7)
-    other = store.take(_vn(2), time=70, progress=60, lineage_id=8)
+    store.take(_vn(2), time=70, progress=60, lineage_id=8)
     store.abandon_after(7, c1)
-    assert store.latest_clean(7) is c1
-    assert store.latest(8) is other
+    assert store.latest_clean(7) == c1 == Checkpoint(0, 30, 28, False)
+    assert store.latest(8) == Checkpoint(2, 70, 60, False)
     store.abandon_after(7, None)          # back to the initial state
     assert store.latest(7) is None
     assert len(store.records) == 3        # the ledger keeps every image taken
+
+
+class _ObjectStore:
+    """The checkpoint store as it kept one ``Checkpoint`` object per image:
+    the reference the tuple store must match."""
+
+    def __init__(self):
+        self.records = []
+        self._by_lineage = {}
+
+    def take(self, vn, time, progress, lineage_id):
+        if vn.state is NodeState.FAIL_STOP:
+            raise ValueError(f"cannot checkpoint fail-stopped node v{vn.vn_id}")
+        ckpt = Checkpoint(len(self.records), time, progress, vn.contaminated)
+        self.records.append(ckpt)
+        self._by_lineage.setdefault(lineage_id, []).append(ckpt)
+        return ckpt
+
+    def latest_clean(self, lineage_id, before=None):
+        for ckpt in reversed(self._by_lineage.get(lineage_id, [])):
+            if ckpt.tainted:
+                continue
+            if before is not None and ckpt.time > before:
+                continue
+            return ckpt
+        return None
+
+    def abandon_after(self, lineage_id, target):
+        chain = self._by_lineage.get(lineage_id, [])
+        kept = target.ckpt_id if target else -1
+        while chain and chain[-1].ckpt_id > kept:
+            chain.pop()
+
+    def latest(self, lineage_id):
+        chain = self._by_lineage.get(lineage_id, [])
+        return chain[-1] if chain else None
+
+
+_LINEAGES = range(3)
+_STORE_STEPS = st.lists(
+    st.tuples(st.sampled_from(("take", "take_tainted", "take_fail_stopped", "abandon",
+                               "abandon_all", "latest", "latest_clean")),
+              st.sampled_from(_LINEAGES), st.integers(0, 10), st.none() | st.integers(0, 20)),
+    max_size=60)
+
+
+@given(_STORE_STEPS)
+def test_tuple_store_matches_the_object_store(steps):
+    """The tuple store against the object-store reference: random takes
+    (tainted and fail-stopped ones mixed in), rollbacks to a lookup's image
+    or to the initial state, and lookups over three lineages.  Every lookup
+    returns an equal image or ``None`` on both sides, and both ledgers keep
+    the same images.  After every step each lineage's newest and newest
+    clean image agree, and a ``before`` lookup also tries each image time
+    of its lineage as the bound."""
+    store, reference = CheckpointStore(), _ObjectStore()
+    now = 0
+    for op, lineage, dt, back in steps:
+        now += dt
+        before = None if back is None else now - back
+        if op.startswith("take"):
+            vn = _vn(contaminated=op == "take_tainted",
+                     state=NodeState.FAIL_STOP if op == "take_fail_stopped"
+                     else NodeState.FAIL_SAFE)
+            if vn.state is NodeState.FAIL_STOP:
+                for side in (store, reference):
+                    with pytest.raises(ValueError, match="fail-stop"):
+                        side.take(vn, now, now // 2, lineage)
+            else:
+                ckpt_id = store.take(vn, now, now // 2, lineage)
+                assert ckpt_id == reference.take(vn, now, now // 2, lineage).ckpt_id
+        elif op.startswith("abandon"):
+            target = None if op == "abandon_all" else store.latest_clean(lineage, before)
+            ref_target = None if op == "abandon_all" else reference.latest_clean(lineage, before)
+            assert target == ref_target
+            store.abandon_after(lineage, target)
+            reference.abandon_after(lineage, ref_target)
+        elif op == "latest":
+            assert store.latest(lineage) == reference.latest(lineage)
+        else:
+            bounds = {before} | {c.time for c in reference._by_lineage.get(lineage, [])}
+            for bound in bounds:
+                assert (store.latest_clean(lineage, before=bound)
+                        == reference.latest_clean(lineage, before=bound)), bound
+        for other in _LINEAGES:
+            assert store.latest(other) == reference.latest(other)
+            assert store.latest_clean(other) == reference.latest_clean(other)
+        assert len(store.records) == len(reference.records)
+        assert [Checkpoint(*image) for image in store.records] == reference.records

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from bftsim.config import (
@@ -43,6 +45,15 @@ def test_reference_operating_point_accepted():
 def test_rejections_name_offending_key(raw, needle):
     with pytest.raises(ConfigError, match=needle):
         validate_config(raw)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", float("nan")])
+@pytest.mark.parametrize("key", [f.name for f in fields(SimConfig) if f.type == "float"])
+def test_non_finite_floats_are_rejected(key, value):
+    """An infinite or NaN float would overflow ``math.ceil`` in the mesf
+    pre-evaluation cost or turn every delay spike into NaN."""
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        validate_config({key: value})
 
 
 def test_validation_idempotent():

@@ -77,11 +77,15 @@ def test_push_into_the_past_is_a_causality_violation():
 
 def test_a_run_builds_objects_only_for_nodes_and_images():
     """Inside ``Simulation.run()`` the only bftsim objects built are one node,
-    runtime and ledger per spawn and one image per checkpoint: events,
-    observations, interval updates and tcc actions are plain values.  The
-    kept image is slotted (no instance ``__dict__``)."""
-    assert not hasattr(CheckpointStore().take(VirtualNode(1, 1), 1, 0, 1), "__dict__")
+    runtime and ledger per spawn and one ``Checkpoint`` per image a lookup
+    returns: events, observations, interval updates, tcc actions and the
+    kept images are plain values.  A returned image is slotted (no instance
+    ``__dict__``)."""
+    store = CheckpointStore()
+    store.take(VirtualNode(1, 1), 1, 0, 1)
+    assert not hasattr(store.latest(1), "__dict__")
     built = Counter()
+    found = Counter()
 
     def count_inits(frame, event, _arg):
         code = frame.f_code
@@ -90,15 +94,26 @@ def test_a_run_builds_objects_only_for_nodes_and_images():
             if cls.__module__.startswith("bftsim."):
                 built[cls.__name__] += 1
 
+    def counting(lookup):
+        def wrapper(*args, **kwargs):
+            image = lookup(*args, **kwargs)
+            found["images"] += image is not None
+            return image
+        return wrapper
+
     # desk, and the storm config for exchanges, crashes and job migrations
     scenarios = [Scenario.from_config(load_config(DESK, {"seed": 1})),
                  Scenario.from_config(_storm_cfg(1))]
+    returned = 0
     for scenario in scenarios:
         for sched, ckpt in COMBOS:
             for collect_log in (False, True):
                 sim = Simulation(scenario, scheduler=sched, checkpoint_policy=ckpt,
                                  collect_log=collect_log)
+                sim.store.latest = counting(sim.store.latest)
+                sim.store.latest_clean = counting(sim.store.latest_clean)
                 built.clear()
+                found.clear()
                 sys.setprofile(count_inits)
                 try:
                     report, _ = sim.run()
@@ -107,9 +122,10 @@ def test_a_run_builds_objects_only_for_nodes_and_images():
                 spawns = len(sim.tasks) + report.scalars["replacement_count"]
                 assert report.scalars["checkpoint_count"] > 0
                 assert built == Counter(VnRuntime=spawns, VirtualNode=spawns,
-                                        VnLedger=spawns,
-                                        Checkpoint=report.scalars["checkpoint_count"]), \
+                                        VnLedger=spawns, Checkpoint=found["images"]), \
                     (scenario.cfg.seed, sched, ckpt, collect_log)
+                returned += found["images"]
+    assert returned > 0     # the rollbacks restored images
 
 
 # -- tick ledger ----------------------------------------------------------
@@ -540,8 +556,8 @@ def test_sync_rounds_image_every_active_node_at_once():
     sim = Simulation(scenario)
     sim.run()
     by_time = {}
-    for ckpt in sim.store.records:
-        by_time.setdefault(ckpt.time, []).append(ckpt)
+    for ckpt_id, time, _, _ in sim.store.records:
+        by_time.setdefault(time, []).append(ckpt_id)
     for t, group in by_time.items():
         assert len(group) == 4, f"round at t={t} imaged {len(group)} nodes"
 
