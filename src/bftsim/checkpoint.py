@@ -17,8 +17,12 @@ from __future__ import annotations
 
 import random
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .model import FAIL_STOP, Checkpoint, Job, VirtualNode
+from .model import FAIL_STOP, Checkpoint, Job
+
+if TYPE_CHECKING:
+    from .engine import VirtualNode
 
 
 class TccActionKind(Enum):
@@ -33,7 +37,7 @@ PREVIOUS_RESTART = TccActionKind.PREVIOUS_RESTART
 JOB_MIGRATION = TccActionKind.JOB_MIGRATION
 
 
-def tcc_round(vn: VirtualNode, ft_interval: int, gap: int, job: Job,
+def tcc_round(ft_interval: int, gap: int, job: Job,
               migration_threshold: int) -> TccActionKind:
     """Decide the checkpoint action for one node after its monitor round.
 

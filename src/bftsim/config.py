@@ -67,7 +67,6 @@ class SimConfig:
     seed: int = 42
     horizon: int = 1000
     trace_path: str = ""             # optional utilization trace scaling demands
-    trace_period: int = 300
 
 
 _BOOL_TOKENS = {"true": True, "false": False, "1": True, "0": False,
@@ -124,7 +123,7 @@ def validate_config(raw: dict) -> SimConfig:
     for name in ("base_interval", "ft_interval", "sla_bound", "suspect_threshold",
                  "migration_threshold", "server_count", "server_capacity",
                  "task_count", "job_count", "demand_min", "horizon",
-                 "indep_mean_gap", "trace_period"):
+                 "indep_mean_gap"):
         positive(name)
     for name in ("checkpoint_write_cost", "restart_cost", "migration_cost",
                  "monitor_cost", "byzantine_faults", "crash_faults", "delay_faults",

@@ -35,7 +35,7 @@ from .checkpoint import (
     rollback_loss,
     tcc_round,
 )
-from .config import SimConfig
+from .config import ConfigError, SimConfig
 from .fsm import (
     REPLACE_NODE,
     Action,
@@ -50,6 +50,7 @@ from .model import (
     CHECKSUM_ERROR,
     DELAY_SENSITIVE,
     ERRONEOUS,
+    FAIL_SAFE,
     FAIL_STOP,
     HIGH,
     NO_ERROR,
@@ -60,7 +61,6 @@ from .model import (
     NodeState,
     Server,
     Task,
-    VirtualNode,
 )
 from .scenario import (
     BYZANTINE_FAULT,
@@ -244,19 +244,25 @@ class VnLedger:
 
 
 @dataclass
-class VnRuntime:
-    """One live incarnation of a virtual node executing a task."""
-    vn: VirtualNode
+class VirtualNode:
+    """One incarnation of a virtual node executing a task.  A live node is
+    fail-stopped exactly when it crashed: a fail-stop verdict of the
+    detection machine retires the node in the same monitor round."""
+    vn_id: int
     task: Task
     job: Job
     server: Server
     ledger: VnLedger
     ft_interval: int
+    gap: int = 0                 # current monitoring gap, multiple of the base interval
+    next_monitor: int = 0
+    state: NodeState = FAIL_SAFE
+    suspect_rounds: int = 0      # consecutive Byzantine-state observations
+    contaminated: bool = False
     spike_delay: float = 0.0
     completion: tuple[int, int] | None = None   # (time, seq) the node is due to finish at
     completion_queued: bool = False             # a completion event of this node is in the heap
     last_obs_time: int = 0
-    crashed_at: int | None = None
 
 
 class Scenario:
@@ -280,7 +286,7 @@ class Scenario:
                                      cfg.demand_min, cfg.demand_max,
                                      cfg.sla_bound, wl_rng)
         if cfg.trace_path:
-            series = load_utilization_trace(cfg.trace_path, cfg.trace_period)
+            series = load_utilization_trace(cfg.trace_path)
             scale_demands(workload, series)
         if faults is None:
             faults = generate_faults(cfg)
@@ -329,7 +335,7 @@ class MesfPlacement:
     def replacement(self, sim: Simulation, exclude_id: int) -> tuple[int | None, float]:
         # re-evaluates and packs onto servers already in use; never opens an
         # idle server for a single replacement
-        in_use = [s for s in sim.servers if s.active_vns and s.server_id != exclude_id]
+        in_use = [s for s in sim.servers if s.active and s.server_id != exclude_id]
         best = min((s for s in in_use if s.free_slots > 0), default=None,
                    key=attrgetter("latency_mean", "server_id"))
         return (best.server_id if best else None), sim.cfg.preeval_cost * len(in_use)
@@ -357,10 +363,10 @@ class Checkpointing:
     def start_rounds(self, sim: Simulation) -> None:
         pass
 
-    def on_spawn(self, sim: Simulation, rt: VnRuntime) -> None:
+    def on_spawn(self, sim: Simulation, rt: VirtualNode) -> None:
         pass
 
-    def on_monitor(self, sim: Simulation, rt: VnRuntime, t: int, gap: int, action: Action,
+    def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: Action,
                    in_monitor: bool) -> str:
         """Act on a monitor round or a rejected final output, given the gap
         and action of the interval update; returns the log detail, empty with
@@ -374,7 +380,7 @@ class Checkpointing:
         sim._advance_monitor(rt, t, gap)
         if not sim.collect_log:
             return ""
-        return f";action={_TOKENS[action]};q={rt.vn.suspect_rounds}"
+        return f";action={_TOKENS[action]};q={rt.suspect_rounds}"
 
     def rollback_target(self, sim: Simulation, task_id: int) -> Checkpoint | None:
         return sim.store.latest_clean(task_id)
@@ -384,9 +390,9 @@ class TccCheckpointing(Checkpointing):
     """Confirms an image while the gap grows, restarts from the previous one
     when it collapses, and migrates the job past the restart threshold."""
 
-    def on_monitor(self, sim: Simulation, rt: VnRuntime, t: int, gap: int, action: Action,
+    def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: Action,
                    in_monitor: bool) -> str:
-        kind = tcc_round(rt.vn, rt.ft_interval, gap, rt.job, sim.cfg.migration_threshold)
+        kind = tcc_round(rt.ft_interval, gap, rt.job, sim.cfg.migration_threshold)
         if kind is CONFIRMED_CHECKPOINT:
             rt.ft_interval = gap
             if in_monitor:
@@ -411,7 +417,7 @@ class SyncCheckpointing(Checkpointing):
     def on_round(self, sim: Simulation, ev: tuple) -> str:
         t, _, _, job_id = ev
         job = sim.jobs[job_id]
-        live = [rt for rt in sim.job_nodes[job_id].values() if rt.crashed_at is None]
+        live = [rt for rt in sim.job_nodes[job_id].values() if rt.state is not FAIL_STOP]
         for rt in live:
             sim._take_vn_checkpoint(rt, t)
         nxt = t + sim.cfg.ft_interval
@@ -427,24 +433,24 @@ class IndependentCheckpointing(Checkpointing):
     """Images each node at uncoordinated seeded-random times; with an untrusted
     latest image only the initial state is left to fall back to."""
 
-    def on_spawn(self, sim: Simulation, rt: VnRuntime) -> None:
+    def on_spawn(self, sim: Simulation, rt: VirtualNode) -> None:
         self._next_round(sim, rt, rt.ledger.start)
 
     def on_round(self, sim: Simulation, ev: tuple) -> str:
         t, _, _, vn_id = ev
         rt = sim.runtimes.get(vn_id)
-        if rt is None or rt.crashed_at is not None:
+        if rt is None or rt.state is FAIL_STOP:
             return "stale=1"
         sim._take_vn_checkpoint(rt, t)
         gap = self._next_round(sim, rt, t)
         if not sim.collect_log:
             return ""
-        return f"vn=v{rt.vn.vn_id};gap={gap}"
+        return f"vn=v{rt.vn_id};gap={gap}"
 
-    def _next_round(self, sim: Simulation, rt: VnRuntime, t: int) -> int:
+    def _next_round(self, sim: Simulation, rt: VirtualNode, t: int) -> int:
         gap = independent_gap(sim.rng, sim.cfg.indep_mean_gap)
         if t + gap <= sim.cfg.horizon:
-            sim.queue.push(t + gap, CHECKPOINT_ROUND, rt.vn.vn_id)
+            sim.queue.push(t + gap, CHECKPOINT_ROUND, rt.vn_id)
         return gap
 
     def rollback_target(self, sim: Simulation, task_id: int) -> Checkpoint | None:
@@ -473,6 +479,10 @@ class Simulation:
         self.cfg = cfg
         self.scheduler = scheduler or cfg.scheduler
         self.checkpoint_policy = checkpoint_policy or cfg.checkpoint_policy
+        if self.scheduler not in PLACEMENT:
+            raise ConfigError(f"scheduler must be one of {tuple(PLACEMENT)}")
+        if self.checkpoint_policy not in CHECKPOINTING:
+            raise ConfigError(f"checkpoint_policy must be one of {tuple(CHECKPOINTING)}")
         self.collect_log = collect_log
 
         # each run mutates its own task and job records; the scenario's stay
@@ -496,14 +506,14 @@ class Simulation:
         self.checkpointing = CHECKPOINTING[self.checkpoint_policy]
         self.log_lines: list[str] = []
 
-        self.runtimes: dict[int, VnRuntime] = {}    # vn id -> live incarnation
+        self.runtimes: dict[int, VirtualNode] = {}    # vn id -> live incarnation
         # job id -> (vn id -> live incarnation); vn ids only grow, so each
         # job's nodes stay in ascending vn-id order
-        self.job_nodes: dict[int, dict[int, VnRuntime]] = {
+        self.job_nodes: dict[int, dict[int, VirtualNode]] = {
             job_id: {} for job_id in sorted(self.jobs)}
         # job id -> vn ids of its live contaminated nodes, in job-id order
         self.infected: dict[int, set[int]] = {job_id: set() for job_id in self.job_nodes}
-        self.task_vn: dict[int, int] = {}           # task id -> current vn id
+        self.task_node: dict[int, VirtualNode] = {}   # task id -> live incarnation
         self._next_vn_id = 1
 
         self.thresholds = (cfg.delay_low_frac, cfg.delay_normal_frac, cfg.delay_high_frac)
@@ -537,25 +547,25 @@ class Simulation:
     # -- node lifecycle ----------------------------------------------------------
 
     def _spawn(self, task: Task, server_id: int, start: int,
-               target: Checkpoint | None = None, restore_cost: int = 0) -> VnRuntime:
+               target: Checkpoint | None = None, restore_cost: int = 0) -> VirtualNode:
         """Start a node for ``task``, from ``target`` or else the initial state."""
-        vn = VirtualNode(vn_id=self._next_vn_id, server_id=server_id)
+        vn_id = self._next_vn_id
         self._next_vn_id += 1
         ledger = VnLedger(start, target.progress if target else 0, restore_cost)
         server = self.server_by_id[server_id]
-        rt = VnRuntime(vn=vn, task=task, job=self.jobs[task.job_id], server=server,
-                       ledger=ledger, ft_interval=self.cfg.ft_interval,
-                       last_obs_time=start)
-        self.runtimes[vn.vn_id] = rt
-        self.job_nodes[task.job_id][vn.vn_id] = rt
-        self.task_vn[task.task_id] = vn.vn_id
-        server.active_vns.add(vn.vn_id)
+        rt = VirtualNode(vn_id=vn_id, task=task, job=self.jobs[task.job_id], server=server,
+                         ledger=ledger, ft_interval=self.cfg.ft_interval,
+                         last_obs_time=start)
+        self.runtimes[vn_id] = rt
+        self.job_nodes[task.job_id][vn_id] = rt
+        self.task_node[task.task_id] = rt
+        server.active += 1
         self._advance_monitor(rt, start, self.cfg.base_interval)
         self._schedule_completion(rt)
         self.checkpointing.on_spawn(self, rt)
         return rt
 
-    def _schedule_completion(self, rt: VnRuntime) -> None:
+    def _schedule_completion(self, rt: VirtualNode) -> None:
         """Record when the node finishes; a node keeps at most one completion
         event in the heap, which ``_handle_complete`` re-queues when it pops
         before the recorded time."""
@@ -565,27 +575,27 @@ class Simulation:
             return
         rt.completion = (when, self.queue.take_seq())
         if not rt.completion_queued:
-            self.queue.push(when, TASK_COMPLETE, rt.vn.vn_id, seq=rt.completion[1])
+            self.queue.push(when, TASK_COMPLETE, rt.vn_id, seq=rt.completion[1])
             rt.completion_queued = True
 
-    def _retire(self, rt: VnRuntime, t: int) -> None:
+    def _retire(self, rt: VirtualNode, t: int) -> None:
         """Stop an incarnation and fold its ledger into the totals."""
         rt.ledger.stop(min(t, self.cfg.horizon))   # a crash stopped it already
         self.work_total += rt.ledger.work
         self.pause_total += rt.ledger.pause
         self.restore_total += rt.ledger.restore
         self.span_total += rt.ledger.span
-        vn_id = rt.vn.vn_id
+        vn_id = rt.vn_id
         self.runtimes.pop(vn_id, None)
         del self.job_nodes[rt.job.job_id][vn_id]
         self.infected[rt.job.job_id].discard(vn_id)
-        self.task_vn.pop(rt.task.task_id)
-        rt.server.active_vns.discard(vn_id)
+        self.task_node.pop(rt.task.task_id)
+        rt.server.active -= 1
 
-    def _roll_back(self, rt: VnRuntime, target: Checkpoint | None, t: int) -> int:
+    def _roll_back(self, rt: VirtualNode, target: Checkpoint | None, t: int) -> int:
         """Discard the node's progress past ``target`` and retire it; returns the lost work."""
         self.store.abandon_after(rt.task.task_id, target)
-        if rt.crashed_at is None:
+        if rt.state is not FAIL_STOP:
             rt.ledger.settle(t)
         lost = rollback_loss(rt.ledger.progress, target, t)
         self.lost_work += lost
@@ -594,12 +604,12 @@ class Simulation:
         rt.task.contaminated_output = False   # erroneous output discarded with the rollback
         return lost
 
-    def _restart_vn(self, rt: VnRuntime, t: int, reason: str) -> str:
+    def _restart_vn(self, rt: VirtualNode, t: int, reason: str) -> str:
         """Replace one node from its previous trusted checkpoint; returns the
         log detail, empty with the log off."""
         target = self.checkpointing.rollback_target(self, rt.task.task_id)
         lost = self._roll_back(rt, target, t)
-        new_sid, selection_cost = self.placement.replacement(self, rt.vn.server_id)
+        new_sid, selection_cost = self.placement.replacement(self, rt.server.server_id)
         self.report.record("exec_time_host_selection", selection_cost)
         if new_sid is None:
             self.failed_workloads += 1
@@ -612,8 +622,8 @@ class Simulation:
         self.report.record("exec_time_total", selection_cost + restore)
         if not self.collect_log:
             return ""
-        return (f"reason={reason};lost={lost};from=s{rt.vn.server_id};"
-                f"to=s{new_sid};vn=v{new_rt.vn.vn_id}")
+        return (f"reason={reason};lost={lost};from=s{rt.server.server_id};"
+                f"to=s{new_sid};vn=v{new_rt.vn_id}")
 
     def _migrate_job(self, job: Job, t: int) -> str:
         """Halt every node of the job and restart it from a job-consistent image,
@@ -646,29 +656,28 @@ class Simulation:
 
     # -- checkpoints ----------------------------------------------------------
 
-    def _take_vn_checkpoint(self, rt: VnRuntime, t: int) -> None:
+    def _take_vn_checkpoint(self, rt: VirtualNode, t: int) -> None:
         ledger = rt.ledger
         if t > ledger.anchor:
             ledger.settle(t)
-        self.store.take(rt.vn, t, ledger.progress, rt.task.task_id)
+        self.store.take(rt, t, ledger.progress, rt.task.task_id)
         ledger.add_block(t, self.cfg.checkpoint_write_cost)
         self._schedule_completion(rt)
 
     # -- observation pipeline ----------------------------------------------------
 
-    def _observe(self, rt: VnRuntime, t: int) -> tuple[float, DelayClass, ChecksumResult, bool]:
+    def _observe(self, rt: VirtualNode, t: int) -> tuple[float, DelayClass, ChecksumResult, bool]:
         """Measure the node; returns (delay, delay class, checksum, flagged)."""
         cfg = self.cfg
         server = rt.server
-        vn = rt.vn
         delay = self.rng.gauss(server.latency_mean, server.latency_sigma)
         delay = (delay if delay > 0.0 else 0.0) + rt.spike_delay
         sla = rt.task.sla_bound
-        if rt.crashed_at is not None:
+        if rt.state is FAIL_STOP:
             checksum = CHECKSUM_ERROR   # challenge unanswered
         else:
-            checksum = checksum_oracle(vn.contaminated, cfg.detect_prob, self.rng)
-        if vn.contaminated and checksum is NO_ERROR and cfg.high_delay_fallback:
+            checksum = checksum_oracle(rt.contaminated, cfg.detect_prob, self.rng)
+        if rt.contaminated and checksum is NO_ERROR and cfg.high_delay_fallback:
             # a missed detection surfaces as high delay variation
             delay = max(delay, (cfg.delay_normal_frac + cfg.delay_high_frac) / 2 * sla)
         dclass = classify_delay(delay, sla, self.thresholds)
@@ -691,20 +700,20 @@ class Simulation:
         if flagged and rt.task.task_id in self.detection_pending:
             since = self.detection_pending.pop(rt.task.task_id)
             self.report.record("detection_latency", float(t - since))
-        if cfg.monitor_cost > 0 and rt.crashed_at is None:
+        if cfg.monitor_cost > 0 and rt.state is not FAIL_STOP:
             rt.ledger.add_block(t, cfg.monitor_cost)
             self._schedule_completion(rt)
         return delay, dclass, checksum, flagged
 
-    def _advance_monitor(self, rt: VnRuntime, t: int, gap: int) -> None:
-        rt.vn.gap = gap
-        rt.vn.next_monitor = t + gap
-        if rt.vn.next_monitor <= self.cfg.horizon:
-            self.queue.push(rt.vn.next_monitor, MONITOR_ROUND, rt.vn.vn_id)
+    def _advance_monitor(self, rt: VirtualNode, t: int, gap: int) -> None:
+        rt.gap = gap
+        rt.next_monitor = t + gap
+        if rt.next_monitor <= self.cfg.horizon:
+            self.queue.push(rt.next_monitor, MONITOR_ROUND, rt.vn_id)
 
     # -- completion ----------------------------------------------------------
 
-    def _complete_task(self, rt: VnRuntime, t: int) -> str:
+    def _complete_task(self, rt: VirtualNode, t: int) -> str:
         """Finish the node's task; returns the log detail, empty with the log off."""
         log = self.collect_log
         task = rt.task
@@ -724,29 +733,28 @@ class Simulation:
         """Apply one fault to its task's live node; returns the log detail,
         empty with the log off."""
         log = self.collect_log
-        rt = self.runtimes.get(self.task_vn.get(spec.target_task))
-        if rt is None or rt.vn.state is FAIL_STOP:
+        rt = self.task_node.get(spec.target_task)
+        if rt is None or rt.state is FAIL_STOP:
             return f"kind={_TOKENS[spec.kind]};target=none;noop=1" if log else ""
         # a fault before the node starts (a late initial wave) lands at its start
         t = max(t, rt.ledger.start)
         if spec.kind is BYZANTINE_FAULT:
-            rt.vn.contaminated = True
-            self.infected[rt.job.job_id].add(rt.vn.vn_id)
+            rt.contaminated = True
+            self.infected[rt.job.job_id].add(rt.vn_id)
             rt.task.contaminated_output = True
             self.detection_pending[rt.task.task_id] = t
-            return f"kind=byzantine;vn=v{rt.vn.vn_id}" if log else ""
+            return f"kind=byzantine;vn=v{rt.vn_id}" if log else ""
         if spec.kind is CRASH_FAULT:
             rt.ledger.stop(t)
-            rt.vn.state = FAIL_STOP
-            rt.crashed_at = t
+            rt.state = FAIL_STOP
             self.detection_pending[rt.task.task_id] = t
-            return f"kind=crash;vn=v{rt.vn.vn_id}" if log else ""
+            return f"kind=crash;vn=v{rt.vn_id}" if log else ""
         rt.spike_delay += spec.magnitude * rt.task.sla_bound
-        return f"kind=delay;vn=v{rt.vn.vn_id};magnitude={spec.magnitude}" if log else ""
+        return f"kind=delay;vn=v{rt.vn_id};magnitude={spec.magnitude}" if log else ""
 
     # -- event handlers ----------------------------------------------------------
 
-    def _handle_monitor(self, ev: tuple, rt: VnRuntime | None = None) -> str:
+    def _handle_monitor(self, ev: tuple, rt: VirtualNode | None = None) -> str:
         """One monitor round: observe the node, then complete its task or step
         its detection machine and apply the checkpoint policy.  With ``rt``, the
         final verification of its output that ``_handle_complete`` hands over."""
@@ -754,14 +762,14 @@ class Simulation:
         verify = rt is not None
         if not verify:
             rt = self.runtimes.get(ev[3])
-            if rt is None or t != rt.vn.next_monitor:
+            if rt is None or t != rt.next_monitor:
                 return "stale=1"
         ledger = rt.ledger
-        if rt.crashed_at is None and t > ledger.anchor:
+        if rt.state is not FAIL_STOP and t > ledger.anchor:
             ledger.settle(t)
         # a node is finished once its work and unserved ticks are done; a monitor
         # round's own pause (monitor_cost) keeps it busy past this tick
-        finished = (rt.crashed_at is None and ledger.progress >= rt.task.demand
+        finished = (rt.state is not FAIL_STOP and ledger.progress >= rt.task.demand
                     and not (ledger.restore_due or ledger.pause_due)
                     and (verify or not self.cfg.monitor_cost))
         if verify and not finished:
@@ -771,18 +779,17 @@ class Simulation:
             outcome = self._complete_task(rt, t)
         else:
             # a monitor round, or a final output rejected at verification
-            vn = rt.vn
-            prior = vn.state
+            prior = rt.state
             post = byzantine_fsm_step(prior, dclass, checksum)
-            gap, action, streak = next_interval(vn, post, self.cfg)
-            vn.state = post
-            vn.suspect_rounds = streak if post is BYZANTINE else 0
+            gap, action, streak = next_interval(rt.gap, rt.suspect_rounds, post, self.cfg)
+            rt.state = post
+            rt.suspect_rounds = streak if post is BYZANTINE else 0
             outcome = self.checkpointing.on_monitor(self, rt, t, gap, action, not finished)
             if self.collect_log:
                 outcome = f"state={_TOKENS[prior]}>{_TOKENS[post]}{outcome}"
         if not self.collect_log:
             return ""
-        return (f"server=s{rt.vn.server_id};{'verify=1;' if verify else ''}"
+        return (f"server=s{rt.server.server_id};{'verify=1;' if verify else ''}"
                 f"delay={delay:.3f};class={_DELAY_TOKENS[dclass]};"
                 f"checksum={_TOKENS[checksum]};{outcome}")
 
@@ -792,7 +799,7 @@ class Simulation:
         if rt is None:
             return "stale=1"
         rt.completion_queued = False
-        if rt.crashed_at is not None:
+        if rt.state is FAIL_STOP:
             return "stale=1"
         if (t, seq) != rt.completion:
             # a pause moved completion later (or past the horizon) after this
@@ -811,19 +818,19 @@ class Simulation:
         for job_id, infected in self.infected.items():
             nodes = self.job_nodes[job_id]
             # a fail-stopped node no longer exchanges outputs
-            if not any(nodes[vid].vn.state is not FAIL_STOP for vid in infected):
+            if not any(nodes[vid].state is not FAIL_STOP for vid in infected):
                 continue
-            clean = [rt for rt in nodes.values() if not rt.vn.contaminated
-                     and rt.vn.state is not FAIL_STOP]
-            newly = propagate_contamination([rt.vn.vn_id for rt in clean],
+            clean = [rt for rt in nodes.values() if not rt.contaminated
+                     and rt.state is not FAIL_STOP]
+            newly = propagate_contamination([rt.vn_id for rt in clean],
                                             self.cfg.propagation_prob, self.rng)
             for rt in clean:
-                if rt.vn.vn_id in newly:
-                    rt.vn.contaminated = True
-                    infected.add(rt.vn.vn_id)
+                if rt.vn_id in newly:
+                    rt.contaminated = True
+                    infected.add(rt.vn_id)
                     rt.task.contaminated_output = True
                     self.detection_pending.setdefault(rt.task.task_id, t)
-                    spread.append(rt.vn.vn_id)
+                    spread.append(rt.vn_id)
         nxt = t + self.cfg.base_interval
         if nxt <= self.cfg.horizon:
             self.queue.push(nxt, CONTAMINATION_EXCHANGE)

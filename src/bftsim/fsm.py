@@ -22,6 +22,8 @@ from .config import SimConfig
 from .model import (
     BYZANTINE,
     CHECKSUM_ERROR,
+    CHECKSUM_TOKENS,
+    DELAY_TOKENS,
     EXTREME,
     FAIL_SAFE,
     FAIL_STOP,
@@ -29,12 +31,14 @@ from .model import (
     LOW,
     NO_ERROR,
     NORMAL,
+    PERFORMANCE_TOKENS,
+    STATE_TOKENS,
+    STATUS_TOKENS,
     ChecksumResult,
     CheckpointStatus,
     DelayClass,
     NodeState,
     PerformanceClass,
-    VirtualNode,
 )
 
 
@@ -123,10 +127,11 @@ def performance_fsm_step(state: NodeState, p: PerformanceClass) -> NodeState:
     return NodeState.FAIL_STOP    # NOT_PERFORMING or WARY
 
 
-def next_interval(vn: VirtualNode, post_state: NodeState,
+def next_interval(gap: int, streak: int, post_state: NodeState,
                   cfg: SimConfig) -> tuple[int, Action, int]:
-    """Update the monitoring gap and suspicion streak after an FSM step;
-    returns (next gap, action, streak value after this round).
+    """Update the monitoring gap and suspicion streak of a node after an FSM
+    step, given its current ``gap`` and ``streak``; returns (next gap,
+    action, streak value after this round).
 
     Healthy rounds stretch the gap (and clear the streak); suspect rounds
     collapse it to the base interval and lengthen the streak, replacing the
@@ -136,13 +141,13 @@ def next_interval(vn: VirtualNode, post_state: NodeState,
     j = cfg.base_interval
     if post_state is FAIL_SAFE:
         if cfg.interval_growth == "geometric":
-            return vn.gap * 2, NO_ACTION, 0
-        return vn.gap + j, NO_ACTION, 0
+            return gap * 2, NO_ACTION, 0
+        return gap + j, NO_ACTION, 0
     if post_state is BYZANTINE:
-        streak = vn.suspect_rounds + 1
+        streak += 1
         return j, REPLACE_NODE if streak >= cfg.suspect_threshold else ESCALATE, streak
     # FAIL_STOP: shut down, replacement monitors at the base gap
-    return j, REPLACE_NODE, vn.suspect_rounds
+    return j, REPLACE_NODE, streak
 
 
 # -- fsm-trace conformance format --------------------------------------------
@@ -150,14 +155,6 @@ def next_interval(vn: VirtualNode, post_state: NodeState,
 # One step per line: ``state input... -> next_state``.  Two input tokens
 # (delay class, checksum) address the Byzantine machine; one token is
 # dispatched by vocabulary to the checkpoint-status or performance machine.
-
-from .model import (  # noqa: E402  (trace vocabulary)
-    CHECKSUM_TOKENS,
-    DELAY_TOKENS,
-    PERFORMANCE_TOKENS,
-    STATE_TOKENS,
-    STATUS_TOKENS,
-)
 
 
 class TraceFormatError(ValueError):

@@ -105,17 +105,6 @@ class Job:
 
 
 @dataclass
-class VirtualNode:
-    vn_id: int
-    server_id: int
-    state: NodeState = FAIL_SAFE
-    gap: int = 0                 # current monitoring gap, multiple of the base interval
-    next_monitor: int = 0
-    suspect_rounds: int = 0      # consecutive Byzantine-state observations
-    contaminated: bool = False
-
-
-@dataclass
 class Server:
     server_id: int
     capacity: int
@@ -124,11 +113,11 @@ class Server:
     fail_count: int = 0
     w_count: int = 0
     y_count: int = 0
-    active_vns: set[int] = field(default_factory=set)
+    active: int = 0              # live nodes hosted
 
     @property
     def free_slots(self) -> int:
-        return self.capacity - len(self.active_vns)
+        return self.capacity - self.active
 
 
 @dataclass(slots=True)

@@ -61,11 +61,8 @@ def generate_workload(task_count: int, job_count: int, demand_min: int,
     return Workload(tasks=tasks, jobs=jobs)
 
 
-def load_utilization_trace(path: str | Path, period: int = 300) -> list[tuple[int, int]]:
-    """Parse a utilization trace: one integer percentage (0-100) per line.
-
-    Returns (tick, percent) samples spaced ``period`` ticks apart.
-    """
+def load_utilization_trace(path: str | Path) -> list[int]:
+    """Parse a utilization trace: one integer percentage (0-100) per line."""
     path = Path(path)
     if not path.exists():
         raise ValueError(f"trace file not found: {path}")
@@ -81,16 +78,16 @@ def load_utilization_trace(path: str | Path, period: int = 300) -> list[tuple[in
             raise ValueError(f"{path}:{lineno}: not an integer: {text!r}") from None
         if not 0 <= value <= 100:
             raise ValueError(f"{path}:{lineno}: out of range 0-100: {value}")
-        samples.append((len(samples) * period, value))
+        samples.append(value)
     if not samples:
         raise ValueError(f"{path}: empty trace")
     return samples
 
 
-def scale_demands(workload: Workload, series: list[tuple[int, int]]) -> None:
-    """Scale task demands by the utilization series, cycling samples."""
+def scale_demands(workload: Workload, series: list[int]) -> None:
+    """Scale task demands by the utilization percentages, cycling samples."""
     for task in workload.tasks:
-        pct = series[task.task_id % len(series)][1]
+        pct = series[task.task_id % len(series)]
         task.demand = max(1, round(task.demand * pct / 100))
 
 

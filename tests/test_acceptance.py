@@ -25,7 +25,6 @@ from bftsim.model import (
     DelayClass,
     NodeState,
     PerformanceClass,
-    VirtualNode,
 )
 from bftsim.scenario import FaultKind, FaultSpec
 
@@ -205,17 +204,16 @@ def test_criterion_3_suspicion_threshold():
     cfg = validate_config({})
 
     def drive(rounds):
-        vn = VirtualNode(vn_id=1, server_id=1, gap=10)
+        state, gap, streak = S0, 10, 0
         replaced_at = None
         for i, (d, c) in enumerate(rounds, start=1):
-            post = byzantine_fsm_step(vn.state, d, c)
-            gap, action, streak = next_interval(vn, post, cfg)
+            post = byzantine_fsm_step(state, d, c)
+            gap, action, streak = next_interval(gap, streak, post, cfg)
             if action is Action.REPLACE_NODE:
                 replaced_at = i
                 break
-            vn.state = post
-            vn.suspect_rounds = streak if post is S1 else 0
-            vn.gap = gap
+            state = post
+            streak = streak if post is S1 else 0
         return replaced_at
 
     three = drive([(HIGH, NOERR)] * 3)

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -11,38 +12,38 @@ from bftsim.checkpoint import (
     rollback_loss,
     tcc_round,
 )
-from bftsim.model import Checkpoint, Job, NodeState, VirtualNode
+from bftsim.model import Checkpoint, Job, NodeState
 
 
 def _vn(vn_id=1, contaminated=False, state=NodeState.FAIL_SAFE):
-    return VirtualNode(vn_id=vn_id, server_id=1, state=state,
-                       contaminated=contaminated)
+    """The node fields ``CheckpointStore.take`` reads."""
+    return SimpleNamespace(vn_id=vn_id, state=state, contaminated=contaminated)
 
 
 def test_tcc_grown_gap_confirms_and_stretches_interval():
     job = Job(job_id=0)
-    action = tcc_round(_vn(), ft_interval=10, gap=20, job=job, migration_threshold=5)
+    action = tcc_round(ft_interval=10, gap=20, job=job, migration_threshold=5)
     assert action is TccActionKind.CONFIRMED_CHECKPOINT
     assert job.restart_count == 0
 
 
 def test_tcc_collapsed_gap_restarts_and_counts():
     job = Job(job_id=0)
-    action = tcc_round(_vn(), ft_interval=20, gap=10, job=job, migration_threshold=5)
+    action = tcc_round(ft_interval=20, gap=10, job=job, migration_threshold=5)
     assert action is TccActionKind.PREVIOUS_RESTART
     assert job.restart_count == 1
 
 
 def test_tcc_migrates_past_threshold():
     job = Job(job_id=0, restart_count=5)
-    action = tcc_round(_vn(), ft_interval=20, gap=10, job=job, migration_threshold=5)
+    action = tcc_round(ft_interval=20, gap=10, job=job, migration_threshold=5)
     assert action is TccActionKind.JOB_MIGRATION
     assert job.restart_count == 0
 
 
 def test_tcc_exactly_at_threshold_still_restarts():
     job = Job(job_id=0, restart_count=4)
-    action = tcc_round(_vn(), ft_interval=20, gap=10, job=job, migration_threshold=5)
+    action = tcc_round(ft_interval=20, gap=10, job=job, migration_threshold=5)
     assert action is TccActionKind.PREVIOUS_RESTART
     assert job.restart_count == 5
 

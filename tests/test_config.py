@@ -56,6 +56,13 @@ def test_non_finite_floats_are_rejected(key, value):
         validate_config({key: value})
 
 
+def test_trace_period_is_an_unknown_key():
+    """Trace samples scale demands by their order alone, so no key spaces
+    them in ticks: ``trace_period`` is rejected like any unknown key."""
+    with pytest.raises(ConfigError, match="unknown config key: trace_period"):
+        validate_config({"trace_period": 300})
+
+
 def test_validation_idempotent():
     cfg = validate_config({"seed": 99, "detect_prob": "0.99"})
     again = validate_config(config_to_dict(cfg))

@@ -7,6 +7,7 @@ import random
 import sys
 from collections import Counter, deque
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,16 @@ import bftsim.model
 import bftsim.scenario
 import bftsim.scheduler
 from bftsim.checkpoint import CheckpointStore
-from bftsim.config import load_config, validate_config
+from bftsim.config import (
+    CHECKPOINT_POLICIES,
+    SCHEDULERS,
+    ConfigError,
+    load_config,
+    validate_config,
+)
 from bftsim.engine import (
+    CHECKPOINTING,
+    PLACEMENT,
     CausalityError,
     EventKind,
     EventQueue,
@@ -34,7 +43,6 @@ from bftsim.fsm import Action
 from bftsim.model import (
     ChecksumResult,
     NodeState,
-    VirtualNode,
 )
 
 from bftsim.scenario import (
@@ -76,13 +84,14 @@ def test_push_into_the_past_is_a_causality_violation():
 
 
 def test_a_run_builds_objects_only_for_nodes_and_images():
-    """Inside ``Simulation.run()`` the only bftsim objects built are one node,
-    runtime and ledger per spawn and one ``Checkpoint`` per image a lookup
+    """Inside ``Simulation.run()`` the only bftsim objects built are one node
+    and one ledger per spawn and one ``Checkpoint`` per image a lookup
     returns: events, observations, interval updates, tcc actions and the
     kept images are plain values.  A returned image is slotted (no instance
     ``__dict__``)."""
     store = CheckpointStore()
-    store.take(VirtualNode(1, 1), 1, 0, 1)
+    store.take(SimpleNamespace(vn_id=1, state=NodeState.FAIL_SAFE, contaminated=False),
+               1, 0, 1)
     assert not hasattr(store.latest(1), "__dict__")
     built = Counter()
     found = Counter()
@@ -121,8 +130,8 @@ def test_a_run_builds_objects_only_for_nodes_and_images():
                     sys.setprofile(None)
                 spawns = len(sim.tasks) + report.scalars["replacement_count"]
                 assert report.scalars["checkpoint_count"] > 0
-                assert built == Counter(VnRuntime=spawns, VirtualNode=spawns,
-                                        VnLedger=spawns, Checkpoint=found["images"]), \
+                assert built == Counter(VirtualNode=spawns, VnLedger=spawns,
+                                        Checkpoint=found["images"]), \
                     (scenario.cfg.seed, sched, ckpt, collect_log)
                 returned += found["images"]
     assert returned > 0     # the rollbacks restored images
@@ -242,7 +251,7 @@ def test_generate_workload_uniform_mean():
 def test_trace_parse(tmp_path):
     path = tmp_path / "util.trace"
     path.write_text("50\n75\n")
-    assert load_utilization_trace(path, period=300) == [(0, 50), (300, 75)]
+    assert load_utilization_trace(path) == [50, 75]
 
 
 @pytest.mark.parametrize("body,needle", [
@@ -259,7 +268,7 @@ def test_trace_errors(tmp_path, body, needle):
 
 def test_scale_demands_cycles_samples():
     wl = generate_workload(4, 1, 100, 100, 50, random.Random(0))
-    scale_demands(wl, [(0, 50), (300, 100)])
+    scale_demands(wl, [50, 100])
     assert [t.demand for t in wl.tasks] == [50, 100, 50, 100]
 
 
@@ -566,12 +575,28 @@ def test_trace_scaled_workload_through_config(tmp_path):
     trace = tmp_path / "util.trace"
     trace.write_text("50\n100\n")
     cfg = cluster_cfg(task_count=4, job_count=2, demand_min=200, demand_max=200,
-                      trace_path=str(trace), trace_period=300)
+                      trace_path=str(trace))
     scenario = Scenario.from_config(cfg)
     assert [t.demand for t in scenario.workload.tasks] == [100, 200, 100, 200]
 
 
 # -- policy rules ----------------------------------------------------------
+
+def test_policy_tables_name_the_config_tags():
+    assert tuple(PLACEMENT) == SCHEDULERS
+    assert tuple(CHECKPOINTING) == CHECKPOINT_POLICIES
+
+
+@pytest.mark.parametrize("tags,needle", [
+    ({"scheduler": "WSSS"}, r"scheduler must be one of \('wsss', 'mesf', 'random'\)"),
+    ({"checkpoint_policy": "none"},
+     r"checkpoint_policy must be one of \('tcc', 'sync', 'independent'\)"),
+], ids=["scheduler", "checkpoint_policy"])
+def test_unknown_policy_tags_are_config_errors(tags, needle):
+    scenario = Scenario.from_config(cluster_cfg())
+    with pytest.raises(ConfigError, match=needle):
+        scenario.run(**tags)
+
 
 def _identity_holds(report) -> bool:
     s = report.scalars
@@ -605,11 +630,11 @@ class _MigrationSpy(Simulation):
     def _migrate_job(self, job, t):
         detail = super()._migrate_job(job, t)
         moved = sorted((rt for rt in self.runtimes.values() if rt.job.job_id == job.job_id),
-                       key=lambda r: r.vn.vn_id)
+                       key=lambda r: r.vn_id)
         free = {s.server_id: s.free_slots for s in self.servers}
         for rt in moved:
-            free[rt.vn.server_id] += 1    # the slots free before the wave was placed
-        self.moves.append(([rt.vn.server_id for rt in moved], free))
+            free[rt.server.server_id] += 1    # the slots free before the wave was placed
+        self.moves.append(([rt.server.server_id for rt in moved], free))
         return detail
 
 
@@ -834,14 +859,16 @@ def _job_index_holds(sim, ev):
 
 def _pending_holds(sim, ev):
     """The counter identity: every settled tick is attributed once, the
-    unserved counters are served restore first, and a live node's queued
+    unserved counters are served restore first, a live node is fail-stopped
+    exactly when its ledger stopped (a crash), and a live node's queued
     completion is the one its ledger gives."""
     for rt in sim.runtimes.values():
         ledger = rt.ledger
         assert ledger.work + ledger.pause + ledger.restore == ledger.anchor - ledger.start, ev
         assert ledger.restore_due >= 0 and ledger.pause_due >= 0, ev
         assert not ledger.restore_due or ledger.work == ledger.pause == 0, ev
-        if rt.crashed_at is None and rt.completion is not None:
+        assert (rt.state is NodeState.FAIL_STOP) == (ledger.stopped is not None), ev
+        if rt.state is not NodeState.FAIL_STOP and rt.completion is not None:
             assert rt.completion[0] == ledger.completion_time(rt.task.demand), ev
 
 
@@ -849,16 +876,15 @@ def _infected_index_holds(sim, ev):
     # the exchange draws in job-id order, so the index keeps that order
     assert list(sim.infected) == sorted(sim.jobs)
     for job_id, infected in sim.infected.items():
-        assert infected == {rt.vn.vn_id for rt in sim.runtimes.values()
-                            if rt.job.job_id == job_id and rt.vn.contaminated}, (ev, job_id)
+        assert infected == {rt.vn_id for rt in sim.runtimes.values()
+                            if rt.job.job_id == job_id and rt.contaminated}, (ev, job_id)
 
 
 def _servers_hold(sim, ev):
     for server in sim.servers:
-        assert server.active_vns == {vn_id for vn_id, rt in sim.runtimes.items()
-                                     if rt.vn.server_id == server.server_id}, ev
-        assert len(server.active_vns) <= server.capacity, ev
-    assert all(rt.server is sim.server_by_id[rt.vn.server_id]
+        assert server.active == sum(rt.server is server for rt in sim.runtimes.values()), ev
+        assert server.active <= server.capacity, ev
+    assert all(rt.server is sim.server_by_id[rt.server.server_id]
                for rt in sim.runtimes.values()), ev
 
 

@@ -23,7 +23,6 @@ from bftsim.model import (
     DelayClass,
     NodeState,
     PerformanceClass,
-    VirtualNode,
 )
 
 S0, S1, S2 = NodeState.FAIL_SAFE, NodeState.BYZANTINE, NodeState.FAIL_STOP
@@ -134,26 +133,22 @@ def test_oracle_rejects_bad_probability():
         checksum_oracle(True, 1.5, random.Random(0))
 
 
-def _vn(gap, streak=0):
-    return VirtualNode(vn_id=1, server_id=1, gap=gap, suspect_rounds=streak)
-
-
 def test_next_interval_triangular_growth():
     cfg = validate_config({})
-    gap, action, streak = next_interval(_vn(gap=10), S0, cfg)
+    gap, action, streak = next_interval(10, 0, S0, cfg)
     assert gap == 20 and streak == 0
     assert action is Action.NONE
 
 
 def test_next_interval_geometric_growth():
     cfg = validate_config({"interval_growth": "geometric"})
-    assert next_interval(_vn(gap=10), S0, cfg)[0] == 20
-    assert next_interval(_vn(gap=40), S0, cfg)[0] == 80
+    assert next_interval(10, 0, S0, cfg)[0] == 20
+    assert next_interval(40, 0, S0, cfg)[0] == 80
 
 
 def test_next_interval_suspect_resets_gap():
     cfg = validate_config({})
-    gap, action, streak = next_interval(_vn(gap=30), S1, cfg)
+    gap, action, streak = next_interval(30, 0, S1, cfg)
     assert gap == 10
     assert streak == 1
     assert action is Action.ESCALATE
@@ -161,14 +156,14 @@ def test_next_interval_suspect_resets_gap():
 
 def test_next_interval_replaces_at_streak_threshold():
     cfg = validate_config({})
-    _, action, streak = next_interval(_vn(gap=10, streak=2), S1, cfg)
+    _, action, streak = next_interval(10, 2, S1, cfg)
     assert streak == 3
     assert action is Action.REPLACE_NODE
 
 
 def test_next_interval_fail_stop_replaces_with_base_gap():
     cfg = validate_config({})
-    gap, action, _ = next_interval(_vn(gap=50), S2, cfg)
+    gap, action, _ = next_interval(50, 0, S2, cfg)
     assert action is Action.REPLACE_NODE
     assert gap == 10
 
@@ -177,12 +172,12 @@ def test_healthy_monitor_schedule():
     """Gap growth by one base interval per round puts the k-th round at
     j*k*(k+1)/2."""
     cfg = validate_config({})
-    vn = _vn(gap=10)
+    gap = 10
     t, times = 0, []
     for _ in range(20):
-        t += vn.gap
+        t += gap
         times.append(t)
-        vn.gap = next_interval(vn, S0, cfg)[0]
+        gap = next_interval(gap, 0, S0, cfg)[0]
     assert times[:5] == [10, 30, 60, 100, 150]
     for k, t_k in enumerate(times, start=1):
         assert t_k == 10 * k * (k + 1) // 2
@@ -192,7 +187,7 @@ def test_replace_action_only_at_threshold_or_fail_stop():
     cfg = validate_config({})
     for streak in range(4):
         for post in (S0, S1, S2):
-            _, action, _ = next_interval(_vn(gap=20, streak=streak), post, cfg)
+            _, action, _ = next_interval(20, streak, post, cfg)
             should_replace = post is S2 or (post is S1
                                             and streak + 1 >= cfg.suspect_threshold)
             assert (action is Action.REPLACE_NODE) == should_replace
@@ -200,16 +195,15 @@ def test_replace_action_only_at_threshold_or_fail_stop():
 
 def test_streak_monotone_until_recovery_or_replacement():
     cfg = validate_config({})
-    vn = _vn(gap=10)
+    gap, streak = 10, 0
     seen = [0]
     for post in (S1, S1, S0, S1, S1, S1):
-        gap, action, streak = next_interval(vn, post, cfg)
+        gap, action, streak = next_interval(gap, streak, post, cfg)
         if action is Action.REPLACE_NODE:
             seen.append(streak)
             break
-        vn.suspect_rounds = streak if post is S1 else 0
-        vn.gap = gap
-        seen.append(vn.suspect_rounds)
+        streak = streak if post is S1 else 0
+        seen.append(streak)
     assert seen == [0, 1, 2, 0, 1, 2, 3]
 
 

@@ -34,7 +34,7 @@ def _ids(servers):
 
 
 def _fill(server, used):
-    server.active_vns.update(range(used))
+    server.active = used
     return server
 
 
