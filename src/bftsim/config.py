@@ -71,6 +71,9 @@ class SimConfig:
 
 _BOOL_TOKENS = {"true": True, "false": False, "1": True, "0": False,
                 "yes": True, "no": False}
+_FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str, "bool": bool}[f.type]
+                for f in fields(SimConfig)}
+_FLOAT_FIELDS = tuple(name for name, kind in _FIELD_TYPES.items() if kind is float)
 
 
 def _coerce(key: str, raw, target_type):
@@ -96,42 +99,31 @@ def validate_config(raw: dict) -> SimConfig:
     key.  Validating an already-valid config's dict form returns an equal
     config (idempotence).
     """
-    known = {f.name: f.type for f in fields(SimConfig)}
-    type_map = {"int": int, "float": float, "str": str, "bool": bool}
     values = {}
     for key, raw_value in raw.items():
-        if key not in known:
+        target_type = _FIELD_TYPES.get(key)
+        if target_type is None:
             raise ConfigError(f"unknown config key: {key}")
-        values[key] = _coerce(key, raw_value, type_map[known[key]])
+        values[key] = _coerce(key, raw_value, target_type)
     cfg = SimConfig(**values)
-    for name, type_name in known.items():
-        if type_name == "float" and not math.isfinite(getattr(cfg, name)):
+    for name in _FLOAT_FIELDS:
+        if not math.isfinite(getattr(cfg, name)):
             raise ConfigError(f"{name} must be finite")
-
-    def positive(name):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
-
-    def non_negative(name):
-        if getattr(cfg, name) < 0:
-            raise ConfigError(f"{name} must be >= 0")
-
-    def probability(name):
-        if not 0.0 <= getattr(cfg, name) <= 1.0:
-            raise ConfigError(f"{name} out of range [0, 1]")
-
     for name in ("base_interval", "ft_interval", "sla_bound", "suspect_threshold",
                  "migration_threshold", "server_count", "server_capacity",
                  "task_count", "job_count", "demand_min", "horizon",
                  "indep_mean_gap"):
-        positive(name)
+        if getattr(cfg, name) <= 0:
+            raise ConfigError(f"{name} must be positive")
     for name in ("checkpoint_write_cost", "restart_cost", "migration_cost",
                  "monitor_cost", "byzantine_faults", "crash_faults", "delay_faults",
                  "fault_window_start", "latency_sigma", "delay_magnitude",
                  "preeval_cost"):
-        non_negative(name)
+        if getattr(cfg, name) < 0:
+            raise ConfigError(f"{name} must be >= 0")
     for name in ("detect_prob", "propagation_prob"):
-        probability(name)
+        if not 0.0 <= getattr(cfg, name) <= 1.0:
+            raise ConfigError(f"{name} out of range [0, 1]")
     if cfg.ft_interval < cfg.base_interval:
         raise ConfigError("ft_interval must be >= base_interval")
     if not (0 < cfg.delay_low_frac < cfg.delay_normal_frac < cfg.delay_high_frac):
@@ -183,7 +175,11 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> SimConfig:
+    """Validate a config file; a relative ``trace_path`` in it names a file
+    beside the config file, not one in the working directory."""
     raw = parse_config_file(path)
+    if "trace_path" in raw:
+        raw["trace_path"] = str(Path(path).parent / raw["trace_path"])
     if overrides:
         raw.update(overrides)
     return validate_config(raw)

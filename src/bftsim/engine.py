@@ -278,9 +278,10 @@ class Scenario:
 
     @classmethod
     def from_config(cls, cfg: SimConfig, faults: list[FaultSpec] | None = None) -> "Scenario":
-        topo_rng = random.Random(f"{cfg.seed}:topology")
-        latencies = [topo_rng.uniform(cfg.latency_mean_min, cfg.latency_mean_max)
-                     for _ in range(cfg.server_count)]
+        # Random.uniform's formula, inline
+        draw = random.Random(f"{cfg.seed}:topology").random
+        low, width = cfg.latency_mean_min, cfg.latency_mean_max - cfg.latency_mean_min
+        latencies = [low + width * draw() for _ in range(cfg.server_count)]
         wl_rng = random.Random(f"{cfg.seed}:workload")
         workload = generate_workload(cfg.task_count, cfg.job_count,
                                      cfg.demand_min, cfg.demand_max,
@@ -291,6 +292,12 @@ class Scenario:
         if faults is None:
             faults = generate_faults(cfg)
         for spec in faults:
+            if not isinstance(spec.kind, FaultKind):
+                raise ScenarioError(f"fault kind {spec.kind!r} is not a FaultKind")
+            for name in ("time", "target_task"):
+                value = getattr(spec, name)
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ScenarioError(f"fault {name} {value!r} is not an int")
             if spec.time < 0:
                 raise ScenarioError(f"fault at t={spec.time} is before t=0")
             if spec.time >= cfg.horizon:

@@ -29,6 +29,7 @@ class FaultKind(Enum):
 
 BYZANTINE_FAULT = FaultKind.BYZANTINE
 CRASH_FAULT = FaultKind.CRASH
+_KIND_TOKEN = {kind: kind.value for kind in FaultKind}   # the fault trace's sort key
 
 
 @dataclass(frozen=True)
@@ -48,16 +49,24 @@ class Workload:
 def generate_workload(task_count: int, job_count: int, demand_min: int,
                       demand_max: int, sla_bound: int,
                       rng: random.Random) -> Workload:
-    """Seeded workload: balanced jobs of tasks with uniform integer demands."""
+    """Seeded workload: balanced jobs of tasks with uniform integer demands.
+
+    A demand is ``rng.randint(demand_min, demand_max)`` drawn inline by its
+    rejection loop: the same values and stream state, without its frames."""
+    span = demand_max - demand_min + 1
+    if span < 1:
+        raise ValueError("demand_max must be >= demand_min")
+    bits = span.bit_length()
+    getrandbits = rng.getrandbits
     jobs = split_application(task_count, job_count)
-    job_of = {}
+    tasks = []
     for job in jobs:
+        job_id = job.job_id
         for tid in job.task_ids:
-            job_of[tid] = job.job_id
-    tasks = [Task(task_id=i, job_id=job_of[i],
-                  demand=rng.randint(demand_min, demand_max),
-                  sla_bound=sla_bound)
-             for i in range(task_count)]
+            r = getrandbits(bits)
+            while r >= span:
+                r = getrandbits(bits)
+            tasks.append(Task(tid, job_id, demand_min + r, sla_bound))
     return Workload(tasks=tasks, jobs=jobs)
 
 
@@ -104,12 +113,10 @@ def generate_faults(cfg: SimConfig) -> list[FaultSpec]:
     for kind, count in ((FaultKind.BYZANTINE, cfg.byzantine_faults),
                         (FaultKind.CRASH, cfg.crash_faults),
                         (FaultKind.DELAY_SPIKE, cfg.delay_faults)):
+        magnitude = cfg.delay_magnitude if kind is FaultKind.DELAY_SPIKE else 0.0
         for _ in range(count):
-            specs.append(FaultSpec(
-                kind=kind,
-                time=rng.randrange(cfg.fault_window_start, cfg.fault_window_end),
-                target_task=rng.randrange(cfg.task_count),
-                magnitude=cfg.delay_magnitude if kind is FaultKind.DELAY_SPIKE else 0.0,
-            ))
-    specs.sort(key=lambda s: (s.time, s.kind.value, s.target_task))
+            specs.append(FaultSpec(kind,
+                                   rng.randrange(cfg.fault_window_start, cfg.fault_window_end),
+                                   rng.randrange(cfg.task_count), magnitude))
+    specs.sort(key=lambda s: (s.time, _KIND_TOKEN[s.kind], s.target_task))
     return specs

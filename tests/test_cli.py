@@ -1,5 +1,9 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ from bftsim.scenario import FaultKind, FaultSpec
 from bftsim.scheduler import ranking_csv
 
 from conftest import cluster_cfg
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE_CFG = """
 task_count = 8
@@ -90,6 +96,33 @@ def test_run_csv_format(tmp_path, cfg_file):
     header = out.read_text().splitlines()[0]
     assert header.startswith("scenario_id,seed,scheduler,checkpoint_policy")
 
+
+
+def test_run_reads_a_relative_trace_path_beside_its_config(tmp_path, monkeypatch):
+    """``trace_path = u.trace`` names the file next to the config file, from
+    whatever directory bftsim runs in; an absolute path gives the same report."""
+    cfgdir, elsewhere = tmp_path / "cfgdir", tmp_path / "elsewhere"
+    cfgdir.mkdir()
+    elsewhere.mkdir()
+    (cfgdir / "u.trace").write_text("50\n")
+    (cfgdir / "t.cfg").write_text(BASE_CFG + "trace_path = u.trace\n")
+    (cfgdir / "abs.cfg").write_text(BASE_CFG + f"trace_path = {cfgdir / 'u.trace'}\n")
+    (cfgdir / "none.cfg").write_text(BASE_CFG)
+    monkeypatch.chdir(elsewhere)
+    for name in ("t", "abs", "none"):
+        assert main(["run", "--config", f"../cfgdir/{name}.cfg", "--out", f"{name}.json"]) == 0
+    relative = (elsewhere / "t.json").read_bytes()
+    assert relative == (elsewhere / "abs.json").read_bytes()
+    assert relative != (elsewhere / "none.json").read_bytes()
+
+
+def test_python_m_bftsim_runs_from_a_checkout():
+    env = dict(os.environ, PYTHONPATH="src")
+    done = subprocess.run([sys.executable, "-m", "bftsim", "run", "--config",
+                           "scenarios/desk.cfg"], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["_scenario"]["id"].startswith("s20c6-t100j10")
 
 def test_usage_errors_exit_one():
     assert main([]) == 1

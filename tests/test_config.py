@@ -91,6 +91,15 @@ scheduler = wsss
     assert cfg.seed == 5 and cfg.detect_prob == 0.88
 
 
+
+def test_load_config_resolves_a_relative_trace_path_against_the_file(tmp_path):
+    path = tmp_path / "scenario.cfg"
+    path.write_text("trace_path = traces/u.trace\n")
+    assert load_config(path).trace_path == str(tmp_path / "traces" / "u.trace")
+    path.write_text("trace_path = /data/u.trace\n")
+    assert load_config(path).trace_path == "/data/u.trace"
+    assert validate_config({"trace_path": "u.trace"}).trace_path == "u.trace"
+
 @pytest.mark.parametrize("body,needle", [
     ("novalue\n", "key = value"),
     ("a = 1\na = 2\n", "duplicate"),

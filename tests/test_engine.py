@@ -137,6 +137,37 @@ def test_a_run_builds_objects_only_for_nodes_and_images():
     assert returned > 0     # the rollbacks restored images
 
 
+
+def test_a_scenario_build_draws_per_fault_not_per_task_or_server():
+    """``Scenario.from_config`` draws demands and latencies inline (see
+    ``generate_workload``), so the only frames it runs in ``random.py`` are the
+    three streams' seeding and two ``randrange`` draws per fault.  Doubling the
+    tasks and servers of a fault-storm-shaped config adds none."""
+    counts = []
+    for tasks, servers in ((400, 200), (800, 400)):
+        cfg = validate_config({
+            "task_count": tasks, "job_count": 20, "server_count": servers,
+            "server_capacity": 4, "demand_min": 400, "demand_max": 600,
+            "horizon": 1000, "sla_bound": 50, "byzantine_faults": 22,
+            "crash_faults": 21, "delay_faults": 21, "fault_window_start": 30,
+            "fault_window_end": 600, "seed": 1})
+        calls = Counter()
+
+        def count_calls(frame, event, _arg):
+            if event == "call" and frame.f_code.co_filename == random.__file__:
+                calls[frame.f_code.co_name] += 1
+
+        sys.setprofile(count_calls)
+        try:
+            scenario = Scenario.from_config(cfg)
+        finally:
+            sys.setprofile(None)
+        faults = len(scenario.faults)
+        # randrange and its _randbelow per draw; __init__ and seed per stream
+        assert faults == 64 and sum(calls.values()) <= 4 * faults + 2 * 3, calls
+        counts.append(calls)
+    assert counts[0] == counts[1]
+
 # -- tick ledger ----------------------------------------------------------
 
 class _BlockLedger:
@@ -248,6 +279,32 @@ def test_generate_workload_uniform_mean():
     assert abs(mean - 100) < 2
 
 
+
+_SPANS = st.one_of(st.just(1),
+                   st.integers(0, 40).map(lambda k: 2 ** k),
+                   st.integers(0, 40).map(lambda k: 2 ** k + 1),
+                   st.integers(1, 10 ** 6))
+
+
+@given(st.integers(0, 2 ** 32), st.integers(-10 ** 6, 10 ** 6), _SPANS, st.integers(1, 40))
+def test_generate_workload_draws_what_randint_draws(seed, low, span, task_count):
+    """The inline demand draw equals ``randint`` value for value and leaves the
+    stream in the same state, on spans of 1, 2^k, 2^k+1 and others."""
+    rng, reference = random.Random(seed), random.Random(seed)
+    job_count = 1 + seed % task_count
+    wl = generate_workload(task_count, job_count, low, low + span - 1, 50, rng)
+    assert [t.demand for t in wl.tasks] == [reference.randint(low, low + span - 1)
+                                           for _ in range(task_count)]
+    assert rng.getstate() == reference.getstate()
+    assert [(t.task_id, t.job_id) for t in wl.tasks] == [
+        (tid, job.job_id) for job in wl.jobs for tid in job.task_ids]
+    assert [t.task_id for t in wl.tasks] == list(range(task_count))
+
+
+def test_generate_workload_rejects_an_empty_demand_range():
+    with pytest.raises(ValueError, match="demand_max"):
+        generate_workload(4, 1, 101, 100, 50, random.Random(0))
+
 def test_trace_parse(tmp_path):
     path = tmp_path / "util.trace"
     path.write_text("50\n75\n")
@@ -338,6 +395,20 @@ def test_fault_target_outside_the_workload_is_rejected_at_build(target):
     with pytest.raises(ScenarioError, match=f"task {target} "):
         Scenario.from_config(cluster_cfg(), faults)
 
+
+
+@pytest.mark.parametrize("kind,time,target,needle", [
+    ("crash", 35, 1, "fault kind 'crash' is not a FaultKind"),
+    (FaultKind.CRASH, 35.5, 1, "fault time 35.5 is not an int"),
+    (FaultKind.CRASH, True, 1, "fault time True is not an int"),
+    (FaultKind.CRASH, 35, 1.0, "fault target_task 1.0 is not an int"),
+], ids=["kind-str", "time-float", "time-bool", "target-float"])
+def test_malformed_fault_spec_is_rejected_at_build(kind, time, target, needle):
+    """A string kind used to run as a zero-magnitude delay spike, a float time
+    broke the integer-tick ledger, and a bool time was logged as ``True``."""
+    faults = [FaultSpec(kind, time, target)]
+    with pytest.raises(ScenarioError, match=needle):
+        Scenario.from_config(cluster_cfg(), faults)
 
 def test_accounting_identity_over_policy_mix():
     for policy in ("tcc", "sync", "independent"):
@@ -818,6 +889,33 @@ def test_costly_storm_reports_and_logs_match_the_pin():
             digest.update(("\n".join(log) + "\n").encode())
     assert digest.hexdigest() == COSTLY_STORM_SHA256
 
+
+
+# SHA-256 of the latencies (repr), demands and (kind, time, target, magnitude)
+# fault tuples built for scenarios/desk.cfg and _storm_cfg at seeds 1 and 2
+# and for one campaign-shaped config
+SCENARIO_INPUTS_SHA256 = "e025455492ec6f40a4651ac6f291657ba4ce0b1231cf3c957cf7d949c4bd781b"
+
+
+def test_scenario_inputs_match_the_pin():
+    """Pins the scenario inputs themselves, before any policy runs on them.
+    Computed while demands came from ``Random.randint``, latencies from
+    ``Random.uniform`` and fault specs were built by keyword."""
+    campaign = validate_config({
+        "task_count": 100, "job_count": 10, "server_count": 20, "server_capacity": 6,
+        "demand_min": 150, "demand_max": 170, "horizon": 250, "sla_bound": 50,
+        "byzantine_faults": 1, "fault_window_start": 20, "fault_window_end": 120,
+        "seed": 7})
+    cfgs = [load_config(DESK, {"seed": seed}) for seed in (1, 2)]
+    cfgs += [_storm_cfg(1), _storm_cfg(2), campaign]
+    digest = hashlib.sha256()
+    for cfg in cfgs:
+        scenario = Scenario.from_config(cfg)
+        digest.update(repr(scenario.latencies).encode())
+        digest.update(repr([task.demand for task in scenario.workload.tasks]).encode())
+        digest.update(repr([(f.kind.value, f.time, f.target_task, f.magnitude)
+                            for f in scenario.faults]).encode())
+    assert digest.hexdigest() == SCENARIO_INPUTS_SHA256
 
 def _check_every_event(scenario, sched, ckpt, check, collect_log=False):
     """Run ``scenario`` under one policy pair, calling ``check(sim, ev)`` after
