@@ -19,7 +19,7 @@ import random
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .model import FAIL_STOP, Checkpoint, Job
+from .model import FAIL_STOP, Checkpoint
 
 if TYPE_CHECKING:
     from .engine import VirtualNode
@@ -37,22 +37,22 @@ PREVIOUS_RESTART = TccActionKind.PREVIOUS_RESTART
 JOB_MIGRATION = TccActionKind.JOB_MIGRATION
 
 
-def tcc_round(ft_interval: int, gap: int, job: Job,
-              migration_threshold: int) -> TccActionKind:
+def tcc_round(ft_interval: int, gap: int, restarts: int,
+              migration_threshold: int) -> tuple[TccActionKind, int]:
     """Decide the checkpoint action for one node after its monitor round.
 
     ``gap`` is the monitoring gap just assigned by the interval update; on a
     confirmed checkpoint the caller stretches the interval to it.
-    Mutates ``job.restart_count``: restarts increment it, a migration resets
-    it to zero.
+    ``restarts`` counts the job's restarts since its last migration; returns
+    the action and the new count: a restart increments it, a migration
+    resets it to zero.
     """
     if ft_interval < gap:
-        return CONFIRMED_CHECKPOINT
-    job.restart_count += 1
-    if job.restart_count > migration_threshold:
-        job.restart_count = 0
-        return JOB_MIGRATION
-    return PREVIOUS_RESTART
+        return CONFIRMED_CHECKPOINT, restarts
+    restarts += 1
+    if restarts > migration_threshold:
+        return JOB_MIGRATION, 0
+    return PREVIOUS_RESTART, restarts
 
 
 # a kept image: (ckpt_id, time, progress, tainted), Checkpoint's field order

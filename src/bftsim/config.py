@@ -7,7 +7,7 @@ are exactly the SimConfig field names.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, asdict
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -25,7 +25,7 @@ class SimConfig:
     # monitoring / detection
     base_interval: int = 10          # pre-set initial monitoring interval
     ft_interval: int = 10            # initial fault-tolerance interval
-    sla_bound: int = 100             # default per-task SLA delay bound D
+    sla_bound: int = 100             # SLA delay bound D of every task
     delay_low_frac: float = 0.25     # delay class thresholds, fractions of D
     delay_normal_frac: float = 1.0
     delay_high_frac: float = 2.0
@@ -146,10 +146,6 @@ def validate_config(raw: dict) -> SimConfig:
     if cfg.job_count > cfg.task_count:
         raise ConfigError("job_count must not exceed task_count")
     return cfg
-
-
-def config_to_dict(cfg: SimConfig) -> dict:
-    return asdict(cfg)
 
 
 def parse_config_file(path: str | Path) -> dict:

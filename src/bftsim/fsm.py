@@ -56,12 +56,11 @@ ESCALATE = Action.ESCALATE
 
 def classify_delay(delay: float, sla_bound: float,
                    thresholds: tuple[float, float, float] = (0.25, 1.0, 2.0)) -> DelayClass:
-    """Map a measured delay variation to its class relative to the SLA bound."""
-    if sla_bound <= 0:
-        raise ValueError("sla_bound must be positive")
+    """Map a measured delay variation to its class relative to the SLA bound.
+
+    ``sla_bound`` must be positive and ``thresholds`` strictly increasing and
+    positive; ``Simulation`` checks them once, not on every call."""
     t_low, t_normal, t_high = thresholds
-    if not (0 < t_low < t_normal < t_high):
-        raise ValueError("thresholds must be strictly increasing and positive")
     if delay <= t_low * sla_bound:
         return LOW
     if delay <= t_normal * sla_bound:
@@ -76,10 +75,9 @@ def checksum_oracle(contaminated: bool, detect_prob: float, rng: random.Random) 
 
     Clean nodes never produce a false positive.  A contaminated node is
     flagged with probability ``detect_prob``; the engine surfaces misses as
-    high delay variation instead.
+    high delay variation instead.  ``detect_prob`` must lie in [0, 1];
+    ``Simulation`` checks it once, not on every call.
     """
-    if not 0.0 <= detect_prob <= 1.0:
-        raise ValueError("detect_prob out of range [0, 1]")
     if not contaminated:
         return NO_ERROR
     if rng.random() < detect_prob:

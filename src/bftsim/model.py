@@ -92,16 +92,12 @@ class Task:
     task_id: int
     job_id: int
     demand: int                  # nominal service demand, ticks
-    sla_bound: int               # SLA delay bound D, ticks
-    contaminated_output: bool = False
-    completed: bool = False
 
 
 @dataclass
 class Job:
     job_id: int
     task_ids: list[int] = field(default_factory=list)
-    restart_count: int = 0       # previous-checkpoint restarts since last migration
 
 
 @dataclass
@@ -114,6 +110,8 @@ class Server:
     w_count: int = 0
     y_count: int = 0
     active: int = 0              # live nodes hosted
+    obs_time: int = 0            # ticks covered by observations of its nodes
+    over_time: int = 0           # the part of obs_time observed at high delay or worse
 
     @property
     def free_slots(self) -> int:

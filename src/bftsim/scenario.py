@@ -47,8 +47,7 @@ class Workload:
 
 
 def generate_workload(task_count: int, job_count: int, demand_min: int,
-                      demand_max: int, sla_bound: int,
-                      rng: random.Random) -> Workload:
+                      demand_max: int, rng: random.Random) -> Workload:
     """Seeded workload: balanced jobs of tasks with uniform integer demands.
 
     A demand is ``rng.randint(demand_min, demand_max)`` drawn inline by its
@@ -66,7 +65,7 @@ def generate_workload(task_count: int, job_count: int, demand_min: int,
             r = getrandbits(bits)
             while r >= span:
                 r = getrandbits(bits)
-            tasks.append(Task(tid, job_id, demand_min + r, sla_bound))
+            tasks.append(Task(tid, job_id, demand_min + r))
     return Workload(tasks=tasks, jobs=jobs)
 
 

@@ -12,7 +12,7 @@ from bftsim.checkpoint import (
     rollback_loss,
     tcc_round,
 )
-from bftsim.model import Checkpoint, Job, NodeState
+from bftsim.model import Checkpoint, NodeState
 
 
 def _vn(vn_id=1, contaminated=False, state=NodeState.FAIL_SAFE):
@@ -21,31 +21,27 @@ def _vn(vn_id=1, contaminated=False, state=NodeState.FAIL_SAFE):
 
 
 def test_tcc_grown_gap_confirms_and_stretches_interval():
-    job = Job(job_id=0)
-    action = tcc_round(ft_interval=10, gap=20, job=job, migration_threshold=5)
+    action, restarts = tcc_round(ft_interval=10, gap=20, restarts=0, migration_threshold=5)
     assert action is TccActionKind.CONFIRMED_CHECKPOINT
-    assert job.restart_count == 0
+    assert restarts == 0
 
 
 def test_tcc_collapsed_gap_restarts_and_counts():
-    job = Job(job_id=0)
-    action = tcc_round(ft_interval=20, gap=10, job=job, migration_threshold=5)
+    action, restarts = tcc_round(ft_interval=20, gap=10, restarts=0, migration_threshold=5)
     assert action is TccActionKind.PREVIOUS_RESTART
-    assert job.restart_count == 1
+    assert restarts == 1
 
 
 def test_tcc_migrates_past_threshold():
-    job = Job(job_id=0, restart_count=5)
-    action = tcc_round(ft_interval=20, gap=10, job=job, migration_threshold=5)
+    action, restarts = tcc_round(ft_interval=20, gap=10, restarts=5, migration_threshold=5)
     assert action is TccActionKind.JOB_MIGRATION
-    assert job.restart_count == 0
+    assert restarts == 0
 
 
 def test_tcc_exactly_at_threshold_still_restarts():
-    job = Job(job_id=0, restart_count=4)
-    action = tcc_round(ft_interval=20, gap=10, job=job, migration_threshold=5)
+    action, restarts = tcc_round(ft_interval=20, gap=10, restarts=4, migration_threshold=5)
     assert action is TccActionKind.PREVIOUS_RESTART
-    assert job.restart_count == 5
+    assert restarts == 5
 
 
 def test_store_take_and_lineage_lookup():

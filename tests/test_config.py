@@ -1,11 +1,10 @@
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
 
 from bftsim.config import (
     ConfigError,
     SimConfig,
-    config_to_dict,
     load_config,
     parse_config_file,
     validate_config,
@@ -65,7 +64,7 @@ def test_trace_period_is_an_unknown_key():
 
 def test_validation_idempotent():
     cfg = validate_config({"seed": 99, "detect_prob": "0.99"})
-    again = validate_config(config_to_dict(cfg))
+    again = validate_config(asdict(cfg))
     assert cfg == again
 
 

@@ -261,20 +261,20 @@ def test_ledger_running_pending_total_matches_its_blocks(start, progress, restor
 # -- workload and trace ----------------------------------------------------------
 
 def test_generate_workload_constant_demand():
-    wl = generate_workload(12, 3, 100, 100, 50, random.Random(1))
+    wl = generate_workload(12, 3, 100, 100, random.Random(1))
     assert len(wl.jobs) == 3
     assert all(len(j.task_ids) == 4 for j in wl.jobs)
     assert all(t.demand == 100 for t in wl.tasks)
 
 
 def test_generate_workload_deterministic():
-    a = generate_workload(20, 4, 50, 150, 50, random.Random(9))
-    b = generate_workload(20, 4, 50, 150, 50, random.Random(9))
+    a = generate_workload(20, 4, 50, 150, random.Random(9))
+    b = generate_workload(20, 4, 50, 150, random.Random(9))
     assert [t.demand for t in a.tasks] == [t.demand for t in b.tasks]
 
 
 def test_generate_workload_uniform_mean():
-    wl = generate_workload(10 ** 4, 10, 50, 150, 50, random.Random(3))
+    wl = generate_workload(10 ** 4, 10, 50, 150, random.Random(3))
     mean = sum(t.demand for t in wl.tasks) / len(wl.tasks)
     assert abs(mean - 100) < 2
 
@@ -292,7 +292,7 @@ def test_generate_workload_draws_what_randint_draws(seed, low, span, task_count)
     stream in the same state, on spans of 1, 2^k, 2^k+1 and others."""
     rng, reference = random.Random(seed), random.Random(seed)
     job_count = 1 + seed % task_count
-    wl = generate_workload(task_count, job_count, low, low + span - 1, 50, rng)
+    wl = generate_workload(task_count, job_count, low, low + span - 1, rng)
     assert [t.demand for t in wl.tasks] == [reference.randint(low, low + span - 1)
                                            for _ in range(task_count)]
     assert rng.getstate() == reference.getstate()
@@ -303,7 +303,7 @@ def test_generate_workload_draws_what_randint_draws(seed, low, span, task_count)
 
 def test_generate_workload_rejects_an_empty_demand_range():
     with pytest.raises(ValueError, match="demand_max"):
-        generate_workload(4, 1, 101, 100, 50, random.Random(0))
+        generate_workload(4, 1, 101, 100, random.Random(0))
 
 def test_trace_parse(tmp_path):
     path = tmp_path / "util.trace"
@@ -324,7 +324,7 @@ def test_trace_errors(tmp_path, body, needle):
 
 
 def test_scale_demands_cycles_samples():
-    wl = generate_workload(4, 1, 100, 100, 50, random.Random(0))
+    wl = generate_workload(4, 1, 100, 100, random.Random(0))
     scale_demands(wl, [50, 100])
     assert [t.demand for t in wl.tasks] == [50, 100, 50, 100]
 
@@ -397,16 +397,23 @@ def test_fault_target_outside_the_workload_is_rejected_at_build(target):
 
 
 
-@pytest.mark.parametrize("kind,time,target,needle", [
-    ("crash", 35, 1, "fault kind 'crash' is not a FaultKind"),
-    (FaultKind.CRASH, 35.5, 1, "fault time 35.5 is not an int"),
-    (FaultKind.CRASH, True, 1, "fault time True is not an int"),
-    (FaultKind.CRASH, 35, 1.0, "fault target_task 1.0 is not an int"),
-], ids=["kind-str", "time-float", "time-bool", "target-float"])
-def test_malformed_fault_spec_is_rejected_at_build(kind, time, target, needle):
+@pytest.mark.parametrize("kind,time,target,magnitude,needle", [
+    ("crash", 35, 1, 0.0, "fault kind 'crash' is not a FaultKind"),
+    (FaultKind.CRASH, 35.5, 1, 0.0, "fault time 35.5 is not an int"),
+    (FaultKind.CRASH, True, 1, 0.0, "fault time True is not an int"),
+    (FaultKind.CRASH, 35, 1.0, 0.0, "fault target_task 1.0 is not an int"),
+    (FaultKind.DELAY_SPIKE, 35, 1, -1.0, "fault magnitude -1.0 is not"),
+    (FaultKind.DELAY_SPIKE, 35, 1, float("nan"), "fault magnitude nan is not"),
+    (FaultKind.DELAY_SPIKE, 35, 1, True, "fault magnitude True is not"),
+    (FaultKind.DELAY_SPIKE, 35, 1, "1.5", "fault magnitude '1.5' is not"),
+], ids=["kind-str", "time-float", "time-bool", "target-float", "magnitude-negative",
+        "magnitude-nan", "magnitude-bool", "magnitude-str"])
+def test_malformed_fault_spec_is_rejected_at_build(kind, time, target, magnitude, needle):
     """A string kind used to run as a zero-magnitude delay spike, a float time
-    broke the integer-tick ledger, and a bool time was logged as ``True``."""
-    faults = [FaultSpec(kind, time, target)]
+    broke the integer-tick ledger, and a bool time was logged as ``True``.  A
+    negative, non-finite or bool magnitude used to run and be logged, and a
+    string one ended the run in a bare ``TypeError``."""
+    faults = [FaultSpec(kind, time, target, magnitude)]
     with pytest.raises(ScenarioError, match=needle):
         Scenario.from_config(cluster_cfg(), faults)
 
@@ -607,8 +614,9 @@ def test_migration_resets_job_restart_counter():
                       horizon=400, migration_threshold=5)
     scenario = Scenario.from_config(cfg, _stacked_spikes((15, 45, 75, 105, 135, 165)))
     sim = Simulation(scenario)
-    sim.run()
-    assert sim.jobs[0].restart_count == 0
+    report, _ = sim.run()
+    assert report.scalars["migration_count"] == 1
+    assert sim.restarts[0] == 0
 
 
 # -- policy dominance ----------------------------------------------------------
@@ -780,16 +788,6 @@ def test_each_node_keeps_at_most_one_queued_completion(policy):
     assert most and max(most.values()) == 1, most.most_common(3)
 
 
-def test_sharing_one_scenario_leaks_no_state():
-    cfg = load_config(DESK, {"seed": 1})
-    shared = Scenario.from_config(cfg)
-    for sched, ckpt in COMBOS:
-        report, _ = shared.run(sched, ckpt, collect_log=True)
-        fresh, _ = Scenario.from_config(cfg).run(sched, ckpt, collect_log=False)
-        assert report.emit("json") == fresh.emit("json"), (sched, ckpt)
-    assert shared.workload == Scenario.from_config(cfg).workload
-
-
 # SHA-256 of the JSON reports of the 9 combinations on scenarios/desk.cfg at seeds 1 and 2
 DESK_REPORTS_SHA256 = "f380c2c8c2bd117e198e749e8c187d7bbf699807c768e36e25ab8497d7cdefa6"
 
@@ -821,6 +819,19 @@ def _storm_cfg(seed):
         "byzantine_faults": 3, "crash_faults": 3, "delay_faults": 3,
         "fault_window_start": 30, "fault_window_end": 600,
         "propagation_prob": 0.05, "migration_threshold": 1, "seed": seed})
+
+
+@pytest.mark.parametrize("cfg", [load_config(DESK, {"seed": 1}), _storm_cfg(1)],
+                         ids=["desk", "storm"])
+def test_sharing_one_scenario_leaks_no_state(cfg):
+    """The storm config adds the migration, contamination and crash paths,
+    which write the run's per-job and per-node state."""
+    shared = Scenario.from_config(cfg)
+    for sched, ckpt in COMBOS:
+        report, _ = shared.run(sched, ckpt, collect_log=True)
+        fresh, _ = Scenario.from_config(cfg).run(sched, ckpt, collect_log=False)
+        assert report.emit("json") == fresh.emit("json"), (sched, ckpt)
+    assert shared.workload == Scenario.from_config(cfg).workload
 
 
 # SHA-256 of the JSON reports of the 9 combinations on _storm_cfg at seeds 1 and 2

@@ -1,10 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bftsim.config import validate_config
+from bftsim.config import ConfigError, validate_config
+from bftsim.engine import Scenario, Simulation
 from bftsim.fsm import (
     Action,
     byzantine_fsm_step,
@@ -104,13 +106,6 @@ def test_classify_delay_defaults():
     assert classify_delay(250, 100) is EXTREME     # 2.5 > 2.0
 
 
-def test_classify_delay_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        classify_delay(10, 0)
-    with pytest.raises(ValueError):
-        classify_delay(10, 100, thresholds=(1.0, 0.5, 2.0))
-
-
 def test_oracle_clean_never_false_positive():
     rng = random.Random(123)
     assert all(checksum_oracle(False, 0.88, rng) is NOERR for _ in range(10 ** 6))
@@ -128,9 +123,20 @@ def test_oracle_detection_rate_statistics():
     assert abs(hits / n - 0.88) < 0.01
 
 
-def test_oracle_rejects_bad_probability():
-    with pytest.raises(ValueError):
-        checksum_oracle(True, 1.5, random.Random(0))
+@pytest.mark.parametrize("bad,needle", [
+    ({"sla_bound": 0}, "sla_bound must be positive"),
+    ({"delay_low_frac": 1.0, "delay_normal_frac": 0.5}, "strictly increasing"),
+    ({"delay_low_frac": 0.0}, "strictly increasing and positive"),
+    ({"detect_prob": 1.5}, "detect_prob out of range"),
+    ({"detect_prob": -0.1}, "detect_prob out of range"),
+], ids=["sla-bound-zero", "fracs-unordered", "low-frac-zero", "detect-prob-above-one",
+        "detect-prob-negative"])
+def test_simulation_rejects_bad_thresholds(bad, needle):
+    """``classify_delay`` and ``checksum_oracle`` trust their thresholds, so a
+    run checks them once, also on a config built with ``dataclasses.replace``."""
+    scenario = Scenario.from_config(dataclasses.replace(validate_config({}), **bad))
+    with pytest.raises(ConfigError, match=needle):
+        Simulation(scenario)
 
 
 def test_next_interval_triangular_growth():
