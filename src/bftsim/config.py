@@ -68,6 +68,58 @@ class SimConfig:
     horizon: int = 1000
     trace_path: str = ""             # optional utilization trace scaling demands
 
+    def __post_init__(self):
+        """Check every config rule, however the config was built: parsed by
+        ``validate_config``, built directly or made with ``dataclasses.replace``.
+        Every rejection names the offending key."""
+        for name, value in vars(self).items():
+            kind = _FIELD_TYPES[name]
+            if type(value) is not kind and not (kind is float and type(value) is int):
+                raise ConfigError(f"{name} must be {kind.__name__}, not {type(value).__name__}")
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        for name in ("base_interval", "ft_interval", "sla_bound", "suspect_threshold",
+                     "migration_threshold", "server_count", "server_capacity",
+                     "task_count", "job_count", "demand_min", "horizon",
+                     "indep_mean_gap"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        for name in ("checkpoint_write_cost", "restart_cost", "migration_cost",
+                     "monitor_cost", "byzantine_faults", "crash_faults", "delay_faults",
+                     "fault_window_start", "latency_sigma", "delay_magnitude",
+                     "preeval_cost"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        for name in ("detect_prob", "propagation_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} out of range [0, 1]")
+        if self.ft_interval < self.base_interval:
+            raise ConfigError("ft_interval must be >= base_interval")
+        if not (0 < self.delay_low_frac < self.delay_normal_frac < self.delay_high_frac):
+            raise ConfigError("delay_low_frac/delay_normal_frac/delay_high_frac must be strictly increasing and positive")
+        if self.demand_max < self.demand_min:
+            raise ConfigError("demand_max must be >= demand_min")
+        if self.latency_mean_max < self.latency_mean_min or self.latency_mean_min < 0:
+            raise ConfigError("latency_mean_min/latency_mean_max must be a non-negative non-decreasing pair")
+        if self.fault_window_end <= self.fault_window_start:
+            raise ConfigError("fault_window_end must exceed fault_window_start")
+        if (self.byzantine_faults or self.crash_faults or self.delay_faults) \
+                and self.fault_window_end >= self.horizon:
+            raise ConfigError("fault_window_end must be below horizon")
+        if self.scheduler not in SCHEDULERS:
+            raise ConfigError(f"scheduler must be one of {SCHEDULERS}")
+        if self.checkpoint_policy not in CHECKPOINT_POLICIES:
+            raise ConfigError(f"checkpoint_policy must be one of {CHECKPOINT_POLICIES}")
+        if self.interval_growth not in GROWTH_POLICIES:
+            raise ConfigError(f"interval_growth must be one of {GROWTH_POLICIES}")
+        if self.job_count > self.task_count:
+            raise ConfigError("job_count must not exceed task_count")
+        shortfall = self.task_count - self.server_count * self.server_capacity
+        if shortfall > 0:
+            raise ConfigError(f"task_count exceeds server_count * server_capacity: "
+                              f"capacity shortfall of {shortfall} tasks")
+
 
 _BOOL_TOKENS = {"true": True, "false": False, "1": True, "0": False,
                 "yes": True, "no": False}
@@ -77,7 +129,7 @@ _FLOAT_FIELDS = tuple(name for name, kind in _FIELD_TYPES.items() if kind is flo
 
 
 def _coerce(key: str, raw, target_type):
-    if isinstance(raw, target_type) and not (target_type is int and isinstance(raw, bool)):
+    if type(raw) is target_type:
         return raw
     text = str(raw).strip()
     try:
@@ -93,11 +145,12 @@ def _coerce(key: str, raw, target_type):
 
 
 def validate_config(raw: dict) -> SimConfig:
-    """Build a validated SimConfig from a raw key-value mapping.
+    """Build a SimConfig from a raw key-value mapping.
 
-    Fills defaults for missing keys.  Every rejection names the offending
-    key.  Validating an already-valid config's dict form returns an equal
-    config (idempotence).
+    Rejects unknown keys and coerces each value to its field's type; the
+    config rules themselves are ``SimConfig``'s.  Fills defaults for missing
+    keys.  Every rejection names the offending key.  Validating an
+    already-valid config's dict form returns an equal config (idempotence).
     """
     values = {}
     for key, raw_value in raw.items():
@@ -105,47 +158,7 @@ def validate_config(raw: dict) -> SimConfig:
         if target_type is None:
             raise ConfigError(f"unknown config key: {key}")
         values[key] = _coerce(key, raw_value, target_type)
-    cfg = SimConfig(**values)
-    for name in _FLOAT_FIELDS:
-        if not math.isfinite(getattr(cfg, name)):
-            raise ConfigError(f"{name} must be finite")
-    for name in ("base_interval", "ft_interval", "sla_bound", "suspect_threshold",
-                 "migration_threshold", "server_count", "server_capacity",
-                 "task_count", "job_count", "demand_min", "horizon",
-                 "indep_mean_gap"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
-    for name in ("checkpoint_write_cost", "restart_cost", "migration_cost",
-                 "monitor_cost", "byzantine_faults", "crash_faults", "delay_faults",
-                 "fault_window_start", "latency_sigma", "delay_magnitude",
-                 "preeval_cost"):
-        if getattr(cfg, name) < 0:
-            raise ConfigError(f"{name} must be >= 0")
-    for name in ("detect_prob", "propagation_prob"):
-        if not 0.0 <= getattr(cfg, name) <= 1.0:
-            raise ConfigError(f"{name} out of range [0, 1]")
-    if cfg.ft_interval < cfg.base_interval:
-        raise ConfigError("ft_interval must be >= base_interval")
-    if not (0 < cfg.delay_low_frac < cfg.delay_normal_frac < cfg.delay_high_frac):
-        raise ConfigError("delay_low_frac/delay_normal_frac/delay_high_frac must be strictly increasing and positive")
-    if cfg.demand_max < cfg.demand_min:
-        raise ConfigError("demand_max must be >= demand_min")
-    if cfg.latency_mean_max < cfg.latency_mean_min or cfg.latency_mean_min < 0:
-        raise ConfigError("latency_mean_min/latency_mean_max must be a non-negative non-decreasing pair")
-    if cfg.fault_window_end <= cfg.fault_window_start:
-        raise ConfigError("fault_window_end must exceed fault_window_start")
-    if (cfg.byzantine_faults or cfg.crash_faults or cfg.delay_faults) \
-            and cfg.fault_window_end >= cfg.horizon:
-        raise ConfigError("fault_window_end must be below horizon")
-    if cfg.scheduler not in SCHEDULERS:
-        raise ConfigError(f"scheduler must be one of {SCHEDULERS}")
-    if cfg.checkpoint_policy not in CHECKPOINT_POLICIES:
-        raise ConfigError(f"checkpoint_policy must be one of {CHECKPOINT_POLICIES}")
-    if cfg.interval_growth not in GROWTH_POLICIES:
-        raise ConfigError(f"interval_growth must be one of {GROWTH_POLICIES}")
-    if cfg.job_count > cfg.task_count:
-        raise ConfigError("job_count must not exceed task_count")
-    return cfg
+    return SimConfig(**values)
 
 
 def parse_config_file(path: str | Path) -> dict:

@@ -55,11 +55,12 @@ ESCALATE = Action.ESCALATE
 
 
 def classify_delay(delay: float, sla_bound: float,
-                   thresholds: tuple[float, float, float] = (0.25, 1.0, 2.0)) -> DelayClass:
+                   thresholds: tuple[float, float, float]) -> DelayClass:
     """Map a measured delay variation to its class relative to the SLA bound.
 
     ``sla_bound`` must be positive and ``thresholds`` strictly increasing and
-    positive; ``Simulation`` checks them once, not on every call."""
+    positive; ``SimConfig`` guarantees both for the values the engine passes,
+    so no call checks them."""
     t_low, t_normal, t_high = thresholds
     if delay <= t_low * sla_bound:
         return LOW
@@ -76,7 +77,8 @@ def checksum_oracle(contaminated: bool, detect_prob: float, rng: random.Random) 
     Clean nodes never produce a false positive.  A contaminated node is
     flagged with probability ``detect_prob``; the engine surfaces misses as
     high delay variation instead.  ``detect_prob`` must lie in [0, 1];
-    ``Simulation`` checks it once, not on every call.
+    ``SimConfig`` guarantees it for the value the engine passes, so no call
+    checks it.
     """
     if not contaminated:
         return NO_ERROR

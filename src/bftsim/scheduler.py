@@ -59,7 +59,7 @@ def _check_capacity(task_ids: list[int], servers: list[Server]) -> None:
 
 
 def mesf_assign(task_ids: list[int], servers: list[Server],
-                preeval_cost: float = 0.03) -> tuple[dict[int, int], float]:
+                preeval_cost: float) -> tuple[dict[int, int], float]:
     """Pack tasks onto the fewest servers, most efficient (lowest mean latency)
     first.  Returns (task id -> server id, pre-evaluation charge): the cost
     is paid once per candidate server."""

@@ -58,6 +58,15 @@ def test_run_missing_config_names_path(tmp_path, capsys):
     assert "nope.cfg" in capsys.readouterr().err
 
 
+def test_run_capacity_shortfall_is_a_config_error(tmp_path, capsys):
+    """8 tasks on 2 servers of 2 slots: the config fails at load, before a run."""
+    path = tmp_path / "tight.cfg"
+    path.write_text(BASE_CFG.replace("server_count = 4", "server_count = 2"))
+    code = main(["run", "--config", str(path)])
+    assert code == 2
+    assert "capacity shortfall of 4 tasks" in capsys.readouterr().err
+
+
 def test_run_seed_repeat_is_byte_identical(tmp_path, cfg_file):
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     log_a, log_b = tmp_path / "a.log", tmp_path / "b.log"

@@ -1,4 +1,4 @@
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -25,7 +25,13 @@ def test_reference_operating_point_accepted():
     assert cfg.suspect_threshold == 3
 
 
-@pytest.mark.parametrize("raw,needle", [
+def _replace_defaults(raw):
+    return replace(SimConfig(), **raw)
+
+
+_FIELD_NAMES = {f.name for f in fields(SimConfig)}
+
+REJECTIONS = [
     ({"base_interval": 0}, "base_interval"),
     ({"ft_interval": 0}, "ft_interval"),
     ({"detect_prob": 1.5}, "detect_prob"),
@@ -40,19 +46,50 @@ def test_reference_operating_point_accepted():
     ({"job_count": 9, "task_count": 4}, "job_count"),
     ({"ft_interval": 5, "base_interval": 10}, "ft_interval"),
     ({"nonsense_key": 1}, "nonsense_key"),
-])
-def test_rejections_name_offending_key(raw, needle):
+    ({"horizon": -5}, "horizon"),
+    ({"indep_mean_gap": 0, "checkpoint_policy": "independent"}, "indep_mean_gap"),
+    ({"checkpoint_write_cost": -3}, "checkpoint_write_cost"),
+    ({"base_interval": 12.5, "ft_interval": 12.5}, "base_interval"),
+    ({"horizon": True}, "horizon"),
+    ({"task_count": 8.0}, "task_count"),
+    ({"sla_bound": 0}, "sla_bound"),
+    ({"delay_low_frac": 1.0, "delay_normal_frac": 0.5}, "delay_low_frac"),
+    ({"delay_low_frac": 0.0}, "delay_low_frac"),
+    ({"task_count": 30, "job_count": 3, "server_count": 2, "server_capacity": 4},
+     "task_count"),
+]
+
+
+def _rejection_cases():
+    """Every row through ``validate_config``, and every row that names only
+    config fields through ``dataclasses.replace`` as well."""
+    for i, (raw, needle) in enumerate(REJECTIONS):
+        yield pytest.param(validate_config, raw, needle, id=f"raw{i}-{needle}")
+        if set(raw) <= _FIELD_NAMES:
+            yield pytest.param(_replace_defaults, raw, needle, id=f"replace-raw{i}-{needle}")
+
+
+@pytest.mark.parametrize("build,raw,needle", _rejection_cases())
+def test_rejections_name_offending_key(build, raw, needle):
+    """A config is checked however it is built, so no rejection needs a run."""
     with pytest.raises(ConfigError, match=needle):
-        validate_config(raw)
+        build(raw)
 
 
-@pytest.mark.parametrize("value", ["inf", "-inf", float("nan")])
-@pytest.mark.parametrize("key", [f.name for f in fields(SimConfig) if f.type == "float"])
-def test_non_finite_floats_are_rejected(key, value):
+def _non_finite_cases():
+    """Parsed values may be strings; a replaced float field must hold a float."""
+    for key in (f.name for f in fields(SimConfig) if f.type == "float"):
+        for value in ("inf", "-inf", float("nan")):
+            yield pytest.param(validate_config, key, value, id=f"{key}-{value}")
+            yield pytest.param(_replace_defaults, key, float(value), id=f"replace-{key}-{value}")
+
+
+@pytest.mark.parametrize("build,key,value", _non_finite_cases())
+def test_non_finite_floats_are_rejected(build, key, value):
     """An infinite or NaN float would overflow ``math.ceil`` in the mesf
     pre-evaluation cost or turn every delay spike into NaN."""
     with pytest.raises(ConfigError, match=f"{key} must be finite"):
-        validate_config({key: value})
+        build({key: value})
 
 
 def test_trace_period_is_an_unknown_key():

@@ -377,9 +377,9 @@ def test_run_determinism(base_cfg):
 
 
 def test_infeasible_placement_names_shortfall():
-    cfg = cluster_cfg(task_count=30, job_count=3, server_count=2, server_capacity=4)
-    with pytest.raises(ScenarioError, match="22"):
-        run_scenario(cfg)
+    """Capacity is a config rule: an infeasible config fails when it is built."""
+    with pytest.raises(ConfigError, match="capacity shortfall of 22 tasks"):
+        cluster_cfg(task_count=30, job_count=3, server_count=2, server_capacity=4)
 
 
 def test_fault_before_time_zero_is_rejected_at_build():

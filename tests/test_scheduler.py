@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from bftsim.config import SimConfig
 from bftsim.model import FailureKind, Server
 from bftsim.scheduler import (
     mesf_assign,
@@ -13,6 +14,8 @@ from bftsim.scheduler import (
     record_failure,
     select_servers,
 )
+
+PREEVAL_COST = SimConfig().preeval_cost
 
 
 def _server(sid, count=0, capacity=4, latency=10.0):
@@ -79,25 +82,25 @@ def test_select_servers_none_without_a_free_slot():
 
 def test_mesf_packs_most_efficient_first():
     s1, s2 = _server(1, latency=3.0), _server(2, latency=9.0)
-    mapping, charge = mesf_assign(list(range(4)), [s2, s1])
+    mapping, charge = mesf_assign(list(range(4)), [s2, s1], PREEVAL_COST)
     assert set(mapping.values()) == {1}
     assert charge == pytest.approx(0.06)
 
 
 def test_mesf_overflows_to_next_server():
     s1, s2 = _server(1, latency=3.0), _server(2, latency=9.0)
-    mapping, _ = mesf_assign(list(range(5)), [s1, s2])
+    mapping, _ = mesf_assign(list(range(5)), [s1, s2], PREEVAL_COST)
     placed = list(mapping.values())
     assert placed.count(1) == 4 and placed.count(2) == 1
 
 
 def test_mesf_single_server_forced():
-    assert mesf_assign([0], [_server(1)])[0] == {0: 1}
+    assert mesf_assign([0], [_server(1)], PREEVAL_COST)[0] == {0: 1}
 
 
 def test_mesf_capacity_rejection_names_shortfall():
     with pytest.raises(ValueError, match="3"):
-        mesf_assign(list(range(7)), [_server(1)])
+        mesf_assign(list(range(7)), [_server(1)], PREEVAL_COST)
 
 
 def _mesf_assign_by_iterator(task_ids, servers):
@@ -125,7 +128,7 @@ def test_mesf_first_fit_matches_the_iterator_walk(specs, data):
     free = sum(s.free_slots for s in servers)
     assume(free > 0)
     tasks = list(range(data.draw(st.integers(1, free))))
-    mapping, _ = mesf_assign(tasks, servers)
+    mapping, _ = mesf_assign(tasks, servers, PREEVAL_COST)
     assert mapping == _mesf_assign_by_iterator(tasks, servers)
 
 
