@@ -184,7 +184,9 @@ def cmd_rank(args) -> int:
             sid = int(server_tok.lstrip("s"))
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad server token {server_tok!r}") from None
-        server = servers.setdefault(sid, Server(server_id=sid, capacity=0))
+        server = servers.get(sid)
+        if server is None:
+            server = servers[sid] = Server(server_id=sid, capacity=0)
         if fieldmap["checksum"] == "error":
             record_failure(server, FailureKind.ERRONEOUS)
             saw_failure = True

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
 from operator import attrgetter
@@ -179,6 +178,9 @@ class VnLedger:
     worked tick.
     """
 
+    __slots__ = ("start", "anchor", "progress", "work", "pause", "restore",
+                 "restore_due", "pause_due", "stopped")
+
     def __init__(self, start: int, progress: int, restore: int = 0):
         self.start = start
         self.anchor = start
@@ -242,26 +244,32 @@ class VnLedger:
         return end - self.start
 
 
-@dataclass
 class VirtualNode:
     """One incarnation of a virtual node executing a task.  A live node is
     fail-stopped exactly when it crashed: a fail-stop verdict of the
     detection machine retires the node in the same monitor round."""
-    vn_id: int
-    task: Task
-    job: Job
-    server: Server
-    ledger: VnLedger
-    ft_interval: int
-    gap: int = 0                 # current monitoring gap, multiple of the base interval
-    next_monitor: int = 0
-    state: NodeState = FAIL_SAFE
-    suspect_rounds: int = 0      # consecutive Byzantine-state observations
-    contaminated: bool = False
-    spike_delay: float = 0.0
-    completion: tuple[int, int] | None = None   # (time, seq) the node is due to finish at
-    completion_queued: bool = False             # a completion event of this node is in the heap
-    last_obs_time: int = 0
+
+    __slots__ = ("vn_id", "task", "job", "server", "ledger", "ft_interval", "gap",
+                 "next_monitor", "state", "suspect_rounds", "contaminated", "spike_delay",
+                 "completion", "completion_queued", "last_obs_time")
+
+    def __init__(self, vn_id: int, task: Task, job: Job, server: Server, ledger: VnLedger,
+                 ft_interval: int, last_obs_time: int = 0):
+        self.vn_id = vn_id
+        self.task = task
+        self.job = job
+        self.server = server
+        self.ledger = ledger
+        self.ft_interval = ft_interval
+        self.gap = 0                 # current monitoring gap, multiple of the base interval
+        self.next_monitor = 0
+        self.state: NodeState = FAIL_SAFE
+        self.suspect_rounds = 0      # consecutive Byzantine-state observations
+        self.contaminated = False
+        self.spike_delay = 0.0
+        self.completion: tuple[int, int] | None = None   # (time, seq) the node is due to finish at
+        self.completion_queued = False   # a completion event of this node is in the heap
+        self.last_obs_time = last_obs_time
 
 
 class Scenario:

@@ -12,7 +12,6 @@ import io
 import csv
 import json
 import math
-from dataclasses import dataclass
 
 
 SCALAR_METRICS = (
@@ -52,13 +51,16 @@ _NON_NEGATIVE = set(SAMPLE_METRICS)
 PERCENT_METRICS = tuple(m for m in SCALAR_METRICS if m.endswith("_pct"))
 
 
-@dataclass
 class SampleStat:
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = 0.0
-    low: float = math.inf
-    high: float = -math.inf
+    __slots__ = ("count", "mean", "_m2", "low", "high")
+
+    def __init__(self, count: int = 0, mean: float = 0.0,
+                 low: float = math.inf, high: float = -math.inf):
+        self.count = count
+        self.mean = mean
+        self._m2 = 0.0           # sum of squared deviations from the mean
+        self.low = low
+        self.high = high
 
     def add(self, x: float) -> None:
         self.count += 1

@@ -8,8 +8,8 @@ is absorbing everywhere.  All times are integer simulation ticks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 
 # Per-event code reads enum members through the module-level names bound
@@ -87,43 +87,53 @@ STATUS_TOKENS = {s.value: s for s in CheckpointStatus}
 PERFORMANCE_TOKENS = {p.value: p for p in PerformanceClass}
 
 
-@dataclass
-class Task:
+# Scenario records are NamedTuples, read-only by type.  Run state lives on
+# plain classes with ``__slots__`` and a hand-written ``__init__``, so a
+# misspelt attribute write raises.  Neither is a dataclass: each dataclass
+# costs close to a millisecond of generated code at every import, and
+# ``SimConfig`` is the only one (see README "Performance notes").
+
+class Task(NamedTuple):
     task_id: int
     job_id: int
     demand: int                  # nominal service demand, ticks
 
 
-@dataclass
-class Job:
+class Job(NamedTuple):
     job_id: int
-    task_ids: list[int] = field(default_factory=list)
+    task_ids: list[int]
 
 
-@dataclass
-class Server:
-    server_id: int
-    capacity: int
-    latency_mean: float = 0.0
-    latency_sigma: float = 0.0
-    fail_count: int = 0
-    w_count: int = 0
-    y_count: int = 0
-    active: int = 0              # live nodes hosted
-    obs_time: int = 0            # ticks covered by observations of its nodes
-    over_time: int = 0           # the part of obs_time observed at high delay or worse
-
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - self.active
-
-
-@dataclass(slots=True)
-class Checkpoint:
+class Checkpoint(NamedTuple):
     ckpt_id: int
     time: int
     progress: int                # task progress captured in the image
     tainted: bool                # ground truth: the node was contaminated when imaged
+
+
+class Server:
+    """A physical server: its capacity and latency, the live nodes it hosts
+    and the failure record the schedulers rank it by."""
+
+    __slots__ = ("server_id", "capacity", "latency_mean", "latency_sigma", "fail_count",
+                 "w_count", "y_count", "active", "obs_time", "over_time")
+
+    def __init__(self, server_id: int, capacity: int, latency_mean: float = 0.0,
+                 latency_sigma: float = 0.0):
+        self.server_id = server_id
+        self.capacity = capacity
+        self.latency_mean = latency_mean
+        self.latency_sigma = latency_sigma
+        self.fail_count = 0
+        self.w_count = 0
+        self.y_count = 0
+        self.active = 0          # live nodes hosted
+        self.obs_time = 0        # ticks covered by observations of its nodes
+        self.over_time = 0       # the part of obs_time observed at high delay or worse
+
+    @property
+    def free_slots(self) -> int:
+        return self.capacity - self.active
 
 
 def split_application(task_count: int, job_count: int) -> list[Job]:

@@ -8,9 +8,9 @@ faults.  ``engine.Scenario`` assembles them with the server topology.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import SimConfig
 from .model import Job, Task, split_application
@@ -32,16 +32,14 @@ CRASH_FAULT = FaultKind.CRASH
 _KIND_TOKEN = {kind: kind.value for kind in FaultKind}   # the fault trace's sort key
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(NamedTuple):
     kind: FaultKind
     time: int
     target_task: int                 # resolved to the task's current node
     magnitude: float = 0.0           # delay spike size, fraction of the SLA bound
 
 
-@dataclass
-class Workload:
+class Workload(NamedTuple):
     tasks: list[Task]
     jobs: list[Job]
 
@@ -93,10 +91,12 @@ def load_utilization_trace(path: str | Path) -> list[int]:
 
 
 def scale_demands(workload: Workload, series: list[int]) -> None:
-    """Scale task demands by the utilization percentages, cycling samples."""
-    for task in workload.tasks:
+    """Scale task demands by the utilization percentages, cycling samples.
+    Tasks are read-only, so each is replaced in ``workload.tasks``."""
+    tasks = workload.tasks
+    for i, task in enumerate(tasks):
         pct = series[task.task_id % len(series)]
-        task.demand = max(1, round(task.demand * pct / 100))
+        tasks[i] = task._replace(demand=max(1, round(task.demand * pct / 100)))
 
 
 def scenario_id(cfg: SimConfig, faults: list[FaultSpec]) -> str:

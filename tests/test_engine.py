@@ -87,7 +87,8 @@ def test_a_run_builds_objects_only_for_nodes_and_images():
     """Inside ``Simulation.run()`` the only bftsim objects built are one node
     and one ledger per spawn and one ``Checkpoint`` per image a lookup
     returns: events, observations, interval updates, tcc actions and the
-    kept images are plain values.  A returned image is slotted (no instance
+    kept images are plain values.  Both ``__init__`` and NamedTuple ``__new__``
+    frames are counted.  A returned image is slotted (no instance
     ``__dict__``)."""
     store = CheckpointStore()
     store.take(SimpleNamespace(vn_id=1, state=NodeState.FAIL_SAFE, contaminated=False),
@@ -97,11 +98,20 @@ def test_a_run_builds_objects_only_for_nodes_and_images():
     found = Counter()
 
     def count_inits(frame, event, _arg):
+        # an ``__init__`` frame, or a NamedTuple's generated ``__new__``,
+        # whose first argument is ``_cls``
         code = frame.f_code
-        if event == "call" and code.co_name == "__init__" and code.co_argcount:
-            cls = type(frame.f_locals[code.co_varnames[0]])
-            if cls.__module__.startswith("bftsim."):
-                built[cls.__name__] += 1
+        if event != "call" or not code.co_argcount:
+            return
+        first = code.co_varnames[0]
+        if code.co_name == "__init__":
+            cls = type(frame.f_locals[first])
+        elif first == "_cls":
+            cls = frame.f_locals[first]
+        else:
+            return
+        if cls.__module__.startswith("bftsim."):
+            built[cls.__name__] += 1
 
     def counting(lookup):
         def wrapper(*args, **kwargs):

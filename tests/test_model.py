@@ -1,9 +1,20 @@
+import dataclasses
+import importlib
+import inspect
 import itertools
+import pkgutil
+import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bftsim
+from bftsim.checkpoint import CheckpointStore
+from bftsim.config import SimConfig
+from bftsim.engine import VirtualNode, VnLedger
+from bftsim.metrics import SampleStat
 from bftsim.model import (
     CHECKSUM_TOKENS,
     DELAY_TOKENS,
@@ -15,8 +26,10 @@ from bftsim.model import (
     DelayClass,
     NodeState,
     PerformanceClass,
+    Server,
     split_application,
 )
+from bftsim.scenario import generate_faults, generate_workload
 
 
 def _balanced_partition_oracle(task_count, job_count):
@@ -82,3 +95,43 @@ def test_enum_tokens_round_trip():
     assert set(STATUS_TOKENS.values()) == set(CheckpointStatus)
     assert set(PERFORMANCE_TOKENS.values()) == set(PerformanceClass)
     assert set(STATE_TOKENS.values()) == set(NodeState)
+
+
+# -- record types -----------------------------------------------------------
+
+def test_scenario_records_are_read_only():
+    """A run never writes the scenario's records, and their types enforce it."""
+    workload = generate_workload(6, 2, 10, 20, random.Random(1))
+    spec = generate_faults(SimConfig(task_count=6, job_count=2, byzantine_faults=1))[0]
+    store = CheckpointStore()
+    store.take(SimpleNamespace(vn_id=1, state=NodeState.FAIL_SAFE, contaminated=False), 5, 3, 0)
+    ckpt = store.latest(0)
+    for record, attr in ((workload.tasks[0], "demand"), (workload.jobs[0], "job_id"),
+                         (spec, "time"), (workload, "tasks"), (ckpt, "progress")):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, getattr(record, attr))
+
+
+def test_run_state_records_reject_misspelt_attributes():
+    """Run state is slotted: a misspelt write raises instead of adding a field."""
+    workload = generate_workload(2, 1, 10, 20, random.Random(1))
+    server = Server(1, 2)
+    ledger = VnLedger(0, 0)
+    rt = VirtualNode(1, workload.tasks[0], workload.jobs[0], server, ledger, 10)
+    for record, attr in ((rt, "suspect_round"), (ledger, "progres"),
+                         (server, "fail_counts"), (SampleStat(), "cnt")):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, 1)
+
+
+def test_simconfig_is_the_only_dataclass():
+    """Each dataclass costs about a millisecond of generated code at import,
+    so ``SimConfig`` (whose ``replace``/``fields``/``asdict`` API is public)
+    is the only one in bftsim."""
+    names = [info.name for info in pkgutil.iter_modules(bftsim.__path__, "bftsim.")
+             if info.name != "bftsim.__main__"]   # importing it runs the CLI
+    assert "bftsim.engine" in names
+    classes = {cls for name in names
+               for _, cls in inspect.getmembers(importlib.import_module(name), inspect.isclass)
+               if cls.__module__.startswith("bftsim.")}
+    assert [cls for cls in classes if dataclasses.is_dataclass(cls)] == [SimConfig]
