@@ -60,31 +60,55 @@ Image = tuple[int, int, int, bool]
 
 
 class CheckpointStore:
-    """Ledger of every checkpoint taken in a scenario.
+    """The checkpoint images a run can still restore, by lineage: a task keeps
+    its chain across node replacements, so a new node restores the image its
+    predecessor wrote.  Images are plain ``Image`` tuples, and a lookup builds
+    the ``Checkpoint`` it returns.
 
-    Images are indexed by lineage: the task keeps its checkpoint chain
-    across node replacements, so a freshly started node can restore the
-    image its predecessor wrote.  A run writes thousands of images and reads
-    back a handful, so each is kept as a plain ``Image`` tuple: a write
-    builds no object, and a lookup builds the ``Checkpoint`` it returns.
+    Without ``history`` no lookup reaches past a lineage's newest clean image
+    (``before=`` raises), so a clean write restarts the chain: it holds at
+    most one clean image, then the tainted ones written after it.  ``taken``
+    counts the images written, ``len`` the images kept.
     """
 
-    def __init__(self):
-        self.records: list[Image] = []
+    def __init__(self, history: bool = True):
+        self.history = history
+        self.taken = 0     # the next ckpt_id
+        self.dropped = 0
         self._by_lineage: dict[int, list[Image]] = {}
+
+    def __len__(self) -> int:
+        return self.taken - self.dropped
+
+    @property
+    def records(self) -> CheckpointStore:   # sized as the images kept
+        return self
 
     def take(self, vn: VirtualNode, time: int, progress: int, lineage_id: int) -> int:
         """Image ``vn`` at ``time`` into the lineage's chain; returns its ``ckpt_id``."""
         if vn.state is FAIL_STOP:
             raise ValueError(f"cannot checkpoint fail-stopped node v{vn.vn_id}")
-        ckpt_id = len(self.records)
-        image = (ckpt_id, time, progress, vn.contaminated)
-        self.records.append(image)
-        self._by_lineage.setdefault(lineage_id, []).append(image)
+        ckpt_id = self.taken
+        self.taken = ckpt_id + 1
+        tainted = vn.contaminated
+        image = (ckpt_id, time, progress, tainted)
+        chain = self._by_lineage.get(lineage_id)
+        if chain is None:
+            self._by_lineage[lineage_id] = [image]
+        elif tainted or self.history:
+            chain.append(image)
+        elif len(chain) == 1:   # the usual clean write without history
+            chain[0] = image
+            self.dropped += 1
+        else:
+            self.dropped += len(chain)
+            self._by_lineage[lineage_id] = [image]
         return ckpt_id
 
     def latest_clean(self, lineage_id: int, before: int | None = None) -> Checkpoint | None:
         """Newest untainted image in the lineage, optionally no newer than ``before``."""
+        if before is not None and not self.history:
+            raise ValueError("a store without history has no older images")
         for image in reversed(self._by_lineage.get(lineage_id, ())):
             _, time, _, tainted = image
             if tainted or (before is not None and time > before):
@@ -94,11 +118,12 @@ class CheckpointStore:
 
     def abandon_after(self, lineage_id: int, target: Checkpoint | None) -> None:
         """Forget the lineage's images newer than ``target`` (all of them for the
-        initial state): a rollback abandons their timeline.  ``records`` keeps them."""
+        initial state): a rollback abandons their timeline."""
         chain = self._by_lineage.get(lineage_id, [])
         kept = target.ckpt_id if target else -1
         while chain and chain[-1][0] > kept:
             chain.pop()
+            self.dropped += 1
 
     def latest(self, lineage_id: int) -> Checkpoint | None:
         chain = self._by_lineage.get(lineage_id)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from enum import Enum
+from functools import partial
 from heapq import heappop, heappush
 from operator import attrgetter
 
@@ -126,16 +127,10 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def take_seq(self) -> int:
-        """Hand out the next sequence number."""
-        seq = self._seq
-        self._seq += 1
-        return seq
-
     def push(self, time: int, kind: EventKind, target: int | None = None,
              seq: int | None = None) -> tuple:
-        """Insert an event; ``seq`` inserts it under a number taken earlier
-        with ``take_seq`` instead of the next one."""
+        """Insert an event; ``seq`` inserts it under a number reserved earlier
+        (``Simulation._retime``) instead of the next one."""
         if time < self.clock:
             raise CausalityError(
                 f"causality violation: insert at t={time} after clock reached {self.clock}")
@@ -157,7 +152,8 @@ class EventQueue:
 
     def synthesize(self, kind: EventKind, time: int) -> tuple:
         """An event that never enters the heap, numbered in insertion order."""
-        return time, self.take_seq(), kind, None
+        self._seq += 1
+        return time, self._seq - 1, kind, None
 
 
 def propagate_contamination(clean_ids: list[int], prop_prob: float,
@@ -375,10 +371,16 @@ class Checkpointing:
     """Checkpoint-policy rules.  The defaults schedule no checkpoint rounds,
     apply the detection machine's action on a monitor round and roll back to
     the newest clean image; each policy overrides where it differs, and a
-    policy that schedules rounds handles them in ``on_round``."""
+    policy that schedules rounds handles them in ``on_round``.  With
+    ``history`` a rollback may reach past a lineage's newest clean image."""
+
+    history = False
 
     def start_rounds(self, sim: Simulation) -> None:
         pass
+
+    def on_round(self, sim: Simulation, ev: tuple) -> str:
+        raise NotImplementedError
 
     def on_spawn(self, sim: Simulation, rt: VirtualNode) -> None:
         pass
@@ -407,6 +409,8 @@ class TccCheckpointing(Checkpointing):
     """Confirms an image while the gap grows, restarts from the previous one
     when it collapses, and migrates the job past the restart threshold."""
 
+    history = True   # a migration restores a job-consistent image, maybe an older one
+
     def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: Action,
                    in_monitor: bool) -> str:
         job_id = rt.job.job_id
@@ -415,7 +419,7 @@ class TccCheckpointing(Checkpointing):
         if kind is CONFIRMED_CHECKPOINT:
             rt.ft_interval = gap
             if in_monitor:
-                sim._take_vn_checkpoint(rt, t)
+                sim._retime(rt, t, sim.cfg.checkpoint_write_cost, image=True)
                 sim._advance_monitor(rt, t, gap)
             if not sim.collect_log:
                 return ""
@@ -435,15 +439,17 @@ class SyncCheckpointing(Checkpointing):
 
     def on_round(self, sim: Simulation, ev: tuple) -> str:
         t, _, _, job_id = ev
-        live = [rt for rt in sim.job_nodes[job_id].values() if rt.state is not FAIL_STOP]
-        for rt in live:
-            sim._take_vn_checkpoint(rt, t)
+        cost, taken = sim.cfg.checkpoint_write_cost, 0
+        for rt in sim.job_nodes[job_id].values():
+            if rt.state is not FAIL_STOP:
+                sim._retime(rt, t, cost, image=True)
+                taken += 1
         nxt = t + sim.cfg.ft_interval
         if nxt <= sim.cfg.horizon and sim.unfinished[job_id]:
             sim.queue.push(nxt, CHECKPOINT_ROUND, job_id)
         if not sim.collect_log:
             return ""
-        return f"job=j{job_id};taken={len(live)}"
+        return f"job=j{job_id};taken={taken}"
 
 
 class IndependentCheckpointing(Checkpointing):
@@ -451,24 +457,23 @@ class IndependentCheckpointing(Checkpointing):
     latest image only the initial state is left to fall back to."""
 
     def on_spawn(self, sim: Simulation, rt: VirtualNode) -> None:
-        self._next_round(sim, rt, rt.ledger.start)
+        t = rt.ledger.start
+        gap = independent_gap(sim.rng, sim.cfg.indep_mean_gap)
+        if t + gap <= sim.cfg.horizon:
+            sim.queue.push(t + gap, CHECKPOINT_ROUND, rt.vn_id)
 
     def on_round(self, sim: Simulation, ev: tuple) -> str:
         t, _, _, vn_id = ev
         rt = sim.runtimes.get(vn_id)
         if rt is None or rt.state is FAIL_STOP:
             return "stale=1"
-        sim._take_vn_checkpoint(rt, t)
-        gap = self._next_round(sim, rt, t)
+        sim._retime(rt, t, sim.cfg.checkpoint_write_cost, image=True)
+        gap = independent_gap(sim.rng, sim.cfg.indep_mean_gap)   # as in on_spawn
+        if t + gap <= sim.cfg.horizon:
+            sim.queue.push(t + gap, CHECKPOINT_ROUND, vn_id)
         if not sim.collect_log:
             return ""
-        return f"vn=v{rt.vn_id};gap={gap}"
-
-    def _next_round(self, sim: Simulation, rt: VirtualNode, t: int) -> int:
-        gap = independent_gap(sim.rng, sim.cfg.indep_mean_gap)
-        if t + gap <= sim.cfg.horizon:
-            sim.queue.push(t + gap, CHECKPOINT_ROUND, rt.vn_id)
-        return gap
+        return f"vn=v{vn_id};gap={gap}"
 
     def rollback_target(self, sim: Simulation, task_id: int) -> Checkpoint | None:
         latest = sim.store.latest(task_id)
@@ -511,11 +516,11 @@ class Simulation:
 
         self.rng = random.Random(f"{cfg.seed}:run")
         self.queue = EventQueue()
-        self.store = CheckpointStore()
         self.report = MetricsReport(scenario.scenario_id, cfg.seed,
                                     self.scheduler, self.checkpoint_policy)
         self.placement = PLACEMENT[self.scheduler]
         self.checkpointing = CHECKPOINTING[self.checkpoint_policy]
+        self.store = CheckpointStore(self.checkpointing.history)
         self.log_lines: list[str] = []
 
         self.runtimes: dict[int, VirtualNode] = {}    # vn id -> live incarnation
@@ -571,21 +576,31 @@ class Simulation:
         self.task_node[task.task_id] = rt
         server.active += 1
         self._advance_monitor(rt, start, self.cfg.base_interval)
-        self._schedule_completion(rt)
+        self._retime(rt, start)
         self.checkpointing.on_spawn(self, rt)
         return rt
 
-    def _schedule_completion(self, rt: VirtualNode) -> None:
-        """Record when the node finishes; a node keeps at most one completion
-        event in the heap, which ``_handle_complete`` re-queues when it pops
-        before the recorded time."""
-        when = rt.ledger.completion_time(rt.task.demand)
+    def _retime(self, rt: VirtualNode, t: int, pause: int = 0, image: bool = False) -> None:
+        """Settle the node to ``t``, image it with ``image``, add ``pause``
+        unserved ticks and record its new completion: one pass per checkpoint
+        write.  A node keeps at most one completion event in the heap, which
+        ``_handle_complete`` re-queues when it pops before the recorded time."""
+        ledger = rt.ledger
+        if t > ledger.anchor:
+            ledger.settle(t)
+        if image:
+            self.store.take(rt, t, ledger.progress, rt.task.task_id)
+        ledger.pause_due = pause = ledger.pause_due + pause
+        when = ledger.anchor + ledger.restore_due + pause + rt.task.demand - ledger.progress
         if when > self.cfg.horizon:
             rt.completion = None
             return
-        rt.completion = (when, self.queue.take_seq())
+        queue = self.queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        rt.completion = (when, seq)
         if not rt.completion_queued:
-            self.queue.push(when, TASK_COMPLETE, rt.vn_id, seq=rt.completion[1])
+            queue.push(when, TASK_COMPLETE, rt.vn_id, seq=seq)
             rt.completion_queued = True
 
     def _retire(self, rt: VirtualNode, t: int) -> None:
@@ -663,16 +678,6 @@ class Simulation:
             return ""
         return f"job=j{job.job_id};moved={len(rts)};consistent_at={consistent_at}"
 
-    # -- checkpoints ----------------------------------------------------------
-
-    def _take_vn_checkpoint(self, rt: VirtualNode, t: int) -> None:
-        ledger = rt.ledger
-        if t > ledger.anchor:
-            ledger.settle(t)
-        self.store.take(rt, t, ledger.progress, rt.task.task_id)
-        ledger.add_block(t, self.cfg.checkpoint_write_cost)
-        self._schedule_completion(rt)
-
     # -- observation pipeline ----------------------------------------------------
 
     def _observe(self, rt: VirtualNode, t: int) -> tuple[float, DelayClass, ChecksumResult, bool]:
@@ -710,8 +715,7 @@ class Simulation:
             since = self.detection_pending.pop(rt.task.task_id)
             self.report.record("detection_latency", float(t - since))
         if cfg.monitor_cost > 0 and rt.state is not FAIL_STOP:
-            rt.ledger.add_block(t, cfg.monitor_cost)
-            self._schedule_completion(rt)
+            self._retime(rt, t, cfg.monitor_cost)
         return delay, dclass, checksum, flagged
 
     def _advance_monitor(self, rt: VirtualNode, t: int, gap: int) -> None:
@@ -864,7 +868,7 @@ class Simulation:
         dispatch = {
             MONITOR_ROUND: self._handle_monitor,
             TASK_COMPLETE: self._handle_complete,
-            CHECKPOINT_ROUND: lambda ev: self.checkpointing.on_round(self, ev),
+            CHECKPOINT_ROUND: partial(self.checkpointing.on_round, self),
             CONTAMINATION_EXCHANGE: self._handle_exchange,
             FAULT_INJECTION: lambda ev: self.inject_fault(self.faults[ev[3]], ev[0]),
             MIGRATION_COMPLETE: lambda ev: f"job=j{ev[3]}",
@@ -890,7 +894,7 @@ class Simulation:
         rep.set_scalar("host_count", len(self.servers))
         rep.set_scalar("vn_count", len(self.tasks))
         rep.set_scalar("completed_migrations", self.replacement_count)   # one per replaced node
-        rep.set_scalar("checkpoint_count", len(self.store.records))   # one record per image taken
+        rep.set_scalar("checkpoint_count", self.store.taken)   # images written, kept or not
         for name in ("failed_workloads", "rollback_count", "migration_count",
                      "replacement_count", "corrupted_completions", "jobs_completed"):
             rep.set_scalar(name, getattr(self, name))

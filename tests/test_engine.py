@@ -652,12 +652,46 @@ def test_sync_rounds_image_every_active_node_at_once():
                       demand_min=300, demand_max=300, horizon=200)
     scenario = Scenario.from_config(cfg, [])
     sim = Simulation(scenario)
-    sim.run()
+    # the store keeps only each lineage's newest clean image: count the writes
     by_time = {}
-    for ckpt_id, time, _, _ in sim.store.records:
-        by_time.setdefault(time, []).append(ckpt_id)
+    take = sim.store.take
+
+    def recording_take(vn, time, progress, lineage_id):
+        by_time.setdefault(time, []).append(vn.vn_id)
+        return take(vn, time, progress, lineage_id)
+
+    sim.store.take = recording_take
+    sim.run()
+    assert by_time
     for t, group in by_time.items():
-        assert len(group) == 4, f"round at t={t} imaged {len(group)} nodes"
+        assert sorted(group) == [1, 2, 3, 4], f"round at t={t} imaged {group}"
+
+
+@pytest.mark.parametrize("ckpt", ["sync", "independent"])
+def test_baseline_stores_keep_only_restorable_images(ckpt, monkeypatch):
+    """Under sync and independent no rollback reaches past a lineage's newest
+    clean image, so after every event of a desk run the store keeps at most
+    that image per lineage, then the tainted images written after it; the
+    report's ``checkpoint_count`` still counts every image written."""
+    scenario = Scenario.from_config(load_config(DESK, {"seed": 1}))
+    seen = Counter()
+    take = CheckpointStore.take
+
+    def counting_take(*args):
+        seen["taken"] += 1
+        return take(*args)
+
+    monkeypatch.setattr(CheckpointStore, "take", counting_take)
+
+    def check(sim, _ev):
+        chains = sim.store._by_lineage.values()
+        assert all(all(tainted for *_, tainted in chain[1:]) for chain in chains)
+        assert len(sim.store.records) == sum(map(len, chains))
+        seen["tainted_kept"] += any(image[3] for chain in chains for image in chain)
+
+    report, _ = _check_every_event(scenario, "wsss", ckpt, check)
+    assert seen["tainted_kept"]          # some events left tainted images kept
+    assert report.scalars["checkpoint_count"] == seen["taken"] > len(scenario.workload.tasks)
 
 
 def test_trace_scaled_workload_through_config(tmp_path):
