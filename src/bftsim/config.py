@@ -26,8 +26,7 @@ class SimConfig:
     base_interval: int = 10          # pre-set initial monitoring interval
     ft_interval: int = 10            # initial fault-tolerance interval
     sla_bound: int = 100             # SLA delay bound D of every task
-    delay_low_frac: float = 0.25     # delay class thresholds, fractions of D
-    delay_normal_frac: float = 1.0
+    delay_normal_frac: float = 1.0   # delay class thresholds, fractions of D
     delay_high_frac: float = 2.0
     suspect_threshold: int = 3       # consecutive suspect rounds before replacement
     migration_threshold: int = 5     # per-job restarts tolerated before job migration
@@ -96,8 +95,8 @@ class SimConfig:
                 raise ConfigError(f"{name} out of range [0, 1]")
         if self.ft_interval < self.base_interval:
             raise ConfigError("ft_interval must be >= base_interval")
-        if not (0 < self.delay_low_frac < self.delay_normal_frac < self.delay_high_frac):
-            raise ConfigError("delay_low_frac/delay_normal_frac/delay_high_frac must be strictly increasing and positive")
+        if not (0 < self.delay_normal_frac < self.delay_high_frac):
+            raise ConfigError("delay_normal_frac/delay_high_frac must be strictly increasing and positive")
         if self.demand_max < self.demand_min:
             raise ConfigError("demand_max must be >= demand_min")
         if self.latency_mean_max < self.latency_mean_min or self.latency_mean_min < 0:

@@ -56,7 +56,6 @@ from .model import (
     Checkpoint,
     ChecksumResult,
     DelayClass,
-    Job,
     NodeState,
     Server,
     Task,
@@ -156,12 +155,11 @@ class EventQueue:
         return time, self._seq - 1, kind, None
 
 
-def propagate_contamination(clean_ids: list[int], prop_prob: float,
-                            rng: random.Random) -> list[int]:
+def propagate_contamination(clean: list, prop_prob: float, rng: random.Random) -> list:
     """One exchange round: each clean node catches contamination independently."""
     if prop_prob <= 0.0:
         return []
-    return [vid for vid in clean_ids if rng.random() < prop_prob]
+    return [node for node in clean if rng.random() < prop_prob]
 
 
 class VnLedger:
@@ -245,20 +243,18 @@ class VirtualNode:
     fail-stopped exactly when it crashed: a fail-stop verdict of the
     detection machine retires the node in the same monitor round."""
 
-    __slots__ = ("vn_id", "task", "job", "server", "ledger", "ft_interval", "gap",
-                 "next_monitor", "state", "suspect_rounds", "contaminated", "spike_delay",
+    __slots__ = ("vn_id", "task", "server", "ledger", "ft_interval", "gap",
+                 "state", "suspect_rounds", "contaminated", "spike_delay",
                  "completion", "completion_queued", "last_obs_time")
 
-    def __init__(self, vn_id: int, task: Task, job: Job, server: Server, ledger: VnLedger,
+    def __init__(self, vn_id: int, task: Task, server: Server, ledger: VnLedger,
                  ft_interval: int, last_obs_time: int = 0):
         self.vn_id = vn_id
         self.task = task
-        self.job = job
         self.server = server
         self.ledger = ledger
         self.ft_interval = ft_interval
         self.gap = 0                 # current monitoring gap, multiple of the base interval
-        self.next_monitor = 0
         self.state: NodeState = FAIL_SAFE
         self.suspect_rounds = 0      # consecutive Byzantine-state observations
         self.contaminated = False
@@ -413,20 +409,20 @@ class TccCheckpointing(Checkpointing):
 
     def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: Action,
                    in_monitor: bool) -> str:
-        job_id = rt.job.job_id
+        job_id = rt.task.job_id
         kind, sim.restarts[job_id] = tcc_round(rt.ft_interval, gap, sim.restarts[job_id],
                                                sim.cfg.migration_threshold)
         if kind is CONFIRMED_CHECKPOINT:
+            # only a monitor round confirms: a rejected output's gap is base_interval
             rt.ft_interval = gap
-            if in_monitor:
-                sim._retime(rt, t, sim.cfg.checkpoint_write_cost, image=True)
-                sim._advance_monitor(rt, t, gap)
+            sim._retime(rt, t, sim.cfg.checkpoint_write_cost, image=True)
+            sim._advance_monitor(rt, t, gap)
             if not sim.collect_log:
                 return ""
             return f";tcc=confirmed;delta={gap}"
         if kind is PREVIOUS_RESTART:
             return ";tcc=previous_restart;" + sim._restart_vn(rt, t, "tcc_restart")
-        return ";tcc=job_migration;" + sim._migrate_job(rt.job, t)
+        return ";tcc=job_migration;" + sim._migrate_job(job_id, t)
 
 
 class SyncCheckpointing(Checkpointing):
@@ -434,7 +430,7 @@ class SyncCheckpointing(Checkpointing):
 
     def start_rounds(self, sim: Simulation) -> None:
         if sim.cfg.ft_interval <= sim.cfg.horizon:
-            for job_id in sorted(sim.jobs):
+            for job_id in sim.unfinished:
                 sim.queue.push(sim.cfg.ft_interval, CHECKPOINT_ROUND, job_id)
 
     def on_round(self, sim: Simulation, ev: tuple) -> str:
@@ -501,18 +497,17 @@ class Simulation:
         self.collect_log = collect_log
 
         # the scenario's records are read-only inputs: a run keeps its own
-        # state on its nodes, its servers and the per-job counts below
+        # state on its nodes, its servers and the per-job counts below, which
+        # are in job-id order as the workload's lists are
         self.faults = scenario.faults
-        self.tasks = {t.task_id: t for t in scenario.workload.tasks}
-        self.jobs = {j.job_id: j for j in scenario.workload.jobs}
+        self.tasks = scenario.workload.tasks
         self.unfinished = {j.job_id: len(j.task_ids) for j in scenario.workload.jobs}
-        self.restarts = dict.fromkeys(self.jobs, 0)   # tcc restarts since the job's last migration
+        self.restarts = dict.fromkeys(self.unfinished, 0)   # tcc restarts since the job's last migration
 
         self.servers = [Server(server_id=i + 1, capacity=cfg.server_capacity,
                                latency_mean=scenario.latencies[i],
                                latency_sigma=cfg.latency_sigma)
-                        for i in range(cfg.server_count)]
-        self.server_by_id = {s.server_id: s for s in self.servers}
+                        for i in range(cfg.server_count)]   # server id i + 1 at index i
 
         self.rng = random.Random(f"{cfg.seed}:run")
         self.queue = EventQueue()
@@ -527,13 +522,13 @@ class Simulation:
         # job id -> (vn id -> live incarnation); vn ids only grow, so each
         # job's nodes stay in ascending vn-id order
         self.job_nodes: dict[int, dict[int, VirtualNode]] = {
-            job_id: {} for job_id in sorted(self.jobs)}
+            job_id: {} for job_id in self.unfinished}
         # job id -> vn ids of its live contaminated nodes, in job-id order
         self.infected: dict[int, set[int]] = {job_id: set() for job_id in self.job_nodes}
         self.task_node: dict[int, VirtualNode] = {}   # task id -> live incarnation
         self._next_vn_id = 1
 
-        self.thresholds = (cfg.delay_low_frac, cfg.delay_normal_frac, cfg.delay_high_frac)
+        self.thresholds = (cfg.delay_normal_frac, cfg.delay_high_frac)
         self.detection_pending: dict[int, int] = {}  # task id -> fault time
 
         self.failed_workloads = 0
@@ -567,10 +562,9 @@ class Simulation:
         vn_id = self._next_vn_id
         self._next_vn_id += 1
         ledger = VnLedger(start, target.progress if target else 0, restore_cost)
-        server = self.server_by_id[server_id]
-        rt = VirtualNode(vn_id=vn_id, task=task, job=self.jobs[task.job_id], server=server,
-                         ledger=ledger, ft_interval=self.cfg.ft_interval,
-                         last_obs_time=start)
+        server = self.servers[server_id - 1]
+        rt = VirtualNode(vn_id=vn_id, task=task, server=server, ledger=ledger,
+                         ft_interval=self.cfg.ft_interval, last_obs_time=start)
         self.runtimes[vn_id] = rt
         self.job_nodes[task.job_id][vn_id] = rt
         self.task_node[task.task_id] = rt
@@ -605,15 +599,15 @@ class Simulation:
 
     def _retire(self, rt: VirtualNode, t: int) -> None:
         """Stop an incarnation and fold its ledger into the totals."""
-        rt.ledger.stop(min(t, self.cfg.horizon))   # a crash stopped it already
+        rt.ledger.stop(t)   # a crash stopped it already
         self.work_total += rt.ledger.work
         self.pause_total += rt.ledger.pause
         self.restore_total += rt.ledger.restore
         self.span_total += rt.ledger.span
-        vn_id = rt.vn_id
-        self.runtimes.pop(vn_id, None)
-        del self.job_nodes[rt.job.job_id][vn_id]
-        self.infected[rt.job.job_id].discard(vn_id)
+        vn_id, job_id = rt.vn_id, rt.task.job_id
+        del self.runtimes[vn_id]
+        del self.job_nodes[job_id][vn_id]
+        self.infected[job_id].discard(vn_id)
         self.task_node.pop(rt.task.task_id)
         rt.server.active -= 1
 
@@ -649,11 +643,11 @@ class Simulation:
         return (f"reason={reason};lost={lost};from=s{rt.server.server_id};"
                 f"to=s{new_sid};vn=v{new_rt.vn_id}")
 
-    def _migrate_job(self, job: Job, t: int) -> str:
+    def _migrate_job(self, job_id: int, t: int) -> str:
         """Halt every node of the job and restart it from a job-consistent image,
         placed as the run's scheduler places a wave; returns the log detail,
         empty with the log off."""
-        rts = list(self.job_nodes[job.job_id].values())
+        rts = list(self.job_nodes[job_id].values())
         task_ids = [rt.task.task_id for rt in rts]
         consistent_at = min(c.time if c else 0 for c in map(self.store.latest_clean, task_ids))
         targets = [self.store.latest_clean(tid, before=consistent_at) for tid in task_ids]
@@ -673,10 +667,10 @@ class Simulation:
         self.migration_count += 1
         done_at = t + self.cfg.migration_cost
         if done_at <= self.cfg.horizon:
-            self.queue.push(done_at, MIGRATION_COMPLETE, job.job_id)
+            self.queue.push(done_at, MIGRATION_COMPLETE, job_id)
         if not self.collect_log:
             return ""
-        return f"job=j{job.job_id};moved={len(rts)};consistent_at={consistent_at}"
+        return f"job=j{job_id};moved={len(rts)};consistent_at={consistent_at}"
 
     # -- observation pipeline ----------------------------------------------------
 
@@ -719,10 +713,11 @@ class Simulation:
         return delay, dclass, checksum, flagged
 
     def _advance_monitor(self, rt: VirtualNode, t: int, gap: int) -> None:
+        # the only push of a monitor round: at spawn and in the node's own round
         rt.gap = gap
-        rt.next_monitor = t + gap
-        if rt.next_monitor <= self.cfg.horizon:
-            self.queue.push(rt.next_monitor, MONITOR_ROUND, rt.vn_id)
+        t += gap
+        if t <= self.cfg.horizon:
+            self.queue.push(t, MONITOR_ROUND, rt.vn_id)
 
     # -- completion ----------------------------------------------------------
 
@@ -753,7 +748,7 @@ class Simulation:
         t = max(t, rt.ledger.start)
         if spec.kind is BYZANTINE_FAULT:
             rt.contaminated = True
-            self.infected[rt.job.job_id].add(rt.vn_id)
+            self.infected[rt.task.job_id].add(rt.vn_id)
             self.detection_pending[rt.task.task_id] = t
             return f"kind=byzantine;vn=v{rt.vn_id}" if log else ""
         if spec.kind is CRASH_FAULT:
@@ -774,18 +769,16 @@ class Simulation:
         verify = rt is not None
         if not verify:
             rt = self.runtimes.get(ev[3])
-            if rt is None or t != rt.next_monitor:
+            if rt is None:   # the round of a retired node
                 return "stale=1"
         ledger = rt.ledger
         if rt.state is not FAIL_STOP and t > ledger.anchor:
             ledger.settle(t)
-        # a node is finished once its work and unserved ticks are done; a monitor
-        # round's own pause (monitor_cost) keeps it busy past this tick
-        finished = (rt.state is not FAIL_STOP and ledger.progress >= rt.task.demand
-                    and not (ledger.restore_due or ledger.pause_due)
-                    and (verify or not self.cfg.monitor_cost))
-        if verify and not finished:
-            return "stale=1"
+        # a node is finished once its work and unserved ticks are done, as on
+        # any completion; a monitor round's own pause (monitor_cost) keeps it busy
+        finished = verify or (rt.state is not FAIL_STOP and ledger.progress >= rt.task.demand
+                              and not (ledger.restore_due or ledger.pause_due)
+                              and not self.cfg.monitor_cost)
         delay, dclass, checksum, flagged = self._observe(rt, t)
         if finished and not flagged:
             outcome = self._complete_task(rt, t)
@@ -834,14 +827,11 @@ class Simulation:
                 continue
             clean = [rt for rt in nodes.values() if not rt.contaminated
                      and rt.state is not FAIL_STOP]
-            newly = propagate_contamination([rt.vn_id for rt in clean],
-                                            self.cfg.propagation_prob, self.rng)
-            for rt in clean:
-                if rt.vn_id in newly:
-                    rt.contaminated = True
-                    infected.add(rt.vn_id)
-                    self.detection_pending.setdefault(rt.task.task_id, t)
-                    spread.append(rt.vn_id)
+            for rt in propagate_contamination(clean, self.cfg.propagation_prob, self.rng):
+                rt.contaminated = True
+                infected.add(rt.vn_id)
+                self.detection_pending.setdefault(rt.task.task_id, t)
+                spread.append(rt.vn_id)
         nxt = t + self.cfg.base_interval
         if nxt <= self.cfg.horizon:
             self.queue.push(nxt, CONTAMINATION_EXCHANGE)
@@ -853,12 +843,11 @@ class Simulation:
 
     def run(self) -> tuple[MetricsReport, list[str]]:
         cfg = self.cfg
-        task_ids = sorted(self.tasks)
-        mapping, wave_cost = self.placement.wave(self, task_ids)
+        mapping, wave_cost = self.placement.wave(self, [t.task_id for t in self.tasks])
         self.report.record("exec_time_vm_selection", wave_cost)
         self.report.record("exec_time_total", wave_cost)
-        for tid in task_ids:
-            self._spawn(self.tasks[tid], mapping[tid], math.ceil(wave_cost))
+        for task in self.tasks:
+            self._spawn(task, mapping[task.task_id], math.ceil(wave_cost))
         self.checkpointing.start_rounds(self)
         if cfg.propagation_prob > 0 and cfg.base_interval <= cfg.horizon:
             self.queue.push(cfg.base_interval, CONTAMINATION_EXCHANGE)
@@ -873,7 +862,7 @@ class Simulation:
             FAULT_INJECTION: lambda ev: self.inject_fault(self.faults[ev[3]], ev[0]),
             MIGRATION_COMPLETE: lambda ev: f"job=j{ev[3]}",
         }
-        queue, horizon, job_count = self.queue, cfg.horizon, len(self.jobs)
+        queue, horizon, job_count = self.queue, cfg.horizon, len(self.unfinished)
         heap = queue._heap   # its head read in place: one call less per event than peek_time
         while self.jobs_completed < job_count and heap and heap[0][0] <= horizon:
             ev = queue.advance()

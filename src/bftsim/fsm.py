@@ -55,17 +55,17 @@ ESCALATE = Action.ESCALATE
 
 
 def classify_delay(delay: float, sla_bound: float,
-                   thresholds: tuple[float, float, float]) -> DelayClass:
+                   thresholds: tuple[float, float]) -> DelayClass:
     """Map a measured delay variation to its class relative to the SLA bound.
 
+    LOW is the normal range up to a fixed quarter of the bound: the detection
+    machine treats LOW and NORMAL alike, so it only names a log token.
     ``sla_bound`` must be positive and ``thresholds`` strictly increasing and
     positive; ``SimConfig`` guarantees both for the values the engine passes,
     so no call checks them."""
-    t_low, t_normal, t_high = thresholds
-    if delay <= t_low * sla_bound:
-        return LOW
+    t_normal, t_high = thresholds
     if delay <= t_normal * sla_bound:
-        return NORMAL
+        return LOW if delay <= 0.25 * sla_bound else NORMAL
     if delay <= t_high * sla_bound:
         return HIGH
     return EXTREME

@@ -45,9 +45,6 @@ SAMPLE_METRICS = (
     "exec_time_total",
 )
 
-# metrics where only non-negative samples make sense (durations)
-_NON_NEGATIVE = set(SAMPLE_METRICS)
-
 PERCENT_METRICS = tuple(m for m in SCALAR_METRICS if m.endswith("_pct"))
 
 
@@ -122,7 +119,7 @@ class MetricsReport:
     def record(self, metric_id: str, sample: float) -> None:
         if metric_id not in self.samples:
             raise ValueError(f"unknown metric id: {metric_id}")
-        if metric_id in _NON_NEGATIVE and sample < 0:
+        if sample < 0:   # every sampled metric is a duration
             raise ValueError(f"{metric_id}: negative duration sample {sample}")
         self.samples[metric_id].add(sample)
 

@@ -37,7 +37,7 @@ REJECTIONS = [
     ({"detect_prob": 1.5}, "detect_prob"),
     ({"detect_prob": -0.1}, "detect_prob"),
     ({"propagation_prob": 2}, "propagation_prob"),
-    ({"delay_low_frac": 1.0}, "delay_low_frac"),
+    ({"delay_normal_frac": 2.0}, "delay_normal_frac"),
     ({"suspect_threshold": 0}, "suspect_threshold"),
     ({"migration_threshold": 0}, "migration_threshold"),
     ({"scheduler": "fifo"}, "scheduler"),
@@ -53,8 +53,8 @@ REJECTIONS = [
     ({"horizon": True}, "horizon"),
     ({"task_count": 8.0}, "task_count"),
     ({"sla_bound": 0}, "sla_bound"),
-    ({"delay_low_frac": 1.0, "delay_normal_frac": 0.5}, "delay_low_frac"),
-    ({"delay_low_frac": 0.0}, "delay_low_frac"),
+    ({"delay_normal_frac": 3.0, "delay_high_frac": 2.5}, "delay_high_frac"),
+    ({"delay_normal_frac": 0.0}, "delay_normal_frac"),
     ({"task_count": 30, "job_count": 3, "server_count": 2, "server_capacity": 4},
      "task_count"),
 ]
@@ -97,6 +97,14 @@ def test_trace_period_is_an_unknown_key():
     them in ticks: ``trace_period`` is rejected like any unknown key."""
     with pytest.raises(ConfigError, match="unknown config key: trace_period"):
         validate_config({"trace_period": 300})
+
+
+def test_delay_low_frac_is_an_unknown_key():
+    """The detection machine treats LOW and NORMAL delay alike, so a LOW
+    threshold would only rename a log token: LOW is a fixed quarter of the
+    SLA bound, and ``delay_low_frac`` is rejected like any unknown key."""
+    with pytest.raises(ConfigError, match="unknown config key: delay_low_frac"):
+        validate_config({"delay_low_frac": 0.25})
 
 
 def test_validation_idempotent():

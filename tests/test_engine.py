@@ -750,9 +750,9 @@ class _MigrationSpy(Simulation):
         super().__init__(*args, **kwargs)
         self.moves = []
 
-    def _migrate_job(self, job, t):
-        detail = super()._migrate_job(job, t)
-        moved = sorted((rt for rt in self.runtimes.values() if rt.job.job_id == job.job_id),
+    def _migrate_job(self, job_id, t):
+        detail = super()._migrate_job(job_id, t)
+        moved = sorted((rt for rt in self.runtimes.values() if rt.task.job_id == job_id),
                        key=lambda r: r.vn_id)
         free = {s.server_id: s.free_slots for s in self.servers}
         for rt in moved:
@@ -1000,13 +1000,14 @@ def _run_checking_every_event(sched, ckpt, seed, check):
 
 
 def _job_index_holds(sim, ev):
-    assert list(sim.job_nodes) == sorted(sim.jobs)
+    # every per-job dict is in job-id order: sync rounds are queued in it
+    assert list(sim.job_nodes) == list(sim.unfinished) == sorted(sim.unfinished), ev
     indexed = [(vn_id, rt) for nodes in sim.job_nodes.values()
                for vn_id, rt in nodes.items()]
     assert len(indexed) == len(sim.runtimes), ev
     assert all(sim.runtimes.get(vn_id) is rt for vn_id, rt in indexed), ev
     for job_id, nodes in sim.job_nodes.items():
-        assert all(rt.job.job_id == job_id for rt in nodes.values()), ev
+        assert all(rt.task.job_id == job_id for rt in nodes.values()), ev
         assert list(nodes) == sorted(nodes), ev
 
 
@@ -1027,18 +1028,34 @@ def _pending_holds(sim, ev):
 
 def _infected_index_holds(sim, ev):
     # the exchange draws in job-id order, so the index keeps that order
-    assert list(sim.infected) == sorted(sim.jobs)
+    assert list(sim.infected) == sorted(sim.unfinished)
     for job_id, infected in sim.infected.items():
         assert infected == {rt.vn_id for rt in sim.runtimes.values()
-                            if rt.job.job_id == job_id and rt.contaminated}, (ev, job_id)
+                            if rt.task.job_id == job_id and rt.contaminated}, (ev, job_id)
 
 
 def _servers_hold(sim, ev):
     for server in sim.servers:
         assert server.active == sum(rt.server is server for rt in sim.runtimes.values()), ev
         assert server.active <= server.capacity, ev
-    assert all(rt.server is sim.server_by_id[rt.server.server_id]
+    # a server id is its list position plus one, which is how a node's server is found
+    assert [s.server_id for s in sim.servers] == list(range(1, len(sim.servers) + 1)), ev
+    assert all(rt.server is sim.servers[rt.server.server_id - 1]
                for rt in sim.runtimes.values()), ev
+
+
+def _monitor_queue_holds(sim, ev):
+    """Each live node has exactly one monitor round queued, at its last
+    observation plus its gap, or none once that falls past the horizon: a
+    live node's round always pops on time, and a stale round is a retired
+    node's."""
+    rounds = {}
+    for time, _, kind, target in sim.queue._heap:
+        if kind is EventKind.MONITOR_ROUND and target in sim.runtimes:
+            rounds.setdefault(target, []).append(time)
+    for vn_id, rt in sim.runtimes.items():
+        due = rt.last_obs_time + rt.gap
+        assert rounds.get(vn_id, []) == ([due] if due <= sim.cfg.horizon else []), (ev, vn_id)
 
 
 @pytest.mark.parametrize("sched,ckpt", COMBOS)
@@ -1072,6 +1089,14 @@ def test_infected_index_holds_exactly_the_live_contaminated_nodes(sched, ckpt):
     for seed in (1, 2):
         _run_checking_every_event(sched, ckpt, seed, check)
     assert max(most) >= 2
+
+
+@pytest.mark.parametrize("sched,ckpt", COMBOS)
+def test_each_live_node_keeps_one_monitor_round_on_time(sched, ckpt):
+    """After every popped event, each live node's only queued monitor round
+    is the one its last observation and gap give."""
+    for seed in (1, 2):
+        _run_checking_every_event(sched, ckpt, seed, _monitor_queue_holds)
 
 
 @st.composite
@@ -1115,6 +1140,7 @@ def _all_hold(sim, ev):
     _pending_holds(sim, ev)
     _infected_index_holds(sim, ev)
     _servers_hold(sim, ev)
+    _monitor_queue_holds(sim, ev)
 
 
 @settings(max_examples=50, deadline=None)

@@ -97,13 +97,17 @@ def test_fail_stop_absorbs_any_sequence(inputs):
 
 def test_classify_delay_defaults():
     cfg = SimConfig()
-    fracs = (cfg.delay_low_frac, cfg.delay_normal_frac, cfg.delay_high_frac)
+    fracs = (cfg.delay_normal_frac, cfg.delay_high_frac)
     assert classify_delay(0, 100, fracs) is LOW
-    assert classify_delay(25, 100, fracs) is LOW          # boundary inclusive
+    assert classify_delay(25, 100, fracs) is LOW          # a fixed quarter of D, inclusive
+    assert classify_delay(26, 100, fracs) is NORMAL
     assert classify_delay(100, 100, fracs) is NORMAL
     assert classify_delay(150, 100, fracs) is HIGH        # 1.0 < 1.5 <= 2.0
     assert classify_delay(200, 100, fracs) is HIGH
     assert classify_delay(250, 100, fracs) is EXTREME     # 2.5 > 2.0
+    # the fixed quarter never shadows HIGH: a lower normal threshold decides first
+    assert classify_delay(5, 100, (0.1, 2.0)) is LOW
+    assert classify_delay(20, 100, (0.1, 2.0)) is HIGH
 
 
 def test_oracle_clean_never_false_positive():
