@@ -17,11 +17,11 @@ from .config import (
     ConfigError,
     load_config,
 )
-from .engine import Scenario
+from .engine import MONITOR_ROUND, TASK_COMPLETE
 from .fsm import TraceFormatError, check_trace
 from .metrics import csv_text, summarize
-from .model import FailureKind, Server
-from .scenario import ScenarioError
+from .model import CHECKSUM_ERROR, CHECKSUM_TOKENS, DELAY_TOKENS, HIGH, FailureKind, Server
+from .scenario import Scenario, ScenarioError
 from .scheduler import ranking_csv, record_failure
 
 EXIT_OK = 0
@@ -154,15 +154,6 @@ def cmd_fsm_trace(args) -> int:
     return EXIT_OK
 
 
-def _parse_detail(detail: str) -> dict[str, str]:
-    pairs = {}
-    for chunk in detail.split(";"):
-        if "=" in chunk:
-            key, _, value = chunk.partition("=")
-            pairs[key] = value
-    return pairs
-
-
 def cmd_rank(args) -> int:
     path = Path(args.event_log)
     servers: dict[int, Server] = {}
@@ -174,9 +165,9 @@ def cmd_rank(args) -> int:
         if len(parts) != 5:
             raise ConfigError(f"{path}:{lineno}: malformed event line")
         _, _, kind, _, detail = parts
-        if kind not in ("monitor", "complete"):
+        if kind not in (MONITOR_ROUND.value, TASK_COMPLETE.value):
             continue
-        fieldmap = _parse_detail(detail)
+        fieldmap = dict(chunk.split("=", 1) for chunk in detail.split(";") if "=" in chunk)
         server_tok = fieldmap.get("server")
         if not server_tok or "class" not in fieldmap or "checksum" not in fieldmap:
             continue
@@ -184,13 +175,19 @@ def cmd_rank(args) -> int:
             sid = int(server_tok.lstrip("s"))
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad server token {server_tok!r}") from None
+        try:
+            dclass = DELAY_TOKENS[fieldmap["class"]]
+            checksum = CHECKSUM_TOKENS[fieldmap["checksum"]]
+        except KeyError as exc:
+            raise ConfigError(f"{path}:{lineno}: unknown token {exc.args[0]!r}") from None
         server = servers.get(sid)
         if server is None:
             server = servers[sid] = Server(server_id=sid, capacity=0)
-        if fieldmap["checksum"] == "error":
+        # the rule of Simulation._observe
+        if checksum is CHECKSUM_ERROR:
             record_failure(server, FailureKind.ERRONEOUS)
             saw_failure = True
-        elif fieldmap["class"] in ("high", "extreme"):
+        elif dclass >= HIGH:
             record_failure(server, FailureKind.DELAY_SENSITIVE)
             saw_failure = True
     if not servers:

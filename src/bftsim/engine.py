@@ -60,19 +60,7 @@ from .model import (
     Server,
     Task,
 )
-from .scenario import (
-    BYZANTINE_FAULT,
-    CRASH_FAULT,
-    FaultKind,
-    FaultSpec,
-    ScenarioError,
-    Workload,
-    generate_faults,
-    generate_workload,
-    load_utilization_trace,
-    scale_demands,
-    scenario_id,
-)
+from .scenario import BYZANTINE_FAULT, CRASH_FAULT, FaultKind, FaultSpec, Scenario
 from .scheduler import (
     first_fit,
     mesf_assign,
@@ -262,58 +250,6 @@ class VirtualNode:
         self.completion: tuple[int, int] | None = None   # (time, seq) the node is due to finish at
         self.completion_queued = False   # a completion event of this node is in the heap
         self.last_obs_time = last_obs_time
-
-
-class Scenario:
-    """Policy-independent scenario inputs: topology, workload, fault trace."""
-
-    def __init__(self, cfg: SimConfig, workload: Workload,
-                 faults: list[FaultSpec], latencies: list[float]):
-        self.cfg = cfg
-        self.workload = workload
-        self.faults = faults
-        self.latencies = latencies
-        self.scenario_id = scenario_id(cfg, faults)
-
-    @classmethod
-    def from_config(cls, cfg: SimConfig, faults: list[FaultSpec] | None = None) -> "Scenario":
-        # Random.uniform's formula, inline
-        draw = random.Random(f"{cfg.seed}:topology").random
-        low, width = cfg.latency_mean_min, cfg.latency_mean_max - cfg.latency_mean_min
-        latencies = [low + width * draw() for _ in range(cfg.server_count)]
-        wl_rng = random.Random(f"{cfg.seed}:workload")
-        workload = generate_workload(cfg.task_count, cfg.job_count,
-                                     cfg.demand_min, cfg.demand_max, wl_rng)
-        if cfg.trace_path:
-            series = load_utilization_trace(cfg.trace_path)
-            scale_demands(workload, series)
-        if faults is None:
-            faults = generate_faults(cfg)
-        for spec in faults:
-            if not isinstance(spec.kind, FaultKind):
-                raise ScenarioError(f"fault kind {spec.kind!r} is not a FaultKind")
-            for name in ("time", "target_task"):
-                value = getattr(spec, name)
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ScenarioError(f"fault {name} {value!r} is not an int")
-            if spec.time < 0:
-                raise ScenarioError(f"fault at t={spec.time} is before t=0")
-            if spec.time >= cfg.horizon:
-                raise ScenarioError(f"fault at t={spec.time} is not below horizon {cfg.horizon}")
-            if spec.target_task not in range(len(workload.tasks)):
-                raise ScenarioError(f"fault target task {spec.target_task!r} is not in the "
-                                    f"workload (tasks 0-{len(workload.tasks) - 1})")
-            m = spec.magnitude
-            if (not isinstance(m, (int, float)) or isinstance(m, bool)
-                    or not math.isfinite(m) or m < 0):
-                raise ScenarioError(f"fault magnitude {m!r} is not a finite number >= 0")
-        return cls(cfg, workload, faults, latencies)
-
-    def run(self, scheduler: str | None = None, checkpoint_policy: str | None = None,
-            collect_log: bool = True) -> tuple[MetricsReport, list[str]]:
-        sim = Simulation(self, scheduler=scheduler, checkpoint_policy=checkpoint_policy,
-                         collect_log=collect_log)
-        return sim.run()
 
 
 # -- policies ----------------------------------------------------------

@@ -1,18 +1,20 @@
-"""Policy-independent scenario inputs: the workload and the fault trace.
+"""Policy-independent scenario inputs: topology, workload and fault trace.
 
 Each input comes from its own stream derived from the scenario seed, so
-every scheduler and checkpoint policy runs on identical tasks, demands and
-faults.  ``engine.Scenario`` assembles them with the server topology.
+every scheduler and checkpoint policy runs on identical servers, tasks,
+demands and faults.  This module builds the whole scenario.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
 from .config import SimConfig
+from .metrics import MetricsReport
 from .model import Job, Task, split_application
 
 
@@ -99,12 +101,6 @@ def scale_demands(workload: Workload, series: list[int]) -> None:
         tasks[i] = task._replace(demand=max(1, round(task.demand * pct / 100)))
 
 
-def scenario_id(cfg: SimConfig, faults: list[FaultSpec]) -> str:
-    return (f"s{cfg.server_count}c{cfg.server_capacity}"
-            f"-t{cfg.task_count}j{cfg.job_count}"
-            f"-seed{cfg.seed}-f{len(faults)}-h{cfg.horizon}")
-
-
 def generate_faults(cfg: SimConfig) -> list[FaultSpec]:
     """Seeded fault trace over the configured injection window."""
     rng = random.Random(f"{cfg.seed}:faults")
@@ -119,3 +115,54 @@ def generate_faults(cfg: SimConfig) -> list[FaultSpec]:
                                    rng.randrange(cfg.task_count), magnitude))
     specs.sort(key=lambda s: (s.time, _KIND_TOKEN[s.kind], s.target_task))
     return specs
+
+
+class Scenario(NamedTuple):
+    """The inputs every run of a comparison shares; built by ``from_config``
+    only, with its own tuple of the fault specs it checked."""
+    cfg: SimConfig
+    workload: Workload
+    faults: tuple[FaultSpec, ...]
+    latencies: list[float]
+    scenario_id: str
+
+    @classmethod
+    def from_config(cls, cfg: SimConfig, faults: list[FaultSpec] | None = None) -> Scenario:
+        # Random.uniform's formula, inline
+        draw = random.Random(f"{cfg.seed}:topology").random
+        low, width = cfg.latency_mean_min, cfg.latency_mean_max - cfg.latency_mean_min
+        latencies = [low + width * draw() for _ in range(cfg.server_count)]
+        wl_rng = random.Random(f"{cfg.seed}:workload")
+        workload = generate_workload(cfg.task_count, cfg.job_count,
+                                     cfg.demand_min, cfg.demand_max, wl_rng)
+        if cfg.trace_path:
+            scale_demands(workload, load_utilization_trace(cfg.trace_path))
+        faults = tuple(generate_faults(cfg) if faults is None else faults)
+        for spec in faults:
+            if not isinstance(spec.kind, FaultKind):
+                raise ScenarioError(f"fault kind {spec.kind!r} is not a FaultKind")
+            for name in ("time", "target_task"):
+                value = getattr(spec, name)
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ScenarioError(f"fault {name} {value!r} is not an int")
+            if spec.time < 0:
+                raise ScenarioError(f"fault at t={spec.time} is before t=0")
+            if spec.time >= cfg.horizon:
+                raise ScenarioError(f"fault at t={spec.time} is not below horizon {cfg.horizon}")
+            if spec.target_task not in range(len(workload.tasks)):
+                raise ScenarioError(f"fault target task {spec.target_task!r} is not in the "
+                                    f"workload (tasks 0-{len(workload.tasks) - 1})")
+            m = spec.magnitude
+            if (not isinstance(m, (int, float)) or isinstance(m, bool)
+                    or not math.isfinite(m) or m < 0):
+                raise ScenarioError(f"fault magnitude {m!r} is not a finite number >= 0")
+        return cls(cfg, workload, faults, latencies,
+                   f"s{cfg.server_count}c{cfg.server_capacity}"
+                   f"-t{cfg.task_count}j{cfg.job_count}"
+                   f"-seed{cfg.seed}-f{len(faults)}-h{cfg.horizon}")
+
+    def run(self, scheduler: str | None = None, checkpoint_policy: str | None = None,
+            collect_log: bool = True) -> tuple[MetricsReport, list[str]]:
+        from .engine import Simulation   # imported here: engine.py imports this module
+        return Simulation(self, scheduler=scheduler, checkpoint_policy=checkpoint_policy,
+                          collect_log=collect_log).run()

@@ -231,3 +231,16 @@ def test_rank_corrupt_line(tmp_path, capsys):
     log_path.write_text("10,0,monitor\n")
     assert main(["rank", "--event-log", str(log_path)]) == 2
     assert ":1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("detail", ["class=HIGH;checksum=noerror",
+                                    "class=normal;checksum=Error",
+                                    "class=bogus;checksum=noerror"],
+                         ids=["class-upper", "checksum-upper", "class-unknown"])
+def test_rank_rejects_unknown_tokens(tmp_path, capsys, detail):
+    """An unreadable observation used to count as a clean one; now it is a
+    config error naming its line."""
+    log_path = tmp_path / "bad.log"
+    log_path.write_text(f"10,0,monitor,1,server=s1;delay=1.000;{detail};state=S0>S0\n")
+    assert main(["rank", "--event-log", str(log_path)]) == 2
+    assert f"{log_path}:1: unknown token" in capsys.readouterr().err

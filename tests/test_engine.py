@@ -427,6 +427,21 @@ def test_malformed_fault_spec_is_rejected_at_build(kind, time, target, magnitude
     with pytest.raises(ScenarioError, match=needle):
         Scenario.from_config(cluster_cfg(), faults)
 
+
+def test_scenario_keeps_its_own_checked_fault_trace():
+    """The scenario stores a tuple of the specs it checked, so a spec the
+    build would reject, appended to the caller's list afterwards, never
+    reaches a run."""
+    faults = [FaultSpec(FaultKind.BYZANTINE, 40, 2), FaultSpec(FaultKind.CRASH, 60, 7)]
+    scenario = Scenario.from_config(cluster_cfg(), faults)
+    untouched = Scenario.from_config(cluster_cfg(), list(faults))
+    faults.append(FaultSpec(FaultKind.CRASH, 5000, 99, -3.0))
+    assert scenario.faults == tuple(faults[:2])
+    report, log = scenario.run()
+    expected_report, expected_log = untouched.run()
+    assert report.emit("json") == expected_report.emit("json")
+    assert log == expected_log
+
 def test_accounting_identity_over_policy_mix():
     for policy in ("tcc", "sync", "independent"):
         for scheduler in ("wsss", "mesf", "random"):

@@ -106,10 +106,22 @@ def test_scenario_records_are_read_only():
     store = CheckpointStore()
     store.take(SimpleNamespace(vn_id=1, state=NodeState.FAIL_SAFE, contaminated=False), 5, 3, 0)
     ckpt = store.latest(0)
+    scenario = bftsim.Scenario.from_config(SimConfig(task_count=6, job_count=2,
+                                                     byzantine_faults=1))
     for record, attr in ((workload.tasks[0], "demand"), (workload.jobs[0], "job_id"),
-                         (spec, "time"), (workload, "tasks"), (ckpt, "progress")):
+                         (spec, "time"), (workload, "tasks"), (ckpt, "progress"),
+                         (scenario, "faults")):
         with pytest.raises(AttributeError):
             setattr(record, attr, getattr(record, attr))
+
+
+def test_scenario_has_one_owner():
+    """``Scenario`` lives in ``scenario.py``; ``engine`` re-exports the same
+    class, and it is a read-only NamedTuple like the other scenario records."""
+    scenario = bftsim.scenario.Scenario
+    assert bftsim.engine.Scenario is scenario and bftsim.Scenario is scenario
+    assert issubclass(scenario, tuple) and scenario._fields == (
+        "cfg", "workload", "faults", "latencies", "scenario_id")
 
 
 def test_run_state_records_reject_misspelt_attributes():
