@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -28,6 +29,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+_SERVER_TOKEN = re.compile(r"s[1-9][0-9]*")   # as Simulation._handle_monitor writes it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,16 +168,16 @@ def cmd_rank(args) -> int:
         if len(parts) != 5:
             raise ConfigError(f"{path}:{lineno}: malformed event line")
         _, _, kind, _, detail = parts
-        if kind not in (MONITOR_ROUND.value, TASK_COMPLETE.value):
+        if kind not in (MONITOR_ROUND.value, TASK_COMPLETE.value) or detail == "stale=1":
             continue
         fieldmap = dict(chunk.split("=", 1) for chunk in detail.split(";") if "=" in chunk)
-        server_tok = fieldmap.get("server")
-        if not server_tok or "class" not in fieldmap or "checksum" not in fieldmap:
-            continue
-        try:
-            sid = int(server_tok.lstrip("s"))
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad server token {server_tok!r}") from None
+        missing = [key for key in ("server", "class", "checksum") if key not in fieldmap]
+        if missing:
+            raise ConfigError(f"{path}:{lineno}: observation lacks {', '.join(missing)}")
+        server_tok = fieldmap["server"]
+        if not _SERVER_TOKEN.fullmatch(server_tok):
+            raise ConfigError(f"{path}:{lineno}: bad server token {server_tok!r}")
+        sid = int(server_tok[1:])
         try:
             dclass = DELAY_TOKENS[fieldmap["class"]]
             checksum = CHECKSUM_TOKENS[fieldmap["checksum"]]

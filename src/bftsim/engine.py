@@ -104,17 +104,17 @@ class CausalityError(RuntimeError):
 
 class EventQueue:
     """Min-heap of events, each a ``(time, seq, kind, target)`` tuple.
-    Sequence numbers are unique, so ordering never compares ``kind``."""
+    Sequence numbers are unique, so ordering never compares kinds or targets."""
 
     def __init__(self):
-        self._heap: list[tuple[int, int, EventKind, int | None]] = []
+        self._heap: list[tuple[int, int, EventKind, object]] = []
         self._seq = 0
         self.clock = 0
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, time: int, kind: EventKind, target: int | None = None,
+    def push(self, time: int, kind: EventKind, target: object = None,
              seq: int | None = None) -> tuple:
         """Insert an event; ``seq`` inserts it under a number reserved earlier
         (``Simulation._retime``) instead of the next one."""
@@ -229,11 +229,12 @@ class VnLedger:
 class VirtualNode:
     """One incarnation of a virtual node executing a task.  A live node is
     fail-stopped exactly when it crashed: a fail-stop verdict of the
-    detection machine retires the node in the same monitor round."""
+    detection machine retires the node in the same monitor round.  The node's
+    events carry it and pop stale once it is retired."""
 
     __slots__ = ("vn_id", "task", "server", "ledger", "ft_interval", "gap",
                  "state", "suspect_rounds", "contaminated", "spike_delay",
-                 "completion", "completion_queued", "last_obs_time")
+                 "completion", "completion_queued", "last_obs_time", "retired")
 
     def __init__(self, vn_id: int, task: Task, server: Server, ledger: VnLedger,
                  ft_interval: int, last_obs_time: int = 0):
@@ -250,6 +251,7 @@ class VirtualNode:
         self.completion: tuple[int, int] | None = None   # (time, seq) the node is due to finish at
         self.completion_queued = False   # a completion event of this node is in the heap
         self.last_obs_time = last_obs_time
+        self.retired = False
 
 
 # -- policies ----------------------------------------------------------
@@ -392,20 +394,19 @@ class IndependentCheckpointing(Checkpointing):
         t = rt.ledger.start
         gap = independent_gap(sim.rng, sim.cfg.indep_mean_gap)
         if t + gap <= sim.cfg.horizon:
-            sim.queue.push(t + gap, CHECKPOINT_ROUND, rt.vn_id)
+            sim.queue.push(t + gap, CHECKPOINT_ROUND, rt)
 
     def on_round(self, sim: Simulation, ev: tuple) -> str:
-        t, _, _, vn_id = ev
-        rt = sim.runtimes.get(vn_id)
-        if rt is None or rt.state is FAIL_STOP:
+        t, _, _, rt = ev
+        if rt.retired or rt.state is FAIL_STOP:
             return "stale=1"
         sim._retime(rt, t, sim.cfg.checkpoint_write_cost, image=True)
         gap = independent_gap(sim.rng, sim.cfg.indep_mean_gap)   # as in on_spawn
         if t + gap <= sim.cfg.horizon:
-            sim.queue.push(t + gap, CHECKPOINT_ROUND, vn_id)
+            sim.queue.push(t + gap, CHECKPOINT_ROUND, rt)
         if not sim.collect_log:
             return ""
-        return f"vn=v{vn_id};gap={gap}"
+        return f"vn=v{rt.vn_id};gap={gap}"
 
     def rollback_target(self, sim: Simulation, task_id: int) -> Checkpoint | None:
         latest = sim.store.latest(task_id)
@@ -433,8 +434,8 @@ class Simulation:
         self.collect_log = collect_log
 
         # the scenario's records are read-only inputs: a run keeps its own
-        # state on its nodes, its servers and the per-job counts below, which
-        # are in job-id order as the workload's lists are
+        # state on its nodes, its servers, its report's scalars (the counts)
+        # and the per-job dicts below, in job-id order as the workload's lists
         self.faults = scenario.faults
         self.tasks = scenario.workload.tasks
         self.unfinished = {j.job_id: len(j.task_ids) for j in scenario.workload.jobs}
@@ -454,30 +455,17 @@ class Simulation:
         self.store = CheckpointStore(self.checkpointing.history)
         self.log_lines: list[str] = []
 
-        self.runtimes: dict[int, VirtualNode] = {}    # vn id -> live incarnation
-        # job id -> (vn id -> live incarnation); vn ids only grow, so each
-        # job's nodes stay in ascending vn-id order
+        # the one index of live nodes: job id -> (vn id -> live incarnation);
+        # vn ids only grow, so each job's nodes stay in ascending vn-id order
         self.job_nodes: dict[int, dict[int, VirtualNode]] = {
             job_id: {} for job_id in self.unfinished}
         # job id -> vn ids of its live contaminated nodes, in job-id order
         self.infected: dict[int, set[int]] = {job_id: set() for job_id in self.job_nodes}
-        self.task_node: dict[int, VirtualNode] = {}   # task id -> live incarnation
         self._next_vn_id = 1
 
         self.thresholds = (cfg.delay_normal_frac, cfg.delay_high_frac)
         self.detection_pending: dict[int, int] = {}  # task id -> fault time
 
-        self.failed_workloads = 0
-        self.rollback_count = 0
-        self.migration_count = 0
-        self.replacement_count = 0
-        self.lost_work = 0
-        self.work_total = 0
-        self.pause_total = 0
-        self.restore_total = 0
-        self.span_total = 0
-        self.corrupted_completions = 0
-        self.jobs_completed = 0
         self.obs_count = 0
         self.over_count = 0
         self.excess_sum = 0.0
@@ -487,7 +475,8 @@ class Simulation:
     def _log(self, ev: tuple, detail: str) -> None:
         if self.collect_log:
             t, seq, kind, target = ev
-            target = "" if target is None else str(target)
+            # a node's events name its vn id
+            target = "" if target is None else getattr(target, "vn_id", target)
             self.log_lines.append(f"{t},{seq},{_TOKENS[kind]},{target},{detail}")
 
     # -- node lifecycle ----------------------------------------------------------
@@ -501,9 +490,7 @@ class Simulation:
         server = self.servers[server_id - 1]
         rt = VirtualNode(vn_id=vn_id, task=task, server=server, ledger=ledger,
                          ft_interval=self.cfg.ft_interval, last_obs_time=start)
-        self.runtimes[vn_id] = rt
         self.job_nodes[task.job_id][vn_id] = rt
-        self.task_node[task.task_id] = rt
         server.active += 1
         self._advance_monitor(rt, start, self.cfg.base_interval)
         self._retime(rt, start)
@@ -530,21 +517,22 @@ class Simulation:
         queue._seq = seq + 1
         rt.completion = (when, seq)
         if not rt.completion_queued:
-            queue.push(when, TASK_COMPLETE, rt.vn_id, seq=seq)
+            queue.push(when, TASK_COMPLETE, rt, seq=seq)
             rt.completion_queued = True
 
     def _retire(self, rt: VirtualNode, t: int) -> None:
         """Stop an incarnation and fold its ledger into the totals."""
-        rt.ledger.stop(t)   # a crash stopped it already
-        self.work_total += rt.ledger.work
-        self.pause_total += rt.ledger.pause
-        self.restore_total += rt.ledger.restore
-        self.span_total += rt.ledger.span
+        ledger = rt.ledger
+        ledger.stop(t)   # a crash stopped it already
+        s = self.report.scalars
+        s["useful_work_total"] += ledger.work   # less the lost work, in _roll_back
+        s["pause_time_total"] += ledger.pause
+        s["restore_time_total"] += ledger.restore
+        s["active_time_total"] += ledger.span
         vn_id, job_id = rt.vn_id, rt.task.job_id
-        del self.runtimes[vn_id]
         del self.job_nodes[job_id][vn_id]
         self.infected[job_id].discard(vn_id)
-        self.task_node.pop(rt.task.task_id)
+        rt.retired = True
         rt.server.active -= 1
 
     def _roll_back(self, rt: VirtualNode, target: Checkpoint | None, t: int) -> int:
@@ -553,8 +541,10 @@ class Simulation:
         if rt.state is not FAIL_STOP:
             rt.ledger.settle(t)
         lost = rollback_loss(rt.ledger.progress, target, t)
-        self.lost_work += lost
-        self.rollback_count += 1
+        s = self.report.scalars
+        s["lost_work_total"] += lost
+        s["useful_work_total"] -= lost
+        s["rollback_count"] += 1
         self._retire(rt, t)
         return lost
 
@@ -566,11 +556,11 @@ class Simulation:
         new_sid, selection_cost = self.placement.replacement(self, rt.server.server_id)
         self.report.record("exec_time_host_selection", selection_cost)
         if new_sid is None:
-            self.failed_workloads += 1
+            self.report.scalars["failed_workloads"] += 1
             return f"reason={reason};lost={lost};placement=failed" if self.collect_log else ""
         restore = self.cfg.restart_cost + math.ceil(selection_cost)
         new_rt = self._spawn(rt.task, new_sid, t, target, restore)
-        self.replacement_count += 1
+        self.report.scalars["replacement_count"] += 1
         self.report.record("time_before_migration", float(t - rt.ledger.start))
         self.report.record("exec_time_reallocation", float(restore))
         self.report.record("exec_time_total", selection_cost + restore)
@@ -599,8 +589,9 @@ class Simulation:
             # time-before-migration metric samples reactive restarts only
             self.report.record("exec_time_reallocation", float(restore))
             self.report.record("exec_time_total", wave_cost + restore)
-        self.replacement_count += len(rts)
-        self.migration_count += 1
+        s = self.report.scalars
+        s["replacement_count"] += len(rts)
+        s["migration_count"] += 1
         done_at = t + self.cfg.migration_cost
         if done_at <= self.cfg.horizon:
             self.queue.push(done_at, MIGRATION_COMPLETE, job_id)
@@ -653,7 +644,7 @@ class Simulation:
         rt.gap = gap
         t += gap
         if t <= self.cfg.horizon:
-            self.queue.push(t, MONITOR_ROUND, rt.vn_id)
+            self.queue.push(t, MONITOR_ROUND, rt)
 
     # -- completion ----------------------------------------------------------
 
@@ -661,13 +652,14 @@ class Simulation:
         """Finish the node's task; returns the log detail, empty with the log off."""
         log = self.collect_log
         task = rt.task
+        s = self.report.scalars
         if rt.contaminated:
-            self.corrupted_completions += 1
+            s["corrupted_completions"] += 1
         self._retire(rt, t)
         job_id = task.job_id
         self.unfinished[job_id] -= 1
         if not self.unfinished[job_id]:
-            self.jobs_completed += 1
+            s["jobs_completed"] += 1
             return f"task={task.task_id};job=j{job_id};job_complete=1" if log else ""
         return f"task={task.task_id}" if log else ""
 
@@ -677,8 +669,11 @@ class Simulation:
         """Apply one fault to its task's live node; returns the log detail,
         empty with the log off."""
         log = self.collect_log
-        rt = self.task_node.get(spec.target_task)
-        if rt is None or rt.state is FAIL_STOP:
+        task = self.tasks[spec.target_task]   # task ids are list positions
+        for rt in self.job_nodes[task.job_id].values():
+            if rt.task is task and rt.state is not FAIL_STOP:
+                break
+        else:   # the task has no live node, or a crashed one
             return f"kind={_TOKENS[spec.kind]};target=none;noop=1" if log else ""
         # a fault before the node starts (a late initial wave) lands at its start
         t = max(t, rt.ledger.start)
@@ -697,16 +692,14 @@ class Simulation:
 
     # -- event handlers ----------------------------------------------------------
 
-    def _handle_monitor(self, ev: tuple, rt: VirtualNode | None = None) -> str:
-        """One monitor round: observe the node, then complete its task or step
-        its detection machine and apply the checkpoint policy.  With ``rt``, the
-        final verification of its output that ``_handle_complete`` hands over."""
-        t = ev[0]
-        verify = rt is not None
-        if not verify:
-            rt = self.runtimes.get(ev[3])
-            if rt is None:   # the round of a retired node
-                return "stale=1"
+    def _handle_monitor(self, ev: tuple, verify: bool = False) -> str:
+        """One monitor round of the event's node: observe it, then complete its
+        task or step its detection machine and apply the checkpoint policy.
+        With ``verify``, the final verification of its output that
+        ``_handle_complete`` hands over.  A node not retired is in ``job_nodes``."""
+        t, _, _, rt = ev
+        if rt.retired:   # the round of a retired node
+            return "stale=1"
         ledger = rt.ledger
         if rt.state is not FAIL_STOP and t > ledger.anchor:
             ledger.settle(t)
@@ -735,9 +728,8 @@ class Simulation:
                 f"checksum={_TOKENS[checksum]};{outcome}")
 
     def _handle_complete(self, ev: tuple) -> str:
-        t, seq, _, vn_id = ev
-        rt = self.runtimes.get(vn_id)
-        if rt is None:
+        t, seq, _, rt = ev
+        if rt.retired:
             return "stale=1"
         rt.completion_queued = False
         if rt.state is FAIL_STOP:
@@ -748,10 +740,10 @@ class Simulation:
             # so it runs where a fresh push at that pause would have run
             if rt.completion is not None:
                 when, seq = rt.completion
-                self.queue.push(when, TASK_COMPLETE, vn_id, seq=seq)
+                self.queue.push(when, TASK_COMPLETE, rt, seq=seq)
                 rt.completion_queued = True
             return "stale=1"
-        return self._handle_monitor(ev, rt)
+        return self._handle_monitor(ev, verify=True)
 
     def _handle_exchange(self, ev: tuple) -> str:
         t = ev[0]
@@ -800,36 +792,33 @@ class Simulation:
         }
         queue, horizon, job_count = self.queue, cfg.horizon, len(self.unfinished)
         heap = queue._heap   # its head read in place: one call less per event than peek_time
-        while self.jobs_completed < job_count and heap and heap[0][0] <= horizon:
+        s = self.report.scalars
+        while s["jobs_completed"] < job_count and heap and heap[0][0] <= horizon:
             ev = queue.advance()
             self._log(ev, dispatch[ev[2]](ev))
 
-        end = queue.clock if self.jobs_completed == job_count else horizon
-        for rt in list(self.runtimes.values()):
-            self._retire(rt, end)
+        end = queue.clock if s["jobs_completed"] == job_count else horizon
+        for nodes in self.job_nodes.values():
+            for rt in list(nodes.values()):
+                self._retire(rt, end)
         self._log(self.queue.synthesize(HORIZON_END, end),
-                  f"jobs_completed={self.jobs_completed}")
+                  f"jobs_completed={s['jobs_completed']}")
         self._finalize()
         return self.report, self.log_lines
 
     # -- report ----------------------------------------------------------
 
     def _finalize(self) -> None:
-        rep = self.report
+        """Set the scalars derived from the counts the run kept on the report."""
+        rep, counts = self.report, self.report.scalars
         rep.set_scalar("host_count", len(self.servers))
         rep.set_scalar("vn_count", len(self.tasks))
-        rep.set_scalar("completed_migrations", self.replacement_count)   # one per replaced node
+        rep.set_scalar("completed_migrations", counts["replacement_count"])   # one per replaced node
         rep.set_scalar("checkpoint_count", self.store.taken)   # images written, kept or not
-        for name in ("failed_workloads", "rollback_count", "migration_count",
-                     "replacement_count", "corrupted_completions", "jobs_completed"):
-            rep.set_scalar(name, getattr(self, name))
-        rep.set_scalar("useful_work_total", self.work_total - self.lost_work)
-        rep.set_scalar("lost_work_total", self.lost_work)
-        rep.set_scalar("pause_time_total", self.pause_total)
-        rep.set_scalar("restore_time_total", self.restore_total)
-        rep.set_scalar("active_time_total", self.span_total)
 
-        pdm = 100.0 * self.lost_work / self.work_total if self.work_total else 0.0
+        lost = counts["lost_work_total"]
+        work = counts["useful_work_total"] + lost
+        pdm = 100.0 * lost / work if work else 0.0
         fractions = [s.over_time / s.obs_time for s in self.servers if s.obs_time > 0]
         slatah = 100.0 * sum(fractions) / len(fractions) if fractions else 0.0
         over_rate = 100.0 * self.over_count / self.obs_count if self.obs_count else 0.0

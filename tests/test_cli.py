@@ -244,3 +244,30 @@ def test_rank_rejects_unknown_tokens(tmp_path, capsys, detail):
     log_path.write_text(f"10,0,monitor,1,server=s1;delay=1.000;{detail};state=S0>S0\n")
     assert main(["rank", "--event-log", str(log_path)]) == 2
     assert f"{log_path}:1: unknown token" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,needle", [
+    ("10,1,monitor,1,server=s1;delay=1.000", "observation lacks class, checksum"),
+    ("10,1,monitor,1,server=s2;delay=1.000;class=high", "observation lacks checksum"),
+    ("10,1,monitor,1,delay=1.000;class=high;checksum=noerror", "observation lacks server"),
+    ("10,1,complete,1,server=s1;verify=1;delay=1.000;checksum=noerror",
+     "observation lacks class"),
+    ("10,1,monitor,1,server=sss3;delay=1.000;class=high;checksum=noerror",
+     "bad server token 'sss3'"),
+    ("10,1,monitor,1,server=s-1;delay=1.000;class=high;checksum=noerror",
+     "bad server token 's-1'"),
+    ("10,1,monitor,1,server=s0;delay=1.000;class=high;checksum=noerror",
+     "bad server token 's0'"),
+    ("10,1,monitor,1,server=3;delay=1.000;class=high;checksum=noerror",
+     "bad server token '3'"),
+    ("10,1,monitor,1,server=s;delay=1.000;class=high;checksum=noerror",
+     "bad server token 's'"),
+], ids=["no-class-checksum", "no-checksum", "no-server", "complete-no-class",
+        "server-sss3", "server-negative", "server-zero", "server-bare-int", "server-empty"])
+def test_rank_rejects_truncated_observations(tmp_path, capsys, line, needle):
+    """A truncated observation or a server token a run does not write is a
+    config error naming its line, not a line skipped; a stale pop is skipped."""
+    log_path = tmp_path / "bad.log"
+    log_path.write_text(f"10,0,complete,1,stale=1\n{line}\n")
+    assert main(["rank", "--event-log", str(log_path)]) == 2
+    assert f"{log_path}:2: {needle}" in capsys.readouterr().err

@@ -35,6 +35,7 @@ from bftsim.engine import (
     EventQueue,
     Scenario,
     Simulation,
+    VirtualNode,
     VnLedger,
     propagate_contamination,
     run_scenario,
@@ -767,8 +768,7 @@ class _MigrationSpy(Simulation):
 
     def _migrate_job(self, job_id, t):
         detail = super()._migrate_job(job_id, t)
-        moved = sorted((rt for rt in self.runtimes.values() if rt.task.job_id == job_id),
-                       key=lambda r: r.vn_id)
+        moved = list(self.job_nodes[job_id].values())   # in vn-id order
         free = {s.server_id: s.free_slots for s in self.servers}
         for rt in moved:
             free[rt.server.server_id] += 1    # the slots free before the wave was placed
@@ -814,6 +814,40 @@ def test_suspect_threshold_has_no_effect_under_tcc():
                 report, _ = run_scenario(cfg, checkpoint_policy=policy, collect_log=False)
                 reports.add(report.emit("json"))
             assert len(reports) == (1 if policy == "tcc" else 3), (seed, policy)
+
+
+# each key set away from both its default and the storm config's value
+_POLICY_KEYS = {"ft_interval": 40, "migration_threshold": 3, "migration_cost": 6,
+                "indep_mean_gap": 25, "preeval_cost": 0.5, "suspect_threshold": 1}
+
+
+def test_policy_specific_keys_act_only_under_their_policies():
+    """Which policy pairs each policy-specific key changes the report or the
+    event log of, over three storm seeds: outside those pairs the key is
+    never read."""
+    def outputs(scenario, pair):
+        report, log = scenario.run(*pair)
+        return report.emit("json"), log
+
+    acts = {key: set() for key in _POLICY_KEYS}
+    for seed in (1, 2, 3):
+        cfg = _storm_cfg(seed)
+        scenario = Scenario.from_config(cfg)
+        base = {pair: outputs(scenario, pair) for pair in COMBOS}
+        for key, value in _POLICY_KEYS.items():
+            changed = dataclasses.replace(cfg, **{key: value})
+            # no policy key shapes the scenario, so the seed's build is reused
+            reused = scenario._replace(cfg=changed)
+            assert reused == Scenario.from_config(changed), key
+            acts[key] |= {pair for pair in COMBOS if outputs(reused, pair) != base[pair]}
+    assert acts == {
+        "ft_interval": {p for p in COMBOS if p[1] != "independent"},
+        "migration_threshold": {p for p in COMBOS if p[1] == "tcc"},
+        "migration_cost": {p for p in COMBOS if p[1] == "tcc"},
+        "indep_mean_gap": {p for p in COMBOS if p[1] == "independent"},
+        "preeval_cost": {p for p in COMBOS if p[0] == "mesf"},
+        "suspect_threshold": {p for p in COMBOS if p[1] != "tcc"},
+    }
 
 
 # -- completion events and scenario reuse ------------------------------------------
@@ -989,10 +1023,11 @@ def test_scenario_inputs_match_the_pin():
 
 def _check_every_event(scenario, sched, ckpt, check, collect_log=False):
     """Run ``scenario`` under one policy pair, calling ``check(sim, ev)`` after
-    every popped event; returns the report and the number of events checked."""
+    every popped event, and checking at every node start that its task has
+    no live node left; returns the report and the number of events checked."""
     sim = Simulation(scenario, scheduler=sched, checkpoint_policy=ckpt,
                      collect_log=collect_log)
-    log = sim._log
+    log, spawn = sim._log, sim._spawn
     checked = []
 
     def checking_log(ev, detail):
@@ -1000,7 +1035,13 @@ def _check_every_event(scenario, sched, ckpt, check, collect_log=False):
         checked.append(ev)
         log(ev, detail)
 
-    sim._log = checking_log
+    def checking_spawn(task, *args):
+        # one live node per task, also inside an event: a restart or a
+        # migration retires the old node before it starts the new one
+        assert all(rt.task is not task for rt in sim.job_nodes[task.job_id].values()), task
+        return spawn(task, *args)
+
+    sim._log, sim._spawn = checking_log, checking_spawn
     report, _ = sim.run()
     return report, len(checked)
 
@@ -1014,16 +1055,26 @@ def _run_checking_every_event(sched, ckpt, seed, check):
     return report
 
 
+def _live(sim):
+    """The run's live nodes, read from its one index of them."""
+    return [rt for nodes in sim.job_nodes.values() for rt in nodes.values()]
+
+
 def _job_index_holds(sim, ev):
     # every per-job dict is in job-id order: sync rounds are queued in it
     assert list(sim.job_nodes) == list(sim.unfinished) == sorted(sim.unfinished), ev
-    indexed = [(vn_id, rt) for nodes in sim.job_nodes.values()
-               for vn_id, rt in nodes.items()]
-    assert len(indexed) == len(sim.runtimes), ev
-    assert all(sim.runtimes.get(vn_id) is rt for vn_id, rt in indexed), ev
     for job_id, nodes in sim.job_nodes.items():
-        assert all(rt.task.job_id == job_id for rt in nodes.values()), ev
+        assert all(vn_id == rt.vn_id and rt.task.job_id == job_id and not rt.retired
+                   for vn_id, rt in nodes.items()), ev
         assert list(nodes) == sorted(nodes), ev
+    # one live node per task
+    live = _live(sim)
+    assert len({rt.task.task_id for rt in live}) == len(live), ev
+    # a queued event of a node that is not retired names a node the index holds
+    indexed = set(map(id, live))
+    for _, _, _, target in sim.queue._heap:
+        if isinstance(target, VirtualNode) and not target.retired:
+            assert id(target) in indexed, (ev, target.vn_id)
 
 
 def _pending_holds(sim, ev):
@@ -1031,7 +1082,7 @@ def _pending_holds(sim, ev):
     unserved counters are served restore first, a live node is fail-stopped
     exactly when its ledger stopped (a crash), and a live node's queued
     completion is the one its ledger gives."""
-    for rt in sim.runtimes.values():
+    for rt in _live(sim):
         ledger = rt.ledger
         assert ledger.work + ledger.pause + ledger.restore == ledger.anchor - ledger.start, ev
         assert ledger.restore_due >= 0 and ledger.pause_due >= 0, ev
@@ -1045,18 +1096,18 @@ def _infected_index_holds(sim, ev):
     # the exchange draws in job-id order, so the index keeps that order
     assert list(sim.infected) == sorted(sim.unfinished)
     for job_id, infected in sim.infected.items():
-        assert infected == {rt.vn_id for rt in sim.runtimes.values()
-                            if rt.task.job_id == job_id and rt.contaminated}, (ev, job_id)
+        assert infected == {rt.vn_id for rt in sim.job_nodes[job_id].values()
+                            if rt.contaminated}, (ev, job_id)
 
 
 def _servers_hold(sim, ev):
+    live = _live(sim)
     for server in sim.servers:
-        assert server.active == sum(rt.server is server for rt in sim.runtimes.values()), ev
+        assert server.active == sum(rt.server is server for rt in live), ev
         assert server.active <= server.capacity, ev
     # a server id is its list position plus one, which is how a node's server is found
     assert [s.server_id for s in sim.servers] == list(range(1, len(sim.servers) + 1)), ev
-    assert all(rt.server is sim.servers[rt.server.server_id - 1]
-               for rt in sim.runtimes.values()), ev
+    assert all(rt.server is sim.servers[rt.server.server_id - 1] for rt in live), ev
 
 
 def _monitor_queue_holds(sim, ev):
@@ -1066,11 +1117,12 @@ def _monitor_queue_holds(sim, ev):
     node's."""
     rounds = {}
     for time, _, kind, target in sim.queue._heap:
-        if kind is EventKind.MONITOR_ROUND and target in sim.runtimes:
-            rounds.setdefault(target, []).append(time)
-    for vn_id, rt in sim.runtimes.items():
+        if kind is EventKind.MONITOR_ROUND and not target.retired:
+            rounds.setdefault(target.vn_id, []).append(time)
+    for rt in _live(sim):
         due = rt.last_obs_time + rt.gap
-        assert rounds.get(vn_id, []) == ([due] if due <= sim.cfg.horizon else []), (ev, vn_id)
+        expected = [due] if due <= sim.cfg.horizon else []
+        assert rounds.get(rt.vn_id, []) == expected, (ev, rt.vn_id)
 
 
 @pytest.mark.parametrize("sched,ckpt", COMBOS)
