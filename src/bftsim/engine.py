@@ -230,11 +230,12 @@ class VirtualNode:
     """One incarnation of a virtual node executing a task.  A live node is
     fail-stopped exactly when it crashed: a fail-stop verdict of the
     detection machine retires the node in the same monitor round.  The node's
-    events carry it and pop stale once it is retired."""
+    events carry it and pop stale once it is retired; ``completion`` is the
+    one record of when it finishes, and is None once it is retired or crashed."""
 
     __slots__ = ("vn_id", "task", "server", "ledger", "ft_interval", "gap",
                  "state", "suspect_rounds", "contaminated", "spike_delay",
-                 "completion", "completion_queued", "last_obs_time", "retired")
+                 "completion", "last_obs_time", "retired")
 
     def __init__(self, vn_id: int, task: Task, server: Server, ledger: VnLedger,
                  ft_interval: int, last_obs_time: int = 0):
@@ -249,7 +250,6 @@ class VirtualNode:
         self.contaminated = False
         self.spike_delay = 0.0
         self.completion: tuple[int, int] | None = None   # (time, seq) the node is due to finish at
-        self.completion_queued = False   # a completion event of this node is in the heap
         self.last_obs_time = last_obs_time
         self.retired = False
 
@@ -322,8 +322,8 @@ class Checkpointing:
     def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: Action,
                    in_monitor: bool) -> str:
         """Act on a monitor round or a rejected final output, given the gap
-        and action of the interval update; returns the log detail, empty with
-        the log off."""
+        and action of the interval update; returns the log detail, which
+        ``_handle_monitor`` discards with the log off."""
         if action is REPLACE_NODE:
             return ";" + sim._restart_vn(rt, t, "replace")
         if not in_monitor:
@@ -367,9 +367,8 @@ class SyncCheckpointing(Checkpointing):
     """Images every live node of a job at a fixed cadence, regardless of health."""
 
     def start_rounds(self, sim: Simulation) -> None:
-        if sim.cfg.ft_interval <= sim.cfg.horizon:
-            for job_id in sim.unfinished:
-                sim.queue.push(sim.cfg.ft_interval, CHECKPOINT_ROUND, job_id)
+        for job_id in sim.unfinished:
+            sim.queue.push(sim.cfg.ft_interval, CHECKPOINT_ROUND, job_id)
 
     def on_round(self, sim: Simulation, ev: tuple) -> str:
         t, _, _, job_id = ev
@@ -378,9 +377,8 @@ class SyncCheckpointing(Checkpointing):
             if rt.state is not FAIL_STOP:
                 sim._retime(rt, t, cost, image=True)
                 taken += 1
-        nxt = t + sim.cfg.ft_interval
-        if nxt <= sim.cfg.horizon and sim.unfinished[job_id]:
-            sim.queue.push(nxt, CHECKPOINT_ROUND, job_id)
+        if sim.unfinished[job_id]:
+            sim.queue.push(t + sim.cfg.ft_interval, CHECKPOINT_ROUND, job_id)
         if not sim.collect_log:
             return ""
         return f"job=j{job_id};taken={taken}"
@@ -391,10 +389,8 @@ class IndependentCheckpointing(Checkpointing):
     latest image only the initial state is left to fall back to."""
 
     def on_spawn(self, sim: Simulation, rt: VirtualNode) -> None:
-        t = rt.ledger.start
         gap = independent_gap(sim.rng, sim.cfg.indep_mean_gap)
-        if t + gap <= sim.cfg.horizon:
-            sim.queue.push(t + gap, CHECKPOINT_ROUND, rt)
+        sim.queue.push(rt.ledger.start + gap, CHECKPOINT_ROUND, rt)
 
     def on_round(self, sim: Simulation, ev: tuple) -> str:
         t, _, _, rt = ev
@@ -402,8 +398,7 @@ class IndependentCheckpointing(Checkpointing):
             return "stale=1"
         sim._retime(rt, t, sim.cfg.checkpoint_write_cost, image=True)
         gap = independent_gap(sim.rng, sim.cfg.indep_mean_gap)   # as in on_spawn
-        if t + gap <= sim.cfg.horizon:
-            sim.queue.push(t + gap, CHECKPOINT_ROUND, rt)
+        sim.queue.push(t + gap, CHECKPOINT_ROUND, rt)
         if not sim.collect_log:
             return ""
         return f"vn=v{rt.vn_id};gap={gap}"
@@ -494,31 +489,28 @@ class Simulation:
         server.active += 1
         self._advance_monitor(rt, start, self.cfg.base_interval)
         self._retime(rt, start)
+        when, seq = rt.completion   # the node's one completion event
+        self.queue.push(when, TASK_COMPLETE, rt, seq=seq)
         self.checkpointing.on_spawn(self, rt)
         return rt
 
     def _retime(self, rt: VirtualNode, t: int, pause: int = 0, image: bool = False) -> None:
         """Settle the node to ``t``, image it with ``image``, add ``pause``
-        unserved ticks and record its new completion: one pass per checkpoint
-        write.  A node keeps at most one completion event in the heap, which
-        ``_handle_complete`` re-queues when it pops before the recorded time."""
+        unserved ticks and record its new completion under the next sequence
+        number: one pass per checkpoint write.  It queues nothing: the node's
+        one completion event, queued by ``_spawn``, is re-queued at the record
+        by ``_handle_complete`` when it pops before it."""
         ledger = rt.ledger
         if t > ledger.anchor:
             ledger.settle(t)
         if image:
             self.store.take(rt, t, ledger.progress, rt.task.task_id)
         ledger.pause_due = pause = ledger.pause_due + pause
-        when = ledger.anchor + ledger.restore_due + pause + rt.task.demand - ledger.progress
-        if when > self.cfg.horizon:
-            rt.completion = None
-            return
         queue = self.queue
         seq = queue._seq
         queue._seq = seq + 1
-        rt.completion = (when, seq)
-        if not rt.completion_queued:
-            queue.push(when, TASK_COMPLETE, rt, seq=seq)
-            rt.completion_queued = True
+        rt.completion = (ledger.anchor + ledger.restore_due + pause + rt.task.demand
+                         - ledger.progress, seq)
 
     def _retire(self, rt: VirtualNode, t: int) -> None:
         """Stop an incarnation and fold its ledger into the totals."""
@@ -533,6 +525,7 @@ class Simulation:
         del self.job_nodes[job_id][vn_id]
         self.infected[job_id].discard(vn_id)
         rt.retired = True
+        rt.completion = None
         rt.server.active -= 1
 
     def _roll_back(self, rt: VirtualNode, target: Checkpoint | None, t: int) -> int:
@@ -592,9 +585,7 @@ class Simulation:
         s = self.report.scalars
         s["replacement_count"] += len(rts)
         s["migration_count"] += 1
-        done_at = t + self.cfg.migration_cost
-        if done_at <= self.cfg.horizon:
-            self.queue.push(done_at, MIGRATION_COMPLETE, job_id)
+        self.queue.push(t + self.cfg.migration_cost, MIGRATION_COMPLETE, job_id)
         if not self.collect_log:
             return ""
         return f"job=j{job_id};moved={len(rts)};consistent_at={consistent_at}"
@@ -640,11 +631,11 @@ class Simulation:
         return delay, dclass, checksum, flagged
 
     def _advance_monitor(self, rt: VirtualNode, t: int, gap: int) -> None:
-        # the only push of a monitor round: at spawn and in the node's own round
+        # the only push of a monitor round: at spawn and in the node's own
+        # round, so a live node always has exactly one queued; a round due
+        # after the run's end is queued and never pops
         rt.gap = gap
-        t += gap
-        if t <= self.cfg.horizon:
-            self.queue.push(t, MONITOR_ROUND, rt)
+        self.queue.push(t + gap, MONITOR_ROUND, rt)
 
     # -- completion ----------------------------------------------------------
 
@@ -685,6 +676,7 @@ class Simulation:
         if spec.kind is CRASH_FAULT:
             rt.ledger.stop(t)
             rt.state = FAIL_STOP
+            rt.completion = None
             self.detection_pending[rt.task.task_id] = t
             return f"kind=crash;vn=v{rt.vn_id}" if log else ""
         rt.spike_delay += spec.magnitude * self.cfg.sla_bound
@@ -703,10 +695,10 @@ class Simulation:
         ledger = rt.ledger
         if rt.state is not FAIL_STOP and t > ledger.anchor:
             ledger.settle(t)
-        # a node is finished once its work and unserved ticks are done, as on
-        # any completion; a monitor round's own pause (monitor_cost) keeps it busy
-        finished = verify or (rt.state is not FAIL_STOP and ledger.progress >= rt.task.demand
-                              and not (ledger.restore_due or ledger.pause_due)
+        # a node is finished once its recorded completion is now, as on any
+        # completion (settling never moves the record); a monitor round's own
+        # pause (monitor_cost) keeps it busy
+        finished = verify or (rt.completion is not None and rt.completion[0] == t
                               and not self.cfg.monitor_cost)
         delay, dclass, checksum, flagged = self._observe(rt, t)
         if finished and not flagged:
@@ -729,19 +721,14 @@ class Simulation:
 
     def _handle_complete(self, ev: tuple) -> str:
         t, seq, _, rt = ev
-        if rt.retired:
-            return "stale=1"
-        rt.completion_queued = False
-        if rt.state is FAIL_STOP:
-            return "stale=1"
         if (t, seq) != rt.completion:
-            # a pause moved completion later (or past the horizon) after this
-            # event was queued: re-queue it under the number it was given then,
-            # so it runs where a fresh push at that pause would have run
+            # the node retired or crashed, or a pause moved its completion
+            # later after this event was queued: re-queue a moved one under the
+            # number the pause recorded, so it runs where a fresh push at that
+            # pause would have run
             if rt.completion is not None:
                 when, seq = rt.completion
                 self.queue.push(when, TASK_COMPLETE, rt, seq=seq)
-                rt.completion_queued = True
             return "stale=1"
         return self._handle_monitor(ev, verify=True)
 
@@ -760,9 +747,7 @@ class Simulation:
                 infected.add(rt.vn_id)
                 self.detection_pending.setdefault(rt.task.task_id, t)
                 spread.append(rt.vn_id)
-        nxt = t + self.cfg.base_interval
-        if nxt <= self.cfg.horizon:
-            self.queue.push(nxt, CONTAMINATION_EXCHANGE)
+        self.queue.push(t + self.cfg.base_interval, CONTAMINATION_EXCHANGE)
         if not self.collect_log:
             return ""
         return "spread=" + ("|".join(f"v{v}" for v in spread) if spread else "-")
@@ -777,7 +762,7 @@ class Simulation:
         for task in self.tasks:
             self._spawn(task, mapping[task.task_id], math.ceil(wave_cost))
         self.checkpointing.start_rounds(self)
-        if cfg.propagation_prob > 0 and cfg.base_interval <= cfg.horizon:
+        if cfg.propagation_prob > 0:
             self.queue.push(cfg.base_interval, CONTAMINATION_EXCHANGE)
         for i, spec in enumerate(self.faults):
             self.queue.push(spec.time, FAULT_INJECTION, i)

@@ -850,6 +850,38 @@ def test_policy_specific_keys_act_only_under_their_policies():
     }
 
 
+# each key set away from both its default and the storm config's value
+_SHARED_KEYS = {
+    "base_interval": 7, "sla_bound": 60, "delay_normal_frac": 0.8, "delay_high_frac": 2.5,
+    "detect_prob": 0.5, "propagation_prob": 0.2, "high_delay_fallback": False,
+    "checkpoint_write_cost": 2, "restart_cost": 5, "monitor_cost": 1,
+    "interval_growth": "geometric",
+    "latency_mean_min": 2, "latency_mean_max": 25, "latency_sigma": 8, "delay_magnitude": 2.5,
+    "fault_window_start": 10, "fault_window_end": 300, "demand_min": 300, "demand_max": 700}
+
+
+def test_every_other_key_acts_under_every_policy_pair():
+    """Each key that is not policy-specific changes a report under all nine
+    policy pairs by storm seed 6, trying the seeds in order and stopping at
+    the first one whose report changes: no policy leaves it unread."""
+    def report(cfg, pair):
+        return Scenario.from_config(cfg).run(*pair, collect_log=False)[0].emit("json")
+
+    base = {}
+    silent = []
+    for key, value in _SHARED_KEYS.items():
+        for pair in COMBOS:
+            for seed in range(1, 7):
+                cfg = _storm_cfg(seed)
+                if (seed, pair) not in base:
+                    base[seed, pair] = report(cfg, pair)
+                if report(dataclasses.replace(cfg, **{key: value}), pair) != base[seed, pair]:
+                    break
+            else:
+                silent.append((key, pair))
+    assert not silent
+
+
 # -- completion events and scenario reuse ------------------------------------------
 
 @pytest.mark.parametrize("policy", ["sync", "tcc"])
@@ -953,12 +985,14 @@ def test_storm_reports_match_the_pin():
 
 # SHA-256 of the log-on event logs of the 9 combinations on scenarios/desk.cfg
 # and on _storm_cfg, each at seeds 1 and 2
-EVENT_LOGS_SHA256 = "3759ec4e57c0999d746d953a51275d1c94053b7d7069eee3392edb5ffd58753a"
+EVENT_LOGS_SHA256 = "f54af4936ec0b8d8cc55b1e23e8a525ee0f33497b5ffa406bdaa0bd47384c69c"
 
 
 def test_event_logs_match_the_pin():
     """Pins every log line, which the report pins do not see.  The pin was
-    computed before the log tokens were built once at import; a change that
+    recomputed when the run loop became the one horizon check: an event due
+    past the horizon is queued and takes a sequence number, so the ``seq``
+    column shifts while every other column stays the same.  A change that
     alters the log on purpose updates it and says so in CHANGES.md."""
     digest = hashlib.sha256()
     for seed in (1, 2):
@@ -970,28 +1004,51 @@ def test_event_logs_match_the_pin():
     assert digest.hexdigest() == EVENT_LOGS_SHA256
 
 
-# SHA-256 of the JSON reports and log-on event logs of the 9 combinations on
-# _storm_cfg at seeds 1 and 2 with every cost non-zero and the fault window
-# opening at t=0
-COSTLY_STORM_SHA256 = "96306c1c3fe8504e517ce6be036a4734fb5e7fd13c9902bc0e3dd527d4a011e5"
-
-
-def test_costly_storm_reports_and_logs_match_the_pin():
-    """Pins the paths the zero-cost pins miss: a monitor round's own pause
-    (which keeps a finished node from completing in that round), restore and
-    pre-evaluation charges, and faults before a late wave starts.  Computed
-    before the monitor round was folded into one handler."""
-    digest = hashlib.sha256()
+def _costly_storm_outputs():
+    """The report and log-on event log of the 9 combinations on _storm_cfg at
+    seeds 1 and 2 with every cost non-zero and the fault window opening at
+    t=0: a monitor round's own pause (which keeps a finished node from
+    completing in that round), restore and pre-evaluation charges, and faults
+    before a late wave starts, which the zero-cost pins miss."""
     for seed in (1, 2):
         cfg = dataclasses.replace(_storm_cfg(seed), monitor_cost=1, checkpoint_write_cost=2,
                                   restart_cost=3, migration_cost=4, preeval_cost=0.5,
                                   fault_window_start=0)
         scenario = Scenario.from_config(cfg)
         for sched, ckpt in COMBOS:
-            report, log = scenario.run(sched, ckpt, collect_log=True)
-            digest.update(report.emit("json").encode())
-            digest.update(("\n".join(log) + "\n").encode())
-    assert digest.hexdigest() == COSTLY_STORM_SHA256
+            yield scenario.run(sched, ckpt, collect_log=True)
+
+
+# SHA-256 of the JSON reports of _costly_storm_outputs
+COSTLY_STORM_REPORTS_SHA256 = "6e45ccfe0bdc73b07d7ab07b1463e88ee326efebb7dc2bd3bb70724cc379b529"
+
+
+def test_costly_storm_reports_match_the_pin():
+    """Computed on the engine as it stood before the run loop became the one
+    horizon check and a node's completion event was queued once; that change
+    kept it.  A change that alters reports on purpose updates the pin and
+    says so in CHANGES.md."""
+    digest = hashlib.sha256()
+    for report, _ in _costly_storm_outputs():
+        digest.update(report.emit("json").encode())
+    assert digest.hexdigest() == COSTLY_STORM_REPORTS_SHA256
+
+
+# SHA-256 of the log-on event logs of _costly_storm_outputs
+COSTLY_STORM_LOGS_SHA256 = "ce5ff60bd6b6397ee1d6666b2d37b29b0884e0cb0e0738017f0f9108bbe90ac9"
+
+
+def test_costly_storm_logs_match_the_pin():
+    """Recomputed when the run loop became the one horizon check and a node's
+    completion event was queued once: the ``seq`` column shifts as in
+    EVENT_LOGS_SHA256, and a verification round's monitor charge no longer
+    queues a completion event for the node it retires, so those ``stale=1``
+    lines are gone.  A change that alters the log on purpose updates the pin
+    and says so in CHANGES.md."""
+    digest = hashlib.sha256()
+    for _, log in _costly_storm_outputs():
+        digest.update(("\n".join(log) + "\n").encode())
+    assert digest.hexdigest() == COSTLY_STORM_LOGS_SHA256
 
 
 
@@ -1080,15 +1137,16 @@ def _job_index_holds(sim, ev):
 def _pending_holds(sim, ev):
     """The counter identity: every settled tick is attributed once, the
     unserved counters are served restore first, a live node is fail-stopped
-    exactly when its ledger stopped (a crash), and a live node's queued
-    completion is the one its ledger gives."""
+    exactly when its ledger stopped (a crash), and a live node's recorded
+    completion is the one its ledger gives, or None exactly when it crashed."""
     for rt in _live(sim):
         ledger = rt.ledger
         assert ledger.work + ledger.pause + ledger.restore == ledger.anchor - ledger.start, ev
         assert ledger.restore_due >= 0 and ledger.pause_due >= 0, ev
         assert not ledger.restore_due or ledger.work == ledger.pause == 0, ev
         assert (rt.state is NodeState.FAIL_STOP) == (ledger.stopped is not None), ev
-        if rt.state is not NodeState.FAIL_STOP and rt.completion is not None:
+        assert (rt.completion is None) == (rt.state is NodeState.FAIL_STOP), ev
+        if rt.completion is not None:
             assert rt.completion[0] == ledger.completion_time(rt.task.demand), ev
 
 
@@ -1112,17 +1170,32 @@ def _servers_hold(sim, ev):
 
 def _monitor_queue_holds(sim, ev):
     """Each live node has exactly one monitor round queued, at its last
-    observation plus its gap, or none once that falls past the horizon: a
-    live node's round always pops on time, and a stale round is a retired
-    node's."""
+    observation plus its gap, also past the horizon: a live node's round
+    always pops on time, and a stale round is a retired node's."""
     rounds = {}
     for time, _, kind, target in sim.queue._heap:
         if kind is EventKind.MONITOR_ROUND and not target.retired:
             rounds.setdefault(target.vn_id, []).append(time)
     for rt in _live(sim):
-        due = rt.last_obs_time + rt.gap
-        expected = [due] if due <= sim.cfg.horizon else []
-        assert rounds.get(rt.vn_id, []) == expected, (ev, rt.vn_id)
+        assert rounds.get(rt.vn_id) == [rt.last_obs_time + rt.gap], (ev, rt.vn_id)
+
+
+def _completion_queue_holds(sim, ev):
+    """Each live node has exactly one completion event queued, also past the
+    horizon, unless it crashed: a crashed node's event pops stale, and it may
+    have popped before the node's next monitor round retires it.  A node
+    that has not crashed has its event at or before its recorded completion,
+    where the event runs or ``_handle_complete`` re-queues it."""
+    keys = {}
+    for time, seq, kind, target in sim.queue._heap:
+        if kind is EventKind.TASK_COMPLETE and not target.retired:
+            keys.setdefault(target.vn_id, []).append((time, seq))
+    for rt in _live(sim):
+        queued = keys.get(rt.vn_id, [])
+        if rt.completion is None:   # crashed
+            assert len(queued) <= 1, (ev, rt.vn_id)
+        else:
+            assert len(queued) == 1 and queued[0] <= rt.completion, (ev, rt.vn_id)
 
 
 @pytest.mark.parametrize("sched,ckpt", COMBOS)
@@ -1164,6 +1237,14 @@ def test_each_live_node_keeps_one_monitor_round_on_time(sched, ckpt):
     is the one its last observation and gap give."""
     for seed in (1, 2):
         _run_checking_every_event(sched, ckpt, seed, _monitor_queue_holds)
+
+
+@pytest.mark.parametrize("sched,ckpt", COMBOS)
+def test_each_live_node_keeps_one_completion_event(sched, ckpt):
+    """After every popped event, each live node that has not crashed has one
+    queued completion event, no later than its recorded completion."""
+    for seed in (1, 2):
+        _run_checking_every_event(sched, ckpt, seed, _completion_queue_holds)
 
 
 @st.composite
@@ -1208,6 +1289,7 @@ def _all_hold(sim, ev):
     _infected_index_holds(sim, ev)
     _servers_hold(sim, ev)
     _monitor_queue_holds(sim, ev)
+    _completion_queue_holds(sim, ev)
 
 
 @settings(max_examples=50, deadline=None)
