@@ -19,7 +19,7 @@ import random
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .model import FAIL_STOP, Checkpoint
+from .model import Checkpoint
 
 if TYPE_CHECKING:
     from .engine import VirtualNode
@@ -86,7 +86,7 @@ class CheckpointStore:
 
     def take(self, vn: VirtualNode, time: int, progress: int, lineage_id: int) -> int:
         """Image ``vn`` at ``time`` into the lineage's chain; returns its ``ckpt_id``."""
-        if vn.state is FAIL_STOP:
+        if vn.completion is None:   # crashed or retired
             raise ValueError(f"cannot checkpoint fail-stopped node v{vn.vn_id}")
         ckpt_id = self.taken
         self.taken = ckpt_id + 1

@@ -50,7 +50,6 @@ from .model import (
     DELAY_SENSITIVE,
     ERRONEOUS,
     FAIL_SAFE,
-    FAIL_STOP,
     HIGH,
     NO_ERROR,
     Checkpoint,
@@ -227,14 +226,14 @@ class VnLedger:
 
 
 class VirtualNode:
-    """One incarnation of a virtual node executing a task.  A live node is
-    fail-stopped exactly when it crashed: a fail-stop verdict of the
-    detection machine retires the node in the same monitor round.  The node's
-    events carry it and pop stale once it is retired; ``completion`` is the
-    one record of when it finishes, and is None once it is retired or crashed."""
+    """One incarnation of a virtual node executing a task.  The node's events
+    carry it and pop stale once it is retired; ``completion`` is the one
+    record of when it finishes, and is None once it is retired or crashed.
+    Its detection state is its streak: S1 while ``suspect_rounds`` > 0, else
+    S0, as a fail-stop verdict retires it in the same monitor round."""
 
     __slots__ = ("vn_id", "task", "server", "ledger", "ft_interval", "gap",
-                 "state", "suspect_rounds", "contaminated", "spike_delay",
+                 "suspect_rounds", "contaminated", "spike_delay",
                  "completion", "last_obs_time", "retired")
 
     def __init__(self, vn_id: int, task: Task, server: Server, ledger: VnLedger,
@@ -245,7 +244,6 @@ class VirtualNode:
         self.ledger = ledger
         self.ft_interval = ft_interval
         self.gap = 0                 # current monitoring gap, multiple of the base interval
-        self.state: NodeState = FAIL_SAFE
         self.suspect_rounds = 0      # consecutive Byzantine-state observations
         self.contaminated = False
         self.spike_delay = 0.0
@@ -374,7 +372,7 @@ class SyncCheckpointing(Checkpointing):
         t, _, _, job_id = ev
         cost, taken = sim.cfg.checkpoint_write_cost, 0
         for rt in sim.job_nodes[job_id].values():
-            if rt.state is not FAIL_STOP:
+            if rt.completion is not None:   # not crashed
                 sim._retime(rt, t, cost, image=True)
                 taken += 1
         if sim.unfinished[job_id]:
@@ -394,7 +392,7 @@ class IndependentCheckpointing(Checkpointing):
 
     def on_round(self, sim: Simulation, ev: tuple) -> str:
         t, _, _, rt = ev
-        if rt.retired or rt.state is FAIL_STOP:
+        if rt.completion is None:   # retired or crashed
             return "stale=1"
         sim._retime(rt, t, sim.cfg.checkpoint_write_cost, image=True)
         gap = independent_gap(sim.rng, sim.cfg.indep_mean_gap)   # as in on_spawn
@@ -420,11 +418,11 @@ class Simulation:
                  checkpoint_policy: str | None = None, collect_log: bool = True):
         cfg = scenario.cfg
         self.cfg = cfg
-        self.scheduler = scheduler or cfg.scheduler
-        self.checkpoint_policy = checkpoint_policy or cfg.checkpoint_policy
-        if self.scheduler not in PLACEMENT:
+        scheduler = scheduler or cfg.scheduler
+        checkpoint_policy = checkpoint_policy or cfg.checkpoint_policy
+        if scheduler not in PLACEMENT:
             raise ConfigError(f"scheduler must be one of {tuple(PLACEMENT)}")
-        if self.checkpoint_policy not in CHECKPOINTING:
+        if checkpoint_policy not in CHECKPOINTING:
             raise ConfigError(f"checkpoint_policy must be one of {tuple(CHECKPOINTING)}")
         self.collect_log = collect_log
 
@@ -444,9 +442,9 @@ class Simulation:
         self.rng = random.Random(f"{cfg.seed}:run")
         self.queue = EventQueue()
         self.report = MetricsReport(scenario.scenario_id, cfg.seed,
-                                    self.scheduler, self.checkpoint_policy)
-        self.placement = PLACEMENT[self.scheduler]
-        self.checkpointing = CHECKPOINTING[self.checkpoint_policy]
+                                    scheduler, checkpoint_policy)
+        self.placement = PLACEMENT[scheduler]
+        self.checkpointing = CHECKPOINTING[checkpoint_policy]
         self.store = CheckpointStore(self.checkpointing.history)
         self.log_lines: list[str] = []
 
@@ -531,8 +529,7 @@ class Simulation:
     def _roll_back(self, rt: VirtualNode, target: Checkpoint | None, t: int) -> int:
         """Discard the node's progress past ``target`` and retire it; returns the lost work."""
         self.store.abandon_after(rt.task.task_id, target)
-        if rt.state is not FAIL_STOP:
-            rt.ledger.settle(t)
+        rt.ledger.settle(t)   # a no-op once a crash stopped it
         lost = rollback_loss(rt.ledger.progress, target, t)
         s = self.report.scalars
         s["lost_work_total"] += lost
@@ -585,7 +582,7 @@ class Simulation:
         s = self.report.scalars
         s["replacement_count"] += len(rts)
         s["migration_count"] += 1
-        self.queue.push(t + self.cfg.migration_cost, MIGRATION_COMPLETE, job_id)
+        self.queue.push(t + restore, MIGRATION_COMPLETE, job_id)   # as the restore ends
         if not self.collect_log:
             return ""
         return f"job=j{job_id};moved={len(rts)};consistent_at={consistent_at}"
@@ -599,8 +596,8 @@ class Simulation:
         delay = self.rng.gauss(server.latency_mean, server.latency_sigma)
         delay = (delay if delay > 0.0 else 0.0) + rt.spike_delay
         sla = cfg.sla_bound
-        if rt.state is FAIL_STOP:
-            checksum = CHECKSUM_ERROR   # challenge unanswered
+        if rt.completion is None:
+            checksum = CHECKSUM_ERROR   # crashed: challenge unanswered
         else:
             checksum = checksum_oracle(rt.contaminated, cfg.detect_prob, self.rng)
         if rt.contaminated and checksum is NO_ERROR and cfg.high_delay_fallback:
@@ -626,7 +623,7 @@ class Simulation:
         if flagged and rt.task.task_id in self.detection_pending:
             since = self.detection_pending.pop(rt.task.task_id)
             self.report.record("detection_latency", float(t - since))
-        if cfg.monitor_cost > 0 and rt.state is not FAIL_STOP:
+        if cfg.monitor_cost > 0 and rt.completion is not None:
             self._retime(rt, t, cfg.monitor_cost)
         return delay, dclass, checksum, flagged
 
@@ -662,7 +659,7 @@ class Simulation:
         log = self.collect_log
         task = self.tasks[spec.target_task]   # task ids are list positions
         for rt in self.job_nodes[task.job_id].values():
-            if rt.task is task and rt.state is not FAIL_STOP:
+            if rt.task is task and rt.completion is not None:
                 break
         else:   # the task has no live node, or a crashed one
             return f"kind={_TOKENS[spec.kind]};target=none;noop=1" if log else ""
@@ -675,7 +672,6 @@ class Simulation:
             return f"kind=byzantine;vn=v{rt.vn_id}" if log else ""
         if spec.kind is CRASH_FAULT:
             rt.ledger.stop(t)
-            rt.state = FAIL_STOP
             rt.completion = None
             self.detection_pending[rt.task.task_id] = t
             return f"kind=crash;vn=v{rt.vn_id}" if log else ""
@@ -692,24 +688,20 @@ class Simulation:
         t, _, _, rt = ev
         if rt.retired:   # the round of a retired node
             return "stale=1"
-        ledger = rt.ledger
-        if rt.state is not FAIL_STOP and t > ledger.anchor:
-            ledger.settle(t)
         # a node is finished once its recorded completion is now, as on any
-        # completion (settling never moves the record); a monitor round's own
-        # pause (monitor_cost) keeps it busy
+        # completion; a monitor round's own pause (monitor_cost) keeps it busy
         finished = verify or (rt.completion is not None and rt.completion[0] == t
                               and not self.cfg.monitor_cost)
         delay, dclass, checksum, flagged = self._observe(rt, t)
         if finished and not flagged:
             outcome = self._complete_task(rt, t)
         else:
-            # a monitor round, or a final output rejected at verification
-            prior = rt.state
+            # a monitor round, or a final output rejected at verification,
+            # from the S-state the node's streak gives
+            prior = BYZANTINE if rt.suspect_rounds else FAIL_SAFE
             post = byzantine_fsm_step(prior, dclass, checksum)
             gap, action, streak = next_interval(rt.gap, rt.suspect_rounds, post, self.cfg)
-            rt.state = post
-            rt.suspect_rounds = streak if post is BYZANTINE else 0
+            rt.suspect_rounds = streak
             outcome = self.checkpointing.on_monitor(self, rt, t, gap, action, not finished)
             if self.collect_log:
                 outcome = f"state={_TOKENS[prior]}>{_TOKENS[post]}{outcome}"
@@ -737,11 +729,11 @@ class Simulation:
         spread = []
         for job_id, infected in self.infected.items():
             nodes = self.job_nodes[job_id]
-            # a fail-stopped node no longer exchanges outputs
-            if not any(nodes[vid].state is not FAIL_STOP for vid in infected):
+            # a crashed node no longer exchanges outputs
+            if not any(nodes[vid].completion is not None for vid in infected):
                 continue
             clean = [rt for rt in nodes.values() if not rt.contaminated
-                     and rt.state is not FAIL_STOP]
+                     and rt.completion is not None]
             for rt in propagate_contamination(clean, self.cfg.propagation_prob, self.rng):
                 rt.contaminated = True
                 infected.add(rt.vn_id)

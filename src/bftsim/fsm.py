@@ -147,7 +147,7 @@ def next_interval(gap: int, streak: int, post_state: NodeState,
         streak += 1
         return j, REPLACE_NODE if streak >= cfg.suspect_threshold else ESCALATE, streak
     # FAIL_STOP: shut down, replacement monitors at the base gap
-    return j, REPLACE_NODE, streak
+    return j, REPLACE_NODE, 0
 
 
 # -- fsm-trace conformance format --------------------------------------------

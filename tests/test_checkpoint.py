@@ -12,12 +12,14 @@ from bftsim.checkpoint import (
     rollback_loss,
     tcc_round,
 )
-from bftsim.model import Checkpoint, NodeState
+from bftsim.model import Checkpoint
 
 
-def _vn(vn_id=1, contaminated=False, state=NodeState.FAIL_SAFE):
-    """The node fields ``CheckpointStore.take`` reads."""
-    return SimpleNamespace(vn_id=vn_id, state=state, contaminated=contaminated)
+def _vn(vn_id=1, contaminated=False, crashed=False):
+    """The node fields ``CheckpointStore.take`` reads: a crashed node has no
+    completion."""
+    return SimpleNamespace(vn_id=vn_id, completion=None if crashed else (100, 0),
+                           contaminated=contaminated)
 
 
 def test_tcc_grown_gap_confirms_and_stretches_interval():
@@ -65,7 +67,7 @@ def test_store_skips_tainted_images():
 def test_store_rejects_fail_stopped_node():
     store = CheckpointStore()
     with pytest.raises(ValueError, match="fail-stop"):
-        store.take(_vn(1, state=NodeState.FAIL_STOP), 10, 5, lineage_id=1)
+        store.take(_vn(1, crashed=True), 10, 5, lineage_id=1)
 
 
 def test_rollback_loss_arithmetic():
@@ -118,7 +120,7 @@ class _ObjectStore:
         self._by_lineage = {}
 
     def take(self, vn, time, progress, lineage_id):
-        if vn.state is NodeState.FAIL_STOP:
+        if vn.completion is None:
             raise ValueError(f"cannot checkpoint fail-stopped node v{vn.vn_id}")
         ckpt = Checkpoint(len(self.records), time, progress, vn.contaminated)
         self.records.append(ckpt)
@@ -156,9 +158,8 @@ _STORE_STEPS = st.lists(
 def _take_on_both(store, reference, op, lineage, now):
     """One ``take`` step of the store tests: a clean, tainted or fail-stopped
     write on both sides, which give the same ``ckpt_id`` or both raise."""
-    vn = _vn(contaminated=op == "take_tainted",
-             state=NodeState.FAIL_STOP if op == "take_fail_stopped" else NodeState.FAIL_SAFE)
-    if vn.state is NodeState.FAIL_STOP:
+    vn = _vn(contaminated=op == "take_tainted", crashed=op == "take_fail_stopped")
+    if vn.completion is None:
         for side in (store, reference):
             with pytest.raises(ValueError, match="fail-stop"):
                 side.take(vn, now, now // 2, lineage)

@@ -3,6 +3,7 @@ import dataclasses
 import enum
 import hashlib
 import inspect
+import math
 import random
 import sys
 from collections import Counter, deque
@@ -92,7 +93,7 @@ def test_a_run_builds_objects_only_for_nodes_and_images():
     frames are counted.  A returned image is slotted (no instance
     ``__dict__``)."""
     store = CheckpointStore()
-    store.take(SimpleNamespace(vn_id=1, state=NodeState.FAIL_SAFE, contaminated=False),
+    store.take(SimpleNamespace(vn_id=1, completion=(1, 0), contaminated=False),
                1, 0, 1)
     assert not hasattr(store.latest(1), "__dict__")
     built = Counter()
@@ -491,7 +492,9 @@ def test_crash_detected_at_next_monitor_round():
     report, log = Scenario.from_config(cfg, faults).run()
     crash_rounds = [line for line in log if ",monitor," in line and "checksum=error" in line]
     assert crash_rounds and crash_rounds[0].startswith("30,")
-    assert "state=S2>S2" in crash_rounds[0]   # fail-stopped at injection, absorbed
+    # a crash writes no S-state: the supervisor's S0 moves to S2 on the
+    # challenge the crashed node leaves unanswered
+    assert "state=S0>S2" in crash_rounds[0]
     assert report.samples["detection_latency"].mean == 15.0   # crashed at 15, seen at 30
 
 
@@ -985,15 +988,19 @@ def test_storm_reports_match_the_pin():
 
 # SHA-256 of the log-on event logs of the 9 combinations on scenarios/desk.cfg
 # and on _storm_cfg, each at seeds 1 and 2
-EVENT_LOGS_SHA256 = "f54af4936ec0b8d8cc55b1e23e8a525ee0f33497b5ffa406bdaa0bd47384c69c"
+EVENT_LOGS_SHA256 = "b8ff36c7a0bfbe002e8f11d43b4dc17e2213655554fe7f5660f0de15dc3b8f2e"
 
 
 def test_event_logs_match_the_pin():
     """Pins every log line, which the report pins do not see.  The pin was
     recomputed when the run loop became the one horizon check: an event due
     past the horizon is queued and takes a sequence number, so the ``seq``
-    column shifts while every other column stays the same.  A change that
-    alters the log on purpose updates it and says so in CHANGES.md."""
+    column shifts while every other column stays the same.  Recomputed again
+    when a crash stopped writing S2 into the node's detection state: a
+    crashed node's detection round reads ``state=S0>S2`` (or ``S1>S2``)
+    where it read ``S2>S2``, and ``migration_done`` is logged when the moved
+    nodes' restore ends, later under ``mesf+tcc``.  A change that alters the
+    log on purpose updates it and says so in CHANGES.md."""
     digest = hashlib.sha256()
     for seed in (1, 2):
         for cfg in (load_config(DESK, {"seed": seed}), _storm_cfg(seed)):
@@ -1035,7 +1042,7 @@ def test_costly_storm_reports_match_the_pin():
 
 
 # SHA-256 of the log-on event logs of _costly_storm_outputs
-COSTLY_STORM_LOGS_SHA256 = "ce5ff60bd6b6397ee1d6666b2d37b29b0884e0cb0e0738017f0f9108bbe90ac9"
+COSTLY_STORM_LOGS_SHA256 = "a12e87921acf838b716d3673aa6e5df96c520c7e736edb52bd16c171c5b44f09"
 
 
 def test_costly_storm_logs_match_the_pin():
@@ -1043,13 +1050,45 @@ def test_costly_storm_logs_match_the_pin():
     completion event was queued once: the ``seq`` column shifts as in
     EVENT_LOGS_SHA256, and a verification round's monitor charge no longer
     queues a completion event for the node it retires, so those ``stale=1``
-    lines are gone.  A change that alters the log on purpose updates the pin
-    and says so in CHANGES.md."""
+    lines are gone.  Recomputed again, as EVENT_LOGS_SHA256, when a crash
+    stopped writing S2 and ``migration_done`` moved to the end of the
+    restore.  A change that alters the log on purpose updates the pin and
+    says so in CHANGES.md."""
     digest = hashlib.sha256()
     for _, log in _costly_storm_outputs():
         digest.update(("\n".join(log) + "\n").encode())
     assert digest.hexdigest() == COSTLY_STORM_LOGS_SHA256
 
+
+
+def test_migration_done_is_logged_when_the_moved_nodes_restore_ends():
+    """Under mesf a migration's restore is ``migration_cost`` plus the
+    wave's pre-evaluation charge, ``preeval_cost`` per server, rounded up;
+    ``migration_done`` is logged as it ends, on the zero-cost and the costly
+    storm alike."""
+    cfgs = [_storm_cfg(seed) for seed in (1, 2)]
+    cfgs += [dataclasses.replace(cfg, monitor_cost=1, checkpoint_write_cost=2, restart_cost=3,
+                                 migration_cost=4, preeval_cost=0.5, fault_window_start=0)
+             for cfg in cfgs]
+    checked = 0
+    for cfg in cfgs:
+        restore = cfg.migration_cost + math.ceil(cfg.preeval_cost * cfg.server_count)
+        _, log = Scenario.from_config(cfg).run("mesf", "tcc")
+        moved, done = {}, {}
+        for line in log:
+            time, _, kind, _, detail = line.split(",", 4)
+            job = detail.split("job=", 1)[-1].split(";")[0]
+            if "tcc=job_migration" in detail:
+                moved.setdefault(job, []).append(int(time))
+            elif kind == "migration_done":
+                done.setdefault(job, []).append(int(time))
+        assert done.keys() <= moved.keys()
+        for job, times in moved.items():
+            ends = [t + restore for t in times]
+            # a move that ends past the horizon is never logged as done
+            assert done.get(job, []) == [t for t in ends if t <= cfg.horizon], (cfg.seed, job)
+            checked += len(done.get(job, []))
+    assert checked >= 4
 
 
 # SHA-256 of the latencies (repr), demands and (kind, time, target, magnitude)
@@ -1136,16 +1175,15 @@ def _job_index_holds(sim, ev):
 
 def _pending_holds(sim, ev):
     """The counter identity: every settled tick is attributed once, the
-    unserved counters are served restore first, a live node is fail-stopped
-    exactly when its ledger stopped (a crash), and a live node's recorded
-    completion is the one its ledger gives, or None exactly when it crashed."""
+    unserved counters are served restore first, and a live node's recorded
+    completion is the one its ledger gives, or None exactly when its ledger
+    stopped: a crash, the one record of which is the node's schedule."""
     for rt in _live(sim):
         ledger = rt.ledger
         assert ledger.work + ledger.pause + ledger.restore == ledger.anchor - ledger.start, ev
         assert ledger.restore_due >= 0 and ledger.pause_due >= 0, ev
         assert not ledger.restore_due or ledger.work == ledger.pause == 0, ev
-        assert (rt.state is NodeState.FAIL_STOP) == (ledger.stopped is not None), ev
-        assert (rt.completion is None) == (rt.state is NodeState.FAIL_STOP), ev
+        assert (rt.completion is None) == (ledger.stopped is not None), ev
         if rt.completion is not None:
             assert rt.completion[0] == ledger.completion_time(rt.task.demand), ev
 
@@ -1198,6 +1236,13 @@ def _completion_queue_holds(sim, ev):
             assert len(queued) == 1 and queued[0] <= rt.completion, (ev, rt.vn_id)
 
 
+def _no_streak_under_tcc(sim, ev):
+    """Under tcc a suspect round collapses the gap and restarts the node in
+    that round, so no live node keeps a suspicion streak."""
+    if sim.report.checkpoint_policy == "tcc":
+        assert not any(rt.suspect_rounds for rt in _live(sim)), ev
+
+
 @pytest.mark.parametrize("sched,ckpt", COMBOS)
 def test_job_index_holds_exactly_the_live_nodes(sched, ckpt):
     """After every popped event, ``job_nodes`` holds each live node once,
@@ -1247,6 +1292,22 @@ def test_each_live_node_keeps_one_completion_event(sched, ckpt):
         _run_checking_every_event(sched, ckpt, seed, _completion_queue_holds)
 
 
+@pytest.mark.parametrize("sched", ["wsss", "mesf", "random"])
+def test_no_live_node_keeps_a_streak_under_tcc(sched):
+    """The every-event form of test_suspect_threshold_has_no_effect_under_tcc:
+    after every popped event no live tcc node has a suspicion streak, while
+    sync, on the same inputs, keeps streaks, so the check can fail."""
+    streaks = []
+
+    def sync_streaks(sim, ev):
+        streaks.append(max((rt.suspect_rounds for rt in _live(sim)), default=0))
+
+    for seed in (1, 2):
+        _run_checking_every_event(sched, "tcc", seed, _no_streak_under_tcc)
+        _run_checking_every_event(sched, "sync", seed, sync_streaks)
+    assert max(streaks) > 0
+
+
 @st.composite
 def _small_configs(draw):
     """Valid configs with enough capacity for every task: small topologies,
@@ -1290,6 +1351,7 @@ def _all_hold(sim, ev):
     _servers_hold(sim, ev)
     _monitor_queue_holds(sim, ev)
     _completion_queue_holds(sim, ev)
+    _no_streak_under_tcc(sim, ev)
 
 
 @settings(max_examples=50, deadline=None)

@@ -157,9 +157,10 @@ def test_next_interval_replaces_at_streak_threshold():
 
 def test_next_interval_fail_stop_replaces_with_base_gap():
     cfg = validate_config({})
-    gap, action, _ = next_interval(50, 0, S2, cfg)
+    gap, action, streak = next_interval(50, 2, S2, cfg)
     assert action is Action.REPLACE_NODE
     assert gap == 10
+    assert streak == 0   # the node is retired with its suspicion
 
 
 def test_healthy_monitor_schedule():
