@@ -8,6 +8,13 @@ derived from the single scenario seed; topology, workload, and the fault
 trace come from policy-independent streams (see ``scenario.py``) so
 different policies can be compared on identical inputs.
 
+Each live virtual node has one queued entry: the earlier of its next monitor
+round and its completion, each under the sequence number it took when it was
+scheduled.  A popped event is stale (``stale=1``) in three cases: a
+completion entry that a checkpoint round moved later or a crash cleared (its
+handler queues the node again), an independent checkpoint round of a retired
+or crashed node, and the entry of a node that a migration retired.
+
 Every virtual-node incarnation carries a tick ledger that attributes each
 active tick to exactly one of: work, checkpoint pause, or restore time;
 rolled-back progress moves from work to lost work, so
@@ -227,14 +234,16 @@ class VnLedger:
 
 class VirtualNode:
     """One incarnation of a virtual node executing a task.  The node's events
-    carry it and pop stale once it is retired; ``completion`` is the one
-    record of when it finishes, and is None once it is retired or crashed.
-    Its detection state is its streak: S1 while ``suspect_rounds`` > 0, else
-    S0, as a fail-stop verdict retires it in the same monitor round."""
+    carry it and pop stale once it is retired.  ``monitor`` is its next
+    monitor round and ``completion`` the one record of when it finishes, None
+    once it is retired or crashed; its one queued entry is the earlier of
+    the two.  Its detection state is its streak: S1 while ``suspect_rounds``
+    > 0, else S0, as a fail-stop verdict retires it in the same monitor
+    round."""
 
     __slots__ = ("vn_id", "task", "server", "ledger", "ft_interval", "gap",
                  "suspect_rounds", "contaminated", "spike_delay",
-                 "completion", "last_obs_time", "retired")
+                 "monitor", "completion", "last_obs_time", "retired")
 
     def __init__(self, vn_id: int, task: Task, server: Server, ledger: VnLedger,
                  ft_interval: int, last_obs_time: int = 0):
@@ -247,6 +256,7 @@ class VirtualNode:
         self.suspect_rounds = 0      # consecutive Byzantine-state observations
         self.contaminated = False
         self.spike_delay = 0.0
+        self.monitor: tuple[int, int] = (0, 0)   # (time, seq) of its next monitor round
         self.completion: tuple[int, int] | None = None   # (time, seq) the node is due to finish at
         self.last_obs_time = last_obs_time
         self.retired = False
@@ -487,17 +497,16 @@ class Simulation:
         server.active += 1
         self._advance_monitor(rt, start, self.cfg.base_interval)
         self._retime(rt, start)
-        when, seq = rt.completion   # the node's one completion event
-        self.queue.push(when, TASK_COMPLETE, rt, seq=seq)
+        self._queue_node(rt)
         self.checkpointing.on_spawn(self, rt)
         return rt
 
     def _retime(self, rt: VirtualNode, t: int, pause: int = 0, image: bool = False) -> None:
         """Settle the node to ``t``, image it with ``image``, add ``pause``
         unserved ticks and record its new completion under the next sequence
-        number: one pass per checkpoint write.  It queues nothing: the node's
-        one completion event, queued by ``_spawn``, is re-queued at the record
-        by ``_handle_complete`` when it pops before it."""
+        number: one pass per checkpoint write.  It queues nothing: a queued
+        completion entry that pops before the record is stale, and
+        ``_handle_complete`` queues the node's entry again."""
         ledger = rt.ledger
         if t > ledger.anchor:
             ledger.settle(t)
@@ -628,11 +637,23 @@ class Simulation:
         return delay, dclass, checksum, flagged
 
     def _advance_monitor(self, rt: VirtualNode, t: int, gap: int) -> None:
-        # the only push of a monitor round: at spawn and in the node's own
-        # round, so a live node always has exactly one queued; a round due
-        # after the run's end is queued and never pops
+        """Record the node's next round under the next sequence number, at
+        spawn and in its own round; ``_queue_node`` queues it."""
         rt.gap = gap
-        self.queue.push(t + gap, MONITOR_ROUND, rt)
+        queue = self.queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        rt.monitor = (t + gap, seq)
+
+    def _queue_node(self, rt: VirtualNode) -> None:
+        """Queue the node's one entry: the earlier of its monitor round and its
+        completion, or its monitor round once it crashed.  An entry due after
+        the run's end is queued and never pops."""
+        completion = rt.completion
+        if completion is not None and completion < rt.monitor:
+            self.queue.push(completion[0], TASK_COMPLETE, rt, seq=completion[1])
+        else:
+            self.queue.push(rt.monitor[0], MONITOR_ROUND, rt, seq=rt.monitor[1])
 
     # -- completion ----------------------------------------------------------
 
@@ -684,9 +705,10 @@ class Simulation:
         """One monitor round of the event's node: observe it, then complete its
         task or step its detection machine and apply the checkpoint policy.
         With ``verify``, the final verification of its output that
-        ``_handle_complete`` hands over.  A node not retired is in ``job_nodes``."""
+        ``_handle_complete`` hands over.  A node not retired is in ``job_nodes``,
+        and queues its next entry here."""
         t, _, _, rt = ev
-        if rt.retired:   # the round of a retired node
+        if rt.retired:   # the entry of a node a migration retired
             return "stale=1"
         # a node is finished once its recorded completion is now, as on any
         # completion; a monitor round's own pause (monitor_cost) keeps it busy
@@ -703,6 +725,8 @@ class Simulation:
             gap, action, streak = next_interval(rt.gap, rt.suspect_rounds, post, self.cfg)
             rt.suspect_rounds = streak
             outcome = self.checkpointing.on_monitor(self, rt, t, gap, action, not finished)
+            if not rt.retired:
+                self._queue_node(rt)
             if self.collect_log:
                 outcome = f"state={_TOKENS[prior]}>{_TOKENS[post]}{outcome}"
         if not self.collect_log:
@@ -714,13 +738,12 @@ class Simulation:
     def _handle_complete(self, ev: tuple) -> str:
         t, seq, _, rt = ev
         if (t, seq) != rt.completion:
-            # the node retired or crashed, or a pause moved its completion
-            # later after this event was queued: re-queue a moved one under the
-            # number the pause recorded, so it runs where a fresh push at that
-            # pause would have run
-            if rt.completion is not None:
-                when, seq = rt.completion
-                self.queue.push(when, TASK_COMPLETE, rt, seq=seq)
+            # the node retired, or after this entry was queued a checkpoint
+            # round moved its completion later or a crash cleared it: queue a
+            # live node's entry again, under the numbers its records hold, so
+            # it runs where a fresh push would have run
+            if not rt.retired:
+                self._queue_node(rt)
             return "stale=1"
         return self._handle_monitor(ev, verify=True)
 

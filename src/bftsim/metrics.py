@@ -12,6 +12,8 @@ import io
 import csv
 import json
 import math
+import re
+from json.encoder import encode_basestring_ascii
 
 
 SCALAR_METRICS = (
@@ -138,7 +140,16 @@ class MetricsReport:
 
     def emit(self, fmt: str) -> str:
         if fmt == "json":
-            return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+            # json.dumps(out, sort_keys=True, indent=2) + "\n", filled in
+            out = self.to_dict()
+            try:
+                values = [_JSON_ENCODE[type(v)](v) for v in
+                          [out[group][key] for group, key in _JSON_SLOTS]]
+            except KeyError:   # a value of another type
+                return json.dumps(out, sort_keys=True, indent=2) + "\n"
+            if "nan" in values or "inf" in values or "-inf" in values:
+                values = [_NON_FINITE.get(v, v) for v in values]
+            return _JSON_LAYOUT % tuple(values)
         if fmt == "csv":
             header, row = ["scenario_id", "seed", "scheduler", "checkpoint_policy"], \
                           [self.scenario_id, self.seed, self.scheduler, self.checkpoint_policy]
@@ -188,6 +199,28 @@ class MetricsReport:
         if not isinstance(other, MetricsReport):
             return NotImplemented
         return self._key() == other._key()
+
+
+def _json_layout(shape: dict) -> tuple[str, tuple[tuple[str, str], ...]]:
+    """``json.dumps(shape, sort_keys=True, indent=2) + "\n"`` for a dict of
+    dicts, as a ``%`` format with a ``%s`` slot per inner value, and the
+    (outer key, inner key) path of each slot in the order the dump writes
+    them.  The dump itself lays the text out, so the layout cannot drift."""
+    paths, marked = [], {}
+    for group, inner in shape.items():
+        marked[group] = {}
+        for key in inner:
+            marked[group][key] = f"@{len(paths)}@"
+            paths.append((group, key))
+    text = json.dumps(marked, sort_keys=True, indent=2).replace("%", "%%") + "\n"
+    order = tuple(paths[int(i)] for i in re.findall(r'"@(\d+)@"', text))
+    return re.sub(r'"@\d+@"', "%s", text), order
+
+
+# the JSON report's layout, built once, and json's encodings of its values
+_JSON_LAYOUT, _JSON_SLOTS = _json_layout(MetricsReport().to_dict())
+_JSON_ENCODE = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__}
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def csv_text(rows) -> str:

@@ -3,6 +3,7 @@ import dataclasses
 import enum
 import hashlib
 import inspect
+import json
 import math
 import random
 import sys
@@ -42,6 +43,7 @@ from bftsim.engine import (
     run_scenario,
 )
 from bftsim.fsm import Action
+from bftsim.metrics import MetricsReport
 from bftsim.model import (
     ChecksumResult,
     NodeState,
@@ -890,15 +892,16 @@ def test_every_other_key_acts_under_every_policy_pair():
 @pytest.mark.parametrize("policy", ["sync", "tcc"])
 def test_each_node_keeps_at_most_one_queued_completion(policy):
     """A checkpoint pause moves a node's completion later without queueing a
-    second completion event for it."""
+    second entry for it: counted from the pushes and pops themselves, a node
+    never has more than one monitor or completion entry in the heap."""
     sim = Simulation(Scenario.from_config(load_config(DESK, {"seed": 1})),
                      scheduler="wsss", checkpoint_policy=policy, collect_log=False)
     push, advance = sim.queue.push, sim.queue.advance
-    queued = Counter()    # vn id -> completion events in the heap
+    queued = Counter()    # node -> monitor and completion entries in the heap
     most = Counter()
 
     def counting_push(time, kind, target=None, **kwargs):
-        if kind is EventKind.TASK_COMPLETE:
+        if kind in _NODE_ENTRIES:
             queued[target] += 1
             most[target] = max(most[target], queued[target])
         return push(time, kind, target, **kwargs)
@@ -906,7 +909,7 @@ def test_each_node_keeps_at_most_one_queued_completion(policy):
     def counting_advance():
         ev = advance()
         _, _, kind, target = ev
-        if kind is EventKind.TASK_COMPLETE:
+        if kind in _NODE_ENTRIES:
             queued[target] -= 1
         return ev
 
@@ -986,9 +989,29 @@ def test_storm_reports_match_the_pin():
     assert digest.hexdigest() == STORM_REPORTS_SHA256
 
 
+def test_json_reports_are_the_sorted_indented_dump():
+    """Every desk and storm report at seeds 1 and 2 emits, from the layout
+    built once, the text json.dumps writes for its dict, and parses back:
+    a parsed sample rebuilds its stddev from the stddev's square, which may
+    move the last bit."""
+    for seed in (1, 2):
+        for cfg in (load_config(DESK, {"seed": seed}), _storm_cfg(seed)):
+            scenario = Scenario.from_config(cfg)
+            for sched, ckpt in COMBOS:
+                report, _ = scenario.run(sched, ckpt, collect_log=False)
+                text = report.emit("json")
+                assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+                parsed = MetricsReport.parse(text, "json").to_dict()
+                for metric, stats in report.to_dict().items():
+                    back = parsed[metric]
+                    assert back.pop("stddev", 0.0) == pytest.approx(stats.pop("stddev", 0.0),
+                                                                    rel=1e-15)
+                    assert back == stats, (metric, seed, sched, ckpt)
+
+
 # SHA-256 of the log-on event logs of the 9 combinations on scenarios/desk.cfg
 # and on _storm_cfg, each at seeds 1 and 2
-EVENT_LOGS_SHA256 = "b8ff36c7a0bfbe002e8f11d43b4dc17e2213655554fe7f5660f0de15dc3b8f2e"
+EVENT_LOGS_SHA256 = "1901971307e1ee635ffc4998ff9a52caaab3ff3c1d99719d36c73a00d8f74973"
 
 
 def test_event_logs_match_the_pin():
@@ -999,29 +1022,41 @@ def test_event_logs_match_the_pin():
     when a crash stopped writing S2 into the node's detection state: a
     crashed node's detection round reads ``state=S0>S2`` (or ``S1>S2``)
     where it read ``S2>S2``, and ``migration_done`` is logged when the moved
-    nodes' restore ends, later under ``mesf+tcc``.  A change that alters the
-    log on purpose updates it and says so in CHANGES.md."""
+    nodes' restore ends, later under ``mesf+tcc``.  Recomputed again when
+    each live node kept one queued entry in place of a monitor round and a
+    completion event: only ``stale=1`` lines are gone, and every other line
+    keeps LIVE_LOG_LINES_SHA256.  A change that alters the log on purpose
+    updates it and says so in CHANGES.md."""
     digest = hashlib.sha256()
+    for log in _pinned_logs():
+        digest.update(("\n".join(log) + "\n").encode())
+    assert digest.hexdigest() == EVENT_LOGS_SHA256
+
+
+def _pinned_logs():
+    """The log-on event logs that EVENT_LOGS_SHA256 pins."""
     for seed in (1, 2):
         for cfg in (load_config(DESK, {"seed": seed}), _storm_cfg(seed)):
             scenario = Scenario.from_config(cfg)
             for sched, ckpt in COMBOS:
-                _, log = scenario.run(sched, ckpt, collect_log=True)
-                digest.update(("\n".join(log) + "\n").encode())
-    assert digest.hexdigest() == EVENT_LOGS_SHA256
+                yield scenario.run(sched, ckpt, collect_log=True)[1]
 
 
-def _costly_storm_outputs():
-    """The report and log-on event log of the 9 combinations on _storm_cfg at
-    seeds 1 and 2 with every cost non-zero and the fault window opening at
+def _costly_storm_cfg(seed):
+    """_storm_cfg with every cost non-zero and the fault window opening at
     t=0: a monitor round's own pause (which keeps a finished node from
     completing in that round), restore and pre-evaluation charges, and faults
     before a late wave starts, which the zero-cost pins miss."""
+    return dataclasses.replace(_storm_cfg(seed), monitor_cost=1, checkpoint_write_cost=2,
+                               restart_cost=3, migration_cost=4, preeval_cost=0.5,
+                               fault_window_start=0)
+
+
+def _costly_storm_outputs():
+    """The report and log-on event log of the 9 combinations on
+    _costly_storm_cfg at seeds 1 and 2."""
     for seed in (1, 2):
-        cfg = dataclasses.replace(_storm_cfg(seed), monitor_cost=1, checkpoint_write_cost=2,
-                                  restart_cost=3, migration_cost=4, preeval_cost=0.5,
-                                  fault_window_start=0)
-        scenario = Scenario.from_config(cfg)
+        scenario = Scenario.from_config(_costly_storm_cfg(seed))
         for sched, ckpt in COMBOS:
             yield scenario.run(sched, ckpt, collect_log=True)
 
@@ -1042,7 +1077,7 @@ def test_costly_storm_reports_match_the_pin():
 
 
 # SHA-256 of the log-on event logs of _costly_storm_outputs
-COSTLY_STORM_LOGS_SHA256 = "a12e87921acf838b716d3673aa6e5df96c520c7e736edb52bd16c171c5b44f09"
+COSTLY_STORM_LOGS_SHA256 = "bbeb410fa955c7b7ceb86d6e4885a17074446eb0303cecaefb4c3a45092f3194"
 
 
 def test_costly_storm_logs_match_the_pin():
@@ -1052,13 +1087,54 @@ def test_costly_storm_logs_match_the_pin():
     queues a completion event for the node it retires, so those ``stale=1``
     lines are gone.  Recomputed again, as EVENT_LOGS_SHA256, when a crash
     stopped writing S2 and ``migration_done`` moved to the end of the
-    restore.  A change that alters the log on purpose updates the pin and
-    says so in CHANGES.md."""
+    restore, and when each live node kept one queued entry: only ``stale=1``
+    lines are gone, as in EVENT_LOGS_SHA256.  A change that alters the log on
+    purpose updates the pin and says so in CHANGES.md."""
     digest = hashlib.sha256()
     for _, log in _costly_storm_outputs():
         digest.update(("\n".join(log) + "\n").encode())
     assert digest.hexdigest() == COSTLY_STORM_LOGS_SHA256
 
+
+# SHA-256 of the lines other than ``stale=1`` pops of the EVENT_LOGS_SHA256 and
+# COSTLY_STORM_LOGS_SHA256 logs
+LIVE_LOG_LINES_SHA256 = "1d860b5cccffb8419fc8f7445c0381174bc5258b713ec6478072958c4a50b0a2"
+
+
+def test_log_lines_other_than_stale_pops_match_the_pin():
+    """Computed while a live node kept both its monitor round and its
+    completion event queued.  Queueing one entry per live node removed
+    ``stale=1`` lines only: every other line, its ``seq`` included, kept
+    the pin."""
+    digest = hashlib.sha256()
+    logs = [*_pinned_logs(), *(log for _, log in _costly_storm_outputs())]
+    for log in logs:
+        kept = [line for line in log if not line.endswith(",stale=1")]
+        digest.update(("\n".join(kept) + "\n").encode())
+    assert digest.hexdigest() == LIVE_LOG_LINES_SHA256
+
+
+@pytest.mark.parametrize("sched", ["wsss", "mesf", "random"])
+def test_tcc_logs_hold_stale_pops_only_where_a_migration_or_crash_left_them(sched):
+    """Under tcc a node's own round is the only one that moves its
+    completion, so no entry of a live node goes stale that way.  What is
+    left: the entries of the nodes a migration retires, and the rare
+    completion entry of a crashed node.  The desk runs have no migration and
+    hold no ``stale=1`` line; on the storm the stale lines number at most
+    the nodes that migrations moved."""
+    def stale_and_moved(cfg):
+        _, log = Scenario.from_config(cfg).run(sched, "tcc", collect_log=True)
+        return (sum(line.endswith(",stale=1") for line in log),
+                sum(int(line.split("moved=", 1)[1].split(";", 1)[0])
+                    for line in log if "moved=" in line))
+
+    moved_total = 0
+    for seed in (1, 2):
+        assert stale_and_moved(load_config(DESK, {"seed": seed})) == (0, 0), seed
+        stale, moved = stale_and_moved(_storm_cfg(seed))
+        assert stale <= moved, (seed, stale, moved)
+        moved_total += moved
+    assert moved_total > 0
 
 
 def test_migration_done_is_logged_when_the_moved_nodes_restore_ends():
@@ -1066,10 +1142,7 @@ def test_migration_done_is_logged_when_the_moved_nodes_restore_ends():
     wave's pre-evaluation charge, ``preeval_cost`` per server, rounded up;
     ``migration_done`` is logged as it ends, on the zero-cost and the costly
     storm alike."""
-    cfgs = [_storm_cfg(seed) for seed in (1, 2)]
-    cfgs += [dataclasses.replace(cfg, monitor_cost=1, checkpoint_write_cost=2, restart_cost=3,
-                                 migration_cost=4, preeval_cost=0.5, fault_window_start=0)
-             for cfg in cfgs]
+    cfgs = [make(seed) for make in (_storm_cfg, _costly_storm_cfg) for seed in (1, 2)]
     checked = 0
     for cfg in cfgs:
         restore = cfg.migration_cost + math.ceil(cfg.preeval_cost * cfg.server_count)
@@ -1206,34 +1279,33 @@ def _servers_hold(sim, ev):
     assert all(rt.server is sim.servers[rt.server.server_id - 1] for rt in live), ev
 
 
-def _monitor_queue_holds(sim, ev):
-    """Each live node has exactly one monitor round queued, at its last
-    observation plus its gap, also past the horizon: a live node's round
-    always pops on time, and a stale round is a retired node's."""
-    rounds = {}
-    for time, _, kind, target in sim.queue._heap:
-        if kind is EventKind.MONITOR_ROUND and not target.retired:
-            rounds.setdefault(target.vn_id, []).append(time)
-    for rt in _live(sim):
-        assert rounds.get(rt.vn_id) == [rt.last_obs_time + rt.gap], (ev, rt.vn_id)
+_NODE_ENTRIES = (EventKind.MONITOR_ROUND, EventKind.TASK_COMPLETE)
 
 
-def _completion_queue_holds(sim, ev):
-    """Each live node has exactly one completion event queued, also past the
-    horizon, unless it crashed: a crashed node's event pops stale, and it may
-    have popped before the node's next monitor round retires it.  A node
-    that has not crashed has its event at or before its recorded completion,
-    where the event runs or ``_handle_complete`` re-queues it."""
-    keys = {}
+def _node_entry_holds(sim, ev):
+    """Each live node has exactly one queued monitor or completion entry, also
+    past the horizon, its monitor round is its last observation plus its gap,
+    and the entry's key is the earlier of its monitor round and its
+    completion (its monitor round once it crashed).  Only a completion entry
+    may be earlier: a sync or independent checkpoint round moved the
+    completion later, or a crash cleared it, after the entry was queued; it
+    pops stale and ``_handle_complete`` queues the node again.  Under tcc
+    only a crash does that, as the node's own round is the only one that
+    moves its completion."""
+    entries = {}
     for time, seq, kind, target in sim.queue._heap:
-        if kind is EventKind.TASK_COMPLETE and not target.retired:
-            keys.setdefault(target.vn_id, []).append((time, seq))
+        if kind in _NODE_ENTRIES and not target.retired:
+            entries.setdefault(target.vn_id, []).append((time, seq, kind))
+    rounds = sim.report.checkpoint_policy != "tcc"
     for rt in _live(sim):
-        queued = keys.get(rt.vn_id, [])
-        if rt.completion is None:   # crashed
-            assert len(queued) <= 1, (ev, rt.vn_id)
-        else:
-            assert len(queued) == 1 and queued[0] <= rt.completion, (ev, rt.vn_id)
+        assert rt.monitor[0] == rt.last_obs_time + rt.gap, (ev, rt.vn_id)
+        due = rt.monitor if rt.completion is None else min(rt.monitor, rt.completion)
+        queued = entries.get(rt.vn_id, [])
+        assert len(queued) == 1, (ev, rt.vn_id, queued)
+        [(time, seq, kind)] = queued
+        if (time, seq) != due:
+            assert kind is EventKind.TASK_COMPLETE and (time, seq) < due, (ev, rt.vn_id)
+            assert rounds or rt.completion is None, (ev, rt.vn_id)
 
 
 def _no_streak_under_tcc(sim, ev):
@@ -1278,18 +1350,29 @@ def test_infected_index_holds_exactly_the_live_contaminated_nodes(sched, ckpt):
 
 @pytest.mark.parametrize("sched,ckpt", COMBOS)
 def test_each_live_node_keeps_one_monitor_round_on_time(sched, ckpt):
-    """After every popped event, each live node's only queued monitor round
-    is the one its last observation and gap give."""
+    """After every popped event, each live node keeps one queued entry, and
+    its monitor round is the one its last observation and gap give."""
     for seed in (1, 2):
-        _run_checking_every_event(sched, ckpt, seed, _monitor_queue_holds)
+        _run_checking_every_event(sched, ckpt, seed, _node_entry_holds)
 
 
 @pytest.mark.parametrize("sched,ckpt", COMBOS)
 def test_each_live_node_keeps_one_completion_event(sched, ckpt):
-    """After every popped event, each live node that has not crashed has one
-    queued completion event, no later than its recorded completion."""
+    """The same check on the costly storm, where checkpoint writes and
+    monitor rounds pause nodes: a node's completion, when it comes before
+    its monitor round, is its one queued entry, at its recorded key."""
+    completions = []
+
+    def check(sim, ev):
+        _node_entry_holds(sim, ev)
+        completions.append(sum(kind is EventKind.TASK_COMPLETE
+                               for _, _, kind, _ in sim.queue._heap))
+
     for seed in (1, 2):
-        _run_checking_every_event(sched, ckpt, seed, _completion_queue_holds)
+        scenario = Scenario.from_config(_costly_storm_cfg(seed))
+        report, checked = _check_every_event(scenario, sched, ckpt, check)
+        assert checked > 100 and _identity_holds(report)
+    assert max(completions) > 0
 
 
 @pytest.mark.parametrize("sched", ["wsss", "mesf", "random"])
@@ -1349,8 +1432,7 @@ def _all_hold(sim, ev):
     _pending_holds(sim, ev)
     _infected_index_holds(sim, ev)
     _servers_hold(sim, ev)
-    _monitor_queue_holds(sim, ev)
-    _completion_queue_holds(sim, ev)
+    _node_entry_holds(sim, ev)
     _no_streak_under_tcc(sim, ev)
 
 
@@ -1410,11 +1492,11 @@ def test_per_event_code_binds_enum_members_once():
             {name for name, fn in engine.items()
              if name.split(".")[0].endswith("Checkpointing") or _pushes(fn)}
             | {f"Simulation.{name}" for name in (
-                "_observe", "_handle_monitor", "_handle_exchange", "inject_fault", "run",
-                "_log")}),
+                "_observe", "_advance_monitor", "_handle_monitor", "_handle_exchange",
+                "inject_fault", "run", "_log")}),
     }
     assert "TccCheckpointing.on_monitor" in per_event[bftsim.engine]
-    assert "Simulation._advance_monitor" in per_event[bftsim.engine]
+    assert "Simulation._queue_node" in per_event[bftsim.engine]
     class_reads = []
     for module, names in per_event.items():
         functions = _functions(module)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import statistics
@@ -96,6 +97,34 @@ def test_emit_round_trip_and_determinism(fmt):
     parsed = MetricsReport.parse(blob, fmt)
     assert parsed == report
     assert parsed.emit(fmt) == blob
+
+
+def _assert_emits_as_json_dumps(report):
+    text = report.emit("json")
+    assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert MetricsReport.parse(text, "json").emit("json") == text
+
+
+def test_json_emit_is_the_sorted_indented_dump():
+    """``emit("json")`` fills a layout built once; it writes what json.dumps
+    writes: a blank report, whose samples have count 0, non-ASCII text,
+    negative zero, non-finite floats, and values of other types."""
+    _assert_emits_as_json_dumps(MetricsReport())
+    report = _report("scénario-ß→1", useful_work_total=-0.0, lost_work_total=math.inf,
+                     pause_time_total=-math.inf, restore_time_total=math.nan,
+                     jobs_completed=3)
+    report.record("detection_latency", math.inf)
+    report.record("exec_time_total", 0.0)
+    report.record("exec_time_total", 2.5)
+    _assert_emits_as_json_dumps(report)
+    text = report.emit("json")
+    assert '"id": "sc\\u00e9nario-\\u00df\\u21921"' in text
+    for spelling in ("-0.0", "Infinity", "-Infinity", "NaN"):
+        assert f'"mean": {spelling},' in text
+    _assert_emits_as_json_dumps(_report(rollback_count=True, migration_count=None))
+    finite = _report("scénario", useful_work_total=-0.0, lost_work_total=math.inf)
+    parsed = MetricsReport.parse(finite.emit("json"), "json")
+    assert parsed == finite and math.copysign(1, parsed.scalars["useful_work_total"]) < 0
 
 
 def test_emit_unknown_format():
