@@ -8,12 +8,12 @@ derived from the single scenario seed; topology, workload, and the fault
 trace come from policy-independent streams (see ``scenario.py``) so
 different policies can be compared on identical inputs.
 
-Each live virtual node has one queued entry: the earlier of its next monitor
-round and its completion, each under the sequence number it took when it was
-scheduled.  A popped event is stale (``stale=1``) in three cases: a
-completion entry that a checkpoint round moved later or a crash cleared (its
-handler queues the node again), an independent checkpoint round of a retired
-or crashed node, and the entry of a node that a migration retired.
+Each live virtual node has one queued entry: the earliest of its next monitor
+round, its completion and its own next checkpoint round (independent), each
+under the sequence number it took when it was scheduled.  A popped node entry
+is stale (``stale=1``) in two cases: a migration retired its node, or a sync
+round or a crash changed the record it was queued under (its handler queues
+the node again).
 
 Every virtual-node incarnation carries a tick ledger that attributes each
 active tick to exactly one of: work, checkpoint pause, or restore time;
@@ -234,16 +234,16 @@ class VnLedger:
 
 class VirtualNode:
     """One incarnation of a virtual node executing a task.  The node's events
-    carry it and pop stale once it is retired.  ``monitor`` is its next
-    monitor round and ``completion`` the one record of when it finishes, None
-    once it is retired or crashed; its one queued entry is the earlier of
-    the two.  Its detection state is its streak: S1 while ``suspect_rounds``
-    > 0, else S0, as a fail-stop verdict retires it in the same monitor
-    round."""
+    carry it and pop stale once it is retired.  ``monitor``, ``completion``
+    and ``checkpoint`` (its own next round, only under independent) are its
+    schedule, the last two None once it is retired or crashed; its one queued
+    entry is the earliest.  Its detection state is its streak: S1 while
+    ``suspect_rounds`` > 0, else S0, as a fail-stop verdict retires it in the
+    same monitor round."""
 
     __slots__ = ("vn_id", "task", "server", "ledger", "ft_interval", "gap",
                  "suspect_rounds", "contaminated", "spike_delay",
-                 "monitor", "completion", "last_obs_time", "retired")
+                 "monitor", "completion", "checkpoint", "last_obs_time", "retired")
 
     def __init__(self, vn_id: int, task: Task, server: Server, ledger: VnLedger,
                  ft_interval: int, last_obs_time: int = 0):
@@ -258,6 +258,7 @@ class VirtualNode:
         self.spike_delay = 0.0
         self.monitor: tuple[int, int] = (0, 0)   # (time, seq) of its next monitor round
         self.completion: tuple[int, int] | None = None   # (time, seq) the node is due to finish at
+        self.checkpoint: tuple[int, int] | None = None   # (time, seq) of its own next round
         self.last_obs_time = last_obs_time
         self.retired = False
 
@@ -310,10 +311,11 @@ class RandomPlacement:
 
 
 class Checkpointing:
-    """Checkpoint-policy rules.  The defaults schedule no checkpoint rounds,
+    """Checkpoint-policy rules.  The defaults take no checkpoint rounds,
     apply the detection machine's action on a monitor round and roll back to
-    the newest clean image; each policy overrides where it differs, and a
-    policy that schedules rounds handles them in ``on_round``.  With
+    the newest clean image; each policy overrides where it differs.  Job
+    rounds are queued in ``start_rounds`` and handled in ``on_round``; the
+    engine runs a node's own rounds, timed by ``round_gaps``.  With
     ``history`` a rollback may reach past a lineage's newest clean image."""
 
     history = False
@@ -324,8 +326,9 @@ class Checkpointing:
     def on_round(self, sim: Simulation, ev: tuple) -> str:
         raise NotImplementedError
 
-    def on_spawn(self, sim: Simulation, rt: VirtualNode) -> None:
-        pass
+    def round_gaps(self, sim: Simulation) -> partial | None:
+        """Draws the gap to a node's next own round; None: it takes none."""
+        return None
 
     def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: Action,
                    in_monitor: bool) -> str:
@@ -338,7 +341,6 @@ class Checkpointing:
             # rejected final output outside a monitor round: the suspicion
             # machinery cannot hold a finished node, so replace it outright
             return ";" + sim._restart_vn(rt, t, "verify_reject")
-        sim._advance_monitor(rt, t, gap)
         if not sim.collect_log:
             return ""
         return f";action={_TOKENS[action]};q={rt.suspect_rounds}"
@@ -362,7 +364,6 @@ class TccCheckpointing(Checkpointing):
             # only a monitor round confirms: a rejected output's gap is base_interval
             rt.ft_interval = gap
             sim._retime(rt, t, sim.cfg.checkpoint_write_cost, image=True)
-            sim._advance_monitor(rt, t, gap)
             if not sim.collect_log:
                 return ""
             return f";tcc=confirmed;delta={gap}"
@@ -396,20 +397,8 @@ class IndependentCheckpointing(Checkpointing):
     """Images each node at uncoordinated seeded-random times; with an untrusted
     latest image only the initial state is left to fall back to."""
 
-    def on_spawn(self, sim: Simulation, rt: VirtualNode) -> None:
-        gap = independent_gap(sim.rng, sim.cfg.indep_mean_gap)
-        sim.queue.push(rt.ledger.start + gap, CHECKPOINT_ROUND, rt)
-
-    def on_round(self, sim: Simulation, ev: tuple) -> str:
-        t, _, _, rt = ev
-        if rt.completion is None:   # retired or crashed
-            return "stale=1"
-        sim._retime(rt, t, sim.cfg.checkpoint_write_cost, image=True)
-        gap = independent_gap(sim.rng, sim.cfg.indep_mean_gap)   # as in on_spawn
-        sim.queue.push(t + gap, CHECKPOINT_ROUND, rt)
-        if not sim.collect_log:
-            return ""
-        return f"vn=v{rt.vn_id};gap={gap}"
+    def round_gaps(self, sim: Simulation) -> partial:   # drawn at start and after each write
+        return partial(independent_gap, sim.rng, sim.cfg.indep_mean_gap)
 
     def rollback_target(self, sim: Simulation, task_id: int) -> Checkpoint | None:
         latest = sim.store.latest(task_id)
@@ -456,6 +445,7 @@ class Simulation:
         self.placement = PLACEMENT[scheduler]
         self.checkpointing = CHECKPOINTING[checkpoint_policy]
         self.store = CheckpointStore(self.checkpointing.history)
+        self.round_gap = self.checkpointing.round_gaps(self)
         self.log_lines: list[str] = []
 
         # the one index of live nodes: job id -> (vn id -> live incarnation);
@@ -497,16 +487,17 @@ class Simulation:
         server.active += 1
         self._advance_monitor(rt, start, self.cfg.base_interval)
         self._retime(rt, start)
+        if self.round_gap is not None:   # its own first checkpoint round
+            rt.checkpoint = (start + self.round_gap(), self.queue._seq)
+            self.queue._seq += 1
         self._queue_node(rt)
-        self.checkpointing.on_spawn(self, rt)
         return rt
 
     def _retime(self, rt: VirtualNode, t: int, pause: int = 0, image: bool = False) -> None:
         """Settle the node to ``t``, image it with ``image``, add ``pause``
         unserved ticks and record its new completion under the next sequence
-        number: one pass per checkpoint write.  It queues nothing: a queued
-        completion entry that pops before the record is stale, and
-        ``_handle_complete`` queues the node's entry again."""
+        number: one pass per checkpoint write.  It queues nothing: a completion
+        entry that a sync round moved pops stale and ``_requeue`` queues it."""
         ledger = rt.ledger
         if t > ledger.anchor:
             ledger.settle(t)
@@ -532,7 +523,7 @@ class Simulation:
         del self.job_nodes[job_id][vn_id]
         self.infected[job_id].discard(vn_id)
         rt.retired = True
-        rt.completion = None
+        rt.completion = rt.checkpoint = None
         rt.server.active -= 1
 
     def _roll_back(self, rt: VirtualNode, target: Checkpoint | None, t: int) -> int:
@@ -646,14 +637,16 @@ class Simulation:
         rt.monitor = (t + gap, seq)
 
     def _queue_node(self, rt: VirtualNode) -> None:
-        """Queue the node's one entry: the earlier of its monitor round and its
-        completion, or its monitor round once it crashed.  An entry due after
-        the run's end is queued and never pops."""
-        completion = rt.completion
-        if completion is not None and completion < rt.monitor:
-            self.queue.push(completion[0], TASK_COMPLETE, rt, seq=completion[1])
-        else:
-            self.queue.push(rt.monitor[0], MONITOR_ROUND, rt, seq=rt.monitor[1])
+        """Queue the node's one entry, the earliest of its schedule: the only
+        push of a node's event.  An entry due after the run's end is queued
+        and never pops."""
+        due, kind = rt.monitor, MONITOR_ROUND
+        completion, checkpoint = rt.completion, rt.checkpoint
+        if completion is not None and completion < due:
+            due, kind = completion, TASK_COMPLETE
+        if checkpoint is not None and checkpoint < due:
+            due, kind = checkpoint, CHECKPOINT_ROUND
+        self.queue.push(due[0], kind, rt, due[1])
 
     # -- completion ----------------------------------------------------------
 
@@ -693,7 +686,7 @@ class Simulation:
             return f"kind=byzantine;vn=v{rt.vn_id}" if log else ""
         if spec.kind is CRASH_FAULT:
             rt.ledger.stop(t)
-            rt.completion = None
+            rt.completion = rt.checkpoint = None
             self.detection_pending[rt.task.task_id] = t
             return f"kind=crash;vn=v{rt.vn_id}" if log else ""
         rt.spike_delay += spec.magnitude * self.cfg.sla_bound
@@ -705,8 +698,8 @@ class Simulation:
         """One monitor round of the event's node: observe it, then complete its
         task or step its detection machine and apply the checkpoint policy.
         With ``verify``, the final verification of its output that
-        ``_handle_complete`` hands over.  A node not retired is in ``job_nodes``,
-        and queues its next entry here."""
+        ``_handle_complete`` hands over.  A node still live after the policy acts
+        records its next round and queues its next entry here."""
         t, _, _, rt = ev
         if rt.retired:   # the entry of a node a migration retired
             return "stale=1"
@@ -726,6 +719,7 @@ class Simulation:
             rt.suspect_rounds = streak
             outcome = self.checkpointing.on_monitor(self, rt, t, gap, action, not finished)
             if not rt.retired:
+                self._advance_monitor(rt, t, gap)
                 self._queue_node(rt)
             if self.collect_log:
                 outcome = f"state={_TOKENS[prior]}>{_TOKENS[post]}{outcome}"
@@ -738,14 +732,28 @@ class Simulation:
     def _handle_complete(self, ev: tuple) -> str:
         t, seq, _, rt = ev
         if (t, seq) != rt.completion:
-            # the node retired, or after this entry was queued a checkpoint
-            # round moved its completion later or a crash cleared it: queue a
-            # live node's entry again, under the numbers its records hold, so
-            # it runs where a fresh push would have run
-            if not rt.retired:
-                self._queue_node(rt)
-            return "stale=1"
+            return self._requeue(rt)
         return self._handle_monitor(ev, verify=True)
+
+    def _handle_round(self, ev: tuple) -> str:
+        """A node's own checkpoint round: image it and record its next round."""
+        t, _, _, rt = ev
+        if rt.checkpoint is None:   # a crash or retirement cleared it
+            return self._requeue(rt)
+        self._retime(rt, t, self.cfg.checkpoint_write_cost, image=True)
+        gap = self.round_gap()
+        queue = self.queue
+        rt.checkpoint = (t + gap, queue._seq)
+        queue._seq += 1
+        self._queue_node(rt)
+        return f"vn=v{rt.vn_id};gap={gap}" if self.collect_log else ""
+
+    def _requeue(self, rt: VirtualNode) -> str:
+        """A stale entry: a migration retired the node, or a sync round or crash
+        changed its record.  Queue a live node again where a fresh push would run."""
+        if not rt.retired:
+            self._queue_node(rt)
+        return "stale=1"
 
     def _handle_exchange(self, ev: tuple) -> str:
         t = ev[0]
@@ -785,7 +793,8 @@ class Simulation:
         dispatch = {
             MONITOR_ROUND: self._handle_monitor,
             TASK_COMPLETE: self._handle_complete,
-            CHECKPOINT_ROUND: partial(self.checkpointing.on_round, self),
+            CHECKPOINT_ROUND: (self._handle_round if self.round_gap
+                               else partial(self.checkpointing.on_round, self)),
             CONTAMINATION_EXCHANGE: self._handle_exchange,
             FAULT_INJECTION: lambda ev: self.inject_fault(self.faults[ev[3]], ev[0]),
             MIGRATION_COMPLETE: lambda ev: f"job=j{ev[3]}",

@@ -51,17 +51,19 @@ PERCENT_METRICS = tuple(m for m in SCALAR_METRICS if m.endswith("_pct"))
 
 
 class SampleStat:
-    __slots__ = ("count", "mean", "_m2", "low", "high")
+    __slots__ = ("count", "mean", "_m2", "low", "high", "_parsed_stddev")
 
     def __init__(self, count: int = 0, mean: float = 0.0,
                  low: float = math.inf, high: float = -math.inf):
         self.count = count
         self.mean = mean
         self._m2 = 0.0           # sum of squared deviations from the mean
+        self._parsed_stddev = None   # read back as written until the next sample
         self.low = low
         self.high = high
 
     def add(self, x: float) -> None:
+        self._parsed_stddev = None
         self.count += 1
         delta = x - self.mean
         self.mean += delta / self.count
@@ -71,6 +73,8 @@ class SampleStat:
 
     @property
     def stddev(self) -> float:
+        if self._parsed_stddev is not None:
+            return self._parsed_stddev
         if self.count < 2:
             return 0.0
         return math.sqrt(self._m2 / (self.count - 1))
@@ -88,9 +92,11 @@ class SampleStat:
     def from_dict(cls, d: dict) -> "SampleStat":
         stat = cls(count=int(d["count"]), mean=float(d["mean"]),
                    low=float(d["low"]), high=float(d["high"]))
-        # reconstruct the sum of squared deviations from the stored stddev
+        # reconstruct the sum of squared deviations from the stored stddev,
+        # whose square may move its last bit, so keep the stddev as well
         if stat.count >= 2:
-            stat._m2 = float(d["stddev"]) ** 2 * (stat.count - 1)
+            stat._parsed_stddev = float(d["stddev"])
+            stat._m2 = stat._parsed_stddev ** 2 * (stat.count - 1)
         if stat.count == 0:
             stat.low, stat.high = math.inf, -math.inf
         return stat

@@ -500,6 +500,31 @@ def test_crash_detected_at_next_monitor_round():
     assert report.samples["detection_latency"].mean == 15.0   # crashed at 15, seen at 30
 
 
+def test_detection_latency_counts_from_the_latest_injected_fault():
+    """Today's rule, named in the README under ``detection_latency``: a
+    Byzantine or crash fault overwrites the undetected fault already pending
+    on its task, so the sample counts from the latest fault, while a
+    contamination exchange keeps the time already pending on a task."""
+    cfg = cluster_cfg(task_count=2, job_count=1, server_count=2, server_capacity=2,
+                      detect_prob=1.0)
+    faults = [FaultSpec(kind=FaultKind.BYZANTINE, time=t, target_task=0) for t in (11, 12)]
+    report, log = Scenario.from_config(cfg, faults).run("wsss", "sync")
+    seen = next(int(line.split(",")[0]) for line in log
+                if ",monitor,1," in line and "checksum=error" in line)
+    assert report.samples["detection_latency"].count == 1
+    assert report.samples["detection_latency"].mean == seen - 12
+
+    sim = Simulation(Scenario.from_config(dataclasses.replace(cfg, propagation_prob=1.0)),
+                     "wsss", "sync", collect_log=False)
+    for task in sim.tasks:
+        sim._spawn(task, 1, 0)
+    sim.inject_fault(FaultSpec(kind=FaultKind.BYZANTINE, time=3, target_task=0), 3)
+    sim.detection_pending[1] = 2   # left pending on the task, as a migration may leave it
+    sim._handle_exchange((10, 0, EventKind.CONTAMINATION_EXCHANGE, None))
+    assert sim.detection_pending == {0: 3, 1: 2}
+    assert all(rt.contaminated for rt in _live(sim))
+
+
 def test_delay_spike_forces_high_class():
     cfg = cluster_cfg(task_count=2, job_count=1, server_count=2, server_capacity=2)
     faults = [FaultSpec(kind=FaultKind.DELAY_SPIKE, time=15, target_task=0, magnitude=1.5)]
@@ -889,28 +914,29 @@ def test_every_other_key_acts_under_every_policy_pair():
 
 # -- completion events and scenario reuse ------------------------------------------
 
-@pytest.mark.parametrize("policy", ["sync", "tcc"])
+@pytest.mark.parametrize("policy", ["sync", "tcc", "independent"])
 def test_each_node_keeps_at_most_one_queued_completion(policy):
     """A checkpoint pause moves a node's completion later without queueing a
     second entry for it: counted from the pushes and pops themselves, a node
-    never has more than one monitor or completion entry in the heap."""
+    never has more than one monitor, completion or own checkpoint round
+    entry in the heap, and ``Simulation._queue_node`` pushes every one."""
     sim = Simulation(Scenario.from_config(load_config(DESK, {"seed": 1})),
                      scheduler="wsss", checkpoint_policy=policy, collect_log=False)
     push, advance = sim.queue.push, sim.queue.advance
-    queued = Counter()    # node -> monitor and completion entries in the heap
+    queued = Counter()    # node -> its entries in the heap
     most = Counter()
 
-    def counting_push(time, kind, target=None, **kwargs):
-        if kind in _NODE_ENTRIES:
+    def counting_push(time, kind, target=None, seq=None):
+        if isinstance(target, VirtualNode):
+            assert sys._getframe(1).f_code.co_name == "_queue_node", kind
             queued[target] += 1
             most[target] = max(most[target], queued[target])
-        return push(time, kind, target, **kwargs)
+        return push(time, kind, target, seq)
 
     def counting_advance():
         ev = advance()
-        _, _, kind, target = ev
-        if kind in _NODE_ENTRIES:
-            queued[target] -= 1
+        if isinstance(ev[3], VirtualNode):
+            queued[ev[3]] -= 1
         return ev
 
     sim.queue.push, sim.queue.advance = counting_push, counting_advance
@@ -991,9 +1017,8 @@ def test_storm_reports_match_the_pin():
 
 def test_json_reports_are_the_sorted_indented_dump():
     """Every desk and storm report at seeds 1 and 2 emits, from the layout
-    built once, the text json.dumps writes for its dict, and parses back:
-    a parsed sample rebuilds its stddev from the stddev's square, which may
-    move the last bit."""
+    built once, the text json.dumps writes for its dict, and parses back to
+    the same dict, every stddev to the last bit."""
     for seed in (1, 2):
         for cfg in (load_config(DESK, {"seed": seed}), _storm_cfg(seed)):
             scenario = Scenario.from_config(cfg)
@@ -1002,16 +1027,28 @@ def test_json_reports_are_the_sorted_indented_dump():
                 text = report.emit("json")
                 assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
                 parsed = MetricsReport.parse(text, "json").to_dict()
-                for metric, stats in report.to_dict().items():
-                    back = parsed[metric]
-                    assert back.pop("stddev", 0.0) == pytest.approx(stats.pop("stddev", 0.0),
-                                                                    rel=1e-15)
-                    assert back == stats, (metric, seed, sched, ckpt)
+                assert parsed == report.to_dict(), (seed, sched, ckpt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_storm_reports_parse_back_equal(fmt):
+    """A parsed report equals the one emitted, also where the square of a
+    stddev, from which a parsed sample rebuilds its sum of squares, moves
+    its last bit: ``detection_latency`` under wsss+sync at seed 1 and
+    random+independent at seed 2."""
+    for seed in (1, 2):
+        scenario = Scenario.from_config(_storm_cfg(seed))
+        for sched, ckpt in COMBOS:
+            report, _ = scenario.run(sched, ckpt, collect_log=False)
+            text = report.emit(fmt)
+            parsed = MetricsReport.parse(text, fmt)
+            assert parsed == report, (seed, sched, ckpt)
+            assert parsed.emit(fmt) == text, (seed, sched, ckpt)
 
 
 # SHA-256 of the log-on event logs of the 9 combinations on scenarios/desk.cfg
 # and on _storm_cfg, each at seeds 1 and 2
-EVENT_LOGS_SHA256 = "1901971307e1ee635ffc4998ff9a52caaab3ff3c1d99719d36c73a00d8f74973"
+EVENT_LOGS_SHA256 = "95fda9c3f579cd22ee8f481b76fd17280a95ac9204c7a84b382b431bbc4f06af"
 
 
 def test_event_logs_match_the_pin():
@@ -1025,8 +1062,10 @@ def test_event_logs_match_the_pin():
     nodes' restore ends, later under ``mesf+tcc``.  Recomputed again when
     each live node kept one queued entry in place of a monitor round and a
     completion event: only ``stale=1`` lines are gone, and every other line
-    keeps LIVE_LOG_LINES_SHA256.  A change that alters the log on purpose
-    updates it and says so in CHANGES.md."""
+    keeps LIVE_LOG_LINES_SHA256.  Recomputed again when a node's independent
+    checkpoint rounds joined its one entry: again only ``stale=1`` lines are
+    gone (3,098 to 1,264).  A change that alters the log on purpose updates
+    it and says so in CHANGES.md."""
     digest = hashlib.sha256()
     for log in _pinned_logs():
         digest.update(("\n".join(log) + "\n").encode())
@@ -1077,7 +1116,7 @@ def test_costly_storm_reports_match_the_pin():
 
 
 # SHA-256 of the log-on event logs of _costly_storm_outputs
-COSTLY_STORM_LOGS_SHA256 = "bbeb410fa955c7b7ceb86d6e4885a17074446eb0303cecaefb4c3a45092f3194"
+COSTLY_STORM_LOGS_SHA256 = "f5dbfa5cb3deece99e68be5ce036d80adc877cbc0a2a50c4abc039390550ee55"
 
 
 def test_costly_storm_logs_match_the_pin():
@@ -1088,7 +1127,9 @@ def test_costly_storm_logs_match_the_pin():
     lines are gone.  Recomputed again, as EVENT_LOGS_SHA256, when a crash
     stopped writing S2 and ``migration_done`` moved to the end of the
     restore, and when each live node kept one queued entry: only ``stale=1``
-    lines are gone, as in EVENT_LOGS_SHA256.  A change that alters the log on
+    lines are gone, as in EVENT_LOGS_SHA256.  Recomputed again, as
+    EVENT_LOGS_SHA256, when independent rounds joined the node's entry: only
+    ``stale=1`` lines are gone (798 to 386).  A change that alters the log on
     purpose updates the pin and says so in CHANGES.md."""
     digest = hashlib.sha256()
     for _, log in _costly_storm_outputs():
@@ -1103,7 +1144,8 @@ LIVE_LOG_LINES_SHA256 = "1d860b5cccffb8419fc8f7445c0381174bc5258b713ec6478072958
 
 def test_log_lines_other_than_stale_pops_match_the_pin():
     """Computed while a live node kept both its monitor round and its
-    completion event queued.  Queueing one entry per live node removed
+    completion event queued.  Queueing one entry per live node, and then
+    folding its independent checkpoint rounds into that entry, removed
     ``stale=1`` lines only: every other line, its ``seq`` included, kept
     the pin."""
     digest = hashlib.sha256()
@@ -1135,6 +1177,27 @@ def test_tcc_logs_hold_stale_pops_only_where_a_migration_or_crash_left_them(sche
         assert stale <= moved, (seed, stale, moved)
         moved_total += moved
     assert moved_total > 0
+
+
+def test_independent_logs_hold_a_stale_pop_only_where_a_crash_left_it():
+    """Under independent a node's own checkpoint round is part of its one
+    entry, and nothing else moves its records but a crash (no migration, no
+    sync round).  So a crash leaves at most one stale entry: the desk runs,
+    which have no crash, hold no ``stale=1`` line, and on the storm the stale
+    lines number at most the crashes."""
+    def stale_and_crashes(cfg, sched):
+        _, log = Scenario.from_config(cfg).run(sched, "independent", collect_log=True)
+        return (sum(line.endswith(",stale=1") for line in log),
+                sum(",fault," in line and "kind=crash;" in line for line in log))
+
+    stale_total = 0
+    for sched in ("wsss", "mesf", "random"):
+        for seed in (1, 2):
+            assert stale_and_crashes(load_config(DESK, {"seed": seed}), sched) == (0, 0)
+            stale, crashes = stale_and_crashes(_storm_cfg(seed), sched)
+            assert stale <= crashes, (sched, seed, stale, crashes)
+            stale_total += stale
+    assert stale_total > 0
 
 
 def test_migration_done_is_logged_when_the_moved_nodes_restore_ends():
@@ -1279,33 +1342,33 @@ def _servers_hold(sim, ev):
     assert all(rt.server is sim.servers[rt.server.server_id - 1] for rt in live), ev
 
 
-_NODE_ENTRIES = (EventKind.MONITOR_ROUND, EventKind.TASK_COMPLETE)
-
-
 def _node_entry_holds(sim, ev):
-    """Each live node has exactly one queued monitor or completion entry, also
-    past the horizon, its monitor round is its last observation plus its gap,
-    and the entry's key is the earlier of its monitor round and its
-    completion (its monitor round once it crashed).  Only a completion entry
-    may be earlier: a sync or independent checkpoint round moved the
-    completion later, or a crash cleared it, after the entry was queued; it
-    pops stale and ``_handle_complete`` queues the node again.  Under tcc
-    only a crash does that, as the node's own round is the only one that
-    moves its completion."""
+    """Each live node has exactly one queued entry of any kind, also past the
+    horizon, its monitor round is its last observation plus its gap, and the
+    entry's key is the earliest of its monitor round, its completion and its
+    own checkpoint round (its monitor round once it crashed).  Only two
+    entries may be earlier: a ``complete`` entry whose completion a sync
+    round moved later after it was queued, and the entry of a crashed node,
+    whose crash cleared the record it was queued under.  Either pops stale
+    and ``_requeue`` queues the node again.  An independent round is
+    the node's own entry, so it moves no queued completion."""
     entries = {}
     for time, seq, kind, target in sim.queue._heap:
-        if kind in _NODE_ENTRIES and not target.retired:
+        if isinstance(target, VirtualNode) and not target.retired:
             entries.setdefault(target.vn_id, []).append((time, seq, kind))
-    rounds = sim.report.checkpoint_policy != "tcc"
+    policy = sim.report.checkpoint_policy
     for rt in _live(sim):
         assert rt.monitor[0] == rt.last_obs_time + rt.gap, (ev, rt.vn_id)
-        due = rt.monitor if rt.completion is None else min(rt.monitor, rt.completion)
+        # a node keeps its own round under independent until it crashes
+        assert (rt.checkpoint is None) == (policy != "independent" or rt.completion is None), ev
+        due = min(r for r in (rt.monitor, rt.completion, rt.checkpoint) if r is not None)
         queued = entries.get(rt.vn_id, [])
         assert len(queued) == 1, (ev, rt.vn_id, queued)
         [(time, seq, kind)] = queued
         if (time, seq) != due:
-            assert kind is EventKind.TASK_COMPLETE and (time, seq) < due, (ev, rt.vn_id)
-            assert rounds or rt.completion is None, (ev, rt.vn_id)
+            assert (time, seq) < due, (ev, rt.vn_id)
+            assert (policy == "sync" and kind is EventKind.TASK_COMPLETE
+                    or rt.completion is None), (ev, rt.vn_id, kind)
 
 
 def _no_streak_under_tcc(sim, ev):
@@ -1472,6 +1535,32 @@ def _pushes(fn: ast.FunctionDef) -> bool:
                and node.func.attr == "push" for node in ast.walk(fn))
 
 
+def test_only_the_engine_queues_a_nodes_events():
+    """No checkpoint-policy method records a node's monitor round, reserves
+    a sequence number, queues a node or pushes any event but a sync job
+    round: a node's own rounds are records on the node, and its entries are
+    the engine's to queue."""
+    policies = {name: fn for name, fn in _functions(bftsim.engine).items()
+                if name.split(".")[0].endswith("Checkpointing")}
+    assert {"SyncCheckpointing.on_round", "IndependentCheckpointing.round_gaps"} <= set(policies)
+    found, job_rounds = [], []
+    for name, fn in policies.items():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                    "_advance_monitor", "_seq", "_queue_node", "_requeue"):
+                found.append(f"{name}: .{node.attr}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "push"):
+                kind, target = (ast.unparse(arg) for arg in node.args[1:3])
+                if name.startswith("SyncCheckpointing.") and (kind, target) == (
+                        "CHECKPOINT_ROUND", "job_id"):
+                    job_rounds.append(name)
+                else:
+                    found.append(f"{name}: push({kind}, {target})")
+    assert not found
+    assert sorted(job_rounds) == ["SyncCheckpointing.on_round", "SyncCheckpointing.start_rounds"]
+
+
 def test_per_event_code_binds_enum_members_once():
     """The per-event functions read no enum member through its class (a slow
     ``EnumType.__getattr__`` on CPython 3.11), and the log builders read no
@@ -1492,8 +1581,9 @@ def test_per_event_code_binds_enum_members_once():
             {name for name, fn in engine.items()
              if name.split(".")[0].endswith("Checkpointing") or _pushes(fn)}
             | {f"Simulation.{name}" for name in (
-                "_observe", "_advance_monitor", "_handle_monitor", "_handle_exchange",
-                "inject_fault", "run", "_log")}),
+                "_observe", "_advance_monitor", "_handle_monitor", "_handle_complete",
+                "_handle_round", "_requeue", "_handle_exchange", "inject_fault", "run",
+                "_log")}),
     }
     assert "TccCheckpointing.on_monitor" in per_event[bftsim.engine]
     assert "Simulation._queue_node" in per_event[bftsim.engine]

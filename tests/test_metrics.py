@@ -99,6 +99,23 @@ def test_emit_round_trip_and_determinism(fmt):
     assert parsed.emit(fmt) == blob
 
 
+def test_a_parsed_sample_keeps_accumulating():
+    """A parsed stddev reads back as written; a sample added afterwards
+    updates it from the rebuilt sum of squares, as if recorded all along."""
+    samples = [21.0, 55.0, 3.0, 40.0]
+    whole, part = _report(), _report()
+    for x in samples:
+        whole.record("detection_latency", x)
+    for x in samples[:-1]:
+        part.record("detection_latency", x)
+    parsed = MetricsReport.parse(part.emit("json"), "json")
+    assert parsed.samples["detection_latency"].stddev == part.samples["detection_latency"].stddev
+    parsed.record("detection_latency", samples[-1])
+    back, want = parsed.samples["detection_latency"], whole.samples["detection_latency"]
+    assert back.count == want.count and back.mean == want.mean
+    assert back.stddev == pytest.approx(want.stddev, rel=1e-12)
+
+
 def _assert_emits_as_json_dumps(report):
     text = report.emit("json")
     assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
