@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
+from math import log
 from typing import TYPE_CHECKING
 
 from .model import Checkpoint
@@ -143,5 +144,7 @@ def rollback_loss(current_progress: int, target: Checkpoint | None, now: int) ->
 
 
 def independent_gap(rng: random.Random, mean_gap: float) -> int:
-    """Next uncoordinated checkpoint gap: exponential, at least one tick."""
-    return max(1, round(rng.expovariate(1.0 / mean_gap)))
+    """Next uncoordinated checkpoint gap: exponential, at least one tick.
+    The draw is ``rng.expovariate(1.0 / mean_gap)``'s own formula, with no
+    frame; dividing by the rate, not multiplying by the mean, keeps its bits."""
+    return max(1, round(-log(1.0 - rng.random()) / (1.0 / mean_gap)))

@@ -31,6 +31,7 @@ import random
 from enum import Enum
 from functools import partial
 from heapq import heappop, heappush
+from math import cos, log, sin, sqrt, tau
 from operator import attrgetter
 
 from .checkpoint import (
@@ -481,15 +482,20 @@ class Simulation:
         self._next_vn_id += 1
         ledger = VnLedger(start, target.progress if target else 0, restore_cost)
         server = self.servers[server_id - 1]
-        rt = VirtualNode(vn_id=vn_id, task=task, server=server, ledger=ledger,
-                         ft_interval=self.cfg.ft_interval, last_obs_time=start)
+        rt = VirtualNode(vn_id, task, server, ledger, self.cfg.ft_interval, start)
         self.job_nodes[task.job_id][vn_id] = rt
         server.active += 1
-        self._advance_monitor(rt, start, self.cfg.base_interval)
+        # its first monitor round, then its completion and its own first
+        # checkpoint round, each under the next sequence number
+        queue = self.queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        rt.gap = gap = self.cfg.base_interval
+        rt.monitor = (start + gap, seq)
         self._retime(rt, start)
-        if self.round_gap is not None:   # its own first checkpoint round
-            rt.checkpoint = (start + self.round_gap(), self.queue._seq)
-            self.queue._seq += 1
+        if self.round_gap is not None:
+            rt.checkpoint = (start + self.round_gap(), queue._seq)
+            queue._seq += 1
         self._queue_node(rt)
         return rt
 
@@ -593,13 +599,23 @@ class Simulation:
         """Measure the node; returns (delay, delay class, checksum, flagged)."""
         cfg = self.cfg
         server = rt.server
-        delay = self.rng.gauss(server.latency_mean, server.latency_sigma)
+        # random.gauss's own statements, with no frame: a Box-Muller pair of
+        # two draws, its second half kept for the next call on the stream
+        rng = self.rng
+        z = rng.gauss_next
+        rng.gauss_next = None
+        if z is None:
+            x2pi = rng.random() * tau
+            g2rad = sqrt(-2.0 * log(1.0 - rng.random()))
+            z = cos(x2pi) * g2rad
+            rng.gauss_next = sin(x2pi) * g2rad
+        delay = server.latency_mean + z * server.latency_sigma
         delay = (delay if delay > 0.0 else 0.0) + rt.spike_delay
         sla = cfg.sla_bound
         if rt.completion is None:
             checksum = CHECKSUM_ERROR   # crashed: challenge unanswered
         else:
-            checksum = checksum_oracle(rt.contaminated, cfg.detect_prob, self.rng)
+            checksum = checksum_oracle(rt.contaminated, cfg.detect_prob, rng)
         if rt.contaminated and checksum is NO_ERROR and cfg.high_delay_fallback:
             # a missed detection surfaces as high delay variation
             delay = max(delay, (cfg.delay_normal_frac + cfg.delay_high_frac) / 2 * sla)
@@ -626,15 +642,6 @@ class Simulation:
         if cfg.monitor_cost > 0 and rt.completion is not None:
             self._retime(rt, t, cfg.monitor_cost)
         return delay, dclass, checksum, flagged
-
-    def _advance_monitor(self, rt: VirtualNode, t: int, gap: int) -> None:
-        """Record the node's next round under the next sequence number, at
-        spawn and in its own round; ``_queue_node`` queues it."""
-        rt.gap = gap
-        queue = self.queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        rt.monitor = (t + gap, seq)
 
     def _queue_node(self, rt: VirtualNode) -> None:
         """Queue the node's one entry, the earliest of its schedule: the only
@@ -718,8 +725,12 @@ class Simulation:
             gap, action, streak = next_interval(rt.gap, rt.suspect_rounds, post, self.cfg)
             rt.suspect_rounds = streak
             outcome = self.checkpointing.on_monitor(self, rt, t, gap, action, not finished)
-            if not rt.retired:
-                self._advance_monitor(rt, t, gap)
+            if not rt.retired:   # its next round, under the next sequence number
+                queue = self.queue
+                seq = queue._seq
+                queue._seq = seq + 1
+                rt.gap = gap
+                rt.monitor = (t + gap, seq)
                 self._queue_node(rt)
             if self.collect_log:
                 outcome = f"state={_TOKENS[prior]}>{_TOKENS[post]}{outcome}"

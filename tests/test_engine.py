@@ -21,7 +21,7 @@ import bftsim.fsm
 import bftsim.model
 import bftsim.scenario
 import bftsim.scheduler
-from bftsim.checkpoint import CheckpointStore
+from bftsim.checkpoint import CheckpointStore, independent_gap
 from bftsim.config import (
     CHECKPOINT_POLICIES,
     SCHEDULERS,
@@ -313,6 +313,34 @@ def test_generate_workload_draws_what_randint_draws(seed, low, span, task_count)
     assert [(t.task_id, t.job_id) for t in wl.tasks] == [
         (tid, job.job_id) for job in wl.jobs for tid in job.task_ids]
     assert [t.task_id for t in wl.tasks] == list(range(task_count))
+
+
+_STEPS = st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=12)
+
+
+@given(st.integers(0, 2 ** 32), st.floats(-50, 50), st.floats(0, 30), st.floats(0, 5),
+       st.floats(1e-3, 1e3), _STEPS)
+def test_inline_draws_draw_what_gauss_and_expovariate_draw(seed, mu, sigma, spike,
+                                                           mean_gap, steps):
+    """``Simulation._observe``'s delay noise equals ``gauss`` and
+    ``independent_gap`` equals ``expovariate``, value for value, also when a
+    Box-Muller pair's cached half is read after other draws, and the stream
+    ends in the state the stdlib leaves it in."""
+    cfg = cluster_cfg(task_count=1, job_count=1, server_count=1, server_capacity=1,
+                      seed=seed)
+    sim = Simulation(Scenario.from_config(cfg), "wsss", "tcc", collect_log=False)
+    rt = sim._spawn(sim.tasks[0], 1, 0)   # a clean live node: its checksum draws nothing
+    rt.server.latency_mean, rt.server.latency_sigma, rt.spike_delay = mu, sigma, spike
+    rng, twin = sim.rng, random.Random()
+    twin.setstate(rng.getstate())
+    for t, (draws, gap) in enumerate(steps, 1):
+        delay, *_ = sim._observe(rt, t)
+        assert delay == max(twin.gauss(mu, sigma), 0) + spike
+        assert [rng.random() for _ in range(draws)] == [twin.random() for _ in range(draws)]
+        if gap:
+            assert independent_gap(rng, mean_gap) == max(
+                1, round(twin.expovariate(1.0 / mean_gap)))
+    assert rng.getstate() == twin.getstate()
 
 
 def test_generate_workload_rejects_an_empty_demand_range():
@@ -1490,8 +1518,21 @@ def _small_configs(draw):
         "seed": draw(st.integers(0, 2**16))})
 
 
+def _order_holds(sim, ev):
+    """Events run in (time, seq) order: every queued entry sorts after the
+    event just handled, and the sequence numbers a live node's schedule
+    reserved are distinct and were all taken from the queue's counter."""
+    if ev[2] is not EventKind.HORIZON_END:   # synthesized, never queued
+        assert all(entry[:2] > ev[:2] for entry in sim.queue._heap), ev
+    seqs = [record[1] for rt in _live(sim)
+            for record in (rt.monitor, rt.completion, rt.checkpoint) if record is not None]
+    assert len(set(seqs)) == len(seqs), ev
+    assert all(seq < sim.queue._seq for seq in seqs), ev
+
+
 def _all_hold(sim, ev):
     _job_index_holds(sim, ev)
+    _order_holds(sim, ev)
     _pending_holds(sim, ev)
     _infected_index_holds(sim, ev)
     _servers_hold(sim, ev)
@@ -1581,7 +1622,7 @@ def test_per_event_code_binds_enum_members_once():
             {name for name, fn in engine.items()
              if name.split(".")[0].endswith("Checkpointing") or _pushes(fn)}
             | {f"Simulation.{name}" for name in (
-                "_observe", "_advance_monitor", "_handle_monitor", "_handle_complete",
+                "_spawn", "_observe", "_handle_monitor", "_handle_complete",
                 "_handle_round", "_requeue", "_handle_exchange", "inject_fault", "run",
                 "_log")}),
     }
