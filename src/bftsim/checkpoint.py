@@ -43,7 +43,7 @@ def tcc_round(ft_interval: int, gap: int, restarts: int,
     """Decide the checkpoint action for one node after its monitor round.
 
     ``gap`` is the monitoring gap just assigned by the interval update; on a
-    confirmed checkpoint the caller stretches the interval to it.
+    confirmed checkpoint it becomes the node's interval.
     ``restarts`` counts the job's restarts since its last migration; returns
     the action and the new count: a restart increments it, a migration
     resets it to zero.

@@ -11,9 +11,9 @@ different policies can be compared on identical inputs.
 Each live virtual node has one queued entry: the earliest of its next monitor
 round, its completion and its own next checkpoint round (independent), each
 under the sequence number it took when it was scheduled.  A popped node entry
-is stale (``stale=1``) in two cases: a migration retired its node, or a sync
-round or a crash changed the record it was queued under (its handler queues
-the node again).
+is stale (``stale=1``) when the record it was queued under no longer holds its
+(time, seq): a sync round or a crash changed it, or retiring the node cleared
+all three.  Its handler queues the node again while its monitor round is set.
 
 Every virtual-node incarnation carries a tick ledger that attributes each
 active tick to exactly one of: work, checkpoint pause, or restore time;
@@ -124,7 +124,8 @@ class EventQueue:
     def push(self, time: int, kind: EventKind, target: object = None,
              seq: int | None = None) -> tuple:
         """Insert an event; ``seq`` inserts it under a number reserved earlier
-        (``Simulation._retime``) instead of the next one."""
+        instead of the next one (``Simulation._queue_node``, the only caller
+        that passes one)."""
         if time < self.clock:
             raise CausalityError(
                 f"causality violation: insert at t={time} after clock reached {self.clock}")
@@ -234,34 +235,31 @@ class VnLedger:
 
 
 class VirtualNode:
-    """One incarnation of a virtual node executing a task.  The node's events
-    carry it and pop stale once it is retired.  ``monitor``, ``completion``
-    and ``checkpoint`` (its own next round, only under independent) are its
-    schedule, the last two None once it is retired or crashed; its one queued
-    entry is the earliest.  Its detection state is its streak: S1 while
-    ``suspect_rounds`` > 0, else S0, as a fail-stop verdict retires it in the
-    same monitor round."""
+    """One incarnation of a virtual node executing a task.  ``monitor``,
+    ``completion`` and ``checkpoint`` (its own next round, only under
+    independent) are its schedule; its one queued entry, the earliest, pops
+    stale once the record it was queued under no longer holds its (time,
+    seq).  A crash clears the last two; retiring it clears all three.  Its last
+    observation is ``monitor`` less ``gap``.  Its detection state is its
+    streak: S1 while ``suspect_rounds`` > 0, else S0, as a fail-stop verdict
+    retires it in the same monitor round."""
 
-    __slots__ = ("vn_id", "task", "server", "ledger", "ft_interval", "gap",
+    __slots__ = ("vn_id", "task", "server", "ledger", "gap",
                  "suspect_rounds", "contaminated", "spike_delay",
-                 "monitor", "completion", "checkpoint", "last_obs_time", "retired")
+                 "monitor", "completion", "checkpoint")
 
-    def __init__(self, vn_id: int, task: Task, server: Server, ledger: VnLedger,
-                 ft_interval: int, last_obs_time: int = 0):
+    def __init__(self, vn_id: int, task: Task, server: Server, ledger: VnLedger):
         self.vn_id = vn_id
         self.task = task
         self.server = server
         self.ledger = ledger
-        self.ft_interval = ft_interval
         self.gap = 0                 # current monitoring gap, multiple of the base interval
         self.suspect_rounds = 0      # consecutive Byzantine-state observations
         self.contaminated = False
         self.spike_delay = 0.0
-        self.monitor: tuple[int, int] = (0, 0)   # (time, seq) of its next monitor round
+        self.monitor: tuple[int, int] | None = (0, 0)   # (time, seq) of its next monitor round
         self.completion: tuple[int, int] | None = None   # (time, seq) the node is due to finish at
         self.checkpoint: tuple[int, int] | None = None   # (time, seq) of its own next round
-        self.last_obs_time = last_obs_time
-        self.retired = False
 
 
 # -- policies ----------------------------------------------------------
@@ -352,18 +350,20 @@ class Checkpointing:
 
 class TccCheckpointing(Checkpointing):
     """Confirms an image while the gap grows, restarts from the previous one
-    when it collapses, and migrates the job past the restart threshold."""
+    when it collapses, and migrates the job past the restart threshold.  A
+    node's interval, ``ft_interval`` until a round confirms, is its gap once
+    the gap has passed ``ft_interval``: each round confirms or retires it."""
 
     history = True   # a migration restores a job-consistent image, maybe an older one
 
     def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: Action,
                    in_monitor: bool) -> str:
         job_id = rt.task.job_id
-        kind, sim.restarts[job_id] = tcc_round(rt.ft_interval, gap, sim.restarts[job_id],
+        interval = rt.gap if rt.gap > sim.cfg.ft_interval else sim.cfg.ft_interval
+        kind, sim.restarts[job_id] = tcc_round(interval, gap, sim.restarts[job_id],
                                                sim.cfg.migration_threshold)
         if kind is CONFIRMED_CHECKPOINT:
             # only a monitor round confirms: a rejected output's gap is base_interval
-            rt.ft_interval = gap
             sim._retime(rt, t, sim.cfg.checkpoint_write_cost, image=True)
             if not sim.collect_log:
                 return ""
@@ -482,7 +482,7 @@ class Simulation:
         self._next_vn_id += 1
         ledger = VnLedger(start, target.progress if target else 0, restore_cost)
         server = self.servers[server_id - 1]
-        rt = VirtualNode(vn_id, task, server, ledger, self.cfg.ft_interval, start)
+        rt = VirtualNode(vn_id, task, server, ledger)
         self.job_nodes[task.job_id][vn_id] = rt
         server.active += 1
         # its first monitor round, then its completion and its own first
@@ -528,8 +528,7 @@ class Simulation:
         vn_id, job_id = rt.vn_id, rt.task.job_id
         del self.job_nodes[job_id][vn_id]
         self.infected[job_id].discard(vn_id)
-        rt.retired = True
-        rt.completion = rt.checkpoint = None
+        rt.monitor = rt.completion = rt.checkpoint = None
         rt.server.active -= 1
 
     def _roll_back(self, rt: VirtualNode, target: Checkpoint | None, t: int) -> int:
@@ -623,8 +622,7 @@ class Simulation:
         high = dclass >= HIGH
         flagged = checksum is CHECKSUM_ERROR or high
 
-        weight = t - rt.last_obs_time
-        rt.last_obs_time = t
+        weight = t - (rt.monitor[0] - rt.gap)   # the time since its last observation
         self.obs_count += 1
         if delay > sla:
             self.excess_sum += delay - sla
@@ -708,7 +706,7 @@ class Simulation:
         ``_handle_complete`` hands over.  A node still live after the policy acts
         records its next round and queues its next entry here."""
         t, _, _, rt = ev
-        if rt.retired:   # the entry of a node a migration retired
+        if rt.monitor is None:   # the entry of a node a migration retired
             return "stale=1"
         # a node is finished once its recorded completion is now, as on any
         # completion; a monitor round's own pause (monitor_cost) keeps it busy
@@ -725,7 +723,7 @@ class Simulation:
             gap, action, streak = next_interval(rt.gap, rt.suspect_rounds, post, self.cfg)
             rt.suspect_rounds = streak
             outcome = self.checkpointing.on_monitor(self, rt, t, gap, action, not finished)
-            if not rt.retired:   # its next round, under the next sequence number
+            if rt.monitor is not None:   # not retired: its next round, under the next seq
                 queue = self.queue
                 seq = queue._seq
                 queue._seq = seq + 1
@@ -760,9 +758,10 @@ class Simulation:
         return f"vn=v{rt.vn_id};gap={gap}" if self.collect_log else ""
 
     def _requeue(self, rt: VirtualNode) -> str:
-        """A stale entry: a migration retired the node, or a sync round or crash
-        changed its record.  Queue a live node again where a fresh push would run."""
-        if not rt.retired:
+        """A stale entry: the record it was queued under no longer holds its
+        (time, seq).  Queue the node again, where a fresh push would run,
+        while its monitor round is set: a retired node has none."""
+        if rt.monitor is not None:
             self._queue_node(rt)
         return "stale=1"
 

@@ -908,6 +908,40 @@ def test_policy_specific_keys_act_only_under_their_policies():
     }
 
 
+def test_tcc_ft_interval_acts_only_from_twice_the_base_interval():
+    """A node's first healthy round grows its gap from ``base_interval`` to
+    twice it, and tcc confirms an image only once the gap passes the node's
+    interval, which starts at ``ft_interval``.  So every ``ft_interval``
+    below twice ``base_interval`` runs as ``base_interval`` does, and from
+    twice it a fault-free run restarts each node at its first round, which
+    is healthy: no image is taken and no job finishes."""
+    for growth in ("triangular", "geometric"):
+        scenario = Scenario.from_config(cluster_cfg(interval_growth=growth))
+        assert scenario.cfg.base_interval == 10 and not scenario.faults
+
+        def run(ft_interval):
+            cfg = dataclasses.replace(scenario.cfg, ft_interval=ft_interval)
+            return scenario._replace(cfg=cfg).run(checkpoint_policy="tcc")
+
+        below, log = run(10)
+        assert below.scalars["jobs_completed"] == 3 and below.scalars["checkpoint_count"] > 0
+        for ft_interval in (11, 15, 19):
+            report, same = run(ft_interval)
+            assert (report.emit("json"), same) == (below.emit("json"), log), ft_interval
+
+        from_twice, log = run(20)
+        s = from_twice.scalars
+        assert s["jobs_completed"] == s["checkpoint_count"] == 0 and s["rollback_count"] > 0
+        rounds = [line.split(",", 4) for line in log if ",monitor," in line
+                  and "stale=1" not in line]
+        assert rounds and all(";state=S0>S0;tcc=" in detail and "tcc=confirmed" not in detail
+                              for *_, detail in rounds)
+        assert len({vn for _, _, _, vn, _ in rounds}) == len(rounds)   # one round a node
+        for ft_interval in (25, 40):
+            report, same = run(ft_interval)
+            assert (report.emit("json"), same) == (from_twice.emit("json"), log), ft_interval
+
+
 # each key set away from both its default and the storm config's value
 _SHARED_KEYS = {
     "base_interval": 7, "sla_bound": 60, "delay_normal_frac": 0.8, "delay_high_frac": 2.5,
@@ -1284,24 +1318,33 @@ def test_scenario_inputs_match_the_pin():
 def _check_every_event(scenario, sched, ckpt, check, collect_log=False):
     """Run ``scenario`` under one policy pair, calling ``check(sim, ev)`` after
     every popped event, and checking at every node start that its task has
-    no live node left; returns the report and the number of events checked."""
+    no live node left; returns the report and the number of events checked.
+    ``sim.observed`` records, by vn id, each node's start and then the time
+    of its latest observation, as the hooks see them."""
     sim = Simulation(scenario, scheduler=sched, checkpoint_policy=ckpt,
                      collect_log=collect_log)
-    log, spawn = sim._log, sim._spawn
+    log, spawn, observe = sim._log, sim._spawn, sim._observe
     checked = []
+    sim.observed = {}
 
     def checking_log(ev, detail):
         check(sim, ev)
         checked.append(ev)
         log(ev, detail)
 
-    def checking_spawn(task, *args):
+    def checking_spawn(task, server_id, start, *args):
         # one live node per task, also inside an event: a restart or a
         # migration retires the old node before it starts the new one
         assert all(rt.task is not task for rt in sim.job_nodes[task.job_id].values()), task
-        return spawn(task, *args)
+        rt = spawn(task, server_id, start, *args)
+        sim.observed[rt.vn_id] = start
+        return rt
 
-    sim._log, sim._spawn = checking_log, checking_spawn
+    def checking_observe(rt, t):
+        sim.observed[rt.vn_id] = t
+        return observe(rt, t)
+
+    sim._log, sim._spawn, sim._observe = checking_log, checking_spawn, checking_observe
     report, _ = sim.run()
     return report, len(checked)
 
@@ -1324,16 +1367,17 @@ def _job_index_holds(sim, ev):
     # every per-job dict is in job-id order: sync rounds are queued in it
     assert list(sim.job_nodes) == list(sim.unfinished) == sorted(sim.unfinished), ev
     for job_id, nodes in sim.job_nodes.items():
-        assert all(vn_id == rt.vn_id and rt.task.job_id == job_id and not rt.retired
+        assert all(vn_id == rt.vn_id and rt.task.job_id == job_id and rt.monitor is not None
                    for vn_id, rt in nodes.items()), ev
         assert list(nodes) == sorted(nodes), ev
     # one live node per task
     live = _live(sim)
     assert len({rt.task.task_id for rt in live}) == len(live), ev
-    # a queued event of a node that is not retired names a node the index holds
+    # a queued event of a node that is not retired (its monitor round is
+    # set) names a node the index holds
     indexed = set(map(id, live))
     for _, _, _, target in sim.queue._heap:
-        if isinstance(target, VirtualNode) and not target.retired:
+        if isinstance(target, VirtualNode) and target.monitor is not None:
             assert id(target) in indexed, (ev, target.vn_id)
 
 
@@ -1372,7 +1416,8 @@ def _servers_hold(sim, ev):
 
 def _node_entry_holds(sim, ev):
     """Each live node has exactly one queued entry of any kind, also past the
-    horizon, its monitor round is its last observation plus its gap, and the
+    horizon, its monitor round is its last observation (its start before
+    one, as ``_check_every_event`` recorded them) plus its gap, and the
     entry's key is the earliest of its monitor round, its completion and its
     own checkpoint round (its monitor round once it crashed).  Only two
     entries may be earlier: a ``complete`` entry whose completion a sync
@@ -1382,11 +1427,11 @@ def _node_entry_holds(sim, ev):
     the node's own entry, so it moves no queued completion."""
     entries = {}
     for time, seq, kind, target in sim.queue._heap:
-        if isinstance(target, VirtualNode) and not target.retired:
+        if isinstance(target, VirtualNode) and target.monitor is not None:
             entries.setdefault(target.vn_id, []).append((time, seq, kind))
     policy = sim.report.checkpoint_policy
     for rt in _live(sim):
-        assert rt.monitor[0] == rt.last_obs_time + rt.gap, (ev, rt.vn_id)
+        assert rt.monitor[0] == sim.observed[rt.vn_id] + rt.gap, (ev, rt.vn_id)
         # a node keeps its own round under independent until it crashes
         assert (rt.checkpoint is None) == (policy != "independent" or rt.completion is None), ev
         due = min(r for r in (rt.monitor, rt.completion, rt.checkpoint) if r is not None)
@@ -1577,18 +1622,21 @@ def _pushes(fn: ast.FunctionDef) -> bool:
 
 
 def test_only_the_engine_queues_a_nodes_events():
-    """No checkpoint-policy method records a node's monitor round, reserves
-    a sequence number, queues a node or pushes any event but a sync job
-    round: a node's own rounds are records on the node, and its entries are
-    the engine's to queue."""
+    """No checkpoint-policy method writes a node's schedule or gap (its
+    ``monitor``, ``completion``, ``checkpoint`` or ``gap``), reserves a
+    sequence number, queues a node or pushes any event but a sync job round:
+    a node's own rounds are records on the node, and its entries are the
+    engine's to queue."""
     policies = {name: fn for name, fn in _functions(bftsim.engine).items()
                 if name.split(".")[0].endswith("Checkpointing")}
     assert {"SyncCheckpointing.on_round", "IndependentCheckpointing.round_gaps"} <= set(policies)
     found, job_rounds = [], []
     for name, fn in policies.items():
         for node in ast.walk(fn):
-            if isinstance(node, ast.Attribute) and node.attr in (
-                    "_advance_monitor", "_seq", "_queue_node", "_requeue"):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr in ("_seq", "_queue_node", "_requeue")
+                    or isinstance(node.ctx, ast.Store) and node.attr in (
+                        "monitor", "completion", "checkpoint", "gap")):
                 found.append(f"{name}: .{node.attr}")
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "push"):

@@ -129,7 +129,7 @@ def test_run_state_records_reject_misspelt_attributes():
     workload = generate_workload(2, 1, 10, 20, random.Random(1))
     server = Server(1, 2)
     ledger = VnLedger(0, 0)
-    rt = VirtualNode(1, workload.tasks[0], server, ledger, 10)
+    rt = VirtualNode(1, workload.tasks[0], server, ledger)
     for record, attr in ((rt, "suspect_round"), (ledger, "progres"),
                          (server, "fail_counts"), (SampleStat(), "cnt")):
         with pytest.raises(AttributeError):
