@@ -15,7 +15,7 @@ is stale (``stale=1``) when the record it was queued under no longer holds its
 (time, seq): a sync round or a crash changed it, or retiring the node cleared
 all three.  Its handler queues the node again while its monitor round is set.
 
-Every virtual-node incarnation carries a tick ledger that attributes each
+Every virtual-node incarnation is its own tick ledger: it attributes each
 active tick to exactly one of: work, checkpoint pause, or restore time;
 rolled-back progress moves from work to lost work, so
 
@@ -29,10 +29,10 @@ from __future__ import annotations
 import math
 import random
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
 from heapq import heappop, heappush
 from math import cos, log, sin, sqrt, tau
-from operator import attrgetter
+from operator import add, attrgetter
 
 from .checkpoint import (
     CONFIRMED_CHECKPOINT,
@@ -234,8 +234,9 @@ class VnLedger:
         return end - self.start
 
 
-class VirtualNode:
-    """One incarnation of a virtual node executing a task.  ``monitor``,
+class VirtualNode(VnLedger):
+    """One incarnation of a virtual node executing a task, and its tick
+    ledger: its ledger calls reach ``VnLedger``'s methods.  ``monitor``,
     ``completion`` and ``checkpoint`` (its own next round, only under
     independent) are its schedule; its one queued entry, the earliest, pops
     stale once the record it was queued under no longer holds its (time,
@@ -244,15 +245,15 @@ class VirtualNode:
     streak: S1 while ``suspect_rounds`` > 0, else S0, as a fail-stop verdict
     retires it in the same monitor round."""
 
-    __slots__ = ("vn_id", "task", "server", "ledger", "gap",
-                 "suspect_rounds", "contaminated", "spike_delay",
-                 "monitor", "completion", "checkpoint")
+    __slots__ = ("vn_id", "task", "server", "gap", "suspect_rounds", "contaminated",
+                 "spike_delay", "monitor", "completion", "checkpoint")
 
-    def __init__(self, vn_id: int, task: Task, server: Server, ledger: VnLedger):
+    def __init__(self, vn_id: int, task: Task, server: Server, start: int, progress: int,
+                 restore: int = 0):
+        VnLedger.__init__(self, start, progress, restore)
         self.vn_id = vn_id
         self.task = task
         self.server = server
-        self.ledger = ledger
         self.gap = 0                 # current monitoring gap, multiple of the base interval
         self.suspect_rounds = 0      # consecutive Byzantine-state observations
         self.contaminated = False
@@ -290,7 +291,8 @@ class MesfPlacement:
     def replacement(self, sim: Simulation, exclude_id: int) -> tuple[int | None, float]:
         # re-evaluates and packs onto servers already in use; never opens an
         # idle server for a single replacement
-        in_use = [s for s in sim.servers if s.active and s.server_id != exclude_id]
+        in_use = [s for s in sim.servers
+                  if s.free_slots < s.capacity and s.server_id != exclude_id]
         best = min((s for s in in_use if s.free_slots > 0), default=None,
                    key=attrgetter("latency_mean", "server_id"))
         return (best.server_id if best else None), sim.cfg.preeval_cost * len(in_use)
@@ -435,8 +437,7 @@ class Simulation:
         self.restarts = dict.fromkeys(self.unfinished, 0)   # tcc restarts since the job's last migration
 
         self.servers = [Server(server_id=i + 1, capacity=cfg.server_capacity,
-                               latency_mean=scenario.latencies[i],
-                               latency_sigma=cfg.latency_sigma)
+                               latency_mean=scenario.latencies[i])
                         for i in range(cfg.server_count)]   # server id i + 1 at index i
 
         self.rng = random.Random(f"{cfg.seed}:run")
@@ -480,11 +481,11 @@ class Simulation:
         """Start a node for ``task``, from ``target`` or else the initial state."""
         vn_id = self._next_vn_id
         self._next_vn_id += 1
-        ledger = VnLedger(start, target.progress if target else 0, restore_cost)
         server = self.servers[server_id - 1]
-        rt = VirtualNode(vn_id, task, server, ledger)
+        rt = VirtualNode(vn_id, task, server, start, target.progress if target else 0,
+                         restore_cost)
         self.job_nodes[task.job_id][vn_id] = rt
-        server.active += 1
+        server.free_slots -= 1
         # its first monitor round, then its completion and its own first
         # checkpoint round, each under the next sequence number
         queue = self.queue
@@ -504,38 +505,35 @@ class Simulation:
         unserved ticks and record its new completion under the next sequence
         number: one pass per checkpoint write.  It queues nothing: a completion
         entry that a sync round moved pops stale and ``_requeue`` queues it."""
-        ledger = rt.ledger
-        if t > ledger.anchor:
-            ledger.settle(t)
+        if t > rt.anchor:
+            rt.settle(t)
         if image:
-            self.store.take(rt, t, ledger.progress, rt.task.task_id)
-        ledger.pause_due = pause = ledger.pause_due + pause
+            self.store.take(rt, t, rt.progress, rt.task.task_id)
+        rt.pause_due = pause = rt.pause_due + pause
         queue = self.queue
         seq = queue._seq
         queue._seq = seq + 1
-        rt.completion = (ledger.anchor + ledger.restore_due + pause + rt.task.demand
-                         - ledger.progress, seq)
+        rt.completion = (rt.anchor + rt.restore_due + pause + rt.task.demand - rt.progress, seq)
 
     def _retire(self, rt: VirtualNode, t: int) -> None:
         """Stop an incarnation and fold its ledger into the totals."""
-        ledger = rt.ledger
-        ledger.stop(t)   # a crash stopped it already
+        rt.stop(t)   # a crash stopped it already
         s = self.report.scalars
-        s["useful_work_total"] += ledger.work   # less the lost work, in _roll_back
-        s["pause_time_total"] += ledger.pause
-        s["restore_time_total"] += ledger.restore
-        s["active_time_total"] += ledger.span
+        s["useful_work_total"] += rt.work   # less the lost work, in _roll_back
+        s["pause_time_total"] += rt.pause
+        s["restore_time_total"] += rt.restore
+        s["active_time_total"] += rt.span
         vn_id, job_id = rt.vn_id, rt.task.job_id
         del self.job_nodes[job_id][vn_id]
         self.infected[job_id].discard(vn_id)
         rt.monitor = rt.completion = rt.checkpoint = None
-        rt.server.active -= 1
+        rt.server.free_slots += 1
 
     def _roll_back(self, rt: VirtualNode, target: Checkpoint | None, t: int) -> int:
         """Discard the node's progress past ``target`` and retire it; returns the lost work."""
         self.store.abandon_after(rt.task.task_id, target)
-        rt.ledger.settle(t)   # a no-op once a crash stopped it
-        lost = rollback_loss(rt.ledger.progress, target, t)
+        rt.settle(t)   # a no-op once a crash stopped it
+        lost = rollback_loss(rt.progress, target, t)
         s = self.report.scalars
         s["lost_work_total"] += lost
         s["useful_work_total"] -= lost
@@ -556,7 +554,7 @@ class Simulation:
         restore = self.cfg.restart_cost + math.ceil(selection_cost)
         new_rt = self._spawn(rt.task, new_sid, t, target, restore)
         self.report.scalars["replacement_count"] += 1
-        self.report.record("time_before_migration", float(t - rt.ledger.start))
+        self.report.record("time_before_migration", float(t - rt.start))
         self.report.record("exec_time_reallocation", float(restore))
         self.report.record("exec_time_total", selection_cost + restore)
         if not self.collect_log:
@@ -608,7 +606,7 @@ class Simulation:
             g2rad = sqrt(-2.0 * log(1.0 - rng.random()))
             z = cos(x2pi) * g2rad
             rng.gauss_next = sin(x2pi) * g2rad
-        delay = server.latency_mean + z * server.latency_sigma
+        delay = server.latency_mean + z * cfg.latency_sigma
         delay = (delay if delay > 0.0 else 0.0) + rt.spike_delay
         sla = cfg.sla_bound
         if rt.completion is None:
@@ -683,14 +681,14 @@ class Simulation:
         else:   # the task has no live node, or a crashed one
             return f"kind={_TOKENS[spec.kind]};target=none;noop=1" if log else ""
         # a fault before the node starts (a late initial wave) lands at its start
-        t = max(t, rt.ledger.start)
+        t = max(t, rt.start)
         if spec.kind is BYZANTINE_FAULT:
             rt.contaminated = True
             self.infected[rt.task.job_id].add(rt.vn_id)
             self.detection_pending[rt.task.task_id] = t
             return f"kind=byzantine;vn=v{rt.vn_id}" if log else ""
         if spec.kind is CRASH_FAULT:
-            rt.ledger.stop(t)
+            rt.stop(t)
             rt.completion = rt.checkpoint = None
             self.detection_pending[rt.task.task_id] = t
             return f"kind=crash;vn=v{rt.vn_id}" if log else ""
@@ -839,7 +837,9 @@ class Simulation:
         work = counts["useful_work_total"] + lost
         pdm = 100.0 * lost / work if work else 0.0
         fractions = [s.over_time / s.obs_time for s in self.servers if s.obs_time > 0]
-        slatah = 100.0 * sum(fractions) / len(fractions) if fractions else 0.0
+        # added in order, as sum() did before 3.12 compensated its float rounding,
+        # so every admitted Python gives the same report
+        slatah = 100.0 * reduce(add, fractions, 0.0) / len(fractions) if fractions else 0.0
         over_rate = 100.0 * self.over_count / self.obs_count if self.obs_count else 0.0
         overall = slatah * over_rate / 100.0
         avg = (100.0 * (self.excess_sum / self.obs_count) / self.cfg.sla_bound

@@ -101,9 +101,6 @@ class SampleStat:
             stat.low, stat.high = math.inf, -math.inf
         return stat
 
-    def key(self) -> tuple:
-        return tuple(self.as_dict().values())
-
 
 class MetricsReport:
     """All Table-style metrics of one scenario run."""
@@ -196,15 +193,12 @@ class MetricsReport:
             return report
         raise ValueError(f"unknown format: {fmt}")
 
-    def _key(self) -> tuple:
-        return (self.scenario_id, self.seed, self.scheduler, self.checkpoint_policy,
-                tuple(float(self.scalars[m]) for m in SCALAR_METRICS),
-                tuple(self.samples[m].key() for m in SAMPLE_METRICS))
-
     def __eq__(self, other) -> bool:
+        # an int equals the same float, and a dict compares a value to itself
+        # by identity first, so a NaN equals itself
         if not isinstance(other, MetricsReport):
             return NotImplemented
-        return self._key() == other._key()
+        return self.to_dict() == other.to_dict()
 
 
 def _json_layout(shape: dict) -> tuple[str, tuple[tuple[str, str], ...]]:

@@ -112,28 +112,24 @@ class Checkpoint(NamedTuple):
 
 
 class Server:
-    """A physical server: its capacity and latency, the live nodes it hosts
-    and the failure record the schedulers rank it by."""
+    """A physical server: its capacity and mean latency, its free slots (its
+    capacity less the live nodes it hosts) and the failure record the
+    schedulers rank it by.  Its delay-sensitive (Y) failures are
+    ``fail_count - w_count``; every server's latency spread is the config's
+    ``latency_sigma``."""
 
-    __slots__ = ("server_id", "capacity", "latency_mean", "latency_sigma", "fail_count",
-                 "w_count", "y_count", "active", "obs_time", "over_time")
+    __slots__ = ("server_id", "capacity", "latency_mean", "fail_count", "w_count",
+                 "free_slots", "obs_time", "over_time")
 
-    def __init__(self, server_id: int, capacity: int, latency_mean: float = 0.0,
-                 latency_sigma: float = 0.0):
+    def __init__(self, server_id: int, capacity: int, latency_mean: float = 0.0):
         self.server_id = server_id
         self.capacity = capacity
         self.latency_mean = latency_mean
-        self.latency_sigma = latency_sigma
         self.fail_count = 0
-        self.w_count = 0
-        self.y_count = 0
-        self.active = 0          # live nodes hosted
+        self.w_count = 0         # erroneous (W) failures
+        self.free_slots = capacity
         self.obs_time = 0        # ticks covered by observations of its nodes
         self.over_time = 0       # the part of obs_time observed at high delay or worse
-
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - self.active
 
 
 def split_application(task_count: int, job_count: int) -> list[Job]:

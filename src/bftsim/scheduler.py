@@ -23,8 +23,6 @@ def record_failure(server: Server, kind: FailureKind) -> int:
     server.fail_count += 1
     if kind is ERRONEOUS:
         server.w_count += 1
-    else:
-        server.y_count += 1
     return server.fail_count
 
 
@@ -87,7 +85,8 @@ def random_assign(task_ids: list[int], servers: list[Server],
 
 
 def ranking_csv(servers: list[Server]) -> str:
-    """CSV report of the current ranking: server_id,fault_count,w_count,y_count,rank."""
+    """CSV report of the current ranking: server_id,fault_count,w_count,y_count,rank,
+    where y_count, the delay-sensitive failures, is fault_count - w_count."""
     return csv_text([["server_id", "fault_count", "w_count", "y_count", "rank"]]
-                    + [[f"s{s.server_id}", s.fail_count, s.w_count, s.y_count, rank]
-                       for rank, s in enumerate(rank_servers(servers), start=1)])
+                    + [[f"s{s.server_id}", s.fail_count, s.w_count, s.fail_count - s.w_count,
+                        rank] for rank, s in enumerate(rank_servers(servers), start=1)])

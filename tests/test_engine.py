@@ -89,11 +89,12 @@ def test_push_into_the_past_is_a_causality_violation():
 
 def test_a_run_builds_objects_only_for_nodes_and_images():
     """Inside ``Simulation.run()`` the only bftsim objects built are one node
-    and one ledger per spawn and one ``Checkpoint`` per image a lookup
-    returns: events, observations, interval updates, tcc actions and the
-    kept images are plain values.  Both ``__init__`` and NamedTuple ``__new__``
-    frames are counted.  A returned image is slotted (no instance
-    ``__dict__``)."""
+    per spawn, which is its own ledger, and one ``Checkpoint`` per image a
+    lookup returns: events, observations, interval updates, tcc actions and
+    the kept images are plain values.  Both ``__init__`` and NamedTuple
+    ``__new__`` frames are counted; an ``__init__`` frame only when it is the
+    built class's own initializer, so a base initializer it calls is not a
+    second object.  A returned image is slotted (no instance ``__dict__``)."""
     store = CheckpointStore()
     store.take(SimpleNamespace(vn_id=1, completion=(1, 0), contaminated=False),
                1, 0, 1)
@@ -110,6 +111,8 @@ def test_a_run_builds_objects_only_for_nodes_and_images():
         first = code.co_varnames[0]
         if code.co_name == "__init__":
             cls = type(frame.f_locals[first])
+            if code is not cls.__init__.__code__:
+                return
         elif first == "_cls":
             cls = frame.f_locals[first]
         else:
@@ -144,8 +147,7 @@ def test_a_run_builds_objects_only_for_nodes_and_images():
                     sys.setprofile(None)
                 spawns = len(sim.tasks) + report.scalars["replacement_count"]
                 assert report.scalars["checkpoint_count"] > 0
-                assert built == Counter(VirtualNode=spawns, VnLedger=spawns,
-                                        Checkpoint=found["images"]), \
+                assert built == Counter(VirtualNode=spawns, Checkpoint=found["images"]), \
                     (scenario.cfg.seed, sched, ckpt, collect_log)
                 returned += found["images"]
     assert returned > 0     # the rollbacks restored images
@@ -327,10 +329,10 @@ def test_inline_draws_draw_what_gauss_and_expovariate_draw(seed, mu, sigma, spik
     Box-Muller pair's cached half is read after other draws, and the stream
     ends in the state the stdlib leaves it in."""
     cfg = cluster_cfg(task_count=1, job_count=1, server_count=1, server_capacity=1,
-                      seed=seed)
+                      seed=seed, latency_sigma=sigma)
     sim = Simulation(Scenario.from_config(cfg), "wsss", "tcc", collect_log=False)
     rt = sim._spawn(sim.tasks[0], 1, 0)   # a clean live node: its checksum draws nothing
-    rt.server.latency_mean, rt.server.latency_sigma, rt.spike_delay = mu, sigma, spike
+    rt.server.latency_mean, rt.spike_delay = mu, spike
     rng, twin = sim.rng, random.Random()
     twin.setstate(rng.getstate())
     for t, (draws, gap) in enumerate(steps, 1):
@@ -346,6 +348,23 @@ def test_inline_draws_draw_what_gauss_and_expovariate_draw(seed, mu, sigma, spik
 def test_generate_workload_rejects_an_empty_demand_range():
     with pytest.raises(ValueError, match="demand_max"):
         generate_workload(4, 1, 101, 100, random.Random(0))
+
+
+def test_sla_time_per_active_host_adds_its_fractions_in_order():
+    """``_finalize`` adds the per-server fractions left to right, as ``sum()``
+    did before Python 3.12 compensated its float rounding, so a report is the
+    same on every Python that pyproject admits: ten fractions of 0.1 add to
+    0.9999999999999999 in order, and to 1.0 compensated."""
+    sim = Simulation(Scenario.from_config(cluster_cfg(server_count=10)), collect_log=False)
+    for server in sim.servers:
+        server.obs_time, server.over_time = 10, 1
+    total = 0.0
+    for _ in sim.servers:
+        total += 0.1
+    assert total != math.fsum([0.1] * 10)
+    sim._finalize()
+    assert sim.report.scalars["sla_time_per_active_host_pct"] == 100.0 * total / 10
+
 
 def test_trace_parse(tmp_path):
     path = tmp_path / "util.trace"
@@ -1387,13 +1406,12 @@ def _pending_holds(sim, ev):
     completion is the one its ledger gives, or None exactly when its ledger
     stopped: a crash, the one record of which is the node's schedule."""
     for rt in _live(sim):
-        ledger = rt.ledger
-        assert ledger.work + ledger.pause + ledger.restore == ledger.anchor - ledger.start, ev
-        assert ledger.restore_due >= 0 and ledger.pause_due >= 0, ev
-        assert not ledger.restore_due or ledger.work == ledger.pause == 0, ev
-        assert (rt.completion is None) == (ledger.stopped is not None), ev
+        assert rt.work + rt.pause + rt.restore == rt.anchor - rt.start, ev
+        assert rt.restore_due >= 0 and rt.pause_due >= 0, ev
+        assert not rt.restore_due or rt.work == rt.pause == 0, ev
+        assert (rt.completion is None) == (rt.stopped is not None), ev
         if rt.completion is not None:
-            assert rt.completion[0] == ledger.completion_time(rt.task.demand), ev
+            assert rt.completion[0] == rt.completion_time(rt.task.demand), ev
 
 
 def _infected_index_holds(sim, ev):
@@ -1407,8 +1425,8 @@ def _infected_index_holds(sim, ev):
 def _servers_hold(sim, ev):
     live = _live(sim)
     for server in sim.servers:
-        assert server.active == sum(rt.server is server for rt in live), ev
-        assert server.active <= server.capacity, ev
+        hosted = sum(rt.server is server for rt in live)
+        assert server.free_slots == server.capacity - hosted >= 0, ev
     # a server id is its list position plus one, which is how a node's server is found
     assert [s.server_id for s in sim.servers] == list(range(1, len(sim.servers) + 1)), ev
     assert all(rt.server is sim.servers[rt.server.server_id - 1] for rt in live), ev

@@ -128,9 +128,8 @@ def test_run_state_records_reject_misspelt_attributes():
     """Run state is slotted: a misspelt write raises instead of adding a field."""
     workload = generate_workload(2, 1, 10, 20, random.Random(1))
     server = Server(1, 2)
-    ledger = VnLedger(0, 0)
-    rt = VirtualNode(1, workload.tasks[0], server, ledger)
-    for record, attr in ((rt, "suspect_round"), (ledger, "progres"),
+    rt = VirtualNode(1, workload.tasks[0], server, 0, 0)
+    for record, attr in ((rt, "suspect_round"), (rt, "progres"), (VnLedger(0, 0), "progres"),
                          (server, "fail_counts"), (SampleStat(), "cnt")):
         with pytest.raises(AttributeError):
             setattr(record, attr, 1)

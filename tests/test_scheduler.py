@@ -28,8 +28,7 @@ def test_record_failure_increments_by_one_per_kind():
     s = _server(3, count=4)
     assert record_failure(s, FailureKind.ERRONEOUS) == 5
     assert record_failure(s, FailureKind.DELAY_SENSITIVE) == 6
-    assert s.w_count == 1 and s.y_count == 1
-    assert s.fail_count == s.w_count + s.y_count + 4
+    assert s.w_count == 1 and s.fail_count == 6
 
 
 def _ids(servers):
@@ -37,7 +36,7 @@ def _ids(servers):
 
 
 def _fill(server, used):
-    server.active = used
+    server.free_slots = server.capacity - used
     return server
 
 
@@ -177,7 +176,6 @@ def test_random_assign_spread_over_seeds():
 
 def test_ranking_csv_shape():
     servers = [_server(2, 1), _server(1, 4)]
-    servers[0].y_count = 1
     servers[1].w_count = 4
     text = ranking_csv(servers)
     lines = text.strip().splitlines()

@@ -46,10 +46,11 @@ def test_tracer_installs_and_uninstalls_on_current_sources():
         tracer.uninstall()
     for name in ENGINE_NAMES:
         assert getattr(bftsim.engine, name) is originals[name], name
-    # each scheduler's wave, the wsss replacements, the scenario build and the
-    # tcc rounds went through the wrapped names
+    # each scheduler's wave, the wsss replacements, the scenario build, the
+    # tcc rounds and the nodes' ledger calls went through the wrapped names
     for name in ("rank_servers", "select_servers", "mesf_assign", "random_assign",
-                 "from_config", "tcc_round", "rollback_loss", "byzantine_fsm_step"):
+                 "from_config", "tcc_round", "rollback_loss", "byzantine_fsm_step",
+                 "settle", "stop"):
         assert tracer.calls[name] >= 1, name
 
 
