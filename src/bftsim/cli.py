@@ -168,7 +168,7 @@ def cmd_rank(args) -> int:
         if len(parts) != 5:
             raise ConfigError(f"{path}:{lineno}: malformed event line")
         _, _, kind, _, detail = parts
-        if kind not in (MONITOR_ROUND.value, TASK_COMPLETE.value) or detail == "stale=1":
+        if kind not in (MONITOR_ROUND, TASK_COMPLETE) or detail == "stale=1":
             continue
         fieldmap = dict(chunk.split("=", 1) for chunk in detail.split(";") if "=" in chunk)
         missing = [key for key in ("server", "class", "checksum") if key not in fieldmap]

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import random
-from enum import Enum
 from functools import partial, reduce
 from heapq import heappop, heappush
 from math import cos, log, sin, sqrt, tau
@@ -45,7 +44,6 @@ from .checkpoint import (
 from .config import ConfigError, SimConfig
 from .fsm import (
     REPLACE_NODE,
-    Action,
     byzantine_fsm_step,
     checksum_oracle,
     classify_delay,
@@ -78,29 +76,20 @@ from .scheduler import (
 )
 
 
-class EventKind(Enum):
-    MONITOR_ROUND = "monitor"
-    TASK_COMPLETE = "complete"
-    FAULT_INJECTION = "fault"
-    CONTAMINATION_EXCHANGE = "exchange"
-    CHECKPOINT_ROUND = "checkpoint"
-    MIGRATION_COMPLETE = "migration_done"
-    HORIZON_END = "horizon_end"
-    __hash__ = object.__hash__   # a per-event dict key: see model.py
+# the event kinds, each the token the event log writes
+MONITOR_ROUND = "monitor"
+TASK_COMPLETE = "complete"
+FAULT_INJECTION = "fault"
+CONTAMINATION_EXCHANGE = "exchange"
+CHECKPOINT_ROUND = "checkpoint"
+MIGRATION_COMPLETE = "migration_done"
+HORIZON_END = "horizon_end"
 
-
-MONITOR_ROUND = EventKind.MONITOR_ROUND
-TASK_COMPLETE = EventKind.TASK_COMPLETE
-FAULT_INJECTION = EventKind.FAULT_INJECTION
-CONTAMINATION_EXCHANGE = EventKind.CONTAMINATION_EXCHANGE
-CHECKPOINT_ROUND = EventKind.CHECKPOINT_ROUND
-MIGRATION_COMPLETE = EventKind.MIGRATION_COMPLETE
-HORIZON_END = EventKind.HORIZON_END
-
-# event-log tokens by member, built once: ``.value`` and ``.name`` are Python
-# properties.  DelayClass is an IntEnum, so its tokens are indexed by it.
+# event-log tokens of the enum members a detail names, built once: ``.value``
+# and ``.name`` are Python properties.  DelayClass is an IntEnum, so its
+# tokens are indexed by it.
 _TOKENS = {member: member.value
-           for enum in (EventKind, NodeState, ChecksumResult, Action, FaultKind)
+           for enum in (NodeState, ChecksumResult, FaultKind)
            for member in enum}
 _DELAY_TOKENS = tuple(d.name.lower() for d in DelayClass)
 
@@ -114,14 +103,14 @@ class EventQueue:
     Sequence numbers are unique, so ordering never compares kinds or targets."""
 
     def __init__(self):
-        self._heap: list[tuple[int, int, EventKind, object]] = []
+        self._heap: list[tuple[int, int, str, object]] = []
         self._seq = 0
         self.clock = 0
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, time: int, kind: EventKind, target: object = None,
+    def push(self, time: int, kind: str, target: object = None,
              seq: int | None = None) -> tuple:
         """Insert an event; ``seq`` inserts it under a number reserved earlier
         instead of the next one (``Simulation._queue_node``, the only caller
@@ -145,7 +134,7 @@ class EventQueue:
         self.clock = ev[0]
         return ev
 
-    def synthesize(self, kind: EventKind, time: int) -> tuple:
+    def synthesize(self, kind: str, time: int) -> tuple:
         """An event that never enters the heap, numbered in insertion order."""
         self._seq += 1
         return time, self._seq - 1, kind, None
@@ -331,11 +320,12 @@ class Checkpointing:
         """Draws the gap to a node's next own round; None: it takes none."""
         return None
 
-    def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: Action,
+    def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: str,
                    in_monitor: bool) -> str:
         """Act on a monitor round or a rejected final output, given the gap
-        and action of the interval update; returns the log detail, which
-        ``_handle_monitor`` discards with the log off."""
+        and action of the interval update; returns the log detail.  With the
+        log off ``_handle_monitor`` discards it, so a round that restarts no
+        node formats none: monitor rounds are most of a run's events."""
         if action is REPLACE_NODE:
             return ";" + sim._restart_vn(rt, t, "replace")
         if not in_monitor:
@@ -344,7 +334,7 @@ class Checkpointing:
             return ";" + sim._restart_vn(rt, t, "verify_reject")
         if not sim.collect_log:
             return ""
-        return f";action={_TOKENS[action]};q={rt.suspect_rounds}"
+        return f";action={action};q={rt.suspect_rounds}"
 
     def rollback_target(self, sim: Simulation, task_id: int) -> Checkpoint | None:
         return sim.store.latest_clean(task_id)
@@ -358,7 +348,7 @@ class TccCheckpointing(Checkpointing):
 
     history = True   # a migration restores a job-consistent image, maybe an older one
 
-    def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: Action,
+    def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: str,
                    in_monitor: bool) -> str:
         job_id = rt.task.job_id
         interval = rt.gap if rt.gap > sim.cfg.ft_interval else sim.cfg.ft_interval
@@ -472,7 +462,7 @@ class Simulation:
             t, seq, kind, target = ev
             # a node's events name its vn id
             target = "" if target is None else getattr(target, "vn_id", target)
-            self.log_lines.append(f"{t},{seq},{_TOKENS[kind]},{target},{detail}")
+            self.log_lines.append(f"{t},{seq},{kind},{target},{detail}")
 
     # -- node lifecycle ----------------------------------------------------------
 
@@ -543,29 +533,26 @@ class Simulation:
 
     def _restart_vn(self, rt: VirtualNode, t: int, reason: str) -> str:
         """Replace one node from its previous trusted checkpoint; returns the
-        log detail, empty with the log off."""
+        log detail."""
         target = self.checkpointing.rollback_target(self, rt.task.task_id)
         lost = self._roll_back(rt, target, t)
         new_sid, selection_cost = self.placement.replacement(self, rt.server.server_id)
         self.report.record("exec_time_host_selection", selection_cost)
         if new_sid is None:
             self.report.scalars["failed_workloads"] += 1
-            return f"reason={reason};lost={lost};placement=failed" if self.collect_log else ""
+            return f"reason={reason};lost={lost};placement=failed"
         restore = self.cfg.restart_cost + math.ceil(selection_cost)
         new_rt = self._spawn(rt.task, new_sid, t, target, restore)
         self.report.scalars["replacement_count"] += 1
         self.report.record("time_before_migration", float(t - rt.start))
         self.report.record("exec_time_reallocation", float(restore))
         self.report.record("exec_time_total", selection_cost + restore)
-        if not self.collect_log:
-            return ""
         return (f"reason={reason};lost={lost};from=s{rt.server.server_id};"
                 f"to=s{new_sid};vn=v{new_rt.vn_id}")
 
     def _migrate_job(self, job_id: int, t: int) -> str:
         """Halt every node of the job and restart it from a job-consistent image,
-        placed as the run's scheduler places a wave; returns the log detail,
-        empty with the log off."""
+        placed as the run's scheduler places a wave; returns the log detail."""
         rts = list(self.job_nodes[job_id].values())
         task_ids = [rt.task.task_id for rt in rts]
         consistent_at = min(c.time if c else 0 for c in map(self.store.latest_clean, task_ids))
@@ -586,8 +573,6 @@ class Simulation:
         s["replacement_count"] += len(rts)
         s["migration_count"] += 1
         self.queue.push(t + restore, MIGRATION_COMPLETE, job_id)   # as the restore ends
-        if not self.collect_log:
-            return ""
         return f"job=j{job_id};moved={len(rts)};consistent_at={consistent_at}"
 
     # -- observation pipeline ----------------------------------------------------
@@ -654,8 +639,7 @@ class Simulation:
     # -- completion ----------------------------------------------------------
 
     def _complete_task(self, rt: VirtualNode, t: int) -> str:
-        """Finish the node's task; returns the log detail, empty with the log off."""
-        log = self.collect_log
+        """Finish the node's task; returns the log detail."""
         task = rt.task
         s = self.report.scalars
         if rt.contaminated:
@@ -665,35 +649,33 @@ class Simulation:
         self.unfinished[job_id] -= 1
         if not self.unfinished[job_id]:
             s["jobs_completed"] += 1
-            return f"task={task.task_id};job=j{job_id};job_complete=1" if log else ""
-        return f"task={task.task_id}" if log else ""
+            return f"task={task.task_id};job=j{job_id};job_complete=1"
+        return f"task={task.task_id}"
 
     # -- fault injection ----------------------------------------------------------
 
     def inject_fault(self, spec: FaultSpec, t: int) -> str:
-        """Apply one fault to its task's live node; returns the log detail,
-        empty with the log off."""
-        log = self.collect_log
+        """Apply one fault to its task's live node; returns the log detail."""
         task = self.tasks[spec.target_task]   # task ids are list positions
         for rt in self.job_nodes[task.job_id].values():
             if rt.task is task and rt.completion is not None:
                 break
         else:   # the task has no live node, or a crashed one
-            return f"kind={_TOKENS[spec.kind]};target=none;noop=1" if log else ""
+            return f"kind={_TOKENS[spec.kind]};target=none;noop=1"
         # a fault before the node starts (a late initial wave) lands at its start
         t = max(t, rt.start)
         if spec.kind is BYZANTINE_FAULT:
             rt.contaminated = True
             self.infected[rt.task.job_id].add(rt.vn_id)
             self.detection_pending[rt.task.task_id] = t
-            return f"kind=byzantine;vn=v{rt.vn_id}" if log else ""
+            return f"kind=byzantine;vn=v{rt.vn_id}"
         if spec.kind is CRASH_FAULT:
             rt.stop(t)
             rt.completion = rt.checkpoint = None
             self.detection_pending[rt.task.task_id] = t
-            return f"kind=crash;vn=v{rt.vn_id}" if log else ""
+            return f"kind=crash;vn=v{rt.vn_id}"
         rt.spike_delay += spec.magnitude * self.cfg.sla_bound
-        return f"kind=delay;vn=v{rt.vn_id};magnitude={spec.magnitude}" if log else ""
+        return f"kind=delay;vn=v{rt.vn_id};magnitude={spec.magnitude}"
 
     # -- event handlers ----------------------------------------------------------
 
@@ -779,8 +761,6 @@ class Simulation:
                 self.detection_pending.setdefault(rt.task.task_id, t)
                 spread.append(rt.vn_id)
         self.queue.push(t + self.cfg.base_interval, CONTAMINATION_EXCHANGE)
-        if not self.collect_log:
-            return ""
         return "spread=" + ("|".join(f"v{v}" for v in spread) if spread else "-")
 
     # -- main loop ----------------------------------------------------------

@@ -16,7 +16,6 @@ replace the node.
 from __future__ import annotations
 
 import random
-from enum import Enum
 
 from .config import SimConfig
 from .model import (
@@ -42,16 +41,10 @@ from .model import (
 )
 
 
-class Action(Enum):
-    NONE = "none"
-    REPLACE_NODE = "replace"
-    ESCALATE = "escalate"
-    __hash__ = object.__hash__   # a per-event dict key: see model.py
-
-
-NO_ACTION = Action.NONE
-REPLACE_NODE = Action.REPLACE_NODE
-ESCALATE = Action.ESCALATE
+# the actions of the interval update, each the token the event log writes
+NO_ACTION = "none"
+REPLACE_NODE = "replace"
+ESCALATE = "escalate"
 
 
 def classify_delay(delay: float, sla_bound: float,
@@ -128,7 +121,7 @@ def performance_fsm_step(state: NodeState, p: PerformanceClass) -> NodeState:
 
 
 def next_interval(gap: int, streak: int, post_state: NodeState,
-                  cfg: SimConfig) -> tuple[int, Action, int]:
+                  cfg: SimConfig) -> tuple[int, str, int]:
     """Update the monitoring gap and suspicion streak of a node after an FSM
     step, given its current ``gap`` and ``streak``; returns (next gap,
     action, streak value after this round).

@@ -25,3 +25,14 @@ def cluster_cfg(**overrides):
     }
     raw.update(overrides)
     return validate_config(raw)
+
+
+def storm_cfg(seed):
+    """Four jobs under every fault kind, with contamination exchange and a
+    migration after the first restart of a job."""
+    return validate_config({
+        "task_count": 24, "job_count": 4, "server_count": 10, "server_capacity": 4,
+        "demand_min": 400, "demand_max": 600, "horizon": 1000, "sla_bound": 50,
+        "byzantine_faults": 3, "crash_faults": 3, "delay_faults": 3,
+        "fault_window_start": 30, "fault_window_end": 600,
+        "propagation_prob": 0.05, "migration_threshold": 1, "seed": seed})

@@ -11,7 +11,7 @@ import pytest
 from bftsim.config import validate_config
 from bftsim.engine import Scenario
 from bftsim.fsm import (
-    Action,
+    REPLACE_NODE,
     byzantine_fsm_step,
     checkpoint_status_fsm_step,
     checksum_oracle,
@@ -209,7 +209,7 @@ def test_criterion_3_suspicion_threshold():
         for i, (d, c) in enumerate(rounds, start=1):
             post = byzantine_fsm_step(state, d, c)
             gap, action, streak = next_interval(gap, streak, post, cfg)
-            if action is Action.REPLACE_NODE:
+            if action == REPLACE_NODE:
                 replaced_at = i
                 break
             state = post

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from bftsim.engine import Scenario, Simulation
 from bftsim.scenario import FaultKind, FaultSpec
 from bftsim.scheduler import ranking_csv
 
-from conftest import cluster_cfg
+from conftest import cluster_cfg, storm_cfg
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -203,18 +204,40 @@ def test_fsm_trace_malformed(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def _assert_rank_matches(tmp_path, sim, text):
+    """``rank`` rebuilds the run's own counters from its log; a server the
+    log never names is not ranked."""
+    log_path = tmp_path / "run.log"
+    log_path.write_text(text)
+    out = tmp_path / "rank.csv"
+    assert main(["rank", "--event-log", str(log_path), "--out", str(out)]) == 0
+    named = {int(sid) for sid in re.findall(r"server=s(\d+)", text)}
+    assert out.read_text() == ranking_csv([s for s in sim.servers if s.server_id in named])
+
+
 def test_rank_matches_live_counters(tmp_path):
     cfg = cluster_cfg(server_capacity=3)   # all four servers host nodes
     faults = [FaultSpec(kind=FaultKind.DELAY_SPIKE, time=40, target_task=2, magnitude=1.5),
               FaultSpec(kind=FaultKind.BYZANTINE, time=60, target_task=9)]
-    scenario = Scenario.from_config(cfg, faults)
-    sim = Simulation(scenario)
+    sim = Simulation(Scenario.from_config(cfg, faults))
     _, log_lines = sim.run()
-    log_path = tmp_path / "run.log"
-    log_path.write_text("\n".join(log_lines) + "\n")
-    out = tmp_path / "rank.csv"
-    assert main(["rank", "--event-log", str(log_path), "--out", str(out)]) == 0
-    assert out.read_text() == ranking_csv(sim.servers)
+    assert len({s.server_id for s in sim.servers if s.obs_time}) == 4
+    _assert_rank_matches(tmp_path, sim, "\n".join(log_lines) + "\n")
+
+
+@pytest.mark.parametrize("sched, ckpt", [(sched, ckpt) for sched in ("wsss", "mesf", "random")
+                                         for ckpt in ("tcc", "sync", "independent")])
+def test_rank_matches_live_counters_on_every_pair(tmp_path, sched, ckpt):
+    """On the storm config every pair's log holds restart, verify and stale
+    lines as well as both kinds of failure, and tcc's holds migrations; mesf
+    leaves some servers idle, which the log never names."""
+    sim = Simulation(Scenario.from_config(storm_cfg(1)), sched, ckpt)
+    _, log_lines = sim.run()
+    text = "\n".join(log_lines) + "\n"
+    assert all(token in text for token in (
+        "reason=", "verify=1;", ",stale=1\n", "checksum=error", "class=high"))
+    assert (",migration_done," in text) == (ckpt == "tcc")
+    _assert_rank_matches(tmp_path, sim, text)
 
 
 def test_rank_empty_log_warns(tmp_path, capsys):

@@ -31,9 +31,12 @@ from bftsim.config import (
 )
 from bftsim.engine import (
     CHECKPOINTING,
+    CONTAMINATION_EXCHANGE,
+    HORIZON_END,
+    MONITOR_ROUND,
     PLACEMENT,
+    TASK_COMPLETE,
     CausalityError,
-    EventKind,
     EventQueue,
     Scenario,
     Simulation,
@@ -42,7 +45,6 @@ from bftsim.engine import (
     propagate_contamination,
     run_scenario,
 )
-from bftsim.fsm import Action
 from bftsim.metrics import MetricsReport
 from bftsim.model import (
     ChecksumResult,
@@ -58,7 +60,7 @@ from bftsim.scenario import (
     scale_demands,
 )
 
-from conftest import cluster_cfg
+from conftest import cluster_cfg, storm_cfg
 
 DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.cfg"
 COMBOS = [(sched, ckpt) for sched in ("wsss", "mesf", "random")
@@ -69,9 +71,9 @@ COMBOS = [(sched, ckpt) for sched in ("wsss", "mesf", "random")
 
 def test_advance_orders_by_time_then_sequence():
     q = EventQueue()
-    first = q.push(5, EventKind.MONITOR_ROUND, 1)
-    second = q.push(5, EventKind.MONITOR_ROUND, 2)
-    q.push(7, EventKind.MONITOR_ROUND, 3)
+    first = q.push(5, MONITOR_ROUND, 1)
+    second = q.push(5, MONITOR_ROUND, 2)
+    q.push(7, MONITOR_ROUND, 3)
     assert q.advance() is first
     assert q.advance() is second
     assert q.clock == 5
@@ -81,10 +83,10 @@ def test_advance_orders_by_time_then_sequence():
 
 def test_push_into_the_past_is_a_causality_violation():
     q = EventQueue()
-    q.push(4, EventKind.MONITOR_ROUND, 1)
+    q.push(4, MONITOR_ROUND, 1)
     q.advance()
     with pytest.raises(CausalityError, match="causality"):
-        q.push(3, EventKind.MONITOR_ROUND, 2)
+        q.push(3, MONITOR_ROUND, 2)
 
 
 def test_a_run_builds_objects_only_for_nodes_and_images():
@@ -129,7 +131,7 @@ def test_a_run_builds_objects_only_for_nodes_and_images():
 
     # desk, and the storm config for exchanges, crashes and job migrations
     scenarios = [Scenario.from_config(load_config(DESK, {"seed": 1})),
-                 Scenario.from_config(_storm_cfg(1))]
+                 Scenario.from_config(storm_cfg(1))]
     returned = 0
     for scenario in scenarios:
         for sched, ckpt in COMBOS:
@@ -567,7 +569,7 @@ def test_detection_latency_counts_from_the_latest_injected_fault():
         sim._spawn(task, 1, 0)
     sim.inject_fault(FaultSpec(kind=FaultKind.BYZANTINE, time=3, target_task=0), 3)
     sim.detection_pending[1] = 2   # left pending on the task, as a migration may leave it
-    sim._handle_exchange((10, 0, EventKind.CONTAMINATION_EXCHANGE, None))
+    sim._handle_exchange((10, 0, CONTAMINATION_EXCHANGE, None))
     assert sim.detection_pending == {0: 3, 1: 2}
     assert all(rt.contaminated for rt in _live(sim))
 
@@ -908,7 +910,7 @@ def test_policy_specific_keys_act_only_under_their_policies():
 
     acts = {key: set() for key in _POLICY_KEYS}
     for seed in (1, 2, 3):
-        cfg = _storm_cfg(seed)
+        cfg = storm_cfg(seed)
         scenario = Scenario.from_config(cfg)
         base = {pair: outputs(scenario, pair) for pair in COMBOS}
         for key, value in _POLICY_KEYS.items():
@@ -983,7 +985,7 @@ def test_every_other_key_acts_under_every_policy_pair():
     for key, value in _SHARED_KEYS.items():
         for pair in COMBOS:
             for seed in range(1, 7):
-                cfg = _storm_cfg(seed)
+                cfg = storm_cfg(seed)
                 if (seed, pair) not in base:
                     base[seed, pair] = report(cfg, pair)
                 if report(dataclasses.replace(cfg, **{key: value}), pair) != base[seed, pair]:
@@ -1048,18 +1050,7 @@ def test_desk_reports_match_the_pin():
 
 # -- fault-storm in small: exchange, migration and the job index ---------------------
 
-def _storm_cfg(seed):
-    """Four jobs under every fault kind, with contamination exchange and a
-    migration after the first restart of a job."""
-    return validate_config({
-        "task_count": 24, "job_count": 4, "server_count": 10, "server_capacity": 4,
-        "demand_min": 400, "demand_max": 600, "horizon": 1000, "sla_bound": 50,
-        "byzantine_faults": 3, "crash_faults": 3, "delay_faults": 3,
-        "fault_window_start": 30, "fault_window_end": 600,
-        "propagation_prob": 0.05, "migration_threshold": 1, "seed": seed})
-
-
-@pytest.mark.parametrize("cfg", [load_config(DESK, {"seed": 1}), _storm_cfg(1)],
+@pytest.mark.parametrize("cfg", [load_config(DESK, {"seed": 1}), storm_cfg(1)],
                          ids=["desk", "storm"])
 def test_sharing_one_scenario_leaks_no_state(cfg):
     """The storm config adds the migration, contamination and crash paths,
@@ -1072,7 +1063,7 @@ def test_sharing_one_scenario_leaks_no_state(cfg):
     assert shared.workload == Scenario.from_config(cfg).workload
 
 
-# SHA-256 of the JSON reports of the 9 combinations on _storm_cfg at seeds 1 and 2
+# SHA-256 of the JSON reports of the 9 combinations on storm_cfg at seeds 1 and 2
 STORM_REPORTS_SHA256 = "d796f1f1644d5a67d4bbdc9b8696db4ba0d171532b9521d54e86ef9de74f4397"
 
 
@@ -1084,7 +1075,7 @@ def test_storm_reports_match_the_pin():
     digest = hashlib.sha256()
     migrated = spread = False
     for seed in (1, 2):
-        scenario = Scenario.from_config(_storm_cfg(seed))
+        scenario = Scenario.from_config(storm_cfg(seed))
         for sched, ckpt in COMBOS:
             report, _ = scenario.run(sched, ckpt, collect_log=False)
             logged, log = scenario.run(sched, ckpt, collect_log=True)
@@ -1101,7 +1092,7 @@ def test_json_reports_are_the_sorted_indented_dump():
     built once, the text json.dumps writes for its dict, and parses back to
     the same dict, every stddev to the last bit."""
     for seed in (1, 2):
-        for cfg in (load_config(DESK, {"seed": seed}), _storm_cfg(seed)):
+        for cfg in (load_config(DESK, {"seed": seed}), storm_cfg(seed)):
             scenario = Scenario.from_config(cfg)
             for sched, ckpt in COMBOS:
                 report, _ = scenario.run(sched, ckpt, collect_log=False)
@@ -1118,7 +1109,7 @@ def test_storm_reports_parse_back_equal(fmt):
     its last bit: ``detection_latency`` under wsss+sync at seed 1 and
     random+independent at seed 2."""
     for seed in (1, 2):
-        scenario = Scenario.from_config(_storm_cfg(seed))
+        scenario = Scenario.from_config(storm_cfg(seed))
         for sched, ckpt in COMBOS:
             report, _ = scenario.run(sched, ckpt, collect_log=False)
             text = report.emit(fmt)
@@ -1128,7 +1119,7 @@ def test_storm_reports_parse_back_equal(fmt):
 
 
 # SHA-256 of the log-on event logs of the 9 combinations on scenarios/desk.cfg
-# and on _storm_cfg, each at seeds 1 and 2
+# and on storm_cfg, each at seeds 1 and 2
 EVENT_LOGS_SHA256 = "95fda9c3f579cd22ee8f481b76fd17280a95ac9204c7a84b382b431bbc4f06af"
 
 
@@ -1156,18 +1147,18 @@ def test_event_logs_match_the_pin():
 def _pinned_logs():
     """The log-on event logs that EVENT_LOGS_SHA256 pins."""
     for seed in (1, 2):
-        for cfg in (load_config(DESK, {"seed": seed}), _storm_cfg(seed)):
+        for cfg in (load_config(DESK, {"seed": seed}), storm_cfg(seed)):
             scenario = Scenario.from_config(cfg)
             for sched, ckpt in COMBOS:
                 yield scenario.run(sched, ckpt, collect_log=True)[1]
 
 
 def _costly_storm_cfg(seed):
-    """_storm_cfg with every cost non-zero and the fault window opening at
+    """storm_cfg with every cost non-zero and the fault window opening at
     t=0: a monitor round's own pause (which keeps a finished node from
     completing in that round), restore and pre-evaluation charges, and faults
     before a late wave starts, which the zero-cost pins miss."""
-    return dataclasses.replace(_storm_cfg(seed), monitor_cost=1, checkpoint_write_cost=2,
+    return dataclasses.replace(storm_cfg(seed), monitor_cost=1, checkpoint_write_cost=2,
                                restart_cost=3, migration_cost=4, preeval_cost=0.5,
                                fault_window_start=0)
 
@@ -1254,7 +1245,7 @@ def test_tcc_logs_hold_stale_pops_only_where_a_migration_or_crash_left_them(sche
     moved_total = 0
     for seed in (1, 2):
         assert stale_and_moved(load_config(DESK, {"seed": seed})) == (0, 0), seed
-        stale, moved = stale_and_moved(_storm_cfg(seed))
+        stale, moved = stale_and_moved(storm_cfg(seed))
         assert stale <= moved, (seed, stale, moved)
         moved_total += moved
     assert moved_total > 0
@@ -1275,7 +1266,7 @@ def test_independent_logs_hold_a_stale_pop_only_where_a_crash_left_it():
     for sched in ("wsss", "mesf", "random"):
         for seed in (1, 2):
             assert stale_and_crashes(load_config(DESK, {"seed": seed}), sched) == (0, 0)
-            stale, crashes = stale_and_crashes(_storm_cfg(seed), sched)
+            stale, crashes = stale_and_crashes(storm_cfg(seed), sched)
             assert stale <= crashes, (sched, seed, stale, crashes)
             stale_total += stale
     assert stale_total > 0
@@ -1286,7 +1277,7 @@ def test_migration_done_is_logged_when_the_moved_nodes_restore_ends():
     wave's pre-evaluation charge, ``preeval_cost`` per server, rounded up;
     ``migration_done`` is logged as it ends, on the zero-cost and the costly
     storm alike."""
-    cfgs = [make(seed) for make in (_storm_cfg, _costly_storm_cfg) for seed in (1, 2)]
+    cfgs = [make(seed) for make in (storm_cfg, _costly_storm_cfg) for seed in (1, 2)]
     checked = 0
     for cfg in cfgs:
         restore = cfg.migration_cost + math.ceil(cfg.preeval_cost * cfg.server_count)
@@ -1309,7 +1300,7 @@ def test_migration_done_is_logged_when_the_moved_nodes_restore_ends():
 
 
 # SHA-256 of the latencies (repr), demands and (kind, time, target, magnitude)
-# fault tuples built for scenarios/desk.cfg and _storm_cfg at seeds 1 and 2
+# fault tuples built for scenarios/desk.cfg and storm_cfg at seeds 1 and 2
 # and for one campaign-shaped config
 SCENARIO_INPUTS_SHA256 = "e025455492ec6f40a4651ac6f291657ba4ce0b1231cf3c957cf7d949c4bd781b"
 
@@ -1324,7 +1315,7 @@ def test_scenario_inputs_match_the_pin():
         "byzantine_faults": 1, "fault_window_start": 20, "fault_window_end": 120,
         "seed": 7})
     cfgs = [load_config(DESK, {"seed": seed}) for seed in (1, 2)]
-    cfgs += [_storm_cfg(1), _storm_cfg(2), campaign]
+    cfgs += [storm_cfg(1), storm_cfg(2), campaign]
     digest = hashlib.sha256()
     for cfg in cfgs:
         scenario = Scenario.from_config(cfg)
@@ -1369,9 +1360,9 @@ def _check_every_event(scenario, sched, ckpt, check, collect_log=False):
 
 
 def _run_checking_every_event(sched, ckpt, seed, check):
-    """Run ``_storm_cfg(seed)`` with the log off, calling ``check(sim, ev)``
+    """Run ``storm_cfg(seed)`` with the log off, calling ``check(sim, ev)``
     after every popped event; returns the report."""
-    report, checked = _check_every_event(Scenario.from_config(_storm_cfg(seed)),
+    report, checked = _check_every_event(Scenario.from_config(storm_cfg(seed)),
                                          sched, ckpt, check)
     assert checked > 100
     return report
@@ -1458,7 +1449,7 @@ def _node_entry_holds(sim, ev):
         [(time, seq, kind)] = queued
         if (time, seq) != due:
             assert (time, seq) < due, (ev, rt.vn_id)
-            assert (policy == "sync" and kind is EventKind.TASK_COMPLETE
+            assert (policy == "sync" and kind == TASK_COMPLETE
                     or rt.completion is None), (ev, rt.vn_id, kind)
 
 
@@ -1519,7 +1510,7 @@ def test_each_live_node_keeps_one_completion_event(sched, ckpt):
 
     def check(sim, ev):
         _node_entry_holds(sim, ev)
-        completions.append(sum(kind is EventKind.TASK_COMPLETE
+        completions.append(sum(kind == TASK_COMPLETE
                                for _, _, kind, _ in sim.queue._heap))
 
     for seed in (1, 2):
@@ -1585,7 +1576,7 @@ def _order_holds(sim, ev):
     """Events run in (time, seq) order: every queued entry sorts after the
     event just handled, and the sequence numbers a live node's schedule
     reserved are distinct and were all taken from the queue's counter."""
-    if ev[2] is not EventKind.HORIZON_END:   # synthesized, never queued
+    if ev[2] != HORIZON_END:   # synthesized, never queued
         assert all(entry[:2] > ev[:2] for entry in sim.queue._heap), ev
     seqs = [record[1] for rt in _live(sim)
             for record in (rt.monitor, rt.completion, rt.checkpoint) if record is not None]
@@ -1677,7 +1668,7 @@ def test_per_event_code_binds_enum_members_once():
                             bftsim.engine)
              for name, cls in vars(module).items()
              if isinstance(cls, enum.EnumMeta) and cls is not enum.Enum}
-    assert {"NodeState", "DelayClass", "EventKind", "TccActionKind", "FaultKind"} <= set(enums)
+    assert {"NodeState", "DelayClass", "TccActionKind", "FaultKind"} <= set(enums)
     engine = _functions(bftsim.engine)
     per_event = {
         bftsim.fsm: ["classify_delay", "checksum_oracle", "byzantine_fsm_step",
@@ -1710,5 +1701,19 @@ def test_per_event_code_binds_enum_members_once():
                       if isinstance(node, ast.Attribute) and node.attr in ("value", "name")]
     assert not property_reads
     # dict keys on the per-event path hash in C, not through Enum.__hash__
-    for cls in (bftsim.engine.EventKind, NodeState, ChecksumResult, Action, FaultKind):
+    for cls in (NodeState, ChecksumResult, FaultKind):
         assert cls.__hash__ is object.__hash__, cls
+
+
+def test_only_round_code_skips_log_detail():
+    """A run with the log off skips formatting the detail only where a run
+    spends its rounds: the monitor and checkpoint handlers and the policy
+    hooks they call each round.  Lifecycle handlers (completions, restarts,
+    migrations, faults, exchanges) are rare, so they always format theirs."""
+    readers = sorted(name for name, fn in _functions(bftsim.engine).items()
+                     if any(isinstance(node, ast.Attribute) and node.attr == "collect_log"
+                            for node in ast.walk(fn)))
+    assert readers == [
+        "Checkpointing.on_monitor", "Simulation.__init__", "Simulation._handle_monitor",
+        "Simulation._handle_round", "Simulation._log", "SyncCheckpointing.on_round",
+        "TccCheckpointing.on_monitor"]

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from bftsim.config import SimConfig, validate_config
 from bftsim.fsm import (
-    Action,
+    ESCALATE,
+    NO_ACTION,
+    REPLACE_NODE,
     byzantine_fsm_step,
     check_trace,
     checkpoint_status_fsm_step,
@@ -131,7 +133,7 @@ def test_next_interval_triangular_growth():
     cfg = validate_config({})
     gap, action, streak = next_interval(10, 0, S0, cfg)
     assert gap == 20 and streak == 0
-    assert action is Action.NONE
+    assert action == NO_ACTION
 
 
 def test_next_interval_geometric_growth():
@@ -145,20 +147,20 @@ def test_next_interval_suspect_resets_gap():
     gap, action, streak = next_interval(30, 0, S1, cfg)
     assert gap == 10
     assert streak == 1
-    assert action is Action.ESCALATE
+    assert action == ESCALATE
 
 
 def test_next_interval_replaces_at_streak_threshold():
     cfg = validate_config({})
     _, action, streak = next_interval(10, 2, S1, cfg)
     assert streak == 3
-    assert action is Action.REPLACE_NODE
+    assert action == REPLACE_NODE
 
 
 def test_next_interval_fail_stop_replaces_with_base_gap():
     cfg = validate_config({})
     gap, action, streak = next_interval(50, 2, S2, cfg)
-    assert action is Action.REPLACE_NODE
+    assert action == REPLACE_NODE
     assert gap == 10
     assert streak == 0   # the node is retired with its suspicion
 
@@ -185,7 +187,7 @@ def test_replace_action_only_at_threshold_or_fail_stop():
             _, action, _ = next_interval(20, streak, post, cfg)
             should_replace = post is S2 or (post is S1
                                             and streak + 1 >= cfg.suspect_threshold)
-            assert (action is Action.REPLACE_NODE) == should_replace
+            assert (action == REPLACE_NODE) == should_replace
 
 
 def test_streak_monotone_until_recovery_or_replacement():
@@ -194,7 +196,7 @@ def test_streak_monotone_until_recovery_or_replacement():
     seen = [0]
     for post in (S1, S1, S0, S1, S1, S1):
         gap, action, streak = next_interval(gap, streak, post, cfg)
-        if action is Action.REPLACE_NODE:
+        if action == REPLACE_NODE:
             seen.append(streak)
             break
         streak = streak if post is S1 else 0
