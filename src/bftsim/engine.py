@@ -8,12 +8,20 @@ derived from the single scenario seed; topology, workload, and the fault
 trace come from policy-independent streams (see ``scenario.py``) so
 different policies can be compared on identical inputs.
 
-Each live virtual node has one queued entry: the earliest of its next monitor
-round, its completion and its own next checkpoint round (independent), each
-under the sequence number it took when it was scheduled.  A popped node entry
-is stale (``stale=1``) when the record it was queued under no longer holds its
-(time, seq): a sync round or a crash changed it, or retiring the node cleared
-all three.  Its handler queues the node again while its monitor round is set.
+Each live virtual node has one queued entry: the earlier of its next monitor
+round and its completion, each under the sequence number it took when it was
+scheduled.  A popped node entry is stale (``stale=1``) when the record it was
+queued under no longer holds its (time, seq): a sync round, the node's own
+rounds or a crash changed it, or retiring the node cleared both.  Its handler
+queues the node again while its monitor round is set.
+
+An independent node's own checkpoint rounds are not events.  Its next round
+is a plain tick on the node, and whenever an event reads or changes the
+node's ledger, contamination or schedule at tick ``t``, the engine first
+applies every round due strictly before ``t``, in order (``_catch_up``).  A
+round due at ``t`` runs after the node's event at ``t``.  Each task draws its
+gaps from its own stream, keyed by seed, purpose and task id, so a task's
+gaps do not depend on the scheduler or on any other draw of the run.
 
 Every virtual-node incarnation is its own tick ledger: it attributes each
 active tick to exactly one of: work, checkpoint pause, or restore time;
@@ -225,11 +233,12 @@ class VnLedger:
 
 class VirtualNode(VnLedger):
     """One incarnation of a virtual node executing a task, and its tick
-    ledger: its ledger calls reach ``VnLedger``'s methods.  ``monitor``,
-    ``completion`` and ``checkpoint`` (its own next round, only under
-    independent) are its schedule; its one queued entry, the earliest, pops
-    stale once the record it was queued under no longer holds its (time,
-    seq).  A crash clears the last two; retiring it clears all three.  Its last
+    ledger: its ledger calls reach ``VnLedger``'s methods.  ``monitor`` and
+    ``completion`` are (time, seq) records, and with ``checkpoint``, the tick
+    of its own next round (only under independent, never queued), they are
+    its schedule; its one queued entry, the earlier record, pops stale once
+    the record it was queued under no longer holds its (time, seq).  A crash
+    clears the last two; retiring it clears all three.  Its last
     observation is ``monitor`` less ``gap``.  Its detection state is its
     streak: S1 while ``suspect_rounds`` > 0, else S0, as a fail-stop verdict
     retires it in the same monitor round."""
@@ -249,7 +258,7 @@ class VirtualNode(VnLedger):
         self.spike_delay = 0.0
         self.monitor: tuple[int, int] | None = (0, 0)   # (time, seq) of its next monitor round
         self.completion: tuple[int, int] | None = None   # (time, seq) the node is due to finish at
-        self.checkpoint: tuple[int, int] | None = None   # (time, seq) of its own next round
+        self.checkpoint: int | None = None   # the tick of its own next round
 
 
 # -- policies ----------------------------------------------------------
@@ -305,8 +314,9 @@ class Checkpointing:
     apply the detection machine's action on a monitor round and roll back to
     the newest clean image; each policy overrides where it differs.  Job
     rounds are queued in ``start_rounds`` and handled in ``on_round``; the
-    engine runs a node's own rounds, timed by ``round_gaps``.  With
-    ``history`` a rollback may reach past a lineage's newest clean image."""
+    engine applies a node's own rounds when it next touches the node, timed
+    by ``round_gaps``.  With ``history`` a rollback may reach past a
+    lineage's newest clean image."""
 
     history = False
 
@@ -316,8 +326,9 @@ class Checkpointing:
     def on_round(self, sim: Simulation, ev: tuple) -> str:
         raise NotImplementedError
 
-    def round_gaps(self, sim: Simulation) -> partial | None:
-        """Draws the gap to a node's next own round; None: it takes none."""
+    def round_gaps(self, sim: Simulation) -> list[partial] | None:
+        """By task id, draws the gap to a node's next own round; None: the
+        policy takes none."""
         return None
 
     def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: str,
@@ -387,15 +398,36 @@ class SyncCheckpointing(Checkpointing):
 
 
 class IndependentCheckpointing(Checkpointing):
-    """Images each node at uncoordinated seeded-random times; with an untrusted
-    latest image only the initial state is left to fall back to."""
+    """Images each node at uncoordinated seeded-random times, its own rounds,
+    which are ticks on the node and not events; with an untrusted latest
+    image only the initial state is left to fall back to."""
 
-    def round_gaps(self, sim: Simulation) -> partial:   # drawn at start and after each write
-        return partial(independent_gap, sim.rng, sim.cfg.indep_mean_gap)
+    def round_gaps(self, sim: Simulation) -> list[partial]:
+        """One gap draw per task id, drawn at a node's start and after each
+        of its writes, each over the task's own stream: a task draws the same
+        gaps under every scheduler, and a restarted node continues its task's
+        stream."""
+        seed, mean = sim.cfg.seed, sim.cfg.indep_mean_gap
+        return [partial(independent_gap, keyed_stream(seed, GAP_STREAM, task_id), mean)
+                for task_id in range(len(sim.tasks))]   # task ids are list positions
 
     def rollback_target(self, sim: Simulation, task_id: int) -> Checkpoint | None:
         latest = sim.store.latest(task_id)
         return latest if latest and not latest.tainted else None
+
+
+# the purposes a keyed stream serves, each its own field of the stream's seed
+GAP_STREAM = 1   # independent checkpoint gaps, one stream per task
+
+
+def keyed_stream(seed: int, purpose: int, key: int) -> random.Random:
+    """The stream of one purpose and one task or job of a run, seeded from one
+    integer that packs (seed, purpose, key), so no two share a seed: the key
+    (below 2**32) takes the low 32 bits, the purpose (below 2**8) the next 8
+    and the seed, zigzag-coded so that a negative seed stays apart from its
+    absolute value, the rest."""
+    zigzag = 2 * seed if seed >= 0 else -2 * seed - 1
+    return random.Random((zigzag << 40) | (purpose << 32) | key)
 
 
 PLACEMENT = {"wsss": WsssPlacement(), "mesf": MesfPlacement(), "random": RandomPlacement()}
@@ -437,7 +469,7 @@ class Simulation:
         self.placement = PLACEMENT[scheduler]
         self.checkpointing = CHECKPOINTING[checkpoint_policy]
         self.store = CheckpointStore(self.checkpointing.history)
-        self.round_gap = self.checkpointing.round_gaps(self)
+        self.round_gaps = self.checkpointing.round_gaps(self)
         self.log_lines: list[str] = []
 
         # the one index of live nodes: job id -> (vn id -> live incarnation);
@@ -476,17 +508,16 @@ class Simulation:
                          restore_cost)
         self.job_nodes[task.job_id][vn_id] = rt
         server.free_slots -= 1
-        # its first monitor round, then its completion and its own first
-        # checkpoint round, each under the next sequence number
+        # its first monitor round, then its completion, each under the next
+        # sequence number, and the tick of its own first checkpoint round
         queue = self.queue
         seq = queue._seq
         queue._seq = seq + 1
         rt.gap = gap = self.cfg.base_interval
         rt.monitor = (start + gap, seq)
         self._retime(rt, start)
-        if self.round_gap is not None:
-            rt.checkpoint = (start + self.round_gap(), queue._seq)
-            queue._seq += 1
+        if self.round_gaps is not None:
+            rt.checkpoint = start + self.round_gaps[task.task_id]()
         self._queue_node(rt)
         return rt
 
@@ -494,7 +525,8 @@ class Simulation:
         """Settle the node to ``t``, image it with ``image``, add ``pause``
         unserved ticks and record its new completion under the next sequence
         number: one pass per checkpoint write.  It queues nothing: a completion
-        entry that a sync round moved pops stale and ``_requeue`` queues it."""
+        entry that a sync round or own rounds moved pops stale and
+        ``_requeue`` queues it."""
         if t > rt.anchor:
             rt.settle(t)
         if image:
@@ -504,6 +536,29 @@ class Simulation:
         seq = queue._seq
         queue._seq = seq + 1
         rt.completion = (rt.anchor + rt.restore_due + pause + rt.task.demand - rt.progress, seq)
+
+    def _catch_up(self, rt: VirtualNode, t: int) -> None:
+        """Apply the node's own rounds due strictly before ``t``, in order:
+        each settles the ledger to its tick, images the node and adds its
+        write's pause, and the next is due a gap from its task's stream later.
+        Then record the moved completion once.
+        A round due at ``t`` runs after the node's event at ``t``, when the
+        engine next touches the node: a node that finishes, crashes or is
+        replaced at ``t`` takes no image at ``t``."""
+        due = rt.checkpoint
+        if due is None or due >= t:
+            return
+        task_id = rt.task.task_id
+        gap, take = self.round_gaps[task_id], self.store.take
+        cost = self.cfg.checkpoint_write_cost
+        while due < t:
+            if due > rt.anchor:
+                rt.settle(due)
+            take(rt, due, rt.progress, task_id)
+            rt.pause_due += cost
+            due += gap()
+        rt.checkpoint = due
+        self._retime(rt, t)
 
     def _retire(self, rt: VirtualNode, t: int) -> None:
         """Stop an incarnation and fold its ledger into the totals."""
@@ -625,15 +680,13 @@ class Simulation:
         return delay, dclass, checksum, flagged
 
     def _queue_node(self, rt: VirtualNode) -> None:
-        """Queue the node's one entry, the earliest of its schedule: the only
-        push of a node's event.  An entry due after the run's end is queued
-        and never pops."""
+        """Queue the node's one entry, the earlier of its two records: the
+        only push of a node's event.  An entry due after the run's end is
+        queued and never pops."""
         due, kind = rt.monitor, MONITOR_ROUND
-        completion, checkpoint = rt.completion, rt.checkpoint
+        completion = rt.completion
         if completion is not None and completion < due:
             due, kind = completion, TASK_COMPLETE
-        if checkpoint is not None and checkpoint < due:
-            due, kind = checkpoint, CHECKPOINT_ROUND
         self.queue.push(due[0], kind, rt, due[1])
 
     # -- completion ----------------------------------------------------------
@@ -664,6 +717,7 @@ class Simulation:
             return f"kind={_TOKENS[spec.kind]};target=none;noop=1"
         # a fault before the node starts (a late initial wave) lands at its start
         t = max(t, rt.start)
+        self._catch_up(rt, t)   # its own rounds due before the fault run first
         if spec.kind is BYZANTINE_FAULT:
             rt.contaminated = True
             self.infected[rt.task.job_id].add(rt.vn_id)
@@ -688,6 +742,8 @@ class Simulation:
         t, _, _, rt = ev
         if rt.monitor is None:   # the entry of a node a migration retired
             return "stale=1"
+        if rt.checkpoint is not None:   # independent: tcc and sync pay this test only
+            self._catch_up(rt, t)
         # a node is finished once its recorded completion is now, as on any
         # completion; a monitor round's own pause (monitor_cost) keeps it busy
         finished = verify or (rt.completion is not None and rt.completion[0] == t
@@ -720,22 +776,10 @@ class Simulation:
 
     def _handle_complete(self, ev: tuple) -> str:
         t, seq, _, rt = ev
+        self._catch_up(rt, t)   # own rounds before it move the completion later
         if (t, seq) != rt.completion:
             return self._requeue(rt)
         return self._handle_monitor(ev, verify=True)
-
-    def _handle_round(self, ev: tuple) -> str:
-        """A node's own checkpoint round: image it and record its next round."""
-        t, _, _, rt = ev
-        if rt.checkpoint is None:   # a crash or retirement cleared it
-            return self._requeue(rt)
-        self._retime(rt, t, self.cfg.checkpoint_write_cost, image=True)
-        gap = self.round_gap()
-        queue = self.queue
-        rt.checkpoint = (t + gap, queue._seq)
-        queue._seq += 1
-        self._queue_node(rt)
-        return f"vn=v{rt.vn_id};gap={gap}" if self.collect_log else ""
 
     def _requeue(self, rt: VirtualNode) -> str:
         """A stale entry: the record it was queued under no longer holds its
@@ -756,6 +800,7 @@ class Simulation:
             clean = [rt for rt in nodes.values() if not rt.contaminated
                      and rt.completion is not None]
             for rt in propagate_contamination(clean, self.cfg.propagation_prob, self.rng):
+                self._catch_up(rt, t)
                 rt.contaminated = True
                 infected.add(rt.vn_id)
                 self.detection_pending.setdefault(rt.task.task_id, t)
@@ -781,8 +826,7 @@ class Simulation:
         dispatch = {
             MONITOR_ROUND: self._handle_monitor,
             TASK_COMPLETE: self._handle_complete,
-            CHECKPOINT_ROUND: (self._handle_round if self.round_gap
-                               else partial(self.checkpointing.on_round, self)),
+            CHECKPOINT_ROUND: partial(self.checkpointing.on_round, self),
             CONTAMINATION_EXCHANGE: self._handle_exchange,
             FAULT_INJECTION: lambda ev: self.inject_fault(self.faults[ev[3]], ev[0]),
             MIGRATION_COMPLETE: lambda ev: f"job=j{ev[3]}",
@@ -797,6 +841,7 @@ class Simulation:
         end = queue.clock if s["jobs_completed"] == job_count else horizon
         for nodes in self.job_nodes.values():
             for rt in list(nodes.values()):
+                self._catch_up(rt, end)
                 self._retire(rt, end)
         self._log(self.queue.synthesize(HORIZON_END, end),
                   f"jobs_completed={s['jobs_completed']}")

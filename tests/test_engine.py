@@ -30,8 +30,11 @@ from bftsim.config import (
     validate_config,
 )
 from bftsim.engine import (
+    CHECKPOINT_ROUND,
     CHECKPOINTING,
     CONTAMINATION_EXCHANGE,
+    FAULT_INJECTION,
+    GAP_STREAM,
     HORIZON_END,
     MONITOR_ROUND,
     PLACEMENT,
@@ -42,6 +45,7 @@ from bftsim.engine import (
     Simulation,
     VirtualNode,
     VnLedger,
+    keyed_stream,
     propagate_contamination,
     run_scenario,
 )
@@ -1001,8 +1005,8 @@ def test_every_other_key_acts_under_every_policy_pair():
 def test_each_node_keeps_at_most_one_queued_completion(policy):
     """A checkpoint pause moves a node's completion later without queueing a
     second entry for it: counted from the pushes and pops themselves, a node
-    never has more than one monitor, completion or own checkpoint round
-    entry in the heap, and ``Simulation._queue_node`` pushes every one."""
+    never has more than one monitor or completion entry in the heap, and
+    ``Simulation._queue_node`` pushes every one."""
     sim = Simulation(Scenario.from_config(load_config(DESK, {"seed": 1})),
                      scheduler="wsss", checkpoint_policy=policy, collect_log=False)
     push, advance = sim.queue.push, sim.queue.advance
@@ -1029,7 +1033,7 @@ def test_each_node_keeps_at_most_one_queued_completion(policy):
 
 
 # SHA-256 of the JSON reports of the 9 combinations on scenarios/desk.cfg at seeds 1 and 2
-DESK_REPORTS_SHA256 = "f380c2c8c2bd117e198e749e8c187d7bbf699807c768e36e25ab8497d7cdefa6"
+DESK_REPORTS_SHA256 = "7d64a9612fbdb629da4d03ea3e9b6a8894eae84c051668869bdffbad2d3d108c"
 
 
 def test_desk_reports_match_the_pin():
@@ -1037,8 +1041,11 @@ def test_desk_reports_match_the_pin():
 
     The pin was computed on the engine as it stood before completion events
     were re-queued lazily and before runs stopped deep-copying the workload;
-    both changes kept it.  A change that alters reports on purpose updates
-    the pin and says so in CHANGES.md."""
+    both changes kept it.  Recomputed when an independent node's own rounds
+    became ticks applied when the engine next touches the node, each task
+    drawing its gaps from its own stream: every independent report changed,
+    and the tcc and sync reports kept their bytes.  A change that alters
+    reports on purpose updates the pin and says so in CHANGES.md."""
     digest = hashlib.sha256()
     for seed in (1, 2):
         cfg = load_config(DESK, {"seed": seed})
@@ -1064,14 +1071,16 @@ def test_sharing_one_scenario_leaks_no_state(cfg):
 
 
 # SHA-256 of the JSON reports of the 9 combinations on storm_cfg at seeds 1 and 2
-STORM_REPORTS_SHA256 = "d796f1f1644d5a67d4bbdc9b8696db4ba0d171532b9521d54e86ef9de74f4397"
+STORM_REPORTS_SHA256 = "c99a8e8662862b1122d8401bf37599a874f216149ee21e4de4a0669a2b765869"
 
 
 def test_storm_reports_match_the_pin():
     """Pins the paths the desk pin misses: contamination exchange, job
     migration, crashes.  The pin was computed before live nodes were indexed
-    by job; a change that alters reports on purpose updates it and says so in
-    CHANGES.md."""
+    by job.  Recomputed, as DESK_REPORTS_SHA256, when independent rounds
+    became ticks applied on the node's next touch: only independent reports
+    changed.  A change that alters reports on purpose updates it and says so
+    in CHANGES.md."""
     digest = hashlib.sha256()
     migrated = spread = False
     for seed in (1, 2):
@@ -1120,7 +1129,7 @@ def test_storm_reports_parse_back_equal(fmt):
 
 # SHA-256 of the log-on event logs of the 9 combinations on scenarios/desk.cfg
 # and on storm_cfg, each at seeds 1 and 2
-EVENT_LOGS_SHA256 = "95fda9c3f579cd22ee8f481b76fd17280a95ac9204c7a84b382b431bbc4f06af"
+EVENT_LOGS_SHA256 = "241b5e8a45f16a2f29aba52f0786243a1c0f8e934631574a46665b05843f7033"
 
 
 def test_event_logs_match_the_pin():
@@ -1136,8 +1145,13 @@ def test_event_logs_match_the_pin():
     completion event: only ``stale=1`` lines are gone, and every other line
     keeps LIVE_LOG_LINES_SHA256.  Recomputed again when a node's independent
     checkpoint rounds joined its one entry: again only ``stale=1`` lines are
-    gone (3,098 to 1,264).  A change that alters the log on purpose updates
-    it and says so in CHANGES.md."""
+    gone (3,098 to 1,264).  Recomputed again when independent rounds became
+    ticks applied on the node's next touch, each task on its own gap stream:
+    independent logs hold no ``checkpoint`` line (39,831 to 7,404 lines over
+    the desk runs' and 11,338 to 2,625 over the storm runs'), every later
+    ``seq`` shifts, and a ``complete`` entry that applying own rounds moved
+    later pops ``stale=1``; the tcc and sync logs kept their bytes.  A change
+    that alters the log on purpose updates it and says so in CHANGES.md."""
     digest = hashlib.sha256()
     for log in _pinned_logs():
         digest.update(("\n".join(log) + "\n").encode())
@@ -1173,13 +1187,15 @@ def _costly_storm_outputs():
 
 
 # SHA-256 of the JSON reports of _costly_storm_outputs
-COSTLY_STORM_REPORTS_SHA256 = "6e45ccfe0bdc73b07d7ab07b1463e88ee326efebb7dc2bd3bb70724cc379b529"
+COSTLY_STORM_REPORTS_SHA256 = "f556b8a05730a926096db36ac4b012c0297abd729735d183d5468c7368afabc2"
 
 
 def test_costly_storm_reports_match_the_pin():
     """Computed on the engine as it stood before the run loop became the one
     horizon check and a node's completion event was queued once; that change
-    kept it.  A change that alters reports on purpose updates the pin and
+    kept it.  Recomputed, as DESK_REPORTS_SHA256, when independent rounds
+    became ticks applied on the node's next touch: only independent reports
+    changed.  A change that alters reports on purpose updates the pin and
     says so in CHANGES.md."""
     digest = hashlib.sha256()
     for report, _ in _costly_storm_outputs():
@@ -1188,7 +1204,7 @@ def test_costly_storm_reports_match_the_pin():
 
 
 # SHA-256 of the log-on event logs of _costly_storm_outputs
-COSTLY_STORM_LOGS_SHA256 = "f5dbfa5cb3deece99e68be5ce036d80adc877cbc0a2a50c4abc039390550ee55"
+COSTLY_STORM_LOGS_SHA256 = "dcf0a63aa00bec6eb116c86c2aa7c1119cefb84d5d91ecca8d815c00ff6278a4"
 
 
 def test_costly_storm_logs_match_the_pin():
@@ -1201,8 +1217,11 @@ def test_costly_storm_logs_match_the_pin():
     restore, and when each live node kept one queued entry: only ``stale=1``
     lines are gone, as in EVENT_LOGS_SHA256.  Recomputed again, as
     EVENT_LOGS_SHA256, when independent rounds joined the node's entry: only
-    ``stale=1`` lines are gone (798 to 386).  A change that alters the log on
-    purpose updates the pin and says so in CHANGES.md."""
+    ``stale=1`` lines are gone (798 to 386).  Recomputed again, as
+    EVENT_LOGS_SHA256, when independent rounds became ticks applied on the
+    node's next touch (independent lines 12,613 to 2,830); the tcc and sync
+    logs kept their bytes.  A change that alters the log on purpose updates
+    the pin and says so in CHANGES.md."""
     digest = hashlib.sha256()
     for _, log in _costly_storm_outputs():
         digest.update(("\n".join(log) + "\n").encode())
@@ -1211,7 +1230,7 @@ def test_costly_storm_logs_match_the_pin():
 
 # SHA-256 of the lines other than ``stale=1`` pops of the EVENT_LOGS_SHA256 and
 # COSTLY_STORM_LOGS_SHA256 logs
-LIVE_LOG_LINES_SHA256 = "1d860b5cccffb8419fc8f7445c0381174bc5258b713ec6478072958c4a50b0a2"
+LIVE_LOG_LINES_SHA256 = "172320751401f19894d87cc503a1e91d657b8083319a43a81ab1a34f42b8b0fd"
 
 
 def test_log_lines_other_than_stale_pops_match_the_pin():
@@ -1219,7 +1238,9 @@ def test_log_lines_other_than_stale_pops_match_the_pin():
     completion event queued.  Queueing one entry per live node, and then
     folding its independent checkpoint rounds into that entry, removed
     ``stale=1`` lines only: every other line, its ``seq`` included, kept
-    the pin."""
+    the pin.  Recomputed when independent rounds became ticks applied on
+    the node's next touch, as EVENT_LOGS_SHA256 names: the independent lines
+    changed, and the tcc and sync lines kept their bytes."""
     digest = hashlib.sha256()
     logs = [*_pinned_logs(), *(log for _, log in _costly_storm_outputs())]
     for log in logs:
@@ -1251,25 +1272,83 @@ def test_tcc_logs_hold_stale_pops_only_where_a_migration_or_crash_left_them(sche
     assert moved_total > 0
 
 
-def test_independent_logs_hold_a_stale_pop_only_where_a_crash_left_it():
-    """Under independent a node's own checkpoint round is part of its one
-    entry, and nothing else moves its records but a crash (no migration, no
-    sync round).  So a crash leaves at most one stale entry: the desk runs,
-    which have no crash, hold no ``stale=1`` line, and on the storm the stale
-    lines number at most the crashes."""
-    def stale_and_crashes(cfg, sched):
-        _, log = Scenario.from_config(cfg).run(sched, "independent", collect_log=True)
-        return (sum(line.endswith(",stale=1") for line in log),
-                sum(",fault," in line and "kind=crash;" in line for line in log))
-
-    stale_total = 0
+def test_independent_logs_hold_a_stale_pop_only_at_a_moved_completion_or_a_crash():
+    """Under independent a node's own checkpoint rounds are not events: no
+    ``checkpoint`` line is logged.  They are applied when an event next
+    touches the node, so they can move a queued completion later, and
+    nothing else moves a node's records but a crash (no migration, no sync
+    round).  So every ``stale=1`` line is a ``complete`` entry or the entry
+    of a node that crashed earlier in the run."""
+    counts = Counter()
     for sched in ("wsss", "mesf", "random"):
         for seed in (1, 2):
-            assert stale_and_crashes(load_config(DESK, {"seed": seed}), sched) == (0, 0)
-            stale, crashes = stale_and_crashes(storm_cfg(seed), sched)
-            assert stale <= crashes, (sched, seed, stale, crashes)
-            stale_total += stale
-    assert stale_total > 0
+            for cfg in (load_config(DESK, {"seed": seed}), storm_cfg(seed)):
+                _, log = Scenario.from_config(cfg).run(sched, "independent", collect_log=True)
+                crashed = set()
+                for line in log:
+                    _, _, kind, target, detail = line.split(",", 4)
+                    assert kind != CHECKPOINT_ROUND, line
+                    if kind == FAULT_INJECTION and detail.startswith("kind=crash;"):
+                        crashed.add(detail.split(";vn=v", 1)[1])
+                    elif detail == "stale=1":
+                        assert kind == TASK_COMPLETE or target in crashed, (sched, seed, line)
+                        counts["crashed" if target in crashed else "moved"] += 1
+    assert counts["moved"] > 0 and counts["crashed"] > 0, counts
+
+
+def test_each_task_draws_its_own_round_gaps_under_every_scheduler():
+    """Common random numbers for independent checkpointing: on desk seed 1,
+    each task's sequence of own-round gaps under wsss, mesf and random is a
+    prefix of one sequence, its task's stream, however the schedulers place,
+    restart and observe its nodes; and tasks do not share a stream."""
+    def recording(draw, into):
+        def wrapper():
+            into.append(draw())
+            return into[-1]
+        return wrapper
+
+    scenario = Scenario.from_config(load_config(DESK, {"seed": 1}))
+    drawn = {}
+    for sched in ("wsss", "mesf", "random"):
+        sim = Simulation(scenario, sched, "independent", collect_log=False)
+        gaps = [[] for _ in sim.tasks]
+        sim.round_gaps = [recording(draw, into) for draw, into in zip(sim.round_gaps, gaps)]
+        report, _ = sim.run()
+        assert report.scalars["checkpoint_count"] > 0
+        drawn[sched] = gaps
+    lengths = set()
+    for task_id in range(len(scenario.workload.tasks)):
+        runs = sorted((drawn[sched][task_id] for sched in drawn), key=len)
+        assert all(run == runs[-1][:len(run)] for run in runs), task_id
+        lengths.add(tuple(map(len, runs)))
+    assert any(len(set(n)) > 1 for n in lengths)   # the schedulers drew different counts
+    firsts = [tuple(drawn["wsss"][task_id][:5]) for task_id in range(len(scenario.workload.tasks))]
+    assert len(set(firsts)) == len(firsts)
+
+
+def test_independent_round_count_is_the_one_its_task_stream_gives():
+    """One fault-free task, whose delay never varies: every own round due
+    before its completion images it and pushes the completion back by
+    ``checkpoint_write_cost``; a round due at the completion tick runs after
+    it, so it takes none.  The count and the pause follow from the task's
+    stream alone, drawn here by hand."""
+    cost, mean = 3, 7
+    cfg = _single_vn_cfg(checkpoint_policy="independent", latency_sigma=0, horizon=2000,
+                         checkpoint_write_cost=cost, indep_mean_gap=mean)
+    report, log = Scenario.from_config(cfg, []).run()
+    stream = keyed_stream(cfg.seed, GAP_STREAM, 0)
+    completion, due, rounds = cfg.demand_min, independent_gap(stream, mean), 0
+    while due < completion:
+        rounds += 1
+        completion += cost
+        due += independent_gap(stream, mean)
+    s = report.scalars
+    assert rounds > 50
+    assert s["checkpoint_count"] == rounds
+    assert s["pause_time_total"] == rounds * cost
+    assert s["useful_work_total"] == cfg.demand_min
+    assert s["active_time_total"] == completion
+    assert s["jobs_completed"] == 1 and log[-1].startswith(f"{completion},")
 
 
 def test_migration_done_is_logged_when_the_moved_nodes_restore_ends():
@@ -1330,12 +1409,15 @@ def _check_every_event(scenario, sched, ckpt, check, collect_log=False):
     every popped event, and checking at every node start that its task has
     no live node left; returns the report and the number of events checked.
     ``sim.observed`` records, by vn id, each node's start and then the time
-    of its latest observation, as the hooks see them."""
+    of its latest observation, as the hooks see them; ``sim.node_states``
+    records each node's ``_node_state`` as it started, for the checks that
+    compare it across events."""
     sim = Simulation(scenario, scheduler=sched, checkpoint_policy=ckpt,
                      collect_log=collect_log)
     log, spawn, observe = sim._log, sim._spawn, sim._observe
     checked = []
     sim.observed = {}
+    sim.node_states = {}
 
     def checking_log(ev, detail):
         check(sim, ev)
@@ -1348,6 +1430,7 @@ def _check_every_event(scenario, sched, ckpt, check, collect_log=False):
         assert all(rt.task is not task for rt in sim.job_nodes[task.job_id].values()), task
         rt = spawn(task, server_id, start, *args)
         sim.observed[rt.vn_id] = start
+        sim.node_states[rt.vn_id] = _node_state(rt)
         return rt
 
     def checking_observe(rt, t):
@@ -1427,13 +1510,13 @@ def _node_entry_holds(sim, ev):
     """Each live node has exactly one queued entry of any kind, also past the
     horizon, its monitor round is its last observation (its start before
     one, as ``_check_every_event`` recorded them) plus its gap, and the
-    entry's key is the earliest of its monitor round, its completion and its
-    own checkpoint round (its monitor round once it crashed).  Only two
-    entries may be earlier: a ``complete`` entry whose completion a sync
-    round moved later after it was queued, and the entry of a crashed node,
-    whose crash cleared the record it was queued under.  Either pops stale
-    and ``_requeue`` queues the node again.  An independent round is
-    the node's own entry, so it moves no queued completion."""
+    entry's key is the earlier of its monitor round and its completion (its
+    monitor round once it crashed).  Only two entries may be earlier: a
+    ``complete`` entry whose completion a sync round, or the node's own
+    independent rounds applied when an event touched it, moved later after
+    it was queued, and the entry of a crashed node, whose crash cleared the
+    record it was queued under.  Either pops stale and ``_requeue`` queues
+    the node again."""
     entries = {}
     for time, seq, kind, target in sim.queue._heap:
         if isinstance(target, VirtualNode) and target.monitor is not None:
@@ -1443,14 +1526,44 @@ def _node_entry_holds(sim, ev):
         assert rt.monitor[0] == sim.observed[rt.vn_id] + rt.gap, (ev, rt.vn_id)
         # a node keeps its own round under independent until it crashes
         assert (rt.checkpoint is None) == (policy != "independent" or rt.completion is None), ev
-        due = min(r for r in (rt.monitor, rt.completion, rt.checkpoint) if r is not None)
+        due = min(r for r in (rt.monitor, rt.completion) if r is not None)
         queued = entries.get(rt.vn_id, [])
         assert len(queued) == 1, (ev, rt.vn_id, queued)
         [(time, seq, kind)] = queued
         if (time, seq) != due:
             assert (time, seq) < due, (ev, rt.vn_id)
-            assert (policy == "sync" and kind == TASK_COMPLETE
+            assert (policy in ("sync", "independent") and kind == TASK_COMPLETE
                     or rt.completion is None), (ev, rt.vn_id, kind)
+
+
+def _node_state(rt):
+    """What an event may read or change of a node, its ledger, contamination
+    and schedule, with the tick of its own next round apart."""
+    return ((rt.anchor, rt.progress, rt.work, rt.pause, rt.restore, rt.restore_due,
+             rt.pause_due, rt.stopped, rt.contaminated, rt.monitor, rt.completion),
+            rt.checkpoint)
+
+
+def _own_rounds_hold(sim, ev):
+    """No live node's ledger is settled past its own next round, and a node
+    whose ledger, contamination or schedule changed at an event at tick
+    ``t`` has no own round due before ``t``: the engine applied those rounds
+    first.  A node that the event crashed has no next round left, so its
+    task's latest image is checked instead: it is no older than the round
+    that was due before ``t``."""
+    t = ev[0]
+    states = sim.node_states
+    for rt in _live(sim):
+        state, due = _node_state(rt)
+        assert due is None or rt.anchor <= due, (ev, rt.vn_id)
+        prior, prior_due = states[rt.vn_id]
+        if state != prior:
+            if due is not None:
+                assert due >= t, (ev, rt.vn_id, due)
+            elif prior_due is not None and prior_due < t:
+                latest = sim.store.latest(rt.task.task_id)
+                assert latest is not None and latest.time >= prior_due, (ev, rt.vn_id)
+        states[rt.vn_id] = state, due
 
 
 def _no_streak_under_tcc(sim, ev):
@@ -1579,7 +1692,7 @@ def _order_holds(sim, ev):
     if ev[2] != HORIZON_END:   # synthesized, never queued
         assert all(entry[:2] > ev[:2] for entry in sim.queue._heap), ev
     seqs = [record[1] for rt in _live(sim)
-            for record in (rt.monitor, rt.completion, rt.checkpoint) if record is not None]
+            for record in (rt.monitor, rt.completion) if record is not None]
     assert len(set(seqs)) == len(seqs), ev
     assert all(seq < sim.queue._seq for seq in seqs), ev
 
@@ -1591,15 +1704,16 @@ def _all_hold(sim, ev):
     _infected_index_holds(sim, ev)
     _servers_hold(sim, ev)
     _node_entry_holds(sim, ev)
+    _own_rounds_hold(sim, ev)
     _no_streak_under_tcc(sim, ev)
 
 
 @settings(max_examples=50, deadline=None)
 @given(_small_configs())
 def test_invariants_hold_on_every_event_of_random_valid_configs(cfg):
-    """Under all 9 policy pairs: the per-event index, ledger and server
-    checks hold, the accounting identity holds, and the log-on report equals
-    the log-off one."""
+    """Under all 9 policy pairs: the per-event index, ledger, server and
+    own-round checks hold, the accounting identity holds, and the log-on
+    report equals the log-off one."""
     scenario = Scenario.from_config(cfg)
     for sched, ckpt in COMBOS:
         report, _ = _check_every_event(scenario, sched, ckpt, _all_hold, collect_log=True)
@@ -1680,7 +1794,7 @@ def test_per_event_code_binds_enum_members_once():
              if name.split(".")[0].endswith("Checkpointing") or _pushes(fn)}
             | {f"Simulation.{name}" for name in (
                 "_spawn", "_observe", "_handle_monitor", "_handle_complete",
-                "_handle_round", "_requeue", "_handle_exchange", "inject_fault", "run",
+                "_catch_up", "_requeue", "_handle_exchange", "inject_fault", "run",
                 "_log")}),
     }
     assert "TccCheckpointing.on_monitor" in per_event[bftsim.engine]
@@ -1707,13 +1821,13 @@ def test_per_event_code_binds_enum_members_once():
 
 def test_only_round_code_skips_log_detail():
     """A run with the log off skips formatting the detail only where a run
-    spends its rounds: the monitor and checkpoint handlers and the policy
-    hooks they call each round.  Lifecycle handlers (completions, restarts,
-    migrations, faults, exchanges) are rare, so they always format theirs."""
+    spends its rounds: the monitor handler, the sync round and the policy
+    hooks the monitor handler calls each round.  Lifecycle handlers
+    (completions, restarts, migrations, faults, exchanges) are rare, so they
+    always format theirs; an independent node's own rounds log nothing."""
     readers = sorted(name for name, fn in _functions(bftsim.engine).items()
                      if any(isinstance(node, ast.Attribute) and node.attr == "collect_log"
                             for node in ast.walk(fn)))
     assert readers == [
         "Checkpointing.on_monitor", "Simulation.__init__", "Simulation._handle_monitor",
-        "Simulation._handle_round", "Simulation._log", "SyncCheckpointing.on_round",
-        "TccCheckpointing.on_monitor"]
+        "Simulation._log", "SyncCheckpointing.on_round", "TccCheckpointing.on_monitor"]
