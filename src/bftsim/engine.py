@@ -11,17 +11,19 @@ different policies can be compared on identical inputs.
 Each live virtual node has one queued entry: the earlier of its next monitor
 round and its completion, each under the sequence number it took when it was
 scheduled.  A popped node entry is stale (``stale=1``) when the record it was
-queued under no longer holds its (time, seq): a sync round, the node's own
-rounds or a crash changed it, or retiring the node cleared both.  Its handler
-queues the node again while its monitor round is set.
+queued under no longer holds its (time, seq): the node's own rounds or a
+crash changed it, or retiring the node cleared both.  Its handler queues the
+node again while its monitor round is set.
 
-An independent node's own checkpoint rounds are not events.  Its next round
-is a plain tick on the node, and whenever an event reads or changes the
-node's ledger, contamination or schedule at tick ``t``, the engine first
-applies every round due strictly before ``t``, in order (``_catch_up``).  A
-round due at ``t`` runs after the node's event at ``t``.  Each task draws its
-gaps from its own stream, keyed by seed, purpose and task id, so a task's
-gaps do not depend on the scheduler or on any other draw of the run.
+A node's own checkpoint rounds (under sync and independent) are not events.
+Its next round is a plain tick on the node, and whenever an event reads or
+changes the node's ledger, contamination or schedule at tick ``t``, the
+engine first applies every round due strictly before ``t``, in order
+(``_catch_up``).  A round due at ``t`` runs after the node's event at ``t``;
+the horizon applies the rounds due at or before it.  Sync rounds fall on the
+job-wide grid of ``ft_interval`` ticks.  Each independent task draws its gaps
+from its own stream, keyed by seed, purpose and task id, so a task's gaps do
+not depend on the scheduler or on any other draw of the run.
 
 Every virtual-node incarnation is its own tick ledger: it attributes each
 active tick to exactly one of: work, checkpoint pause, or restore time;
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from functools import partial, reduce
 from heapq import heappop, heappush
 from math import cos, log, sin, sqrt, tau
@@ -45,7 +48,7 @@ from .checkpoint import (
     CONFIRMED_CHECKPOINT,
     PREVIOUS_RESTART,
     CheckpointStore,
-    independent_gap,
+    independent_next,
     rollback_loss,
     tcc_round,
 )
@@ -89,7 +92,6 @@ MONITOR_ROUND = "monitor"
 TASK_COMPLETE = "complete"
 FAULT_INJECTION = "fault"
 CONTAMINATION_EXCHANGE = "exchange"
-CHECKPOINT_ROUND = "checkpoint"
 MIGRATION_COMPLETE = "migration_done"
 HORIZON_END = "horizon_end"
 
@@ -235,8 +237,8 @@ class VirtualNode(VnLedger):
     """One incarnation of a virtual node executing a task, and its tick
     ledger: its ledger calls reach ``VnLedger``'s methods.  ``monitor`` and
     ``completion`` are (time, seq) records, and with ``checkpoint``, the tick
-    of its own next round (only under independent, never queued), they are
-    its schedule; its one queued entry, the earlier record, pops stale once
+    of its own next round (under sync and independent, never queued), they
+    are its schedule; its one queued entry, the earlier record, pops stale once
     the record it was queued under no longer holds its (time, seq).  A crash
     clears the last two; retiring it clears all three.  Its last
     observation is ``monitor`` less ``gap``.  Its detection state is its
@@ -312,23 +314,16 @@ class RandomPlacement:
 class Checkpointing:
     """Checkpoint-policy rules.  The defaults take no checkpoint rounds,
     apply the detection machine's action on a monitor round and roll back to
-    the newest clean image; each policy overrides where it differs.  Job
-    rounds are queued in ``start_rounds`` and handled in ``on_round``; the
+    the newest clean image; each policy overrides where it differs.  The
     engine applies a node's own rounds when it next touches the node, timed
-    by ``round_gaps``.  With ``history`` a rollback may reach past a
+    by ``next_rounds``.  With ``history`` a rollback may reach past a
     lineage's newest clean image."""
 
     history = False
 
-    def start_rounds(self, sim: Simulation) -> None:
-        pass
-
-    def on_round(self, sim: Simulation, ev: tuple) -> str:
-        raise NotImplementedError
-
-    def round_gaps(self, sim: Simulation) -> list[partial] | None:
-        """By task id, draws the gap to a node's next own round; None: the
-        policy takes none."""
+    def next_rounds(self, sim: Simulation) -> list[Callable[[int], int]] | None:
+        """By task id, the tick of a node's next own round after tick ``x``;
+        None: the policy takes none."""
         return None
 
     def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: str,
@@ -377,38 +372,25 @@ class TccCheckpointing(Checkpointing):
 
 
 class SyncCheckpointing(Checkpointing):
-    """Images every live node of a job at a fixed cadence, regardless of health."""
+    """Images every live node of a job at a fixed cadence, regardless of
+    health: its own rounds fall on the grid ``ft_interval``, 2 x
+    ``ft_interval``, ..., the same ticks for every node."""
 
-    def start_rounds(self, sim: Simulation) -> None:
-        for job_id in sim.unfinished:
-            sim.queue.push(sim.cfg.ft_interval, CHECKPOINT_ROUND, job_id)
-
-    def on_round(self, sim: Simulation, ev: tuple) -> str:
-        t, _, _, job_id = ev
-        cost, taken = sim.cfg.checkpoint_write_cost, 0
-        for rt in sim.job_nodes[job_id].values():
-            if rt.completion is not None:   # not crashed
-                sim._retime(rt, t, cost, image=True)
-                taken += 1
-        if sim.unfinished[job_id]:
-            sim.queue.push(t + sim.cfg.ft_interval, CHECKPOINT_ROUND, job_id)
-        if not sim.collect_log:
-            return ""
-        return f"job=j{job_id};taken={taken}"
+    def next_rounds(self, sim: Simulation) -> list[Callable[[int], int]]:
+        every = sim.cfg.ft_interval
+        return [lambda x: x - x % every + every] * len(sim.tasks)
 
 
 class IndependentCheckpointing(Checkpointing):
-    """Images each node at uncoordinated seeded-random times, its own rounds,
-    which are ticks on the node and not events; with an untrusted latest
-    image only the initial state is left to fall back to."""
+    """Images each node at uncoordinated seeded-random times; with an
+    untrusted latest image only the initial state is left to fall back to."""
 
-    def round_gaps(self, sim: Simulation) -> list[partial]:
-        """One gap draw per task id, drawn at a node's start and after each
-        of its writes, each over the task's own stream: a task draws the same
-        gaps under every scheduler, and a restarted node continues its task's
-        stream."""
+    def next_rounds(self, sim: Simulation) -> list[Callable[[int], int]]:
+        """A gap drawn at a node's start and after each of its writes, over
+        its task's own stream: a task draws the same gaps under every
+        scheduler, and a restarted node continues its task's stream."""
         seed, mean = sim.cfg.seed, sim.cfg.indep_mean_gap
-        return [partial(independent_gap, keyed_stream(seed, GAP_STREAM, task_id), mean)
+        return [partial(independent_next, keyed_stream(seed, GAP_STREAM, task_id), mean)
                 for task_id in range(len(sim.tasks))]   # task ids are list positions
 
     def rollback_target(self, sim: Simulation, task_id: int) -> Checkpoint | None:
@@ -469,7 +451,7 @@ class Simulation:
         self.placement = PLACEMENT[scheduler]
         self.checkpointing = CHECKPOINTING[checkpoint_policy]
         self.store = CheckpointStore(self.checkpointing.history)
-        self.round_gaps = self.checkpointing.round_gaps(self)
+        self.next_round = self.checkpointing.next_rounds(self)
         self.log_lines: list[str] = []
 
         # the one index of live nodes: job id -> (vn id -> live incarnation);
@@ -516,8 +498,8 @@ class Simulation:
         rt.gap = gap = self.cfg.base_interval
         rt.monitor = (start + gap, seq)
         self._retime(rt, start)
-        if self.round_gaps is not None:
-            rt.checkpoint = start + self.round_gaps[task.task_id]()
+        if self.next_round is not None:
+            rt.checkpoint = self.next_round[task.task_id](start)
         self._queue_node(rt)
         return rt
 
@@ -525,8 +507,7 @@ class Simulation:
         """Settle the node to ``t``, image it with ``image``, add ``pause``
         unserved ticks and record its new completion under the next sequence
         number: one pass per checkpoint write.  It queues nothing: a completion
-        entry that a sync round or own rounds moved pops stale and
-        ``_requeue`` queues it."""
+        entry that own rounds moved pops stale and ``_requeue`` queues it."""
         if t > rt.anchor:
             rt.settle(t)
         if image:
@@ -538,27 +519,31 @@ class Simulation:
         rt.completion = (rt.anchor + rt.restore_due + pause + rt.task.demand - rt.progress, seq)
 
     def _catch_up(self, rt: VirtualNode, t: int) -> None:
-        """Apply the node's own rounds due strictly before ``t``, in order:
-        each settles the ledger to its tick, images the node and adds its
-        write's pause, and the next is due a gap from its task's stream later.
-        Then record the moved completion once.
-        A round due at ``t`` runs after the node's event at ``t``, when the
-        engine next touches the node: a node that finishes, crashes or is
-        replaced at ``t`` takes no image at ``t``."""
+        """Apply the node's own rounds due strictly before ``t``, then record
+        the moved completion once.  A round due at ``t`` runs after the
+        node's event at ``t``, when the engine next touches the node: a node
+        that finishes, crashes or is replaced at ``t`` takes no image at
+        ``t``."""
         due = rt.checkpoint
-        if due is None or due >= t:
-            return
+        if due is not None and due < t:
+            self._take_rounds(rt, t - 1)
+            self._retime(rt, t)
+
+    def _take_rounds(self, rt: VirtualNode, last: int) -> None:
+        """Apply the node's own rounds due at or before ``last``, in order:
+        each settles the ledger to its tick, images the node and adds its
+        write's pause, and the next is due where its policy's rule puts it."""
+        due = rt.checkpoint
         task_id = rt.task.task_id
-        gap, take = self.round_gaps[task_id], self.store.take
+        after, take = self.next_round[task_id], self.store.take
         cost = self.cfg.checkpoint_write_cost
-        while due < t:
+        while due <= last:
             if due > rt.anchor:
                 rt.settle(due)
             take(rt, due, rt.progress, task_id)
             rt.pause_due += cost
-            due += gap()
+            due = after(due)
         rt.checkpoint = due
-        self._retime(rt, t)
 
     def _retire(self, rt: VirtualNode, t: int) -> None:
         """Stop an incarnation and fold its ledger into the totals."""
@@ -742,7 +727,7 @@ class Simulation:
         t, _, _, rt = ev
         if rt.monitor is None:   # the entry of a node a migration retired
             return "stale=1"
-        if rt.checkpoint is not None:   # independent: tcc and sync pay this test only
+        if rt.checkpoint is not None:   # tcc pays this test only
             self._catch_up(rt, t)
         # a node is finished once its recorded completion is now, as on any
         # completion; a monitor round's own pause (monitor_cost) keeps it busy
@@ -817,7 +802,6 @@ class Simulation:
         self.report.record("exec_time_total", wave_cost)
         for task in self.tasks:
             self._spawn(task, mapping[task.task_id], math.ceil(wave_cost))
-        self.checkpointing.start_rounds(self)
         if cfg.propagation_prob > 0:
             self.queue.push(cfg.base_interval, CONTAMINATION_EXCHANGE)
         for i, spec in enumerate(self.faults):
@@ -826,7 +810,6 @@ class Simulation:
         dispatch = {
             MONITOR_ROUND: self._handle_monitor,
             TASK_COMPLETE: self._handle_complete,
-            CHECKPOINT_ROUND: partial(self.checkpointing.on_round, self),
             CONTAMINATION_EXCHANGE: self._handle_exchange,
             FAULT_INJECTION: lambda ev: self.inject_fault(self.faults[ev[3]], ev[0]),
             MIGRATION_COMPLETE: lambda ev: f"job=j{ev[3]}",
@@ -838,10 +821,13 @@ class Simulation:
             ev = queue.advance()
             self._log(ev, dispatch[ev[2]](ev))
 
+        # every event due at or before the horizon ran, so the rounds due
+        # then run too, and the node is retired with no re-timing
         end = queue.clock if s["jobs_completed"] == job_count else horizon
         for nodes in self.job_nodes.values():
             for rt in list(nodes.values()):
-                self._catch_up(rt, end)
+                if rt.checkpoint is not None:
+                    self._take_rounds(rt, end)
                 self._retire(rt, end)
         self._log(self.queue.synthesize(HORIZON_END, end),
                   f"jobs_completed={s['jobs_completed']}")

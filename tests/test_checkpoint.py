@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bftsim.checkpoint import (
     CheckpointStore,
     TccActionKind,
-    independent_gap,
+    independent_next,
     rollback_loss,
     tcc_round,
 )
@@ -88,11 +88,11 @@ def test_rollback_rejects_future_target():
 
 
 def test_independent_gaps_deterministic_and_positive():
-    a = [independent_gap(random.Random(42), 10) for _ in range(50)]
-    b = [independent_gap(random.Random(42), 10) for _ in range(50)]
+    a = [independent_next(random.Random(42), 10, 0) for _ in range(50)]
+    b = [independent_next(random.Random(42), 10, 0) for _ in range(50)]
     assert a == b
     assert all(g >= 1 for g in a)
-    tight = [independent_gap(random.Random(7), 1e-9) for _ in range(20)]
+    tight = [independent_next(random.Random(7), 1e-9, 0) for _ in range(20)]
     assert tight == [1] * 20    # degenerate rate caps at one checkpoint per tick
 
 

@@ -21,7 +21,7 @@ import bftsim.fsm
 import bftsim.model
 import bftsim.scenario
 import bftsim.scheduler
-from bftsim.checkpoint import CheckpointStore, independent_gap
+from bftsim.checkpoint import CheckpointStore, independent_next
 from bftsim.config import (
     CHECKPOINT_POLICIES,
     SCHEDULERS,
@@ -30,7 +30,6 @@ from bftsim.config import (
     validate_config,
 )
 from bftsim.engine import (
-    CHECKPOINT_ROUND,
     CHECKPOINTING,
     CONTAMINATION_EXCHANGE,
     FAULT_INJECTION,
@@ -331,9 +330,9 @@ _STEPS = st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_s
 def test_inline_draws_draw_what_gauss_and_expovariate_draw(seed, mu, sigma, spike,
                                                            mean_gap, steps):
     """``Simulation._observe``'s delay noise equals ``gauss`` and
-    ``independent_gap`` equals ``expovariate``, value for value, also when a
-    Box-Muller pair's cached half is read after other draws, and the stream
-    ends in the state the stdlib leaves it in."""
+    ``independent_next``'s gap equals ``expovariate``, value for value, also
+    when a Box-Muller pair's cached half is read after other draws, and the
+    stream ends in the state the stdlib leaves it in."""
     cfg = cluster_cfg(task_count=1, job_count=1, server_count=1, server_capacity=1,
                       seed=seed, latency_sigma=sigma)
     sim = Simulation(Scenario.from_config(cfg), "wsss", "tcc", collect_log=False)
@@ -346,7 +345,7 @@ def test_inline_draws_draw_what_gauss_and_expovariate_draw(seed, mu, sigma, spik
         assert delay == max(twin.gauss(mu, sigma), 0) + spike
         assert [rng.random() for _ in range(draws)] == [twin.random() for _ in range(draws)]
         if gap:
-            assert independent_gap(rng, mean_gap) == max(
+            assert independent_next(rng, mean_gap, t) - t == max(
                 1, round(twin.expovariate(1.0 / mean_gap)))
     assert rng.getstate() == twin.getstate()
 
@@ -1033,7 +1032,7 @@ def test_each_node_keeps_at_most_one_queued_completion(policy):
 
 
 # SHA-256 of the JSON reports of the 9 combinations on scenarios/desk.cfg at seeds 1 and 2
-DESK_REPORTS_SHA256 = "7d64a9612fbdb629da4d03ea3e9b6a8894eae84c051668869bdffbad2d3d108c"
+DESK_REPORTS_SHA256 = "7aa62f7a513a6a2e5954581d7029d6384767dcfb536d793f39925eaf2f812f6c"
 
 
 def test_desk_reports_match_the_pin():
@@ -1044,8 +1043,13 @@ def test_desk_reports_match_the_pin():
     both changes kept it.  Recomputed when an independent node's own rounds
     became ticks applied when the engine next touches the node, each task
     drawing its gaps from its own stream: every independent report changed,
-    and the tcc and sync reports kept their bytes.  A change that alters
-    reports on purpose updates the pin and says so in CHANGES.md."""
+    and the tcc and sync reports kept their bytes.  Recomputed again when
+    sync rounds became own rounds on the ``ft_interval`` grid, applied as
+    independent ones are: a round due at a node's event runs after it, so a
+    node finishing or restarted on a round tick takes no image there; 4 of
+    6 sync reports changed, and the tcc and independent reports kept their
+    bytes.  A change that alters reports on purpose updates the pin and says
+    so in CHANGES.md."""
     digest = hashlib.sha256()
     for seed in (1, 2):
         cfg = load_config(DESK, {"seed": seed})
@@ -1071,7 +1075,7 @@ def test_sharing_one_scenario_leaks_no_state(cfg):
 
 
 # SHA-256 of the JSON reports of the 9 combinations on storm_cfg at seeds 1 and 2
-STORM_REPORTS_SHA256 = "c99a8e8662862b1122d8401bf37599a874f216149ee21e4de4a0669a2b765869"
+STORM_REPORTS_SHA256 = "b93fa1154d48fe9dd52413aad3e38dc3bc7b49d777f365c1354db64e6494dee1"
 
 
 def test_storm_reports_match_the_pin():
@@ -1079,8 +1083,10 @@ def test_storm_reports_match_the_pin():
     migration, crashes.  The pin was computed before live nodes were indexed
     by job.  Recomputed, as DESK_REPORTS_SHA256, when independent rounds
     became ticks applied on the node's next touch: only independent reports
-    changed.  A change that alters reports on purpose updates it and says so
-    in CHANGES.md."""
+    changed.  Recomputed again, as DESK_REPORTS_SHA256, when sync rounds
+    became own rounds: 5 of 6 sync reports changed, and the tcc and
+    independent reports kept their bytes.  A change that alters reports on
+    purpose updates it and says so in CHANGES.md."""
     digest = hashlib.sha256()
     migrated = spread = False
     for seed in (1, 2):
@@ -1129,7 +1135,7 @@ def test_storm_reports_parse_back_equal(fmt):
 
 # SHA-256 of the log-on event logs of the 9 combinations on scenarios/desk.cfg
 # and on storm_cfg, each at seeds 1 and 2
-EVENT_LOGS_SHA256 = "241b5e8a45f16a2f29aba52f0786243a1c0f8e934631574a46665b05843f7033"
+EVENT_LOGS_SHA256 = "6fc28687934f49b1f4fca5c0dd93707f985c3b65e9378d1008d1577f2f19801b"
 
 
 def test_event_logs_match_the_pin():
@@ -1150,8 +1156,15 @@ def test_event_logs_match_the_pin():
     independent logs hold no ``checkpoint`` line (39,831 to 7,404 lines over
     the desk runs' and 11,338 to 2,625 over the storm runs'), every later
     ``seq`` shifts, and a ``complete`` entry that applying own rounds moved
-    later pops ``stale=1``; the tcc and sync logs kept their bytes.  A change
-    that alters the log on purpose updates it and says so in CHANGES.md."""
+    later pops ``stale=1``; the tcc and sync logs kept their bytes.
+    Recomputed again when sync rounds became own rounds, as
+    DESK_REPORTS_SHA256 names: sync logs hold no ``checkpoint`` line (11,458
+    to 7,517 lines over the desk runs' and 4,106 to 2,447 over the storm
+    runs'), their ``seq`` column shifts, and a ``complete`` entry that
+    applying own rounds moved later pops ``stale=1``; an independent log's
+    ``horizon_end`` takes a lower ``seq`` where the horizon used to re-time
+    a node; the tcc logs kept their bytes.  A change that alters the log on
+    purpose updates it and says so in CHANGES.md."""
     digest = hashlib.sha256()
     for log in _pinned_logs():
         digest.update(("\n".join(log) + "\n").encode())
@@ -1187,7 +1200,7 @@ def _costly_storm_outputs():
 
 
 # SHA-256 of the JSON reports of _costly_storm_outputs
-COSTLY_STORM_REPORTS_SHA256 = "f556b8a05730a926096db36ac4b012c0297abd729735d183d5468c7368afabc2"
+COSTLY_STORM_REPORTS_SHA256 = "0cb0adeb3a77373b6c5e1e7550791c94303c9f9e1d785cf72b445e106fd37586"
 
 
 def test_costly_storm_reports_match_the_pin():
@@ -1195,8 +1208,12 @@ def test_costly_storm_reports_match_the_pin():
     horizon check and a node's completion event was queued once; that change
     kept it.  Recomputed, as DESK_REPORTS_SHA256, when independent rounds
     became ticks applied on the node's next touch: only independent reports
-    changed.  A change that alters reports on purpose updates the pin and
-    says so in CHANGES.md."""
+    changed.  Recomputed again, as DESK_REPORTS_SHA256, when sync rounds
+    became own rounds: every sync report changed, and so did one independent
+    report (random at seed 2, 1,695 to 1,696 images), whose node had a round
+    due at the horizon tick, which the horizon now applies; the tcc reports
+    kept their bytes.  A change that alters reports on purpose updates the
+    pin and says so in CHANGES.md."""
     digest = hashlib.sha256()
     for report, _ in _costly_storm_outputs():
         digest.update(report.emit("json").encode())
@@ -1204,7 +1221,7 @@ def test_costly_storm_reports_match_the_pin():
 
 
 # SHA-256 of the log-on event logs of _costly_storm_outputs
-COSTLY_STORM_LOGS_SHA256 = "dcf0a63aa00bec6eb116c86c2aa7c1119cefb84d5d91ecca8d815c00ff6278a4"
+COSTLY_STORM_LOGS_SHA256 = "917a0e1614ca2bb9a39b674f99377eb8a5bf08e90f9a8af25511424dd6c2fdbd"
 
 
 def test_costly_storm_logs_match_the_pin():
@@ -1220,8 +1237,11 @@ def test_costly_storm_logs_match_the_pin():
     ``stale=1`` lines are gone (798 to 386).  Recomputed again, as
     EVENT_LOGS_SHA256, when independent rounds became ticks applied on the
     node's next touch (independent lines 12,613 to 2,830); the tcc and sync
-    logs kept their bytes.  A change that alters the log on purpose updates
-    the pin and says so in CHANGES.md."""
+    logs kept their bytes.  Recomputed again, as EVENT_LOGS_SHA256, when sync
+    rounds became own rounds (sync lines 4,641 to 2,753, and independent
+    ``horizon_end`` lines take a lower ``seq``); the tcc logs kept their
+    bytes.  A change that alters the log on purpose updates the pin and says
+    so in CHANGES.md."""
     digest = hashlib.sha256()
     for _, log in _costly_storm_outputs():
         digest.update(("\n".join(log) + "\n").encode())
@@ -1230,7 +1250,7 @@ def test_costly_storm_logs_match_the_pin():
 
 # SHA-256 of the lines other than ``stale=1`` pops of the EVENT_LOGS_SHA256 and
 # COSTLY_STORM_LOGS_SHA256 logs
-LIVE_LOG_LINES_SHA256 = "172320751401f19894d87cc503a1e91d657b8083319a43a81ab1a34f42b8b0fd"
+LIVE_LOG_LINES_SHA256 = "ab96f3e9c65a7ee057f7f844456366c11e651ea0a807eb6de716f6033ce1871c"
 
 
 def test_log_lines_other_than_stale_pops_match_the_pin():
@@ -1240,7 +1260,10 @@ def test_log_lines_other_than_stale_pops_match_the_pin():
     ``stale=1`` lines only: every other line, its ``seq`` included, kept
     the pin.  Recomputed when independent rounds became ticks applied on
     the node's next touch, as EVENT_LOGS_SHA256 names: the independent lines
-    changed, and the tcc and sync lines kept their bytes."""
+    changed, and the tcc and sync lines kept their bytes.  Recomputed again
+    when sync rounds became own rounds, as EVENT_LOGS_SHA256 names: the sync
+    lines and the independent ``horizon_end`` lines changed, and the tcc
+    lines kept their bytes."""
     digest = hashlib.sha256()
     logs = [*_pinned_logs(), *(log for _, log in _costly_storm_outputs())]
     for log in logs:
@@ -1276,9 +1299,9 @@ def test_independent_logs_hold_a_stale_pop_only_at_a_moved_completion_or_a_crash
     """Under independent a node's own checkpoint rounds are not events: no
     ``checkpoint`` line is logged.  They are applied when an event next
     touches the node, so they can move a queued completion later, and
-    nothing else moves a node's records but a crash (no migration, no sync
-    round).  So every ``stale=1`` line is a ``complete`` entry or the entry
-    of a node that crashed earlier in the run."""
+    nothing else moves a node's records but a crash (no migration).  So
+    every ``stale=1`` line is a ``complete`` entry or the entry of a node
+    that crashed earlier in the run."""
     counts = Counter()
     for sched in ("wsss", "mesf", "random"):
         for seed in (1, 2):
@@ -1287,7 +1310,7 @@ def test_independent_logs_hold_a_stale_pop_only_at_a_moved_completion_or_a_crash
                 crashed = set()
                 for line in log:
                     _, _, kind, target, detail = line.split(",", 4)
-                    assert kind != CHECKPOINT_ROUND, line
+                    assert kind != "checkpoint", line
                     if kind == FAULT_INJECTION and detail.startswith("kind=crash;"):
                         crashed.add(detail.split(";vn=v", 1)[1])
                     elif detail == "stale=1":
@@ -1301,10 +1324,10 @@ def test_each_task_draws_its_own_round_gaps_under_every_scheduler():
     each task's sequence of own-round gaps under wsss, mesf and random is a
     prefix of one sequence, its task's stream, however the schedulers place,
     restart and observe its nodes; and tasks do not share a stream."""
-    def recording(draw, into):
-        def wrapper():
-            into.append(draw())
-            return into[-1]
+    def recording(after, into):
+        def wrapper(x):
+            into.append(after(x) - x)
+            return x + into[-1]
         return wrapper
 
     scenario = Scenario.from_config(load_config(DESK, {"seed": 1}))
@@ -1312,7 +1335,7 @@ def test_each_task_draws_its_own_round_gaps_under_every_scheduler():
     for sched in ("wsss", "mesf", "random"):
         sim = Simulation(scenario, sched, "independent", collect_log=False)
         gaps = [[] for _ in sim.tasks]
-        sim.round_gaps = [recording(draw, into) for draw, into in zip(sim.round_gaps, gaps)]
+        sim.next_round = [recording(after, into) for after, into in zip(sim.next_round, gaps)]
         report, _ = sim.run()
         assert report.scalars["checkpoint_count"] > 0
         drawn[sched] = gaps
@@ -1337,11 +1360,11 @@ def test_independent_round_count_is_the_one_its_task_stream_gives():
                          checkpoint_write_cost=cost, indep_mean_gap=mean)
     report, log = Scenario.from_config(cfg, []).run()
     stream = keyed_stream(cfg.seed, GAP_STREAM, 0)
-    completion, due, rounds = cfg.demand_min, independent_gap(stream, mean), 0
+    completion, due, rounds = cfg.demand_min, independent_next(stream, mean, 0), 0
     while due < completion:
         rounds += 1
         completion += cost
-        due += independent_gap(stream, mean)
+        due = independent_next(stream, mean, due)
     s = report.scalars
     assert rounds > 50
     assert s["checkpoint_count"] == rounds
@@ -1349,6 +1372,81 @@ def test_independent_round_count_is_the_one_its_task_stream_gives():
     assert s["useful_work_total"] == cfg.demand_min
     assert s["active_time_total"] == completion
     assert s["jobs_completed"] == 1 and log[-1].startswith(f"{completion},")
+
+
+def _rounds_before_completion(times, demand, cost):
+    """The images a node of ``demand`` ticks takes at ``times``, given in
+    order: each is taken while its time is below the completion that the
+    images before it give, ``demand + cost`` x (images before it)."""
+    images = 0
+    for t in times:
+        if t >= demand + cost * images:
+            return images
+        images += 1
+    raise AssertionError("ran out of round times")
+
+
+def test_fault_free_image_count_is_the_rounds_before_completion():
+    """One fault-free task, whose delay never varies, of demand D, with base
+    and fault-tolerance interval j and write cost C.  Under tcc every
+    monitor round confirms an image; its rounds fall at j x k(k+1)/2
+    (triangular growth) or j x (2**k - 1) (geometric growth).  Under sync the
+    rounds fall on the grid m x j.  Either way the image count n counts the
+    rounds below the completion the images before them give, and
+    ``checkpoint_count`` = n, ``pause_time_total`` = n x C and
+    ``active_time_total`` = D + n x C exactly.  This is what "reduces
+    overhead exponentially" means here: n grows as sqrt(2D/j) under
+    triangular growth and log2(D/j) under geometric, against D/j for sync."""
+    checked = Counter()
+    for demand in range(50, 3001, 37):
+        for every in (5, 10):
+            for cost in (1, 2):
+                base = {"latency_sigma": 0, "demand_min": demand, "demand_max": demand,
+                        "horizon": 2 * demand + 100, "base_interval": every,
+                        "ft_interval": every, "checkpoint_write_cost": cost}
+                grids = {
+                    ("tcc", "triangular"): (every * k * (k + 1) // 2 for k in range(1, 10**4)),
+                    ("tcc", "geometric"): (every * (2**k - 1) for k in range(1, 64)),
+                    ("sync", "triangular"): (every * m for m in range(1, 10**4)),
+                }
+                for (policy, growth), times in grids.items():
+                    cfg = _single_vn_cfg(checkpoint_policy=policy, interval_growth=growth, **base)
+                    report, _ = Scenario.from_config(cfg, []).run(collect_log=False)
+                    n = _rounds_before_completion(times, demand, cost)
+                    s = report.scalars
+                    assert s["jobs_completed"] == 1, (policy, growth, demand, every, cost)
+                    assert (s["checkpoint_count"], s["pause_time_total"],
+                            s["active_time_total"]) == (n, n * cost, demand + n * cost), (
+                                policy, growth, demand, every, cost)
+                    checked[policy, growth] += 1
+    assert set(checked.values()) == {80 * 2 * 2}
+
+
+@pytest.mark.parametrize("policy", ["sync", "independent"])
+def test_a_round_due_at_the_horizon_images_the_node_and_charges_no_pause(policy):
+    """Every event due at or before the horizon runs, so a live node's own
+    round due exactly at the horizon tick is applied as the horizon retires
+    the node: it is imaged there, and its write's pause, which no tick is
+    left to serve, is not charged.  With a write cost of one tick and gaps
+    of at least one, each earlier round's pause is served in full."""
+    cost, horizon_round = 1, 12
+    raw = {"checkpoint_policy": policy, "latency_sigma": 0, "demand_min": 10**4,
+           "demand_max": 10**4, "checkpoint_write_cost": cost, "indep_mean_gap": 7}
+    if policy == "sync":
+        horizon = horizon_round * 10   # ft_interval 10
+    else:
+        stream, horizon = keyed_stream(_single_vn_cfg(**raw).seed, GAP_STREAM, 0), 0
+        for _ in range(horizon_round):
+            horizon = independent_next(stream, 7, horizon)
+    sim = Simulation(Scenario.from_config(_single_vn_cfg(horizon=horizon, **raw), []),
+                     collect_log=False)
+    report, _ = sim.run()
+    s = report.scalars
+    assert s["jobs_completed"] == 0
+    assert s["checkpoint_count"] == horizon_round
+    assert sim.store.latest(0).time == horizon
+    assert s["pause_time_total"] == (horizon_round - 1) * cost
+    assert s["active_time_total"] == horizon
 
 
 def test_migration_done_is_logged_when_the_moved_nodes_restore_ends():
@@ -1457,7 +1555,7 @@ def _live(sim):
 
 
 def _job_index_holds(sim, ev):
-    # every per-job dict is in job-id order: sync rounds are queued in it
+    # every per-job dict is in job-id order, the order the exchange visits jobs in
     assert list(sim.job_nodes) == list(sim.unfinished) == sorted(sim.unfinished), ev
     for job_id, nodes in sim.job_nodes.items():
         assert all(vn_id == rt.vn_id and rt.task.job_id == job_id and rt.monitor is not None
@@ -1512,11 +1610,11 @@ def _node_entry_holds(sim, ev):
     one, as ``_check_every_event`` recorded them) plus its gap, and the
     entry's key is the earlier of its monitor round and its completion (its
     monitor round once it crashed).  Only two entries may be earlier: a
-    ``complete`` entry whose completion a sync round, or the node's own
-    independent rounds applied when an event touched it, moved later after
-    it was queued, and the entry of a crashed node, whose crash cleared the
-    record it was queued under.  Either pops stale and ``_requeue`` queues
-    the node again."""
+    ``complete`` entry whose completion the node's own sync or independent
+    rounds, applied when an event touched it, moved later after it was
+    queued, and the entry of a crashed node, whose crash cleared the record
+    it was queued under.  Either pops stale and ``_requeue`` queues the node
+    again."""
     entries = {}
     for time, seq, kind, target in sim.queue._heap:
         if isinstance(target, VirtualNode) and target.monitor is not None:
@@ -1524,8 +1622,8 @@ def _node_entry_holds(sim, ev):
     policy = sim.report.checkpoint_policy
     for rt in _live(sim):
         assert rt.monitor[0] == sim.observed[rt.vn_id] + rt.gap, (ev, rt.vn_id)
-        # a node keeps its own round under independent until it crashes
-        assert (rt.checkpoint is None) == (policy != "independent" or rt.completion is None), ev
+        # a node keeps its own round under sync and independent until it crashes
+        assert (rt.checkpoint is None) == (policy == "tcc" or rt.completion is None), ev
         due = min(r for r in (rt.monitor, rt.completion) if r is not None)
         queued = entries.get(rt.vn_id, [])
         assert len(queued) == 1, (ev, rt.vn_id, queued)
@@ -1550,12 +1648,17 @@ def _own_rounds_hold(sim, ev):
     ``t`` has no own round due before ``t``: the engine applied those rounds
     first.  A node that the event crashed has no next round left, so its
     task's latest image is checked instead: it is no older than the round
-    that was due before ``t``."""
+    that was due before ``t``.  A node has no own round under tcc or once
+    it crashed, and its sync rounds fall on the job-wide ``ft_interval``
+    grid."""
     t = ev[0]
     states = sim.node_states
+    policy = sim.report.checkpoint_policy
     for rt in _live(sim):
         state, due = _node_state(rt)
+        assert (due is None) == (policy == "tcc" or rt.completion is None), (ev, rt.vn_id)
         assert due is None or rt.anchor <= due, (ev, rt.vn_id)
+        assert policy != "sync" or due is None or due % sim.cfg.ft_interval == 0, (ev, due)
         prior, prior_due = states[rt.vn_id]
         if state != prior:
             if due is not None:
@@ -1747,30 +1850,21 @@ def _pushes(fn: ast.FunctionDef) -> bool:
 def test_only_the_engine_queues_a_nodes_events():
     """No checkpoint-policy method writes a node's schedule or gap (its
     ``monitor``, ``completion``, ``checkpoint`` or ``gap``), reserves a
-    sequence number, queues a node or pushes any event but a sync job round:
-    a node's own rounds are records on the node, and its entries are the
-    engine's to queue."""
+    sequence number, queues a node or pushes any event: a node's own rounds
+    are records on the node, and its entries are the engine's to queue."""
     policies = {name: fn for name, fn in _functions(bftsim.engine).items()
                 if name.split(".")[0].endswith("Checkpointing")}
-    assert {"SyncCheckpointing.on_round", "IndependentCheckpointing.round_gaps"} <= set(policies)
-    found, job_rounds = [], []
+    assert {"SyncCheckpointing.next_rounds",
+            "IndependentCheckpointing.next_rounds"} <= set(policies)
+    found = []
     for name, fn in policies.items():
         for node in ast.walk(fn):
             if isinstance(node, ast.Attribute) and (
-                    node.attr in ("_seq", "_queue_node", "_requeue")
+                    node.attr in ("_seq", "_queue_node", "_requeue", "queue", "push")
                     or isinstance(node.ctx, ast.Store) and node.attr in (
                         "monitor", "completion", "checkpoint", "gap")):
                 found.append(f"{name}: .{node.attr}")
-            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "push"):
-                kind, target = (ast.unparse(arg) for arg in node.args[1:3])
-                if name.startswith("SyncCheckpointing.") and (kind, target) == (
-                        "CHECKPOINT_ROUND", "job_id"):
-                    job_rounds.append(name)
-                else:
-                    found.append(f"{name}: push({kind}, {target})")
     assert not found
-    assert sorted(job_rounds) == ["SyncCheckpointing.on_round", "SyncCheckpointing.start_rounds"]
 
 
 def test_per_event_code_binds_enum_members_once():
@@ -1794,7 +1888,8 @@ def test_per_event_code_binds_enum_members_once():
              if name.split(".")[0].endswith("Checkpointing") or _pushes(fn)}
             | {f"Simulation.{name}" for name in (
                 "_spawn", "_observe", "_handle_monitor", "_handle_complete",
-                "_catch_up", "_requeue", "_handle_exchange", "inject_fault", "run",
+                "_catch_up", "_take_rounds", "_requeue", "_handle_exchange",
+                "inject_fault", "run",
                 "_log")}),
     }
     assert "TccCheckpointing.on_monitor" in per_event[bftsim.engine]
@@ -1821,13 +1916,13 @@ def test_per_event_code_binds_enum_members_once():
 
 def test_only_round_code_skips_log_detail():
     """A run with the log off skips formatting the detail only where a run
-    spends its rounds: the monitor handler, the sync round and the policy
-    hooks the monitor handler calls each round.  Lifecycle handlers
-    (completions, restarts, migrations, faults, exchanges) are rare, so they
-    always format theirs; an independent node's own rounds log nothing."""
+    spends its rounds: the monitor handler and the policy hooks it calls
+    each round.  Lifecycle handlers (completions, restarts, migrations,
+    faults, exchanges) are rare, so they always format theirs; a node's own
+    sync or independent rounds log nothing."""
     readers = sorted(name for name, fn in _functions(bftsim.engine).items()
                      if any(isinstance(node, ast.Attribute) and node.attr == "collect_log"
                             for node in ast.walk(fn)))
     assert readers == [
         "Checkpointing.on_monitor", "Simulation.__init__", "Simulation._handle_monitor",
-        "Simulation._log", "SyncCheckpointing.on_round", "TccCheckpointing.on_monitor"]
+        "Simulation._log", "TccCheckpointing.on_monitor"]
