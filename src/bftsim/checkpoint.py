@@ -66,16 +66,16 @@ class CheckpointStore:
     predecessor wrote.  Images are plain ``Image`` tuples, and a lookup builds
     the ``Checkpoint`` it returns.
 
-    Without ``history`` no lookup reaches past a lineage's newest clean image
-    (``before=`` raises), so a clean write restarts the chain: it holds at
-    most one clean image, then the tainted ones written after it.  ``taken``
-    counts the images written, ``len`` the images kept.
+    Every write appends its image, and only a rollback forgets images
+    (``abandon_after``).  One write may stand for a batch of ``rounds`` own
+    rounds: it keeps the last round's image and takes the last of the
+    batch's ckpt_ids, as if each round had written its own.  ``taken``
+    counts the rounds written, ``len`` the images kept.
     """
 
-    def __init__(self, history: bool = True):
-        self.history = history
+    def __init__(self):
         self.taken = 0     # the next ckpt_id
-        self.dropped = 0
+        self.dropped = 0   # ckpt_ids with no image kept
         self._by_lineage: dict[int, list[Image]] = {}
 
     def __len__(self) -> int:
@@ -85,31 +85,23 @@ class CheckpointStore:
     def records(self) -> CheckpointStore:   # sized as the images kept
         return self
 
-    def take(self, vn: VirtualNode, time: int, progress: int, lineage_id: int) -> int:
-        """Image ``vn`` at ``time`` into the lineage's chain; returns its ``ckpt_id``."""
+    def take(self, vn: VirtualNode, time: int, progress: int, lineage_id: int,
+             rounds: int = 1) -> int:
+        """Image ``vn`` at ``time`` into the lineage's chain for the last of
+        ``rounds`` rounds; returns its ``ckpt_id``."""
         if vn.completion is None:   # crashed or retired
             raise ValueError(f"cannot checkpoint fail-stopped node v{vn.vn_id}")
-        ckpt_id = self.taken
+        ckpt_id = self.taken + rounds - 1
         self.taken = ckpt_id + 1
-        tainted = vn.contaminated
-        image = (ckpt_id, time, progress, tainted)
-        chain = self._by_lineage.get(lineage_id)
-        if chain is None:
-            self._by_lineage[lineage_id] = [image]
-        elif tainted or self.history:
-            chain.append(image)
-        elif len(chain) == 1:   # the usual clean write without history
-            chain[0] = image
-            self.dropped += 1
-        else:
-            self.dropped += len(chain)
-            self._by_lineage[lineage_id] = [image]
+        self.dropped += rounds - 1
+        self._by_lineage.setdefault(lineage_id, []).append(
+            (ckpt_id, time, progress, vn.contaminated))
         return ckpt_id
 
     def latest_clean(self, lineage_id: int, before: int | None = None) -> Checkpoint | None:
-        """Newest untainted image in the lineage, optionally no newer than ``before``."""
-        if before is not None and not self.history:
-            raise ValueError("a store without history has no older images")
+        """Newest untainted image in the lineage, optionally no newer than
+        ``before``.  Only a ``tcc`` migration passes ``before``, and ``tcc``
+        writes one image per round, so no such lookup meets a batch."""
         for image in reversed(self._by_lineage.get(lineage_id, ())):
             _, time, _, tainted = image
             if tainted or (before is not None and time > before):

@@ -18,12 +18,13 @@ node again while its monitor round is set.
 A node's own checkpoint rounds (under sync and independent) are not events.
 Its next round is a plain tick on the node, and whenever an event reads or
 changes the node's ledger, contamination or schedule at tick ``t``, the
-engine first applies every round due strictly before ``t``, in order
-(``_catch_up``).  A round due at ``t`` runs after the node's event at ``t``;
-the horizon applies the rounds due at or before it.  Sync rounds fall on the
-job-wide grid of ``ft_interval`` ticks.  Each independent task draws its gaps
-from its own stream, keyed by seed, purpose and task id, so a task's gaps do
-not depend on the scheduler or on any other draw of the run.
+engine first applies every round due strictly before ``t``, in order, and
+writes one image for them (``_catch_up``).  A round due at ``t`` runs after
+the node's event at ``t``; the horizon applies the rounds due at or before
+it.  Sync rounds fall on the job-wide grid of ``ft_interval`` ticks.  Each
+independent task draws its gaps from its own stream, keyed by seed, purpose
+and task id, so a task's gaps do not depend on the scheduler or on any other
+draw of the run.
 
 Every virtual-node incarnation is its own tick ledger: it attributes each
 active tick to exactly one of: work, checkpoint pause, or restore time;
@@ -316,10 +317,9 @@ class Checkpointing:
     apply the detection machine's action on a monitor round and roll back to
     the newest clean image; each policy overrides where it differs.  The
     engine applies a node's own rounds when it next touches the node, timed
-    by ``next_rounds``.  With ``history`` a rollback may reach past a
-    lineage's newest clean image."""
-
-    history = False
+    by ``next_rounds``, and writes one image per batch of them.  Every
+    policy shares one store, which keeps each image until a rollback
+    abandons it."""
 
     def next_rounds(self, sim: Simulation) -> list[Callable[[int], int]] | None:
         """By task id, the tick of a node's next own round after tick ``x``;
@@ -351,8 +351,6 @@ class TccCheckpointing(Checkpointing):
     when it collapses, and migrates the job past the restart threshold.  A
     node's interval, ``ft_interval`` until a round confirms, is its gap once
     the gap has passed ``ft_interval``: each round confirms or retires it."""
-
-    history = True   # a migration restores a job-consistent image, maybe an older one
 
     def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: str,
                    in_monitor: bool) -> str:
@@ -450,7 +448,7 @@ class Simulation:
                                     scheduler, checkpoint_policy)
         self.placement = PLACEMENT[scheduler]
         self.checkpointing = CHECKPOINTING[checkpoint_policy]
-        self.store = CheckpointStore(self.checkpointing.history)
+        self.store = CheckpointStore()
         self.next_round = self.checkpointing.next_rounds(self)
         self.log_lines: list[str] = []
 
@@ -531,18 +529,24 @@ class Simulation:
 
     def _take_rounds(self, rt: VirtualNode, last: int) -> None:
         """Apply the node's own rounds due at or before ``last``, in order:
-        each settles the ledger to its tick, images the node and adds its
-        write's pause, and the next is due where its policy's rule puts it."""
+        each settles the ledger to its tick and adds its write's pause, and
+        the next is due where its policy's rule puts it.  The batch writes
+        one image, its last round's, standing for every round of it: nothing
+        changed the node's taint between them, so no rollback could restore
+        an earlier one."""
         due = rt.checkpoint
         task_id = rt.task.task_id
-        after, take = self.next_round[task_id], self.store.take
+        after = self.next_round[task_id]
         cost = self.cfg.checkpoint_write_cost
+        rounds = 0
         while due <= last:
             if due > rt.anchor:
                 rt.settle(due)
-            take(rt, due, rt.progress, task_id)
             rt.pause_due += cost
-            due = after(due)
+            rounds += 1
+            tick, due = due, after(due)
+        if rounds:
+            self.store.take(rt, tick, rt.progress, task_id, rounds)
         rt.checkpoint = due
 
     def _retire(self, rt: VirtualNode, t: int) -> None:

@@ -151,39 +151,48 @@ _LINEAGES = range(3)
 _STORE_STEPS = st.lists(
     st.tuples(st.sampled_from(("take", "take_tainted", "take_fail_stopped", "abandon",
                                "abandon_all", "latest", "latest_clean")),
-              st.sampled_from(_LINEAGES), st.integers(0, 10), st.none() | st.integers(0, 20)),
+              st.sampled_from(_LINEAGES), st.integers(0, 10), st.none() | st.integers(0, 20),
+              st.integers(1, 4)),
     max_size=60)
 
 
-def _take_on_both(store, reference, op, lineage, now):
-    """One ``take`` step of the store tests: a clean, tainted or fail-stopped
-    write on both sides, which give the same ``ckpt_id`` or both raise."""
+def _take_on_both(store, reference, op, lineage, now, rounds):
+    """One ``take`` step of the store test: a clean, tainted or fail-stopped
+    batch of ``rounds`` rounds at ``now``, one write to the store and one per
+    round to the reference, which give the same last ``ckpt_id`` or both
+    raise.  Returns the ``ckpt_id`` of the batch's earlier images."""
     vn = _vn(contaminated=op == "take_tainted", crashed=op == "take_fail_stopped")
     if vn.completion is None:
         for side in (store, reference):
             with pytest.raises(ValueError, match="fail-stop"):
                 side.take(vn, now, now // 2, lineage)
-    else:
-        ckpt_id = store.take(vn, now, now // 2, lineage)
-        assert ckpt_id == reference.take(vn, now, now // 2, lineage).ckpt_id
+        return []
+    ckpt_ids = [reference.take(vn, now, now // 2, lineage).ckpt_id for _ in range(rounds)]
+    assert store.take(vn, now, now // 2, lineage, rounds) == ckpt_ids[-1]
+    return ckpt_ids[:-1]
 
 
 @given(_STORE_STEPS)
 def test_tuple_store_matches_the_object_store(steps):
-    """The tuple store against the object-store reference: random takes
-    (tainted and fail-stopped ones mixed in), rollbacks to a lookup's image
-    or to the initial state, and lookups over three lineages.  Every lookup
-    returns an equal image or ``None`` on both sides, both keep the same
-    chains, and ``taken`` counts the reference's ledger.  After every step
+    """The tuple store against the object-store reference: random batch
+    takes (tainted and fail-stopped ones mixed in), rollbacks to a lookup's
+    image or to the initial state, and lookups over three lineages.  A batch
+    writes one image to the store and one per round to the reference, all
+    at one tick: a run's batch spans several ticks, but no ``before`` lookup
+    meets a batch (``CheckpointStore.latest_clean``).  The store keeps the
+    reference's chains less each batch's earlier images, every lookup
+    returns an equal image or ``None`` on both sides, and ``taken`` counts
+    the reference's ledger.  After every step
     each lineage's newest and newest clean image agree, and a ``before``
     lookup also tries each image time of its lineage as the bound."""
     store, reference = CheckpointStore(), _ObjectStore()
+    skipped = set()
     now = 0
-    for op, lineage, dt, back in steps:
+    for op, lineage, dt, back, rounds in steps:
         now += dt
         before = None if back is None else now - back
         if op.startswith("take"):
-            _take_on_both(store, reference, op, lineage, now)
+            skipped.update(_take_on_both(store, reference, op, lineage, now, rounds))
         elif op.startswith("abandon"):
             target = None if op == "abandon_all" else store.latest_clean(lineage, before)
             ref_target = None if op == "abandon_all" else reference.latest_clean(lineage, before)
@@ -201,50 +210,8 @@ def test_tuple_store_matches_the_object_store(steps):
             assert store.latest(other) == reference.latest(other)
             assert store.latest_clean(other) == reference.latest_clean(other)
         assert store.taken == len(reference.records)
+        kept = {lineage: [c for c in chain if c.ckpt_id not in skipped]
+                for lineage, chain in reference._by_lineage.items()}
         assert {lineage: [Checkpoint(*image) for image in chain]
-                for lineage, chain in store._by_lineage.items()} == reference._by_lineage
-        assert len(store.records) == sum(map(len, reference._by_lineage.values()))
-
-
-_ROLLBACK_TARGETS = {
-    # the image each baseline policy rolls a lineage back to
-    "sync": lambda side, lineage: side.latest_clean(lineage),
-    "independent": lambda side, lineage: (
-        side.latest(lineage) if side.latest(lineage) and not side.latest(lineage).tainted
-        else None),
-}
-
-
-@given(st.sampled_from(sorted(_ROLLBACK_TARGETS)),
-       st.lists(st.tuples(st.sampled_from(("take", "take_tainted", "take_fail_stopped",
-                                           "roll_back")),
-                          st.sampled_from(_LINEAGES), st.integers(0, 10)),
-                max_size=60))
-def test_store_without_history_matches_the_object_store(policy, steps):
-    """A store without history, driven as ``sync`` or ``independent`` drives
-    it, against the object-store reference that keeps every image: random
-    takes and rollbacks over three lineages.  After every step each
-    lineage's newest and newest clean image agree, the store's chain holds
-    at most one clean image, first, and ``taken`` counts every write while
-    ``len`` counts the kept images.  A ``before`` lookup raises."""
-    store, reference = CheckpointStore(history=False), _ObjectStore()
-    now = 0
-    for op, lineage, dt in steps:
-        now += dt
-        if op.startswith("take"):
-            _take_on_both(store, reference, op, lineage, now)
-        else:
-            target = _ROLLBACK_TARGETS[policy](store, lineage)
-            ref_target = _ROLLBACK_TARGETS[policy](reference, lineage)
-            assert target == ref_target
-            store.abandon_after(lineage, target)
-            reference.abandon_after(lineage, ref_target)
-        for other in _LINEAGES:
-            assert store.latest(other) == reference.latest(other)
-            assert store.latest_clean(other) == reference.latest_clean(other)
-            chain = store._by_lineage.get(other, [])
-            assert all(tainted for *_, tainted in chain[1:])
-        assert store.taken == len(reference.records)
-        assert len(store.records) == sum(map(len, store._by_lineage.values()))
-    with pytest.raises(ValueError, match="history"):
-        store.latest_clean(0, before=now)
+                for lineage, chain in store._by_lineage.items()} == kept
+        assert len(store.records) == sum(map(len, kept.values()))

@@ -745,51 +745,64 @@ def test_fault_free_checkpoint_dominance():
     assert ratios[-1] < 0.1
 
 
+def _recording_rounds(rules, record):
+    """``rules``, each wrapped to call ``record(task_id, x)`` first.  The
+    engine calls a task's rule once at each start of its node, then once
+    after each own round it applies, with that round's tick."""
+    def recording(task_id, rule):
+        def after(x):
+            record(task_id, x)
+            return rule(x)
+        return after
+    return [recording(task_id, rule) for task_id, rule in enumerate(rules)]
+
+
 def test_sync_rounds_image_every_active_node_at_once():
     cfg = cluster_cfg(task_count=4, job_count=1, checkpoint_policy="sync",
                       demand_min=300, demand_max=300, horizon=200)
     scenario = Scenario.from_config(cfg, [])
     sim = Simulation(scenario)
-    # the store keeps only each lineage's newest clean image: count the writes
+    # a batch of rounds writes one image: record the ticks of the rounds applied
     by_time = {}
-    take = sim.store.take
-
-    def recording_take(vn, time, progress, lineage_id):
-        by_time.setdefault(time, []).append(vn.vn_id)
-        return take(vn, time, progress, lineage_id)
-
-    sim.store.take = recording_take
-    sim.run()
-    assert by_time
+    sim.next_round = _recording_rounds(
+        sim.next_round, lambda task_id, x: by_time.setdefault(x, []).append(task_id))
+    report, _ = sim.run()
+    assert by_time.pop(0) == [0, 1, 2, 3]   # each node's start, none replaced
+    assert sorted(by_time) == list(range(cfg.ft_interval, cfg.horizon + 1, cfg.ft_interval))
     for t, group in by_time.items():
-        assert sorted(group) == [1, 2, 3, 4], f"round at t={t} imaged {group}"
+        assert sorted(group) == [0, 1, 2, 3], f"round at t={t} imaged tasks {group}"
+    assert report.scalars["checkpoint_count"] == 4 * len(by_time)
 
 
 @pytest.mark.parametrize("ckpt", ["sync", "independent"])
-def test_baseline_stores_keep_only_restorable_images(ckpt, monkeypatch):
-    """Under sync and independent no rollback reaches past a lineage's newest
-    clean image, so after every event of a desk run the store keeps at most
-    that image per lineage, then the tainted images written after it; the
-    report's ``checkpoint_count`` still counts every image written."""
+def test_baseline_stores_count_every_round_applied(ckpt, monkeypatch):
+    """Under sync and independent a batch of a node's own rounds writes one
+    image for all of them.  After every event of a desk run the store's
+    ``taken``, the report's ``checkpoint_count``, still equals the rounds
+    applied, counted at the policy's round rules, while each lineage's
+    chain keeps fewer images, in the order written."""
     scenario = Scenario.from_config(load_config(DESK, {"seed": 1}))
-    seen = Counter()
-    take = CheckpointStore.take
+    policy = type(CHECKPOINTING[ckpt])
+    next_rounds = policy.next_rounds
+    calls = []
+    monkeypatch.setattr(policy, "next_rounds", lambda self, sim: _recording_rounds(
+        next_rounds(self, sim), lambda task_id, x: calls.append(x)))
+    runs = []
 
-    def counting_take(*args):
-        seen["taken"] += 1
-        return take(*args)
-
-    monkeypatch.setattr(CheckpointStore, "take", counting_take)
+    def rounds_applied(sim):
+        return len(calls) - (sim._next_vn_id - 1)   # less one call per node start
 
     def check(sim, _ev):
+        runs[:] = [sim]
+        assert sim.store.taken == rounds_applied(sim)
         chains = sim.store._by_lineage.values()
-        assert all(all(tainted for *_, tainted in chain[1:]) for chain in chains)
-        assert len(sim.store.records) == sum(map(len, chains))
-        seen["tainted_kept"] += any(image[3] for chain in chains for image in chain)
+        assert len(sim.store.records) == sum(map(len, chains)) <= sim.store.taken
+        assert all(chain == sorted(chain) for chain in chains)
 
     report, _ = _check_every_event(scenario, "wsss", ckpt, check)
-    assert seen["tainted_kept"]          # some events left tainted images kept
-    assert report.scalars["checkpoint_count"] == seen["taken"] > len(scenario.workload.tasks)
+    sim, = runs
+    assert report.scalars["checkpoint_count"] == rounds_applied(sim) > len(sim.store.records)
+    assert len(sim.store.records) > len(scenario.workload.tasks)
 
 
 def test_trace_scaled_workload_through_config(tmp_path):
@@ -1823,6 +1836,63 @@ def test_invariants_hold_on_every_event_of_random_valid_configs(cfg):
         assert _identity_holds(report), (sched, ckpt)
         plain, _ = scenario.run(sched, ckpt, collect_log=False)
         assert plain.emit("json") == report.emit("json"), (sched, ckpt)
+
+
+# -- time scaling ------------------------------------------------------------
+
+# the config keys counted in ticks, and the report's totals of ticks
+_TICK_KEYS = ("base_interval", "ft_interval", "checkpoint_write_cost", "restart_cost",
+              "migration_cost", "monitor_cost", "preeval_cost", "fault_window_start",
+              "fault_window_end", "horizon", "indep_mean_gap")
+_TICK_TOTALS = ("useful_work_total", "lost_work_total", "pause_time_total",
+                "restore_time_total", "active_time_total")
+
+
+def _time_scaled(scenario, k):
+    """``scenario`` with every tick quantity ``k`` times as large: the tick
+    keys, each fault's time and each task's demand, scaled in place because
+    scaled demand bounds draw other demands.  Server latencies stay."""
+    cfg = scenario.cfg
+    cfg = dataclasses.replace(cfg, **{key: k * getattr(cfg, key) for key in _TICK_KEYS})
+    scaled = Scenario.from_config(cfg, [f._replace(time=k * f.time) for f in scenario.faults])
+    tasks = scaled.workload.tasks
+    for i, task in enumerate(scenario.workload.tasks):
+        tasks[i] = task._replace(demand=k * task.demand)
+    return scaled
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((2, 3)), st.integers(0, 2**16), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 3), st.sampled_from((0, 1)), st.sampled_from((0, 1)),
+       st.sampled_from((0.0, 0.05)))
+def test_scaling_every_tick_quantity_by_k_scales_every_tick_total_by_k(
+        k, seed, byzantine, crash, delay, preeval_cost, monitor_cost, propagation_prob):
+    """A metamorphic relation: with every tick quantity k times as large,
+    under tcc and sync with each scheduler, every count and percentage is
+    unchanged, every tick total is k times as large, and each sample has
+    the same count and k times the mean.  ``preeval_cost`` is an integer:
+    ``mesf`` rounds a fractional charge up, and ``independent`` rounds its
+    exponential gaps, so neither keeps the relation (see the README)."""
+    scenario = Scenario.from_config(validate_config({
+        "task_count": 12, "job_count": 3, "server_count": 6, "server_capacity": 4,
+        "demand_min": 150, "demand_max": 250, "horizon": 400, "sla_bound": 50,
+        "byzantine_faults": byzantine, "crash_faults": crash, "delay_faults": delay,
+        "fault_window_start": 20, "fault_window_end": 200,
+        "preeval_cost": preeval_cost, "monitor_cost": monitor_cost,
+        "propagation_prob": propagation_prob, "migration_threshold": 1, "seed": seed}))
+    scaled = _time_scaled(scenario, k)
+    for sched in SCHEDULERS:
+        for ckpt in ("tcc", "sync"):
+            report, _ = scenario.run(sched, ckpt, collect_log=False)
+            scaled_report, _ = scaled.run(sched, ckpt, collect_log=False)
+            for name, value in report.scalars.items():
+                expected = k * value if name in _TICK_TOTALS else value
+                assert scaled_report.scalars[name] == expected, (sched, ckpt, name)
+            for name, stat in report.samples.items():
+                scaled_stat = scaled_report.samples[name]
+                assert scaled_stat.count == stat.count, (sched, ckpt, name)
+                assert scaled_stat.mean == pytest.approx(k * stat.mean, rel=1e-12), \
+                    (sched, ckpt, name)
 
 
 # -- per-event code and enums ------------------------------------------------------
