@@ -326,6 +326,12 @@ class Checkpointing:
         None: the policy takes none."""
         return None
 
+    def round_grid(self, sim: Simulation) -> int | None:
+        """The step of the fixed grid every node's own rounds fall on, which
+        lets the engine apply a batch of them at once; None: they fall on
+        none."""
+        return None
+
     def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: str,
                    in_monitor: bool) -> str:
         """Act on a monitor round or a rejected final output, given the gap
@@ -372,10 +378,14 @@ class TccCheckpointing(Checkpointing):
 class SyncCheckpointing(Checkpointing):
     """Images every live node of a job at a fixed cadence, regardless of
     health: its own rounds fall on the grid ``ft_interval``, 2 x
-    ``ft_interval``, ..., the same ticks for every node."""
+    ``ft_interval``, ..., the same ticks for every node.  The engine applies
+    a batch of them past its first round in closed form (``_take_rounds``)."""
+
+    def round_grid(self, sim: Simulation) -> int:
+        return sim.cfg.ft_interval
 
     def next_rounds(self, sim: Simulation) -> list[Callable[[int], int]]:
-        every = sim.cfg.ft_interval
+        every = self.round_grid(sim)
         return [lambda x: x - x % every + every] * len(sim.tasks)
 
 
@@ -450,6 +460,7 @@ class Simulation:
         self.checkpointing = CHECKPOINTING[checkpoint_policy]
         self.store = CheckpointStore()
         self.next_round = self.checkpointing.next_rounds(self)
+        self.round_grid = self.checkpointing.round_grid(self)
         self.log_lines: list[str] = []
 
         # the one index of live nodes: job id -> (vn id -> live incarnation);
@@ -533,18 +544,40 @@ class Simulation:
         the next is due where its policy's rule puts it.  The batch writes
         one image, its last round's, standing for every round of it: nothing
         changed the node's taint between them, so no rollback could restore
-        an earlier one."""
+        an earlier one.
+
+        Rounds on a grid (sync) need no loop: the first settles as above,
+        then the rest add their pauses at once and one settle reaches the
+        last round's tick.  That serves each mode the ticks a settle per
+        round would, since a settle serves restore, then pause, then work.
+        If the write cost fits in a grid step, once the backlog runs out
+        each step serves its own round's pause and works the rest, as the
+        one settle does; if it does not, the backlog the first round leaves,
+        at least the write cost, never runs out, and neither form works."""
         due = rt.checkpoint
         task_id = rt.task.task_id
-        after = self.next_round[task_id]
         cost = self.cfg.checkpoint_write_cost
+        step = self.round_grid
         rounds = 0
-        while due <= last:
+        if step is None:
+            after = self.next_round[task_id]
+            while due <= last:
+                if due > rt.anchor:
+                    rt.settle(due)
+                rt.pause_due += cost
+                rounds += 1
+                tick, due = due, after(due)
+        elif due <= last:
             if due > rt.anchor:
                 rt.settle(due)
+            rest = (last - due) // step   # the rounds after the first
+            tick = due + rest * step
+            if rest:
+                rt.pause_due += rest * cost   # every round's but the last's
+                rt.settle(tick)
             rt.pause_due += cost
-            rounds += 1
-            tick, due = due, after(due)
+            rounds = rest + 1
+            due = tick + step
         if rounds:
             self.store.take(rt, tick, rt.progress, task_id, rounds)
         rt.checkpoint = due

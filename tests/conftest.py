@@ -1,8 +1,18 @@
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from bftsim.config import validate_config
+
+# A shared CI runner can stall any one example past Hypothesis's 200 ms
+# deadline; there a slow example is no failure, and a failing one prints the
+# blob that replays it.  CI is set on GitHub Actions.
+settings.register_profile("ci", deadline=None, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -757,21 +757,35 @@ def _recording_rounds(rules, record):
     return [recording(task_id, rule) for task_id, rule in enumerate(rules)]
 
 
+def _grid_ticks(start, stop, step):
+    """The ticks of the sync rounds of an incarnation started at ``start``,
+    counted on the grid alone: every g with start < g < ``stop``.  A
+    running node has taken the rounds before its next round, one stopped by
+    an event at t those before t, and one that the horizon retired running
+    those up to the horizon's tick."""
+    return range(start - start % step + step, stop, step)
+
+
 def test_sync_rounds_image_every_active_node_at_once():
     cfg = cluster_cfg(task_count=4, job_count=1, checkpoint_policy="sync",
                       demand_min=300, demand_max=300, horizon=200)
     scenario = Scenario.from_config(cfg, [])
     sim = Simulation(scenario)
-    # a batch of rounds writes one image: record the ticks of the rounds applied
-    by_time = {}
-    sim.next_round = _recording_rounds(
-        sim.next_round, lambda task_id, x: by_time.setdefault(x, []).append(task_id))
+    spawn, started = sim._spawn, []
+    sim._spawn = lambda *args: started.append(spawn(*args)) or started[-1]
     report, _ = sim.run()
-    assert by_time.pop(0) == [0, 1, 2, 3]   # each node's start, none replaced
+    assert [(rt.task.task_id, rt.start) for rt in started] == [(0, 0), (1, 0), (2, 0), (3, 0)]
+    assert {rt.stopped for rt in started} == {cfg.horizon}   # none replaced, the horizon retired all
+    by_time = {}
+    for rt in started:
+        for t in _grid_ticks(rt.start, cfg.horizon + 1, cfg.ft_interval):
+            by_time.setdefault(t, []).append(rt.task.task_id)
     assert sorted(by_time) == list(range(cfg.ft_interval, cfg.horizon + 1, cfg.ft_interval))
     for t, group in by_time.items():
         assert sorted(group) == [0, 1, 2, 3], f"round at t={t} imaged tasks {group}"
     assert report.scalars["checkpoint_count"] == 4 * len(by_time)
+    # a batch of rounds writes one image, its last round's
+    assert [sim.store.latest(task_id).time for task_id in range(4)] == [cfg.horizon] * 4
 
 
 @pytest.mark.parametrize("ckpt", ["sync", "independent"])
@@ -779,30 +793,109 @@ def test_baseline_stores_count_every_round_applied(ckpt, monkeypatch):
     """Under sync and independent a batch of a node's own rounds writes one
     image for all of them.  After every event of a desk run the store's
     ``taken``, the report's ``checkpoint_count``, still equals the rounds
-    applied, counted at the policy's round rules, while each lineage's
-    chain keeps fewer images, in the order written."""
+    applied, while each lineage's chain keeps fewer images, in the order
+    written.  Independent rounds are counted at the policy's round rules.
+    Sync rounds, which the engine applies past a batch's first in closed
+    form, are counted on the grid: a running node has taken those before
+    its next round, a stopped one those before its stop, and one that the
+    horizon retired running those up to the horizon's tick."""
     scenario = Scenario.from_config(load_config(DESK, {"seed": 1}))
-    policy = type(CHECKPOINTING[ckpt])
-    next_rounds = policy.next_rounds
+    step = scenario.cfg.ft_interval
     calls = []
-    monkeypatch.setattr(policy, "next_rounds", lambda self, sim: _recording_rounds(
-        next_rounds(self, sim), lambda task_id, x: calls.append(x)))
+    if ckpt == "independent":
+        policy = type(CHECKPOINTING[ckpt])
+        next_rounds = policy.next_rounds
+        monkeypatch.setattr(policy, "next_rounds", lambda self, sim: _recording_rounds(
+            next_rounds(self, sim), lambda task_id, x: calls.append(x)))
+    nodes = {}        # vn id -> incarnation, each seen live after an event
+    running = set()   # vn ids of the nodes with a next round, after the last event
     runs = []
 
-    def rounds_applied(sim):
-        return len(calls) - (sim._next_vn_id - 1)   # less one call per node start
+    def rounds_applied(sim, ev):
+        if ckpt == "independent":
+            return len(calls) - (sim._next_vn_id - 1)   # less one call per node start
+        assert len(nodes) == sim._next_vn_id - 1   # every incarnation seen
+        return sum(len(_grid_ticks(
+            rt.start, rt.checkpoint if rt.checkpoint is not None
+            else ev[0] + 1 if ev[2] == HORIZON_END and vn_id in running
+            else rt.stopped, step)) for vn_id, rt in nodes.items())
 
-    def check(sim, _ev):
-        runs[:] = [sim]
-        assert sim.store.taken == rounds_applied(sim)
+    def check(sim, ev):
+        runs[:] = [sim, ev]
+        nodes.update((rt.vn_id, rt) for rt in _live(sim))
+        assert sim.store.taken == rounds_applied(sim, ev)
+        running.clear()
+        running.update(vn_id for vn_id, rt in nodes.items() if rt.checkpoint is not None)
         chains = sim.store._by_lineage.values()
         assert len(sim.store.records) == sum(map(len, chains)) <= sim.store.taken
         assert all(chain == sorted(chain) for chain in chains)
 
     report, _ = _check_every_event(scenario, "wsss", ckpt, check)
-    sim, = runs
-    assert report.scalars["checkpoint_count"] == rounds_applied(sim) > len(sim.store.records)
+    sim, last_ev = runs
+    assert last_ev[2] == HORIZON_END
+    assert report.scalars["checkpoint_count"] == sim.store.taken > len(sim.store.records)
     assert len(sim.store.records) > len(scenario.workload.tasks)
+
+
+# -- sync rounds in closed form ------------------------------------------------
+
+def _rounds_one_by_one(sim, rt, last):
+    """``Simulation._take_rounds`` as a loop over the rounds, one settle
+    each: the reference its closed form for grid rounds must match."""
+    due = rt.checkpoint
+    task_id = rt.task.task_id
+    after = sim.next_round[task_id]
+    rounds = 0
+    while due <= last:
+        if due > rt.anchor:
+            rt.settle(due)
+        rt.pause_due += sim.cfg.checkpoint_write_cost
+        rounds += 1
+        tick, due = due, after(due)
+    if rounds:
+        sim.store.take(rt, tick, rt.progress, task_id, rounds)
+    rt.checkpoint = due
+
+
+_LEDGER_SLOTS = ("anchor", "progress", "work", "pause", "restore", "restore_due", "pause_due")
+
+
+@settings(max_examples=300, deadline=None)
+@given(step=st.integers(1, 12), cost=st.integers(0, 40), start=st.integers(0, 60),
+       first=st.integers(1, 5), lead=st.integers(0, 60), progress=st.integers(0, 50),
+       restore_due=st.integers(0, 40), pause_due=st.integers(0, 40),
+       whole=st.integers(0, 8), part=st.integers(0, 11), earlier=st.integers(0, 3),
+       tainted=st.booleans())
+def test_sync_rounds_in_closed_form_match_one_settle_per_round(
+        step, cost, start, first, lead, progress, restore_due, pause_due, whole, part,
+        earlier, tainted):
+    """Under sync a batch of a node's own rounds gives the ledger, the next
+    round and the store that one settle per round gives, from any backlog
+    of restore and pause at entry (a monitor round's pause included), with
+    the write cost above or below the grid step, one round or many, and
+    ``last`` on a grid tick or between two."""
+    cfg = validate_config({
+        "task_count": 1, "job_count": 1, "server_count": 1, "server_capacity": 1,
+        "demand_min": 10 ** 6, "demand_max": 10 ** 6, "horizon": 10 ** 5,
+        "base_interval": 1, "ft_interval": step, "checkpoint_write_cost": cost})
+    scenario = Scenario.from_config(cfg, [])
+    due = start - start % step + first * step   # the node's next round, on the grid
+    anchor = max(start, due - lead)             # settled up to its next round at most
+    last = due + whole * step + part % step - (earlier if whole == part == 0 else 0)
+    sides = []
+    for take_rounds in (Simulation._take_rounds, _rounds_one_by_one):
+        sim = Simulation(scenario, checkpoint_policy="sync", collect_log=False)
+        rt = sim._spawn(sim.tasks[0], 1, start)
+        assert rt.checkpoint == start - start % step + step
+        rt.checkpoint, rt.anchor, rt.progress = due, anchor, progress
+        rt.restore_due, rt.pause_due, rt.contaminated = restore_due, pause_due, tainted
+        sim.store.take(rt, start, 0, 0)   # an image before the batch
+        take_rounds(sim, rt, last)
+        sides.append(({slot: getattr(rt, slot) for slot in _LEDGER_SLOTS}, rt.checkpoint,
+                      sim.store.taken, sim.store.dropped, sim.store._by_lineage))
+    closed, loop = sides
+    assert closed == loop
+    assert loop[2] - 1 == len(range(due, last + 1, step))   # the rounds the batch held
 
 
 def test_trace_scaled_workload_through_config(tmp_path):
@@ -1893,6 +1986,34 @@ def test_scaling_every_tick_quantity_by_k_scales_every_tick_total_by_k(
                 assert scaled_stat.count == stat.count, (sched, ckpt, name)
                 assert scaled_stat.mean == pytest.approx(k * stat.mean, rel=1e-12), \
                     (sched, ckpt, name)
+
+
+# -- faults after a task's end ----------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.sampled_from(COMBOS),
+       st.sampled_from((FaultKind.BYZANTINE, FaultKind.CRASH)), st.integers(0, 10 ** 6))
+def test_a_fault_one_tick_after_a_task_completes_changes_no_report_key(seed, pair, kind, pick):
+    """A metamorphic relation: a Byzantine or crash fault on a task one tick
+    after its node completed finds no live node, so every report key but
+    the scenario id, which names the fault count, is unchanged.  Desk with
+    four crash faults besides its own; the fault lands on one completion,
+    drawn among those a tick before the horizon's end at least."""
+    cfg = load_config(DESK, {"seed": seed, "crash_faults": 4})
+    scenario = Scenario.from_config(cfg)
+    sim = Simulation(scenario, *pair, collect_log=False)
+    complete, completed = sim._complete_task, []
+    sim._complete_task = lambda rt, t: completed.append((t, rt.task.task_id)) or complete(rt, t)
+    report, _ = sim.run()
+    candidates = [(t, task_id) for t, task_id in completed if t + 1 < cfg.horizon]
+    assert candidates, (seed, pair)
+    t, task_id = candidates[pick % len(candidates)]
+    faults = [*scenario.faults, FaultSpec(kind, t + 1, task_id, 0.0)]
+    faulted, _ = Scenario.from_config(cfg, faults).run(*pair, collect_log=False)
+    before, after = report.to_dict(), faulted.to_dict()
+    assert before["_scenario"].pop("id").replace(
+        f"-f{len(faults) - 1}-", f"-f{len(faults)}-") == after["_scenario"].pop("id")
+    assert after == before, (seed, pair, kind, t, task_id)
 
 
 # -- per-event code and enums ------------------------------------------------------
