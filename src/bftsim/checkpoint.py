@@ -135,9 +135,10 @@ def rollback_loss(current_progress: int, target: Checkpoint | None, now: int) ->
     return lost
 
 
-def independent_next(rng: random.Random, mean_gap: float, after: int) -> int:
+def independent_next(rng: random.Random, rate: float, after: int) -> int:
     """Tick of the next uncoordinated checkpoint round after tick ``after``:
-    an exponential gap of at least one tick.  The gap is
-    ``rng.expovariate(1.0 / mean_gap)``'s own formula, with no frame;
-    dividing by the rate, not multiplying by the mean, keeps its bits."""
-    return after + max(1, round(-log(1.0 - rng.random()) / (1.0 / mean_gap)))
+    an exponential gap of at least one tick, at ``rate`` (one over the mean
+    gap).  The gap is ``rng.expovariate(rate)``'s own formula, with no
+    frame; dividing by the rate, not multiplying by the mean, keeps its
+    bits.  ``Simulation._take_rounds`` draws it inline."""
+    return after + max(1, round(-log(1.0 - rng.random()) / rate))

@@ -19,7 +19,9 @@ A node's own checkpoint rounds (under sync and independent) are not events.
 Its next round is a plain tick on the node, and whenever an event reads or
 changes the node's ledger, contamination or schedule at tick ``t``, the
 engine first applies every round due strictly before ``t``, in order, and
-writes one image for them (``_catch_up``).  A round due at ``t`` runs after
+writes one image for them (``_catch_up``): a batch of sync rounds in closed
+form, and a batch of independent rounds in one pass over its drawn gaps
+with no settle per round (``_take_rounds``).  A round due at ``t`` runs after
 the node's event at ``t``; the horizon applies the rounds due at or before
 it.  Sync rounds fall on the job-wide grid of ``ft_interval`` ticks.  Each
 independent task draws its gaps from its own stream, keyed by seed, purpose
@@ -39,8 +41,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable
-from functools import partial, reduce
+from functools import reduce
 from heapq import heappop, heappush
 from math import cos, log, sin, sqrt, tau
 from operator import add, attrgetter
@@ -317,19 +318,20 @@ class Checkpointing:
     apply the detection machine's action on a monitor round and roll back to
     the newest clean image; each policy overrides where it differs.  The
     engine applies a node's own rounds when it next touches the node, timed
-    by ``next_rounds``, and writes one image per batch of them.  Every
-    policy shares one store, which keeps each image until a rollback
-    abandons it."""
-
-    def next_rounds(self, sim: Simulation) -> list[Callable[[int], int]] | None:
-        """By task id, the tick of a node's next own round after tick ``x``;
-        None: the policy takes none."""
-        return None
+    by ``round_grid`` or ``round_gaps``, and writes one image per batch of
+    them.  Every policy shares one store, which keeps each image until a
+    rollback abandons it."""
 
     def round_grid(self, sim: Simulation) -> int | None:
         """The step of the fixed grid every node's own rounds fall on, which
         lets the engine apply a batch of them at once; None: they fall on
         none."""
+        return None
+
+    def round_gaps(self, sim: Simulation) -> tuple[list[random.Random], float] | None:
+        """By task id, the stream a node's own round gaps are drawn from, and
+        the rate of those exponential gaps (``independent_next``); None: no
+        gap is drawn."""
         return None
 
     def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: str,
@@ -384,22 +386,19 @@ class SyncCheckpointing(Checkpointing):
     def round_grid(self, sim: Simulation) -> int:
         return sim.cfg.ft_interval
 
-    def next_rounds(self, sim: Simulation) -> list[Callable[[int], int]]:
-        every = self.round_grid(sim)
-        return [lambda x: x - x % every + every] * len(sim.tasks)
-
 
 class IndependentCheckpointing(Checkpointing):
     """Images each node at uncoordinated seeded-random times; with an
     untrusted latest image only the initial state is left to fall back to."""
 
-    def next_rounds(self, sim: Simulation) -> list[Callable[[int], int]]:
-        """A gap drawn at a node's start and after each of its writes, over
+    def round_gaps(self, sim: Simulation) -> tuple[list[random.Random], float]:
+        """A gap drawn at a node's start and after each of its rounds, over
         its task's own stream: a task draws the same gaps under every
         scheduler, and a restarted node continues its task's stream."""
-        seed, mean = sim.cfg.seed, sim.cfg.indep_mean_gap
-        return [partial(independent_next, keyed_stream(seed, GAP_STREAM, task_id), mean)
-                for task_id in range(len(sim.tasks))]   # task ids are list positions
+        seed = sim.cfg.seed
+        return ([keyed_stream(seed, GAP_STREAM, task_id)
+                 for task_id in range(len(sim.tasks))],   # task ids are list positions
+                1.0 / sim.cfg.indep_mean_gap)
 
     def rollback_target(self, sim: Simulation, task_id: int) -> Checkpoint | None:
         latest = sim.store.latest(task_id)
@@ -459,8 +458,8 @@ class Simulation:
         self.placement = PLACEMENT[scheduler]
         self.checkpointing = CHECKPOINTING[checkpoint_policy]
         self.store = CheckpointStore()
-        self.next_round = self.checkpointing.next_rounds(self)
         self.round_grid = self.checkpointing.round_grid(self)
+        self.round_gaps = self.checkpointing.round_gaps(self)
         self.log_lines: list[str] = []
 
         # the one index of live nodes: job id -> (vn id -> live incarnation);
@@ -507,8 +506,12 @@ class Simulation:
         rt.gap = gap = self.cfg.base_interval
         rt.monitor = (start + gap, seq)
         self._retime(rt, start)
-        if self.next_round is not None:
-            rt.checkpoint = self.next_round[task.task_id](start)
+        step, gaps = self.round_grid, self.round_gaps
+        if step is not None:
+            rt.checkpoint = start - start % step + step
+        elif gaps is not None:
+            streams, rate = gaps
+            rt.checkpoint = independent_next(streams[task.task_id], rate, start)
         self._queue_node(rt)
         return rt
 
@@ -539,37 +542,35 @@ class Simulation:
             self._retime(rt, t)
 
     def _take_rounds(self, rt: VirtualNode, last: int) -> None:
-        """Apply the node's own rounds due at or before ``last``, in order:
-        each settles the ledger to its tick and adds its write's pause, and
-        the next is due where its policy's rule puts it.  The batch writes
-        one image, its last round's, standing for every round of it: nothing
-        changed the node's taint between them, so no rollback could restore
-        an earlier one.
+        """Apply the node's own rounds due at or before ``last``, in order,
+        leaving the ledger as a settle to each round's tick followed by its
+        write's pause would, and the next round due where its policy puts
+        it.  The batch writes one image, its last round's, standing for
+        every round of it: nothing changed the node's taint between them, so
+        no rollback could restore an earlier one.
 
-        Rounds on a grid (sync) need no loop: the first settles as above,
-        then the rest add their pauses at once and one settle reaches the
-        last round's tick.  That serves each mode the ticks a settle per
-        round would, since a settle serves restore, then pause, then work.
-        If the write cost fits in a grid step, once the backlog runs out
-        each step serves its own round's pause and works the rest, as the
-        one settle does; if it does not, the backlog the first round leaves,
-        at least the write cost, never runs out, and neither form works."""
+        Only the first round settles: no event settles a node past its next
+        round, so each later round finds the ledger at the round before it.
+        A settle serves restore, then pause, then work.  Rounds on a grid
+        (sync) add their pauses at once, and one settle reaches the last
+        round's tick: if the write cost fits in a grid step, once the
+        backlog runs out each step serves its own round's pause and works
+        the rest, as the one settle does; if it does not, the backlog the
+        first round leaves, at least the write cost, never runs out, and
+        neither form works.  Drawn rounds (independent) take one pass: each
+        draws its gap inline, by ``independent_next``'s formula with one
+        draw per round, and advances the unserved backlog b (restore and
+        pause) and the worked ticks in locals by Lindley's recursion,
+        b <- max(b - gap, 0) + cost, exact for any write cost.  The ledger
+        is then written once, its restore served first."""
         due = rt.checkpoint
-        task_id = rt.task.task_id
+        if due > last:
+            return
+        if due > rt.anchor:
+            rt.settle(due)
         cost = self.cfg.checkpoint_write_cost
         step = self.round_grid
-        rounds = 0
-        if step is None:
-            after = self.next_round[task_id]
-            while due <= last:
-                if due > rt.anchor:
-                    rt.settle(due)
-                rt.pause_due += cost
-                rounds += 1
-                tick, due = due, after(due)
-        elif due <= last:
-            if due > rt.anchor:
-                rt.settle(due)
+        if step is not None:
             rest = (last - due) // step   # the rounds after the first
             tick = due + rest * step
             if rest:
@@ -578,8 +579,38 @@ class Simulation:
             rt.pause_due += cost
             rounds = rest + 1
             due = tick + step
-        if rounds:
-            self.store.take(rt, tick, rt.progress, task_id, rounds)
+        else:
+            streams, rate = self.round_gaps
+            draw = streams[rt.task.task_id].random
+            restore_due = rt.restore_due
+            backlog = restore_due + rt.pause_due + cost   # unserved, after the first round
+            first = tick = due
+            worked, rounds = 0, 1
+            while True:
+                # independent_next's gap: round() of a non-negative float is
+                # at least 0, so ``or 1`` is its max(1, ...)
+                gap = round(-log(1.0 - draw()) / rate) or 1
+                if tick + gap > last:
+                    break
+                if gap > backlog:
+                    worked += gap - backlog
+                    backlog = cost
+                else:
+                    backlog += cost - gap
+                tick += gap
+                rounds += 1
+            due = tick + gap
+            span = tick - first
+            served = restore_due if restore_due < span else span
+            restore_due -= served
+            rt.anchor = tick
+            rt.restore += served
+            rt.restore_due = restore_due
+            rt.pause += span - served - worked
+            rt.pause_due = backlog - restore_due
+            rt.work += worked
+            rt.progress += worked
+        self.store.take(rt, tick, rt.progress, rt.task.task_id, rounds)
         rt.checkpoint = due
 
     def _retire(self, rt: VirtualNode, t: int) -> None:

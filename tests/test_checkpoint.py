@@ -88,11 +88,11 @@ def test_rollback_rejects_future_target():
 
 
 def test_independent_gaps_deterministic_and_positive():
-    a = [independent_next(random.Random(42), 10, 0) for _ in range(50)]
-    b = [independent_next(random.Random(42), 10, 0) for _ in range(50)]
+    a = [independent_next(random.Random(42), 1 / 10, 0) for _ in range(50)]
+    b = [independent_next(random.Random(42), 1 / 10, 0) for _ in range(50)]
     assert a == b
     assert all(g >= 1 for g in a)
-    tight = [independent_next(random.Random(7), 1e-9, 0) for _ in range(20)]
+    tight = [independent_next(random.Random(7), 1e9, 0) for _ in range(20)]
     assert tight == [1] * 20    # degenerate rate caps at one checkpoint per tick
 
 

@@ -345,7 +345,7 @@ def test_inline_draws_draw_what_gauss_and_expovariate_draw(seed, mu, sigma, spik
         assert delay == max(twin.gauss(mu, sigma), 0) + spike
         assert [rng.random() for _ in range(draws)] == [twin.random() for _ in range(draws)]
         if gap:
-            assert independent_next(rng, mean_gap, t) - t == max(
+            assert independent_next(rng, 1.0 / mean_gap, t) - t == max(
                 1, round(twin.expovariate(1.0 / mean_gap)))
     assert rng.getstate() == twin.getstate()
 
@@ -745,16 +745,17 @@ def test_fault_free_checkpoint_dominance():
     assert ratios[-1] < 0.1
 
 
-def _recording_rounds(rules, record):
-    """``rules``, each wrapped to call ``record(task_id, x)`` first.  The
-    engine calls a task's rule once at each start of its node, then once
-    after each own round it applies, with that round's tick."""
-    def recording(task_id, rule):
-        def after(x):
-            record(task_id, x)
-            return rule(x)
-        return after
-    return [recording(task_id, rule) for task_id, rule in enumerate(rules)]
+def _record_draws(stream, record):
+    """Wrap ``stream``'s ``random`` to call ``record(u)`` with each value ``u``
+    it draws.  The engine draws one value of a task's stream per gap: once
+    at each start of its node, then once after each own round it applies."""
+    draw = stream.random
+
+    def recording():
+        u = draw()
+        record(u)
+        return u
+    stream.random = recording
 
 
 def _grid_ticks(start, stop, step):
@@ -794,26 +795,31 @@ def test_baseline_stores_count_every_round_applied(ckpt, monkeypatch):
     image for all of them.  After every event of a desk run the store's
     ``taken``, the report's ``checkpoint_count``, still equals the rounds
     applied, while each lineage's chain keeps fewer images, in the order
-    written.  Independent rounds are counted at the policy's round rules.
-    Sync rounds, which the engine applies past a batch's first in closed
-    form, are counted on the grid: a running node has taken those before
-    its next round, a stopped one those before its stop, and one that the
-    horizon retired running those up to the horizon's tick."""
+    written.  Independent rounds are counted at their tasks' streams, one
+    draw per round.  Sync rounds, which the engine applies past a batch's
+    first in closed form, are counted on the grid: a running node has taken
+    those before its next round, a stopped one those before its stop, and
+    one that the horizon retired running those up to the horizon's tick."""
     scenario = Scenario.from_config(load_config(DESK, {"seed": 1}))
     step = scenario.cfg.ft_interval
     calls = []
     if ckpt == "independent":
         policy = type(CHECKPOINTING[ckpt])
-        next_rounds = policy.next_rounds
-        monkeypatch.setattr(policy, "next_rounds", lambda self, sim: _recording_rounds(
-            next_rounds(self, sim), lambda task_id, x: calls.append(x)))
+        round_gaps = policy.round_gaps
+
+        def recording_gaps(self, sim):
+            streams, rate = round_gaps(self, sim)
+            for stream in streams:
+                _record_draws(stream, calls.append)
+            return streams, rate
+        monkeypatch.setattr(policy, "round_gaps", recording_gaps)
     nodes = {}        # vn id -> incarnation, each seen live after an event
     running = set()   # vn ids of the nodes with a next round, after the last event
     runs = []
 
     def rounds_applied(sim, ev):
         if ckpt == "independent":
-            return len(calls) - (sim._next_vn_id - 1)   # less one call per node start
+            return len(calls) - (sim._next_vn_id - 1)   # less one draw per node start
         assert len(nodes) == sim._next_vn_id - 1   # every incarnation seen
         return sum(len(_grid_ticks(
             rt.start, rt.checkpoint if rt.checkpoint is not None
@@ -841,10 +847,21 @@ def test_baseline_stores_count_every_round_applied(ckpt, monkeypatch):
 
 def _rounds_one_by_one(sim, rt, last):
     """``Simulation._take_rounds`` as a loop over the rounds, one settle
-    each: the reference its closed form for grid rounds must match."""
+    each, the next round due where its policy's rule puts it: the reference
+    that its closed form for grid rounds and its one pass for drawn rounds
+    must match."""
     due = rt.checkpoint
     task_id = rt.task.task_id
-    after = sim.next_round[task_id]
+    if sim.round_grid is not None:
+        step = sim.round_grid
+
+        def after(x):
+            return x - x % step + step
+    else:
+        streams, rate = sim.round_gaps
+
+        def after(x):
+            return independent_next(streams[task_id], rate, x)
     rounds = 0
     while due <= last:
         if due > rt.anchor:
@@ -896,6 +913,55 @@ def test_sync_rounds_in_closed_form_match_one_settle_per_round(
     closed, loop = sides
     assert closed == loop
     assert loop[2] - 1 == len(range(due, last + 1, step))   # the rounds the batch held
+
+
+# -- independent rounds in one pass --------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), mean=st.integers(1, 12), cost=st.integers(0, 40),
+       start=st.integers(0, 60), first=st.integers(1, 30), lead=st.integers(0, 60),
+       progress=st.integers(0, 50), restore_due=st.integers(0, 400),
+       pause_due=st.integers(0, 400), extra=st.integers(-3, 300), on_round=st.booleans(),
+       tainted=st.booleans())
+def test_independent_rounds_in_one_pass_match_one_settle_per_round(
+        seed, mean, cost, start, first, lead, progress, restore_due, pause_due, extra,
+        on_round, tainted):
+    """Under independent a batch of a node's own rounds gives the ledger, the
+    next round, the store and the task's stream that one settle and one
+    ``independent_next`` per round give: from any backlog of restore and
+    pause at entry, longer than the whole batch or not, with the write cost
+    above and below the drawn gaps within one batch, an empty batch, one
+    round or many, and ``last`` on a round's tick, as at the horizon, or
+    between two.  The stream's state afterwards pins the number of draws."""
+    cfg = validate_config({
+        "task_count": 1, "job_count": 1, "server_count": 1, "server_capacity": 1,
+        "demand_min": 10 ** 6, "demand_max": 10 ** 6, "horizon": 10 ** 5, "seed": seed,
+        "base_interval": 1, "indep_mean_gap": mean, "checkpoint_write_cost": cost})
+    scenario = Scenario.from_config(cfg, [])
+    due = start + first                 # the node's next round
+    anchor = max(start, due - lead)     # settled up to its next round at most
+    sides = []
+    for take_rounds in (Simulation._take_rounds, _rounds_one_by_one):
+        sim = Simulation(scenario, checkpoint_policy="independent", collect_log=False)
+        rt = sim._spawn(sim.tasks[0], 1, start)
+        stream, rate = sim.round_gaps[0][0], sim.round_gaps[1]
+        if not sides:   # the batch's round ticks, drawn on a twin of the stream
+            twin, ticks, tick = random.Random(), [], due
+            twin.setstate(stream.getstate())
+            while tick <= due + extra:
+                ticks.append(tick)
+                tick = independent_next(twin, rate, tick)
+            last = ticks[-1] if on_round and ticks else due + extra
+        rt.checkpoint, rt.anchor, rt.progress = due, anchor, progress
+        rt.restore_due, rt.pause_due, rt.contaminated = restore_due, pause_due, tainted
+        sim.store.take(rt, start, 0, 0)   # an image before the batch
+        take_rounds(sim, rt, last)
+        sides.append(({slot: getattr(rt, slot) for slot in _LEDGER_SLOTS}, rt.checkpoint,
+                      sim.store.taken, sim.store.dropped, sim.store._by_lineage,
+                      stream.getstate()))
+    one_pass, loop = sides
+    assert one_pass == loop
+    assert loop[2] - 1 == sum(tick <= last for tick in ticks)   # the rounds the batch held
 
 
 def test_trace_scaled_workload_through_config(tmp_path):
@@ -1429,19 +1495,18 @@ def test_each_task_draws_its_own_round_gaps_under_every_scheduler():
     """Common random numbers for independent checkpointing: on desk seed 1,
     each task's sequence of own-round gaps under wsss, mesf and random is a
     prefix of one sequence, its task's stream, however the schedulers place,
-    restart and observe its nodes; and tasks do not share a stream."""
-    def recording(after, into):
-        def wrapper(x):
-            into.append(after(x) - x)
-            return x + into[-1]
-        return wrapper
-
+    restart and observe its nodes; and tasks do not share a stream.  The
+    gaps are read off each task's stream, one draw per gap."""
     scenario = Scenario.from_config(load_config(DESK, {"seed": 1}))
     drawn = {}
     for sched in ("wsss", "mesf", "random"):
         sim = Simulation(scenario, sched, "independent", collect_log=False)
+        streams, rate = sim.round_gaps
         gaps = [[] for _ in sim.tasks]
-        sim.next_round = [recording(after, into) for after, into in zip(sim.next_round, gaps)]
+        for stream, into in zip(streams, gaps):
+            # independent_next's gap for the draw u
+            _record_draws(stream, lambda u, into=into: into.append(
+                max(1, round(-math.log(1.0 - u) / rate))))
         report, _ = sim.run()
         assert report.scalars["checkpoint_count"] > 0
         drawn[sched] = gaps
@@ -1466,11 +1531,11 @@ def test_independent_round_count_is_the_one_its_task_stream_gives():
                          checkpoint_write_cost=cost, indep_mean_gap=mean)
     report, log = Scenario.from_config(cfg, []).run()
     stream = keyed_stream(cfg.seed, GAP_STREAM, 0)
-    completion, due, rounds = cfg.demand_min, independent_next(stream, mean, 0), 0
+    completion, due, rounds = cfg.demand_min, independent_next(stream, 1 / mean, 0), 0
     while due < completion:
         rounds += 1
         completion += cost
-        due = independent_next(stream, mean, due)
+        due = independent_next(stream, 1 / mean, due)
     s = report.scalars
     assert rounds > 50
     assert s["checkpoint_count"] == rounds
@@ -1543,7 +1608,7 @@ def test_a_round_due_at_the_horizon_images_the_node_and_charges_no_pause(policy)
     else:
         stream, horizon = keyed_stream(_single_vn_cfg(**raw).seed, GAP_STREAM, 0), 0
         for _ in range(horizon_round):
-            horizon = independent_next(stream, 7, horizon)
+            horizon = independent_next(stream, 1 / 7, horizon)
     sim = Simulation(Scenario.from_config(_single_vn_cfg(horizon=horizon, **raw), []),
                      collect_log=False)
     report, _ = sim.run()
@@ -2045,8 +2110,8 @@ def test_only_the_engine_queues_a_nodes_events():
     are records on the node, and its entries are the engine's to queue."""
     policies = {name: fn for name, fn in _functions(bftsim.engine).items()
                 if name.split(".")[0].endswith("Checkpointing")}
-    assert {"SyncCheckpointing.next_rounds",
-            "IndependentCheckpointing.next_rounds"} <= set(policies)
+    assert {"SyncCheckpointing.round_grid",
+            "IndependentCheckpointing.round_gaps"} <= set(policies)
     found = []
     for name, fn in policies.items():
         for node in ast.walk(fn):
