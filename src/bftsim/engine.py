@@ -17,16 +17,20 @@ node again while its monitor round is set.
 
 A node's own checkpoint rounds (under sync and independent) are not events.
 Its next round is a plain tick on the node, and whenever an event reads or
-changes the node's ledger, contamination or schedule at tick ``t``, the
+changes the node's ledger, contamination or store images at tick ``t``, the
 engine first applies every round due strictly before ``t``, in order, and
 writes one image for them (``_catch_up``): a batch of sync rounds in closed
 form, and a batch of independent rounds in one pass over its drawn gaps
-with no settle per round (``_take_rounds``).  A round due at ``t`` runs after
-the node's event at ``t``; the horizon applies the rounds due at or before
-it.  Sync rounds fall on the job-wide grid of ``ft_interval`` ticks.  Each
-independent task draws its gaps from its own stream, keyed by seed, purpose
-and task id, so a task's gaps do not depend on the scheduler or on any other
-draw of the run.
+with no settle per round (``_take_rounds``).  An event that reads only the
+node's completion record (a monitor round that charges nothing, a completion
+that pops stale) counts its sync rounds into the record instead
+(``_count_rounds``): each adds the write cost to the completion, and they
+are applied later, in one batch, when something reads the ledger or the
+store.  A round due at ``t`` runs after the node's event at ``t``; the
+horizon applies the rounds due at or before it.  Sync rounds fall on the
+job-wide grid of ``ft_interval`` ticks.  Each independent task draws its
+gaps from its own stream, keyed by seed, purpose and task id, so a task's
+gaps do not depend on the scheduler or on any other draw of the run.
 
 Every virtual-node incarnation is its own tick ledger: it attributes each
 active tick to exactly one of: work, checkpoint pause, or restore time;
@@ -242,13 +246,15 @@ class VirtualNode(VnLedger):
     of its own next round (under sync and independent, never queued), they
     are its schedule; its one queued entry, the earlier record, pops stale once
     the record it was queued under no longer holds its (time, seq).  A crash
-    clears the last two; retiring it clears all three.  Its last
-    observation is ``monitor`` less ``gap``.  Its detection state is its
-    streak: S1 while ``suspect_rounds`` > 0, else S0, as a fail-stop verdict
-    retires it in the same monitor round."""
+    clears the last two; retiring it clears all three.  ``counted`` is how
+    many sync rounds from ``checkpoint`` on are counted into ``completion``
+    and not yet applied to the ledger.  Its last observation is ``monitor``
+    less ``gap``.  Its detection state is its streak: S1 while
+    ``suspect_rounds`` > 0, else S0, as a fail-stop verdict retires it in
+    the same monitor round."""
 
     __slots__ = ("vn_id", "task", "server", "gap", "suspect_rounds", "contaminated",
-                 "spike_delay", "monitor", "completion", "checkpoint")
+                 "spike_delay", "monitor", "completion", "checkpoint", "counted")
 
     def __init__(self, vn_id: int, task: Task, server: Server, start: int, progress: int,
                  restore: int = 0):
@@ -263,6 +269,7 @@ class VirtualNode(VnLedger):
         self.monitor: tuple[int, int] | None = (0, 0)   # (time, seq) of its next monitor round
         self.completion: tuple[int, int] | None = None   # (time, seq) the node is due to finish at
         self.checkpoint: int | None = None   # the tick of its own next round
+        self.counted = 0   # sync rounds in ``completion`` not yet applied
 
 
 # -- policies ----------------------------------------------------------
@@ -317,10 +324,10 @@ class Checkpointing:
     """Checkpoint-policy rules.  The defaults take no checkpoint rounds,
     apply the detection machine's action on a monitor round and roll back to
     the newest clean image; each policy overrides where it differs.  The
-    engine applies a node's own rounds when it next touches the node, timed
-    by ``round_grid`` or ``round_gaps``, and writes one image per batch of
-    them.  Every policy shares one store, which keeps each image until a
-    rollback abandons it."""
+    engine applies a node's own rounds, timed by ``round_grid`` or
+    ``round_gaps``, when it next reads or changes the node's ledger or
+    images, and writes one image per batch of them.  Every policy shares one
+    store, which keeps each image until a rollback abandons it."""
 
     def round_grid(self, sim: Simulation) -> int | None:
         """The step of the fixed grid every node's own rounds fall on, which
@@ -380,8 +387,10 @@ class TccCheckpointing(Checkpointing):
 class SyncCheckpointing(Checkpointing):
     """Images every live node of a job at a fixed cadence, regardless of
     health: its own rounds fall on the grid ``ft_interval``, 2 x
-    ``ft_interval``, ..., the same ticks for every node.  The engine applies
-    a batch of them past its first round in closed form (``_take_rounds``)."""
+    ``ft_interval``, ..., the same ticks for every node.  A monitor round
+    only counts them into the node's completion (``_count_rounds``), and the
+    engine applies each batch of them, between two reads of the ledger or
+    the store, past its first round in closed form (``_take_rounds``)."""
 
     def round_grid(self, sim: Simulation) -> int:
         return sim.cfg.ft_interval
@@ -530,24 +539,47 @@ class Simulation:
         queue._seq = seq + 1
         rt.completion = (rt.anchor + rt.restore_due + pause + rt.task.demand - rt.progress, seq)
 
+    def _count_rounds(self, rt: VirtualNode, t: int) -> None:
+        """Record the completion that the node's own sync rounds due strictly
+        before ``t`` give, for an event that reads no more of the node than
+        that record; apply none of them.  A settle leaves the ledger's
+        completion where it is and each round adds its write cost, so the
+        record is the ledger's completion plus the cost times the rounds due
+        since ``checkpoint``.  It takes a fresh seq only when a round has
+        fallen due since the node's last record, as applying them would."""
+        due = rt.checkpoint
+        if due is None or due >= t:
+            return
+        rounds = (t - 1 - due) // self.round_grid + 1
+        if rounds > rt.counted:
+            rt.counted = rounds
+            queue = self.queue
+            seq = queue._seq
+            queue._seq = seq + 1
+            rt.completion = (rt.anchor + rt.restore_due + rt.pause_due + rt.task.demand
+                             - rt.progress + rounds * self.cfg.checkpoint_write_cost, seq)
+
     def _catch_up(self, rt: VirtualNode, t: int) -> None:
-        """Apply the node's own rounds due strictly before ``t``, then record
-        the moved completion once.  A round due at ``t`` runs after the
-        node's event at ``t``, when the engine next touches the node: a node
-        that finishes, crashes or is replaced at ``t`` takes no image at
-        ``t``."""
+        """Apply the node's own rounds due strictly before ``t``, before the
+        engine reads or changes its ledger, contamination or images, then
+        record the moved completion once, unless ``_count_rounds`` already
+        counted every one of them into it.  A round due at ``t`` runs after
+        the node's event at ``t``: a node that finishes, crashes or is
+        replaced at ``t`` takes no image at ``t``."""
         due = rt.checkpoint
         if due is not None and due < t:
+            counted = rt.counted
             self._take_rounds(rt, t - 1)
-            self._retime(rt, t)
+            if not counted or due + counted * self.round_grid < t:
+                self._retime(rt, t)
 
     def _take_rounds(self, rt: VirtualNode, last: int) -> None:
         """Apply the node's own rounds due at or before ``last``, in order,
         leaving the ledger as a settle to each round's tick followed by its
-        write's pause would, and the next round due where its policy puts
-        it.  The batch writes one image, its last round's, standing for
-        every round of it: nothing changed the node's taint between them, so
-        no rollback could restore an earlier one.
+        write's pause would, the next round due where its policy puts it and
+        none counted.  The batch writes one image, its last round's, standing
+        for every round of it: nothing changed the node's taint between them,
+        so no rollback could restore an earlier one.
 
         Only the first round settles: no event settles a node past its next
         round, so each later round finds the ledger at the round before it.
@@ -577,6 +609,7 @@ class Simulation:
                 rt.pause_due += rest * cost   # every round's but the last's
                 rt.settle(tick)
             rt.pause_due += cost
+            rt.counted = 0
             rounds = rest + 1
             due = tick + step
         else:
@@ -642,6 +675,7 @@ class Simulation:
     def _restart_vn(self, rt: VirtualNode, t: int, reason: str) -> str:
         """Replace one node from its previous trusted checkpoint; returns the
         log detail."""
+        self._catch_up(rt, t)   # its own rounds due before t write the images it reads
         target = self.checkpointing.rollback_target(self, rt.task.task_id)
         lost = self._roll_back(rt, target, t)
         new_sid, selection_cost = self.placement.replacement(self, rt.server.server_id)
@@ -729,6 +763,7 @@ class Simulation:
             since = self.detection_pending.pop(rt.task.task_id)
             self.report.record("detection_latency", float(t - since))
         if cfg.monitor_cost > 0 and rt.completion is not None:
+            self._catch_up(rt, t)   # the rounds counted at t, before the ledger moves
             self._retime(rt, t, cfg.monitor_cost)
         return delay, dclass, checksum, flagged
 
@@ -750,6 +785,7 @@ class Simulation:
         s = self.report.scalars
         if rt.contaminated:
             s["corrupted_completions"] += 1
+        self._catch_up(rt, t)   # the rounds counted at t, before the ledger is read
         self._retire(rt, t)
         job_id = task.job_id
         self.unfinished[job_id] -= 1
@@ -796,7 +832,13 @@ class Simulation:
         if rt.monitor is None:   # the entry of a node a migration retired
             return "stale=1"
         if rt.checkpoint is not None:   # tcc pays this test only
-            self._catch_up(rt, t)
+            # the round reads only the node's completion record: sync counts
+            # its own rounds due into it, independent applies them, since
+            # counting a drawn round needs its draw
+            if self.round_grid is None:
+                self._catch_up(rt, t)
+            else:
+                self._count_rounds(rt, t)
         # a node is finished once its recorded completion is now, as on any
         # completion; a monitor round's own pause (monitor_cost) keeps it busy
         finished = verify or (rt.completion is not None and rt.completion[0] == t
@@ -829,7 +871,11 @@ class Simulation:
 
     def _handle_complete(self, ev: tuple) -> str:
         t, seq, _, rt = ev
-        self._catch_up(rt, t)   # own rounds before it move the completion later
+        # own rounds before it move the completion later, as on a monitor round
+        if self.round_grid is None:
+            self._catch_up(rt, t)
+        else:
+            self._count_rounds(rt, t)
         if (t, seq) != rt.completion:
             return self._requeue(rt)
         return self._handle_monitor(ev, verify=True)

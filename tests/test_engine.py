@@ -10,6 +10,7 @@ import sys
 from collections import Counter, deque
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -964,6 +965,125 @@ def test_independent_rounds_in_one_pass_match_one_settle_per_round(
     assert loop[2] - 1 == sum(tick <= last for tick in ticks)   # the rounds the batch held
 
 
+# -- sync rounds counted at a monitor round -------------------------------------
+
+class _AppliedAtEveryRound(Simulation):
+    """The engine as it ran before sync rounds were counted: every event that
+    touches a node applies its own rounds due before it (``_catch_up``), so
+    no round is ever counted and every record comes from an applied
+    ledger.  The reference for ``_count_rounds``."""
+
+    def _count_rounds(self, rt, t):
+        self._catch_up(rt, t)
+
+
+def _sync_outputs(cls, scenario, sched, plain=None):
+    """Run ``scenario`` under ``sched`` and sync with the log on; returns the
+    JSON report, the log and, after every event, the event's (time, seq,
+    kind) with each live node's completion record by vn id.  With ``plain``,
+    a list, every plain monitor round (one with no monitor cost that neither
+    finishes nor replaces its node, so its detail holds ``action=``) must
+    call neither ``VnLedger.settle`` nor ``CheckpointStore.take``, and
+    appends the rounds its node has counted."""
+    sim = cls(scenario, scheduler=sched, checkpoint_policy="sync")
+    log, handle, records, calls = sim._log, sim._handle_monitor, [], Counter()
+
+    def recording_log(ev, detail):
+        records.append((ev[:3], {rt.vn_id: rt.completion for rt in _live(sim)}))
+        log(ev, detail)
+
+    def checking_monitor(ev, verify=False):
+        before = calls.total()
+        detail = handle(ev, verify)
+        if ";action=" in detail and not sim.cfg.monitor_cost:
+            assert calls.total() == before, (ev[:3], calls)
+            plain.append(ev[3].counted)
+        return detail
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    sim._log = recording_log
+    if plain is not None:
+        sim._handle_monitor = checking_monitor
+    with mock.patch.object(VnLedger, "settle", counting("settle", VnLedger.settle)), \
+            mock.patch.object(CheckpointStore, "take", counting("take", CheckpointStore.take)):
+        report, lines = sim.run()
+    return report.emit("json"), lines, records
+
+
+def _assert_counted_matches_applied(scenario, plain):
+    for sched in SCHEDULERS:
+        counted = _sync_outputs(Simulation, scenario, sched, plain)
+        applied = _sync_outputs(_AppliedAtEveryRound, scenario, sched)
+        assert counted[:2] == applied[:2], sched
+        assert len(counted[2]) == len(applied[2]), sched
+        for mine, theirs in zip(counted[2], applied[2]):
+            assert mine == theirs, sched
+
+
+@st.composite
+def _sync_configs(draw):
+    """Small valid configs for sync: the write cost above and below the grid
+    step ``ft_interval``, restore backlogs longer than a step, ``monitor_cost``
+    0 and above, and faults that replace nodes."""
+    tasks = draw(st.integers(1, 6))
+    capacity = draw(st.integers(1, 3))
+    need = -(-tasks // capacity)
+    horizon = draw(st.integers(60, 400))
+    base = draw(st.integers(1, 10))
+    step = base + draw(st.integers(0, 10))
+    start = draw(st.integers(0, horizon // 2))
+    demand = draw(st.integers(10, 300))
+    return validate_config({
+        "task_count": tasks, "job_count": draw(st.integers(1, tasks)),
+        "server_count": draw(st.integers(need, need + 2)), "server_capacity": capacity,
+        "demand_min": demand, "demand_max": demand + draw(st.integers(0, 100)),
+        "horizon": horizon, "sla_bound": draw(st.integers(5, 60)),
+        "base_interval": base, "ft_interval": step,
+        "interval_growth": draw(st.sampled_from(("triangular", "geometric"))),
+        "checkpoint_write_cost": draw(st.integers(0, 2 * step + 2)),
+        "restart_cost": draw(st.integers(0, 3 * step)),
+        "monitor_cost": draw(st.sampled_from((0, 0, 1, 3))),
+        "propagation_prob": draw(st.sampled_from((0.0, 0.3))),
+        "detect_prob": draw(st.sampled_from((0.5, 1.0))),
+        "suspect_threshold": draw(st.integers(1, 3)),
+        "byzantine_faults": draw(st.integers(0, 3)), "crash_faults": draw(st.integers(0, 2)),
+        "delay_faults": draw(st.integers(0, 3)),
+        "fault_window_start": start,
+        "fault_window_end": min(horizon - 1, start + draw(st.integers(1, 100))),
+        "seed": draw(st.integers(0, 2 ** 16))})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sync_configs())
+def test_sync_rounds_counted_at_a_monitor_round_match_rounds_applied_there(cfg):
+    """Under sync a monitor round, and a completion entry that pops, count a
+    node's own rounds due before them into its completion record and apply
+    none; the rounds are applied, in one batch, where the ledger or the
+    store is read or changed.  Against a reference that applies them at
+    every such event, under every scheduler: the same report, the same log,
+    and the same completion record on every live node after every event,
+    so every seq, stale pop and tie is the same.  A plain monitor round
+    settles no ledger and writes no image."""
+    _assert_counted_matches_applied(Scenario.from_config(cfg), [])
+
+
+def test_desk_sync_monitor_rounds_count_rounds_and_settle_nothing():
+    """The same comparison on desk at seeds 1 and 2, whose monitor gaps
+    grow past the grid step, so plain monitor rounds count rounds: most of
+    them, with none settled or written."""
+    plain = []
+    for seed in (1, 2):
+        _assert_counted_matches_applied(Scenario.from_config(load_config(DESK, {"seed": seed})),
+                                        plain)
+    assert len(plain) > 1000
+    assert sum(rounds > 0 for rounds in plain) > len(plain) // 2
+
+
 def test_trace_scaled_workload_through_config(tmp_path):
     trace = tmp_path / "util.trace"
     trace.write_text("50\n100\n")
@@ -1746,15 +1866,22 @@ def _job_index_holds(sim, ev):
 def _pending_holds(sim, ev):
     """The counter identity: every settled tick is attributed once, the
     unserved counters are served restore first, and a live node's recorded
-    completion is the one its ledger gives, or None exactly when its ledger
-    stopped: a crash, the one record of which is the node's schedule."""
+    completion is the one its ledger gives plus the write cost of each sync
+    round counted into it and not yet applied, or None exactly when its
+    ledger stopped: a crash, the one record of which is the node's schedule.
+    Counted rounds are grid rounds from the node's next round on, each due
+    before the event."""
+    step = sim.round_grid
     for rt in _live(sim):
         assert rt.work + rt.pause + rt.restore == rt.anchor - rt.start, ev
         assert rt.restore_due >= 0 and rt.pause_due >= 0, ev
         assert not rt.restore_due or rt.work == rt.pause == 0, ev
         assert (rt.completion is None) == (rt.stopped is not None), ev
+        if rt.counted:
+            assert step is not None and rt.checkpoint + (rt.counted - 1) * step < ev[0], ev
         if rt.completion is not None:
-            assert rt.completion[0] == rt.completion_time(rt.task.demand), ev
+            pending = rt.counted * sim.cfg.checkpoint_write_cost
+            assert rt.completion[0] == rt.completion_time(rt.task.demand) + pending, ev
 
 
 def _infected_index_holds(sim, ev):
@@ -1806,38 +1933,42 @@ def _node_entry_holds(sim, ev):
 
 
 def _node_state(rt):
-    """What an event may read or change of a node, its ledger, contamination
-    and schedule, with the tick of its own next round apart."""
+    """What an event may read or change of a node: its ledger and
+    contamination, then its schedule, with the tick of its own next round
+    apart."""
     return ((rt.anchor, rt.progress, rt.work, rt.pause, rt.restore, rt.restore_due,
-             rt.pause_due, rt.stopped, rt.contaminated, rt.monitor, rt.completion),
-            rt.checkpoint)
+             rt.pause_due, rt.stopped, rt.contaminated),
+            (rt.monitor, rt.completion), rt.checkpoint)
 
 
 def _own_rounds_hold(sim, ev):
-    """No live node's ledger is settled past its own next round, and a node
-    whose ledger, contamination or schedule changed at an event at tick
-    ``t`` has no own round due before ``t``: the engine applied those rounds
-    first.  A node that the event crashed has no next round left, so its
-    task's latest image is checked instead: it is no older than the round
-    that was due before ``t``.  A node has no own round under tcc or once
-    it crashed, and its sync rounds fall on the job-wide ``ft_interval``
-    grid."""
+    """No live node's ledger is settled past its own next round.  A node
+    whose ledger or contamination changed at an event at tick ``t`` has no
+    own round due before ``t``, applied or counted: the engine applied those
+    rounds first.  A node that the event crashed has no next round left, so
+    its task's latest image is checked instead: it is no older than the
+    round that was due before ``t``.  A node whose schedule alone changed
+    has every round due before ``t`` applied or, under sync, counted into
+    its completion.  A node has no own round under tcc or once it crashed,
+    and its sync rounds fall on the job-wide ``ft_interval`` grid."""
     t = ev[0]
     states = sim.node_states
     policy = sim.report.checkpoint_policy
     for rt in _live(sim):
-        state, due = _node_state(rt)
+        ledger, schedule, due = _node_state(rt)
         assert (due is None) == (policy == "tcc" or rt.completion is None), (ev, rt.vn_id)
         assert due is None or rt.anchor <= due, (ev, rt.vn_id)
         assert policy != "sync" or due is None or due % sim.cfg.ft_interval == 0, (ev, due)
-        prior, prior_due = states[rt.vn_id]
-        if state != prior:
+        prior_ledger, prior_schedule, prior_due = states[rt.vn_id]
+        if ledger != prior_ledger:
             if due is not None:
-                assert due >= t, (ev, rt.vn_id, due)
+                assert due >= t and not rt.counted, (ev, rt.vn_id, due)
             elif prior_due is not None and prior_due < t:
                 latest = sim.store.latest(rt.task.task_id)
                 assert latest is not None and latest.time >= prior_due, (ev, rt.vn_id)
-        states[rt.vn_id] = state, due
+        elif schedule != prior_schedule and due is not None:
+            assert due + rt.counted * sim.cfg.ft_interval >= t, (ev, rt.vn_id, due, rt.counted)
+        states[rt.vn_id] = ledger, schedule, due
 
 
 def _no_streak_under_tcc(sim, ev):
@@ -2053,6 +2184,39 @@ def test_scaling_every_tick_quantity_by_k_scales_every_tick_total_by_k(
                     (sched, ckpt, name)
 
 
+# -- latency scaling ---------------------------------------------------------
+
+# the config keys counted in delay units, the unit of every measured delay
+_LATENCY_KEYS = ("sla_bound", "latency_mean_min", "latency_mean_max", "latency_sigma")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from((2, 4)), st.integers(0, 2**16), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 3), st.sampled_from((0.0, 0.05)), st.sampled_from((0.5, 0.88, 1.0)),
+       st.booleans())
+def test_scaling_sla_bound_and_every_latency_by_a_power_of_two_changes_no_report_key(
+        k, seed, byzantine, crash, delay, propagation_prob, detect_prob, fallback):
+    """A metamorphic relation: with ``sla_bound``, both latency bounds and
+    ``latency_sigma`` k times as large, every server latency, observed
+    delay, delay spike, class threshold and SLA excess is k times as large,
+    so under all nine pairs every report key is unchanged.  k is a power of
+    two, so every float product is exact and no rounding differs."""
+    cfg = validate_config({
+        "task_count": 12, "job_count": 3, "server_count": 6, "server_capacity": 4,
+        "demand_min": 150, "demand_max": 250, "horizon": 400, "sla_bound": 50,
+        "byzantine_faults": byzantine, "crash_faults": crash, "delay_faults": delay,
+        "fault_window_start": 20, "fault_window_end": 200,
+        "propagation_prob": propagation_prob, "detect_prob": detect_prob,
+        "high_delay_fallback": fallback, "migration_threshold": 1, "seed": seed})
+    scaled = dataclasses.replace(cfg, **{key: k * getattr(cfg, key) for key in _LATENCY_KEYS})
+    scenario, scaled_scenario = Scenario.from_config(cfg), Scenario.from_config(scaled)
+    assert scaled_scenario.latencies == [k * latency for latency in scenario.latencies]
+    for sched, ckpt in COMBOS:
+        report, _ = scenario.run(sched, ckpt, collect_log=False)
+        scaled_report, _ = scaled_scenario.run(sched, ckpt, collect_log=False)
+        assert scaled_report.emit("json") == report.emit("json"), (sched, ckpt)
+
+
 # -- faults after a task's end ----------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -2144,7 +2308,7 @@ def test_per_event_code_binds_enum_members_once():
              if name.split(".")[0].endswith("Checkpointing") or _pushes(fn)}
             | {f"Simulation.{name}" for name in (
                 "_spawn", "_observe", "_handle_monitor", "_handle_complete",
-                "_catch_up", "_take_rounds", "_requeue", "_handle_exchange",
+                "_count_rounds", "_catch_up", "_take_rounds", "_requeue", "_handle_exchange",
                 "inject_fault", "run",
                 "_log")}),
     }
