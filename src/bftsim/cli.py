@@ -18,7 +18,7 @@ from .config import (
     ConfigError,
     load_config,
 )
-from .engine import MONITOR_ROUND, TASK_COMPLETE
+from .engine import MONITOR_ROUND, TASK_COMPLETE, Simulation
 from .fsm import TraceFormatError, check_trace
 from .metrics import csv_text, summarize
 from .model import CHECKSUM_ERROR, CHECKSUM_TOKENS, DELAY_TOKENS, HIGH, FailureKind, Server
@@ -30,7 +30,7 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-_SERVER_TOKEN = re.compile(r"s[1-9][0-9]*")   # as Simulation._handle_monitor writes it
+_SERVER_TOKEN = re.compile(r"s[1-9][0-9]*")   # as Simulation._handle_node writes it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,10 +101,9 @@ def _load(args) -> "SimConfig":
 
 def cmd_run(args) -> int:
     cfg = _load(args)
-    scenario = Scenario.from_config(cfg)
-    report, log_lines = scenario.run(scheduler=args.scheduler,
-                                     checkpoint_policy=args.checkpoint,
-                                     collect_log=args.event_log is not None)
+    report, log_lines = Simulation(Scenario.from_config(cfg), scheduler=args.scheduler,
+                                   checkpoint_policy=args.checkpoint,
+                                   collect_log=args.event_log is not None).run()
     _write_out(report.emit(args.format), args.out)
     if args.event_log:
         Path(args.event_log).write_text("\n".join(log_lines) + "\n", encoding="utf-8")
@@ -119,7 +118,7 @@ def cmd_compare(args) -> int:
     if len(combos) < 2:
         raise ConfigError("need >= 2 policy combinations to compare")
     scenario = Scenario.from_config(cfg)
-    reports = [scenario.run(scheduler=s, checkpoint_policy=c, collect_log=False)[0]
+    reports = [Simulation(scenario, scheduler=s, checkpoint_policy=c, collect_log=False).run()[0]
                for s, c in combos]
     baseline = reports[0]
     comparisons = []

@@ -12,8 +12,9 @@ Each live virtual node has one queued entry: the earlier of its next monitor
 round and its completion, each under the sequence number it took when it was
 scheduled.  A popped node entry is stale (``stale=1``) when the record it was
 queued under no longer holds its (time, seq): the node's own rounds or a
-crash changed it, or retiring the node cleared both.  Its handler queues the
-node again while its monitor round is set.
+crash changed it, or retiring the node cleared both.  One handler serves
+both kinds (``_handle_node``), and queues the node again after a stale pop
+while its monitor round is set.
 
 A node's own checkpoint rounds (under sync and independent) are not events.
 Its next round is a plain tick on the node, and whenever an event reads or
@@ -21,16 +22,17 @@ changes the node's ledger, contamination or store images at tick ``t``, the
 engine first applies every round due strictly before ``t``, in order, and
 writes one image for them (``_catch_up``): a batch of sync rounds in closed
 form, and a batch of independent rounds in one pass over its drawn gaps
-with no settle per round (``_take_rounds``).  An event that reads only the
-node's completion record (a monitor round that charges nothing, a completion
-that pops stale) counts its sync rounds into the record instead
+with no settle per round (``_take_rounds``).  A node's queued entry reads
+only the node's completion record until it charges, finishes or replaces
+the node, so it counts its sync rounds into the record instead
 (``_count_rounds``): each adds the write cost to the completion, and they
 are applied later, in one batch, when something reads the ledger or the
-store.  A round due at ``t`` runs after the node's event at ``t``; the
-horizon applies the rounds due at or before it.  Sync rounds fall on the
-job-wide grid of ``ft_interval`` ticks.  Each independent task draws its
-gaps from its own stream, keyed by seed, purpose and task id, so a task's
-gaps do not depend on the scheduler or on any other draw of the run.
+store, which leaves the record as the count made it.  A round due at
+``t`` runs after the node's event at ``t``; the horizon applies the rounds
+due at or before it.  Sync rounds fall on the job-wide grid of
+``ft_interval`` ticks.  Each independent task draws its gaps from its own
+stream, keyed by seed, purpose and task id, so a task's gaps do not depend
+on the scheduler or on any other draw of the run.
 
 Every virtual-node incarnation is its own tick ledger: it attributes each
 active tick to exactly one of: work, checkpoint pause, or restore time;
@@ -345,7 +347,7 @@ class Checkpointing:
                    in_monitor: bool) -> str:
         """Act on a monitor round or a rejected final output, given the gap
         and action of the interval update; returns the log detail.  With the
-        log off ``_handle_monitor`` discards it, so a round that restarts no
+        log off ``_handle_node`` discards it, so a round that restarts no
         node formats none: monitor rounds are most of a run's events."""
         if action is REPLACE_NODE:
             return ";" + sim._restart_vn(rt, t, "replace")
@@ -387,10 +389,11 @@ class TccCheckpointing(Checkpointing):
 class SyncCheckpointing(Checkpointing):
     """Images every live node of a job at a fixed cadence, regardless of
     health: its own rounds fall on the grid ``ft_interval``, 2 x
-    ``ft_interval``, ..., the same ticks for every node.  A monitor round
-    only counts them into the node's completion (``_count_rounds``), and the
+    ``ft_interval``, ..., the same ticks for every node.  A node's queued
+    entry only counts them into its completion (``_count_rounds``), and the
     engine applies each batch of them, between two reads of the ledger or
-    the store, past its first round in closed form (``_take_rounds``)."""
+    the store, past its first round in closed form (``_take_rounds``), with
+    the completion the count records."""
 
     def round_grid(self, sim: Simulation) -> int:
         return sim.cfg.ft_interval
@@ -528,7 +531,8 @@ class Simulation:
         """Settle the node to ``t``, image it with ``image``, add ``pause``
         unserved ticks and record its new completion under the next sequence
         number: one pass per checkpoint write.  It queues nothing: a completion
-        entry that own rounds moved pops stale and ``_requeue`` queues it."""
+        entry that own rounds moved pops stale and ``_handle_node`` queues the
+        node again."""
         if t > rt.anchor:
             rt.settle(t)
         if image:
@@ -541,12 +545,12 @@ class Simulation:
 
     def _count_rounds(self, rt: VirtualNode, t: int) -> None:
         """Record the completion that the node's own sync rounds due strictly
-        before ``t`` give, for an event that reads no more of the node than
-        that record; apply none of them.  A settle leaves the ledger's
+        before ``t`` give; apply none of them.  A settle leaves the ledger's
         completion where it is and each round adds its write cost, so the
         record is the ledger's completion plus the cost times the rounds due
-        since ``checkpoint``.  It takes a fresh seq only when a round has
-        fallen due since the node's last record, as applying them would."""
+        since ``checkpoint``: the record applying them and re-timing would
+        give, which ``_catch_up`` keeps.  It takes a fresh seq only when a
+        round has fallen due since the node's last record."""
         due = rt.checkpoint
         if due is None or due >= t:
             return
@@ -561,16 +565,18 @@ class Simulation:
 
     def _catch_up(self, rt: VirtualNode, t: int) -> None:
         """Apply the node's own rounds due strictly before ``t``, before the
-        engine reads or changes its ledger, contamination or images, then
-        record the moved completion once, unless ``_count_rounds`` already
-        counted every one of them into it.  A round due at ``t`` runs after
-        the node's event at ``t``: a node that finishes, crashes or is
+        engine reads or changes its ledger, contamination or images, and
+        record the moved completion once: sync rounds are counted into the
+        record first, drawn ones re-time it after.  A round due at ``t`` runs
+        after the node's event at ``t``: a node that finishes, crashes or is
         replaced at ``t`` takes no image at ``t``."""
         due = rt.checkpoint
         if due is not None and due < t:
-            counted = rt.counted
-            self._take_rounds(rt, t - 1)
-            if not counted or due + counted * self.round_grid < t:
+            if self.round_gaps is None:   # sync: tcc has no own rounds
+                self._count_rounds(rt, t)
+                self._take_rounds(rt, t - 1)
+            else:
+                self._take_rounds(rt, t - 1)
                 self._retime(rt, t)
 
     def _take_rounds(self, rt: VirtualNode, last: int) -> None:
@@ -822,23 +828,28 @@ class Simulation:
 
     # -- event handlers ----------------------------------------------------------
 
-    def _handle_monitor(self, ev: tuple, verify: bool = False) -> str:
-        """One monitor round of the event's node: observe it, then complete its
-        task or step its detection machine and apply the checkpoint policy.
-        With ``verify``, the final verification of its output that
-        ``_handle_complete`` hands over.  A node still live after the policy acts
-        records its next round and queues its next entry here."""
-        t, _, _, rt = ev
-        if rt.monitor is None:   # the entry of a node a migration retired
+    def _handle_node(self, ev: tuple) -> str:
+        """A node's queued entry, a monitor round or its completion (the final
+        verification of its output): observe the node, then complete its task
+        or step its detection machine and apply the checkpoint policy.  A
+        stale entry queues the node again while its monitor round is set.  A
+        node still live after the policy acts records its next round and
+        queues its next entry here."""
+        t, seq, kind, rt = ev
+        if rt.monitor is None:   # the entry of a retired node
             return "stale=1"
         if rt.checkpoint is not None:   # tcc pays this test only
-            # the round reads only the node's completion record: sync counts
+            # the entry reads only the node's completion record: sync counts
             # its own rounds due into it, independent applies them, since
             # counting a drawn round needs its draw
             if self.round_grid is None:
                 self._catch_up(rt, t)
             else:
                 self._count_rounds(rt, t)
+        verify = kind is TASK_COMPLETE
+        if verify and (t, seq) != rt.completion:   # own rounds or a crash moved it
+            self._queue_node(rt)
+            return "stale=1"
         # a node is finished once its recorded completion is now, as on any
         # completion; a monitor round's own pause (monitor_cost) keeps it busy
         finished = verify or (rt.completion is not None and rt.completion[0] == t
@@ -868,25 +879,6 @@ class Simulation:
         return (f"server=s{rt.server.server_id};{'verify=1;' if verify else ''}"
                 f"delay={delay:.3f};class={_DELAY_TOKENS[dclass]};"
                 f"checksum={_TOKENS[checksum]};{outcome}")
-
-    def _handle_complete(self, ev: tuple) -> str:
-        t, seq, _, rt = ev
-        # own rounds before it move the completion later, as on a monitor round
-        if self.round_grid is None:
-            self._catch_up(rt, t)
-        else:
-            self._count_rounds(rt, t)
-        if (t, seq) != rt.completion:
-            return self._requeue(rt)
-        return self._handle_monitor(ev, verify=True)
-
-    def _requeue(self, rt: VirtualNode) -> str:
-        """A stale entry: the record it was queued under no longer holds its
-        (time, seq).  Queue the node again, where a fresh push would run,
-        while its monitor round is set: a retired node has none."""
-        if rt.monitor is not None:
-            self._queue_node(rt)
-        return "stale=1"
 
     def _handle_exchange(self, ev: tuple) -> str:
         t = ev[0]
@@ -922,8 +914,8 @@ class Simulation:
             self.queue.push(spec.time, FAULT_INJECTION, i)
 
         dispatch = {
-            MONITOR_ROUND: self._handle_monitor,
-            TASK_COMPLETE: self._handle_complete,
+            MONITOR_ROUND: self._handle_node,
+            TASK_COMPLETE: self._handle_node,
             CONTAMINATION_EXCHANGE: self._handle_exchange,
             FAULT_INJECTION: lambda ev: self.inject_fault(self.faults[ev[3]], ev[0]),
             MIGRATION_COMPLETE: lambda ev: f"job=j{ev[3]}",
@@ -979,6 +971,5 @@ def run_scenario(cfg: SimConfig, faults: list[FaultSpec] | None = None,
                  scheduler: str | None = None, checkpoint_policy: str | None = None,
                  collect_log: bool = True) -> tuple[MetricsReport, list[str]]:
     """Build the scenario from config and run it once."""
-    scenario = Scenario.from_config(cfg, faults)
-    return scenario.run(scheduler=scheduler, checkpoint_policy=checkpoint_policy,
-                        collect_log=collect_log)
+    return Simulation(Scenario.from_config(cfg, faults), scheduler, checkpoint_policy,
+                      collect_log).run()

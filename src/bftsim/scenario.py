@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .config import SimConfig
-from .metrics import MetricsReport
 from .model import Job, Task, split_application
 
 
@@ -160,9 +159,3 @@ class Scenario(NamedTuple):
                    f"s{cfg.server_count}c{cfg.server_capacity}"
                    f"-t{cfg.task_count}j{cfg.job_count}"
                    f"-seed{cfg.seed}-f{len(faults)}-h{cfg.horizon}")
-
-    def run(self, scheduler: str | None = None, checkpoint_policy: str | None = None,
-            collect_log: bool = True) -> tuple[MetricsReport, list[str]]:
-        from .engine import Simulation   # imported here: engine.py imports this module
-        return Simulation(self, scheduler=scheduler, checkpoint_policy=checkpoint_policy,
-                          collect_log=collect_log).run()

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from bftsim.config import validate_config
-from bftsim.engine import Scenario
+from bftsim.engine import Scenario, Simulation
 from bftsim.fsm import (
     REPLACE_NODE,
     byzantine_fsm_step,
@@ -66,8 +66,8 @@ def campaign():
     results = []
     for i in range(1000):
         seed = 10_000 + i
-        report, _ = Scenario.from_config(
-            _campaign_cfg(seed), [_campaign_fault(seed)]).run(collect_log=False)
+        report, _ = Simulation(Scenario.from_config(
+            _campaign_cfg(seed), [_campaign_fault(seed)]), collect_log=False).run()
         stat = report.samples["detection_latency"]
         identity = (report.scalars["useful_work_total"]
                     + report.scalars["lost_work_total"]
@@ -115,10 +115,10 @@ def desk_runs():
     pairs = []
     for seed in range(1, 11):
         scenario = Scenario.from_config(_desk_cfg(seed), _desk_faults())
-        report_w, _ = scenario.run(scheduler="wsss", checkpoint_policy="tcc",
-                                   collect_log=False)
-        report_m, _ = scenario.run(scheduler="mesf", checkpoint_policy="sync",
-                                   collect_log=False)
+        report_w, _ = Simulation(scenario, scheduler="wsss", checkpoint_policy="tcc",
+                                 collect_log=False).run()
+        report_m, _ = Simulation(scenario, scheduler="mesf", checkpoint_policy="sync",
+                                 collect_log=False).run()
         pairs.append((report_w, report_m))
     return {"pairs": pairs, "elapsed": time.monotonic() - t0}
 
@@ -180,10 +180,10 @@ def test_criterion_2_interval_schedule():
         "demand_min": 2000, "demand_max": 2000, "horizon": 100 * BASE_INTERVAL,
         "latency_mean_min": 5, "latency_mean_max": 5, "latency_sigma": 2,
     })
-    report_tcc, log = Scenario.from_config(cfg, []).run()
+    report_tcc, log = Simulation(Scenario.from_config(cfg, [])).run()
     times = [int(line.split(",")[0]) for line in log
              if ",monitor," in line and "stale" not in line]
-    report_sync, _ = Scenario.from_config(cfg, []).run(checkpoint_policy="sync")
+    report_sync, _ = Simulation(Scenario.from_config(cfg, []), checkpoint_policy="sync").run()
     tcc_rounds = len(times)
     sync_count = report_sync.scalars["checkpoint_count"]
     reduction = (sync_count - tcc_rounds) / sync_count
@@ -238,10 +238,10 @@ def test_criterion_4_migration_threshold():
         return [FaultSpec(kind=FaultKind.DELAY_SPIKE, time=t, target_task=0,
                           magnitude=1.2) for t in times]
 
-    six, _ = Scenario.from_config(cfg, spikes((15, 45, 75, 105, 135, 165))).run(
-        collect_log=False)
-    five, _ = Scenario.from_config(cfg, spikes((15, 45, 75, 105, 135))).run(
-        collect_log=False)
+    six, _ = Simulation(Scenario.from_config(cfg, spikes((15, 45, 75, 105, 135, 165))),
+                        collect_log=False).run()
+    five, _ = Simulation(Scenario.from_config(cfg, spikes((15, 45, 75, 105, 135))),
+                         collect_log=False).run()
     _verdict(4, "six per-node restarts yield exactly one job migration, five yield none",
              six.scalars["migration_count"] == 1
              and five.scalars["migration_count"] == 0)
@@ -327,10 +327,10 @@ def test_criterion_10_determinism():
     ]
     ok = True
     for cfg, faults, sched, ckpt in scenarios:
-        report_a, log_a = Scenario.from_config(cfg, faults).run(
-            scheduler=sched, checkpoint_policy=ckpt)
-        report_b, log_b = Scenario.from_config(cfg, faults).run(
-            scheduler=sched, checkpoint_policy=ckpt)
+        report_a, log_a = Simulation(Scenario.from_config(cfg, faults), scheduler=sched,
+                                     checkpoint_policy=ckpt).run()
+        report_b, log_b = Simulation(Scenario.from_config(cfg, faults), scheduler=sched,
+                                     checkpoint_policy=ckpt).run()
         ok = ok and report_a.emit("json").encode() == report_b.emit("json").encode()
         ok = ok and "\n".join(log_a).encode() == "\n".join(log_b).encode()
     _verdict(10, "byte-identical reports and event logs on equal seeds", ok)

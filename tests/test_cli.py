@@ -1,4 +1,3 @@
-import inspect
 import json
 import os
 import re
@@ -80,16 +79,14 @@ def test_run_seed_repeat_is_byte_identical(tmp_path, cfg_file):
 
 
 def test_run_builds_the_event_log_only_when_asked(tmp_path, cfg_file, monkeypatch):
-    run = Scenario.run
+    run = Simulation.run
     collected = []
 
-    def spy(*args, **kwargs):
-        bound = inspect.signature(run).bind(*args, **kwargs)
-        bound.apply_defaults()
-        collected.append(bound.arguments["collect_log"])
-        return run(*args, **kwargs)
+    def spy(sim):
+        collected.append(sim.collect_log)
+        return run(sim)
 
-    monkeypatch.setattr(Scenario, "run", spy)
+    monkeypatch.setattr(Simulation, "run", spy)
     plain, logged, log = tmp_path / "plain.json", tmp_path / "logged.json", tmp_path / "run.log"
     assert main(["run", "--config", str(cfg_file), "--out", str(plain)]) == 0
     assert main(["run", "--config", str(cfg_file), "--out", str(logged),

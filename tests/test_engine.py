@@ -494,8 +494,8 @@ def test_scenario_keeps_its_own_checked_fault_trace():
     untouched = Scenario.from_config(cluster_cfg(), list(faults))
     faults.append(FaultSpec(FaultKind.CRASH, 5000, 99, -3.0))
     assert scenario.faults == tuple(faults[:2])
-    report, log = scenario.run()
-    expected_report, expected_log = untouched.run()
+    report, log = Simulation(scenario).run()
+    expected_report, expected_log = Simulation(untouched).run()
     assert report.emit("json") == expected_report.emit("json")
     assert log == expected_log
 
@@ -524,7 +524,7 @@ def test_crash_before_the_late_mesf_wave_keeps_the_accounting_identity(policy):
                       demand_min=50, demand_max=60, seed=1,
                       scheduler="mesf", checkpoint_policy=policy)
     faults = [FaultSpec(kind=FaultKind.CRASH, time=0, target_task=0)]
-    report, _ = Scenario.from_config(cfg, faults).run(collect_log=False)
+    report, _ = Simulation(Scenario.from_config(cfg, faults), collect_log=False).run()
     s = report.scalars
     assert (s["useful_work_total"] + s["lost_work_total"] + s["pause_time_total"]
             + s["restore_time_total"]) == s["active_time_total"]
@@ -535,7 +535,7 @@ def test_crash_before_the_late_mesf_wave_keeps_the_accounting_identity(policy):
 def test_byzantine_injection_contained():
     cfg = cluster_cfg()
     faults = [FaultSpec(kind=FaultKind.BYZANTINE, time=40, target_task=3)]
-    report, log = Scenario.from_config(cfg, faults).run()
+    report, log = Simulation(Scenario.from_config(cfg, faults)).run()
     assert report.scalars["corrupted_completions"] == 0
     assert report.scalars["jobs_completed"] == 3
     assert report.samples["detection_latency"].count == 1
@@ -544,7 +544,7 @@ def test_byzantine_injection_contained():
 def test_crash_detected_at_next_monitor_round():
     cfg = cluster_cfg(task_count=2, job_count=1, server_count=2, server_capacity=2)
     faults = [FaultSpec(kind=FaultKind.CRASH, time=15, target_task=0)]
-    report, log = Scenario.from_config(cfg, faults).run()
+    report, log = Simulation(Scenario.from_config(cfg, faults)).run()
     crash_rounds = [line for line in log if ",monitor," in line and "checksum=error" in line]
     assert crash_rounds and crash_rounds[0].startswith("30,")
     # a crash writes no S-state: the supervisor's S0 moves to S2 on the
@@ -561,7 +561,7 @@ def test_detection_latency_counts_from_the_latest_injected_fault():
     cfg = cluster_cfg(task_count=2, job_count=1, server_count=2, server_capacity=2,
                       detect_prob=1.0)
     faults = [FaultSpec(kind=FaultKind.BYZANTINE, time=t, target_task=0) for t in (11, 12)]
-    report, log = Scenario.from_config(cfg, faults).run("wsss", "sync")
+    report, log = Simulation(Scenario.from_config(cfg, faults), "wsss", "sync").run()
     seen = next(int(line.split(",")[0]) for line in log
                 if ",monitor,1," in line and "checksum=error" in line)
     assert report.samples["detection_latency"].count == 1
@@ -581,7 +581,7 @@ def test_detection_latency_counts_from_the_latest_injected_fault():
 def test_delay_spike_forces_high_class():
     cfg = cluster_cfg(task_count=2, job_count=1, server_count=2, server_capacity=2)
     faults = [FaultSpec(kind=FaultKind.DELAY_SPIKE, time=15, target_task=0, magnitude=1.5)]
-    _, log = Scenario.from_config(cfg, faults).run()
+    _, log = Simulation(Scenario.from_config(cfg, faults)).run()
     spiked = [line for line in log
               if ",monitor,1," in line and int(line.split(",")[0]) > 15]
     assert spiked and ("class=high" in spiked[0] or "class=extreme" in spiked[0])
@@ -591,7 +591,7 @@ def test_injection_on_dead_node_is_noop():
     cfg = cluster_cfg(task_count=2, job_count=1, server_count=2, server_capacity=2)
     faults = [FaultSpec(kind=FaultKind.CRASH, time=15, target_task=0),
               FaultSpec(kind=FaultKind.BYZANTINE, time=20, target_task=0)]
-    _, log = Scenario.from_config(cfg, faults).run()
+    _, log = Simulation(Scenario.from_config(cfg, faults)).run()
     noop = [line for line in log if ",fault," in line and "noop=1" in line]
     assert len(noop) == 1
 
@@ -599,7 +599,7 @@ def test_injection_on_dead_node_is_noop():
 def test_missed_detection_fallback_catches_everything():
     cfg = cluster_cfg(detect_prob=0.0)   # the oracle never fires: fallback only
     faults = [FaultSpec(kind=FaultKind.BYZANTINE, time=40, target_task=5)]
-    report, _ = Scenario.from_config(cfg, faults).run()
+    report, _ = Simulation(Scenario.from_config(cfg, faults)).run()
     assert report.scalars["corrupted_completions"] == 0
     assert report.scalars["replacement_count"] >= 1
 
@@ -607,14 +607,14 @@ def test_missed_detection_fallback_catches_everything():
 def test_without_fallback_a_missed_fault_corrupts_output():
     cfg = cluster_cfg(detect_prob=0.0, high_delay_fallback=False)
     faults = [FaultSpec(kind=FaultKind.BYZANTINE, time=40, target_task=5)]
-    report, _ = Scenario.from_config(cfg, faults).run()
+    report, _ = Simulation(Scenario.from_config(cfg, faults)).run()
     assert report.scalars["corrupted_completions"] >= 1
 
 
 def test_propagation_spreads_within_job():
     cfg = cluster_cfg(propagation_prob=1.0, detect_prob=1.0)
     faults = [FaultSpec(kind=FaultKind.BYZANTINE, time=35, target_task=0)]
-    report, log = Scenario.from_config(cfg, faults).run()
+    report, log = Simulation(Scenario.from_config(cfg, faults)).run()
     exchanges = [line for line in log if ",exchange," in line and "spread=-" not in line]
     assert exchanges   # at least one exchange spread contamination
     assert report.scalars["corrupted_completions"] == 0
@@ -634,7 +634,7 @@ def _single_vn_cfg(**overrides):
 def test_tcc_rolls_back_to_last_confirmed():
     faults = [FaultSpec(kind=FaultKind.BYZANTINE, time=25, target_task=0)]
     cfg = _single_vn_cfg()
-    _, log = Scenario.from_config(cfg, faults).run()
+    _, log = Simulation(Scenario.from_config(cfg, faults)).run()
     restart = next(line for line in log if "tcc=previous_restart" in line)
     assert restart.startswith("30,")
     assert "lost=20" in restart   # confirmed image at t=10 holds progress 10
@@ -643,7 +643,7 @@ def test_tcc_rolls_back_to_last_confirmed():
 def test_independent_tainted_image_rolls_back_to_start():
     faults = [FaultSpec(kind=FaultKind.BYZANTINE, time=25, target_task=0)]
     cfg = _single_vn_cfg(checkpoint_policy="independent", indep_mean_gap=2)
-    _, log = Scenario.from_config(cfg, faults).run()
+    _, log = Simulation(Scenario.from_config(cfg, faults)).run()
     restart = next(line for line in log if "reason=replace" in line
                    or "reason=verify_reject" in line)
     t_detect = int(restart.split(",")[0])
@@ -653,7 +653,7 @@ def test_independent_tainted_image_rolls_back_to_start():
 def test_sync_rollback_skips_tainted_generation():
     faults = [FaultSpec(kind=FaultKind.BYZANTINE, time=25, target_task=0)]
     cfg = _single_vn_cfg(checkpoint_policy="sync")
-    _, log = Scenario.from_config(cfg, faults).run()
+    _, log = Simulation(Scenario.from_config(cfg, faults)).run()
     restart = next(line for line in log if "reason=replace" in line)
     # suspect rounds at 30/40/50 hit the streak threshold; the images taken
     # at 30/40/50 are tainted, so the rollback lands on the t=20 generation
@@ -666,8 +666,8 @@ def test_sync_rollback_skips_tainted_generation():
 def test_wsss_selection_is_free_and_mesf_pays_preeval():
     faults = [FaultSpec(kind=FaultKind.DELAY_SPIKE, time=40, target_task=2, magnitude=1.5)]
     cfg = cluster_cfg()
-    rep_wsss, _ = Scenario.from_config(cfg, faults).run(scheduler="wsss")
-    rep_mesf, _ = Scenario.from_config(cfg, faults).run(scheduler="mesf")
+    rep_wsss, _ = Simulation(Scenario.from_config(cfg, faults), scheduler="wsss").run()
+    rep_mesf, _ = Simulation(Scenario.from_config(cfg, faults), scheduler="mesf").run()
     assert rep_wsss.samples["exec_time_vm_selection"].mean == 0.0
     assert rep_wsss.samples["exec_time_host_selection"].mean == 0.0
     assert rep_mesf.samples["exec_time_vm_selection"].mean > 0.0
@@ -677,7 +677,7 @@ def test_wsss_selection_is_free_and_mesf_pays_preeval():
 def test_replacement_lands_on_a_different_server():
     cfg = cluster_cfg()
     faults = [FaultSpec(kind=FaultKind.DELAY_SPIKE, time=40, target_task=2, magnitude=1.5)]
-    _, log = Scenario.from_config(cfg, faults).run()
+    _, log = Simulation(Scenario.from_config(cfg, faults)).run()
     restart = next(line for line in log if "tcc=previous_restart" in line)
     fields = dict(pair.split("=") for pair in restart.split(",")[4].split(";") if "=" in pair)
     assert fields["from"] != fields["to"]
@@ -689,7 +689,7 @@ def test_single_fault_consumes_at_most_two_replacements():
     for seed in range(5):
         cfg = cluster_cfg(seed=100 + seed)
         faults = [FaultSpec(kind=FaultKind.BYZANTINE, time=45, target_task=7)]
-        report, _ = Scenario.from_config(cfg, faults).run(collect_log=False)
+        report, _ = Simulation(Scenario.from_config(cfg, faults), collect_log=False).run()
         assert report.scalars["replacement_count"] <= 2
         assert report.scalars["corrupted_completions"] == 0
 
@@ -704,16 +704,16 @@ def _stacked_spikes(times, task=0):
 def test_six_restarts_trigger_exactly_one_migration():
     cfg = cluster_cfg(task_count=4, job_count=1, demand_min=5000, demand_max=5000,
                       horizon=400, migration_threshold=5)
-    report, _ = Scenario.from_config(
-        cfg, _stacked_spikes((15, 45, 75, 105, 135, 165))).run(collect_log=False)
+    report, _ = Simulation(Scenario.from_config(
+        cfg, _stacked_spikes((15, 45, 75, 105, 135, 165))), collect_log=False).run()
     assert report.scalars["migration_count"] == 1
 
 
 def test_five_restarts_trigger_no_migration():
     cfg = cluster_cfg(task_count=4, job_count=1, demand_min=5000, demand_max=5000,
                       horizon=400, migration_threshold=5)
-    report, _ = Scenario.from_config(
-        cfg, _stacked_spikes((15, 45, 75, 105, 135))).run(collect_log=False)
+    report, _ = Simulation(Scenario.from_config(
+        cfg, _stacked_spikes((15, 45, 75, 105, 135))), collect_log=False).run()
     assert report.scalars["migration_count"] == 0
     assert report.scalars["rollback_count"] == 5
 
@@ -969,9 +969,18 @@ def test_independent_rounds_in_one_pass_match_one_settle_per_round(
 
 class _AppliedAtEveryRound(Simulation):
     """The engine as it ran before sync rounds were counted: every event that
-    touches a node applies its own rounds due before it (``_catch_up``), so
-    no round is ever counted and every record comes from an applied
-    ledger.  The reference for ``_count_rounds``."""
+    touches a node applies its own rounds due before it, then re-times the
+    node when a round fell due past those counted, so no round is ever
+    counted and every record comes from an applied ledger.  The reference
+    for ``_count_rounds``, and for ``_catch_up``, which counts them first."""
+
+    def _catch_up(self, rt, t):
+        due = rt.checkpoint
+        if due is not None and due < t:
+            counted = rt.counted
+            self._take_rounds(rt, t - 1)
+            if not counted or due + counted * self.round_grid < t:
+                self._retime(rt, t)
 
     def _count_rounds(self, rt, t):
         self._catch_up(rt, t)
@@ -986,15 +995,15 @@ def _sync_outputs(cls, scenario, sched, plain=None):
     call neither ``VnLedger.settle`` nor ``CheckpointStore.take``, and
     appends the rounds its node has counted."""
     sim = cls(scenario, scheduler=sched, checkpoint_policy="sync")
-    log, handle, records, calls = sim._log, sim._handle_monitor, [], Counter()
+    log, handle, records, calls = sim._log, sim._handle_node, [], Counter()
 
     def recording_log(ev, detail):
         records.append((ev[:3], {rt.vn_id: rt.completion for rt in _live(sim)}))
         log(ev, detail)
 
-    def checking_monitor(ev, verify=False):
+    def checking_monitor(ev):
         before = calls.total()
-        detail = handle(ev, verify)
+        detail = handle(ev)
         if ";action=" in detail and not sim.cfg.monitor_cost:
             assert calls.total() == before, (ev[:3], calls)
             plain.append(ev[3].counted)
@@ -1008,7 +1017,7 @@ def _sync_outputs(cls, scenario, sched, plain=None):
 
     sim._log = recording_log
     if plain is not None:
-        sim._handle_monitor = checking_monitor
+        sim._handle_node = checking_monitor
     with mock.patch.object(VnLedger, "settle", counting("settle", VnLedger.settle)), \
             mock.patch.object(CheckpointStore, "take", counting("take", CheckpointStore.take)):
         report, lines = sim.run()
@@ -1084,6 +1093,34 @@ def test_desk_sync_monitor_rounds_count_rounds_and_settle_nothing():
     assert sum(rounds > 0 for rounds in plain) > len(plain) // 2
 
 
+def test_a_current_sync_completion_counts_its_rounds_once():
+    """Under sync a ``complete`` entry that pops current brings its node's own
+    rounds up to date once, in the node handler: one ``_count_rounds`` call
+    made outside ``_catch_up``, which counts them again, as a no-op, before
+    it applies them."""
+    sim = Simulation(Scenario.from_config(load_config(DESK, {"seed": 1})),
+                     checkpoint_policy="sync")
+    count, log = Simulation._count_rounds, sim._log
+    direct, checked = [], []
+
+    def counting(self, rt, t):
+        if sys._getframe(1).f_code.co_name != "_catch_up":
+            direct.append(t)
+        count(self, rt, t)
+
+    def checking_log(ev, detail):
+        if ev[2] == "complete" and detail != "stale=1":
+            checked.append((ev[:2], len(direct)))
+        direct.clear()
+        log(ev, detail)
+
+    sim._log = checking_log
+    with mock.patch.object(Simulation, "_count_rounds", counting):
+        sim.run()
+    assert len(checked) > 50
+    assert [ev for ev, calls in checked if calls != 1] == []
+
+
 def test_trace_scaled_workload_through_config(tmp_path):
     trace = tmp_path / "util.trace"
     trace.write_text("50\n100\n")
@@ -1108,7 +1145,7 @@ def test_policy_tables_name_the_config_tags():
 def test_unknown_policy_tags_are_config_errors(tags, needle):
     scenario = Scenario.from_config(cluster_cfg())
     with pytest.raises(ConfigError, match=needle):
-        scenario.run(**tags)
+        Simulation(scenario, **tags).run()
 
 
 def _identity_holds(report) -> bool:
@@ -1200,7 +1237,7 @@ def test_policy_specific_keys_act_only_under_their_policies():
     event log of, over three storm seeds: outside those pairs the key is
     never read."""
     def outputs(scenario, pair):
-        report, log = scenario.run(*pair)
+        report, log = Simulation(scenario, *pair).run()
         return report.emit("json"), log
 
     acts = {key: set() for key in _POLICY_KEYS}
@@ -1237,7 +1274,7 @@ def test_tcc_ft_interval_acts_only_from_twice_the_base_interval():
 
         def run(ft_interval):
             cfg = dataclasses.replace(scenario.cfg, ft_interval=ft_interval)
-            return scenario._replace(cfg=cfg).run(checkpoint_policy="tcc")
+            return Simulation(scenario._replace(cfg=cfg), checkpoint_policy="tcc").run()
 
         below, log = run(10)
         assert below.scalars["jobs_completed"] == 3 and below.scalars["checkpoint_count"] > 0
@@ -1273,7 +1310,8 @@ def test_every_other_key_acts_under_every_policy_pair():
     policy pairs by storm seed 6, trying the seeds in order and stopping at
     the first one whose report changes: no policy leaves it unread."""
     def report(cfg, pair):
-        return Scenario.from_config(cfg).run(*pair, collect_log=False)[0].emit("json")
+        sim = Simulation(Scenario.from_config(cfg), *pair, collect_log=False)
+        return sim.run()[0].emit("json")
 
     base = {}
     silent = []
@@ -1346,7 +1384,7 @@ def test_desk_reports_match_the_pin():
     for seed in (1, 2):
         cfg = load_config(DESK, {"seed": seed})
         for sched, ckpt in COMBOS:
-            report, _ = Scenario.from_config(cfg).run(sched, ckpt, collect_log=False)
+            report, _ = Simulation(Scenario.from_config(cfg), sched, ckpt, collect_log=False).run()
             digest.update(report.emit("json").encode())
     assert digest.hexdigest() == DESK_REPORTS_SHA256
 
@@ -1360,8 +1398,8 @@ def test_sharing_one_scenario_leaks_no_state(cfg):
     which write the run's per-job and per-node state."""
     shared = Scenario.from_config(cfg)
     for sched, ckpt in COMBOS:
-        report, _ = shared.run(sched, ckpt, collect_log=True)
-        fresh, _ = Scenario.from_config(cfg).run(sched, ckpt, collect_log=False)
+        report, _ = Simulation(shared, sched, ckpt, collect_log=True).run()
+        fresh, _ = Simulation(Scenario.from_config(cfg), sched, ckpt, collect_log=False).run()
         assert report.emit("json") == fresh.emit("json"), (sched, ckpt)
     assert shared.workload == Scenario.from_config(cfg).workload
 
@@ -1384,8 +1422,8 @@ def test_storm_reports_match_the_pin():
     for seed in (1, 2):
         scenario = Scenario.from_config(storm_cfg(seed))
         for sched, ckpt in COMBOS:
-            report, _ = scenario.run(sched, ckpt, collect_log=False)
-            logged, log = scenario.run(sched, ckpt, collect_log=True)
+            report, _ = Simulation(scenario, sched, ckpt, collect_log=False).run()
+            logged, log = Simulation(scenario, sched, ckpt, collect_log=True).run()
             assert logged.emit("json") == report.emit("json"), (seed, sched, ckpt)
             digest.update(report.emit("json").encode())
             migrated |= report.scalars["migration_count"] > 0
@@ -1402,7 +1440,7 @@ def test_json_reports_are_the_sorted_indented_dump():
         for cfg in (load_config(DESK, {"seed": seed}), storm_cfg(seed)):
             scenario = Scenario.from_config(cfg)
             for sched, ckpt in COMBOS:
-                report, _ = scenario.run(sched, ckpt, collect_log=False)
+                report, _ = Simulation(scenario, sched, ckpt, collect_log=False).run()
                 text = report.emit("json")
                 assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
                 parsed = MetricsReport.parse(text, "json").to_dict()
@@ -1418,7 +1456,7 @@ def test_storm_reports_parse_back_equal(fmt):
     for seed in (1, 2):
         scenario = Scenario.from_config(storm_cfg(seed))
         for sched, ckpt in COMBOS:
-            report, _ = scenario.run(sched, ckpt, collect_log=False)
+            report, _ = Simulation(scenario, sched, ckpt, collect_log=False).run()
             text = report.emit(fmt)
             parsed = MetricsReport.parse(text, fmt)
             assert parsed == report, (seed, sched, ckpt)
@@ -1469,7 +1507,7 @@ def _pinned_logs():
         for cfg in (load_config(DESK, {"seed": seed}), storm_cfg(seed)):
             scenario = Scenario.from_config(cfg)
             for sched, ckpt in COMBOS:
-                yield scenario.run(sched, ckpt, collect_log=True)[1]
+                yield Simulation(scenario, sched, ckpt, collect_log=True).run()[1]
 
 
 def _costly_storm_cfg(seed):
@@ -1488,7 +1526,7 @@ def _costly_storm_outputs():
     for seed in (1, 2):
         scenario = Scenario.from_config(_costly_storm_cfg(seed))
         for sched, ckpt in COMBOS:
-            yield scenario.run(sched, ckpt, collect_log=True)
+            yield Simulation(scenario, sched, ckpt, collect_log=True).run()
 
 
 # SHA-256 of the JSON reports of _costly_storm_outputs
@@ -1573,7 +1611,7 @@ def test_tcc_logs_hold_stale_pops_only_where_a_migration_or_crash_left_them(sche
     hold no ``stale=1`` line; on the storm the stale lines number at most
     the nodes that migrations moved."""
     def stale_and_moved(cfg):
-        _, log = Scenario.from_config(cfg).run(sched, "tcc", collect_log=True)
+        _, log = Simulation(Scenario.from_config(cfg), sched, "tcc", collect_log=True).run()
         return (sum(line.endswith(",stale=1") for line in log),
                 sum(int(line.split("moved=", 1)[1].split(";", 1)[0])
                     for line in log if "moved=" in line))
@@ -1598,7 +1636,7 @@ def test_independent_logs_hold_a_stale_pop_only_at_a_moved_completion_or_a_crash
     for sched in ("wsss", "mesf", "random"):
         for seed in (1, 2):
             for cfg in (load_config(DESK, {"seed": seed}), storm_cfg(seed)):
-                _, log = Scenario.from_config(cfg).run(sched, "independent", collect_log=True)
+                _, log = Simulation(Scenario.from_config(cfg), sched, "independent").run()
                 crashed = set()
                 for line in log:
                     _, _, kind, target, detail = line.split(",", 4)
@@ -1649,7 +1687,7 @@ def test_independent_round_count_is_the_one_its_task_stream_gives():
     cost, mean = 3, 7
     cfg = _single_vn_cfg(checkpoint_policy="independent", latency_sigma=0, horizon=2000,
                          checkpoint_write_cost=cost, indep_mean_gap=mean)
-    report, log = Scenario.from_config(cfg, []).run()
+    report, log = Simulation(Scenario.from_config(cfg, [])).run()
     stream = keyed_stream(cfg.seed, GAP_STREAM, 0)
     completion, due, rounds = cfg.demand_min, independent_next(stream, 1 / mean, 0), 0
     while due < completion:
@@ -1677,6 +1715,15 @@ def _rounds_before_completion(times, demand, cost):
     raise AssertionError("ran out of round times")
 
 
+# the ticks of a fault-free node's own rounds, by (policy, growth), for base and
+# fault-tolerance interval j: tcc confirms an image at every monitor round
+_ROUND_TIMES = {
+    ("tcc", "triangular"): lambda j: (j * k * (k + 1) // 2 for k in range(1, 10**4)),
+    ("tcc", "geometric"): lambda j: (j * (2**k - 1) for k in range(1, 64)),
+    ("sync", "triangular"): lambda j: (j * m for m in range(1, 10**4)),
+}
+
+
 def test_fault_free_image_count_is_the_rounds_before_completion():
     """One fault-free task, whose delay never varies, of demand D, with base
     and fault-tolerance interval j and write cost C.  Under tcc every
@@ -1695,15 +1742,11 @@ def test_fault_free_image_count_is_the_rounds_before_completion():
                 base = {"latency_sigma": 0, "demand_min": demand, "demand_max": demand,
                         "horizon": 2 * demand + 100, "base_interval": every,
                         "ft_interval": every, "checkpoint_write_cost": cost}
-                grids = {
-                    ("tcc", "triangular"): (every * k * (k + 1) // 2 for k in range(1, 10**4)),
-                    ("tcc", "geometric"): (every * (2**k - 1) for k in range(1, 64)),
-                    ("sync", "triangular"): (every * m for m in range(1, 10**4)),
-                }
-                for (policy, growth), times in grids.items():
+                for policy, growth in _ROUND_TIMES:
                     cfg = _single_vn_cfg(checkpoint_policy=policy, interval_growth=growth, **base)
-                    report, _ = Scenario.from_config(cfg, []).run(collect_log=False)
-                    n = _rounds_before_completion(times, demand, cost)
+                    report, _ = Simulation(Scenario.from_config(cfg, []), collect_log=False).run()
+                    n = _rounds_before_completion(_ROUND_TIMES[policy, growth](every),
+                                                  demand, cost)
                     s = report.scalars
                     assert s["jobs_completed"] == 1, (policy, growth, demand, every, cost)
                     assert (s["checkpoint_count"], s["pause_time_total"],
@@ -1711,6 +1754,41 @@ def test_fault_free_image_count_is_the_rounds_before_completion():
                                 policy, growth, demand, every, cost)
                     checked[policy, growth] += 1
     assert set(checked.values()) == {80 * 2 * 2}
+
+
+def test_fault_free_image_count_sums_over_a_desk_of_tasks():
+    """The same count over desk's 100 tasks of demands D_i, placed by wsss so
+    that every node starts at 0, with no faults and no delay variation:
+    ``checkpoint_count``, ``pause_time_total`` and ``active_time_total`` are
+    sum n(D_i), C x sum n(D_i) and sum D_i + C x sum n(D_i), with no rollback
+    and every job complete."""
+    checked = Counter()
+    for seed in range(1, 6):
+        for every in (5, 10):
+            for cost in (1, 2):
+                overrides = {"seed": seed, "scheduler": "wsss", "byzantine_faults": 0,
+                             "delay_faults": 0, "latency_sigma": 0, "base_interval": every,
+                             "ft_interval": every, "checkpoint_write_cost": cost,
+                             "horizon": 2000}
+                for policy, growth in _ROUND_TIMES:
+                    cfg = load_config(DESK, dict(overrides, checkpoint_policy=policy,
+                                                 interval_growth=growth))
+                    scenario = Scenario.from_config(cfg)
+                    demands = [task.demand for task in scenario.workload.tasks]
+                    assert len(demands) == 100 and scenario.faults == ()
+                    rounds = sum(_rounds_before_completion(_ROUND_TIMES[policy, growth](every),
+                                                           demand, cost)
+                                 for demand in demands)
+                    report, _ = Simulation(scenario, collect_log=False).run()
+                    s = report.scalars
+                    key = (seed, every, cost, policy, growth)
+                    assert (s["checkpoint_count"], s["pause_time_total"],
+                            s["active_time_total"]) == (
+                                rounds, rounds * cost, sum(demands) + rounds * cost), key
+                    assert s["rollback_count"] == 0, key
+                    assert s["jobs_completed"] == cfg.job_count, key
+                    checked[policy, growth] += 1
+    assert set(checked.values()) == {5 * 2 * 2}
 
 
 @pytest.mark.parametrize("policy", ["sync", "independent"])
@@ -1749,7 +1827,7 @@ def test_migration_done_is_logged_when_the_moved_nodes_restore_ends():
     checked = 0
     for cfg in cfgs:
         restore = cfg.migration_cost + math.ceil(cfg.preeval_cost * cfg.server_count)
-        _, log = Scenario.from_config(cfg).run("mesf", "tcc")
+        _, log = Simulation(Scenario.from_config(cfg), "mesf", "tcc").run()
         moved, done = {}, {}
         for line in log:
             time, _, kind, _, detail = line.split(",", 4)
@@ -1911,8 +1989,8 @@ def _node_entry_holds(sim, ev):
     ``complete`` entry whose completion the node's own sync or independent
     rounds, applied when an event touched it, moved later after it was
     queued, and the entry of a crashed node, whose crash cleared the record
-    it was queued under.  Either pops stale and ``_requeue`` queues the node
-    again."""
+    it was queued under.  Either pops stale and ``_handle_node`` queues the
+    node again."""
     entries = {}
     for time, seq, kind, target in sim.queue._heap:
         if isinstance(target, VirtualNode) and target.monitor is not None:
@@ -2123,7 +2201,7 @@ def test_invariants_hold_on_every_event_of_random_valid_configs(cfg):
     for sched, ckpt in COMBOS:
         report, _ = _check_every_event(scenario, sched, ckpt, _all_hold, collect_log=True)
         assert _identity_holds(report), (sched, ckpt)
-        plain, _ = scenario.run(sched, ckpt, collect_log=False)
+        plain, _ = Simulation(scenario, sched, ckpt, collect_log=False).run()
         assert plain.emit("json") == report.emit("json"), (sched, ckpt)
 
 
@@ -2172,8 +2250,8 @@ def test_scaling_every_tick_quantity_by_k_scales_every_tick_total_by_k(
     scaled = _time_scaled(scenario, k)
     for sched in SCHEDULERS:
         for ckpt in ("tcc", "sync"):
-            report, _ = scenario.run(sched, ckpt, collect_log=False)
-            scaled_report, _ = scaled.run(sched, ckpt, collect_log=False)
+            report, _ = Simulation(scenario, sched, ckpt, collect_log=False).run()
+            scaled_report, _ = Simulation(scaled, sched, ckpt, collect_log=False).run()
             for name, value in report.scalars.items():
                 expected = k * value if name in _TICK_TOTALS else value
                 assert scaled_report.scalars[name] == expected, (sched, ckpt, name)
@@ -2212,8 +2290,8 @@ def test_scaling_sla_bound_and_every_latency_by_a_power_of_two_changes_no_report
     scenario, scaled_scenario = Scenario.from_config(cfg), Scenario.from_config(scaled)
     assert scaled_scenario.latencies == [k * latency for latency in scenario.latencies]
     for sched, ckpt in COMBOS:
-        report, _ = scenario.run(sched, ckpt, collect_log=False)
-        scaled_report, _ = scaled_scenario.run(sched, ckpt, collect_log=False)
+        report, _ = Simulation(scenario, sched, ckpt, collect_log=False).run()
+        scaled_report, _ = Simulation(scaled_scenario, sched, ckpt, collect_log=False).run()
         assert scaled_report.emit("json") == report.emit("json"), (sched, ckpt)
 
 
@@ -2238,7 +2316,7 @@ def test_a_fault_one_tick_after_a_task_completes_changes_no_report_key(seed, pai
     assert candidates, (seed, pair)
     t, task_id = candidates[pick % len(candidates)]
     faults = [*scenario.faults, FaultSpec(kind, t + 1, task_id, 0.0)]
-    faulted, _ = Scenario.from_config(cfg, faults).run(*pair, collect_log=False)
+    faulted, _ = Simulation(Scenario.from_config(cfg, faults), *pair, collect_log=False).run()
     before, after = report.to_dict(), faulted.to_dict()
     assert before["_scenario"].pop("id").replace(
         f"-f{len(faults) - 1}-", f"-f{len(faults)}-") == after["_scenario"].pop("id")
@@ -2280,7 +2358,7 @@ def test_only_the_engine_queues_a_nodes_events():
     for name, fn in policies.items():
         for node in ast.walk(fn):
             if isinstance(node, ast.Attribute) and (
-                    node.attr in ("_seq", "_queue_node", "_requeue", "queue", "push")
+                    node.attr in ("_seq", "_queue_node", "queue", "push")
                     or isinstance(node.ctx, ast.Store) and node.attr in (
                         "monitor", "completion", "checkpoint", "gap")):
                 found.append(f"{name}: .{node.attr}")
@@ -2307,10 +2385,8 @@ def test_per_event_code_binds_enum_members_once():
             {name for name, fn in engine.items()
              if name.split(".")[0].endswith("Checkpointing") or _pushes(fn)}
             | {f"Simulation.{name}" for name in (
-                "_spawn", "_observe", "_handle_monitor", "_handle_complete",
-                "_count_rounds", "_catch_up", "_take_rounds", "_requeue", "_handle_exchange",
-                "inject_fault", "run",
-                "_log")}),
+                "_spawn", "_observe", "_handle_node", "_count_rounds", "_catch_up",
+                "_take_rounds", "_handle_exchange", "inject_fault", "run", "_log")}),
     }
     assert "TccCheckpointing.on_monitor" in per_event[bftsim.engine]
     assert "Simulation._queue_node" in per_event[bftsim.engine]
@@ -2325,7 +2401,7 @@ def test_per_event_code_binds_enum_members_once():
                     class_reads.append(f"{name}: {node.value.id}.{node.attr}")
     assert not class_reads
     property_reads = [f"{name}: .{node.attr}"
-                      for name in ("_log", "_handle_monitor")
+                      for name in ("_log", "_handle_node")
                       for node in ast.walk(engine[f"Simulation.{name}"])
                       if isinstance(node, ast.Attribute) and node.attr in ("value", "name")]
     assert not property_reads
@@ -2336,13 +2412,14 @@ def test_per_event_code_binds_enum_members_once():
 
 def test_only_round_code_skips_log_detail():
     """A run with the log off skips formatting the detail only where a run
-    spends its rounds: the monitor handler and the policy hooks it calls
-    each round.  Lifecycle handlers (completions, restarts, migrations,
-    faults, exchanges) are rare, so they always format theirs; a node's own
-    sync or independent rounds log nothing."""
+    spends its rounds: the node handler, which serves monitor rounds and
+    completions, and the policy hooks it calls each round.  Lifecycle code
+    (finishing a task, restarts, migrations, faults, exchanges) is rare, so
+    it always formats its detail; a node's own sync or independent rounds
+    log nothing."""
     readers = sorted(name for name, fn in _functions(bftsim.engine).items()
                      if any(isinstance(node, ast.Attribute) and node.attr == "collect_log"
                             for node in ast.walk(fn)))
     assert readers == [
-        "Checkpointing.on_monitor", "Simulation.__init__", "Simulation._handle_monitor",
+        "Checkpointing.on_monitor", "Simulation.__init__", "Simulation._handle_node",
         "Simulation._log", "TccCheckpointing.on_monitor"]
