@@ -50,6 +50,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--out")
     run.add_argument("--format", choices=("csv", "json"), default="json")
     run.add_argument("--event-log")
+    run.set_defaults(func=cmd_run)
 
     cmp_p = sub.add_parser("compare", help="run policy combinations on one scenario")
     cmp_p.add_argument("--config", required=True)
@@ -60,13 +61,16 @@ def _build_parser() -> _Parser:
                        help="comma-separated checkpoint policy tags")
     cmp_p.add_argument("--out")
     cmp_p.add_argument("--format", choices=("csv", "json"), default="json")
+    cmp_p.set_defaults(func=cmd_compare)
 
     trace = sub.add_parser("fsm-trace", help="replay a state-machine trace file")
     trace.add_argument("trace_file")
+    trace.set_defaults(func=cmd_fsm_trace)
 
     rank = sub.add_parser("rank", help="rebuild the server ranking from an event log")
     rank.add_argument("--event-log", required=True)
     rank.add_argument("--out")
+    rank.set_defaults(func=cmd_rank)
     return parser
 
 
@@ -208,13 +212,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        if args.command == "fsm-trace":
-            return cmd_fsm_trace(args)
-        return cmd_rank(args)
+        return args.func(args)
     except (ConfigError, TraceFormatError) as exc:
         print(f"bftsim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -24,15 +24,17 @@ writes one image for them (``_catch_up``): a batch of sync rounds in closed
 form, and a batch of independent rounds in one pass over its drawn gaps
 with no settle per round (``_take_rounds``).  A node's queued entry reads
 only the node's completion record until it charges, finishes or replaces
-the node, so it counts its sync rounds into the record instead
-(``_count_rounds``): each adds the write cost to the completion, and they
-are applied later, in one batch, when something reads the ledger or the
-store, which leaves the record as the count made it.  A round due at
-``t`` runs after the node's event at ``t``; the horizon applies the rounds
-due at or before it.  Sync rounds fall on the job-wide grid of
-``ft_interval`` ticks.  Each independent task draws its gaps from its own
-stream, keyed by seed, purpose and task id, so a task's gaps do not depend
-on the scheduler or on any other draw of the run.
+the node, so it only brings the record up to date (``_count_rounds``, the
+one place that chooses between counting and applying): it counts sync
+rounds into the record, each adding the write cost, to be applied later,
+in one batch, when something reads the ledger or the store, which leaves
+the record as the count made it; it applies independent rounds, since
+counting one needs its draw.  A round due at ``t`` runs after the node's
+event at ``t``; the horizon applies the rounds due at or before it.  Sync
+rounds fall on the job-wide grid of ``ft_interval`` ticks.  Each
+independent task draws its gaps from its own stream, keyed by seed,
+purpose and task id, so a task's gaps do not depend on the scheduler or on
+any other draw of the run.
 
 Every virtual-node incarnation is its own tick ledger: it attributes each
 active tick to exactly one of: work, checkpoint pause, or restore time;
@@ -326,8 +328,9 @@ class Checkpointing:
     """Checkpoint-policy rules.  The defaults take no checkpoint rounds,
     apply the detection machine's action on a monitor round and roll back to
     the newest clean image; each policy overrides where it differs.  The
-    engine applies a node's own rounds, timed by ``round_grid`` or
-    ``round_gaps``, when it next reads or changes the node's ledger or
+    engine brings a node's completion up to date with its own rounds, timed
+    by ``round_grid`` (counted) or ``round_gaps`` (applied), at its queued
+    entry, applies them when it next reads or changes the node's ledger or
     images, and writes one image per batch of them.  Every policy shares one
     store, which keeps each image until a rollback abandons it."""
 
@@ -389,11 +392,11 @@ class TccCheckpointing(Checkpointing):
 class SyncCheckpointing(Checkpointing):
     """Images every live node of a job at a fixed cadence, regardless of
     health: its own rounds fall on the grid ``ft_interval``, 2 x
-    ``ft_interval``, ..., the same ticks for every node.  A node's queued
-    entry only counts them into its completion (``_count_rounds``), and the
-    engine applies each batch of them, between two reads of the ledger or
-    the store, past its first round in closed form (``_take_rounds``), with
-    the completion the count records."""
+    ``ft_interval``, ..., the same ticks for every node.  ``_count_rounds``
+    counts them into a node's completion, at its queued entry and before
+    each batch, and the engine applies each batch of them, between two reads
+    of the ledger or the store, past its first round in closed form
+    (``_take_rounds``), with the completion the count records."""
 
     def round_grid(self, sim: Simulation) -> int:
         return sim.cfg.ft_interval
@@ -474,11 +477,12 @@ class Simulation:
         self.round_gaps = self.checkpointing.round_gaps(self)
         self.log_lines: list[str] = []
 
-        # the one index of live nodes: job id -> (vn id -> live incarnation);
-        # vn ids only grow, so each job's nodes stay in ascending vn-id order
+        # the one index of live nodes: job id -> (task id -> its one live
+        # incarnation); a node is indexed as it starts, after its predecessor
+        # left, so each job's nodes stay in ascending vn-id order
         self.job_nodes: dict[int, dict[int, VirtualNode]] = {
             job_id: {} for job_id in self.unfinished}
-        # job id -> vn ids of its live contaminated nodes, in job-id order
+        # job id -> task ids of its live contaminated nodes, in job-id order
         self.infected: dict[int, set[int]] = {job_id: set() for job_id in self.job_nodes}
         self._next_vn_id = 1
 
@@ -508,7 +512,7 @@ class Simulation:
         server = self.servers[server_id - 1]
         rt = VirtualNode(vn_id, task, server, start, target.progress if target else 0,
                          restore_cost)
-        self.job_nodes[task.job_id][vn_id] = rt
+        self.job_nodes[task.job_id][task.task_id] = rt
         server.free_slots -= 1
         # its first monitor round, then its completion, each under the next
         # sequence number, and the tick of its own first checkpoint round
@@ -544,17 +548,24 @@ class Simulation:
         rt.completion = (rt.anchor + rt.restore_due + pause + rt.task.demand - rt.progress, seq)
 
     def _count_rounds(self, rt: VirtualNode, t: int) -> None:
-        """Record the completion that the node's own sync rounds due strictly
-        before ``t`` give; apply none of them.  A settle leaves the ledger's
+        """Bring the node's completion record up to date with its own rounds
+        due strictly before ``t``: the one choice between counting and
+        applying them.  Sync rounds are counted: a settle leaves the ledger's
         completion where it is and each round adds its write cost, so the
         record is the ledger's completion plus the cost times the rounds due
-        since ``checkpoint``: the record applying them and re-timing would
-        give, which ``_catch_up`` keeps.  It takes a fresh seq only when a
-        round has fallen due since the node's last record."""
+        since ``checkpoint``, the one applying them gives, which ``_catch_up``
+        keeps; a fresh seq is taken only when a round fell due since the last
+        record.  Drawn (independent) rounds need their draws to be counted,
+        so they are applied and the node re-timed."""
         due = rt.checkpoint
         if due is None or due >= t:
             return
-        rounds = (t - 1 - due) // self.round_grid + 1
+        step = self.round_grid
+        if step is None:
+            self._take_rounds(rt, t - 1)
+            self._retime(rt, t)
+            return
+        rounds = (t - 1 - due) // step + 1
         if rounds > rt.counted:
             rt.counted = rounds
             queue = self.queue
@@ -566,18 +577,14 @@ class Simulation:
     def _catch_up(self, rt: VirtualNode, t: int) -> None:
         """Apply the node's own rounds due strictly before ``t``, before the
         engine reads or changes its ledger, contamination or images, and
-        record the moved completion once: sync rounds are counted into the
-        record first, drawn ones re-time it after.  A round due at ``t`` runs
-        after the node's event at ``t``: a node that finishes, crashes or is
-        replaced at ``t`` takes no image at ``t``."""
+        record the moved completion once: ``_count_rounds`` brings the record
+        up to date, and ``_take_rounds`` applies what it counted.  A round
+        due at ``t`` runs after the node's event at ``t``: a node that
+        finishes, crashes or is replaced at ``t`` takes no image at ``t``."""
         due = rt.checkpoint
-        if due is not None and due < t:
-            if self.round_gaps is None:   # sync: tcc has no own rounds
-                self._count_rounds(rt, t)
-                self._take_rounds(rt, t - 1)
-            else:
-                self._take_rounds(rt, t - 1)
-                self._retime(rt, t)
+        if due is not None and due < t:   # tcc has no own rounds
+            self._count_rounds(rt, t)
+            self._take_rounds(rt, t - 1)
 
     def _take_rounds(self, rt: VirtualNode, last: int) -> None:
         """Apply the node's own rounds due at or before ``last``, in order,
@@ -660,9 +667,9 @@ class Simulation:
         s["pause_time_total"] += rt.pause
         s["restore_time_total"] += rt.restore
         s["active_time_total"] += rt.span
-        vn_id, job_id = rt.vn_id, rt.task.job_id
-        del self.job_nodes[job_id][vn_id]
-        self.infected[job_id].discard(vn_id)
+        task_id, job_id = rt.task.task_id, rt.task.job_id
+        del self.job_nodes[job_id][task_id]
+        self.infected[job_id].discard(task_id)
         rt.monitor = rt.completion = rt.checkpoint = None
         rt.server.free_slots += 1
 
@@ -702,7 +709,7 @@ class Simulation:
         """Halt every node of the job and restart it from a job-consistent image,
         placed as the run's scheduler places a wave; returns the log detail."""
         rts = list(self.job_nodes[job_id].values())
-        task_ids = [rt.task.task_id for rt in rts]
+        task_ids = list(self.job_nodes[job_id])
         consistent_at = min(c.time if c else 0 for c in map(self.store.latest_clean, task_ids))
         targets = [self.store.latest_clean(tid, before=consistent_at) for tid in task_ids]
         for rt, target in zip(rts, targets):
@@ -805,17 +812,15 @@ class Simulation:
     def inject_fault(self, spec: FaultSpec, t: int) -> str:
         """Apply one fault to its task's live node; returns the log detail."""
         task = self.tasks[spec.target_task]   # task ids are list positions
-        for rt in self.job_nodes[task.job_id].values():
-            if rt.task is task and rt.completion is not None:
-                break
-        else:   # the task has no live node, or a crashed one
+        rt = self.job_nodes[task.job_id].get(task.task_id)
+        if rt is None or rt.completion is None:   # no live node, or a crashed one
             return f"kind={_TOKENS[spec.kind]};target=none;noop=1"
         # a fault before the node starts (a late initial wave) lands at its start
         t = max(t, rt.start)
         self._catch_up(rt, t)   # its own rounds due before the fault run first
         if spec.kind is BYZANTINE_FAULT:
             rt.contaminated = True
-            self.infected[rt.task.job_id].add(rt.vn_id)
+            self.infected[task.job_id].add(task.task_id)
             self.detection_pending[rt.task.task_id] = t
             return f"kind=byzantine;vn=v{rt.vn_id}"
         if spec.kind is CRASH_FAULT:
@@ -839,13 +844,7 @@ class Simulation:
         if rt.monitor is None:   # the entry of a retired node
             return "stale=1"
         if rt.checkpoint is not None:   # tcc pays this test only
-            # the entry reads only the node's completion record: sync counts
-            # its own rounds due into it, independent applies them, since
-            # counting a drawn round needs its draw
-            if self.round_grid is None:
-                self._catch_up(rt, t)
-            else:
-                self._count_rounds(rt, t)
+            self._count_rounds(rt, t)   # the entry reads only its completion record
         verify = kind is TASK_COMPLETE
         if verify and (t, seq) != rt.completion:   # own rounds or a crash moved it
             self._queue_node(rt)
@@ -886,14 +885,14 @@ class Simulation:
         for job_id, infected in self.infected.items():
             nodes = self.job_nodes[job_id]
             # a crashed node no longer exchanges outputs
-            if not any(nodes[vid].completion is not None for vid in infected):
+            if not any(nodes[task_id].completion is not None for task_id in infected):
                 continue
             clean = [rt for rt in nodes.values() if not rt.contaminated
                      and rt.completion is not None]
             for rt in propagate_contamination(clean, self.cfg.propagation_prob, self.rng):
                 self._catch_up(rt, t)
                 rt.contaminated = True
-                infected.add(rt.vn_id)
+                infected.add(rt.task.task_id)
                 self.detection_pending.setdefault(rt.task.task_id, t)
                 spread.append(rt.vn_id)
         self.queue.push(t + self.cfg.base_interval, CONTAMINATION_EXCHANGE)

@@ -1893,7 +1893,9 @@ def _check_every_event(scenario, sched, ckpt, check, collect_log=False):
 
     def checking_spawn(task, server_id, start, *args):
         # one live node per task, also inside an event: a restart or a
-        # migration retires the old node before it starts the new one
+        # migration retires the old node before it starts the new one.  The
+        # index is keyed by task id, so a second node would overwrite the
+        # first there silently; this check is what catches it
         assert all(rt.task is not task for rt in sim.job_nodes[task.job_id].values()), task
         rt = spawn(task, server_id, start, *args)
         sim.observed[rt.vn_id] = start
@@ -1927,12 +1929,12 @@ def _job_index_holds(sim, ev):
     # every per-job dict is in job-id order, the order the exchange visits jobs in
     assert list(sim.job_nodes) == list(sim.unfinished) == sorted(sim.unfinished), ev
     for job_id, nodes in sim.job_nodes.items():
-        assert all(vn_id == rt.vn_id and rt.task.job_id == job_id and rt.monitor is not None
-                   for vn_id, rt in nodes.items()), ev
-        assert list(nodes) == sorted(nodes), ev
-    # one live node per task
+        # keyed by task id, so one live node per task
+        assert all(task_id == rt.task.task_id and rt.task.job_id == job_id
+                   and rt.monitor is not None for task_id, rt in nodes.items()), ev
+        vn_ids = [rt.vn_id for rt in nodes.values()]
+        assert vn_ids == sorted(vn_ids), ev
     live = _live(sim)
-    assert len({rt.task.task_id for rt in live}) == len(live), ev
     # a queued event of a node that is not retired (its monitor round is
     # set) names a node the index holds
     indexed = set(map(id, live))
@@ -1966,7 +1968,7 @@ def _infected_index_holds(sim, ev):
     # the exchange draws in job-id order, so the index keeps that order
     assert list(sim.infected) == sorted(sim.unfinished)
     for job_id, infected in sim.infected.items():
-        assert infected == {rt.vn_id for rt in sim.job_nodes[job_id].values()
+        assert infected == {rt.task.task_id for rt in sim.job_nodes[job_id].values()
                             if rt.contaminated}, (ev, job_id)
 
 
@@ -2059,7 +2061,7 @@ def _no_streak_under_tcc(sim, ev):
 @pytest.mark.parametrize("sched,ckpt", COMBOS)
 def test_job_index_holds_exactly_the_live_nodes(sched, ckpt):
     """After every popped event, ``job_nodes`` holds each live node once,
-    under its own job, in ascending vn-id order."""
+    under its own job and task, in ascending vn-id order."""
     for seed in (1, 2):
         report = _run_checking_every_event(sched, ckpt, seed, _job_index_holds)
         assert ckpt != "tcc" or report.scalars["migration_count"] > 0
@@ -2075,9 +2077,9 @@ def test_ledger_pending_total_holds_on_every_event(sched, ckpt):
 
 @pytest.mark.parametrize("sched,ckpt", COMBOS)
 def test_infected_index_holds_exactly_the_live_contaminated_nodes(sched, ckpt):
-    """After every popped event, each job's ``infected`` set holds the ids of
-    its live contaminated nodes and no other: the exchange visits only the
-    jobs it names."""
+    """After every popped event, each job's ``infected`` set holds the task
+    ids of its live contaminated nodes and no other: the exchange visits only
+    the jobs it names."""
     most = []
 
     def check(sim, ev):
@@ -2363,6 +2365,19 @@ def test_only_the_engine_queues_a_nodes_events():
                         "monitor", "completion", "checkpoint", "gap")):
                 found.append(f"{name}: .{node.attr}")
     assert not found
+
+
+def test_only_the_round_code_reads_the_round_timing():
+    """Only the code that times, counts or applies a node's own rounds reads
+    ``round_grid`` or ``round_gaps``: ``_count_rounds`` holds the one choice
+    between counting them and applying them, so the node handler and
+    ``_catch_up`` make none."""
+    readers = {name for name, fn in _functions(bftsim.engine).items()
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+               and node.attr in ("round_grid", "round_gaps")}
+    assert readers == {"Simulation.__init__", "Simulation._count_rounds",
+                       "Simulation._spawn", "Simulation._take_rounds"}
 
 
 def test_per_event_code_binds_enum_members_once():
