@@ -140,5 +140,5 @@ def independent_next(rng: random.Random, rate: float, after: int) -> int:
     an exponential gap of at least one tick, at ``rate`` (one over the mean
     gap).  The gap is ``rng.expovariate(rate)``'s own formula, with no
     frame; dividing by the rate, not multiplying by the mean, keeps its
-    bits.  ``Simulation._take_rounds`` draws it inline."""
+    bits.  ``Simulation._count_rounds`` draws it inline."""
     return after + max(1, round(-log(1.0 - rng.random()) / rate))

@@ -16,6 +16,7 @@ from .config import (
     CHECKPOINT_POLICIES,
     SCHEDULERS,
     ConfigError,
+    SimConfig,
     load_config,
 )
 from .engine import MONITOR_ROUND, TASK_COMPLETE, Simulation
@@ -96,7 +97,7 @@ def _tags(text: str, known: tuple[str, ...], what: str) -> list[str]:
     return tags
 
 
-def _load(args) -> "SimConfig":
+def _load(args) -> SimConfig:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed

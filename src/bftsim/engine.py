@@ -17,24 +17,21 @@ both kinds (``_handle_node``), and queues the node again after a stale pop
 while its monitor round is set.
 
 A node's own checkpoint rounds (under sync and independent) are not events.
-Its next round is a plain tick on the node, and whenever an event reads or
-changes the node's ledger, contamination or store images at tick ``t``, the
-engine first applies every round due strictly before ``t``, in order, and
-writes one image for them (``_catch_up``): a batch of sync rounds in closed
-form, and a batch of independent rounds in one pass over its drawn gaps
-with no settle per round (``_take_rounds``).  A node's queued entry reads
+Its next round is a plain tick on the node.  A node's queued entry reads
 only the node's completion record until it charges, finishes or replaces
-the node, so it only brings the record up to date (``_count_rounds``, the
-one place that chooses between counting and applying): it counts sync
-rounds into the record, each adding the write cost, to be applied later,
-in one batch, when something reads the ledger or the store, which leaves
-the record as the count made it; it applies independent rounds, since
-counting one needs its draw.  A round due at ``t`` runs after the node's
-event at ``t``; the horizon applies the rounds due at or before it.  Sync
-rounds fall on the job-wide grid of ``ft_interval`` ticks.  Each
-independent task draws its gaps from its own stream, keyed by seed,
+the node, so it only counts the rounds due before it into the record, each
+adding the write cost (``_count_rounds``); whenever an event reads or
+changes the node's ledger, contamination or store images at tick ``t``, the
+engine first applies every round due strictly before ``t``, counted, in
+order, and writes one image for them (``_catch_up``): a batch of sync
+rounds in closed form, and a batch of independent rounds in one pass over
+the gaps their count drew (``_take_rounds``).  A round due at ``t`` runs
+after the node's event at ``t``; the horizon applies the rounds due at or
+before it.  Sync rounds fall on the job-wide grid of ``ft_interval`` ticks.
+Each independent task draws its gaps from its own stream, keyed by seed,
 purpose and task id, so a task's gaps do not depend on the scheduler or on
-any other draw of the run.
+any other draw of the run; a count draws each gap once, up to the first
+round not yet due, and keeps the ticks on the node.
 
 Every virtual-node incarnation is its own tick ledger: it attributes each
 active tick to exactly one of: work, checkpoint pause, or restore time;
@@ -251,14 +248,15 @@ class VirtualNode(VnLedger):
     are its schedule; its one queued entry, the earlier record, pops stale once
     the record it was queued under no longer holds its (time, seq).  A crash
     clears the last two; retiring it clears all three.  ``counted`` is how
-    many sync rounds from ``checkpoint`` on are counted into ``completion``
-    and not yet applied to the ledger.  Its last observation is ``monitor``
-    less ``gap``.  Its detection state is its streak: S1 while
-    ``suspect_rounds`` > 0, else S0, as a fail-stop verdict retires it in
-    the same monitor round."""
+    many own rounds from ``checkpoint`` on are counted into ``completion``
+    and not yet applied to the ledger; under independent ``ticks`` holds
+    their drawn ticks, the next round not yet counted last.  Its last
+    observation is ``monitor`` less ``gap``.  Its detection state is its
+    streak: S1 while ``suspect_rounds`` > 0, else S0, as a fail-stop
+    verdict retires it in the same monitor round."""
 
     __slots__ = ("vn_id", "task", "server", "gap", "suspect_rounds", "contaminated",
-                 "spike_delay", "monitor", "completion", "checkpoint", "counted")
+                 "spike_delay", "monitor", "completion", "checkpoint", "counted", "ticks")
 
     def __init__(self, vn_id: int, task: Task, server: Server, start: int, progress: int,
                  restore: int = 0):
@@ -273,7 +271,8 @@ class VirtualNode(VnLedger):
         self.monitor: tuple[int, int] | None = (0, 0)   # (time, seq) of its next monitor round
         self.completion: tuple[int, int] | None = None   # (time, seq) the node is due to finish at
         self.checkpoint: int | None = None   # the tick of its own next round
-        self.counted = 0   # sync rounds in ``completion`` not yet applied
+        self.counted = 0   # own rounds in ``completion`` not yet applied
+        self.ticks: list[int] | None = None   # independent: counted ticks, then the next
 
 
 # -- policies ----------------------------------------------------------
@@ -328,11 +327,11 @@ class Checkpointing:
     """Checkpoint-policy rules.  The defaults take no checkpoint rounds,
     apply the detection machine's action on a monitor round and roll back to
     the newest clean image; each policy overrides where it differs.  The
-    engine brings a node's completion up to date with its own rounds, timed
-    by ``round_grid`` (counted) or ``round_gaps`` (applied), at its queued
-    entry, applies them when it next reads or changes the node's ledger or
-    images, and writes one image per batch of them.  Every policy shares one
-    store, which keeps each image until a rollback abandons it."""
+    engine counts a node's own rounds, timed by ``round_grid`` or
+    ``round_gaps``, into its completion at its queued entry, applies them
+    when it next reads or changes the node's ledger or images, and writes
+    one image per batch of them.  Every policy shares one store, which
+    keeps each image until a rollback abandons it."""
 
     def round_grid(self, sim: Simulation) -> int | None:
         """The step of the fixed grid every node's own rounds fall on, which
@@ -528,6 +527,7 @@ class Simulation:
         elif gaps is not None:
             streams, rate = gaps
             rt.checkpoint = independent_next(streams[task.task_id], rate, start)
+            rt.ticks = [rt.checkpoint]
         self._queue_node(rt)
         return rt
 
@@ -548,31 +548,43 @@ class Simulation:
         rt.completion = (rt.anchor + rt.restore_due + pause + rt.task.demand - rt.progress, seq)
 
     def _count_rounds(self, rt: VirtualNode, t: int) -> None:
-        """Bring the node's completion record up to date with its own rounds
-        due strictly before ``t``: the one choice between counting and
-        applying them.  Sync rounds are counted: a settle leaves the ledger's
+        """Count the node's own rounds due strictly before ``t`` into its
+        completion record, applying none.  A settle leaves the ledger's
         completion where it is and each round adds its write cost, so the
-        record is the ledger's completion plus the cost times the rounds due
-        since ``checkpoint``, the one applying them gives, which ``_catch_up``
-        keeps; a fresh seq is taken only when a round fell due since the last
-        record.  Drawn (independent) rounds need their draws to be counted,
-        so they are applied and the node re-timed."""
+        record is the ledger's completion plus the cost times the rounds
+        counted, the one applying them gives, which ``_catch_up`` keeps; a
+        fresh seq is taken only when a round fell due since the last
+        record.  Sync rounds are counted on the grid.  Independent rounds
+        are drawn: the one place their gaps are drawn, each once, by
+        ``independent_next``'s formula, up to the first round due at or
+        after ``t``, whose tick is kept last in ``ticks``."""
         due = rt.checkpoint
         if due is None or due >= t:
             return
         step = self.round_grid
         if step is None:
-            self._take_rounds(rt, t - 1)
-            self._retime(rt, t)
-            return
-        rounds = (t - 1 - due) // step + 1
-        if rounds > rt.counted:
-            rt.counted = rounds
-            queue = self.queue
-            seq = queue._seq
-            queue._seq = seq + 1
-            rt.completion = (rt.anchor + rt.restore_due + rt.pause_due + rt.task.demand
-                             - rt.progress + rounds * self.cfg.checkpoint_write_cost, seq)
+            ticks = rt.ticks
+            tick = ticks[-1]
+            if tick >= t:
+                return
+            streams, rate = self.round_gaps
+            draw = streams[rt.task.task_id].random
+            while tick < t:
+                # round() of a non-negative float is at least 0, so ``or 1``
+                # is independent_next's max(1, ...)
+                tick += round(-log(1.0 - draw()) / rate) or 1
+                ticks.append(tick)
+            rounds = len(ticks) - 1
+        else:
+            rounds = (t - 1 - due) // step + 1
+            if rounds <= rt.counted:
+                return
+        rt.counted = rounds
+        queue = self.queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        rt.completion = (rt.anchor + rt.restore_due + rt.pause_due + rt.task.demand
+                         - rt.progress + rounds * self.cfg.checkpoint_write_cost, seq)
 
     def _catch_up(self, rt: VirtualNode, t: int) -> None:
         """Apply the node's own rounds due strictly before ``t``, before the
@@ -602,10 +614,10 @@ class Simulation:
         backlog runs out each step serves its own round's pause and works
         the rest, as the one settle does; if it does not, the backlog the
         first round leaves, at least the write cost, never runs out, and
-        neither form works.  Drawn rounds (independent) take one pass: each
-        draws its gap inline, by ``independent_next``'s formula with one
-        draw per round, and advances the unserved backlog b (restore and
-        pause) and the worked ticks in locals by Lindley's recursion,
+        neither form works.  Drawn rounds (independent) are the ones
+        ``_count_rounds`` counted up to ``last`` + 1, and draw nothing here:
+        one pass over their ticks advances the unserved backlog b (restore
+        and pause) and the worked ticks in locals by Lindley's recursion,
         b <- max(b - gap, 0) + cost, exact for any write cost.  The ledger
         is then written once, its restore served first."""
         due = rt.checkpoint
@@ -622,30 +634,24 @@ class Simulation:
                 rt.pause_due += rest * cost   # every round's but the last's
                 rt.settle(tick)
             rt.pause_due += cost
-            rt.counted = 0
             rounds = rest + 1
             due = tick + step
         else:
-            streams, rate = self.round_gaps
-            draw = streams[rt.task.task_id].random
+            ticks, rounds = rt.ticks, rt.counted
             restore_due = rt.restore_due
             backlog = restore_due + rt.pause_due + cost   # unserved, after the first round
             first = tick = due
-            worked, rounds = 0, 1
-            while True:
-                # independent_next's gap: round() of a non-negative float is
-                # at least 0, so ``or 1`` is its max(1, ...)
-                gap = round(-log(1.0 - draw()) / rate) or 1
-                if tick + gap > last:
-                    break
+            worked = 0
+            for nxt in ticks[1:rounds]:
+                gap = nxt - tick
                 if gap > backlog:
                     worked += gap - backlog
                     backlog = cost
                 else:
                     backlog += cost - gap
-                tick += gap
-                rounds += 1
-            due = tick + gap
+                tick = nxt
+            due = ticks[rounds]
+            del ticks[:rounds]
             span = tick - first
             served = restore_due if restore_due < span else span
             restore_due -= served
@@ -656,6 +662,7 @@ class Simulation:
             rt.pause_due = backlog - restore_due
             rt.work += worked
             rt.progress += worked
+        rt.counted = 0
         self.store.take(rt, tick, rt.progress, rt.task.task_id, rounds)
         rt.checkpoint = due
 
@@ -927,15 +934,15 @@ class Simulation:
             self._log(ev, dispatch[ev[2]](ev))
 
         # every event due at or before the horizon ran, so the rounds due
-        # then run too, and the node is retired with no re-timing
+        # then run too, and the node is retired; their counts take their
+        # seqs after the horizon's own, and no record of them is read
         end = queue.clock if s["jobs_completed"] == job_count else horizon
+        ev = queue.synthesize(HORIZON_END, end)
         for nodes in self.job_nodes.values():
             for rt in list(nodes.values()):
-                if rt.checkpoint is not None:
-                    self._take_rounds(rt, end)
+                self._catch_up(rt, end + 1)
                 self._retire(rt, end)
-        self._log(self.queue.synthesize(HORIZON_END, end),
-                  f"jobs_completed={s['jobs_completed']}")
+        self._log(ev, f"jobs_completed={s['jobs_completed']}")
         self._finalize()
         return self.report, self.log_lines
 

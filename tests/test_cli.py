@@ -1,12 +1,15 @@
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
+import bftsim.cli
 from bftsim.cli import main
 from bftsim.engine import Scenario, Simulation
 from bftsim.scenario import FaultKind, FaultSpec
@@ -291,3 +294,14 @@ def test_rank_rejects_truncated_observations(tmp_path, capsys, line, needle):
     log_path.write_text(f"10,0,complete,1,stale=1\n{line}\n")
     assert main(["rank", "--event-log", str(log_path)]) == 2
     assert f"{log_path}:2: {needle}" in capsys.readouterr().err
+
+
+def test_every_cli_annotation_resolves():
+    """Every function and method defined in ``bftsim.cli`` names only types
+    the module can resolve, so ``typing.get_type_hints`` reads each."""
+    functions = [fn for obj in vars(bftsim.cli).values()
+                 for fn in ([obj] + list(vars(obj).values()) if inspect.isclass(obj) else [obj])
+                 if inspect.isfunction(fn) and fn.__module__ == "bftsim.cli"]
+    assert {"_load", "main", "error"} <= {fn.__name__ for fn in functions}
+    for fn in functions:
+        typing.get_type_hints(fn)

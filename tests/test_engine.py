@@ -67,6 +67,7 @@ from bftsim.scenario import (
 from conftest import cluster_cfg, storm_cfg
 
 DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.cfg"
+COSTLY = DESK.with_name("costly-writes.cfg")
 COMBOS = [(sched, ckpt) for sched in ("wsss", "mesf", "random")
           for ckpt in ("tcc", "sync", "independent")]
 
@@ -749,7 +750,7 @@ def test_fault_free_checkpoint_dominance():
 def _record_draws(stream, record):
     """Wrap ``stream``'s ``random`` to call ``record(u)`` with each value ``u``
     it draws.  The engine draws one value of a task's stream per gap: once
-    at each start of its node, then once after each own round it applies."""
+    at each start of its node, then once after each own round it counts."""
     draw = stream.random
 
     def recording():
@@ -797,7 +798,8 @@ def test_baseline_stores_count_every_round_applied(ckpt, monkeypatch):
     ``taken``, the report's ``checkpoint_count``, still equals the rounds
     applied, while each lineage's chain keeps fewer images, in the order
     written.  Independent rounds are counted at their tasks' streams, one
-    draw per round.  Sync rounds, which the engine applies past a batch's
+    draw per round counted, less the rounds each live node has counted and
+    not yet applied.  Sync rounds, which the engine applies past a batch's
     first in closed form, are counted on the grid: a running node has taken
     those before its next round, a stopped one those before its stop, and
     one that the horizon retired running those up to the horizon's tick."""
@@ -820,7 +822,8 @@ def test_baseline_stores_count_every_round_applied(ckpt, monkeypatch):
 
     def rounds_applied(sim, ev):
         if ckpt == "independent":
-            return len(calls) - (sim._next_vn_id - 1)   # less one draw per node start
+            # less one draw per node start, and one per round counted, not applied
+            return len(calls) - (sim._next_vn_id - 1) - sum(rt.counted for rt in _live(sim))
         assert len(nodes) == sim._next_vn_id - 1   # every incarnation seen
         return sum(len(_grid_ticks(
             rt.start, rt.checkpoint if rt.checkpoint is not None
@@ -927,13 +930,15 @@ def test_sync_rounds_in_closed_form_match_one_settle_per_round(
 def test_independent_rounds_in_one_pass_match_one_settle_per_round(
         seed, mean, cost, start, first, lead, progress, restore_due, pause_due, extra,
         on_round, tainted):
-    """Under independent a batch of a node's own rounds gives the ledger, the
-    next round, the store and the task's stream that one settle and one
-    ``independent_next`` per round give: from any backlog of restore and
+    """Under independent a batch of a node's own rounds, counted (its gaps
+    drawn) and then applied in one pass over the drawn ticks, gives the
+    ledger, the next round, the store and the task's stream that one settle
+    and one ``independent_next`` per round give: from any backlog of restore and
     pause at entry, longer than the whole batch or not, with the write cost
     above and below the drawn gaps within one batch, an empty batch, one
     round or many, and ``last`` on a round's tick, as at the horizon, or
-    between two.  The stream's state afterwards pins the number of draws."""
+    between two.  The stream's state afterwards pins the number of draws,
+    and the apply leaves only the next round's tick, none counted."""
     cfg = validate_config({
         "task_count": 1, "job_count": 1, "server_count": 1, "server_capacity": 1,
         "demand_min": 10 ** 6, "demand_max": 10 ** 6, "horizon": 10 ** 5, "seed": seed,
@@ -941,8 +946,14 @@ def test_independent_rounds_in_one_pass_match_one_settle_per_round(
     scenario = Scenario.from_config(cfg, [])
     due = start + first                 # the node's next round
     anchor = max(start, due - lead)     # settled up to its next round at most
+
+    def counted_then_taken(sim, rt, last):
+        sim._count_rounds(rt, last + 1)   # the one place that draws a gap after a start
+        sim._take_rounds(rt, last)
+        assert rt.ticks == [rt.checkpoint] and rt.counted == 0
+
     sides = []
-    for take_rounds in (Simulation._take_rounds, _rounds_one_by_one):
+    for take_rounds in (counted_then_taken, _rounds_one_by_one):
         sim = Simulation(scenario, checkpoint_policy="independent", collect_log=False)
         rt = sim._spawn(sim.tasks[0], 1, start)
         stream, rate = sim.round_gaps[0][0], sim.round_gaps[1]
@@ -953,7 +964,7 @@ def test_independent_rounds_in_one_pass_match_one_settle_per_round(
                 ticks.append(tick)
                 tick = independent_next(twin, rate, tick)
             last = ticks[-1] if on_round and ticks else due + extra
-        rt.checkpoint, rt.anchor, rt.progress = due, anchor, progress
+        rt.checkpoint, rt.ticks, rt.anchor, rt.progress = due, [due], anchor, progress
         rt.restore_due, rt.pause_due, rt.contaminated = restore_due, pause_due, tainted
         sim.store.take(rt, start, 0, 0)   # an image before the batch
         take_rounds(sim, rt, last)
@@ -965,36 +976,45 @@ def test_independent_rounds_in_one_pass_match_one_settle_per_round(
     assert loop[2] - 1 == sum(tick <= last for tick in ticks)   # the rounds the batch held
 
 
-# -- sync rounds counted at a monitor round -------------------------------------
+# -- own rounds counted at a node's entry ----------------------------------------
 
 class _AppliedAtEveryRound(Simulation):
-    """The engine as it ran before sync rounds were counted: every event that
+    """The engine as it ran before own rounds were counted: every event that
     touches a node applies its own rounds due before it, then re-times the
-    node when a round fell due past those counted, so no round is ever
-    counted and every record comes from an applied ledger.  The reference
+    node, so no round is ever counted past an event and every record comes
+    from an applied ledger; the horizon, which retires the node, re-times
+    none.  Independent gaps are drawn here, one ``independent_next`` per
+    round as the batch holding it is applied, up to the first round not
+    due, as the engine drew them before it counted them.  The reference
     for ``_count_rounds``, and for ``_catch_up``, which counts them first."""
 
     def _catch_up(self, rt, t):
         due = rt.checkpoint
         if due is not None and due < t:
-            counted = rt.counted
+            if self.round_gaps is not None:   # the ticks the batch applies
+                streams, rate = self.round_gaps
+                ticks = rt.ticks
+                while ticks[-1] < t:
+                    ticks.append(independent_next(streams[rt.task.task_id], rate, ticks[-1]))
+                rt.counted = len(ticks) - 1
             self._take_rounds(rt, t - 1)
-            if not counted or due + counted * self.round_grid < t:
+            if t <= self.cfg.horizon:
                 self._retime(rt, t)
 
     def _count_rounds(self, rt, t):
         self._catch_up(rt, t)
 
 
-def _sync_outputs(cls, scenario, sched, plain=None):
-    """Run ``scenario`` under ``sched`` and sync with the log on; returns the
-    JSON report, the log and, after every event, the event's (time, seq,
-    kind) with each live node's completion record by vn id.  With ``plain``,
-    a list, every plain monitor round (one with no monitor cost that neither
-    finishes nor replaces its node, so its detail holds ``action=``) must
-    call neither ``VnLedger.settle`` nor ``CheckpointStore.take``, and
-    appends the rounds its node has counted."""
-    sim = cls(scenario, scheduler=sched, checkpoint_policy="sync")
+def _baseline_outputs(cls, scenario, sched, ckpt, plain=None):
+    """Run ``scenario`` under ``sched`` and ``ckpt`` (sync or independent)
+    with the log on; returns the JSON report, the log, after every event the
+    event's (time, seq, kind) with each live node's completion record by vn
+    id, and the state of each task's gap stream after the run.  With
+    ``plain``, a list, every plain monitor round (one with no monitor cost
+    that neither finishes nor replaces its node, so its detail holds
+    ``action=``) must call neither ``VnLedger.settle`` nor
+    ``CheckpointStore.take``, and appends the rounds its node has counted."""
+    sim = cls(scenario, scheduler=sched, checkpoint_policy=ckpt)
     log, handle, records, calls = sim._log, sim._handle_node, [], Counter()
 
     def recording_log(ev, detail):
@@ -1021,30 +1041,35 @@ def _sync_outputs(cls, scenario, sched, plain=None):
     with mock.patch.object(VnLedger, "settle", counting("settle", VnLedger.settle)), \
             mock.patch.object(CheckpointStore, "take", counting("take", CheckpointStore.take)):
         report, lines = sim.run()
-    return report.emit("json"), lines, records
+    streams = [stream.getstate() for stream in sim.round_gaps[0]] if sim.round_gaps else []
+    return report.emit("json"), lines, records, streams
 
 
-def _assert_counted_matches_applied(scenario, plain):
+def _assert_counted_matches_applied(scenario, plain, ckpt="sync"):
     for sched in SCHEDULERS:
-        counted = _sync_outputs(Simulation, scenario, sched, plain)
-        applied = _sync_outputs(_AppliedAtEveryRound, scenario, sched)
+        counted = _baseline_outputs(Simulation, scenario, sched, ckpt, plain)
+        applied = _baseline_outputs(_AppliedAtEveryRound, scenario, sched, ckpt)
         assert counted[:2] == applied[:2], sched
         assert len(counted[2]) == len(applied[2]), sched
         for mine, theirs in zip(counted[2], applied[2]):
             assert mine == theirs, sched
+        assert counted[3] == applied[3], sched
 
 
 @st.composite
-def _sync_configs(draw):
-    """Small valid configs for sync: the write cost above and below the grid
-    step ``ft_interval``, restore backlogs longer than a step, ``monitor_cost``
-    0 and above, and faults that replace nodes."""
+def _baseline_configs(draw, ckpt):
+    """Small valid configs for sync or independent: the write cost above and
+    below the grid step ``ft_interval`` (sync) or the mean gap
+    ``indep_mean_gap`` (independent), restore backlogs longer than a step
+    or a gap, ``monitor_cost`` 0 and above, and faults that replace nodes."""
     tasks = draw(st.integers(1, 6))
     capacity = draw(st.integers(1, 3))
     need = -(-tasks // capacity)
     horizon = draw(st.integers(60, 400))
     base = draw(st.integers(1, 10))
     step = base + draw(st.integers(0, 10))
+    mean = draw(st.integers(1, 12))
+    gap = step if ckpt == "sync" else mean
     start = draw(st.integers(0, horizon // 2))
     demand = draw(st.integers(10, 300))
     return validate_config({
@@ -1052,10 +1077,10 @@ def _sync_configs(draw):
         "server_count": draw(st.integers(need, need + 2)), "server_capacity": capacity,
         "demand_min": demand, "demand_max": demand + draw(st.integers(0, 100)),
         "horizon": horizon, "sla_bound": draw(st.integers(5, 60)),
-        "base_interval": base, "ft_interval": step,
+        "base_interval": base, "ft_interval": step, "indep_mean_gap": mean,
         "interval_growth": draw(st.sampled_from(("triangular", "geometric"))),
-        "checkpoint_write_cost": draw(st.integers(0, 2 * step + 2)),
-        "restart_cost": draw(st.integers(0, 3 * step)),
+        "checkpoint_write_cost": draw(st.integers(0, 2 * gap + 2)),
+        "restart_cost": draw(st.integers(0, 3 * gap)),
         "monitor_cost": draw(st.sampled_from((0, 0, 1, 3))),
         "propagation_prob": draw(st.sampled_from((0.0, 0.3))),
         "detect_prob": draw(st.sampled_from((0.5, 1.0))),
@@ -1068,7 +1093,7 @@ def _sync_configs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_sync_configs())
+@given(_baseline_configs("sync"))
 def test_sync_rounds_counted_at_a_monitor_round_match_rounds_applied_there(cfg):
     """Under sync a monitor round, and a completion entry that pops, count a
     node's own rounds due before them into its completion record and apply
@@ -1081,6 +1106,20 @@ def test_sync_rounds_counted_at_a_monitor_round_match_rounds_applied_there(cfg):
     _assert_counted_matches_applied(Scenario.from_config(cfg), [])
 
 
+@settings(max_examples=60, deadline=None)
+@given(_baseline_configs("independent"))
+def test_independent_rounds_counted_at_a_node_entry_match_rounds_applied_there(cfg):
+    """The same comparison under independent: a node's entry draws the gaps
+    of its own rounds due before it, once each, and counts the rounds into
+    its completion record, applying none; the batch is applied over the
+    drawn ticks where the ledger or the store is read or changed.  Besides
+    the report, the log and every completion record after every event, each
+    task's gap stream ends in the same state, so the count draws what the
+    reference draws as it applies, no more and no fewer.  A plain monitor
+    round settles no ledger and writes no image."""
+    _assert_counted_matches_applied(Scenario.from_config(cfg), [], "independent")
+
+
 def test_desk_sync_monitor_rounds_count_rounds_and_settle_nothing():
     """The same comparison on desk at seeds 1 and 2, whose monitor gaps
     grow past the grid step, so plain monitor rounds count rounds: most of
@@ -1089,6 +1128,19 @@ def test_desk_sync_monitor_rounds_count_rounds_and_settle_nothing():
     for seed in (1, 2):
         _assert_counted_matches_applied(Scenario.from_config(load_config(DESK, {"seed": seed})),
                                         plain)
+    assert len(plain) > 1000
+    assert sum(rounds > 0 for rounds in plain) > len(plain) // 2
+
+
+def test_desk_independent_node_entries_count_rounds_and_settle_nothing():
+    """The independent comparison on desk at seeds 1 and 2 and on
+    ``costly-writes.cfg`` at seed 1, whose write cost is above many of its
+    drawn gaps: plain monitor rounds count rounds, most of them, with none
+    settled or written."""
+    plain = []
+    for cfg in (load_config(DESK, {"seed": 1}), load_config(DESK, {"seed": 2}),
+                load_config(COSTLY, {"seed": 1})):
+        _assert_counted_matches_applied(Scenario.from_config(cfg), plain, "independent")
     assert len(plain) > 1000
     assert sum(rounds > 0 for rounds in plain) > len(plain) // 2
 
@@ -1627,7 +1679,7 @@ def test_tcc_logs_hold_stale_pops_only_where_a_migration_or_crash_left_them(sche
 
 def test_independent_logs_hold_a_stale_pop_only_at_a_moved_completion_or_a_crash():
     """Under independent a node's own checkpoint rounds are not events: no
-    ``checkpoint`` line is logged.  They are applied when an event next
+    ``checkpoint`` line is logged.  They are counted when an event next
     touches the node, so they can move a queued completion later, and
     nothing else moves a node's records but a crash (no migration).  So
     every ``stale=1`` line is a ``complete`` entry or the entry of a node
@@ -1943,22 +1995,36 @@ def _job_index_holds(sim, ev):
             assert id(target) in indexed, (ev, target.vn_id)
 
 
+def _round_tick(sim, rt, k):
+    """The tick of the node's own round ``k`` rounds after its next one, for
+    k up to ``counted``: on the grid under sync, drawn under independent."""
+    if sim.round_grid is not None:
+        return rt.checkpoint + k * sim.round_grid
+    return rt.ticks[k]
+
+
 def _pending_holds(sim, ev):
     """The counter identity: every settled tick is attributed once, the
     unserved counters are served restore first, and a live node's recorded
-    completion is the one its ledger gives plus the write cost of each sync
+    completion is the one its ledger gives plus the write cost of each own
     round counted into it and not yet applied, or None exactly when its
     ledger stopped: a crash, the one record of which is the node's schedule.
-    Counted rounds are grid rounds from the node's next round on, each due
-    before the event."""
-    step = sim.round_grid
+    Counted rounds are sync or independent rounds from the node's next round
+    on, each due before the event.  An independent node keeps the ticks of
+    its counted rounds in order, from its next round on, and the drawn tick
+    of the first round not counted last."""
     for rt in _live(sim):
         assert rt.work + rt.pause + rt.restore == rt.anchor - rt.start, ev
         assert rt.restore_due >= 0 and rt.pause_due >= 0, ev
         assert not rt.restore_due or rt.work == rt.pause == 0, ev
         assert (rt.completion is None) == (rt.stopped is not None), ev
+        assert (rt.ticks is not None) == (sim.round_gaps is not None), ev
+        if rt.ticks is not None and rt.checkpoint is not None:
+            assert len(rt.ticks) == rt.counted + 1 and rt.ticks[0] == rt.checkpoint, ev
+            assert all(a < b for a, b in zip(rt.ticks, rt.ticks[1:])), ev
         if rt.counted:
-            assert step is not None and rt.checkpoint + (rt.counted - 1) * step < ev[0], ev
+            assert rt.checkpoint is not None and sim.report.checkpoint_policy != "tcc", ev
+            assert _round_tick(sim, rt, rt.counted - 1) < ev[0], ev
         if rt.completion is not None:
             pending = rt.counted * sim.cfg.checkpoint_write_cost
             assert rt.completion[0] == rt.completion_time(rt.task.demand) + pending, ev
@@ -1989,7 +2055,7 @@ def _node_entry_holds(sim, ev):
     entry's key is the earlier of its monitor round and its completion (its
     monitor round once it crashed).  Only two entries may be earlier: a
     ``complete`` entry whose completion the node's own sync or independent
-    rounds, applied when an event touched it, moved later after it was
+    rounds, counted when an event touched it, moved later after it was
     queued, and the entry of a crashed node, whose crash cleared the record
     it was queued under.  Either pops stale and ``_handle_node`` queues the
     node again."""
@@ -2028,8 +2094,8 @@ def _own_rounds_hold(sim, ev):
     rounds first.  A node that the event crashed has no next round left, so
     its task's latest image is checked instead: it is no older than the
     round that was due before ``t``.  A node whose schedule alone changed
-    has every round due before ``t`` applied or, under sync, counted into
-    its completion.  A node has no own round under tcc or once it crashed,
+    has every round due before ``t`` applied or counted into its
+    completion.  A node has no own round under tcc or once it crashed,
     and its sync rounds fall on the job-wide ``ft_interval`` grid."""
     t = ev[0]
     states = sim.node_states
@@ -2047,7 +2113,7 @@ def _own_rounds_hold(sim, ev):
                 latest = sim.store.latest(rt.task.task_id)
                 assert latest is not None and latest.time >= prior_due, (ev, rt.vn_id)
         elif schedule != prior_schedule and due is not None:
-            assert due + rt.counted * sim.cfg.ft_interval >= t, (ev, rt.vn_id, due, rt.counted)
+            assert _round_tick(sim, rt, rt.counted) >= t, (ev, rt.vn_id, due, rt.counted)
         states[rt.vn_id] = ledger, schedule, due
 
 
