@@ -22,13 +22,13 @@ only the node's completion record until it charges, finishes or replaces
 the node, so it only counts the rounds due before it into the record, each
 adding the write cost (``_count_rounds``); whenever an event reads or
 changes the node's ledger, contamination or store images at tick ``t``, the
-engine first applies every round due strictly before ``t``, counted, in
-order, and writes one image for them (``_catch_up``): a batch of sync
-rounds in closed form, and a batch of independent rounds in one pass over
-the gaps their count drew (``_take_rounds``).  A round due at ``t`` runs
-after the node's event at ``t``; the horizon applies the rounds due at or
-before it.  Sync rounds fall on the job-wide grid of ``ft_interval`` ticks.
-Each independent task draws its gaps from its own stream, keyed by seed,
+engine first counts the rounds due strictly before ``t``, then applies
+exactly the rounds counted, in order, with one image (``_catch_up``): a
+sync batch in closed form, an independent batch in one pass over the gaps
+its count drew (``_take_rounds``).  A round due at ``t`` runs after the
+node's event at ``t``; the horizon applies the rounds due at or before it.
+Sync rounds fall on the job-wide grid of ``ft_interval`` ticks.  Each
+independent task draws its gaps from its own stream, keyed by seed,
 purpose and task id, so a task's gaps do not depend on the scheduler or on
 any other draw of the run; a count draws each gap once, up to the first
 round not yet due, and keeps the ticks on the node.
@@ -445,8 +445,10 @@ class Simulation:
                  checkpoint_policy: str | None = None, collect_log: bool = True):
         cfg = scenario.cfg
         self.cfg = cfg
-        scheduler = scheduler or cfg.scheduler
-        checkpoint_policy = checkpoint_policy or cfg.checkpoint_policy
+        if scheduler is None:
+            scheduler = cfg.scheduler
+        if checkpoint_policy is None:
+            checkpoint_policy = cfg.checkpoint_policy
         if scheduler not in PLACEMENT:
             raise ConfigError(f"scheduler must be one of {tuple(PLACEMENT)}")
         if checkpoint_policy not in CHECKPOINTING:
@@ -552,21 +554,19 @@ class Simulation:
         completion record, applying none.  A settle leaves the ledger's
         completion where it is and each round adds its write cost, so the
         record is the ledger's completion plus the cost times the rounds
-        counted, the one applying them gives, which ``_catch_up`` keeps; a
-        fresh seq is taken only when a round fell due since the last
-        record.  Sync rounds are counted on the grid.  Independent rounds
-        are drawn: the one place their gaps are drawn, each once, by
-        ``independent_next``'s formula, up to the first round due at or
-        after ``t``, whose tick is kept last in ``ticks``."""
+        counted, the one applying them gives; a fresh seq is taken only when
+        a round fell due since the last record.  ``counted`` is the batch
+        ``_take_rounds`` applies.  Sync rounds are counted on the grid.
+        Independent rounds are drawn: the one place their gaps are drawn,
+        each once, by ``independent_next``'s formula, up to the first round
+        due at or after ``t``, whose tick is kept last in ``ticks``."""
         due = rt.checkpoint
-        if due is None or due >= t:
+        if due >= t:
             return
         step = self.round_grid
         if step is None:
             ticks = rt.ticks
             tick = ticks[-1]
-            if tick >= t:
-                return
             streams, rate = self.round_gaps
             draw = streams[rt.task.task_id].random
             while tick < t:
@@ -577,8 +577,8 @@ class Simulation:
             rounds = len(ticks) - 1
         else:
             rounds = (t - 1 - due) // step + 1
-            if rounds <= rt.counted:
-                return
+        if rounds <= rt.counted:
+            return
         rt.counted = rounds
         queue = self.queue
         seq = queue._seq
@@ -589,22 +589,23 @@ class Simulation:
     def _catch_up(self, rt: VirtualNode, t: int) -> None:
         """Apply the node's own rounds due strictly before ``t``, before the
         engine reads or changes its ledger, contamination or images, and
-        record the moved completion once: ``_count_rounds`` brings the record
-        up to date, and ``_take_rounds`` applies what it counted.  A round
-        due at ``t`` runs after the node's event at ``t``: a node that
-        finishes, crashes or is replaced at ``t`` takes no image at ``t``."""
+        record the moved completion once: ``_count_rounds`` brings the count
+        and the record up to ``t``, and ``_take_rounds`` applies the rounds
+        counted.  A round due at ``t`` runs after the node's event at ``t``:
+        a node that finishes, crashes or is replaced at ``t`` takes no image
+        at ``t``."""
         due = rt.checkpoint
         if due is not None and due < t:   # tcc has no own rounds
             self._count_rounds(rt, t)
-            self._take_rounds(rt, t - 1)
+            self._take_rounds(rt)
 
-    def _take_rounds(self, rt: VirtualNode, last: int) -> None:
-        """Apply the node's own rounds due at or before ``last``, in order,
-        leaving the ledger as a settle to each round's tick followed by its
-        write's pause would, the next round due where its policy puts it and
-        none counted.  The batch writes one image, its last round's, standing
-        for every round of it: nothing changed the node's taint between them,
-        so no rollback could restore an earlier one.
+    def _take_rounds(self, rt: VirtualNode) -> None:
+        """Apply the ``counted`` rounds from the node's next round on, in
+        order, leaving the ledger as a settle to each round's tick followed
+        by its write's pause would, the next round due where its policy puts
+        it and none counted.  The batch writes one image, its last round's,
+        standing for every round of it: nothing changed the node's taint
+        between them, so no rollback could restore an earlier one.
 
         Only the first round settles: no event settles a node past its next
         round, so each later round finds the ledger at the round before it.
@@ -614,30 +615,26 @@ class Simulation:
         backlog runs out each step serves its own round's pause and works
         the rest, as the one settle does; if it does not, the backlog the
         first round leaves, at least the write cost, never runs out, and
-        neither form works.  Drawn rounds (independent) are the ones
-        ``_count_rounds`` counted up to ``last`` + 1, and draw nothing here:
-        one pass over their ticks advances the unserved backlog b (restore
-        and pause) and the worked ticks in locals by Lindley's recursion,
+        neither form works.  Drawn rounds (independent) are applied over
+        the ticks their count drew, and draw nothing here: one pass over
+        them advances the unserved backlog b (restore and pause) and the
+        worked ticks in locals by Lindley's recursion,
         b <- max(b - gap, 0) + cost, exact for any write cost.  The ledger
         is then written once, its restore served first."""
-        due = rt.checkpoint
-        if due > last:
-            return
+        due, rounds = rt.checkpoint, rt.counted
         if due > rt.anchor:
             rt.settle(due)
         cost = self.cfg.checkpoint_write_cost
         step = self.round_grid
         if step is not None:
-            rest = (last - due) // step   # the rounds after the first
-            tick = due + rest * step
-            if rest:
-                rt.pause_due += rest * cost   # every round's but the last's
+            tick = due + (rounds - 1) * step
+            if rounds > 1:
+                rt.pause_due += (rounds - 1) * cost   # every round's but the last's
                 rt.settle(tick)
             rt.pause_due += cost
-            rounds = rest + 1
             due = tick + step
         else:
-            ticks, rounds = rt.ticks, rt.counted
+            ticks = rt.ticks
             restore_due = rt.restore_due
             backlog = restore_due + rt.pause_due + cost   # unserved, after the first round
             first = tick = due

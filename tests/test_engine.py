@@ -903,8 +903,13 @@ def test_sync_rounds_in_closed_form_match_one_settle_per_round(
     due = start - start % step + first * step   # the node's next round, on the grid
     anchor = max(start, due - lead)             # settled up to its next round at most
     last = due + whole * step + part % step - (earlier if whole == part == 0 else 0)
+
+    def caught_up(sim, rt, last):
+        sim._catch_up(rt, last + 1)   # counts the rounds due before last + 1, then applies them
+        assert rt.counted == 0
+
     sides = []
-    for take_rounds in (Simulation._take_rounds, _rounds_one_by_one):
+    for take_rounds in (caught_up, _rounds_one_by_one):
         sim = Simulation(scenario, checkpoint_policy="sync", collect_log=False)
         rt = sim._spawn(sim.tasks[0], 1, start)
         assert rt.checkpoint == start - start % step + step
@@ -947,13 +952,12 @@ def test_independent_rounds_in_one_pass_match_one_settle_per_round(
     due = start + first                 # the node's next round
     anchor = max(start, due - lead)     # settled up to its next round at most
 
-    def counted_then_taken(sim, rt, last):
-        sim._count_rounds(rt, last + 1)   # the one place that draws a gap after a start
-        sim._take_rounds(rt, last)
+    def caught_up(sim, rt, last):
+        sim._catch_up(rt, last + 1)   # its count is the one place that draws a gap after a start
         assert rt.ticks == [rt.checkpoint] and rt.counted == 0
 
     sides = []
-    for take_rounds in (counted_then_taken, _rounds_one_by_one):
+    for take_rounds in (caught_up, _rounds_one_by_one):
         sim = Simulation(scenario, checkpoint_policy="independent", collect_log=False)
         rt = sim._spawn(sim.tasks[0], 1, start)
         stream, rate = sim.round_gaps[0][0], sim.round_gaps[1]
@@ -979,13 +983,13 @@ def test_independent_rounds_in_one_pass_match_one_settle_per_round(
 # -- own rounds counted at a node's entry ----------------------------------------
 
 class _AppliedAtEveryRound(Simulation):
-    """The engine as it ran before own rounds were counted: every event that
-    touches a node applies its own rounds due before it, then re-times the
-    node, so no round is ever counted past an event and every record comes
-    from an applied ledger; the horizon, which retires the node, re-times
-    none.  Independent gaps are drawn here, one ``independent_next`` per
-    round as the batch holding it is applied, up to the first round not
-    due, as the engine drew them before it counted them.  The reference
+    """A reference engine in which every event that touches a node applies
+    its own rounds due before it, then re-times the node, so no round is
+    ever counted past an event and every record comes from an applied
+    ledger; the horizon, which retires the node, re-times none.  Each batch
+    is counted here, not by ``_count_rounds``: sync rounds on the grid, and
+    independent gaps drawn one ``independent_next`` per round as the batch
+    holding it is applied, up to the first round not due.  The reference
     for ``_count_rounds``, and for ``_catch_up``, which counts them first."""
 
     def _catch_up(self, rt, t):
@@ -997,7 +1001,9 @@ class _AppliedAtEveryRound(Simulation):
                 while ticks[-1] < t:
                     ticks.append(independent_next(streams[rt.task.task_id], rate, ticks[-1]))
                 rt.counted = len(ticks) - 1
-            self._take_rounds(rt, t - 1)
+            else:   # the grid rounds due before t
+                rt.counted = (t - 1 - due) // self.round_grid + 1
+            self._take_rounds(rt)
             if t <= self.cfg.horizon:
                 self._retime(rt, t)
 
@@ -1122,12 +1128,13 @@ def test_independent_rounds_counted_at_a_node_entry_match_rounds_applied_there(c
 
 def test_desk_sync_monitor_rounds_count_rounds_and_settle_nothing():
     """The same comparison on desk at seeds 1 and 2, whose monitor gaps
-    grow past the grid step, so plain monitor rounds count rounds: most of
-    them, with none settled or written."""
+    grow past the grid step, so plain monitor rounds count rounds, and on
+    ``costly-writes.cfg`` at seed 1, whose restore backlogs outlast a step:
+    most plain monitor rounds count rounds, with none settled or written."""
     plain = []
-    for seed in (1, 2):
-        _assert_counted_matches_applied(Scenario.from_config(load_config(DESK, {"seed": seed})),
-                                        plain)
+    for cfg in (load_config(DESK, {"seed": 1}), load_config(DESK, {"seed": 2}),
+                load_config(COSTLY, {"seed": 1})):
+        _assert_counted_matches_applied(Scenario.from_config(cfg), plain)
     assert len(plain) > 1000
     assert sum(rounds > 0 for rounds in plain) > len(plain) // 2
 
@@ -1193,11 +1200,17 @@ def test_policy_tables_name_the_config_tags():
     ({"scheduler": "WSSS"}, r"scheduler must be one of \('wsss', 'mesf', 'random'\)"),
     ({"checkpoint_policy": "none"},
      r"checkpoint_policy must be one of \('tcc', 'sync', 'independent'\)"),
-], ids=["scheduler", "checkpoint_policy"])
+    ({"scheduler": ""}, r"scheduler must be one of"),
+    ({"checkpoint_policy": ""}, r"checkpoint_policy must be one of"),
+], ids=["scheduler", "checkpoint_policy", "empty_scheduler", "empty_checkpoint_policy"])
 def test_unknown_policy_tags_are_config_errors(tags, needle):
-    scenario = Scenario.from_config(cluster_cfg())
+    """Only ``None`` means the config's policy: any other tag, the empty one
+    too, must name a policy."""
+    cfg = cluster_cfg()
     with pytest.raises(ConfigError, match=needle):
-        Simulation(scenario, **tags).run()
+        Simulation(Scenario.from_config(cfg), **tags).run()
+    with pytest.raises(ConfigError, match=needle):
+        run_scenario(cfg, **tags)
 
 
 def _identity_holds(report) -> bool:
@@ -1418,20 +1431,9 @@ DESK_REPORTS_SHA256 = "7aa62f7a513a6a2e5954581d7029d6384767dcfb536d793f39925eaf2
 
 
 def test_desk_reports_match_the_pin():
-    """Guards refactors that must keep every report byte-identical.
-
-    The pin was computed on the engine as it stood before completion events
-    were re-queued lazily and before runs stopped deep-copying the workload;
-    both changes kept it.  Recomputed when an independent node's own rounds
-    became ticks applied when the engine next touches the node, each task
-    drawing its gaps from its own stream: every independent report changed,
-    and the tcc and sync reports kept their bytes.  Recomputed again when
-    sync rounds became own rounds on the ``ft_interval`` grid, applied as
-    independent ones are: a round due at a node's event runs after it, so a
-    node finishing or restarted on a round tick takes no image there; 4 of
-    6 sync reports changed, and the tcc and independent reports kept their
-    bytes.  A change that alters reports on purpose updates the pin and says
-    so in CHANGES.md."""
+    """Pins every desk report, so a refactor keeps each byte-identical; a
+    change that alters reports on purpose updates the pin and says so in
+    CHANGES.md."""
     digest = hashlib.sha256()
     for seed in (1, 2):
         cfg = load_config(DESK, {"seed": seed})
@@ -1461,14 +1463,9 @@ STORM_REPORTS_SHA256 = "b93fa1154d48fe9dd52413aad3e38dc3bc7b49d777f365c1354db64e
 
 
 def test_storm_reports_match_the_pin():
-    """Pins the paths the desk pin misses: contamination exchange, job
-    migration, crashes.  The pin was computed before live nodes were indexed
-    by job.  Recomputed, as DESK_REPORTS_SHA256, when independent rounds
-    became ticks applied on the node's next touch: only independent reports
-    changed.  Recomputed again, as DESK_REPORTS_SHA256, when sync rounds
-    became own rounds: 5 of 6 sync reports changed, and the tcc and
-    independent reports kept their bytes.  A change that alters reports on
-    purpose updates it and says so in CHANGES.md."""
+    """Pins the storm reports, on the paths the desk pin misses: contamination
+    exchange, job migration, crashes; a change that alters reports on
+    purpose updates the pin and says so in CHANGES.md."""
     digest = hashlib.sha256()
     migrated = spread = False
     for seed in (1, 2):
@@ -1521,32 +1518,8 @@ EVENT_LOGS_SHA256 = "6fc28687934f49b1f4fca5c0dd93707f985c3b65e9378d1008d1577f2f1
 
 
 def test_event_logs_match_the_pin():
-    """Pins every log line, which the report pins do not see.  The pin was
-    recomputed when the run loop became the one horizon check: an event due
-    past the horizon is queued and takes a sequence number, so the ``seq``
-    column shifts while every other column stays the same.  Recomputed again
-    when a crash stopped writing S2 into the node's detection state: a
-    crashed node's detection round reads ``state=S0>S2`` (or ``S1>S2``)
-    where it read ``S2>S2``, and ``migration_done`` is logged when the moved
-    nodes' restore ends, later under ``mesf+tcc``.  Recomputed again when
-    each live node kept one queued entry in place of a monitor round and a
-    completion event: only ``stale=1`` lines are gone, and every other line
-    keeps LIVE_LOG_LINES_SHA256.  Recomputed again when a node's independent
-    checkpoint rounds joined its one entry: again only ``stale=1`` lines are
-    gone (3,098 to 1,264).  Recomputed again when independent rounds became
-    ticks applied on the node's next touch, each task on its own gap stream:
-    independent logs hold no ``checkpoint`` line (39,831 to 7,404 lines over
-    the desk runs' and 11,338 to 2,625 over the storm runs'), every later
-    ``seq`` shifts, and a ``complete`` entry that applying own rounds moved
-    later pops ``stale=1``; the tcc and sync logs kept their bytes.
-    Recomputed again when sync rounds became own rounds, as
-    DESK_REPORTS_SHA256 names: sync logs hold no ``checkpoint`` line (11,458
-    to 7,517 lines over the desk runs' and 4,106 to 2,447 over the storm
-    runs'), their ``seq`` column shifts, and a ``complete`` entry that
-    applying own rounds moved later pops ``stale=1``; an independent log's
-    ``horizon_end`` takes a lower ``seq`` where the horizon used to re-time
-    a node; the tcc logs kept their bytes.  A change that alters the log on
-    purpose updates it and says so in CHANGES.md."""
+    """Pins every log line, which the report pins do not see; a change that
+    alters the log on purpose updates the pin and says so in CHANGES.md."""
     digest = hashlib.sha256()
     for log in _pinned_logs():
         digest.update(("\n".join(log) + "\n").encode())
@@ -1586,16 +1559,9 @@ COSTLY_STORM_REPORTS_SHA256 = "0cb0adeb3a77373b6c5e1e7550791c94303c9f9e1d785cf72
 
 
 def test_costly_storm_reports_match_the_pin():
-    """Computed on the engine as it stood before the run loop became the one
-    horizon check and a node's completion event was queued once; that change
-    kept it.  Recomputed, as DESK_REPORTS_SHA256, when independent rounds
-    became ticks applied on the node's next touch: only independent reports
-    changed.  Recomputed again, as DESK_REPORTS_SHA256, when sync rounds
-    became own rounds: every sync report changed, and so did one independent
-    report (random at seed 2, 1,695 to 1,696 images), whose node had a round
-    due at the horizon tick, which the horizon now applies; the tcc reports
-    kept their bytes.  A change that alters reports on purpose updates the
-    pin and says so in CHANGES.md."""
+    """Pins the reports with every cost non-zero, which the zero-cost pins
+    miss; a change that alters reports on purpose updates the pin and says
+    so in CHANGES.md."""
     digest = hashlib.sha256()
     for report, _ in _costly_storm_outputs():
         digest.update(report.emit("json").encode())
@@ -1607,23 +1573,9 @@ COSTLY_STORM_LOGS_SHA256 = "917a0e1614ca2bb9a39b674f99377eb8a5bf08e90f9a8af25511
 
 
 def test_costly_storm_logs_match_the_pin():
-    """Recomputed when the run loop became the one horizon check and a node's
-    completion event was queued once: the ``seq`` column shifts as in
-    EVENT_LOGS_SHA256, and a verification round's monitor charge no longer
-    queues a completion event for the node it retires, so those ``stale=1``
-    lines are gone.  Recomputed again, as EVENT_LOGS_SHA256, when a crash
-    stopped writing S2 and ``migration_done`` moved to the end of the
-    restore, and when each live node kept one queued entry: only ``stale=1``
-    lines are gone, as in EVENT_LOGS_SHA256.  Recomputed again, as
-    EVENT_LOGS_SHA256, when independent rounds joined the node's entry: only
-    ``stale=1`` lines are gone (798 to 386).  Recomputed again, as
-    EVENT_LOGS_SHA256, when independent rounds became ticks applied on the
-    node's next touch (independent lines 12,613 to 2,830); the tcc and sync
-    logs kept their bytes.  Recomputed again, as EVENT_LOGS_SHA256, when sync
-    rounds became own rounds (sync lines 4,641 to 2,753, and independent
-    ``horizon_end`` lines take a lower ``seq``); the tcc logs kept their
-    bytes.  A change that alters the log on purpose updates the pin and says
-    so in CHANGES.md."""
+    """Pins the logs with every cost non-zero, which the zero-cost pins miss;
+    a change that alters the log on purpose updates the pin and says so in
+    CHANGES.md."""
     digest = hashlib.sha256()
     for _, log in _costly_storm_outputs():
         digest.update(("\n".join(log) + "\n").encode())
@@ -1636,16 +1588,10 @@ LIVE_LOG_LINES_SHA256 = "ab96f3e9c65a7ee057f7f844456366c11e651ea0a807eb6de716f60
 
 
 def test_log_lines_other_than_stale_pops_match_the_pin():
-    """Computed while a live node kept both its monitor round and its
-    completion event queued.  Queueing one entry per live node, and then
-    folding its independent checkpoint rounds into that entry, removed
-    ``stale=1`` lines only: every other line, its ``seq`` included, kept
-    the pin.  Recomputed when independent rounds became ticks applied on
-    the node's next touch, as EVENT_LOGS_SHA256 names: the independent lines
-    changed, and the tcc and sync lines kept their bytes.  Recomputed again
-    when sync rounds became own rounds, as EVENT_LOGS_SHA256 names: the sync
-    lines and the independent ``horizon_end`` lines changed, and the tcc
-    lines kept their bytes."""
+    """Pins the log lines other than ``stale=1`` pops, ``seq`` included, so a
+    change to when stale entries are queued shows apart from one to any
+    other line; a change that alters them on purpose updates the pin and
+    says so in CHANGES.md."""
     digest = hashlib.sha256()
     logs = [*_pinned_logs(), *(log for _, log in _costly_storm_outputs())]
     for log in logs:
