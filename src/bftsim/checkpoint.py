@@ -1,16 +1,13 @@
-"""Checkpoint policies: the hybrid interval-tracking policy and two baselines.
+"""Checkpoint rules and storage, read by the policy classes in ``engine.py``
+(``TccCheckpointing``, ``SyncCheckpointing``, ``IndependentCheckpointing``).
 
-The hybrid policy (tag ``tcc``) compares the job's fault-tolerance interval
-against the monitoring gap a node just earned.  A grown gap means the node
-performed: take a fresh confirmed checkpoint and stretch the interval.  A
-collapsed gap means trouble: restart the node from its previous confirmed
-checkpoint, and once a job accumulates more restarts than the migration
-threshold, halt and migrate the whole job from a job-consistent image.
-
-Baselines: ``sync`` images every node of a job at a fixed cadence
-regardless of health; ``independent`` images each node at uncoordinated
-seeded-random times and can only fall back to the initial state when its
-latest image is untrusted.
+``tcc_round`` is ``tcc``'s round rule: a node's gap that grew past its last
+one confirms a fresh image, and a collapsed gap restarts the node from its
+previous confirmed image, or migrates the whole job from a job-consistent
+image once the job's restarts pass the migration threshold.
+``CheckpointStore`` keeps every policy's images by lineage,
+``rollback_loss`` prices a rollback, and ``independent_next`` draws the gap
+to an ``independent`` node's next round.
 """
 
 from __future__ import annotations
@@ -38,17 +35,17 @@ PREVIOUS_RESTART = TccActionKind.PREVIOUS_RESTART
 JOB_MIGRATION = TccActionKind.JOB_MIGRATION
 
 
-def tcc_round(ft_interval: int, gap: int, restarts: int,
+def tcc_round(interval: int, gap: int, restarts: int,
               migration_threshold: int) -> tuple[TccActionKind, int]:
     """Decide the checkpoint action for one node after its monitor round.
 
-    ``gap`` is the monitoring gap just assigned by the interval update; on a
-    confirmed checkpoint it becomes the node's interval.
+    ``interval`` is the node's gap before this round and ``gap`` the one
+    the interval update just assigned: a grown gap confirms an image.
     ``restarts`` counts the job's restarts since its last migration; returns
     the action and the new count: a restart increments it, a migration
     resets it to zero.
     """
-    if ft_interval < gap:
+    if interval < gap:
         return CONFIRMED_CHECKPOINT, restarts
     restarts += 1
     if restarts > migration_threshold:

@@ -24,7 +24,7 @@ GROWTH_POLICIES = ("triangular", "geometric")
 class SimConfig:
     # monitoring / detection
     base_interval: int = 10          # pre-set initial monitoring interval
-    ft_interval: int = 10            # initial fault-tolerance interval
+    ft_interval: int = 10            # sync's checkpoint cadence (its grid step)
     sla_bound: int = 100             # SLA delay bound D of every task
     delay_normal_frac: float = 1.0   # delay class thresholds, fractions of D
     delay_high_frac: float = 2.0

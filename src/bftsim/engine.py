@@ -366,20 +366,20 @@ class Checkpointing:
 
 
 class TccCheckpointing(Checkpointing):
-    """Confirms an image while the gap grows, restarts from the previous one
-    when it collapses, and migrates the job past the restart threshold.  A
-    node's interval, ``ft_interval`` until a round confirms, is its gap once
-    the gap has passed ``ft_interval``: each round confirms or retires it."""
+    """Confirms an image when a round grows the node's gap, restarts it from
+    its previous image when the gap collapses, and migrates the job past the
+    restart threshold.  A node's interval is its own last gap: ``tcc`` reads
+    no ``ft_interval``."""
 
     def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: str,
                    in_monitor: bool) -> str:
         job_id = rt.task.job_id
-        interval = rt.gap if rt.gap > sim.cfg.ft_interval else sim.cfg.ft_interval
-        kind, sim.restarts[job_id] = tcc_round(interval, gap, sim.restarts[job_id],
+        kind, sim.restarts[job_id] = tcc_round(rt.gap, gap, sim.restarts[job_id],
                                                sim.cfg.migration_threshold)
         if kind is CONFIRMED_CHECKPOINT:
             # only a monitor round confirms: a rejected output's gap is base_interval
-            sim._retime(rt, t, sim.cfg.checkpoint_write_cost, image=True)
+            sim._retime(rt, t, sim.cfg.checkpoint_write_cost)
+            sim.store.take(rt, t, rt.progress, rt.task.task_id)
             if not sim.collect_log:
                 return ""
             return f";tcc=confirmed;delta={gap}"
@@ -533,16 +533,14 @@ class Simulation:
         self._queue_node(rt)
         return rt
 
-    def _retime(self, rt: VirtualNode, t: int, pause: int = 0, image: bool = False) -> None:
-        """Settle the node to ``t``, image it with ``image``, add ``pause``
-        unserved ticks and record its new completion under the next sequence
-        number: one pass per checkpoint write.  It queues nothing: a completion
-        entry that own rounds moved pops stale and ``_handle_node`` queues the
-        node again."""
+    def _retime(self, rt: VirtualNode, t: int, pause: int = 0) -> None:
+        """Settle the node to ``t``, add ``pause`` unserved ticks and record
+        its new completion under the next sequence number: one pass per
+        checkpoint write, after which the caller images the settled node.
+        It queues nothing: a completion entry that own rounds moved pops
+        stale and ``_handle_node`` queues the node again."""
         if t > rt.anchor:
             rt.settle(t)
-        if image:
-            self.store.take(rt, t, rt.progress, rt.task.task_id)
         rt.pause_due = pause = rt.pause_due + pause
         queue = self.queue
         seq = queue._seq

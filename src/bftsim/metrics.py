@@ -185,8 +185,10 @@ class MetricsReport:
             report = cls(values["scenario_id"], int(values["seed"]),
                          values["scheduler"], values["checkpoint_policy"])
             for m in SCALAR_METRICS:
-                v = float(values[m])
-                report.scalars[m] = int(v) if v.is_integer() and "." not in values[m] else v
+                try:
+                    report.scalars[m] = int(values[m])
+                except ValueError:
+                    report.scalars[m] = float(values[m])
             for m in SAMPLE_METRICS:
                 report.samples[m] = SampleStat.from_dict(
                     {stat: values[f"{m}.{stat}"] for stat in ("count", "mean", "stddev", "low", "high")})

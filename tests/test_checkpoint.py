@@ -23,25 +23,25 @@ def _vn(vn_id=1, contaminated=False, crashed=False):
 
 
 def test_tcc_grown_gap_confirms_and_stretches_interval():
-    action, restarts = tcc_round(ft_interval=10, gap=20, restarts=0, migration_threshold=5)
+    action, restarts = tcc_round(interval=10, gap=20, restarts=0, migration_threshold=5)
     assert action is TccActionKind.CONFIRMED_CHECKPOINT
     assert restarts == 0
 
 
 def test_tcc_collapsed_gap_restarts_and_counts():
-    action, restarts = tcc_round(ft_interval=20, gap=10, restarts=0, migration_threshold=5)
+    action, restarts = tcc_round(interval=20, gap=10, restarts=0, migration_threshold=5)
     assert action is TccActionKind.PREVIOUS_RESTART
     assert restarts == 1
 
 
 def test_tcc_migrates_past_threshold():
-    action, restarts = tcc_round(ft_interval=20, gap=10, restarts=5, migration_threshold=5)
+    action, restarts = tcc_round(interval=20, gap=10, restarts=5, migration_threshold=5)
     assert action is TccActionKind.JOB_MIGRATION
     assert restarts == 0
 
 
 def test_tcc_exactly_at_threshold_still_restarts():
-    action, restarts = tcc_round(ft_interval=20, gap=10, restarts=4, migration_threshold=5)
+    action, restarts = tcc_round(interval=20, gap=10, restarts=4, migration_threshold=5)
     assert action is TccActionKind.PREVIOUS_RESTART
     assert restarts == 5
 

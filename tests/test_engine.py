@@ -1317,7 +1317,7 @@ def test_policy_specific_keys_act_only_under_their_policies():
             assert reused == Scenario.from_config(changed), key
             acts[key] |= {pair for pair in COMBOS if outputs(reused, pair) != base[pair]}
     assert acts == {
-        "ft_interval": {p for p in COMBOS if p[1] != "independent"},
+        "ft_interval": {p for p in COMBOS if p[1] == "sync"},
         "migration_threshold": {p for p in COMBOS if p[1] == "tcc"},
         "migration_cost": {p for p in COMBOS if p[1] == "tcc"},
         "indep_mean_gap": {p for p in COMBOS if p[1] == "independent"},
@@ -1326,38 +1326,30 @@ def test_policy_specific_keys_act_only_under_their_policies():
     }
 
 
-def test_tcc_ft_interval_acts_only_from_twice_the_base_interval():
-    """A node's first healthy round grows its gap from ``base_interval`` to
-    twice it, and tcc confirms an image only once the gap passes the node's
-    interval, which starts at ``ft_interval``.  So every ``ft_interval``
-    below twice ``base_interval`` runs as ``base_interval`` does, and from
-    twice it a fault-free run restarts each node at its first round, which
-    is healthy: no image is taken and no job finishes."""
+def test_tcc_reads_no_ft_interval():
+    """A tcc node's interval is its own last gap, so ``ft_interval``, the
+    sync cadence, leaves every tcc report and event log as it is: under
+    both growths, fault-free and under faults, and under every scheduler.
+    A fault-free run at four times ``base_interval`` still finishes every
+    job with images taken."""
     for growth in ("triangular", "geometric"):
-        scenario = Scenario.from_config(cluster_cfg(interval_growth=growth))
-        assert scenario.cfg.base_interval == 10 and not scenario.faults
-
-        def run(ft_interval):
-            cfg = dataclasses.replace(scenario.cfg, ft_interval=ft_interval)
-            return Simulation(scenario._replace(cfg=cfg), checkpoint_policy="tcc").run()
-
-        below, log = run(10)
-        assert below.scalars["jobs_completed"] == 3 and below.scalars["checkpoint_count"] > 0
-        for ft_interval in (11, 15, 19):
-            report, same = run(ft_interval)
-            assert (report.emit("json"), same) == (below.emit("json"), log), ft_interval
-
-        from_twice, log = run(20)
-        s = from_twice.scalars
-        assert s["jobs_completed"] == s["checkpoint_count"] == 0 and s["rollback_count"] > 0
-        rounds = [line.split(",", 4) for line in log if ",monitor," in line
-                  and "stale=1" not in line]
-        assert rounds and all(";state=S0>S0;tcc=" in detail and "tcc=confirmed" not in detail
-                              for *_, detail in rounds)
-        assert len({vn for _, _, _, vn, _ in rounds}) == len(rounds)   # one round a node
-        for ft_interval in (25, 40):
-            report, same = run(ft_interval)
-            assert (report.emit("json"), same) == (from_twice.emit("json"), log), ft_interval
+        configs = [cluster_cfg(interval_growth=growth)] + [
+            dataclasses.replace(storm_cfg(seed), interval_growth=growth) for seed in (1, 2, 3)]
+        for cfg in configs:
+            assert cfg.base_interval == cfg.ft_interval == 10
+            scenario = Scenario.from_config(cfg)
+            for scheduler in SCHEDULERS:
+                outputs = {}
+                for ft_interval in (10, 11, 19, 20, 25, 40):
+                    changed = dataclasses.replace(cfg, ft_interval=ft_interval)
+                    report, log = Simulation(scenario._replace(cfg=changed), scheduler,
+                                             "tcc").run()
+                    outputs[ft_interval] = report.emit("json"), log
+                    assert outputs[ft_interval] == outputs[10], (
+                        growth, cfg.seed, scheduler, ft_interval)
+                if not scenario.faults:   # the run at 40
+                    s = report.scalars
+                    assert s["jobs_completed"] == 3 and s["checkpoint_count"] > 0
 
 
 # each key set away from both its default and the storm config's value

@@ -89,7 +89,9 @@ def test_percent_scalars_bounded():
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_emit_round_trip_and_determinism(fmt):
-    report = _report(completed_migrations=26634, overall_sla_violation_pct=0.07)
+    # a whole float in exponent form, and an int no float holds exactly
+    report = _report(completed_migrations=26634, overall_sla_violation_pct=0.07,
+                     useful_work_total=1e16, lost_work_total=2**53 + 1)
     for x in (19.7, 8.1, 13.9):
         report.record("time_before_migration", x)
     blob = report.emit(fmt)
