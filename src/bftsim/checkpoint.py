@@ -1,10 +1,11 @@
 """Checkpoint rules and storage, read by the policy classes in ``engine.py``
 (``TccCheckpointing``, ``SyncCheckpointing``, ``IndependentCheckpointing``).
 
-``tcc_round`` is ``tcc``'s round rule: a node's gap that grew past its last
-one confirms a fresh image, and a collapsed gap restarts the node from its
-previous confirmed image, or migrates the whole job from a job-consistent
-image once the job's restarts pass the migration threshold.
+``tcc_round`` is ``tcc``'s rule for a collapsed gap: it restarts the node
+from its previous confirmed image, or migrates the whole job from a
+job-consistent image once the job's restarts pass the migration threshold.
+A gap that grew past the node's last one confirms a fresh image instead
+(``TccCheckpointing.on_monitor``).
 ``CheckpointStore`` keeps every policy's images by lineage,
 ``rollback_loss`` prices a rollback, and ``independent_next`` draws the gap
 to an ``independent`` node's next round.
@@ -24,29 +25,23 @@ if TYPE_CHECKING:
 
 
 class TccActionKind(Enum):
-    CONFIRMED_CHECKPOINT = "confirmed_checkpoint"
     PREVIOUS_RESTART = "previous_restart"
     JOB_MIGRATION = "job_migration"
 
 
 # per-event code binds members by name: see model.py
-CONFIRMED_CHECKPOINT = TccActionKind.CONFIRMED_CHECKPOINT
 PREVIOUS_RESTART = TccActionKind.PREVIOUS_RESTART
 JOB_MIGRATION = TccActionKind.JOB_MIGRATION
 
 
-def tcc_round(interval: int, gap: int, restarts: int,
-              migration_threshold: int) -> tuple[TccActionKind, int]:
-    """Decide the checkpoint action for one node after its monitor round.
+def tcc_round(restarts: int, migration_threshold: int) -> tuple[TccActionKind, int]:
+    """Decide between restarting one node and migrating its job, after a
+    round collapsed the node's gap.
 
-    ``interval`` is the node's gap before this round and ``gap`` the one
-    the interval update just assigned: a grown gap confirms an image.
     ``restarts`` counts the job's restarts since its last migration; returns
     the action and the new count: a restart increments it, a migration
     resets it to zero.
     """
-    if interval < gap:
-        return CONFIRMED_CHECKPOINT, restarts
     restarts += 1
     if restarts > migration_threshold:
         return JOB_MIGRATION, 0

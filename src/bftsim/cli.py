@@ -22,9 +22,9 @@ from .config import (
 from .engine import MONITOR_ROUND, TASK_COMPLETE, Simulation
 from .fsm import TraceFormatError, check_trace
 from .metrics import csv_text, summarize
-from .model import CHECKSUM_ERROR, CHECKSUM_TOKENS, DELAY_TOKENS, HIGH, FailureKind, Server
+from .model import CHECKSUM_TOKENS, DELAY_TOKENS, Server
 from .scenario import Scenario, ScenarioError
-from .scheduler import ranking_csv, record_failure
+from .scheduler import failure_kind, ranking_csv, record_failure
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -190,12 +190,9 @@ def cmd_rank(args) -> int:
         server = servers.get(sid)
         if server is None:
             server = servers[sid] = Server(server_id=sid, capacity=0)
-        # the rule of Simulation._observe
-        if checksum is CHECKSUM_ERROR:
-            record_failure(server, FailureKind.ERRONEOUS)
-            saw_failure = True
-        elif dclass >= HIGH:
-            record_failure(server, FailureKind.DELAY_SENSITIVE)
+        kind = failure_kind(dclass, checksum)
+        if kind is not None:
+            record_failure(server, kind)
             saw_failure = True
     if not servers:
         print("warning: no observations in log", file=sys.stderr)

@@ -52,7 +52,6 @@ from math import cos, log, sin, sqrt, tau
 from operator import add, attrgetter
 
 from .checkpoint import (
-    CONFIRMED_CHECKPOINT,
     PREVIOUS_RESTART,
     CheckpointStore,
     independent_next,
@@ -61,18 +60,18 @@ from .checkpoint import (
 )
 from .config import ConfigError, SimConfig
 from .fsm import (
+    NO_ACTION,
     REPLACE_NODE,
     byzantine_fsm_step,
     checksum_oracle,
     classify_delay,
+    gap_growth,
     next_interval,
 )
 from .metrics import MetricsReport
 from .model import (
     BYZANTINE,
     CHECKSUM_ERROR,
-    DELAY_SENSITIVE,
-    ERRONEOUS,
     FAIL_SAFE,
     HIGH,
     NO_ERROR,
@@ -85,6 +84,7 @@ from .model import (
 )
 from .scenario import BYZANTINE_FAULT, CRASH_FAULT, FaultKind, FaultSpec, Scenario
 from .scheduler import (
+    failure_kind,
     first_fit,
     mesf_assign,
     random_assign,
@@ -368,21 +368,21 @@ class Checkpointing:
 class TccCheckpointing(Checkpointing):
     """Confirms an image when a round grows the node's gap, restarts it from
     its previous image when the gap collapses, and migrates the job past the
-    restart threshold.  A node's interval is its own last gap: ``tcc`` reads
-    no ``ft_interval``."""
+    restart threshold (``tcc_round``).  A node's interval is its own last
+    gap: ``tcc`` reads no ``ft_interval``."""
 
     def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: str,
                    in_monitor: bool) -> str:
-        job_id = rt.task.job_id
-        kind, sim.restarts[job_id] = tcc_round(rt.gap, gap, sim.restarts[job_id],
-                                               sim.cfg.migration_threshold)
-        if kind is CONFIRMED_CHECKPOINT:
+        if rt.gap < gap:
             # only a monitor round confirms: a rejected output's gap is base_interval
             sim._retime(rt, t, sim.cfg.checkpoint_write_cost)
             sim.store.take(rt, t, rt.progress, rt.task.task_id)
             if not sim.collect_log:
                 return ""
             return f";tcc=confirmed;delta={gap}"
+        job_id = rt.task.job_id
+        kind, sim.restarts[job_id] = tcc_round(sim.restarts[job_id],
+                                               sim.cfg.migration_threshold)
         if kind is PREVIOUS_RESTART:
             return ";tcc=previous_restart;" + sim._restart_vn(rt, t, "tcc_restart")
         return ";tcc=job_migration;" + sim._migrate_job(job_id, t)
@@ -488,6 +488,7 @@ class Simulation:
         self._next_vn_id = 1
 
         self.thresholds = (cfg.delay_normal_frac, cfg.delay_high_frac)
+        self.growth = gap_growth(cfg)   # (scale, step) of a healthy round's gap
         self.detection_pending: dict[int, int] = {}  # task id -> fault time
 
         self.obs_count = 0
@@ -735,7 +736,9 @@ class Simulation:
     # -- observation pipeline ----------------------------------------------------
 
     def _observe(self, rt: VirtualNode, t: int) -> tuple[float, DelayClass, ChecksumResult, bool]:
-        """Measure the node; returns (delay, delay class, checksum, flagged)."""
+        """Measure the node; returns (delay, delay class, checksum, flagged),
+        where flagged says the round's input is present: an errored checksum
+        or a high or extreme delay."""
         cfg = self.cfg
         server = rt.server
         # random.gauss's own statements, with no frame: a Box-Muller pair of
@@ -753,11 +756,13 @@ class Simulation:
         sla = cfg.sla_bound
         if rt.completion is None:
             checksum = CHECKSUM_ERROR   # crashed: challenge unanswered
+        elif not rt.contaminated:
+            checksum = NO_ERROR   # a clean node never errs, and draws nothing
         else:
-            checksum = checksum_oracle(rt.contaminated, cfg.detect_prob, rng)
-        if rt.contaminated and checksum is NO_ERROR and cfg.high_delay_fallback:
-            # a missed detection surfaces as high delay variation
-            delay = max(delay, (cfg.delay_normal_frac + cfg.delay_high_frac) / 2 * sla)
+            checksum = checksum_oracle(cfg.detect_prob, rng)
+            if checksum is NO_ERROR and cfg.high_delay_fallback:
+                # a missed detection surfaces as high delay variation
+                delay = max(delay, (cfg.delay_normal_frac + cfg.delay_high_frac) / 2 * sla)
         dclass = classify_delay(delay, sla, self.thresholds)
         high = dclass >= HIGH
         flagged = checksum is CHECKSUM_ERROR or high
@@ -770,13 +775,11 @@ class Simulation:
         if high:
             self.over_count += 1
             server.over_time += weight
-        if checksum is CHECKSUM_ERROR:
-            record_failure(server, ERRONEOUS)
-        elif high:
-            record_failure(server, DELAY_SENSITIVE)
-        if flagged and rt.task.task_id in self.detection_pending:
-            since = self.detection_pending.pop(rt.task.task_id)
-            self.report.record("detection_latency", float(t - since))
+        if flagged:
+            record_failure(server, failure_kind(dclass, checksum))
+            if rt.task.task_id in self.detection_pending:
+                since = self.detection_pending.pop(rt.task.task_id)
+                self.report.record("detection_latency", float(t - since))
         if cfg.monitor_cost > 0 and rt.completion is not None:
             self._catch_up(rt, t)   # the rounds counted at t, before the ledger moves
             self._retime(rt, t, cfg.monitor_cost)
@@ -838,7 +841,8 @@ class Simulation:
     def _handle_node(self, ev: tuple) -> str:
         """A node's queued entry, a monitor round or its completion (the final
         verification of its output): observe the node, then complete its task
-        or step its detection machine and apply the checkpoint policy.  A
+        or step its detection machine and apply the checkpoint policy; only
+        a flagged round calls the machine's step and the interval update.  A
         stale entry queues the node again while its monitor round is set.  A
         node still live after the policy acts records its next round and
         queues its next entry here."""
@@ -862,9 +866,16 @@ class Simulation:
             # a monitor round, or a final output rejected at verification,
             # from the S-state the node's streak gives
             prior = BYZANTINE if rt.suspect_rounds else FAIL_SAFE
-            post = byzantine_fsm_step(prior, dclass, checksum)
-            gap, action, streak = next_interval(rt.gap, rt.suspect_rounds, post, self.cfg)
-            rt.suspect_rounds = streak
+            if flagged:
+                post = byzantine_fsm_step(prior, dclass, checksum)
+                gap, action, rt.suspect_rounds = next_interval(
+                    rt.gap, rt.suspect_rounds, post, self.cfg)
+            else:
+                # the absent input, whose step and interval update are fixed:
+                # back to S0, the streak cleared and the gap stretched
+                post, action, rt.suspect_rounds = FAIL_SAFE, NO_ACTION, 0
+                scale, step = self.growth
+                gap = rt.gap * scale + step
             outcome = self.checkpointing.on_monitor(self, rt, t, gap, action, not finished)
             if rt.monitor is not None:   # not retired: its next round, under the next seq
                 queue = self.queue

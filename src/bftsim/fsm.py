@@ -4,13 +4,16 @@ The Byzantine-detection machine consumes a (delay class, checksum) pair per
 monitor round.  Inputs are only "present" when the delay is high/extreme or
 the checksum errored; a low/normal clean round is the absent input, which
 recovers a suspect node.  A bad checksum is decisive: it always fail-stops
-the node.  Two further machines give the checkpoint-status and performance
-views of the same node lifecycle.
+the node.  The absent input's step and interval update are fixed (S0, no
+action, the gap stretched by ``gap_growth``), so the engine calls
+``byzantine_fsm_step`` and ``next_interval`` only on a present input.  Two
+further machines give the checkpoint-status and performance views of the
+same node lifecycle.
 
 Monitoring gaps grow while a node stays healthy (arithmetically by one base
-interval per round, or doubling under the geometric policy) and collapse
-back to the base interval on suspicion.  Three consecutive suspect rounds
-replace the node.
+interval per round, or doubling under the geometric policy: ``gap_growth``)
+and collapse back to the base interval on suspicion.  Three consecutive
+suspect rounds replace the node.
 """
 
 from __future__ import annotations
@@ -64,17 +67,14 @@ def classify_delay(delay: float, sla_bound: float,
     return EXTREME
 
 
-def checksum_oracle(contaminated: bool, detect_prob: float, rng: random.Random) -> ChecksumResult:
-    """Probabilistic stand-in for the hash-challenge check.
-
-    Clean nodes never produce a false positive.  A contaminated node is
-    flagged with probability ``detect_prob``; the engine surfaces misses as
-    high delay variation instead.  ``detect_prob`` must lie in [0, 1];
-    ``SimConfig`` guarantees it for the value the engine passes, so no call
-    checks it.
+def checksum_oracle(detect_prob: float, rng: random.Random) -> ChecksumResult:
+    """Probabilistic stand-in for the hash-challenge check of a contaminated
+    node: it is flagged with probability ``detect_prob``, drawing once from
+    ``rng``.  The engine calls it for contaminated nodes only, as a clean
+    node never errs, and surfaces misses as high delay variation instead.
+    ``detect_prob`` must lie in [0, 1]; ``SimConfig`` guarantees it for the
+    value the engine passes, so no call checks it.
     """
-    if not contaminated:
-        return NO_ERROR
     if rng.random() < detect_prob:
         return CHECKSUM_ERROR
     return NO_ERROR
@@ -120,6 +120,15 @@ def performance_fsm_step(state: NodeState, p: PerformanceClass) -> NodeState:
     return NodeState.FAIL_STOP    # NOT_PERFORMING or WARY
 
 
+def gap_growth(cfg: SimConfig) -> tuple[int, int]:
+    """How a healthy round stretches a node's gap, as (scale, step): the
+    next gap is ``gap * scale + step``.  Triangular growth adds one base
+    interval, geometric growth doubles the gap."""
+    if cfg.interval_growth == "geometric":
+        return 2, 0
+    return 1, cfg.base_interval
+
+
 def next_interval(gap: int, streak: int, post_state: NodeState,
                   cfg: SimConfig) -> tuple[int, str, int]:
     """Update the monitoring gap and suspicion streak of a node after an FSM
@@ -131,11 +140,10 @@ def next_interval(gap: int, streak: int, post_state: NodeState,
     node once the streak hits the configured threshold.  A fail-stopped node
     is always replaced, with the replacement starting at the base gap.
     """
-    j = cfg.base_interval
     if post_state is FAIL_SAFE:
-        if cfg.interval_growth == "geometric":
-            return gap * 2, NO_ACTION, 0
-        return gap + j, NO_ACTION, 0
+        scale, step = gap_growth(cfg)
+        return gap * scale + step, NO_ACTION, 0
+    j = cfg.base_interval
     if post_state is BYZANTINE:
         streak += 1
         return j, REPLACE_NODE if streak >= cfg.suspect_threshold else ESCALATE, streak

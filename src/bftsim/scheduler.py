@@ -1,8 +1,8 @@
 """Server scheduling: failure-count ranking plus the comparison baselines.
 
 The workload-sensitive policy (tag ``wsss``) counts per-server task
-failures, both erroneous (W) and SLA-delay (Y), and keeps servers ranked by
-ascending count; placement reads the ranking head without pre-evaluating
+failures, both erroneous (W) and SLA-delay (Y) (``failure_kind``), and
+keeps servers ranked by ascending count; placement reads the ranking head without pre-evaluating
 anything.  The ``mesf`` baseline packs tasks onto the fewest, most efficient
 servers and pays a pre-evaluation cost per candidate before each wave.  Both
 waves are one ``first_fit``, over a different server order.  The ``random``
@@ -15,7 +15,27 @@ import random
 from operator import attrgetter
 
 from .metrics import csv_text
-from .model import ERRONEOUS, FailureKind, Server
+from .model import (
+    CHECKSUM_ERROR,
+    DELAY_SENSITIVE,
+    ERRONEOUS,
+    HIGH,
+    ChecksumResult,
+    DelayClass,
+    FailureKind,
+    Server,
+)
+
+
+def failure_kind(dclass: DelayClass, checksum: ChecksumResult) -> FailureKind | None:
+    """The failure an observation charges its server: an errored checksum is
+    erroneous (W), else a high or extreme delay is delay-sensitive (Y), else
+    none.  The engine's observations and ``bftsim rank`` share this rule."""
+    if checksum is CHECKSUM_ERROR:
+        return ERRONEOUS
+    if dclass >= HIGH:
+        return DELAY_SENSITIVE
+    return None
 
 
 def record_failure(server: Server, kind: FailureKind) -> int:

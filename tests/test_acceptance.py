@@ -253,9 +253,9 @@ def test_criterion_5_detection_statistics():
     t0 = time.monotonic()
     n = 10 ** 4
     rng = random.Random(42)
-    frac_88 = sum(checksum_oracle(True, 0.88, rng) is ERR for _ in range(n)) / n
+    frac_88 = sum(checksum_oracle(0.88, rng) is ERR for _ in range(n)) / n
     rng = random.Random(42)
-    frac_99 = sum(checksum_oracle(True, 0.99, rng) is ERR for _ in range(n)) / n
+    frac_99 = sum(checksum_oracle(0.99, rng) is ERR for _ in range(n)) / n
     elapsed = time.monotonic() - t0
     ok = abs(frac_88 - 0.88) < 0.01 and abs(frac_99 - 0.99) < 0.004 and elapsed < 10.0
     _verdict(5, f"detection rates {frac_88:.4f}/{frac_99:.4f} within "

@@ -12,7 +12,11 @@ from bftsim.checkpoint import (
     rollback_loss,
     tcc_round,
 )
+from bftsim.engine import Scenario, Simulation
+from bftsim.fsm import NO_ACTION
 from bftsim.model import Checkpoint
+
+from conftest import cluster_cfg
 
 
 def _vn(vn_id=1, contaminated=False, crashed=False):
@@ -22,26 +26,35 @@ def _vn(vn_id=1, contaminated=False, crashed=False):
                            contaminated=contaminated)
 
 
-def test_tcc_grown_gap_confirms_and_stretches_interval():
-    action, restarts = tcc_round(interval=10, gap=20, restarts=0, migration_threshold=5)
-    assert action is TccActionKind.CONFIRMED_CHECKPOINT
-    assert restarts == 0
+def test_tcc_writes_an_image_exactly_when_the_gap_grew():
+    """``TccCheckpointing.on_monitor`` confirms an image when the round's gap
+    grew past the node's last one; a gap that did not grow writes none and
+    restarts the node."""
+    for gap, grew in ((11, True), (20, True), (10, False)):
+        sim = Simulation(Scenario.from_config(cluster_cfg()), checkpoint_policy="tcc")
+        rt = sim._spawn(sim.tasks[0], 1, 0)
+        assert rt.gap == 10
+        detail = sim.checkpointing.on_monitor(sim, rt, 10, gap, NO_ACTION, True)
+        assert sim.store.taken == (1 if grew else 0), gap
+        assert ("tcc=confirmed" in detail) is grew
+        assert (rt.monitor is not None) is grew   # a restart retired the node
+        assert sim.restarts[rt.task.job_id] == (0 if grew else 1)
 
 
 def test_tcc_collapsed_gap_restarts_and_counts():
-    action, restarts = tcc_round(interval=20, gap=10, restarts=0, migration_threshold=5)
+    action, restarts = tcc_round(restarts=0, migration_threshold=5)
     assert action is TccActionKind.PREVIOUS_RESTART
     assert restarts == 1
 
 
 def test_tcc_migrates_past_threshold():
-    action, restarts = tcc_round(interval=20, gap=10, restarts=5, migration_threshold=5)
+    action, restarts = tcc_round(restarts=5, migration_threshold=5)
     assert action is TccActionKind.JOB_MIGRATION
     assert restarts == 0
 
 
 def test_tcc_exactly_at_threshold_still_restarts():
-    action, restarts = tcc_round(interval=20, gap=10, restarts=4, migration_threshold=5)
+    action, restarts = tcc_round(restarts=4, migration_threshold=5)
     assert action is TccActionKind.PREVIOUS_RESTART
     assert restarts == 5
 

@@ -1352,6 +1352,62 @@ def test_tcc_reads_no_ft_interval():
                     assert s["jobs_completed"] == 3 and s["checkpoint_count"] > 0
 
 
+# the rule functions of a monitor round, which only a present input calls
+_ROUND_RULES = ("byzantine_fsm_step", "next_interval", "tcc_round", "checksum_oracle")
+
+
+def test_a_healthy_round_calls_no_rule_function():
+    """A round whose input is absent (low or normal delay, clean checksum)
+    calls none of the round's rule functions: its FSM step, interval update
+    and tcc action are fixed, and a clean node's checksum draws nothing.
+    Counted as ``bench/tracing.py`` counts them, through their names in
+    ``bftsim.engine``, on fault-free desk under every checkpoint policy;
+    ``classify_delay`` still runs once per observation."""
+    cfg = load_config(DESK, {"seed": 1, "byzantine_faults": 0, "delay_faults": 0})
+    scenario = Scenario.from_config(cfg)
+    assert not scenario.faults
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {name: counting(name, getattr(bftsim.engine, name))
+                for name in _ROUND_RULES + ("classify_delay",)}
+    for ckpt in CHECKPOINT_POLICIES:
+        calls.clear()
+        with mock.patch.multiple(bftsim.engine, **wrappers):
+            sim = Simulation(scenario, checkpoint_policy=ckpt, collect_log=False)
+            report, _ = sim.run()
+        assert report.scalars["jobs_completed"] == cfg.job_count, ckpt
+        assert sim.obs_count > 1000, ckpt
+        assert calls["classify_delay"] == sim.obs_count, ckpt
+        assert {name: calls[name] for name in _ROUND_RULES} == dict.fromkeys(_ROUND_RULES, 0), ckpt
+
+
+def test_a_clean_nodes_checksum_reads_no_error_and_draws_nothing():
+    """A clean node never errs: its rounds read NO_ERROR and leave the run's
+    stream as they found it, while a contaminated node's round draws once
+    (the oracle's).  The delay noise is given its pair's second half, so
+    the noise draws nothing either."""
+    for contaminated in (False, True):
+        sim = Simulation(Scenario.from_config(cluster_cfg(detect_prob=0.5)))
+        rt = sim._spawn(sim.tasks[0], 1, 0)
+        rt.contaminated = contaminated
+        twin = random.Random()
+        for t in range(10, 2010, 10):
+            sim.rng.gauss_next = 0.0
+            twin.setstate(sim.rng.getstate())
+            checksum = sim._observe(rt, t)[2]
+            if contaminated:
+                twin.random()
+            else:
+                assert checksum is ChecksumResult.NO_ERROR, t
+            assert sim.rng.getstate()[1] == twin.getstate()[1], (contaminated, t)
+
+
 # each key set away from both its default and the storm config's value
 _SHARED_KEYS = {
     "base_interval": 7, "sla_bound": 60, "delay_normal_frac": 0.8, "delay_high_frac": 2.5,
@@ -2399,7 +2455,7 @@ def test_per_event_code_binds_enum_members_once():
         bftsim.fsm: ["classify_delay", "checksum_oracle", "byzantine_fsm_step",
                      "next_interval"],
         bftsim.checkpoint: ["tcc_round", "CheckpointStore.take"],
-        bftsim.scheduler: ["record_failure"],
+        bftsim.scheduler: ["record_failure", "failure_kind"],
         bftsim.engine: sorted(
             {name for name, fn in engine.items()
              if name.split(".")[0].endswith("Checkpointing") or _pushes(fn)}
