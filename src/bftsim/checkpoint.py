@@ -4,8 +4,8 @@
 ``tcc_round`` is ``tcc``'s rule for a collapsed gap: it restarts the node
 from its previous confirmed image, or migrates the whole job from a
 job-consistent image once the job's restarts pass the migration threshold.
-A gap that grew past the node's last one confirms a fresh image instead
-(``TccCheckpointing.on_monitor``).
+A healthy round confirms a fresh image instead, which the engine writes
+(``TccCheckpointing.confirms``).
 ``CheckpointStore`` keeps every policy's images by lineage,
 ``rollback_loss`` prices a rollback, and ``independent_next`` draws the gap
 to an ``independent`` node's next round.

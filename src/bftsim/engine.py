@@ -325,13 +325,14 @@ class RandomPlacement:
 
 class Checkpointing:
     """Checkpoint-policy rules.  The defaults take no checkpoint rounds,
-    apply the detection machine's action on a monitor round and roll back to
-    the newest clean image; each policy overrides where it differs.  The
-    engine counts a node's own rounds, timed by ``round_grid`` or
-    ``round_gaps``, into its completion at its queued entry, applies them
-    when it next reads or changes the node's ledger or images, and writes
-    one image per batch of them.  Every policy shares one store, which
-    keeps each image until a rollback abandons it."""
+    image no node at a healthy monitor round, apply the detection machine's
+    action on a flagged one and roll back to the newest clean image; each
+    policy overrides where it differs.  The engine counts a node's own
+    rounds, timed by ``round_grid`` or ``round_gaps``, into its completion
+    at its queued entry, applies them when it next reads or changes the
+    node's ledger or images, and writes one image per batch of them.  Every
+    policy shares one store, which keeps each image until a rollback
+    abandons it."""
 
     def round_grid(self, sim: Simulation) -> int | None:
         """The step of the fixed grid every node's own rounds fall on, which
@@ -345,20 +346,25 @@ class Checkpointing:
         gap is drawn."""
         return None
 
-    def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: str,
+    def confirms(self, sim: Simulation) -> bool:
+        """Whether the engine images the node at every healthy monitor round."""
+        return False
+
+    def healthy_detail(self, gap: int) -> str:
+        """The log detail of a healthy round, asked only with the log on."""
+        return f";action={NO_ACTION};q=0"
+
+    def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, action: str,
                    in_monitor: bool) -> str:
-        """Act on a monitor round or a rejected final output, given the gap
-        and action of the interval update; returns the log detail.  With the
-        log off ``_handle_node`` discards it, so a round that restarts no
-        node formats none: monitor rounds are most of a run's events."""
+        """Act on a flagged monitor round or a rejected final output, given
+        the action of the interval update; returns the log detail, formatted
+        also with the log off, as flagged rounds are rare."""
         if action is REPLACE_NODE:
             return ";" + sim._restart_vn(rt, t, "replace")
         if not in_monitor:
             # rejected final output outside a monitor round: the suspicion
             # machinery cannot hold a finished node, so replace it outright
             return ";" + sim._restart_vn(rt, t, "verify_reject")
-        if not sim.collect_log:
-            return ""
         return f";action={action};q={rt.suspect_rounds}"
 
     def rollback_target(self, sim: Simulation, task_id: int) -> Checkpoint | None:
@@ -366,20 +372,20 @@ class Checkpointing:
 
 
 class TccCheckpointing(Checkpointing):
-    """Confirms an image when a round grows the node's gap, restarts it from
-    its previous image when the gap collapses, and migrates the job past the
-    restart threshold (``tcc_round``).  A node's interval is its own last
-    gap: ``tcc`` reads no ``ft_interval``."""
+    """Confirms an image at every healthy round, which grows the node's gap,
+    restarts the node from its previous image on a flagged round, which
+    collapses it, and migrates the job past the restart threshold
+    (``tcc_round``).  A node's interval is its own last gap: ``tcc`` reads
+    no ``ft_interval``."""
 
-    def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, gap: int, action: str,
+    def confirms(self, sim: Simulation) -> bool:
+        return True
+
+    def healthy_detail(self, gap: int) -> str:
+        return f";tcc=confirmed;delta={gap}"
+
+    def on_monitor(self, sim: Simulation, rt: VirtualNode, t: int, action: str,
                    in_monitor: bool) -> str:
-        if rt.gap < gap:
-            # only a monitor round confirms: a rejected output's gap is base_interval
-            sim._retime(rt, t, sim.cfg.checkpoint_write_cost)
-            sim.store.take(rt, t, rt.progress, rt.task.task_id)
-            if not sim.collect_log:
-                return ""
-            return f";tcc=confirmed;delta={gap}"
         job_id = rt.task.job_id
         kind, sim.restarts[job_id] = tcc_round(sim.restarts[job_id],
                                                sim.cfg.migration_threshold)
@@ -476,6 +482,7 @@ class Simulation:
         self.store = CheckpointStore()
         self.round_grid = self.checkpointing.round_grid(self)
         self.round_gaps = self.checkpointing.round_gaps(self)
+        self.confirms = self.checkpointing.confirms(self)
         self.log_lines: list[str] = []
 
         # the one index of live nodes: job id -> (task id -> its one live
@@ -733,58 +740,6 @@ class Simulation:
         self.queue.push(t + restore, MIGRATION_COMPLETE, job_id)   # as the restore ends
         return f"job=j{job_id};moved={len(rts)};consistent_at={consistent_at}"
 
-    # -- observation pipeline ----------------------------------------------------
-
-    def _observe(self, rt: VirtualNode, t: int) -> tuple[float, DelayClass, ChecksumResult, bool]:
-        """Measure the node; returns (delay, delay class, checksum, flagged),
-        where flagged says the round's input is present: an errored checksum
-        or a high or extreme delay."""
-        cfg = self.cfg
-        server = rt.server
-        # random.gauss's own statements, with no frame: a Box-Muller pair of
-        # two draws, its second half kept for the next call on the stream
-        rng = self.rng
-        z = rng.gauss_next
-        rng.gauss_next = None
-        if z is None:
-            x2pi = rng.random() * tau
-            g2rad = sqrt(-2.0 * log(1.0 - rng.random()))
-            z = cos(x2pi) * g2rad
-            rng.gauss_next = sin(x2pi) * g2rad
-        delay = server.latency_mean + z * cfg.latency_sigma
-        delay = (delay if delay > 0.0 else 0.0) + rt.spike_delay
-        sla = cfg.sla_bound
-        if rt.completion is None:
-            checksum = CHECKSUM_ERROR   # crashed: challenge unanswered
-        elif not rt.contaminated:
-            checksum = NO_ERROR   # a clean node never errs, and draws nothing
-        else:
-            checksum = checksum_oracle(cfg.detect_prob, rng)
-            if checksum is NO_ERROR and cfg.high_delay_fallback:
-                # a missed detection surfaces as high delay variation
-                delay = max(delay, (cfg.delay_normal_frac + cfg.delay_high_frac) / 2 * sla)
-        dclass = classify_delay(delay, sla, self.thresholds)
-        high = dclass >= HIGH
-        flagged = checksum is CHECKSUM_ERROR or high
-
-        weight = t - (rt.monitor[0] - rt.gap)   # the time since its last observation
-        self.obs_count += 1
-        if delay > sla:
-            self.excess_sum += delay - sla
-        server.obs_time += weight
-        if high:
-            self.over_count += 1
-            server.over_time += weight
-        if flagged:
-            record_failure(server, failure_kind(dclass, checksum))
-            if rt.task.task_id in self.detection_pending:
-                since = self.detection_pending.pop(rt.task.task_id)
-                self.report.record("detection_latency", float(t - since))
-        if cfg.monitor_cost > 0 and rt.completion is not None:
-            self._catch_up(rt, t)   # the rounds counted at t, before the ledger moves
-            self._retime(rt, t, cfg.monitor_cost)
-        return delay, dclass, checksum, flagged
-
     def _queue_node(self, rt: VirtualNode) -> None:
         """Queue the node's one entry, the earlier of its two records: the
         only push of a node's event.  An entry due after the run's end is
@@ -841,42 +796,91 @@ class Simulation:
     def _handle_node(self, ev: tuple) -> str:
         """A node's queued entry, a monitor round or its completion (the final
         verification of its output): observe the node, then complete its task
-        or step its detection machine and apply the checkpoint policy; only
-        a flagged round calls the machine's step and the interval update.  A
-        stale entry queues the node again while its monitor round is set.  A
-        node still live after the policy acts records its next round and
-        queues its next entry here."""
+        or act on the round.  Only a flagged round (an errored checksum or a
+        high or extreme delay) calls the machine's step, the interval update
+        and the policy's ``on_monitor``.  A stale entry queues the node again
+        while its monitor round is set.  A node still live after the round
+        records its next round and queues its next entry here."""
         t, seq, kind, rt = ev
         if rt.monitor is None:   # the entry of a retired node
             return "stale=1"
         if rt.checkpoint is not None:   # tcc pays this test only
             self._count_rounds(rt, t)   # the entry reads only its completion record
         verify = kind is TASK_COMPLETE
-        if verify and (t, seq) != rt.completion:   # own rounds or a crash moved it
+        completion = rt.completion
+        if verify and (t, seq) != completion:   # own rounds or a crash moved it
             self._queue_node(rt)
             return "stale=1"
+        cfg = self.cfg
         # a node is finished once its recorded completion is now, as on any
         # completion; a monitor round's own pause (monitor_cost) keeps it busy
-        finished = verify or (rt.completion is not None and rt.completion[0] == t
-                              and not self.cfg.monitor_cost)
-        delay, dclass, checksum, flagged = self._observe(rt, t)
+        finished = verify or (completion is not None and completion[0] == t
+                              and not cfg.monitor_cost)
+        server = rt.server
+        # random.gauss's own statements, with no frame: a Box-Muller pair of
+        # two draws, its second half kept for the next call on the stream
+        rng = self.rng
+        z = rng.gauss_next
+        rng.gauss_next = None
+        if z is None:
+            x2pi = rng.random() * tau
+            g2rad = sqrt(-2.0 * log(1.0 - rng.random()))
+            z = cos(x2pi) * g2rad
+            rng.gauss_next = sin(x2pi) * g2rad
+        delay = server.latency_mean + z * cfg.latency_sigma
+        delay = (delay if delay > 0.0 else 0.0) + rt.spike_delay
+        sla = cfg.sla_bound
+        if completion is None:
+            checksum = CHECKSUM_ERROR   # crashed: challenge unanswered
+        elif not rt.contaminated:
+            checksum = NO_ERROR   # a clean node never errs, and draws nothing
+        else:
+            checksum = checksum_oracle(cfg.detect_prob, rng)
+            if checksum is NO_ERROR and cfg.high_delay_fallback:
+                # a missed detection surfaces as high delay variation
+                delay = max(delay, (cfg.delay_normal_frac + cfg.delay_high_frac) / 2 * sla)
+        dclass = classify_delay(delay, sla, self.thresholds)
+        high = dclass >= HIGH
+        flagged = checksum is CHECKSUM_ERROR or high
+
+        weight = t - (rt.monitor[0] - rt.gap)   # the time since its last observation
+        self.obs_count += 1
+        if delay > sla:
+            self.excess_sum += delay - sla
+        server.obs_time += weight
+        if high:
+            self.over_count += 1
+            server.over_time += weight
+        if flagged:
+            record_failure(server, failure_kind(dclass, checksum))
+            if rt.task.task_id in self.detection_pending:
+                since = self.detection_pending.pop(rt.task.task_id)
+                self.report.record("detection_latency", float(t - since))
+        if cfg.monitor_cost > 0 and completion is not None:
+            self._catch_up(rt, t)   # the rounds counted at t, before the ledger moves
+            self._retime(rt, t, cfg.monitor_cost)
+
         if finished and not flagged:
             outcome = self._complete_task(rt, t)
         else:
-            # a monitor round, or a final output rejected at verification,
             # from the S-state the node's streak gives
             prior = BYZANTINE if rt.suspect_rounds else FAIL_SAFE
             if flagged:
+                # a monitor round, or a final output rejected at verification
                 post = byzantine_fsm_step(prior, dclass, checksum)
                 gap, action, rt.suspect_rounds = next_interval(
-                    rt.gap, rt.suspect_rounds, post, self.cfg)
+                    rt.gap, rt.suspect_rounds, post, cfg)
+                outcome = self.checkpointing.on_monitor(self, rt, t, action, not finished)
             else:
                 # the absent input, whose step and interval update are fixed:
                 # back to S0, the streak cleared and the gap stretched
-                post, action, rt.suspect_rounds = FAIL_SAFE, NO_ACTION, 0
+                post, rt.suspect_rounds = FAIL_SAFE, 0
                 scale, step = self.growth
                 gap = rt.gap * scale + step
-            outcome = self.checkpointing.on_monitor(self, rt, t, gap, action, not finished)
+                if self.confirms:   # live: a crash errs the checksum
+                    self._retime(rt, t, cfg.checkpoint_write_cost)
+                    self.store.take(rt, t, rt.progress, rt.task.task_id)
+                outcome = self.checkpointing.healthy_detail(gap) if self.collect_log else ""
             if rt.monitor is not None:   # not retired: its next round, under the next seq
                 queue = self.queue
                 seq = queue._seq
@@ -888,7 +892,7 @@ class Simulation:
                 outcome = f"state={_TOKENS[prior]}>{_TOKENS[post]}{outcome}"
         if not self.collect_log:
             return ""
-        return (f"server=s{rt.server.server_id};{'verify=1;' if verify else ''}"
+        return (f"server=s{server.server_id};{'verify=1;' if verify else ''}"
                 f"delay={delay:.3f};class={_DELAY_TOKENS[dclass]};"
                 f"checksum={_TOKENS[checksum]};{outcome}")
 
@@ -935,9 +939,10 @@ class Simulation:
         queue, horizon, job_count = self.queue, cfg.horizon, len(self.unfinished)
         heap = queue._heap   # its head read in place: one call less per event than peek_time
         s = self.report.scalars
+        advance, log = queue.advance, self._log
         while s["jobs_completed"] < job_count and heap and heap[0][0] <= horizon:
-            ev = queue.advance()
-            self._log(ev, dispatch[ev[2]](ev))
+            ev = advance()
+            log(ev, dispatch[ev[2]](ev))
 
         # every event due at or before the horizon ran, so the rounds due
         # then run too, and the node is retired; their counts take their

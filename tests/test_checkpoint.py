@@ -12,11 +12,7 @@ from bftsim.checkpoint import (
     rollback_loss,
     tcc_round,
 )
-from bftsim.engine import Scenario, Simulation
-from bftsim.fsm import NO_ACTION
 from bftsim.model import Checkpoint
-
-from conftest import cluster_cfg
 
 
 def _vn(vn_id=1, contaminated=False, crashed=False):
@@ -24,21 +20,6 @@ def _vn(vn_id=1, contaminated=False, crashed=False):
     completion."""
     return SimpleNamespace(vn_id=vn_id, completion=None if crashed else (100, 0),
                            contaminated=contaminated)
-
-
-def test_tcc_writes_an_image_exactly_when_the_gap_grew():
-    """``TccCheckpointing.on_monitor`` confirms an image when the round's gap
-    grew past the node's last one; a gap that did not grow writes none and
-    restarts the node."""
-    for gap, grew in ((11, True), (20, True), (10, False)):
-        sim = Simulation(Scenario.from_config(cluster_cfg()), checkpoint_policy="tcc")
-        rt = sim._spawn(sim.tasks[0], 1, 0)
-        assert rt.gap == 10
-        detail = sim.checkpointing.on_monitor(sim, rt, 10, gap, NO_ACTION, True)
-        assert sim.store.taken == (1 if grew else 0), gap
-        assert ("tcc=confirmed" in detail) is grew
-        assert (rt.monitor is not None) is grew   # a restart retired the node
-        assert sim.restarts[rt.task.job_id] == (0 if grew else 1)
 
 
 def test_tcc_collapsed_gap_restarts_and_counts():

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import dataclasses
 import enum
 import hashlib
@@ -327,23 +328,43 @@ def test_generate_workload_draws_what_randint_draws(seed, low, span, task_count)
 _STEPS = st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=12)
 
 
+def _observe_round(sim, rt):
+    """Hand the node's next monitor round to ``_handle_node``; returns the
+    delay it observed, read from a ``classify_delay`` wrapper, and the
+    round's log detail."""
+    delays, classify = [], bftsim.engine.classify_delay
+
+    def recording(delay, *args):
+        delays.append(delay)
+        return classify(delay, *args)
+
+    with mock.patch.object(bftsim.engine, "classify_delay", recording):
+        detail = sim._handle_node((*rt.monitor, MONITOR_ROUND, rt))
+    [delay] = delays
+    return delay, detail
+
+
 @given(st.integers(0, 2 ** 32), st.floats(-50, 50), st.floats(0, 30), st.floats(0, 5),
        st.floats(1e-3, 1e3), _STEPS)
 def test_inline_draws_draw_what_gauss_and_expovariate_draw(seed, mu, sigma, spike,
                                                            mean_gap, steps):
-    """``Simulation._observe``'s delay noise equals ``gauss`` and
-    ``independent_next``'s gap equals ``expovariate``, value for value, also
-    when a Box-Muller pair's cached half is read after other draws, and the
-    stream ends in the state the stdlib leaves it in."""
+    """The delay noise a monitor round observes in ``Simulation._handle_node``
+    equals ``gauss`` and ``independent_next``'s gap equals ``expovariate``,
+    value for value, also when a Box-Muller pair's cached half is read after
+    other draws, and the stream ends in the state the stdlib leaves it in.
+    The SLA bound is above any delay drawn here, so every round is healthy
+    and the node lives on."""
     cfg = cluster_cfg(task_count=1, job_count=1, server_count=1, server_capacity=1,
-                      seed=seed, latency_sigma=sigma)
+                      seed=seed, latency_sigma=sigma, sla_bound=10 ** 4,
+                      demand_min=10 ** 6, demand_max=10 ** 6)
     sim = Simulation(Scenario.from_config(cfg), "wsss", "tcc", collect_log=False)
     rt = sim._spawn(sim.tasks[0], 1, 0)   # a clean live node: its checksum draws nothing
     rt.server.latency_mean, rt.spike_delay = mu, spike
     rng, twin = sim.rng, random.Random()
     twin.setstate(rng.getstate())
-    for t, (draws, gap) in enumerate(steps, 1):
-        delay, *_ = sim._observe(rt, t)
+    for draws, gap in steps:
+        t = rt.monitor[0]
+        delay, _ = _observe_round(sim, rt)
         assert delay == max(twin.gauss(mu, sigma), 0) + spike
         assert [rng.random() for _ in range(draws)] == [twin.random() for _ in range(draws)]
         if gap:
@@ -1358,11 +1379,14 @@ _ROUND_RULES = ("byzantine_fsm_step", "next_interval", "tcc_round", "checksum_or
 
 def test_a_healthy_round_calls_no_rule_function():
     """A round whose input is absent (low or normal delay, clean checksum)
-    calls none of the round's rule functions: its FSM step, interval update
-    and tcc action are fixed, and a clean node's checksum draws nothing.
-    Counted as ``bench/tracing.py`` counts them, through their names in
-    ``bftsim.engine``, on fault-free desk under every checkpoint policy;
-    ``classify_delay`` still runs once per observation."""
+    calls none of the round's rule functions and no policy method: its FSM
+    step, interval update and tcc action are fixed, a clean node's checksum
+    draws nothing, and under tcc the engine writes the round's image
+    itself.  Counted as ``bench/tracing.py`` counts them, through their
+    names in ``bftsim.engine`` and on their classes, on fault-free desk
+    under every checkpoint policy; ``classify_delay`` still runs once per
+    observation, and under tcc ``take`` once per round that does not
+    finish its node (every observation but each task's last)."""
     cfg = load_config(DESK, {"seed": 1, "byzantine_faults": 0, "delay_faults": 0})
     scenario = Scenario.from_config(cfg)
     assert not scenario.faults
@@ -1376,36 +1400,82 @@ def test_a_healthy_round_calls_no_rule_function():
 
     wrappers = {name: counting(name, getattr(bftsim.engine, name))
                 for name in _ROUND_RULES + ("classify_delay",)}
+    policies = [cls for cls in vars(bftsim.engine).values()
+                if isinstance(cls, type) and issubclass(cls, bftsim.engine.Checkpointing)
+                and "on_monitor" in vars(cls)]
+    assert {cls.__name__ for cls in policies} == {"Checkpointing", "TccCheckpointing"}
     for ckpt in CHECKPOINT_POLICIES:
         calls.clear()
-        with mock.patch.multiple(bftsim.engine, **wrappers):
+        with mock.patch.multiple(bftsim.engine, **wrappers), \
+                mock.patch.object(CheckpointStore, "take",
+                                  counting("take", CheckpointStore.take)), \
+                contextlib.ExitStack() as stack:
+            for cls in policies:
+                stack.enter_context(mock.patch.object(
+                    cls, "on_monitor", counting("on_monitor", vars(cls)["on_monitor"])))
             sim = Simulation(scenario, checkpoint_policy=ckpt, collect_log=False)
             report, _ = sim.run()
         assert report.scalars["jobs_completed"] == cfg.job_count, ckpt
         assert sim.obs_count > 1000, ckpt
         assert calls["classify_delay"] == sim.obs_count, ckpt
         assert {name: calls[name] for name in _ROUND_RULES} == dict.fromkeys(_ROUND_RULES, 0), ckpt
+        assert calls["on_monitor"] == 0, ckpt
+        if ckpt == "tcc":
+            assert calls["take"] == sim.obs_count - cfg.task_count == sim.store.taken
+
+
+def test_tcc_images_a_node_exactly_at_a_healthy_round():
+    """Under tcc a healthy monitor round, which stretches the node's gap,
+    writes exactly one image, through ``CheckpointStore.take``, after its
+    write's pause; a flagged round, whose extreme delay collapses the gap,
+    writes none and restarts the node."""
+    take, times = CheckpointStore.take, []
+
+    def recording(store, vn, time, *args):
+        times.append(time)
+        return take(store, vn, time, *args)
+
+    for healthy in (True, False):
+        sim = Simulation(Scenario.from_config(cluster_cfg()), checkpoint_policy="tcc")
+        rt = sim._spawn(sim.tasks[0], 1, 0)
+        rt.spike_delay = 0.0 if healthy else 10.0 * sim.cfg.sla_bound
+        sim.rng.gauss_next = 0.0   # the delay is the server's mean, under the SLA bound
+        times.clear()
+        with mock.patch.object(CheckpointStore, "take", recording):
+            _, detail = _observe_round(sim, rt)
+        assert times == ([10] if healthy else []) and sim.store.taken == len(times)
+        assert ("tcc=confirmed;delta=20" in detail) is healthy, detail
+        assert ("tcc=previous_restart" in detail) is not healthy, detail
+        assert (rt.monitor is not None) is healthy   # a restart retired the node
+        assert sim.restarts[rt.task.job_id] == (0 if healthy else 1)
+        if healthy:
+            assert rt.gap == 20 and rt.pause_due == sim.cfg.checkpoint_write_cost
+            assert sim.store.latest(rt.task.task_id) == (0, 10, rt.progress, False)
 
 
 def test_a_clean_nodes_checksum_reads_no_error_and_draws_nothing():
-    """A clean node never errs: its rounds read NO_ERROR and leave the run's
-    stream as they found it, while a contaminated node's round draws once
-    (the oracle's).  The delay noise is given its pair's second half, so
-    the noise draws nothing either."""
+    """A clean node never errs: its monitor rounds read NO_ERROR and leave
+    the run's stream as they found it, while a contaminated node's round
+    draws once (the oracle's), and its restart under tcc and wsss draws
+    nothing.  The delay noise is given its pair's second half, so the noise
+    draws nothing either."""
+    cfg = cluster_cfg(detect_prob=0.5, demand_min=10 ** 6, demand_max=10 ** 6)
     for contaminated in (False, True):
-        sim = Simulation(Scenario.from_config(cluster_cfg(detect_prob=0.5)))
-        rt = sim._spawn(sim.tasks[0], 1, 0)
-        rt.contaminated = contaminated
+        sim = Simulation(Scenario.from_config(cfg))
+        task = sim.tasks[0]
+        sim._spawn(task, 1, 0)
         twin = random.Random()
-        for t in range(10, 2010, 10):
+        for _ in range(200):
+            rt = sim.job_nodes[task.job_id][task.task_id]   # a flagged round restarts it
+            rt.contaminated = contaminated
             sim.rng.gauss_next = 0.0
             twin.setstate(sim.rng.getstate())
-            checksum = sim._observe(rt, t)[2]
+            _, detail = _observe_round(sim, rt)
             if contaminated:
                 twin.random()
             else:
-                assert checksum is ChecksumResult.NO_ERROR, t
-            assert sim.rng.getstate()[1] == twin.getstate()[1], (contaminated, t)
+                assert "checksum=noerror;" in detail, rt.monitor
+            assert sim.rng.getstate()[1] == twin.getstate()[1], (contaminated, rt.monitor)
 
 
 # each key set away from both its default and the storm config's value
@@ -1922,17 +1992,27 @@ def _check_every_event(scenario, sched, ckpt, check, collect_log=False):
     every popped event, and checking at every node start that its task has
     no live node left; returns the report and the number of events checked.
     ``sim.observed`` records, by vn id, each node's start and then the time
-    of its latest observation, as the hooks see them; ``sim.node_states``
-    records each node's ``_node_state`` as it started, for the checks that
-    compare it across events."""
+    of its latest observation, as the hooks see them: a node entry that
+    does not pop stale observes its node exactly once, as the count of
+    ``classify_delay`` calls shows, and no other event observes any node.
+    ``sim.node_states`` records each node's ``_node_state`` as it started,
+    for the checks that compare it across events."""
     sim = Simulation(scenario, scheduler=sched, checkpoint_policy=ckpt,
                      collect_log=collect_log)
-    log, spawn, observe = sim._log, sim._spawn, sim._observe
+    log, spawn, classify = sim._log, sim._spawn, bftsim.engine.classify_delay
     checked = []
+    observations = [0, 0]   # classify_delay calls: all, and as of the last event
     sim.observed = {}
     sim.node_states = {}
 
     def checking_log(ev, detail):
+        observed = observations[0] - observations[1]
+        observations[1] = observations[0]
+        if isinstance(ev[3], VirtualNode) and detail != "stale=1":
+            assert observed == 1, ev
+            sim.observed[ev[3].vn_id] = ev[0]
+        else:
+            assert observed == 0, ev
         check(sim, ev)
         checked.append(ev)
         log(ev, detail)
@@ -1948,12 +2028,13 @@ def _check_every_event(scenario, sched, ckpt, check, collect_log=False):
         sim.node_states[rt.vn_id] = _node_state(rt)
         return rt
 
-    def checking_observe(rt, t):
-        sim.observed[rt.vn_id] = t
-        return observe(rt, t)
+    def counting_classify(*args):
+        observations[0] += 1
+        return classify(*args)
 
-    sim._log, sim._spawn, sim._observe = checking_log, checking_spawn, checking_observe
-    report, _ = sim.run()
+    sim._log, sim._spawn = checking_log, checking_spawn
+    with mock.patch.object(bftsim.engine, "classify_delay", counting_classify):
+        report, _ = sim.run()
     return report, len(checked)
 
 
@@ -2460,7 +2541,7 @@ def test_per_event_code_binds_enum_members_once():
             {name for name, fn in engine.items()
              if name.split(".")[0].endswith("Checkpointing") or _pushes(fn)}
             | {f"Simulation.{name}" for name in (
-                "_spawn", "_observe", "_handle_node", "_count_rounds", "_catch_up",
+                "_spawn", "_handle_node", "_count_rounds", "_catch_up",
                 "_take_rounds", "_handle_exchange", "inject_fault", "run", "_log")}),
     }
     assert "TccCheckpointing.on_monitor" in per_event[bftsim.engine]
@@ -2488,13 +2569,12 @@ def test_per_event_code_binds_enum_members_once():
 def test_only_round_code_skips_log_detail():
     """A run with the log off skips formatting the detail only where a run
     spends its rounds: the node handler, which serves monitor rounds and
-    completions, and the policy hooks it calls each round.  Lifecycle code
-    (finishing a task, restarts, migrations, faults, exchanges) is rare, so
-    it always formats its detail; a node's own sync or independent rounds
-    log nothing."""
+    completions and asks a policy for a healthy round's detail only with
+    the log on.  Flagged rounds (``on_monitor``) and lifecycle code
+    (finishing a task, restarts, migrations, faults, exchanges) are rare,
+    so they always format their detail; a node's own sync or independent
+    rounds log nothing."""
     readers = sorted(name for name, fn in _functions(bftsim.engine).items()
                      if any(isinstance(node, ast.Attribute) and node.attr == "collect_log"
                             for node in ast.walk(fn)))
-    assert readers == [
-        "Checkpointing.on_monitor", "Simulation.__init__", "Simulation._handle_node",
-        "Simulation._log", "TccCheckpointing.on_monitor"]
+    assert readers == ["Simulation.__init__", "Simulation._handle_node", "Simulation._log"]

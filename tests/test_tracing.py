@@ -99,7 +99,11 @@ def test_traced_policy_matrix_pass_is_correct():
 
 def test_traced_campaign_pass_is_correct():
     """The campaign pass (wsss+tcc, log off) is the benchmark's claimed
-    workload; its healthy monitor rounds and tcc confirmations dominate."""
+    workload.  Its healthy monitor rounds dominate, and each one classifies
+    one delay and writes one image; ``tcc_round`` runs only on the few
+    flagged rounds."""
     correct, metrics = _bench_trace("campaign", 401)
     assert correct
+    assert metrics["checkpoint.take.calls"] > 0
+    assert metrics["fsm.classify_delay.calls"] > 0
     assert metrics["checkpoint.tcc_round.calls"] > 0
