@@ -8,6 +8,10 @@ derived from the single scenario seed; topology, workload, and the fault
 trace come from policy-independent streams (see ``scenario.py``) so
 different policies can be compared on identical inputs.
 
+Node rounds fall on shared multiples of ``base_interval``, so many events
+share a tick: the queue keeps one list per tick, sorted once when the clock
+reaches it (``EventQueue``), instead of a heap of every entry.
+
 Each live virtual node has one queued entry: the earlier of its next monitor
 round and its completion, each under the sequence number it took when it was
 scheduled.  A popped node entry is stale (``stale=1``) when the record it was
@@ -116,16 +120,30 @@ class CausalityError(RuntimeError):
 
 
 class EventQueue:
-    """Min-heap of events, each a ``(time, seq, kind, target)`` tuple.
-    Sequence numbers are unique, so ordering never compares kinds or targets."""
+    """Events, each a ``(time, seq, kind, target)`` tuple, popped in
+    ``(time, seq)`` order from one list per tick.  ``_due`` maps each later
+    tick to its entries, unsorted, and ``_ticks`` is a min-heap of its keys;
+    ``_now`` holds the clock tick's entries, sorted latest first once the
+    clock reaches the tick, so each pop is ``list.pop()``.  A push at the
+    clock tick is placed in ``_now`` by a scan from its end.  Sequence
+    numbers are unique, so ordering never compares kinds or targets."""
 
     def __init__(self):
-        self._heap: list[tuple[int, int, str, object]] = []
+        self._due: dict[int, list[tuple[int, int, str, object]]] = {}
+        self._ticks: list[int] = []
+        self._now: list[tuple[int, int, str, object]] = []
+        self._count = 0   # the entries in _due, so len() is O(1)
         self._seq = 0
         self.clock = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._count + len(self._now)
+
+    def __iter__(self):
+        """The queued entries, in no particular order."""
+        yield from self._now
+        for bucket in self._due.values():
+            yield from bucket
 
     def push(self, time: int, kind: str, target: object = None,
              seq: int | None = None) -> tuple:
@@ -139,20 +157,39 @@ class EventQueue:
             seq = self._seq
             self._seq = seq + 1
         ev = (time, seq, kind, target)
-        heappush(self._heap, ev)
+        if time == self.clock:   # pops after the entries of an earlier seq
+            now = self._now
+            i = len(now)
+            while i and now[i - 1][1] < seq:
+                i -= 1
+            now.insert(i, ev)
+            return ev
+        bucket = self._due.get(time)
+        if bucket is None:
+            self._due[time] = [ev]
+            heappush(self._ticks, time)
+        else:
+            bucket.append(ev)
+        self._count += 1
         return ev
 
     def peek_time(self) -> int | None:
-        return self._heap[0][0] if self._heap else None
+        if self._now:
+            return self.clock
+        return self._ticks[0] if self._ticks else None
 
     def advance(self) -> tuple:
         """Pop the next event and move the clock to it."""
-        ev = heappop(self._heap)
-        self.clock = ev[0]
-        return ev
+        now = self._now
+        if not now:
+            self.clock = tick = heappop(self._ticks)
+            self._now = now = self._due.pop(tick)
+            self._count -= len(now)
+            now.sort(reverse=True)
+        return now.pop()
 
     def synthesize(self, kind: str, time: int) -> tuple:
-        """An event that never enters the heap, numbered in insertion order."""
+        """An event that never enters the queue, numbered in insertion order."""
         self._seq += 1
         return time, self._seq - 1, kind, None
 
@@ -937,10 +974,10 @@ class Simulation:
             MIGRATION_COMPLETE: lambda ev: f"job=j{ev[3]}",
         }
         queue, horizon, job_count = self.queue, cfg.horizon, len(self.unfinished)
-        heap = queue._heap   # its head read in place: one call less per event than peek_time
+        ticks = queue._ticks   # read in place: one call less per event than peek_time
         s = self.report.scalars
         advance, log = queue.advance, self._log
-        while s["jobs_completed"] < job_count and heap and heap[0][0] <= horizon:
+        while s["jobs_completed"] < job_count and (queue._now or ticks and ticks[0] <= horizon):
             ev = advance()
             log(ev, dispatch[ev[2]](ev))
 

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import enum
 import hashlib
+import heapq
 import inspect
 import json
 import math
@@ -93,6 +94,49 @@ def test_push_into_the_past_is_a_causality_violation():
     q.advance()
     with pytest.raises(CausalityError, match="causality"):
         q.push(3, MONITOR_ROUND, 2)
+
+
+_QUEUE_STEPS = st.lists(st.one_of(
+    st.just(("advance",)),
+    # at the clock tick, a later one or one past any horizon, under the next
+    # seq or else one reserved earlier, as ``_queue_node`` passes one
+    st.tuples(st.just("push"), st.integers(0, 2) | st.just(10**6), st.booleans()),
+    st.just(("reserve",)),
+    st.tuples(st.just("past"), st.integers(1, 5)),
+), min_size=10, max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_QUEUE_STEPS)
+def test_the_tick_queue_pops_what_a_heap_pops(steps):
+    """The tick-bucketed queue against a plain ``heapq`` of the same tuples:
+    after every step the same tuple pops, and the clock, the length, the
+    next time and the queued entries agree.  A push into the past raises
+    before it takes a seq."""
+    q, heap, reserved, next_seq, clock = EventQueue(), [], [], 0, 0
+    for step, (op, *args) in enumerate(steps):
+        if op == "advance":
+            if not heap:
+                continue
+            want = heapq.heappop(heap)
+            assert q.advance() is want, step
+            clock = want[0]
+        elif op == "reserve":
+            reserved.append(q._seq)
+            q._seq = next_seq = next_seq + 1
+        elif op == "past":
+            with pytest.raises(CausalityError):
+                q.push(clock - args[0], MONITOR_ROUND, step)
+        else:
+            seq = reserved.pop(0) if args[1] and reserved else None
+            ev = q.push(clock + args[0], MONITOR_ROUND, step, seq)
+            if seq is None:
+                assert ev[1] == next_seq
+                next_seq += 1
+            heapq.heappush(heap, ev)
+        assert (q.clock, q._seq, len(q)) == (clock, next_seq, len(heap)), step
+        assert q.peek_time() == (heap[0][0] if heap else None)
+        assert Counter(map(id, q)) == Counter(map(id, heap))
 
 
 def test_a_run_builds_objects_only_for_nodes_and_images():
@@ -2065,7 +2109,7 @@ def _job_index_holds(sim, ev):
     # a queued event of a node that is not retired (its monitor round is
     # set) names a node the index holds
     indexed = set(map(id, live))
-    for _, _, _, target in sim.queue._heap:
+    for _, _, _, target in sim.queue:
         if isinstance(target, VirtualNode) and target.monitor is not None:
             assert id(target) in indexed, (ev, target.vn_id)
 
@@ -2135,7 +2179,7 @@ def _node_entry_holds(sim, ev):
     it was queued under.  Either pops stale and ``_handle_node`` queues the
     node again."""
     entries = {}
-    for time, seq, kind, target in sim.queue._heap:
+    for time, seq, kind, target in sim.queue:
         if isinstance(target, VirtualNode) and target.monitor is not None:
             entries.setdefault(target.vn_id, []).append((time, seq, kind))
     policy = sim.report.checkpoint_policy
@@ -2250,7 +2294,7 @@ def test_each_live_node_keeps_one_completion_event(sched, ckpt):
     def check(sim, ev):
         _node_entry_holds(sim, ev)
         completions.append(sum(kind == TASK_COMPLETE
-                               for _, _, kind, _ in sim.queue._heap))
+                               for _, _, kind, _ in sim.queue))
 
     for seed in (1, 2):
         scenario = Scenario.from_config(_costly_storm_cfg(seed))
@@ -2316,7 +2360,7 @@ def _order_holds(sim, ev):
     event just handled, and the sequence numbers a live node's schedule
     reserved are distinct and were all taken from the queue's counter."""
     if ev[2] != HORIZON_END:   # synthesized, never queued
-        assert all(entry[:2] > ev[:2] for entry in sim.queue._heap), ev
+        assert all(entry[:2] > ev[:2] for entry in sim.queue), ev
     seqs = [record[1] for rt in _live(sim)
             for record in (rt.monitor, rt.completion) if record is not None]
     assert len(set(seqs)) == len(seqs), ev
