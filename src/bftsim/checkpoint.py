@@ -48,15 +48,13 @@ def tcc_round(restarts: int, migration_threshold: int) -> tuple[TccActionKind, i
     return PREVIOUS_RESTART, restarts
 
 
-# a kept image: (ckpt_id, time, progress, tainted), Checkpoint's field order
-Image = tuple[int, int, int, bool]
-
-
 class CheckpointStore:
     """The checkpoint images a run can still restore, by lineage: a task keeps
     its chain across node replacements, so a new node restores the image its
-    predecessor wrote.  Images are plain ``Image`` tuples, and a lookup builds
-    the ``Checkpoint`` it returns.
+    predecessor wrote.  A chain is one flat list of ints and bools, four per
+    image in ``Checkpoint``'s field order (ckpt_id, time, progress, tainted),
+    so a kept image holds no object the cyclic GC tracks; a lookup builds the
+    ``Checkpoint`` it returns.
 
     Every write appends its image, and only a rollback forgets images
     (``abandon_after``).  One write may stand for a batch of ``rounds`` own
@@ -68,7 +66,7 @@ class CheckpointStore:
     def __init__(self):
         self.taken = 0     # the next ckpt_id
         self.dropped = 0   # ckpt_ids with no image kept
-        self._by_lineage: dict[int, list[Image]] = {}
+        self._by_lineage: dict[int, list[int | bool]] = {}
 
     def __len__(self) -> int:
         return self.taken - self.dropped
@@ -86,19 +84,22 @@ class CheckpointStore:
         ckpt_id = self.taken + rounds - 1
         self.taken = ckpt_id + 1
         self.dropped += rounds - 1
-        self._by_lineage.setdefault(lineage_id, []).append(
-            (ckpt_id, time, progress, vn.contaminated))
+        chain = self._by_lineage.get(lineage_id)
+        if chain is None:
+            self._by_lineage[lineage_id] = [ckpt_id, time, progress, vn.contaminated]
+        else:
+            chain.extend((ckpt_id, time, progress, vn.contaminated))
         return ckpt_id
 
     def latest_clean(self, lineage_id: int, before: int | None = None) -> Checkpoint | None:
         """Newest untainted image in the lineage, optionally no newer than
         ``before``.  Only a ``tcc`` migration passes ``before``, and ``tcc``
         writes one image per round, so no such lookup meets a batch."""
-        for image in reversed(self._by_lineage.get(lineage_id, ())):
-            _, time, _, tainted = image
-            if tainted or (before is not None and time > before):
+        chain = self._by_lineage.get(lineage_id, ())
+        for i in range(len(chain) - 4, -1, -4):
+            if chain[i + 3] or (before is not None and chain[i + 1] > before):
                 continue
-            return Checkpoint(*image)
+            return Checkpoint(*chain[i:i + 4])
         return None
 
     def abandon_after(self, lineage_id: int, target: Checkpoint | None) -> None:
@@ -106,13 +107,13 @@ class CheckpointStore:
         initial state): a rollback abandons their timeline."""
         chain = self._by_lineage.get(lineage_id, [])
         kept = target.ckpt_id if target else -1
-        while chain and chain[-1][0] > kept:
-            chain.pop()
+        while chain and chain[-4] > kept:
+            del chain[-4:]
             self.dropped += 1
 
     def latest(self, lineage_id: int) -> Checkpoint | None:
         chain = self._by_lineage.get(lineage_id)
-        return Checkpoint(*chain[-1]) if chain else None
+        return Checkpoint(*chain[-4:]) if chain else None
 
 
 def rollback_loss(current_progress: int, target: Checkpoint | None, now: int) -> int:

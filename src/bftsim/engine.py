@@ -53,7 +53,7 @@ import random
 from functools import reduce
 from heapq import heappop, heappush
 from math import cos, log, sin, sqrt, tau
-from operator import add, attrgetter
+from operator import add
 
 from .checkpoint import (
     PREVIOUS_RESTART,
@@ -328,7 +328,7 @@ class WsssPlacement:
         return first_fit(task_ids, rank_servers(sim.servers)), 0.0
 
     def replacement(self, sim: Simulation, exclude_id: int) -> tuple[int | None, float]:
-        return select_servers(rank_servers(sim.servers), exclude_id), 0.0
+        return select_servers(sim.servers, exclude_id), 0.0
 
 
 class MesfPlacement:
@@ -340,11 +340,13 @@ class MesfPlacement:
     def replacement(self, sim: Simulation, exclude_id: int) -> tuple[int | None, float]:
         # re-evaluates and packs onto servers already in use; never opens an
         # idle server for a single replacement
-        in_use = [s for s in sim.servers
-                  if s.free_slots < s.capacity and s.server_id != exclude_id]
-        best = min((s for s in in_use if s.free_slots > 0), default=None,
-                   key=attrgetter("latency_mean", "server_id"))
-        return (best.server_id if best else None), sim.cfg.preeval_cost * len(in_use)
+        in_use, best = 0, None
+        for s in sim.servers:   # in ascending id order: the first of equal means wins
+            if s.free_slots < s.capacity and s.server_id != exclude_id:
+                in_use += 1
+                if s.free_slots > 0 and (best is None or s.latency_mean < best.latency_mean):
+                    best = s
+        return (best.server_id if best else None), sim.cfg.preeval_cost * in_use
 
 
 class RandomPlacement:
@@ -937,6 +939,8 @@ class Simulation:
         t = ev[0]
         spread = []
         for job_id, infected in self.infected.items():
+            if not infected:
+                continue
             nodes = self.job_nodes[job_id]
             # a crashed node no longer exchanges outputs
             if not any(nodes[task_id].completion is not None for task_id in infected):

@@ -2,11 +2,12 @@
 
 The workload-sensitive policy (tag ``wsss``) counts per-server task
 failures, both erroneous (W) and SLA-delay (Y) (``failure_kind``), and
-keeps servers ranked by ascending count; placement reads the ranking head without pre-evaluating
-anything.  The ``mesf`` baseline packs tasks onto the fewest, most efficient
-servers and pays a pre-evaluation cost per candidate before each wave.  Both
-waves are one ``first_fit``, over a different server order.  The ``random``
-baseline places uniformly among feasible servers.
+ranks servers by ascending count; a replacement takes the best-ranked
+server with a free slot without pre-evaluating anything.  The ``mesf``
+baseline packs tasks onto the fewest, most efficient servers and pays a
+pre-evaluation cost per candidate before each wave.  Both waves are one
+``first_fit``, over a different server order.  The ``random`` baseline
+places uniformly among feasible servers.
 """
 
 from __future__ import annotations
@@ -51,13 +52,18 @@ def rank_servers(servers: list[Server]) -> list[Server]:
     return sorted(servers, key=attrgetter("fail_count", "server_id"))
 
 
-def select_servers(ranked: list[Server], exclude: int) -> int | None:
-    """The id of the best-ranked server other than ``exclude`` with a free
-    slot, or None.  No pre-evaluation cost is ever charged here."""
-    for server in ranked:
-        if server.server_id != exclude and server.free_slots > 0:
-            return server.server_id
-    return None
+def select_servers(servers: list[Server], exclude: int) -> int | None:
+    """The id of the server with the lowest ``(fail_count, server_id)`` that
+    has a free slot and is not ``exclude``, or None: one pass over the
+    servers, in any order.  On a ``rank_servers`` list it is the first such
+    server.  No pre-evaluation cost is ever charged here."""
+    best = None
+    for server in servers:
+        if server.free_slots > 0 and server.server_id != exclude and (
+                best is None or server.fail_count < best.fail_count
+                or server.fail_count == best.fail_count and server.server_id < best.server_id):
+            best = server
+    return None if best is None else best.server_id
 
 
 def first_fit(task_ids: list[int], ordered_servers: list[Server]) -> dict[int, int]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from bftsim.config import validate_config
+from bftsim.model import Checkpoint
 
 # A shared CI runner can stall any one example past Hypothesis's 200 ms
 # deadline; there a slow example is no failure, and a failing one prints the
@@ -13,6 +14,15 @@ from bftsim.config import validate_config
 settings.register_profile("ci", deadline=None, print_blob=True)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+def store_chains(store):
+    """Each lineage's kept images as ``Checkpoint``s, decoded from the
+    store's flat chains: four values per image, in ``Checkpoint``'s field
+    order."""
+    assert all(len(chain) % 4 == 0 for chain in store._by_lineage.values())
+    return {lineage: [Checkpoint(*chain[i:i + 4]) for i in range(0, len(chain), 4)]
+            for lineage, chain in store._by_lineage.items()}
 
 
 @pytest.fixture

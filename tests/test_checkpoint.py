@@ -13,6 +13,7 @@ from bftsim.checkpoint import (
     tcc_round,
 )
 from bftsim.model import Checkpoint
+from conftest import store_chains
 
 
 def _vn(vn_id=1, contaminated=False, crashed=False):
@@ -107,7 +108,7 @@ def test_store_abandon_after_forgets_the_newer_images_of_the_lineage():
 
 class _ObjectStore:
     """The checkpoint store as it kept one ``Checkpoint`` object per image:
-    the reference the tuple store must match."""
+    the reference the flat-chain store must match."""
 
     def __init__(self):
         self.records = []
@@ -168,7 +169,7 @@ def _take_on_both(store, reference, op, lineage, now, rounds):
 
 @given(_STORE_STEPS)
 def test_tuple_store_matches_the_object_store(steps):
-    """The tuple store against the object-store reference: random batch
+    """The flat-chain store against the object-store reference: random batch
     takes (tainted and fail-stopped ones mixed in), rollbacks to a lookup's
     image or to the initial state, and lookups over three lineages.  A batch
     writes one image to the store and one per round to the reference, all
@@ -206,6 +207,5 @@ def test_tuple_store_matches_the_object_store(steps):
         assert store.taken == len(reference.records)
         kept = {lineage: [c for c in chain if c.ckpt_id not in skipped]
                 for lineage, chain in reference._by_lineage.items()}
-        assert {lineage: [Checkpoint(*image) for image in chain]
-                for lineage, chain in store._by_lineage.items()} == kept
+        assert store_chains(store) == kept
         assert len(store.records) == sum(map(len, kept.values()))

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import dataclasses
 import enum
+import gc
 import hashlib
 import heapq
 import inspect
@@ -66,10 +67,11 @@ from bftsim.scenario import (
     scale_demands,
 )
 
-from conftest import cluster_cfg, storm_cfg
+from conftest import cluster_cfg, storm_cfg, store_chains
 
 DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.cfg"
 COSTLY = DESK.with_name("costly-writes.cfg")
+SPREAD = DESK.with_name("byzantine-spread.cfg")
 COMBOS = [(sched, ckpt) for sched in ("wsss", "mesf", "random")
           for ckpt in ("tcc", "sync", "independent")]
 
@@ -686,6 +688,17 @@ def test_propagation_spreads_within_job():
     assert report.scalars["corrupted_completions"] == 0
 
 
+def test_the_spread_scenario_spreads_under_tcc():
+    """``byzantine-spread.cfg`` is desk with more Byzantine faults, half the
+    detections and the HIGH-delay fallback off, so contamination spreads
+    before it is caught: at seed 1 ``tcc`` logs spreading exchanges."""
+    cfg = load_config(SPREAD, {"seed": 1})
+    assert (cfg.byzantine_faults, cfg.detect_prob, cfg.propagation_prob,
+            cfg.high_delay_fallback) == (8, 0.5, 0.1, False)
+    _, log = Simulation(Scenario.from_config(cfg), checkpoint_policy="tcc").run()
+    assert any(",exchange," in line and "spread=v" in line for line in log)
+
+
 # -- rollback targets ----------------------------------------------------------
 
 def _single_vn_cfg(**overrides):
@@ -901,7 +914,7 @@ def test_baseline_stores_count_every_round_applied(ckpt, monkeypatch):
         assert sim.store.taken == rounds_applied(sim, ev)
         running.clear()
         running.update(vn_id for vn_id, rt in nodes.items() if rt.checkpoint is not None)
-        chains = sim.store._by_lineage.values()
+        chains = store_chains(sim.store).values()
         assert len(sim.store.records) == sum(map(len, chains)) <= sim.store.taken
         assert all(chain == sorted(chain) for chain in chains)
 
@@ -910,6 +923,19 @@ def test_baseline_stores_count_every_round_applied(ckpt, monkeypatch):
     assert last_ev[2] == HORIZON_END
     assert report.scalars["checkpoint_count"] == sim.store.taken > len(sim.store.records)
     assert len(sim.store.records) > len(scenario.workload.tasks)
+
+
+def test_a_tcc_run_keeps_its_images_out_of_the_cyclic_gc():
+    """A kept image is four plain values in its lineage's flat chain, not an
+    object of its own: after a desk ``tcc`` run, which images every healthy
+    monitor round, no chain holds an object the cyclic GC tracks."""
+    sim = Simulation(Scenario.from_config(load_config(DESK, {"seed": 1})),
+                     checkpoint_policy="tcc", collect_log=False)
+    sim.run()
+    chains = sim.store._by_lineage.values()
+    assert len(sim.store.records) > len(sim.tasks)   # images were kept
+    assert sum(map(len, store_chains(sim.store).values())) == len(sim.store.records)
+    assert not any(gc.is_tracked(value) for chain in chains for value in chain)
 
 
 # -- sync rounds in closed form ------------------------------------------------
@@ -1355,6 +1381,32 @@ def test_suspect_threshold_has_no_effect_under_tcc():
                 report, _ = run_scenario(cfg, checkpoint_policy=policy, collect_log=False)
                 reports.add(report.emit("json"))
             assert len(reports) == (1 if policy == "tcc" else 3), (seed, policy)
+
+
+_RESTART_SCALARS = ("rollback_count", "replacement_count", "migration_count",
+                    "lost_work_total", "jobs_completed", "failed_workloads",
+                    "corrupted_completions", "checkpoint_count")
+
+
+def test_detect_prob_moves_no_restart_under_tcc_with_the_fallback_on():
+    """With the default ``high_delay_fallback`` a contaminated node that
+    passes its checksum is observed at HIGH delay, so it is flagged at its
+    first monitor round whatever ``detect_prob`` is: ``checksum_oracle``
+    draws once either way, and a W and a Y failure each add one to
+    ``fail_count``.  So under ``tcc``, which restarts at the first flagged
+    round, ``detect_prob`` moves no restart, migration, lost tick or image;
+    under ``sync`` it does, on every seed and scheduler."""
+    for seed in range(1, 6):
+        for scheduler in ("wsss", "mesf", "random"):
+            for policy in ("tcc", "sync"):
+                outcomes = set()
+                for detect_prob in (0.0, 0.5, 1.0):
+                    cfg = load_config(DESK, {"seed": seed, "byzantine_faults": 8,
+                                             "crash_faults": 4, "detect_prob": detect_prob})
+                    report, _ = run_scenario(cfg, scheduler=scheduler,
+                                             checkpoint_policy=policy, collect_log=False)
+                    outcomes.add(tuple(report.scalars[key] for key in _RESTART_SCALARS))
+                assert len(outcomes) == (1 if policy == "tcc" else 3), (seed, scheduler, policy)
 
 
 # each key set away from both its default and the storm config's value

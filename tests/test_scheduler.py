@@ -79,6 +79,20 @@ def test_select_servers_none_without_a_free_slot():
     assert select_servers(ranked, exclude=2) is None
 
 
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), max_size=12),
+       st.integers(0, 13), st.randoms(use_true_random=False))
+def test_select_servers_is_the_ranked_rule_over_any_order(counts_and_free, exclude, rng):
+    """One pass over the servers in any order picks what the rule over
+    ``rank_servers`` picks: the first ranked server with a free slot other
+    than ``exclude``, or None."""
+    servers = [_fill(_server(i + 1, count, capacity=2), 2 - free)
+               for i, (count, free) in enumerate(counts_and_free)]
+    expected = next((s.server_id for s in rank_servers(servers)
+                     if s.free_slots > 0 and s.server_id != exclude), None)
+    rng.shuffle(servers)
+    assert select_servers(servers, exclude) == expected
+
+
 def test_mesf_packs_most_efficient_first():
     s1, s2 = _server(1, latency=3.0), _server(2, latency=9.0)
     mapping, charge = mesf_assign(list(range(4)), [s2, s1], PREEVAL_COST)
