@@ -3,18 +3,17 @@
 
 ``tcc_round`` is ``tcc``'s rule for a collapsed gap: it restarts the node
 from its previous confirmed image, or migrates the whole job from a
-job-consistent image once the job's restarts pass the migration threshold.
-A healthy round confirms a fresh image instead, which the engine writes
-(``TccCheckpointing.confirms``).
-``CheckpointStore`` keeps every policy's images by lineage,
-``rollback_loss`` prices a rollback, and ``independent_next`` draws the gap
-to an ``independent`` node's next round.
+job-consistent image once the job's restarts pass the migration threshold;
+it answers with the token the log writes.  A healthy round confirms a fresh
+image instead, which the engine writes (``TccCheckpointing.confirms``).
+``CheckpointStore`` keeps every policy's images by lineage, each read off
+the node it images, ``rollback_loss`` prices a rollback, and
+``independent_next`` draws the gap to an ``independent`` node's next round.
 """
 
 from __future__ import annotations
 
 import random
-from enum import Enum
 from math import log
 from typing import TYPE_CHECKING
 
@@ -24,28 +23,18 @@ if TYPE_CHECKING:
     from .engine import VirtualNode
 
 
-class TccActionKind(Enum):
-    PREVIOUS_RESTART = "previous_restart"
-    JOB_MIGRATION = "job_migration"
-
-
-# per-event code binds members by name: see model.py
-PREVIOUS_RESTART = TccActionKind.PREVIOUS_RESTART
-JOB_MIGRATION = TccActionKind.JOB_MIGRATION
-
-
-def tcc_round(restarts: int, migration_threshold: int) -> tuple[TccActionKind, int]:
+def tcc_round(restarts: int, migration_threshold: int) -> tuple[str, int]:
     """Decide between restarting one node and migrating its job, after a
     round collapsed the node's gap.
 
     ``restarts`` counts the job's restarts since its last migration; returns
-    the action and the new count: a restart increments it, a migration
-    resets it to zero.
+    the action, ``"previous_restart"`` or ``"job_migration"``, and the new
+    count: a restart increments it, a migration resets it to zero.
     """
     restarts += 1
     if restarts > migration_threshold:
-        return JOB_MIGRATION, 0
-    return PREVIOUS_RESTART, restarts
+        return "job_migration", 0
+    return "previous_restart", restarts
 
 
 class CheckpointStore:
@@ -75,20 +64,21 @@ class CheckpointStore:
     def records(self) -> CheckpointStore:   # sized as the images kept
         return self
 
-    def take(self, vn: VirtualNode, time: int, progress: int, lineage_id: int,
-             rounds: int = 1) -> int:
-        """Image ``vn`` at ``time`` into the lineage's chain for the last of
-        ``rounds`` rounds; returns its ``ckpt_id``."""
+    def take(self, vn: VirtualNode, time: int, rounds: int = 1) -> int:
+        """Image ``vn`` at ``time`` for the last of ``rounds`` rounds, with the
+        node's progress and taint, into its task's chain; returns its
+        ``ckpt_id``."""
         if vn.completion is None:   # crashed or retired
             raise ValueError(f"cannot checkpoint fail-stopped node v{vn.vn_id}")
         ckpt_id = self.taken + rounds - 1
         self.taken = ckpt_id + 1
         self.dropped += rounds - 1
+        lineage_id = vn.task.task_id
         chain = self._by_lineage.get(lineage_id)
         if chain is None:
-            self._by_lineage[lineage_id] = [ckpt_id, time, progress, vn.contaminated]
+            self._by_lineage[lineage_id] = [ckpt_id, time, vn.progress, vn.contaminated]
         else:
-            chain.extend((ckpt_id, time, progress, vn.contaminated))
+            chain.extend((ckpt_id, time, vn.progress, vn.contaminated))
         return ckpt_id
 
     def latest_clean(self, lineage_id: int, before: int | None = None) -> Checkpoint | None:

@@ -1,13 +1,14 @@
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bftsim.checkpoint
 from bftsim.checkpoint import (
     CheckpointStore,
-    TccActionKind,
     independent_next,
     rollback_loss,
     tcc_round,
@@ -16,35 +17,46 @@ from bftsim.model import Checkpoint
 from conftest import store_chains
 
 
-def _vn(vn_id=1, contaminated=False, crashed=False):
+def _vn(vn_id=1, contaminated=False, crashed=False, progress=0, lineage_id=7):
     """The node fields ``CheckpointStore.take`` reads: a crashed node has no
-    completion."""
+    completion, and its task's id is the image's lineage."""
     return SimpleNamespace(vn_id=vn_id, completion=None if crashed else (100, 0),
-                           contaminated=contaminated)
+                           contaminated=contaminated, progress=progress,
+                           task=SimpleNamespace(task_id=lineage_id))
 
 
 def test_tcc_collapsed_gap_restarts_and_counts():
     action, restarts = tcc_round(restarts=0, migration_threshold=5)
-    assert action is TccActionKind.PREVIOUS_RESTART
+    assert action == "previous_restart"
     assert restarts == 1
 
 
 def test_tcc_migrates_past_threshold():
     action, restarts = tcc_round(restarts=5, migration_threshold=5)
-    assert action is TccActionKind.JOB_MIGRATION
+    assert action == "job_migration"
     assert restarts == 0
 
 
 def test_tcc_exactly_at_threshold_still_restarts():
     action, restarts = tcc_round(restarts=4, migration_threshold=5)
-    assert action is TccActionKind.PREVIOUS_RESTART
+    assert action == "previous_restart"
     assert restarts == 5
+
+
+def test_tcc_tokens_are_spelled_only_where_tcc_round_answers():
+    """``tcc_round`` answers with the tokens the event log writes, and no
+    other module of the package spells them again."""
+    package = Path(bftsim.checkpoint.__file__).parent
+    spelling = {path.name for path in package.glob("*.py")
+                for token in ("previous_restart", "job_migration")
+                if token in path.read_text()}
+    assert spelling == {"checkpoint.py"}
 
 
 def test_store_take_and_lineage_lookup():
     store = CheckpointStore()
-    assert store.take(_vn(1), time=30, progress=28, lineage_id=7) == 0
-    assert store.take(_vn(2), time=60, progress=57, lineage_id=7) == 1
+    assert store.take(_vn(1, progress=28), time=30) == 0
+    assert store.take(_vn(2, progress=57), time=60) == 1
     c1, c2 = Checkpoint(0, 30, 28, False), Checkpoint(1, 60, 57, False)
     assert store.latest(7) == c2
     assert store.latest_clean(7) == c2
@@ -53,8 +65,8 @@ def test_store_take_and_lineage_lookup():
 
 def test_store_skips_tainted_images():
     store = CheckpointStore()
-    store.take(_vn(1), 30, 28, lineage_id=7)
-    store.take(_vn(1, contaminated=True), 60, 57, lineage_id=7)
+    store.take(_vn(1, progress=28), 30)
+    store.take(_vn(1, contaminated=True, progress=57), 60)
     assert store.latest_clean(7) == Checkpoint(0, 30, 28, False)
     assert store.latest(7) == Checkpoint(1, 60, 57, True)
 
@@ -62,12 +74,12 @@ def test_store_skips_tainted_images():
 def test_store_rejects_fail_stopped_node():
     store = CheckpointStore()
     with pytest.raises(ValueError, match="fail-stop"):
-        store.take(_vn(1, crashed=True), 10, 5, lineage_id=1)
+        store.take(_vn(1, crashed=True, progress=5, lineage_id=1), 10)
 
 
 def test_rollback_loss_arithmetic():
     store = CheckpointStore()
-    store.take(_vn(1), 30, 30, lineage_id=1)
+    store.take(_vn(1, progress=30, lineage_id=1), 30)
     ckpt = store.latest(1)
     assert rollback_loss(50, ckpt, now=50) == 20
     assert rollback_loss(30, ckpt, now=30) == 0
@@ -76,7 +88,7 @@ def test_rollback_loss_arithmetic():
 
 def test_rollback_rejects_future_target():
     store = CheckpointStore()
-    store.take(_vn(1), 80, 70, lineage_id=1)
+    store.take(_vn(1, progress=70, lineage_id=1), 80)
     ckpt = store.latest(1)
     with pytest.raises(ValueError, match="newer"):
         rollback_loss(75, ckpt, now=50)
@@ -93,10 +105,10 @@ def test_independent_gaps_deterministic_and_positive():
 
 def test_store_abandon_after_forgets_the_newer_images_of_the_lineage():
     store = CheckpointStore()
-    store.take(_vn(1), time=30, progress=28, lineage_id=7)
+    store.take(_vn(1, progress=28), time=30)
     c1 = store.latest(7)
-    store.take(_vn(1), time=60, progress=57, lineage_id=7)
-    store.take(_vn(2), time=70, progress=60, lineage_id=8)
+    store.take(_vn(1, progress=57), time=60)
+    store.take(_vn(2, progress=60, lineage_id=8), time=70)
     store.abandon_after(7, c1)
     assert store.latest_clean(7) == c1 == Checkpoint(0, 30, 28, False)
     assert store.latest(8) == Checkpoint(2, 70, 60, False)
@@ -114,12 +126,12 @@ class _ObjectStore:
         self.records = []
         self._by_lineage = {}
 
-    def take(self, vn, time, progress, lineage_id):
+    def take(self, vn, time):
         if vn.completion is None:
             raise ValueError(f"cannot checkpoint fail-stopped node v{vn.vn_id}")
-        ckpt = Checkpoint(len(self.records), time, progress, vn.contaminated)
+        ckpt = Checkpoint(len(self.records), time, vn.progress, vn.contaminated)
         self.records.append(ckpt)
-        self._by_lineage.setdefault(lineage_id, []).append(ckpt)
+        self._by_lineage.setdefault(vn.task.task_id, []).append(ckpt)
         return ckpt
 
     def latest_clean(self, lineage_id, before=None):
@@ -156,14 +168,15 @@ def _take_on_both(store, reference, op, lineage, now, rounds):
     batch of ``rounds`` rounds at ``now``, one write to the store and one per
     round to the reference, which give the same last ``ckpt_id`` or both
     raise.  Returns the ``ckpt_id`` of the batch's earlier images."""
-    vn = _vn(contaminated=op == "take_tainted", crashed=op == "take_fail_stopped")
+    vn = _vn(contaminated=op == "take_tainted", crashed=op == "take_fail_stopped",
+             progress=now // 2, lineage_id=lineage)
     if vn.completion is None:
         for side in (store, reference):
             with pytest.raises(ValueError, match="fail-stop"):
-                side.take(vn, now, now // 2, lineage)
+                side.take(vn, now)
         return []
-    ckpt_ids = [reference.take(vn, now, now // 2, lineage).ckpt_id for _ in range(rounds)]
-    assert store.take(vn, now, now // 2, lineage, rounds) == ckpt_ids[-1]
+    ckpt_ids = [reference.take(vn, now).ckpt_id for _ in range(rounds)]
+    assert store.take(vn, now, rounds) == ckpt_ids[-1]
     return ckpt_ids[:-1]
 
 

@@ -150,8 +150,8 @@ def test_a_run_builds_objects_only_for_nodes_and_images():
     built class's own initializer, so a base initializer it calls is not a
     second object.  A returned image is slotted (no instance ``__dict__``)."""
     store = CheckpointStore()
-    store.take(SimpleNamespace(vn_id=1, completion=(1, 0), contaminated=False),
-               1, 0, 1)
+    store.take(SimpleNamespace(vn_id=1, completion=(1, 0), contaminated=False, progress=0,
+                               task=SimpleNamespace(task_id=1)), 1)
     assert not hasattr(store.latest(1), "__dict__")
     built = Counter()
     found = Counter()
@@ -438,6 +438,30 @@ def test_sla_time_per_active_host_adds_its_fractions_in_order():
     assert total != math.fsum([0.1] * 10)
     sim._finalize()
     assert sim.report.scalars["sla_time_per_active_host_pct"] == 100.0 * total / 10
+
+
+def test_a_mean_delay_excess_past_the_sla_bound_reports_exactly_100():
+    """``avg_sla_violation_pct`` is the mean delay excess over the SLA bound,
+    as a percentage of the bound, so it passes 100 once the mean excess
+    passes the bound: every server's mean latency here is 300 against a
+    bound of 100, and the report reads the clamped 100.0."""
+    cfg = cluster_cfg(latency_mean_min=300.0, latency_mean_max=300.0, sla_bound=100,
+                      horizon=200)
+    sim = Simulation(Scenario.from_config(cfg), collect_log=False)
+    report, _ = sim.run()
+    assert sim.excess_sum / sim.obs_count > cfg.sla_bound
+    assert report.scalars["avg_sla_violation_pct"] == 100.0
+
+
+def test_a_server_over_time_past_its_observed_time_raises():
+    """The other three SLA percentages are not clamped: none can pass 100 on
+    consistent counts, so a server whose over-time exceeds its observed time
+    trips ``set_scalar``'s range check instead of reading 100."""
+    sim = Simulation(Scenario.from_config(cluster_cfg()), collect_log=False)
+    for server in sim.servers:
+        server.obs_time, server.over_time = 10, 11
+    with pytest.raises(ValueError, match="sla_time_per_active_host_pct"):
+        sim._finalize()
 
 
 def test_trace_parse(tmp_path):
@@ -965,7 +989,7 @@ def _rounds_one_by_one(sim, rt, last):
         rounds += 1
         tick, due = due, after(due)
     if rounds:
-        sim.store.take(rt, tick, rt.progress, task_id, rounds)
+        sim.store.take(rt, tick, rounds)
     rt.checkpoint = due
 
 
@@ -1004,9 +1028,9 @@ def test_sync_rounds_in_closed_form_match_one_settle_per_round(
         sim = Simulation(scenario, checkpoint_policy="sync", collect_log=False)
         rt = sim._spawn(sim.tasks[0], 1, start)
         assert rt.checkpoint == start - start % step + step
-        rt.checkpoint, rt.anchor, rt.progress = due, anchor, progress
         rt.restore_due, rt.pause_due, rt.contaminated = restore_due, pause_due, tainted
-        sim.store.take(rt, start, 0, 0)   # an image before the batch
+        sim.store.take(rt, start)   # an image before the batch, at progress 0
+        rt.checkpoint, rt.anchor, rt.progress = due, anchor, progress
         take_rounds(sim, rt, last)
         sides.append(({slot: getattr(rt, slot) for slot in _LEDGER_SLOTS}, rt.checkpoint,
                       sim.store.taken, sim.store.dropped, sim.store._by_lineage))
@@ -1059,9 +1083,9 @@ def test_independent_rounds_in_one_pass_match_one_settle_per_round(
                 ticks.append(tick)
                 tick = independent_next(twin, rate, tick)
             last = ticks[-1] if on_round and ticks else due + extra
-        rt.checkpoint, rt.ticks, rt.anchor, rt.progress = due, [due], anchor, progress
         rt.restore_due, rt.pause_due, rt.contaminated = restore_due, pause_due, tainted
-        sim.store.take(rt, start, 0, 0)   # an image before the batch
+        sim.store.take(rt, start)   # an image before the batch, at progress 0
+        rt.checkpoint, rt.ticks, rt.anchor, rt.progress = due, [due], anchor, progress
         take_rounds(sim, rt, last)
         sides.append(({slot: getattr(rt, slot) for slot in _LEDGER_SLOTS}, rt.checkpoint,
                       sim.store.taken, sim.store.dropped, sim.store._by_lineage,
@@ -2430,6 +2454,25 @@ def _all_hold(sim, ev):
     _no_streak_under_tcc(sim, ev)
 
 
+def _order_servers_and_own_rounds_hold(sim, ev):
+    _order_holds(sim, ev)
+    _servers_hold(sim, ev)
+    _own_rounds_hold(sim, ev)
+
+
+@pytest.mark.parametrize("sched,ckpt", COMBOS)
+def test_order_servers_and_own_rounds_hold_on_every_event_of_the_pinned_storms(sched, ckpt):
+    """The event order, server slot and own-round checks, which the random
+    configs reach only at up to 8 tasks, hold after every popped event of
+    the pinned storms, zero-cost and costly, at seeds 1 and 2 with the log
+    off, and each run keeps the accounting identity."""
+    for make_cfg in (storm_cfg, _costly_storm_cfg):
+        for seed in (1, 2):
+            report, checked = _check_every_event(Scenario.from_config(make_cfg(seed)), sched,
+                                                 ckpt, _order_servers_and_own_rounds_hold)
+            assert checked > 100 and _identity_holds(report), (make_cfg.__name__, seed)
+
+
 @settings(max_examples=50, deadline=None)
 @given(_small_configs())
 def test_invariants_hold_on_every_event_of_random_valid_configs(cfg):
@@ -2626,7 +2669,7 @@ def test_per_event_code_binds_enum_members_once():
                             bftsim.engine)
              for name, cls in vars(module).items()
              if isinstance(cls, enum.EnumMeta) and cls is not enum.Enum}
-    assert {"NodeState", "DelayClass", "TccActionKind", "FaultKind"} <= set(enums)
+    assert {"NodeState", "DelayClass", "FaultKind"} <= set(enums)
     engine = _functions(bftsim.engine)
     per_event = {
         bftsim.fsm: ["classify_delay", "checksum_oracle", "byzantine_fsm_step",

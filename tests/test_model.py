@@ -104,7 +104,8 @@ def test_scenario_records_are_read_only():
     workload = generate_workload(6, 2, 10, 20, random.Random(1))
     spec = generate_faults(SimConfig(task_count=6, job_count=2, byzantine_faults=1))[0]
     store = CheckpointStore()
-    store.take(SimpleNamespace(vn_id=1, completion=(5, 0), contaminated=False), 5, 3, 0)
+    store.take(SimpleNamespace(vn_id=1, completion=(5, 0), contaminated=False, progress=3,
+                               task=SimpleNamespace(task_id=0)), 5)
     ckpt = store.latest(0)
     scenario = bftsim.Scenario.from_config(SimConfig(task_count=6, job_count=2,
                                                      byzantine_faults=1))
