@@ -197,24 +197,21 @@ class VnLedger:
     """Tick ledger of one node incarnation.
 
     Every tick between start and stop is attributed to exactly one mode.
-    Unserved restore and pause ticks are two counters, served before work
-    resumes and restore first: a restore is charged only when the node
-    starts (``restore``), before any pause.  Progress advances one unit per
-    worked tick.
+    Unserved ticks are one counter, ``due``, served before work resumes: a
+    restore is charged only when the node starts, so it is always served
+    first, and the served restore is ``restore_cost`` clipped at the span.
+    Progress advances one unit per worked tick, so the work is the progress
+    past ``origin`` and the pause is the rest of the span: the three sum to
+    the span by construction.
     """
 
-    __slots__ = ("start", "anchor", "progress", "work", "pause", "restore",
-                 "restore_due", "pause_due", "stopped")
+    __slots__ = ("start", "anchor", "progress", "origin", "restore_cost", "due", "stopped")
 
     def __init__(self, start: int, progress: int, restore: int = 0):
         self.start = start
         self.anchor = start
-        self.progress = progress
-        self.work = 0
-        self.pause = 0
-        self.restore = 0
-        self.restore_due = restore   # unserved restore ticks
-        self.pause_due = 0           # unserved pause ticks
+        self.progress = self.origin = progress
+        self.restore_cost = self.due = restore   # unserved ticks, restore first
         self.stopped: int | None = None
 
     def settle(self, t: int) -> None:
@@ -222,27 +219,12 @@ class VnLedger:
         if t <= a or self.stopped is not None:
             return
         self.anchor = t
-        left = t - a
-        due = self.restore_due
-        if due:
-            if due >= left:
-                self.restore += left
-                self.restore_due = due - left
-                return
-            self.restore += due
-            self.restore_due = 0
-            left -= due
-        due = self.pause_due
-        if due:
-            if due >= left:
-                self.pause += left
-                self.pause_due = due - left
-                return
-            self.pause += due
-            self.pause_due = 0
-            left -= due
-        self.work += left
-        self.progress += left
+        left = t - a - self.due
+        if left > 0:
+            self.due = 0
+            self.progress += left
+        else:
+            self.due = -left
 
     def add_block(self, t: int, cost: int) -> None:
         """Charge a pause of ``cost`` ticks at ``t``."""
@@ -250,17 +232,17 @@ class VnLedger:
             return
         if t > self.anchor:
             self.settle(t)
-        self.pause_due += cost
+        self.due += cost
 
     def completion_time(self, demand: int) -> int:
         # unserved ticks are served before the remaining work
-        return self.anchor + self.restore_due + self.pause_due + demand - self.progress
+        return self.anchor + self.due + demand - self.progress
 
     def stop(self, t: int) -> None:
         if self.stopped is not None:
             return
         self.settle(t)
-        self.restore_due = self.pause_due = 0   # unserved time is never charged
+        self.due = 0   # unserved time is never charged
         self.stopped = t
 
     @property
@@ -268,15 +250,30 @@ class VnLedger:
         end = self.stopped if self.stopped is not None else self.anchor
         return end - self.start
 
+    @property
+    def work(self) -> int:
+        return self.progress - self.origin
+
+    @property
+    def restore(self) -> int:
+        cost, span = self.restore_cost, self.span
+        return cost if cost < span else span
+
+    @property
+    def pause(self) -> int:
+        return self.span - self.work - self.restore
+
 
 class VirtualNode(VnLedger):
     """One incarnation of a virtual node executing a task, and its tick
-    ledger: its ledger calls reach ``VnLedger``'s methods.  ``monitor`` and
-    ``completion`` are (time, seq) records, and with ``checkpoint``, the tick
-    of its own next round (under sync and independent, never queued), they
-    are its schedule; its one queued entry, the earlier record, pops stale once
-    the record it was queued under no longer holds its (time, seq).  A crash
-    clears the last two; retiring it clears all three.  ``counted`` is how
+    ledger: its ledger calls reach ``VnLedger``'s methods, and its work,
+    pause and restore are derived from its progress, span and restore cost.
+    ``monitor`` and ``completion`` are (time, seq) records, and with
+    ``checkpoint``, the tick of its own next round (under sync and
+    independent, never queued), they are its schedule; its one queued
+    entry, the earlier record, pops stale once the record it was queued
+    under no longer holds its (time, seq).  A crash clears the last two;
+    retiring it clears all three.  ``counted`` is how
     many own rounds from ``checkpoint`` on are counted into ``completion``
     and not yet applied to the ledger; under independent ``ticks`` holds
     their drawn ticks, the next round not yet counted last.  Its last
@@ -577,11 +574,11 @@ class Simulation:
         stale and ``_handle_node`` queues the node again."""
         if t > rt.anchor:
             rt.settle(t)
-        rt.pause_due = pause = rt.pause_due + pause
+        rt.due = due = rt.due + pause
         queue = self.queue
         seq = queue._seq
         queue._seq = seq + 1
-        rt.completion = (rt.anchor + rt.restore_due + pause + rt.task.demand - rt.progress, seq)
+        rt.completion = (rt.anchor + due + rt.task.demand - rt.progress, seq)
 
     def _count_rounds(self, rt: VirtualNode, t: int) -> None:
         """Count the node's own rounds due strictly before ``t`` into its
@@ -617,8 +614,8 @@ class Simulation:
         queue = self.queue
         seq = queue._seq
         queue._seq = seq + 1
-        rt.completion = (rt.anchor + rt.restore_due + rt.pause_due + rt.task.demand
-                         - rt.progress + rounds * self.cfg.checkpoint_write_cost, seq)
+        rt.completion = (rt.anchor + rt.due + rt.task.demand - rt.progress
+                         + rounds * self.cfg.checkpoint_write_cost, seq)
 
     def _catch_up(self, rt: VirtualNode, t: int) -> None:
         """Apply the node's own rounds due strictly before ``t``, before the
@@ -643,7 +640,7 @@ class Simulation:
 
         Only the first round settles: no event settles a node past its next
         round, so each later round finds the ledger at the round before it.
-        A settle serves restore, then pause, then work.  Rounds on a grid
+        A settle serves the unserved ticks, then works.  Rounds on a grid
         (sync) add their pauses at once, and one settle reaches the last
         round's tick: if the write cost fits in a grid step, once the
         backlog runs out each step serves its own round's pause and works
@@ -651,10 +648,10 @@ class Simulation:
         first round leaves, at least the write cost, never runs out, and
         neither form works.  Drawn rounds (independent) are applied over
         the ticks their count drew, and draw nothing here: one pass over
-        them advances the unserved backlog b (restore and pause) and the
-        worked ticks in locals by Lindley's recursion,
-        b <- max(b - gap, 0) + cost, exact for any write cost.  The ledger
-        is then written once, its restore served first."""
+        them advances the unserved backlog b and the worked ticks in
+        locals by Lindley's recursion, b <- max(b - gap, 0) + cost, exact
+        for any write cost.  The ledger is then written once: its anchor,
+        ``due`` and progress."""
         due, rounds = rt.checkpoint, rt.counted
         if due > rt.anchor:
             rt.settle(due)
@@ -663,15 +660,14 @@ class Simulation:
         if step is not None:
             tick = due + (rounds - 1) * step
             if rounds > 1:
-                rt.pause_due += (rounds - 1) * cost   # every round's but the last's
+                rt.due += (rounds - 1) * cost   # every round's but the last's
                 rt.settle(tick)
-            rt.pause_due += cost
+            rt.due += cost
             due = tick + step
         else:
             ticks = rt.ticks
-            restore_due = rt.restore_due
-            backlog = restore_due + rt.pause_due + cost   # unserved, after the first round
-            first = tick = due
+            backlog = rt.due + cost   # unserved, after the first round
+            tick = due
             worked = 0
             for nxt in ticks[1:rounds]:
                 gap = nxt - tick
@@ -683,15 +679,8 @@ class Simulation:
                 tick = nxt
             due = ticks[rounds]
             del ticks[:rounds]
-            span = tick - first
-            served = restore_due if restore_due < span else span
-            restore_due -= served
             rt.anchor = tick
-            rt.restore += served
-            rt.restore_due = restore_due
-            rt.pause += span - served - worked
-            rt.pause_due = backlog - restore_due
-            rt.work += worked
+            rt.due = backlog
             rt.progress += worked
         rt.counted = 0
         self.store.take(rt, tick, rounds)
@@ -700,11 +689,12 @@ class Simulation:
     def _retire(self, rt: VirtualNode, t: int) -> None:
         """Stop an incarnation and fold its ledger into the totals."""
         rt.stop(t)   # a crash stopped it already
+        span, work, restore = rt.span, rt.work, rt.restore   # each derived once
         s = self.report.scalars
-        s["useful_work_total"] += rt.work   # less the lost work, in _roll_back
-        s["pause_time_total"] += rt.pause
-        s["restore_time_total"] += rt.restore
-        s["active_time_total"] += rt.span
+        s["useful_work_total"] += work   # less the lost work, in _roll_back
+        s["pause_time_total"] += span - work - restore   # the rest of the span
+        s["restore_time_total"] += restore
+        s["active_time_total"] += span
         task_id, job_id = rt.task.task_id, rt.task.job_id
         del self.job_nodes[job_id][task_id]
         self.infected[job_id].discard(task_id)

@@ -12,8 +12,10 @@ same node lifecycle.
 
 Monitoring gaps grow while a node stays healthy (arithmetically by one base
 interval per round, or doubling under the geometric policy: ``gap_growth``)
-and collapse back to the base interval on suspicion.  Three consecutive
-suspect rounds replace the node.
+and collapse back to the base interval on suspicion.  ``suspect_threshold``
+consecutive suspect rounds (default 3) replace the node under ``sync`` and
+``independent`` only: ``tcc`` restarts the node at its first flagged round,
+so its streak never reaches the threshold.
 """
 
 from __future__ import annotations

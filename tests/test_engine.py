@@ -241,8 +241,9 @@ def test_a_scenario_build_draws_per_fault_not_per_task_or_server():
 # -- tick ledger ----------------------------------------------------------
 
 class _BlockLedger:
-    """The tick ledger as a FIFO queue of ``[kind, remaining]`` blocks: the
-    reference the two-counter ``VnLedger`` must match."""
+    """The tick ledger as a FIFO queue of ``[kind, remaining]`` blocks, each
+    served tick attributed as it is served: the reference ``VnLedger``,
+    which derives its work, pause and restore, must match."""
 
     def __init__(self, start, progress):
         self.start = self.anchor = start
@@ -299,14 +300,17 @@ _LEDGER_STEPS = st.lists(st.tuples(st.sampled_from(("pause", "settle", "stop")),
                          max_size=40)
 
 
+@settings(max_examples=500, deadline=None)
 @given(st.integers(0, 100), st.integers(0, 50), st.integers(0, 20), st.integers(0, 500),
        _LEDGER_STEPS)
 def test_ledger_running_pending_total_matches_its_blocks(start, progress, restore, demand,
                                                          steps):
-    """The two-counter ledger against the block-queue reference: a restore
-    charged at start, then random pauses, settles and stops.  After every
-    step both attribute the same ticks, and the unserved counters sum to the
-    reference's queued blocks."""
+    """The ledger against the block-queue reference: a restore charged at
+    start, then random pauses, settles and stops, a stop mid-restore
+    included.  After every step both attribute the same ticks, and the
+    unserved counter is the reference's queued blocks.  This is the one
+    test that attributes the ticks independently of the ledger's
+    derivation of work, pause and restore."""
     ledger = VnLedger(start, progress, restore)
     reference = _BlockLedger(start, progress)
     reference.add_block(start, "restore", restore)
@@ -325,7 +329,7 @@ def test_ledger_running_pending_total_matches_its_blocks(start, progress, restor
         for name in ("work", "pause", "restore", "progress", "anchor", "span"):
             assert getattr(ledger, name) == getattr(reference, name), name
         assert ledger.completion_time(demand) == reference.completion_time(demand)
-        assert ledger.restore_due + ledger.pause_due == sum(left for _, left in reference.blocks)
+        assert ledger.due == sum(left for _, left in reference.blocks)
 
 
 # -- workload and trace ----------------------------------------------------------
@@ -985,7 +989,7 @@ def _rounds_one_by_one(sim, rt, last):
     while due <= last:
         if due > rt.anchor:
             rt.settle(due)
-        rt.pause_due += sim.cfg.checkpoint_write_cost
+        rt.due += sim.cfg.checkpoint_write_cost
         rounds += 1
         tick, due = due, after(due)
     if rounds:
@@ -993,21 +997,40 @@ def _rounds_one_by_one(sim, rt, last):
     rt.checkpoint = due
 
 
-_LEDGER_SLOTS = ("anchor", "progress", "work", "pause", "restore", "restore_due", "pause_due")
+_LEDGER_SLOTS = ("anchor", "progress", "work", "pause", "restore", "due")
+
+
+def _enter_with_backlog(rt, anchor, progress, restore_due, pause_due, served, worked):
+    """Settle a node started at ``rt.start`` to ``anchor`` as a run leaves
+    one, with ``restore_due`` restore and ``pause_due`` pause ticks
+    unserved.  While its restore is unserved, the node has served only
+    restore; once it is served, it served ``served`` restore ticks and up
+    to ``worked`` worked ticks, capped by the span, and paused for the
+    rest."""
+    span = anchor - rt.start
+    if restore_due:
+        rt.restore_cost, worked = span + restore_due, 0
+    else:
+        rt.restore_cost = min(served, span)
+        worked = min(worked, span - rt.restore_cost)
+    rt.anchor, rt.origin, rt.progress = anchor, progress, progress + worked
+    rt.due = restore_due + pause_due
 
 
 @settings(max_examples=300, deadline=None)
 @given(step=st.integers(1, 12), cost=st.integers(0, 40), start=st.integers(0, 60),
        first=st.integers(1, 5), lead=st.integers(0, 60), progress=st.integers(0, 50),
        restore_due=st.integers(0, 40), pause_due=st.integers(0, 40),
+       served=st.integers(0, 60), worked=st.integers(0, 60),
        whole=st.integers(0, 8), part=st.integers(0, 11), earlier=st.integers(0, 3),
        tainted=st.booleans())
 def test_sync_rounds_in_closed_form_match_one_settle_per_round(
-        step, cost, start, first, lead, progress, restore_due, pause_due, whole, part,
-        earlier, tainted):
+        step, cost, start, first, lead, progress, restore_due, pause_due, served, worked,
+        whole, part, earlier, tainted):
     """Under sync a batch of a node's own rounds gives the ledger, the next
     round and the store that one settle per round gives, from any backlog
-    of restore and pause at entry (a monitor round's pause included), with
+    of restore and pause a run can leave at entry (a monitor round's pause
+    included, no work before the restore is served), with
     the write cost above or below the grid step, one round or many, and
     ``last`` on a grid tick or between two."""
     cfg = validate_config({
@@ -1028,9 +1051,10 @@ def test_sync_rounds_in_closed_form_match_one_settle_per_round(
         sim = Simulation(scenario, checkpoint_policy="sync", collect_log=False)
         rt = sim._spawn(sim.tasks[0], 1, start)
         assert rt.checkpoint == start - start % step + step
-        rt.restore_due, rt.pause_due, rt.contaminated = restore_due, pause_due, tainted
+        rt.contaminated = tainted
         sim.store.take(rt, start)   # an image before the batch, at progress 0
-        rt.checkpoint, rt.anchor, rt.progress = due, anchor, progress
+        rt.checkpoint = due
+        _enter_with_backlog(rt, anchor, progress, restore_due, pause_due, served, worked)
         take_rounds(sim, rt, last)
         sides.append(({slot: getattr(rt, slot) for slot in _LEDGER_SLOTS}, rt.checkpoint,
                       sim.store.taken, sim.store.dropped, sim.store._by_lineage))
@@ -1045,11 +1069,11 @@ def test_sync_rounds_in_closed_form_match_one_settle_per_round(
 @given(seed=st.integers(0, 2 ** 32), mean=st.integers(1, 12), cost=st.integers(0, 40),
        start=st.integers(0, 60), first=st.integers(1, 30), lead=st.integers(0, 60),
        progress=st.integers(0, 50), restore_due=st.integers(0, 400),
-       pause_due=st.integers(0, 400), extra=st.integers(-3, 300), on_round=st.booleans(),
-       tainted=st.booleans())
+       pause_due=st.integers(0, 400), served=st.integers(0, 60), worked=st.integers(0, 60),
+       extra=st.integers(-3, 300), on_round=st.booleans(), tainted=st.booleans())
 def test_independent_rounds_in_one_pass_match_one_settle_per_round(
-        seed, mean, cost, start, first, lead, progress, restore_due, pause_due, extra,
-        on_round, tainted):
+        seed, mean, cost, start, first, lead, progress, restore_due, pause_due, served,
+        worked, extra, on_round, tainted):
     """Under independent a batch of a node's own rounds, counted (its gaps
     drawn) and then applied in one pass over the drawn ticks, gives the
     ledger, the next round, the store and the task's stream that one settle
@@ -1083,9 +1107,10 @@ def test_independent_rounds_in_one_pass_match_one_settle_per_round(
                 ticks.append(tick)
                 tick = independent_next(twin, rate, tick)
             last = ticks[-1] if on_round and ticks else due + extra
-        rt.restore_due, rt.pause_due, rt.contaminated = restore_due, pause_due, tainted
+        rt.contaminated = tainted
         sim.store.take(rt, start)   # an image before the batch, at progress 0
-        rt.checkpoint, rt.ticks, rt.anchor, rt.progress = due, [due], anchor, progress
+        rt.checkpoint, rt.ticks = due, [due]
+        _enter_with_backlog(rt, anchor, progress, restore_due, pause_due, served, worked)
         take_rounds(sim, rt, last)
         sides.append(({slot: getattr(rt, slot) for slot in _LEDGER_SLOTS}, rt.checkpoint,
                       sim.store.taken, sim.store.dropped, sim.store._by_lineage,
@@ -1569,7 +1594,7 @@ def test_tcc_images_a_node_exactly_at_a_healthy_round():
         assert (rt.monitor is not None) is healthy   # a restart retired the node
         assert sim.restarts[rt.task.job_id] == (0 if healthy else 1)
         if healthy:
-            assert rt.gap == 20 and rt.pause_due == sim.cfg.checkpoint_write_cost
+            assert rt.gap == 20 and rt.due == sim.cfg.checkpoint_write_cost
             assert sim.store.latest(rt.task.task_id) == (0, 10, rt.progress, False)
 
 
@@ -2199,8 +2224,11 @@ def _round_tick(sim, rt, k):
 
 
 def _pending_holds(sim, ev):
-    """The counter identity: every settled tick is attributed once, the
-    unserved counters are served restore first, and a live node's recorded
+    """The ledger's bounds: no count is negative, the served restore is at
+    most its cost, and no tick is worked or paused before the restore is
+    served (the work, pause and restore sum to the span by construction,
+    which the block reference test checks against an independent
+    attribution); and a live node's recorded
     completion is the one its ledger gives plus the write cost of each own
     round counted into it and not yet applied, or None exactly when its
     ledger stopped: a crash, the one record of which is the node's schedule.
@@ -2209,9 +2237,9 @@ def _pending_holds(sim, ev):
     its counted rounds in order, from its next round on, and the drawn tick
     of the first round not counted last."""
     for rt in _live(sim):
-        assert rt.work + rt.pause + rt.restore == rt.anchor - rt.start, ev
-        assert rt.restore_due >= 0 and rt.pause_due >= 0, ev
-        assert not rt.restore_due or rt.work == rt.pause == 0, ev
+        assert rt.due >= 0 and rt.work >= 0 and rt.pause >= 0, ev
+        assert 0 <= rt.restore <= rt.restore_cost, ev
+        assert rt.restore == rt.restore_cost or rt.work == rt.pause == 0, ev
         assert (rt.completion is None) == (rt.stopped is not None), ev
         assert (rt.ticks is not None) == (sim.round_gaps is not None), ev
         if rt.ticks is not None and rt.checkpoint is not None:
@@ -2277,8 +2305,8 @@ def _node_state(rt):
     """What an event may read or change of a node: its ledger and
     contamination, then its schedule, with the tick of its own next round
     apart."""
-    return ((rt.anchor, rt.progress, rt.work, rt.pause, rt.restore, rt.restore_due,
-             rt.pause_due, rt.stopped, rt.contaminated),
+    return ((rt.anchor, rt.progress, rt.origin, rt.restore_cost, rt.due, rt.stopped,
+             rt.contaminated),
             (rt.monitor, rt.completion), rt.checkpoint)
 
 
@@ -2330,8 +2358,8 @@ def test_job_index_holds_exactly_the_live_nodes(sched, ckpt):
 
 @pytest.mark.parametrize("sched,ckpt", COMBOS)
 def test_ledger_pending_total_holds_on_every_event(sched, ckpt):
-    """After every popped event, each live node's ledger keeps the counter
-    identity."""
+    """After every popped event, each live node's ledger keeps its bounds
+    and its completion record."""
     for seed in (1, 2):
         _run_checking_every_event(sched, ckpt, seed, _pending_holds)
 
