@@ -14,6 +14,7 @@ the node it images, ``rollback_loss`` prices a rollback, and
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from math import log
 from typing import TYPE_CHECKING
 
@@ -55,7 +56,7 @@ class CheckpointStore:
     def __init__(self):
         self.taken = 0     # the next ckpt_id
         self.dropped = 0   # ckpt_ids with no image kept
-        self._by_lineage: dict[int, list[int | bool]] = {}
+        self._by_lineage: defaultdict[int, list[int | bool]] = defaultdict(list)
 
     def __len__(self) -> int:
         return self.taken - self.dropped
@@ -70,15 +71,12 @@ class CheckpointStore:
         ``ckpt_id``."""
         if vn.completion is None:   # crashed or retired
             raise ValueError(f"cannot checkpoint fail-stopped node v{vn.vn_id}")
-        ckpt_id = self.taken + rounds - 1
+        if rounds > 1:   # the batch's earlier ckpt_ids keep no image
+            self.taken += rounds - 1
+            self.dropped += rounds - 1
+        ckpt_id = self.taken
         self.taken = ckpt_id + 1
-        self.dropped += rounds - 1
-        lineage_id = vn.task.task_id
-        chain = self._by_lineage.get(lineage_id)
-        if chain is None:
-            self._by_lineage[lineage_id] = [ckpt_id, time, vn.progress, vn.contaminated]
-        else:
-            chain.extend((ckpt_id, time, vn.progress, vn.contaminated))
+        self._by_lineage[vn.task.task_id].extend((ckpt_id, time, vn.progress, vn.contaminated))
         return ckpt_id
 
     def latest_clean(self, lineage_id: int, before: int | None = None) -> Checkpoint | None:
@@ -119,7 +117,7 @@ def rollback_loss(current_progress: int, target: Checkpoint | None, now: int) ->
 
 
 def independent_next(rng: random.Random, rate: float, after: int) -> int:
-    """Tick of the next uncoordinated checkpoint round after tick ``after``:
+    """Tick of the next ``independent`` checkpoint round after tick ``after``:
     an exponential gap of at least one tick, at ``rate`` (one over the mean
     gap).  The gap is ``rng.expovariate(rate)``'s own formula, with no
     frame; dividing by the rate, not multiplying by the mean, keeps its

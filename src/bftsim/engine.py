@@ -433,7 +433,7 @@ class SyncCheckpointing(Checkpointing):
 
 
 class IndependentCheckpointing(Checkpointing):
-    """Images each node at uncoordinated seeded-random times; with an
+    """Images each node at seeded-random gaps of its own; with an
     untrusted latest image only the initial state is left to fall back to."""
 
     def round_gaps(self, sim: Simulation) -> tuple[list[random.Random], float]:
@@ -568,10 +568,11 @@ class Simulation:
 
     def _retime(self, rt: VirtualNode, t: int, pause: int = 0) -> None:
         """Settle the node to ``t``, add ``pause`` unserved ticks and record
-        its new completion under the next sequence number: one pass per
-        checkpoint write, after which the caller images the settled node.
-        It queues nothing: a completion entry that own rounds moved pops
-        stale and ``_handle_node`` queues the node again."""
+        its new completion under the next sequence number: a node's start
+        and a monitor round's ``monitor_cost``.  A ``tcc`` confirm does the
+        same in ``_handle_node``, then images the settled node.  It queues
+        nothing: a completion entry that own rounds moved pops stale and
+        ``_handle_node`` queues the node again."""
         if t > rt.anchor:
             rt.settle(t)
         rt.due = due = rt.due + pause
@@ -689,7 +690,12 @@ class Simulation:
     def _retire(self, rt: VirtualNode, t: int) -> None:
         """Stop an incarnation and fold its ledger into the totals."""
         rt.stop(t)   # a crash stopped it already
-        span, work, restore = rt.span, rt.work, rt.restore   # each derived once
+        # the span, work and restore properties, read off the stopped ledger
+        span = rt.stopped - rt.start
+        work = rt.progress - rt.origin
+        restore = rt.restore_cost
+        if restore > span:
+            restore = span
         s = self.report.scalars
         s["useful_work_total"] += work   # less the lost work, in _roll_back
         s["pause_time_total"] += span - work - restore   # the rest of the span
@@ -776,7 +782,8 @@ class Simulation:
         s = self.report.scalars
         if rt.contaminated:
             s["corrupted_completions"] += 1
-        self._catch_up(rt, t)   # the rounds counted at t, before the ledger is read
+        if rt.checkpoint is not None:   # tcc has no own rounds
+            self._catch_up(rt, t)   # the rounds counted at t, before the ledger is read
         self._retire(rt, t)
         job_id = task.job_id
         self.unfinished[job_id] -= 1
@@ -881,6 +888,7 @@ class Simulation:
         if finished and not flagged:
             outcome = self._complete_task(rt, t)
         else:
+            queue = self.queue
             # from the S-state the node's streak gives
             prior = BYZANTINE if rt.suspect_rounds else FAIL_SAFE
             if flagged:
@@ -896,11 +904,16 @@ class Simulation:
                 scale, step = self.growth
                 gap = rt.gap * scale + step
                 if self.confirms:   # live: a crash errs the checksum
-                    self._retime(rt, t, cfg.checkpoint_write_cost)
+                    # _retime's pass for the write, then the image of the settled node
+                    if t > rt.anchor:
+                        rt.settle(t)
+                    rt.due = due = rt.due + cfg.checkpoint_write_cost
+                    seq = queue._seq
+                    queue._seq = seq + 1
+                    rt.completion = (rt.anchor + due + rt.task.demand - rt.progress, seq)
                     self.store.take(rt, t)
                 outcome = self.checkpointing.healthy_detail(gap) if self.collect_log else ""
             if rt.monitor is not None:   # not retired: its next round, under the next seq
-                queue = self.queue
                 seq = queue._seq
                 queue._seq = seq + 1
                 rt.gap = gap

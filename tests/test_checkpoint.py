@@ -92,6 +92,8 @@ def test_rollback_rejects_future_target():
     ckpt = store.latest(1)
     with pytest.raises(ValueError, match="newer"):
         rollback_loss(75, ckpt, now=50)
+    with pytest.raises(ValueError, match="progress exceeds current progress"):
+        rollback_loss(60, ckpt, now=90)
 
 
 def test_independent_gaps_deterministic_and_positive():

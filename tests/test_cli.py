@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import typing
@@ -12,6 +13,7 @@ import pytest
 import bftsim.cli
 from bftsim.cli import main
 from bftsim.engine import Scenario, Simulation
+from bftsim.model import Server
 from bftsim.scenario import FaultKind, FaultSpec
 from bftsim.scheduler import ranking_csv
 
@@ -53,6 +55,23 @@ def test_run_happy_path(tmp_path, cfg_file):
     data = json.loads(out.read_text())
     assert data["_scenario"]["seed"] == 42
     assert data["host_count"]["mean"] == 4
+
+
+def test_run_without_out_writes_the_report_to_stdout(tmp_path, cfg_file, capsys):
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_file)]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
+def test_run_missing_trace_is_a_runtime_error(tmp_path, capsys):
+    """A config names its trace file by path alone, so a missing one is found
+    when the scenario is built, not when the config is checked."""
+    path = tmp_path / "traced.cfg"
+    path.write_text(BASE_CFG + "trace_path = absent.trace\n")
+    assert main(["run", "--config", str(path)]) == 3
+    assert f"trace file not found: {tmp_path / 'absent.trace'}" in capsys.readouterr().err
 
 
 def test_run_missing_config_names_path(tmp_path, capsys):
@@ -134,6 +153,15 @@ def test_python_m_bftsim_runs_from_a_checkout():
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["_scenario"]["id"].startswith("s20c6-t100j10")
 
+
+def test_python_m_bftsim_exits_with_the_code_main_returns(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["bftsim", "fsm-trace", str(tmp_path / "absent.trace")])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("bftsim", run_name="__main__")
+    assert exit_info.value.code == 2
+    assert "absent.trace" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one():
     assert main([]) == 1
     assert main(["run"]) == 1                      # --config required
@@ -197,6 +225,11 @@ def test_fsm_trace_empty_warns(tmp_path, capsys):
     assert "0 steps" in capsys.readouterr().out
 
 
+def test_fsm_trace_missing_file_names_path(tmp_path, capsys):
+    assert main(["fsm-trace", str(tmp_path / "absent.trace")]) == 2
+    assert f"trace file not found: {tmp_path / 'absent.trace'}" in capsys.readouterr().err
+
+
 def test_fsm_trace_malformed(tmp_path, capsys):
     trace = tmp_path / "steps.trace"
     trace.write_text("S0 sideways -> S1\n")
@@ -247,6 +280,17 @@ def test_rank_empty_log_warns(tmp_path, capsys):
     assert main(["rank", "--event-log", str(log_path), "--out", str(out)]) == 0
     assert out.read_text() == "server_id,fault_count,w_count,y_count,rank\n"
     assert "no observations" in capsys.readouterr().err
+
+
+def test_rank_log_without_failures_warns(tmp_path, capsys):
+    """A blank line is skipped; clean observations rank their servers."""
+    log_path = tmp_path / "clean.log"
+    log_path.write_text("\n10,0,monitor,1,server=s2;delay=1.000;class=normal;"
+                        "checksum=noerror;state=S0>S0\n")
+    out = tmp_path / "rank.csv"
+    assert main(["rank", "--event-log", str(log_path), "--out", str(out)]) == 0
+    assert out.read_text() == ranking_csv([Server(server_id=2, capacity=0)])
+    assert "no failure events" in capsys.readouterr().err
 
 
 def test_rank_corrupt_line(tmp_path, capsys):

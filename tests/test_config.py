@@ -57,6 +57,12 @@ REJECTIONS = [
     ({"delay_normal_frac": 0.0}, "delay_normal_frac"),
     ({"task_count": 30, "job_count": 3, "server_count": 2, "server_capacity": 4},
      "task_count"),
+    ({"demand_min": 500, "demand_max": 400}, "demand_max"),
+    ({"latency_mean_min": 20.0, "latency_mean_max": 10.0}, "latency_mean_max"),
+    ({"fault_window_start": 100, "fault_window_end": 100}, "fault_window_end"),
+    ({"crash_faults": 1, "fault_window_end": 1000, "horizon": 1000},
+     "fault_window_end must be below horizon"),
+    ({"scheduler": 7}, "scheduler"),   # parsed as the text "7"
 ]
 
 

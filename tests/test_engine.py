@@ -470,8 +470,10 @@ def test_a_server_over_time_past_its_observed_time_raises():
 
 def test_trace_parse(tmp_path):
     path = tmp_path / "util.trace"
-    path.write_text("50\n75\n")
+    path.write_text("50\n\n75\n")   # a blank line is skipped
     assert load_utilization_trace(path) == [50, 75]
+    with pytest.raises(ValueError, match="trace file not found: .*absent.trace"):
+        load_utilization_trace(tmp_path / "absent.trace")
 
 
 @pytest.mark.parametrize("body,needle", [
@@ -564,13 +566,14 @@ def test_fault_target_outside_the_workload_is_rejected_at_build(target):
     ("crash", 35, 1, 0.0, "fault kind 'crash' is not a FaultKind"),
     (FaultKind.CRASH, 35.5, 1, 0.0, "fault time 35.5 is not an int"),
     (FaultKind.CRASH, True, 1, 0.0, "fault time True is not an int"),
+    (FaultKind.CRASH, 600, 1, 0.0, "fault at t=600 is not below horizon 600"),
     (FaultKind.CRASH, 35, 1.0, 0.0, "fault target_task 1.0 is not an int"),
     (FaultKind.DELAY_SPIKE, 35, 1, -1.0, "fault magnitude -1.0 is not"),
     (FaultKind.DELAY_SPIKE, 35, 1, float("nan"), "fault magnitude nan is not"),
     (FaultKind.DELAY_SPIKE, 35, 1, True, "fault magnitude True is not"),
     (FaultKind.DELAY_SPIKE, 35, 1, "1.5", "fault magnitude '1.5' is not"),
-], ids=["kind-str", "time-float", "time-bool", "target-float", "magnitude-negative",
-        "magnitude-nan", "magnitude-bool", "magnitude-str"])
+], ids=["kind-str", "time-float", "time-bool", "time-horizon", "target-float",
+        "magnitude-negative", "magnitude-nan", "magnitude-bool", "magnitude-str"])
 def test_malformed_fault_spec_is_rejected_at_build(kind, time, target, magnitude, needle):
     """A string kind used to run as a zero-magnitude delay spike, a float time
     broke the integer-tick ledger, and a bool time was logged as ``True``.  A

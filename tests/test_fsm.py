@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -230,15 +231,25 @@ def test_replay_trace_lines():
 
 
 def test_check_trace_divergence_position():
-    lines = ["S0 high noerror -> S1", "S1 previous -> S1", "S0 high noerror -> S2"]
+    """Blank and comment lines are skipped, but keep their line numbers."""
+    lines = ["# steps", "S0 high noerror -> S1", "", "S1 previous -> S1",
+             "S0 high noerror -> S2"]
     steps, divergent = check_trace(lines)
-    assert divergent == 3 and steps == 3
-    steps, divergent = check_trace(lines[:2])
+    assert divergent == 5 and steps == 3
+    steps, divergent = check_trace(lines[:4])
     assert divergent is None and steps == 2
 
 
 def test_trace_malformed_lines():
-    with pytest.raises(TraceFormatError):
-        replay_trace_line("S0 high noerror S1", lineno=4)
-    with pytest.raises(TraceFormatError):
-        replay_trace_line("S0 sideways -> S1", lineno=9)
+    """Each rejection names the line and what is wrong with it."""
+    for line, needle in [
+        ("S0 high noerror S1", "expected 'state input... -> next_state'"),
+        ("S0 sideways -> S1", "unknown input token 'sideways'"),
+        ("S9 high noerror -> S1", "unknown state token"),
+        ("S0 high noerror -> S7", "unknown state token"),
+        ("S0 sideways noerror -> S1", "unknown delay/checksum token"),
+        ("S0 high maybe -> S1", "unknown delay/checksum token"),
+        ("S0 high noerror confirmed -> S1", "expected one or two input tokens"),
+    ]:
+        with pytest.raises(TraceFormatError, match=re.escape(f"line 4: {needle}")):
+            replay_trace_line(line, lineno=4)

@@ -149,6 +149,14 @@ def test_json_emit_is_the_sorted_indented_dump():
 def test_emit_unknown_format():
     with pytest.raises(ValueError, match="xml"):
         _report().emit("xml")
+    with pytest.raises(ValueError, match="unknown format: xml"):
+        MetricsReport.parse(_report().emit("json"), "xml")
+
+
+def test_a_report_equals_no_other_type():
+    report = _report()
+    assert report.__eq__(report.to_dict()) is NotImplemented
+    assert report != report.to_dict()
 
 
 def test_summarize_row_set_and_energy_marker():

@@ -116,6 +116,15 @@ def test_mesf_capacity_rejection_names_shortfall():
         mesf_assign(list(range(7)), [_server(1)], PREEVAL_COST)
 
 
+@pytest.mark.parametrize("task_ids,servers", [([], [_server(1)]), ([0], [])],
+                         ids=["no-tasks", "no-servers"])
+def test_wave_placement_rejects_no_tasks_or_no_servers(task_ids, servers):
+    for assign in (lambda: mesf_assign(task_ids, servers, PREEVAL_COST),
+                   lambda: random_assign(task_ids, servers, random.Random(0))):
+        with pytest.raises(ValueError, match="tasks and servers must be non-empty"):
+            assign()
+
+
 def _mesf_assign_by_iterator(task_ids, servers):
     """Reference: walk the (latency, id) order, moving on when a server is full."""
     ordered = sorted(servers, key=lambda s: (s.latency_mean, s.server_id))
